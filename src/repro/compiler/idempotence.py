@@ -4,7 +4,7 @@
 trivially identical to the original kernel function. Such idempotency
 can be statically identified using compiler."
 
-Three analyses are provided:
+Two analyses are provided:
 
 * :func:`analyze_kernel_source` — the static, compiler-side check over
   CUDA-like source, built on a real statement scanner
@@ -13,11 +13,6 @@ Three analyses are provided:
   when no array is both read and written (re-execution would then
   consume its own output) and no written array is updated through an
   atomic or compound assignment (re-execution would accumulate twice).
-* :func:`analyze_kernel_source_regex` — the original single-regex
-  heuristic, kept as a documented fallback. It has known blind spots
-  (multi-dimensional ``a[i][j]`` targets, nested brackets in
-  subscripts, parenthesized atomic operands) that the scanner fixes;
-  the regression tests pin the previously misclassified cases.
 * :func:`check_idempotent_dynamic` — the simulator-side oracle: run a
   block twice back to back and compare the protected outputs. Used to
   validate the static verdicts and to classify kernels the static
@@ -39,12 +34,6 @@ import numpy as np
 
 from repro.compiler.model import KernelSource
 from repro.gpu.kernel import Kernel
-
-_ARRAY_WRITE_RE = re.compile(
-    r"(?<![\w.])([A-Za-z_]\w*)\s*\[[^\]]*\]\s*(\+=|-=|\*=|/=|\|=|&=|\^=|=)(?!=)"
-)
-_ARRAY_REF_RE = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*\[")
-_ATOMIC_RE = re.compile(r"(?<![\w.])atomic\w*\s*\(\s*&?\s*([A-Za-z_]\w*)")
 
 #: Compound/assignment operators checked longest-first so ``<<=`` is not
 #: misread as ``<`` + ``<=``.
@@ -259,60 +248,6 @@ def analyze_kernel_source(kernel: KernelSource) -> IdempotenceReport:
         # The scanner classifies the write's own LHS occurrence as a
         # write (never a read), so every recorded read is a real one.
         read.update(eff.reads)
-
-    overlap = written & read
-    for array in sorted(overlap):
-        hazards.append(
-            f"array '{array}' is both read and written; re-execution "
-            "would consume its own output"
-        )
-    return IdempotenceReport(
-        kernel_name=kernel.name,
-        idempotent=not hazards,
-        hazards=hazards,
-        written_arrays=written,
-        read_arrays=read,
-    )
-
-
-def analyze_kernel_source_regex(kernel: KernelSource) -> IdempotenceReport:
-    """The legacy regex heuristic, kept as a fallback.
-
-    Known blind spots (all fixed by :func:`analyze_kernel_source` and
-    pinned by regression tests): multi-dimensional write targets
-    (``a[i][j] = v`` is missed entirely), nested brackets in subscripts
-    (``y[idx[i]] += 1`` loses the compound write), and atomic operands
-    wrapped in parentheses (``atomicAdd(&(bins[i]), 1)``).
-    """
-    written: set[str] = set()
-    read: set[str] = set()
-    hazards: list[str] = []
-
-    for line in kernel.body:
-        stmt = line.strip()
-        if stmt.startswith(("#", "//")):
-            continue
-        write_spans = []
-        for m in _ARRAY_WRITE_RE.finditer(stmt):
-            array, op = m.group(1), m.group(2)
-            written.add(array)
-            write_spans.append(m.span())
-            if op != "=":
-                hazards.append(
-                    f"compound update '{array}[...] {op}' accumulates "
-                    "on re-execution"
-                )
-        for m in _ATOMIC_RE.finditer(stmt):
-            written.add(m.group(1))
-            hazards.append(
-                f"atomic read-modify-write on '{m.group(1)}' accumulates "
-                "on re-execution"
-            )
-        for m in _ARRAY_REF_RE.finditer(stmt):
-            # Skip the reference that *is* the plain write target.
-            if any(lo <= m.start() < hi for lo, hi in write_spans):
-                continue
-            read.add(m.group(1))
 
     overlap = written & read
     for array in sorted(overlap):

@@ -13,6 +13,17 @@ tables alike — reaches NVM, so everything older is unconditionally
 durable); crash recovery validates and re-executes only the
 post-checkpoint epoch.
 
+This is the only epoch in the code base. Layers that batch work compose
+it rather than keeping an epoch list of their own:
+:class:`~repro.megakv.lp.KVBatchSession` holds one (every batch is
+launched through it, a crashed batch recovers through it), and a
+``repro serve`` window is exactly one epoch — launches, one drain, ack.
+Two hooks serve those owners: ``on_close`` hands the closed epoch's
+kernels back so their per-epoch resources (checksum tables, result
+buffers) can be released, and :meth:`CheckpointManager.enrol` admits a
+kernel that was prepared but never launched *by this process* — a
+restarted service rebuilding the epoch its predecessor died in.
+
 :func:`optimal_checkpoint_interval` provides the interval selection the
 paper alludes to ("the interval period can be selected based on
 probability of crashes and recovery time to achieve a certain MTBF or
@@ -22,7 +33,8 @@ availability target") via the classic Young/Daly first-order optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.recovery import RecoveryManager, RecoveryReport
 from repro.core.runtime import LazyPersistentKernel
@@ -41,8 +53,14 @@ class EpochRecord:
 class CheckpointManager:
     """Bounds LP's validation window with periodic whole-cache drains."""
 
-    def __init__(self, device: Device) -> None:
+    def __init__(
+        self,
+        device: Device,
+        on_close: Callable[[list[LazyPersistentKernel]], None] | None = None,
+    ) -> None:
         self.device = device
+        #: Called with the closed epoch's kernels after each drain.
+        self.on_close = on_close
         #: Kernels launched since the last checkpoint, in launch order.
         self._epoch: list[LazyPersistentKernel] = []
         #: Completed checkpoints (drain events) so far.
@@ -60,6 +78,16 @@ class CheckpointManager:
         self._epoch.append(kernel)
         return result
 
+    def enrol(self, kernel: LazyPersistentKernel) -> None:
+        """Admit a prepared-but-not-launched kernel to the open epoch.
+
+        The resume case: a predecessor process launched ``kernel``'s
+        twin and died before the drain, so its regions must be
+        validated (and the failed ones re-executed) by :meth:`recover`
+        exactly as if this manager had launched it.
+        """
+        self._epoch.append(kernel)
+
     def checkpoint(self) -> int:
         """Drain the persistence domain and close the epoch.
 
@@ -70,7 +98,9 @@ class CheckpointManager:
         lines = self.device.drain()
         self.checkpoints_taken += 1
         self.checkpoint_lines += lines
-        self._epoch.clear()
+        closed, self._epoch = self._epoch, []
+        if self.on_close is not None:
+            self.on_close(closed)
         return lines
 
     @property

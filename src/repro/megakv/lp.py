@@ -6,13 +6,22 @@ an LP-instrumented kernel.
 
 Crash handling must respect LP's "arbitrarily old regions" caveat
 (Section IV-A): a crash during batch N can also lose still-unevicted
-effects of batches < N, so the session keeps every batch since the
-last checkpoint in an *epoch* and, on a crash, recovers the whole
+effects of batches < N. The session therefore composes a
+:class:`~repro.core.checkpoint.CheckpointManager`: every batch is
+launched into the manager's open *epoch*, a crash recovers the whole
 epoch oldest-first (re-execution order preserves last-writer-wins
-across batches) before admitting new work. A successful recovery — or
-an explicit :meth:`KVBatchSession.checkpoint` — drains the persistence
-domain and closes the epoch. (A hypothesis model-based test caught
-exactly the single-batch-recovery bug this design removes.)
+across batches) before new work is admitted, and a successful recovery
+— or an explicit :meth:`KVBatchSession.checkpoint` — drains the
+persistence domain and closes the epoch. (A hypothesis model-based
+test caught exactly the single-batch-recovery bug this design removes.)
+
+The session is also the one place a batch is *named*:
+:meth:`KVBatchSession.prepare` formats the checksum-table and
+results-buffer names from the batch counter, allocates, and
+instruments. The forward path launches what ``prepare`` returns; a
+restarted service calls the same ``prepare`` at the recorded allocator
+cursor and counter and enrols the result instead, so the two cannot
+disagree about where a batch's buffers live.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checkpoint import CheckpointManager
 from repro.core.config import LPConfig
-from repro.core.recovery import RecoveryManager, RecoveryReport
+from repro.core.recovery import RecoveryReport
 from repro.core.runtime import LazyPersistentKernel, LPRuntime
 from repro.gpu.device import Device, LaunchResult
 from repro.megakv.kernels import (
@@ -54,7 +64,11 @@ class BatchOutcome:
 
 
 class KVBatchSession:
-    """Batched, crash-recoverable operation stream against one store."""
+    """Batched, crash-recoverable operation stream against one store.
+
+    ``batch_counter`` seeds the batch numbering: 0 for a fresh session,
+    the request log's recorded counter for a service resuming a window.
+    """
 
     def __init__(
         self,
@@ -62,33 +76,57 @@ class KVBatchSession:
         store: MegaKVStore,
         config: LPConfig | None = None,
         threads_per_block: int = 64,
+        batch_counter: int = 0,
     ) -> None:
         self.device = device
         self.store = store
         self.config = config or LPConfig.paper_best()
         self.runtime = LPRuntime(device, self.config)
         self.threads = threads_per_block
-        self._batch_counter = 0
-        #: Batches since the last checkpoint, oldest first.
-        self._epoch: list[LazyPersistentKernel] = []
-        #: Result buffers of past search batches, freed at checkpoint
-        #: (their contents were copied into the BatchOutcome).
-        self._stale_result_buffers: list[str] = []
+        self._batch_counter = batch_counter
+        #: The open epoch: batches since the last checkpoint, oldest
+        #: first. Closing it releases their tables and result buffers.
+        self.manager = CheckpointManager(device, on_close=self._release)
 
     @property
     def batch_counter(self) -> int:
         """Monotonic batch number; names the next batch's checksum table.
 
         The service request log records this (plus the allocator
-        cursor) per window, so a restarted daemon can replay the
-        window's table/results allocations under identical names and
-        addresses before adopting the reopened heap.
+        cursor) per window, so a restarted daemon can :meth:`prepare`
+        the window's batches under identical names and addresses
+        before adopting the reopened heap.
         """
         return self._batch_counter
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
+
+    def prepare(
+        self, op: str, keys: np.ndarray, values: np.ndarray | None = None
+    ) -> LazyPersistentKernel:
+        """Name, allocate and instrument the next batch; do not launch.
+
+        The only place a batch's buffers are named: results buffer
+        ``<store>_results_<counter>`` (search only, allocated first),
+        then checksum table ``<kernel>_b<counter>``.
+        """
+        counter = self._batch_counter
+        if op == "insert":
+            kernel = KVInsertKernel(self.store, keys, values, self.threads)
+        elif op == "delete":
+            kernel = KVDeleteKernel(self.store, keys, self.threads)
+        elif op == "search":
+            results_name = f"{self.store.name}_results_{counter}"
+            alloc_results(self.device, results_name, np.asarray(keys).size)
+            kernel = KVSearchKernel(self.store, keys, results_name,
+                                    self.threads)
+        else:
+            raise ValueError(f"unknown KV operation {op!r}")
+        self._batch_counter += 1
+        return self.runtime.instrument(
+            kernel, table_name=f"{kernel.name}_b{counter}")
 
     def insert(
         self,
@@ -97,27 +135,22 @@ class KVBatchSession:
         crash_plan: CrashPlan | None = None,
     ) -> BatchOutcome:
         """SET a batch of (key, value) pairs."""
-        kernel = KVInsertKernel(self.store, keys, values, self.threads)
-        return self._run("insert", kernel, crash_plan)
+        return self._launch("insert", self.prepare("insert", keys, values),
+                            crash_plan)
 
     def delete(
         self, keys: np.ndarray, crash_plan: CrashPlan | None = None
     ) -> BatchOutcome:
         """DELETE a batch of keys."""
-        kernel = KVDeleteKernel(self.store, keys, self.threads)
-        return self._run("delete", kernel, crash_plan)
+        return self._launch("delete", self.prepare("delete", keys),
+                            crash_plan)
 
     def search(
         self, keys: np.ndarray, crash_plan: CrashPlan | None = None
     ) -> BatchOutcome:
         """GET a batch of keys; misses come back as 0."""
-        results_name = f"{self.store.name}_results_{self._batch_counter}"
-        alloc_results(self.device, results_name, np.asarray(keys).size)
-        kernel = KVSearchKernel(self.store, keys, results_name, self.threads)
-        outcome = self._run("search", kernel, crash_plan)
-        outcome.results = self.device.memory[results_name].array.copy()
-        self._stale_result_buffers.append(results_name)
-        return outcome
+        return self._launch("search", self.prepare("search", keys),
+                            crash_plan)
 
     def mixed(
         self,
@@ -134,75 +167,64 @@ class KVBatchSession:
         next, so the stream's semantics are crash-transparent.
         """
         crash_plans = crash_plans or {}
-        outcomes: list[BatchOutcome] = []
-        for i, op in enumerate(ops):
-            plan = crash_plans.get(i)
-            kind = op[0]
-            if kind == "insert":
-                outcomes.append(self.insert(op[1], op[2], crash_plan=plan))
-            elif kind == "search":
-                outcomes.append(self.search(op[1], crash_plan=plan))
-            elif kind == "delete":
-                outcomes.append(self.delete(op[1], crash_plan=plan))
-            else:
-                raise ValueError(f"unknown KV operation {kind!r}")
-        return outcomes
+        return [self._launch(op[0], self.prepare(*op), crash_plans.get(i))
+                for i, op in enumerate(ops)]
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
+    def recover(self) -> list[RecoveryReport]:
+        """Validate and re-execute the open epoch, oldest batch first."""
+        return [record.report for record in self.manager.recover()]
 
     def checkpoint(self) -> int:
         """Drain the persistence domain and close the batch epoch.
 
         Everything up to here is durable; a later crash can no longer
         require re-validating these batches, so their checksum tables
-        (and already-copied search-result buffers) are released.
-        Returns the lines the drain wrote.
+        and search-result buffers (already copied into their
+        :class:`BatchOutcome`) are released. Returns the lines the
+        drain wrote.
         """
         rec = _recorder()
         with rec.trace.span("megakv.checkpoint", cat="megakv",
-                            track="megakv", epoch_batches=len(self._epoch)):
-            lines = self.device.drain()
-            for kernel in self._epoch:
-                kernel.table.free()
-            self._epoch.clear()
-            for name in self._stale_result_buffers:
-                if name in self.device.memory:
-                    self.device.free(name)
-            self._stale_result_buffers.clear()
+                            track="megakv",
+                            epoch_batches=len(self.manager.epoch_kernels)):
+            lines = self.manager.checkpoint()
         if rec.metrics.active:
             rec.metrics.inc("megakv.checkpoints")
             rec.metrics.inc("megakv.checkpoint.lines", lines)
         return lines
 
-    def _run(self, op, kernel, crash_plan) -> BatchOutcome:
-        table_name = f"{kernel.name}_b{self._batch_counter}"
-        batch_no = self._batch_counter
-        self._batch_counter += 1
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _release(self, closed: list[LazyPersistentKernel]) -> None:
+        """The manager's ``on_close`` hook: free a closed epoch."""
+        for lp_kernel in closed:
+            lp_kernel.table.free()
+            if isinstance(lp_kernel.inner, KVSearchKernel):
+                self.device.free(lp_kernel.inner.results_buffer)
+
+    def _launch(self, op, lp_kernel, crash_plan) -> BatchOutcome:
         rec = _recorder()
-        lp_kernel = self.runtime.instrument(kernel, table_name=table_name)
         with rec.trace.span("megakv.batch", cat="megakv", track="megakv",
-                            op=op, batch=batch_no):
-            launch = self.device.launch(lp_kernel, crash_plan=crash_plan)
+                            op=op, batch=self._batch_counter - 1):
+            launch = self.manager.launch(lp_kernel, crash_plan=crash_plan)
             outcome = BatchOutcome(op=op, launch=launch,
                                    lp_kernel=lp_kernel)
             if launch.crashed:
                 # A crash may have lost effects of any batch in the open
                 # epoch, not just the one in flight: recover
-                # oldest-first, then checkpoint so the epoch starts
-                # clean.
+                # oldest-first (this batch is the newest).
                 if rec.metrics.active:
                     rec.metrics.inc("megakv.batch.crashes", op=op)
-                self.device.restart()
-                for old_kernel in self._epoch:
-                    RecoveryManager(self.device, old_kernel).recover()
-                outcome.recovery = RecoveryManager(
-                    self.device, lp_kernel
-                ).recover()
+                outcome.recovery = self.recover()[-1]
+            if op == "search":
+                outcome.results = self.device.memory[
+                    lp_kernel.inner.results_buffer].array.copy()
+            if launch.crashed:
+                # Checkpoint so the epoch starts clean (after the copy:
+                # closing the epoch frees the results buffer).
                 self.checkpoint()
-            else:
-                self._epoch.append(lp_kernel)
         if rec.metrics.active:
             rec.metrics.inc("megakv.batches", op=op)
         return outcome

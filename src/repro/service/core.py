@@ -14,15 +14,18 @@ requests share one persistence-domain drain instead of buying one
 each. Only after the drain (and the WAL retire) does the caller get
 the responses to ack, so *an acked write is a drained write*.
 
-**The resume path.** On construction with an existing heap the core
-cold-opens it, replays the WAL's allocation sequence at the recorded
-allocator cursor so every in-flight table and results buffer lands at
-the address the heap directory knows it by, adopts the heap, and runs
-every replayed launch through the engine-pluggable recovery fast path
-(validate, re-execute failed regions). Acked windows were drained and
-cleared their WAL record, so they are untouched; the at-most-one
-unacked in-flight window either recovers fully or is re-applied by
-client retries — both idempotent.
+**The resume path.** A window is one checkpoint epoch described by one
+*launch list* (:func:`window_launches`), and that list is what the WAL
+holds. On construction with an existing heap the core cold-opens it,
+seeds a session at the WAL's allocator cursor and batch counter, and
+has the session :meth:`~repro.megakv.lp.KVBatchSession.prepare` the
+same list the forward path launched — so every in-flight table and
+results buffer lands under the name and at the address the heap
+directory knows it by — then adopts the heap and lets the session
+recover and checkpoint the epoch (validate, re-execute failed regions,
+drain). Acked windows were drained and cleared their WAL record, so
+they are untouched; the at-most-one unacked in-flight window either
+recovers fully or is re-applied by client retries — both idempotent.
 """
 
 from __future__ import annotations
@@ -34,17 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import LPConfig
-from repro.core.recovery import RecoveryManager
-from repro.core.runtime import LPRuntime
 from repro.errors import ServiceError, TableFullError
 from repro.gpu.device import Device
 from repro.gpu.engine import make_engine
-from repro.megakv.kernels import (
-    KVDeleteKernel,
-    KVInsertKernel,
-    KVSearchKernel,
-    alloc_results,
-)
 from repro.megakv.lp import KVBatchSession
 from repro.megakv.store import MegaKVStore
 from repro.nvm.mapped import MappedShadow
@@ -114,9 +109,6 @@ class SubBatch:
     deletes: list[Request] = field(default_factory=list)
     searches: list[Request] = field(default_factory=list)
 
-    def write_keys(self) -> set[int]:
-        return {r.key for r in self.inserts} | {r.key for r in self.deletes}
-
 
 def partition_window(requests: list[Request]) -> list[SubBatch]:
     """Split a window into maximal key-disjoint sub-batches, in order.
@@ -161,16 +153,31 @@ def partition_window(requests: list[Request]) -> list[SubBatch]:
     return batches
 
 
-def _wal_sub_batches(sub_batches: list[SubBatch]) -> list[dict]:
-    """JSON-able WAL image of a partitioned window."""
-    out = []
+def window_launches(sub_batches: list[SubBatch]):
+    """A window as one ordered launch list, plus who each launch answers.
+
+    ``launches[i]`` is the JSON-able ``(op, keys, values)`` of the i-th
+    kernel launch (``values`` is ``None`` except for inserts) and
+    ``groups[i]`` the requests it serves. This function alone fixes the
+    order within a sub-batch — inserts, deletes, searches, empty groups
+    skipped; the WAL stores ``launches`` verbatim, the forward path
+    launches it and the resume path prepares it.
+    """
+    launches, groups = [], []
     for sb in sub_batches:
-        out.append({
-            "inserts": [[r.key, r.value] for r in sb.inserts],
-            "deletes": [r.key for r in sb.deletes],
-            "searches": [r.key for r in sb.searches],
-        })
-    return out
+        for op, reqs in (("insert", sb.inserts), ("delete", sb.deletes),
+                         ("search", sb.searches)):
+            if reqs:
+                values = [r.value for r in reqs] if op == "insert" else None
+                launches.append((op, [r.key for r in reqs], values))
+                groups.append(reqs)
+    return launches, groups
+
+
+def _operands(keys, values) -> list[np.ndarray]:
+    """The uint64 arrays a launch-list entry passes to the session."""
+    return [np.array(column, dtype=np.uint64)
+            for column in (keys, values) if column is not None]
 
 
 @dataclass
@@ -217,143 +224,98 @@ class ServiceCore:
     def _open(self) -> None:
         cfg = self.config
         engine = make_engine(cfg.engine, jobs=cfg.jobs)
-        if self.heap_path is None:
-            # Volatile service: nothing survives a restart, but the
-            # whole flush path is identical (used as the latency
-            # baseline by bench-serve).
-            self.device = Device(cache_capacity_lines=cfg.cache_lines,
-                                 engine=engine)
-            self.store = MegaKVStore(self.device, cfg.capacity,
-                                     name=cfg.store_name)
-            self.session = KVBatchSession(
-                self.device, self.store, cfg.lp_config(),
-                threads_per_block=cfg.threads_per_block)
-            return
-
-        self.reqlog = RequestLog(log_path_for(self.heap_path))
-        if self.heap_path.exists():
-            self._resume(engine)
-        else:
-            self.heap_path.parent.mkdir(parents=True, exist_ok=True)
-            if self.shards > 0:
-                self.heap = ShardedShadow.create(self.heap_path,
-                                                 n_shards=self.shards)
+        resuming = self.heap_path is not None and self.heap_path.exists()
+        wal = None
+        if self.heap_path is not None:
+            self.reqlog = RequestLog(log_path_for(self.heap_path))
+            if resuming:
+                wal = self.reqlog.read()  # refuses a foreign schema first
+                self.heap = self._reopen_heap()
             else:
-                self.heap = MappedShadow.create(self.heap_path)
-            self.device = Device(cache_capacity_lines=cfg.cache_lines,
-                                 engine=engine, shadow=self.heap)
-            self.store = MegaKVStore(self.device, cfg.capacity,
-                                     name=cfg.store_name)
-            self.session = KVBatchSession(
-                self.device, self.store, cfg.lp_config(),
-                threads_per_block=cfg.threads_per_block)
+                self.heap_path.parent.mkdir(parents=True, exist_ok=True)
+                self.heap = (
+                    ShardedShadow.create(self.heap_path, n_shards=self.shards)
+                    if self.shards > 0
+                    else MappedShadow.create(self.heap_path))
+        # No heap_path is the volatile service (bench-serve's latency
+        # baseline): same flush path, nothing survives a restart. A
+        # reopened heap is adopted once the layout is rebuilt rather
+        # than attached buffer by buffer. The store comes first either
+        # way — its two buffers are always the first allocations.
+        self.device = Device(cache_capacity_lines=cfg.cache_lines,
+                             engine=engine,
+                             shadow=None if resuming else self.heap)
+        self.store = MegaKVStore(self.device, cfg.capacity,
+                                 name=cfg.store_name)
+        if wal is not None:
+            self.device.memory.set_alloc_cursor(wal["next_addr"])
+        self.session = KVBatchSession(
+            self.device, self.store, cfg.lp_config(),
+            threads_per_block=cfg.threads_per_block,
+            batch_counter=wal["batch_counter"] if wal is not None else 0)
+        if resuming:
+            self._resume(wal["launches"] if wal is not None else [])
 
-    def _resume(self, engine) -> None:
-        """Cold-open an existing heap, replay the WAL, recover, resume."""
-        cfg = self.config
+    def _reopen_heap(self):
+        """Open the existing heap by its on-disk magic; a ``shards``
+        request that contradicts what is there is refused, not ignored."""
+        heap = open_heap(self.heap_path)
+        found = heap.n_shards if isinstance(heap, ShardedShadow) else 0
+        if self.shards > 0 and self.shards != found:
+            heap.close()
+            kind = (f"a {found}-shard manifest" if found
+                    else "a plain (unsharded) heap file")
+            raise ServiceError(
+                f"{self.heap_path}: expected a {self.shards}-shard "
+                f"manifest, found {kind}")
+        self.shards = found  # stats() reports what is open, not the flag
+        self.resume_info["torn_lines"] = len(heap.torn_lines())
+        return heap
+
+    def _resume(self, launches: list) -> None:
+        """Rebuild the crashed window's epoch on the reopened heap,
+        recover it, and keep the session for serving."""
         rec = _recorder()
+        info = self.resume_info
+        memory = self.device.memory
         with rec.trace.span("service.resume", cat="service",
                             track="service", heap=str(self.heap_path)):
-            self.heap = open_heap(self.heap_path)
-            torn = getattr(self.heap, "torn", None)
-            self.resume_info["torn_lines"] = len(torn.lines) if torn else 0
+            # The same prepare() the forward path launched through, at
+            # the cursor and counter the WAL recorded (see _open).
+            for op, keys, values in launches:
+                self.session.manager.enrol(self.session.prepare(
+                    op, *_operands(keys, values)))
 
-            # Rebuild the pre-crash memory layout: the store first (its
-            # two buffers are always the first allocations), then the
-            # WAL window's tables and results buffers at the recorded
-            # cursor.
-            self.device = Device(cache_capacity_lines=cfg.cache_lines,
-                                 engine=engine)
-            self.store = MegaKVStore(self.device, cfg.capacity,
-                                     name=cfg.store_name)
-            wal = self.reqlog.read()
-            replayed, result_names = [], []
-            if wal is not None:
-                self.device.memory.set_alloc_cursor(wal["next_addr"])
-                replayed, result_names = self._replay_allocations(wal)
-
-            # Reconcile directory vs rebuilt layout. A replayed
-            # allocation the crashed process never reached is missing
-            # from the heap — attach it (its seed image equals what the
-            # live attach would have written). An entry no rebuilt
-            # buffer claims can only be a leftover the crashed process
-            # was mid-way through freeing after its drain — drop it.
-            memory = self.device.memory
+            # Reconcile directory vs rebuilt layout. A prepared buffer
+            # the crashed process never reached is missing from the
+            # heap — attach it (its seed image equals what the live
+            # attach would have written). An entry no rebuilt buffer
+            # claims can only be a leftover the crashed process was
+            # mid-way through freeing after its drain — drop it.
             for name, buf in memory.buffers.items():
                 if buf.persistent and name not in self.heap.entries:
                     self.heap.attach(buf)
-                    self.resume_info["reattached_buffers"] += 1
+                    info["reattached_buffers"] += 1
             for name in list(self.heap.entries):
                 if name not in memory:
                     self.heap.detach(name)
-                    self.resume_info["detached_orphans"] += 1
+                    info["detached_orphans"] += 1
             self.heap.adopt(memory)
 
             # Engine-pluggable validate + recover, oldest-first, then
             # one drain to retire the whole window.
-            recovered_blocks = 0
-            for lp_kernel in replayed:
-                report = RecoveryManager(self.device, lp_kernel).recover()
-                recovered_blocks += len(report.recovered_blocks)
-            if replayed:
-                self.device.drain()
-                for lp_kernel in replayed:
-                    lp_kernel.table.free()
-                for name in result_names:
-                    self.device.free(name)
+            if launches:
+                reports = self.session.recover()
+                info["recovered_blocks"] = sum(
+                    len(report.recovered_blocks) for report in reports)
+                self.session.checkpoint()
             self.reqlog.clear()
-
-            self.resume_info.update(
-                resumed=True,
-                replayed_launches=len(replayed),
-                recovered_blocks=recovered_blocks,
-            )
-            self.session = KVBatchSession(
-                self.device, self.store, cfg.lp_config(),
-                threads_per_block=cfg.threads_per_block)
+            info.update(resumed=True, replayed_launches=len(launches))
         if rec.metrics.active:
             rec.metrics.inc("service.resumes")
-            rec.metrics.inc("service.resume.replayed_launches",
-                            len(replayed))
-            rec.metrics.inc("service.resume.recovered_blocks",
-                            recovered_blocks)
-
-    def _replay_allocations(self, wal: dict):
-        """Re-run the WAL window's allocation sequence, allocating
-        tables and results buffers under their pre-crash names and
-        addresses. Mirrors :meth:`_launch_sub_batch` exactly — the two
-        must stay in lockstep for the adopt to be sound."""
-        cfg = self.config
-        runtime = LPRuntime(self.device, cfg.lp_config())
-        counter = wal["batch_counter"]
-        replayed, result_names = [], []
-
-        def instrument(kernel) -> None:
-            nonlocal counter
-            replayed.append(runtime.instrument(
-                kernel, table_name=f"{kernel.name}_b{counter}"))
-            counter += 1
-
-        for sb in wal["sub_batches"]:
-            if sb["inserts"]:
-                keys = np.array([k for k, _ in sb["inserts"]],
-                                dtype=np.uint64)
-                vals = np.array([v for _, v in sb["inserts"]],
-                                dtype=np.uint64)
-                instrument(KVInsertKernel(self.store, keys, vals,
-                                          cfg.threads_per_block))
-            if sb["deletes"]:
-                keys = np.array(sb["deletes"], dtype=np.uint64)
-                instrument(KVDeleteKernel(self.store, keys,
-                                          cfg.threads_per_block))
-            if sb["searches"]:
-                keys = np.array(sb["searches"], dtype=np.uint64)
-                name = f"{self.store.name}_results_{counter}"
-                alloc_results(self.device, name, keys.size)
-                result_names.append(name)
-                instrument(KVSearchKernel(self.store, keys, name,
-                                          cfg.threads_per_block))
-        return replayed, result_names
+            for key in ("replayed_launches", "recovered_blocks",
+                        "reattached_buffers", "detached_orphans"):
+                rec.metrics.inc(f"service.resume.{key}", info[key])
 
     # ------------------------------------------------------------------
     # Flush path
@@ -373,7 +335,6 @@ class ServiceCore:
         t0 = time.perf_counter()
         sub_batches = partition_window(requests)
         responses: list[tuple[Request, dict]] = []
-        launches = 0
 
         # Admission guard: refuse puts that could not fit. Sub-batch
         # inserts may still raise TableFullError under pathological
@@ -383,62 +344,44 @@ class ServiceCore:
         if n_puts and self.records() + n_puts > record_cap:
             return self._fail_window(requests, "store_full", t0)
 
+        launches, groups = window_launches(sub_batches)
         if self.durable:
             self.reqlog.begin(
                 next_addr=self.device.memory.alloc_cursor,
                 batch_counter=self.session.batch_counter,
-                sub_batches=_wal_sub_batches(sub_batches),
+                launches=launches,
             )
+        full = False
         try:
-            for sb in sub_batches:
-                launches += self._launch_sub_batch(sb, responses)
-            drained = self.session.checkpoint()
+            for (op, keys, values), reqs in zip(launches, groups):
+                outcome = getattr(self.session, op)(*_operands(keys, values))
+                if op == "search":
+                    for req, raw in zip(reqs, outcome.results):
+                        value = int(raw)
+                        responses.append((req, {
+                            "ok": True, "op": "get",
+                            "value": value if value else None,
+                        }))
+                else:
+                    responses.extend((req, {"ok": True, "op": req.op})
+                                     for req in reqs)
         except TableFullError:
             # Converge whatever did land, retire the window, and report
             # the failure to every requester — their retries are
             # idempotent.
-            self.session.checkpoint()
-            if self.durable:
-                self.reqlog.clear()
-            return self._fail_window(requests, "store_full", t0)
+            full = True
+        drained = self.session.checkpoint()
         if self.durable:
             self.reqlog.clear()
+        if full:
+            return self._fail_window(requests, "store_full", t0)
         return WindowResult(
             responses=responses,
-            launches=launches,
+            launches=len(launches),
             sub_batches=len(sub_batches),
             drained_lines=drained,
             elapsed_s=time.perf_counter() - t0,
         )
-
-    def _launch_sub_batch(self, sb: SubBatch,
-                          responses: list[tuple[Request, dict]]) -> int:
-        """One sub-batch's launches; mirrors :meth:`_replay_allocations`."""
-        launches = 0
-        if sb.inserts:
-            keys = np.array([r.key for r in sb.inserts], dtype=np.uint64)
-            vals = np.array([r.value for r in sb.inserts], dtype=np.uint64)
-            self.session.insert(keys, vals)
-            launches += 1
-            for req in sb.inserts:
-                responses.append((req, {"ok": True, "op": "put"}))
-        if sb.deletes:
-            keys = np.array([r.key for r in sb.deletes], dtype=np.uint64)
-            self.session.delete(keys)
-            launches += 1
-            for req in sb.deletes:
-                responses.append((req, {"ok": True, "op": "delete"}))
-        if sb.searches:
-            keys = np.array([r.key for r in sb.searches], dtype=np.uint64)
-            outcome = self.session.search(keys)
-            launches += 1
-            for req, raw in zip(sb.searches, outcome.results):
-                value = int(raw)
-                responses.append((req, {
-                    "ok": True, "op": "get",
-                    "value": value if value else None,
-                }))
-        return launches
 
     @staticmethod
     def _fail_window(requests: list[Request], error: str,
@@ -458,7 +401,8 @@ class ServiceCore:
     def backend(self) -> str:
         if self.heap is None:
             return "memory"
-        return "sharded" if self.shards > 0 else "mapped"
+        return ("sharded" if isinstance(self.heap, ShardedShadow)
+                else "mapped")
 
     def close(self, drain: bool = True) -> None:
         """Release the heap; ``drain=False`` abandons cached lines

@@ -1,17 +1,15 @@
-"""Statement-scanner vs. legacy-regex analysis: pinned blind spots.
+"""Statement-scanner idempotence analysis: pinned verdicts.
 
-The legacy single-regex heuristic (kept as
-:func:`analyze_kernel_source_regex`) misclassifies three statement
-shapes the character-level scanner handles. These tests pin both the
-old (wrong) and new (right) verdicts so the fallback's limitations
-stay documented and the scanner never regresses to them.
+Three statement shapes a single-regex heuristic (the analyzer this
+scanner replaced) misclassified — it certified each idempotent — plus
+the simple shapes it got right. These tests pin the scanner's verdicts
+on all of them so it never regresses to the regex's blind spots.
 """
 
 import pytest
 
 from repro.compiler.idempotence import (
     analyze_kernel_source,
-    analyze_kernel_source_regex,
     scan_statement,
 )
 from repro.compiler.parser import parse_program
@@ -52,10 +50,8 @@ __global__ void sc(unsigned long long *tab, int n) {
 
 
 def test_multidim_write_blind_spot():
-    # Old: `a[i][j] = ...` never matches the single-bracket write
-    # regex, so the kernel was wrongly certified idempotent.
-    legacy = analyze_kernel_source_regex(kernel_of(MULTIDIM))
-    assert legacy.idempotent, "pinned legacy misclassification"
+    # `a[i][j] = ...` never matches a single-bracket write regex, so
+    # the regex analyzer wrongly certified the kernel idempotent.
     report = analyze_kernel_source(kernel_of(MULTIDIM))
     assert not report.idempotent
     assert "a" in report.written_arrays
@@ -63,10 +59,8 @@ def test_multidim_write_blind_spot():
 
 
 def test_nested_subscript_blind_spot():
-    # Old: the inner `idx[i]` bracket stops the lazy `[^\]]*` match, so
-    # the compound `+=` write to y was lost (y read-only, idx read).
-    legacy = analyze_kernel_source_regex(kernel_of(NESTED_SUBSCRIPT))
-    assert legacy.idempotent, "pinned legacy misclassification"
+    # The inner `idx[i]` bracket stops a lazy `[^\]]*` match, so the
+    # regex analyzer lost the compound `+=` write to y.
     report = analyze_kernel_source(kernel_of(NESTED_SUBSCRIPT))
     assert not report.idempotent
     assert "y" in report.written_arrays
@@ -75,10 +69,8 @@ def test_nested_subscript_blind_spot():
 
 
 def test_parenthesized_atomic_blind_spot():
-    # Old: `&(bins...)` defeats the `&?\s*ident` capture, naming no
-    # written array at all.
-    legacy = analyze_kernel_source_regex(kernel_of(PAREN_ATOMIC))
-    assert legacy.idempotent, "pinned legacy misclassification"
+    # `&(bins...)` defeats an `&?\s*ident` capture: the regex analyzer
+    # named no written array at all.
     report = analyze_kernel_source(kernel_of(PAREN_ATOMIC))
     assert not report.idempotent
     assert "bins" in report.written_arrays
@@ -90,21 +82,24 @@ def test_spaced_cas_operand():
     assert "tab" in report.written_arrays
 
 
-def test_scanner_and_regex_agree_on_simple_statements():
-    # On the shapes the regex does handle, the verdicts must coincide.
-    for src in (
-        "__global__ void k(float *C, float *A, int n) {\n"
-        "    C[blockIdx.x] = A[blockIdx.x];\n}",
-        "__global__ void k(float *C, int n) {\n"
-        "    C[blockIdx.x] += 1.0f;\n}",
-        "__global__ void k(int *h, int n) {\n"
-        "    atomicAdd(&h[blockIdx.x], 1);\n}",
+def test_scanner_verdicts_on_simple_statements():
+    # The shapes the regex analyzer also handled: pinned verdicts.
+    for src, idempotent, written, hazards in (
+        ("__global__ void k(float *C, float *A, int n) {\n"
+         "    C[blockIdx.x] = A[blockIdx.x];\n}", True, {"C"}, []),
+        ("__global__ void k(float *C, int n) {\n"
+         "    C[blockIdx.x] += 1.0f;\n}", False, {"C"},
+         ["compound update 'C[...] +=' accumulates on re-execution"]),
+        ("__global__ void k(int *h, int n) {\n"
+         "    atomicAdd(&h[blockIdx.x], 1);\n}", False, {"h"},
+         ["atomic read-modify-write on 'h' accumulates on re-execution",
+          "array 'h' is both read and written; re-execution would "
+          "consume its own output"]),
     ):
-        new = analyze_kernel_source(kernel_of(src))
-        old = analyze_kernel_source_regex(kernel_of(src))
-        assert new.idempotent == old.idempotent
-        assert new.written_arrays == old.written_arrays
-        assert new.hazards == old.hazards
+        report = analyze_kernel_source(kernel_of(src))
+        assert report.idempotent == idempotent
+        assert report.written_arrays == written
+        assert report.hazards == hazards
 
 
 @pytest.mark.parametrize("stmt,writes,reads,atomics", [

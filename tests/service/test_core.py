@@ -1,27 +1,26 @@
 """ServiceCore: window partitioning, the flush path, and resume.
 
 The unclean-stop tests are the in-process mirror of the SIGKILL
-scenario: ``close(drain=False)`` abandons the write-back cache with
-the request WAL still armed, exactly what the kernel does to a
-SIGKILLed daemon, and the next :class:`ServiceCore` on the same heap
-must replay, recover, and converge.
+scenario (:mod:`tests.service.unclean`): the window runs through the
+real ``execute_window`` and dies before its drain, ``close(drain=False)``
+abandons the write-back cache with the request WAL still armed,
+exactly what the kernel does to a SIGKILLed daemon, and the next
+:class:`ServiceCore` on the same heap must replay, recover, and
+converge.
 """
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service.core import (
-    Request,
     ServiceConfig,
     ServiceCore,
     partition_window,
 )
 from repro.service.reqlog import RequestLog, log_path_for
-
-
-def _reqs(*ops):
-    return [Request(op=op, key=key, value=value)
-            for op, key, value in ops]
+from tests.service.unclean import apply_reference as _apply_reference
+from tests.service.unclean import crash_before_drain
+from tests.service.unclean import requests as _reqs
 
 
 # ----------------------------------------------------------------------
@@ -130,15 +129,6 @@ def test_window_store_full_fails_whole_window(volatile_core):
 # Durable lifecycle: clean restart and unclean-stop resume
 # ----------------------------------------------------------------------
 
-def _apply_reference(state, ops):
-    for op, key, value in ops:
-        if op == "put":
-            state[key] = value
-        elif op == "delete":
-            state.pop(key, None)
-    return state
-
-
 def _make_core(tmp_path, shards):
     heap = (tmp_path / "sharded" / "heap.lpnv" if shards
             else tmp_path / "heap.lpnv")
@@ -170,24 +160,11 @@ def test_unclean_stop_replays_wal_and_converges(tmp_path, shards):
     acked = [("put", k, k * 100) for k in range(1, 21)]
     core.execute_window(_reqs(*acked))  # acked: drained + WAL cleared
 
-    # The in-flight window: logged and launched, but the checkpoint
-    # never drains — close(drain=False) throws the cached lines away
-    # with the WAL still armed, like a SIGKILL mid-window.
+    # The in-flight window: logged and launched by the service itself,
+    # but the checkpoint never drains, like a SIGKILL mid-window.
     inflight = [("put", 1, 111), ("put", 30, 300), ("delete", 2, None),
                 ("get", 5, None), ("put", 5, 555)]
-    sub_batches = partition_window(_reqs(*inflight))
-    core.reqlog.begin(
-        next_addr=core.device.memory.alloc_cursor,
-        batch_counter=core.session.batch_counter,
-        sub_batches=[{
-            "inserts": [[r.key, r.value] for r in sb.inserts],
-            "deletes": [r.key for r in sb.deletes],
-            "searches": [r.key for r in sb.searches],
-        } for sb in sub_batches],
-    )
-    for sb in sub_batches:
-        core._launch_sub_batch(sb, [])
-    core.close(drain=False)
+    crash_before_drain(core, *inflight)
     assert RequestLog(log_path_for(heap)).read() is not None
 
     reopened = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
@@ -216,19 +193,7 @@ def test_unacked_window_is_idempotent_under_client_retry(tmp_path):
     the end state must equal a single application."""
     core, heap = _make_core(tmp_path, shards=0)
     inflight = [("put", 7, 70), ("delete", 8, None)]
-    sub_batches = partition_window(_reqs(*inflight))
-    core.reqlog.begin(
-        next_addr=core.device.memory.alloc_cursor,
-        batch_counter=core.session.batch_counter,
-        sub_batches=[{
-            "inserts": [[r.key, r.value] for r in sb.inserts],
-            "deletes": [r.key for r in sb.deletes],
-            "searches": [r.key for r in sb.searches],
-        } for sb in sub_batches],
-    )
-    for sb in sub_batches:
-        core._launch_sub_batch(sb, [])
-    core.close(drain=False)
+    crash_before_drain(core, *inflight)
 
     reopened = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
                            heap_path=heap)
@@ -253,6 +218,30 @@ def test_backend_names(tmp_path, shards, backend):
         assert core.backend() == backend
     finally:
         core.close()
+
+
+def test_backend_is_what_the_heap_is_not_what_the_flag_says(tmp_path):
+    """A restart opens by on-disk magic, so backend() (and the shard
+    count stats() reports) must follow the heap, not ``shards``."""
+    core, heap = _make_core(tmp_path, shards=4)
+    core.close()
+    reopened = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
+                           heap_path=heap)  # restarted without --shards
+    try:
+        assert reopened.backend() == "sharded"
+        assert reopened.shards == 4
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("created,asked", [(0, 4), (4, 2)])
+def test_contradicting_shards_on_existing_heap_is_refused(tmp_path, created,
+                                                          asked):
+    core, heap = _make_core(tmp_path, shards=created)
+    core.close()
+    with pytest.raises(ServiceError, match=f"expected a {asked}-shard"):
+        ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
+                    heap_path=heap, shards=asked)
 
 
 def test_unknown_lp_config_rejected():
