@@ -1,9 +1,10 @@
 """Tier-2 gate: KV-service throughput/latency vs BENCH_serve.json.
 
 Re-measures the ``bench-serve`` scenarios (quick shape) and enforces
-the two service gates: the batching window buys >= 3x the throughput
-of a one-request-per-launch daemon on the same mapped heap, and
-serving durably costs at most 2x the in-memory p50. Also sanity-checks
+the three service gates: the batching window buys >= 3x the throughput
+of a one-request-per-launch daemon on the same mapped heap, serving
+durably costs at most 2x the in-memory p50, and the 4-shard heap
+serves at >= 0.8x the mapped heap's QPS. Also sanity-checks
 the committed baseline itself — the gates must hold for the numbers we
 ship, not just the machine re-running them.
 """
@@ -34,6 +35,14 @@ def test_committed_baseline_passes_its_own_gates():
 @pytest.mark.tier2
 def test_batched_speedup_floor(suite):
     assert bench.check_gates(suite) == []
+
+
+@pytest.mark.tier2
+def test_sharded_qps_floor(suite):
+    assert (suite["derived"]["sharded_qps_ratio"]
+            >= bench.SHARDED_QPS_FLOOR), suite["derived"]
+    assert suite["scenarios"]["batched_sharded16"]["server"][
+        "backend"] == "sharded"
 
 
 @pytest.mark.tier2

@@ -398,17 +398,24 @@ def inspect_heap(path) -> HeapReport:
 
 @dataclass(frozen=True)
 class ShardedHeapReport:
-    """Manifest plus every shard's :class:`HeapReport`, read-only."""
+    """Manifest topology plus every shard's :class:`HeapReport`."""
 
     path: str
     n_shards: int
     line_size: int
     block_lines: int
     shard_names: tuple[str, ...]
-    #: Address blocks the manifest currently maps to a shard.
-    n_mapped_blocks: int
     #: Per-shard reports; index == shard id.
     shards: tuple[HeapReport, ...]
+
+    @property
+    def n_mapped_blocks(self) -> int:
+        """Address blocks the shard directories claim, as the live
+        heap's open would derive them."""
+        return len({
+            block for report in self.shards for entry in report.entries
+            for block in layout.address_blocks(entry, self.line_size,
+                                               self.block_lines)})
 
     def armed_shards(self) -> list[int]:
         """Shard ids whose torn-write journal the crash left armed."""
@@ -541,7 +548,6 @@ def inspect_sharded(path) -> ShardedHeapReport:
         line_size=manifest.line_size,
         block_lines=manifest.block_lines,
         shard_names=manifest.shard_names,
-        n_mapped_blocks=len(manifest.block_map),
         shards=shards,
     )
 
@@ -570,9 +576,9 @@ class ShardedHeapDiff:
 
     path_a: str
     path_b: str
-    #: Manifest fields that disagree (name -> [a, b]); per-shard data
-    #: is still compared when only the block map differs, but a shard
-    #: count mismatch leaves ``shards`` empty.
+    #: Manifest fields that disagree (name -> [a, b]); a shard count
+    #: mismatch leaves ``shards`` empty. Placement is not a manifest
+    #: field: a buffer homed differently shows in the per-shard diffs.
     manifest_diff: dict
     shards: tuple[HeapDiff, ...]
 
@@ -616,9 +622,6 @@ def diff_sharded(path_a, path_b) -> ShardedHeapDiff:
         va, vb = getattr(ma, key), getattr(mb, key)
         if va != vb:
             manifest_diff[key] = [va, vb]
-    if ma.block_map != mb.block_map:
-        manifest_diff["block_map"] = [len(ma.block_map),
-                                      len(mb.block_map)]
     shards: tuple[HeapDiff, ...] = ()
     if ma.n_shards == mb.n_shards:
         shards = tuple(

@@ -26,10 +26,12 @@ The module also owns the **shard manifest** format that
 :class:`repro.nvm.sharded.ShardedShadow` writes next to its N shard
 files: a fixed header (magic ``"LPNVMANI"``, version, shard count,
 body length, body CRC32) followed by a CRC-guarded JSON body holding
-the line size, the address-block granularity and the deterministic
-block→shard table. Each shard file is an ordinary v1 heap; the
-manifest is the only thing that knows how the device address space
-was partitioned.
+the static topology — line size, address-block granularity, shard
+file names. It is written once, at create. Which shard owns which
+address block is *not* in it: each shard file is an ordinary v1 heap
+whose directory names the buffers it holds, and
+:func:`address_blocks` turns a directory entry into the address
+blocks it claims, so placement is re-derived from the shards at open.
 """
 
 from __future__ import annotations
@@ -316,41 +318,41 @@ MANIFEST_VERSION = 1
 MANIFEST_HEADER = struct.Struct("<8sIIQI")
 MANIFEST_BODY_OFFSET = 64
 
-#: Address-block granularity of the block→shard table: consecutive
+#: Address-block granularity of the block→shard map: consecutive
 #: cache lines grouped into one mapping unit. Buffers always live
 #: wholly inside one shard, and two buffers cohabiting one address
 #: block are pinned to the same shard — so the default granularity is
 #: a single cache line (buffers never share a line; placement stays
-#: free to balance). The table is stored run-length encoded, so fine
-#: granularity costs one extent per buffer, not one entry per line.
+#: free to balance).
 DEFAULT_SHARD_BLOCK_LINES = 1
 
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """The decoded shard manifest of a sharded heap.
+    """The decoded shard manifest: a sharded heap's static topology.
 
     ``shard_names`` are the shard heap file names relative to the
-    manifest's own directory; ``block_map`` maps address-block id
-    (``line_id // block_lines``) to the owning shard index.
+    manifest's own directory; ``block_lines`` is how many cache lines
+    make one address block (``line_id // block_lines``).
     """
 
     n_shards: int
     line_size: int
     block_lines: int
     shard_names: tuple[str, ...]
-    block_map: dict[int, int]
 
-    def shard_of_line(self, line_id: int) -> int:
-        """Owning shard of a cache line; raises on unmapped lines."""
-        block = int(line_id) // self.block_lines
-        try:
-            return self.block_map[block]
-        except KeyError:
-            raise HeapCorruptError(
-                f"line {line_id} (address block {block}) is not mapped "
-                "to any shard in the manifest"
-            ) from None
+
+def address_blocks(span, line_size: int, block_lines: int) -> range:
+    """The address blocks a buffer claims for the shard that holds it.
+
+    ``span`` is anything with ``base_addr`` and ``padded_bytes``: a
+    live buffer about to be placed, or the :class:`HeapEntry` a shard
+    directory keeps for it — the same blocks either way, which is what
+    lets a cold open re-derive the placement the live heap made.
+    """
+    first = span.base_addr // line_size
+    last = first + max(span.padded_bytes // line_size, 1) - 1
+    return range(first // block_lines, last // block_lines + 1)
 
 
 def is_manifest(raw: bytes) -> bool:
@@ -359,7 +361,12 @@ def is_manifest(raw: bytes) -> bool:
 
 
 def parse_manifest(raw: bytes, path) -> ShardManifest:
-    """Decode and validate a shard manifest; raises typed errors."""
+    """Decode and validate a shard manifest; raises typed errors.
+
+    Only the static topology is read. A v1 manifest written when the
+    block→shard table was still stored carries an ``extents`` key;
+    the shard directories supersede it, so it is ignored.
+    """
     if len(raw) < MANIFEST_HEADER.size:
         raise HeapTruncatedError(
             f"{path}: {len(raw)} manifest bytes — the fixed manifest "
@@ -396,10 +403,6 @@ def parse_manifest(raw: bytes, path) -> ShardManifest:
         line_size = int(doc["line_size"])
         block_lines = int(doc["block_lines"])
         shard_names = tuple(str(name) for name in doc["shards"])
-        block_map: dict[int, int] = {}
-        for start, count, shard in doc["extents"]:
-            for block in range(int(start), int(start) + int(count)):
-                block_map[block] = int(shard)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
             TypeError, ValueError) as exc:
         raise HeapCorruptError(
@@ -420,39 +423,18 @@ def parse_manifest(raw: bytes, path) -> ShardManifest:
             f"{path}: nonsensical address-block granularity "
             f"{block_lines}"
         )
-    for block, shard in block_map.items():
-        if not 0 <= shard < n_shards:
-            raise HeapCorruptError(
-                f"{path}: address block {block} maps to shard {shard}, "
-                f"outside the manifest's {n_shards} shard(s)"
-            )
     return ShardManifest(n_shards=n_shards, line_size=line_size,
                          block_lines=block_lines,
-                         shard_names=shard_names, block_map=block_map)
+                         shard_names=shard_names)
 
 
 def pack_manifest(manifest: ShardManifest) -> bytes:
-    """Serialize a shard manifest (header + CRC-guarded JSON body).
-
-    The block→shard table is run-length encoded as
-    ``[start_block, n_blocks, shard]`` extents — contiguous buffers
-    produce one extent each, keeping the manifest small even at
-    single-line block granularity.
-    """
-    extents: list[list[int]] = []
-    for block in sorted(manifest.block_map):
-        shard = manifest.block_map[block]
-        if extents and extents[-1][2] == shard \
-                and extents[-1][0] + extents[-1][1] == block:
-            extents[-1][1] += 1
-        else:
-            extents.append([block, 1, shard])
+    """Serialize a shard manifest (header + CRC-guarded JSON body)."""
     body = json.dumps(
         {
             "line_size": manifest.line_size,
             "block_lines": manifest.block_lines,
             "shards": list(manifest.shard_names),
-            "extents": extents,
         },
         separators=(",", ":"),
     ).encode("utf-8")

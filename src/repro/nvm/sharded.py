@@ -7,15 +7,27 @@ address space across N :class:`MappedShadow` shard files and is a
 drop-in ``Device(shadow=...)`` / ``GlobalMemory(shadow=...)`` target:
 
 * **Partitioning** — the address space is divided into fixed *address
-  blocks* of ``block_lines`` consecutive cache lines; an explicit
-  block→shard table is recorded in a CRC-guarded manifest file
-  (:func:`repro.nvm.layout.pack_manifest`) next to the shards. A
-  buffer always lives wholly inside one shard (its shadow must be one
-  contiguous mapped view), so blocks are assigned buffer-at-a-time:
-  blocks already claimed by an overlapping buffer pin the shard,
-  otherwise the least-loaded shard wins. Every shard file is an
+  blocks* of ``block_lines`` consecutive cache lines, each owned by
+  one shard. A buffer always lives wholly inside one shard (its
+  shadow must be one contiguous mapped view), so blocks are assigned
+  buffer-at-a-time: blocks already claimed by an overlapping buffer
+  pin the shard, otherwise the least-loaded shard (fewest mapped
+  blocks, ties to the lowest id) wins. Every shard file is an
   ordinary v1 heap mirroring the *full* device address space
   (sparse), so entries keep their global ``base_addr``.
+
+* **Placement is derived, not stored** — a shard's own v1 directory
+  names the buffers, hence the address blocks
+  (:func:`repro.nvm.layout.address_blocks`), it owns, so the
+  directories are the only durable record of the block→shard map and
+  :meth:`open` rebuilds it from them. The CRC-guarded manifest next to
+  the shards holds the static topology (shard count, line size, block
+  granularity, file names) and is written once, by :meth:`create`.
+  :meth:`attach` / :meth:`detach` are one shard's directory store — a
+  plain mmap store, the guarantee :class:`MappedShadow` gives — plus
+  an in-memory update, so a kill anywhere inside them leaves a heap
+  that reopens with exactly the buffers whose store landed: there is
+  no second file to fall out of step with.
 
 * **Containment** — each shard keeps its own v1 header and torn-write
   journal, so a write torn by a crash is contained to the shard it
@@ -36,10 +48,8 @@ drop-in ``Device(shadow=...)`` / ``GlobalMemory(shadow=...)`` target:
   parallel engine uses to keep each worker's validate/recover chunks
   shard-local.
 
-A manifest update is an atomic write-to-temp + ``os.replace``, so a
-kill mid-update leaves the previous valid manifest — torn manifests
-cannot happen, only stale-but-consistent ones, and the directory of
-each shard is the ground truth the manifest must agree with at open.
+No crash of this code leaves two shards claiming one address block or
+one buffer name; :meth:`open` refuses such a shard set as corrupt.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from repro.errors import (
     HeapFormatError,
     HeapLayoutError,
     HeapTruncatedError,
+    ReproError,
 )
 from repro.nvm import layout
 from repro.nvm.layout import (
@@ -93,26 +104,32 @@ class ShardedShadow:
     """
 
     def __init__(self, path: Path, shards: list[MappedShadow],
-                 line_size: int, block_lines: int,
-                 block_map: dict[int, int],
-                 entries: dict[str, HeapEntry],
-                 owner: dict[str, int],
-                 torn_by_shard: dict[int, TornWindow]) -> None:
+                 line_size: int, block_lines: int) -> None:
         self.path = Path(path)
         #: The shard heaps, index == shard id.
         self.shards = shards
         self.line_size = line_size
         self.block_lines = block_lines
-        #: Address block id -> owning shard (the manifest table).
-        self._block_map = block_map
-        #: Merged allocation-ordered directory across all shards.
-        self.entries = entries
+        #: Address block id -> owning shard, derived from the shard
+        #: directories; ``_block_refs`` counts the buffers overlapping
+        #: each mapped block and ``_loads`` the blocks each shard owns.
+        self._block_map: dict[int, int] = {}
+        self._block_refs: dict[int, int] = {}
+        self._loads = [0] * len(shards)
         #: Buffer name -> owning shard id.
-        self._owner = owner
+        self._owner: dict[str, int] = {}
+        self._derive_placement()
+        #: Merged address-ordered directory across all shards.
+        self.entries: dict[str, HeapEntry] = dict(sorted(
+            ((name, entry) for shard in shards
+             for name, entry in shard.entries.items()),
+            key=lambda item: item[1].base_addr))
         #: Per-shard torn windows found at :meth:`open`.
-        self.torn_by_shard = torn_by_shard
+        self.torn_by_shard: dict[int, TornWindow] = {
+            k: shard.torn for k, shard in enumerate(shards)
+            if shard.torn is not None}
         #: Merged torn window across shards (``None`` when clean).
-        self.torn = self._merge_torn(torn_by_shard)
+        self.torn = self._merge_torn(self.torn_by_shard)
         #: Sharded-level hooks, mirroring :class:`MappedShadow`. The
         #: write-back listener fires *before* any shard journal
         #: clears; per-shard listeners (``shards[k].writeback_listener``)
@@ -157,8 +174,7 @@ class ShardedShadow:
                                     dir_capacity, data_capacity)
                 for k in range(n_shards)
             ]
-        heap = cls(path, shards, line_size, block_lines, block_map={},
-                   entries={}, owner={}, torn_by_shard={})
+        heap = cls(path, shards, line_size, block_lines)
         heap._write_manifest()
         if rec.metrics.active:
             rec.metrics.set_gauge("nvm.sharded.shards", n_shards)
@@ -170,10 +186,11 @@ class ShardedShadow:
 
         Each shard is validated and reopened on its own thread (one
         :meth:`MappedShadow.open` per shard, so per-shard torn windows
-        and typed errors are exactly the single-heap ones). Raises the
-        same ``Heap*`` errors as :meth:`MappedShadow.open`, plus
-        :class:`~repro.errors.HeapCorruptError` when the manifest and
-        the shard directories disagree.
+        and typed errors are exactly the single-heap ones), then the
+        block→shard map is re-derived from their directories. Raises
+        the same ``Heap*`` errors as :meth:`MappedShadow.open`, plus
+        :class:`~repro.errors.HeapCorruptError` when the directories
+        contradict the manifest or each other.
         """
         path = Path(path)
         rec = _recorder()
@@ -204,7 +221,13 @@ class ShardedShadow:
                                 shard.close()
                         raise
             shards = [shard for shard in opened if shard is not None]
-            heap = cls._assemble(path, manifest, shards)
+            try:
+                heap = cls(path, shards, manifest.line_size,
+                           manifest.block_lines)
+            except ReproError:
+                for shard in shards:
+                    shard.close()
+                raise
         if rec.metrics.active:
             rec.metrics.inc("nvm.sharded.reopens")
             rec.metrics.set_gauge("nvm.sharded.shards", heap.n_shards)
@@ -229,51 +252,36 @@ class ShardedShadow:
             ) from None
         return layout.parse_manifest(raw, path)
 
-    @classmethod
-    def _assemble(cls, path: Path, manifest: ShardManifest,
-                  shards: list[MappedShadow]) -> "ShardedShadow":
-        """Cross-check manifest vs shard directories and merge them."""
-        entries: dict[str, HeapEntry] = {}
-        owner: dict[str, int] = {}
-        torn_by_shard: dict[int, TornWindow] = {}
-        for k, shard in enumerate(shards):
-            if shard.line_size != manifest.line_size:
+    def _derive_placement(self) -> None:
+        """Rebuild owner / block map / loads from the shard directories."""
+        for k, shard in enumerate(self.shards):
+            if shard.line_size != self.line_size:
                 raise HeapCorruptError(
-                    f"{path}: shard {k} has line size {shard.line_size}, "
-                    f"manifest says {manifest.line_size}"
+                    f"{self.path}: shard {k} has line size "
+                    f"{shard.line_size}, manifest says {self.line_size}"
                 )
             for name, entry in shard.entries.items():
-                if name in owner:
+                if name in self._owner:
                     raise HeapCorruptError(
-                        f"{path}: buffer {name!r} appears in shard "
-                        f"{owner[name]} and shard {k}"
+                        f"{self.path}: buffer {name!r} appears in shard "
+                        f"{self._owner[name]} and shard {k}"
                     )
-                first, last = entry.line_span(manifest.line_size)
-                for line in (first, max(first, last - 1)):
-                    if manifest.shard_of_line(line) != k:
-                        raise HeapCorruptError(
-                            f"{path}: manifest maps buffer {name!r} "
-                            f"(line {line}) away from shard {k}, where "
-                            "its directory entry lives"
-                        )
-                owner[name] = k
-            if shard.torn is not None:
-                torn_by_shard[k] = shard.torn
-        for name, entry in sorted(
-                ((name, entry) for shard in shards
-                 for name, entry in shard.entries.items()),
-                key=lambda item: item[1].base_addr):
-            entries[name] = entry
-        return cls(path, shards, manifest.line_size,
-                   manifest.block_lines, dict(manifest.block_map),
-                   entries, owner, torn_by_shard)
+                blocks = self._blocks_of(entry)
+                rivals = self._pinned(blocks) - {k}
+                if rivals:
+                    raise HeapCorruptError(
+                        f"{self.path}: buffer {name!r} in shard {k} "
+                        f"claims address blocks that shard(s) "
+                        f"{sorted(rivals)} already own"
+                    )
+                self._claim(name, blocks, k)
 
     # ------------------------------------------------------------------
     # Shadow-backend interface (GlobalMemory plugs in here)
     # ------------------------------------------------------------------
 
     def attach(self, buf) -> np.ndarray:
-        """Home ``buf`` in one shard and record the block→shard claim."""
+        """Home ``buf`` in one shard; its directory records the claim."""
         self._check_open()
         self._check_writable()
         if buf.name in self.entries:
@@ -281,21 +289,11 @@ class ShardedShadow:
                 f"buffer {buf.name!r} already lives in sharded heap "
                 f"{self.path}"
             )
-        blocks = self._blocks_of(buf.base_addr, buf.padded_bytes)
+        blocks = self._blocks_of(buf)
         shard_id = self._place(buf.name, blocks)
-        new_blocks = [b for b in blocks if b not in self._block_map]
-        for block in new_blocks:
-            self._block_map[block] = shard_id
-        try:
-            view = self.shards[shard_id].attach(buf)
-            self._write_manifest()
-        except Exception:
-            for block in new_blocks:
-                del self._block_map[block]
-            self.shards[shard_id].detach(buf.name)
-            raise
+        view = self.shards[shard_id].attach(buf)
+        self._claim(buf.name, blocks, shard_id)
         self.entries[buf.name] = self.shards[shard_id].entries[buf.name]
-        self._owner[buf.name] = shard_id
         return view
 
     def detach(self, name: str) -> None:
@@ -303,16 +301,14 @@ class ShardedShadow:
         self._check_open()
         if name not in self.entries:
             return
-        shard_id = self._owner.pop(name)
-        entry = self.entries.pop(name)
+        shard_id = self._owner[name]
         self.shards[shard_id].detach(name)
-        first, last = entry.line_span(self.line_size)
-        for block in range(first // self.block_lines,
-                           max(first, last - 1) // self.block_lines + 1):
-            if self._block_map.get(block) == shard_id \
-                    and not self._block_in_use(block):
-                del self._block_map[block]
-        self._write_manifest()
+        del self._owner[name]
+        for block in self._blocks_of(self.entries.pop(name)):
+            self._block_refs[block] -= 1
+            if not self._block_refs[block]:
+                del self._block_refs[block], self._block_map[block]
+                self._loads[shard_id] -= 1
 
     def view(self, name: str) -> np.ndarray:
         """The mapped NVM image of one entry, from its owning shard."""
@@ -437,20 +433,13 @@ class ShardedShadow:
             shard.seal()
 
     def sync(self) -> None:
-        """``msync`` all shards (concurrently when there are several)."""
+        """``msync`` every shard, in shard order."""
         self._check_open()
         self._check_writable()
-        rec = _recorder()
-        with rec.trace.span("heap.sharded.sync", cat="nvm", track="nvm",
-                            shards=self.n_shards):
-            if self.n_shards == 1:
-                self.shards[0].sync()
-            else:
-                with ThreadPoolExecutor(
-                        max_workers=self.n_shards) as pool:
-                    for future in [pool.submit(shard.sync)
-                                   for shard in self.shards]:
-                        future.result()
+        with _recorder().trace.span("heap.sharded.sync", cat="nvm",
+                                    track="nvm", shards=self.n_shards):
+            for shard in self.shards:
+                shard.sync()
 
     def close(self) -> None:
         """Flush and release every shard mapping."""
@@ -488,12 +477,11 @@ class ShardedShadow:
         return [shard.path for shard in self.shards]
 
     def manifest(self) -> ShardManifest:
-        """The current manifest view of this heap's partitioning."""
+        """This heap's static topology, as :meth:`create` recorded it."""
         return ShardManifest(
             n_shards=self.n_shards, line_size=self.line_size,
             block_lines=self.block_lines,
             shard_names=tuple(shard.path.name for shard in self.shards),
-            block_map=dict(self._block_map),
         )
 
     # ------------------------------------------------------------------
@@ -521,25 +509,18 @@ class ShardedShadow:
                 f"shard of {self.path}"
             ) from None
 
-    def _blocks_of(self, base_addr: int, padded_bytes: int) -> list[int]:
-        first_line = base_addr // self.line_size
-        last_line = first_line + max(padded_bytes // self.line_size, 1) - 1
-        return list(range(first_line // self.block_lines,
-                          last_line // self.block_lines + 1))
+    def _blocks_of(self, span) -> range:
+        return layout.address_blocks(span, self.line_size,
+                                     self.block_lines)
 
-    def _block_in_use(self, block: int) -> bool:
-        lo = block * self.block_lines
-        hi = lo + self.block_lines
-        for entry in self.entries.values():
-            first, last = entry.line_span(self.line_size)
-            if first < hi and last > lo:
-                return True
-        return False
+    def _pinned(self, blocks: range) -> set[int]:
+        """Shards that already own any of ``blocks``."""
+        return {self._block_map[b] for b in blocks
+                if b in self._block_map}
 
-    def _place(self, name: str, blocks: list[int]) -> int:
+    def _place(self, name: str, blocks: range) -> int:
         """Pick the owning shard for a new buffer's address blocks."""
-        pinned = {self._block_map[b] for b in blocks
-                  if b in self._block_map}
+        pinned = self._pinned(blocks)
         if len(pinned) > 1:
             raise HeapLayoutError(
                 f"buffer {name!r} spans address blocks already split "
@@ -548,13 +529,20 @@ class ShardedShadow:
             )
         if pinned:
             return pinned.pop()
-        loads = [0] * self.n_shards
-        for shard_id in self._block_map.values():
-            loads[shard_id] += 1
-        return min(range(self.n_shards), key=lambda k: (loads[k], k))
+        return self._loads.index(min(self._loads))
+
+    def _claim(self, name: str, blocks: range, shard_id: int) -> None:
+        """Record that ``shard_id``'s directory holds buffer ``name``."""
+        self._owner[name] = shard_id
+        for block in blocks:
+            refs = self._block_refs.get(block, 0)
+            if not refs:
+                self._block_map[block] = shard_id
+                self._loads[shard_id] += 1
+            self._block_refs[block] = refs + 1
 
     def _write_manifest(self) -> None:
-        """Atomically persist the manifest (write-temp + rename)."""
+        """Persist the manifest (write-temp + rename); :meth:`create` only."""
         payload = layout.pack_manifest(self.manifest())
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "wb") as fileobj:
@@ -562,6 +550,9 @@ class ShardedShadow:
             fileobj.flush()
             os.fsync(fileobj.fileno())
         os.replace(tmp, self.path)
+        rec = _recorder()
+        if rec.metrics.active:
+            rec.metrics.inc("nvm.sharded.manifest_writes")
 
     @staticmethod
     def _merge_torn(torn_by_shard: dict[int, TornWindow]) \

@@ -3,7 +3,7 @@
 Runs the daemon in-process (real sockets, real threads — only the
 process boundary is elided) under the seeded load generator and
 records p50/p99 client latency and sustained QPS per scenario into
-``BENCH_serve.json``. Two gates pin the service's reason to exist:
+``BENCH_serve.json``. Three gates pin the service's reason to exist:
 
 * ``batched_speedup_floor`` — on the same mapped heap, the batching
   window must buy at least 3x the throughput of a one-request-per-
@@ -12,7 +12,11 @@ records p50/p99 client latency and sustained QPS per scenario into
   restated as a service;
 * ``mapped_p50_ceiling`` — serving from a mapped durable heap must
   cost at most 2x the in-memory p50 (durability as a bounded tax,
-  matching the mapped-overhead gate in ``BENCH_sim.json``).
+  matching the mapped-overhead gate in ``BENCH_sim.json``);
+* ``sharded_qps_floor`` — the 4-shard heap must serve at least 0.8x
+  the mapped heap's batched QPS: sharding buys parallel recovery and
+  torn-write containment, and may not tax the normal path for it. A
+  16-shard scenario is recorded beside it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ BASELINE_PATH = Path(__file__).resolve().parents[3] / "BENCH_serve.json"
 BATCHED_SPEEDUP_FLOOR = 3.0
 #: Mapped-backed p50 over in-memory p50 must be at most this.
 MAPPED_P50_CEILING = 2.0
+#: 4-shard batched QPS over mapped batched QPS must be at least this.
+SHARDED_QPS_FLOOR = 0.8
 
 #: Shared load shape: enough in-flight traffic (clients x pipeline)
 #: to fill windows, a key space wide enough that zipfian collisions
@@ -90,16 +96,20 @@ def run_suite(quick: bool = False) -> dict:
             ServiceConfig(max_batch=128, max_wait_ms=2.0, **_SERVICE),
             LoadConfig(requests_per_client=rpc_batched, **_LOAD),
             tmp, heap=True)
-        results["batched_sharded"] = _scenario(
-            "batched_sharded",
-            ServiceConfig(max_batch=128, max_wait_ms=2.0, **_SERVICE),
-            LoadConfig(requests_per_client=rpc_batched, **_LOAD),
-            tmp, heap=True, shards=4)
+        for name, shards in (("batched_sharded", 4),
+                             ("batched_sharded16", 16)):
+            results[name] = _scenario(
+                name,
+                ServiceConfig(max_batch=128, max_wait_ms=2.0, **_SERVICE),
+                LoadConfig(requests_per_client=rpc_batched, **_LOAD),
+                tmp, heap=True, shards=shards)
 
     speedup = (results["batched_mapped"]["qps"]
                / max(results["one_per_launch"]["qps"], 1e-9))
     p50_ratio = (results["batched_mapped"]["p50_ms"]
                  / max(results["batched_memory"]["p50_ms"], 1e-9))
+    sharded_ratio = (results["batched_sharded"]["qps"]
+                     / max(results["batched_mapped"]["qps"], 1e-9))
     return {
         "benchmark": "serve_smoke",
         "schema": 1,
@@ -107,10 +117,12 @@ def run_suite(quick: bool = False) -> dict:
         "gates": {
             "batched_speedup_floor": BATCHED_SPEEDUP_FLOOR,
             "mapped_p50_ceiling": MAPPED_P50_CEILING,
+            "sharded_qps_floor": SHARDED_QPS_FLOOR,
         },
         "derived": {
             "batched_speedup": speedup,
             "mapped_p50_ratio": p50_ratio,
+            "sharded_qps_ratio": sharded_ratio,
         },
         "scenarios": results,
     }
@@ -130,6 +142,11 @@ def check_gates(doc: dict) -> list[str]:
         failures.append(
             f"mapped-backed p50 is {ratio:.2f}x in-memory p50 "
             f"(ceiling {doc['gates']['mapped_p50_ceiling']}x)")
+    ratio = doc["derived"]["sharded_qps_ratio"]
+    if ratio < doc["gates"]["sharded_qps_floor"]:
+        failures.append(
+            f"4-shard batched throughput is only {ratio:.2f}x the mapped "
+            f"heap's (floor {doc['gates']['sharded_qps_floor']}x)")
     return failures
 
 
@@ -149,13 +166,15 @@ def main(argv: list[str] | None = None) -> int:
     doc = run_suite(quick=args.quick)
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     for name, sc in doc["scenarios"].items():
-        print(f"{name:>16}: {sc['qps']:8.1f} req/s  "
+        print(f"{name:>17}: {sc['qps']:8.1f} req/s  "
               f"p50 {sc['p50_ms']:.2f} ms  p99 {sc['p99_ms']:.2f} ms  "
               f"(shed {sc['shed']})")
     print(f"batched speedup: {doc['derived']['batched_speedup']:.2f}x "
           f"(floor {doc['gates']['batched_speedup_floor']}x); "
           f"mapped p50 ratio: {doc['derived']['mapped_p50_ratio']:.2f}x "
-          f"(ceiling {doc['gates']['mapped_p50_ceiling']}x)")
+          f"(ceiling {doc['gates']['mapped_p50_ceiling']}x); "
+          f"sharded qps ratio: {doc['derived']['sharded_qps_ratio']:.2f}x "
+          f"(floor {doc['gates']['sharded_qps_floor']}x)")
     failures = check_gates(doc)
     for failure in failures:
         print(f"GATE FAIL: {failure}")

@@ -1,10 +1,16 @@
 """Unit tests for the sharded multi-heap NVM backend.
 
-Covers the manifest format, buffer placement, the per-shard journal
-fan-out (torn-write containment), adopt, sealing, the degenerate
-configurations (1 shard ≡ MappedShadow; more shards than blocks), and
-the read-only sharded inspector + schema v2.
+Covers the manifest format, buffer placement and its re-derivation
+from the shard directories at open (kill windows inside attach /
+detach included), the per-shard journal fan-out (torn-write
+containment), adopt, sealing, the degenerate configurations (1 shard
+≡ MappedShadow; more shards than blocks), and the read-only sharded
+inspector + schema v2.
 """
+
+import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -77,6 +83,34 @@ def _abandon(heap):
         shard._file.close()
 
 
+def _buffer_at(addr, name, shape, dtype):
+    """A live buffer at a chosen address, not yet homed in any heap."""
+    scratch = GlobalMemory(cache_capacity_lines=4)
+    scratch.set_alloc_cursor(addr)
+    return scratch.alloc(name, shape, dtype)
+
+
+def _placement(heap):
+    """The live block→shard state a cold open must re-derive."""
+    return (dict(heap._owner), dict(heap._block_map),
+            dict(heap._block_refs), list(heap._loads))
+
+
+class _Killed(BaseException):
+    """Stands in for SIGKILL: no ``except Exception`` may swallow it."""
+
+
+def _kill_after_directory_store(monkeypatch):
+    """The next shard-directory store lands, then the process dies."""
+    store = MappedShadow._write_directory
+
+    def store_then_die(shard):
+        store(shard)
+        raise _Killed
+
+    monkeypatch.setattr(MappedShadow, "_write_directory", store_then_die)
+
+
 # ---------------------------------------------------------------------------
 # Manifest + creation
 # ---------------------------------------------------------------------------
@@ -102,16 +136,42 @@ def test_create_rejects_bad_geometry(manifest_path):
 
 def test_manifest_pack_parse_roundtrip(manifest_path):
     manifest = ShardManifest(
-        n_shards=3, line_size=128, block_lines=1,
+        n_shards=3, line_size=128, block_lines=4,
         shard_names=("h.shard0", "h.shard1", "h.shard2"),
-        block_map={0: 0, 1: 0, 2: 1, 7: 2, 8: 2},
     )
     parsed = layout.parse_manifest(layout.pack_manifest(manifest),
                                    manifest_path)
     assert parsed == manifest
-    assert parsed.shard_of_line(2) == 1
-    with pytest.raises(HeapCorruptError):
-        parsed.shard_of_line(5)
+
+
+def _pack_manifest_with_extents(manifest, extents):
+    """A v1 manifest as written when the block table was still stored."""
+    body = json.dumps(
+        {"line_size": manifest.line_size,
+         "block_lines": manifest.block_lines,
+         "shards": list(manifest.shard_names), "extents": extents},
+        separators=(",", ":")).encode("utf-8")
+    header = layout.MANIFEST_HEADER.pack(
+        layout.MANIFEST_MAGIC, layout.MANIFEST_VERSION,
+        manifest.n_shards, len(body), zlib.crc32(body))
+    return header.ljust(layout.MANIFEST_BODY_OFFSET, b"\0") + body
+
+
+def test_open_ignores_stale_extents_of_an_older_manifest(manifest_path):
+    expected = _filled_sharded(manifest_path)
+    with ShardedShadow.open(manifest_path) as heap:
+        derived = _placement(heap)
+        manifest = heap.manifest()
+    # Every mapped block recorded against the *wrong* shard, plus one
+    # block no buffer ever touched: the directories outvote all of it.
+    stale = [[block, 1, (shard + 1) % manifest.n_shards]
+             for block, shard in derived[1].items()] + [[10_000, 3, 0]]
+    manifest_path.write_bytes(_pack_manifest_with_extents(manifest, stale))
+    with ShardedShadow.open(manifest_path) as heap:
+        assert _placement(heap) == derived
+        for name, values in expected.items():
+            assert np.array_equal(
+                np.asarray(heap.view(name)).ravel(), values)
 
 
 def test_roundtrip_reopen_is_bit_identical(manifest_path):
@@ -169,14 +229,25 @@ def test_duplicate_attach_rejected(manifest_path):
 def test_detach_releases_blocks_and_directory(manifest_path):
     heap = ShardedShadow.create(manifest_path, n_shards=2)
     mem = GlobalMemory(shadow=heap)
-    mem.alloc("x", (32,), np.int32)
-    blocks_with_x = len(heap.manifest().block_map)
+    x = mem.alloc("x", (32,), np.int32)       # 1 line  -> shard 0
+    mem.alloc("y", (32,), np.int32)           # 1 line  -> shard 1
+    mem.alloc("z", (128,), np.int32)          # 4 lines -> shard 0 (tie)
+    assert heap._loads == [5, 1]
+    x_blocks = list(heap._blocks_of(x))
     mem.free("x")
-    assert "x" not in heap.entries
-    assert len(heap.manifest().block_map) < blocks_with_x
+    assert "x" not in heap.entries and "x" not in heap._owner
+    assert not any(b in heap._block_map or b in heap._block_refs
+                   for b in x_blocks)
+    assert heap._loads == [4, 1]
+    # The address is free again: a later buffer there follows the
+    # load, not the shard that used to own the blocks.
+    heap.attach(_buffer_at(x.base_addr, "x2", (32,), np.int32))
+    assert heap.shard_of_buffer("x2") == 1
+    live = _placement(heap)
     heap.close()
     with ShardedShadow.open(manifest_path) as reopened:
         assert "x" not in reopened.entries
+        assert _placement(reopened) == live
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +292,94 @@ def test_open_truncated_manifest_is_typed(manifest_path):
         ShardedShadow.open(manifest_path)
 
 
-def test_open_manifest_directory_disagreement_is_typed(manifest_path):
+def test_open_manifest_directory_disagreement_is_typed(tmp_path,
+                                                       manifest_path):
+    # The directories are the placement record now, so the
+    # disagreement a cold open can meet is between two of them: the
+    # manifest's shard set names files whose directories collide.
+    # Same buffer name in two shards: one shard file copied over
+    # another.
     _filled_sharded(manifest_path)
-    manifest = layout.parse_manifest(manifest_path.read_bytes(),
-                                     manifest_path)
-    # Remap every block of shard 0 to shard 1: the manifest now
-    # disagrees with shard 0's directory about who owns its buffers.
-    remapped = {block: (1 if shard == 0 else shard)
-                for block, shard in manifest.block_map.items()}
-    manifest_path.write_bytes(layout.pack_manifest(ShardManifest(
-        n_shards=manifest.n_shards, line_size=manifest.line_size,
-        block_lines=manifest.block_lines,
-        shard_names=manifest.shard_names, block_map=remapped,
-    )))
-    with pytest.raises(HeapCorruptError, match="away from shard"):
+    with ShardedShadow.open(manifest_path) as heap:
+        src, dst = heap.shard_of_buffer("a"), heap.shard_of_buffer("b")
+    shutil.copyfile(shard_path(manifest_path, src),
+                    shard_path(manifest_path, dst))
+    with pytest.raises(HeapCorruptError, match="appears in shard"):
         ShardedShadow.open(manifest_path)
+
+    # Same address block under two names: a shard file from another
+    # heap whose first buffer landed on the same addresses.
+    _filled_sharded(manifest_path)
+    other = tmp_path / "other.lpnv"
+    heap = ShardedShadow.create(other, n_shards=4)
+    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
+    mem.alloc("not_a", LAYOUT[0][1], LAYOUT[0][2])
+    foreign = heap.shard_of_buffer("not_a")
+    heap.close()
+    assert foreign == src
+    shutil.copyfile(shard_path(other, foreign),
+                    shard_path(manifest_path, dst))
+    with pytest.raises(HeapCorruptError, match="claims address blocks"):
+        ShardedShadow.open(manifest_path)
+
+
+# ---------------------------------------------------------------------------
+# Kill windows inside attach / detach: the directories are the record
+# ---------------------------------------------------------------------------
+
+def test_kill_inside_attach_reopens_with_what_landed(manifest_path,
+                                                     monkeypatch):
+    heap = ShardedShadow.create(manifest_path, n_shards=2)
+    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
+    mem.alloc("x", (32,), np.int32)
+    buf = _buffer_at(mem.alloc_cursor, "late", (64,), np.int64)
+
+    # Killed before the shard-directory store: the buffer never was.
+    def die(shard):
+        raise _Killed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MappedShadow, "_write_directory", die)
+        with pytest.raises(_Killed):
+            heap.attach(buf)
+    _abandon(heap)
+    with ShardedShadow.open(manifest_path) as reopened:
+        assert list(reopened.entries) == ["x"]
+        # Killed right after it: the buffer is there, mapped, usable.
+        with monkeypatch.context() as patch:
+            _kill_after_directory_store(patch)
+            with pytest.raises(_Killed):
+                reopened.attach(buf)
+        _abandon(reopened)
+    with ShardedShadow.open(manifest_path) as reopened:
+        assert list(reopened.entries) == ["x", "late"]
+        assert reopened.shard_of_buffer("late") == 1
+        assert reopened._loads == [1, 4]
+        first, last = reopened.entries["late"].line_span(
+            reopened.line_size)
+        reopened.arm(range(first, last))
+        reopened.commit(last - first)
+        assert reopened.view("late").shape == (64,)
+
+
+def test_kill_inside_detach_reopens_with_what_landed(manifest_path,
+                                                     monkeypatch):
+    heap = ShardedShadow.create(manifest_path, n_shards=2)
+    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
+    x = mem.alloc("x", (32,), np.int32)       # shard 0
+    mem.alloc("y", (32,), np.int32)           # shard 1
+    mem.alloc("z", (128,), np.int32)          # shard 0
+    with monkeypatch.context() as patch:
+        _kill_after_directory_store(patch)
+        with pytest.raises(_Killed):
+            heap.detach("x")
+    _abandon(heap)
+    with ShardedShadow.open(manifest_path) as reopened:
+        assert list(reopened.entries) == ["y", "z"]
+        # Nothing stale pins x's old address to shard 0.
+        reopened.attach(_buffer_at(x.base_addr, "x2", (32,), np.int32))
+        assert reopened.shard_of_buffer("x2") == 1
+        assert reopened._loads == [4, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.service.core import (
     LP_CONFIGS,
     ServiceConfig,
@@ -103,3 +104,28 @@ def test_window_allocations_are_pinned(tmp_path, shards):
     core.execute_window(requests(*[("put", k, k * 7)
                                    for k in range(40, 50)]))
     assert crash_before_drain(core, *PINNED_WINDOW) == PINNED_DIRECTORY
+
+
+def test_sharded_service_writes_the_manifest_once(tmp_path):
+    """Placement lives in the shard directories: serving, crashing and
+    resuming allocate and free a checksum table per launch without ever
+    touching the manifest again."""
+    heap = tmp_path / "h" / "heap.lpnv"
+    config = ServiceConfig(capacity=512, cache_lines=32)
+    with obs.recording(trace=False) as rec:
+        core = ServiceCore(config, heap_path=heap, shards=4)
+        created = heap.read_bytes()
+        for base in (40, 50, 60):
+            core.execute_window(requests(
+                *[("put", k, k * 7) for k in range(base, base + 10)],
+                ("get", base, None), ("delete", base + 1, None)))
+        crash_before_drain(core, *PINNED_WINDOW)
+        reopened = ServiceCore(config, heap_path=heap)
+        try:
+            assert reopened.resume_info["replayed_launches"] == 5
+            reopened.execute_window(requests(("put", 7, 70)))
+        finally:
+            reopened.close()
+    assert rec.metrics.value("nvm.sharded.reopens") == 1
+    assert rec.metrics.value("nvm.sharded.manifest_writes") == 1
+    assert heap.read_bytes() == created
