@@ -7,8 +7,11 @@ reference hot paths the engines were built for:
   kernel: disjoint row ranges, pure store traffic),
 * LP-instrumented tiled matmul at 1024 blocks (the paper's running
   example: shared-memory staging, barrier-heavy), and
-* an LP-instrumented MEGA-KV search batch (hash probes, dedup'd bucket
-  reads, host-side stat accounting).
+* LP-instrumented MEGA-KV search, insert and delete batches (hash
+  probes, dedup'd bucket reads, slot claims by ``atomicCAS``, host-side
+  stat accounting) — at 128 blocks, and again at the size ``repro
+  serve`` actually launches: one block holding 8 requests, where the
+  per-launch fixed cost is all there is.
 
 A third scenario times the *post-crash pipeline* per engine: SPMV at
 1024 blocks is crashed mid-kernel, then the crash → validate → recover
@@ -31,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +44,12 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.megakv.kernels import KVInsertKernel, KVSearchKernel, alloc_results
+from repro.megakv.kernels import (
+    KVDeleteKernel,
+    KVInsertKernel,
+    KVSearchKernel,
+    alloc_results,
+)
 from repro.megakv.store import MegaKVStore
 from repro.workloads.generators import small_ints, sparse_csr, unit_floats
 from repro.workloads.spmv import SPMVKernel
@@ -126,7 +135,60 @@ def setup_megakv(engine):
     return device, lp_kernel, ("results",)
 
 
-WORKLOADS = {"spmv": setup_spmv, "tmm": setup_tmm, "megakv": setup_megakv}
+#: The batch a service window launches: one block, 8 requests.
+SERVICE_REQUESTS = 8
+
+
+def setup_megakv_write(engine, op, n_requests=128 * 64):
+    """LP-instrumented MEGA-KV insert or delete batch, 64-thread blocks.
+
+    The store holds as many records as the batch has requests; half
+    the batch's (distinct) keys are among them — updates in place for
+    an insert, removals for a delete — and half are not: slot claims
+    by ``atomicCAS``, or misses.
+    """
+    device = repro.Device(engine=engine)
+    store = MegaKVStore(device, capacity=2 * n_requests)
+    rng = np.random.default_rng(11)
+    keys = np.unique(
+        rng.integers(1, 2 ** 40, size=n_requests, dtype=np.uint64)
+    )
+    values = rng.integers(1, 2 ** 40, size=keys.size, dtype=np.uint64)
+    device.launch(KVInsertKernel(store, keys, values))
+
+    present = rng.choice(keys, size=n_requests // 2, replace=False)
+    absent = np.unique(rng.integers(
+        2 ** 41, 2 ** 42, size=2 * n_requests, dtype=np.uint64)
+    )[:n_requests - present.size]
+    batch = rng.permutation(np.concatenate([present, absent]))
+    if op == "insert":
+        kernel = KVInsertKernel(store, batch, batch ^ np.uint64(1 << 50))
+    else:
+        kernel = KVDeleteKernel(store, batch)
+    lp_kernel = repro.LPRuntime(
+        device, repro.LPConfig.paper_best()
+    ).instrument(kernel)
+    return device, lp_kernel, (store.keys.name, store.values.name)
+
+
+WORKLOADS = {
+    "spmv": setup_spmv,
+    "tmm": setup_tmm,
+    "megakv": setup_megakv,
+    "megakv-insert": functools.partial(setup_megakv_write, op="insert"),
+    "megakv-delete": functools.partial(setup_megakv_write, op="delete"),
+}
+
+#: The two write kernels again at the size the daemon launches them. A
+#: launch this small is all fixed cost, so these rows are recorded and
+#: regression-checked but carry no speedup floor; a sub-millisecond
+#: launch also needs more repetitions for a stable best-of.
+SERVICE_WORKLOADS = {
+    f"megakv-{op}@service": functools.partial(
+        setup_megakv_write, op=op, n_requests=SERVICE_REQUESTS)
+    for op in ("insert", "delete")
+}
+SERVICE_REPEATS = 25
 
 
 def measure_recovery(engine_name: str) -> dict:
@@ -521,12 +583,13 @@ def run_telemetry_suite() -> dict:
     return row
 
 
-def measure(setup_fn, engine_name: str) -> dict:
-    """Blocks/sec of one engine on one workload (fresh state, best of 3)."""
+def measure(setup_fn, engine_name: str, repeats: int = 3) -> dict:
+    """Blocks/sec of one engine on one workload (fresh state, best of
+    ``repeats``)."""
     best = float("inf")
     n_blocks = 0
     outputs = None
-    for _ in range(3):
+    for _ in range(repeats):
         device, lp_kernel, check_buffers = setup_fn(ENGINES[engine_name]())
         start = time.perf_counter()
         result = device.launch(lp_kernel)
@@ -545,11 +608,12 @@ def measure(setup_fn, engine_name: str) -> dict:
 
 def run_suite() -> dict:
     suite = {}
-    for workload, setup_fn in WORKLOADS.items():
+    for workload, setup_fn in {**WORKLOADS, **SERVICE_WORKLOADS}.items():
+        repeats = SERVICE_REPEATS if workload in SERVICE_WORKLOADS else 3
         rows = {}
         reference = None
         for engine_name in ENGINES:
-            row = measure(setup_fn, engine_name)
+            row = measure(setup_fn, engine_name, repeats)
             outputs = row.pop("_outputs")
             if reference is None:
                 reference = outputs
@@ -560,7 +624,7 @@ def run_suite() -> dict:
                         "diverged from the serial engine"
                     )
             rows[engine_name] = row
-            print(f"{workload:8s} {engine_name:9s} "
+            print(f"{workload:22s} {engine_name:9s} "
                   f"{row['blocks_per_sec']:12,.1f} blocks/sec "
                   f"({row['seconds'] * 1e3:8.1f} ms)")
         serial = rows["serial"]["blocks_per_sec"]

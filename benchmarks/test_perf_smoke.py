@@ -3,7 +3,10 @@
 Re-measures :mod:`perf_smoke` and fails on a >30 % blocks/sec
 regression against ``BENCH_sim.json``. Also pins the headline claims of
 the engine work: the batched engine is at least 3x faster than serial
-on the reference workloads, the shared-memory parallel engine is at
+on every 128-block-or-larger reference workload (spmv, tmm, and the
+three MEGA-KV kernels — search, insert, delete; the one-block
+service-size rows are regression-checked only), the shared-memory
+parallel engine is at
 least 2x faster than serial on spmv and tmm (and within tolerance of
 the batched engine it composes with), and post-crash *validation* is
 at least 5x (batched) / 1x (parallel) faster than serial on the

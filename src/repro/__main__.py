@@ -527,7 +527,7 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
         report = run_serve_scenario(
             shards=args.shards,
             seed=args.seed,
-            engine=args.engines[0] if args.engines else "serial",
+            engine=args.engines[0] if args.engines else None,
             kill_trigger=trigger,
             timeout=args.timeout,
             telemetry_path=args.telemetry,
@@ -563,7 +563,7 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
     try:
         report = run_grid(
             workloads=args.workloads,
-            engines=args.engines,
+            engines=args.engines or ["serial", "parallel", "batched"],
             configs=args.configs,
             scale=args.scale,
             seed=args.seed,
@@ -831,10 +831,11 @@ def build_parser() -> argparse.ArgumentParser:
              "prove recovery end to end")
     p_ct.add_argument("--workloads", nargs="+", default=["spmv", "tmm"],
                       help="workloads to kill (default: spmv tmm)")
-    p_ct.add_argument("--engines", nargs="+", default=["serial",
-                      "parallel", "batched"],
+    p_ct.add_argument("--engines", nargs="+", default=None,
                       choices=("serial", "parallel", "batched"),
-                      help="launch engines to cover")
+                      help="launch engines to cover (default: all "
+                           "three; with --serve, the first one named, "
+                           "or the daemon's own default)")
     p_ct.add_argument("--configs", nargs="+", default=["global-array"],
                       choices=("global-array", "quadratic", "cuckoo"),
                       help="LP configs / checksum tables to cover")
@@ -944,8 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = ephemeral; see --ready-file)")
     p_srv.add_argument("--capacity", type=int, default=8192,
                        help="store record capacity (slots are 8x)")
-    p_srv.add_argument("--engine", default="serial",
-                       choices=("serial", "parallel", "batched"))
+    p_srv.add_argument("--engine", default="batched",
+                       choices=("serial", "parallel", "batched"),
+                       help="launch engine (default batched: each "
+                            "MegaKV launch runs as one vectorized "
+                            "pass; serial is the per-request "
+                            "reference; all are bit-identical)")
     p_srv.add_argument("--jobs", type=int, default=None, metavar="N")
     p_srv.add_argument("--cache-lines", type=int, default=256)
     p_srv.add_argument("--config", default="global-array",

@@ -411,7 +411,9 @@ class BatchChecksumState:
             (self.n_blocks,) + (1,) * (words.ndim - 1)
         ) + slots
         if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), words.shape)
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != words.shape:
+                mask = np.broadcast_to(mask, words.shape)
             words = words[mask]
             flat_slots = flat_slots[mask]
         else:

@@ -106,9 +106,10 @@ class BatchRegionObserver:
         """Fold one batched store into every covered region's checksums."""
         values = np.asarray(values)
         if mask is not None:
-            n = int(np.count_nonzero(
-                np.broadcast_to(np.asarray(mask, dtype=bool), values.shape)
-            ))
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != values.shape:
+                mask = np.broadcast_to(mask, values.shape)
+            n = int(np.count_nonzero(mask))
         else:
             n = values.size
         self._ctx.alu(n * self._ops_per_update)

@@ -45,6 +45,18 @@ class LaunchError(DeviceError):
     """A kernel launch was malformed (zero blocks, bad block size, ...)."""
 
 
+class BatchFallbackError(LaunchError):
+    """A vectorized block group met input it cannot reproduce exactly.
+
+    Raised by a ``run_block_batch`` implementation (or a
+    :class:`~repro.gpu.batch.BatchBlockContext` primitive) *before any
+    effect* — no store recorded against memory, no host statistic
+    touched, nothing charged to the launch's atomic unit. The launch
+    engine catches it, runs that group's blocks one at a time, and
+    counts ``engine.fallbacks``; it never reaches a caller.
+    """
+
+
 class CrashedDeviceError(DeviceError):
     """An operation requires a live device but the device has crashed.
 

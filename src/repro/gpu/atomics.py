@@ -44,7 +44,7 @@ class AtomicUnit:
         Returns the *old* value, as CUDA does; the caller infers success
         from ``old == compare``.
         """
-        self._count(buf, [index])
+        self.charge(buf, [index])
         old = buf.data[index]
         if old == buf.dtype.type(compare):
             self._memory.write(buf, np.asarray([index]),
@@ -53,7 +53,7 @@ class AtomicUnit:
 
     def exch(self, buf: Buffer, index: int, value) -> np.generic:
         """``atomicExch``: unconditionally swap in ``value``; return old."""
-        self._count(buf, [index])
+        self.charge(buf, [index])
         old = buf.data[index]
         self._memory.write(buf, np.asarray([index]),
                            np.asarray([value], dtype=buf.dtype))
@@ -71,7 +71,7 @@ class AtomicUnit:
         contention costs what it should.
         """
         idx = np.asarray(indices)
-        self._count(buf, idx)
+        self.charge(buf, idx)
         # Functional read-modify-write with correct duplicate handling.
         np.add.at(buf.data, idx, np.asarray(values, dtype=buf.dtype))
         if buf.persistent:
@@ -83,7 +83,7 @@ class AtomicUnit:
     def max_(self, buf: Buffer, indices: np.ndarray, values: np.ndarray) -> None:
         """``atomicMax`` from many threads at once."""
         idx = np.asarray(indices)
-        self._count(buf, idx)
+        self.charge(buf, idx)
         np.maximum.at(buf.data, idx, np.asarray(values, dtype=buf.dtype))
         if buf.persistent:
             touched = np.unique(idx)
@@ -100,7 +100,14 @@ class AtomicUnit:
             return 0
         return max(self.per_address.values())
 
-    def _count(self, buf: Buffer, indices) -> None:
+    def charge(self, buf: Buffer, indices) -> None:
+        """Count one atomic op per index without executing anything.
+
+        The primitives above call this for themselves; a vectorized
+        context that resolves a whole group's atomics at once (see
+        :meth:`~repro.gpu.batch.BatchBlockContext.atomic_cas_claim`)
+        charges every attempt it resolved through here.
+        """
         base = buf.base_addr // buf.dtype.itemsize if buf.dtype.itemsize else 0
         idx = np.asarray(indices).reshape(-1)
         self.total_ops += idx.size

@@ -10,16 +10,29 @@ of one Python call chain per block.
 Semantics contract (what lets the batched engine stay bit-identical to
 serial execution):
 
-* **Loads** read device memory directly. A batchable kernel must not
-  load locations written during the same launch — the block-disjoint
-  output property LP regions require anyway — so every block observes
-  exactly the pre-launch image it would observe under any serial order.
+* **Loads** read device memory directly, i.e. the image the group
+  started from. A batchable kernel's loads must therefore *decide the
+  same thing* on that image as they would mid-launch under serial
+  order. Block-disjoint outputs give that for free (nothing loaded was
+  written this launch). A kernel that claims slots in a shared table
+  gets it from two narrower facts it must establish itself: its
+  requests carry distinct keys, so no earlier store of the launch can
+  turn another request's bucket scan from miss to hit or back; and the
+  one thing an earlier request *can* change for a later one — an empty
+  slot becoming occupied — is resolved inside
+  :meth:`BatchBlockContext.atomic_cas_claim`, in request order. An
+  input that breaks the first fact is not batchable (the kernel says
+  so through ``batchable``); a request the claim cannot place raises
+  :class:`~repro.errors.BatchFallbackError` before any effect and the
+  engine runs that group per block.
 * **Stores are deferred.** ``st`` records the store (and folds it into
   the attached LP observer, charging checksum work) but does not touch
   memory; the engine applies the recorded rows per block, in launch
   order, through :meth:`~repro.gpu.memory.GlobalMemory.write`. Cache
   recency, evictions and NVM write statistics therefore match the
-  serial engine exactly.
+  serial engine exactly. ``st_record`` is the variant for a per-thread
+  loop that stores several words per request (a key *and* its value):
+  its rows reach memory thread by thread, word by word.
 * **Charges are totals.** ``flops``/``alu`` charge whole-group counts;
   all tally fields are integer-valued, so grouped summation is exact
   and the final tally is bit-identical to per-block accumulation.
@@ -33,7 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import LaunchError
+from repro.errors import BatchFallbackError, DeviceError, LaunchError
+from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import Tally
 from repro.gpu.kernel import ExecMode, LaunchConfig
 from repro.gpu.memory import Buffer, GlobalMemory
@@ -50,8 +64,12 @@ class BatchBlockContext:
         mode: ExecMode = ExecMode.NORMAL,
         fence_latency_cycles: float = 660.0,
         fence_concurrency: int = 1,
+        atomics: AtomicUnit | None = None,
     ) -> None:
         self.memory = memory
+        #: The launch's atomic unit; ``None`` in a pool worker, where
+        #: contention cannot be charged (see :meth:`atomic_cas_claim`).
+        self.atomics = atomics
         self.config = config
         self.mode = mode
         self.block_ids = np.asarray(list(block_ids), dtype=np.int64)
@@ -67,6 +85,8 @@ class BatchBlockContext:
         self.lp_observer = None
         #: Deferred stores, in issue order:
         #: ``(buffer_name, idx, values, mask)`` with leading axis = block.
+        #: A ``st_record`` entry names a *tuple* of buffers and carries
+        #: one trailing ``values`` column per buffer.
         self.store_records: list[tuple] = []
         #: Deferred checksum-table insertions: block id -> [lane arrays].
         self.table_inserts: dict[int, list[np.ndarray]] = {}
@@ -135,20 +155,61 @@ class BatchBlockContext:
         within the block); ``mask`` silences ragged elements.
         """
         buf = self.buffer(buf)
+        idx, mask = self._store_geometry(idx, mask)
+        vals = self._fold_store(buf, idx, values, slots, mask)
+        if vals is not None:
+            self.store_records.append((buf.name, idx, vals, mask))
+
+    def st_record(
+        self,
+        bufs,
+        idx: np.ndarray,
+        values,
+        slots: np.ndarray | None = None,
+        mask: np.ndarray | None = None,
+    ) -> None:
+        """Store one word into each of ``bufs`` at the same ``idx``.
+
+        The batched form of a per-thread loop body that issues
+        ``st(bufs[0], i, values[0])``, ``st(bufs[1], i, values[1])``, …
+        for its request before moving to the next thread: charges and
+        checksum folds equal those separate stores, and the deferred
+        rows reach memory in that thread-major order
+        (:meth:`~repro.gpu.memory.GlobalMemory.write_interleaved`)
+        instead of one whole buffer after the other.
+        """
+        idx, mask = self._store_geometry(idx, mask)
+        names, columns = [], []
+        for buf, vals in zip(bufs, values):
+            buf = self.buffer(buf)
+            vals = self._fold_store(buf, idx, vals, slots, mask)
+            if vals is not None:
+                names.append(buf.name)
+                columns.append(vals)
+        if names:
+            self.store_records.append(
+                (tuple(names), idx, np.stack(columns, axis=-1), mask))
+
+    def _store_geometry(self, idx, mask):
         idx = np.asarray(idx)
         if idx.ndim < 2 or idx.shape[0] != self.n_blocks_in_batch:
             raise LaunchError(
                 f"batched store index must lead with the {self.n_blocks_in_batch}"
                 f"-block axis; got shape {idx.shape}"
             )
-        vals = np.broadcast_to(
-            np.asarray(values, dtype=buf.dtype), idx.shape
-        )
         if mask is not None:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), idx.shape)
-            n_elements = int(np.count_nonzero(mask))
-        else:
-            n_elements = idx.size
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != idx.shape:
+                mask = np.broadcast_to(mask, idx.shape)
+        return idx, mask
+
+    def _fold_store(self, buf: Buffer, idx, values, slots, mask):
+        """Charge and observe one store; the values to apply, or ``None``
+        when the mode suppresses the write."""
+        vals = np.asarray(values, dtype=buf.dtype)
+        if vals.shape != idx.shape:
+            vals = np.broadcast_to(vals, idx.shape)
+        n_elements = idx.size if mask is None else int(np.count_nonzero(mask))
         self.tally.global_write_bytes += n_elements * buf.dtype.itemsize
 
         observer = self.lp_observer
@@ -158,26 +219,112 @@ class BatchBlockContext:
             slots = np.arange(per_block).reshape(idx.shape[1:]) \
                 % self.n_threads
 
-        if self.mode is ExecMode.VALIDATE:
+        if self.mode is ExecMode.VALIDATE and buf.persistent:
             # The batched check phase: persistent writes are suppressed
             # (write traffic stays charged, as in the serial context)
             # and protected stores fold what memory *currently holds*
             # at the target addresses. Reads here are uncharged —
             # the serial VALIDATE path reads through ``memory.read``
             # directly, not ``ld``.
-            if buf.persistent:
-                if observed:
-                    in_memory = self.memory.read(buf, idx)
-                    observer.on_store(in_memory, slots, mask)
-                return
-            self.store_records.append((buf.name, idx, np.array(vals), mask))
-            return
-
-        self.store_records.append(
-            (buf.name, idx, np.array(vals), mask)
-        )
-        if observed:
+            if observed:
+                observer.on_store(self.memory.read(buf, idx), slots, mask)
+            return None
+        if observed and self.mode is not ExecMode.VALIDATE:
             observer.on_store(vals, slots, mask)
+        return np.array(vals)
+
+    # ------------------------------------------------------------------
+    # Atomics
+    # ------------------------------------------------------------------
+
+    def atomic_cas_claim(
+        self,
+        buf: Buffer | str,
+        candidates: np.ndarray,
+        compare,
+        valid: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Claim one slot per request by ``atomicCAS(compare -> word)``.
+
+        ``candidates[..., c]`` lists each request's slots in probe
+        order (leading axes in launch order: block, then thread);
+        ``valid`` silences padding candidates and whole masked-out
+        requests. Every request walks its candidates exactly as the
+        scalar loop ``for s in slots: if atomic_cas(buf, s, compare,
+        word) == compare: break`` does: a slot holding anything but
+        ``compare`` costs one failed CAS, the first one holding
+        ``compare`` is claimed. Requests are resolved **in request
+        order**: a slot an earlier request of this call claimed reads
+        as occupied to every later one — the one dependence between
+        requests the batched load contract cannot hide, settled here.
+
+        Returns the claimed index per request (``-1`` where ``valid``
+        left nothing to try). Each attempt is charged as the scalar
+        context charges it — element bytes of write traffic and one op
+        on the launch's :class:`~repro.gpu.atomics.AtomicUnit` at that
+        address. The winning CAS's own write is *not* recorded: the
+        caller must store the claimed word at the returned index in the
+        same pass (``st`` / ``st_record``; an LP kernel does anyway, to
+        fold it), and a store of the same word to the same line right
+        after is indistinguishable, to the persistence domain, from the
+        pair.
+
+        A request with no claimable candidate is past what this
+        primitive can reproduce (the scalar kernel raises mid-block
+        with earlier requests applied): it raises
+        :class:`~repro.errors.BatchFallbackError` before charging
+        anything, and the engine re-runs the group per block.
+        """
+        buf = self.buffer(buf)
+        if self.mode is ExecMode.VALIDATE and buf.persistent:
+            raise DeviceError(
+                "atomic to persistent buffer during VALIDATE replay; "
+                "kernels that accumulate into persistent data must "
+                "override validate_block_batch()"
+            )
+        if self.atomics is None:
+            raise LaunchError(
+                "atomic_cas_claim needs the launch's AtomicUnit and "
+                "cannot run in a pool worker; mark the kernel "
+                "parallel_safe = False"
+            )
+        candidates = np.asarray(candidates)
+        shape = candidates.shape[:-1]
+        cand = candidates.reshape(-1, candidates.shape[-1])
+        if valid is None:
+            tried = np.ones(cand.shape, dtype=bool)
+        else:
+            tried = np.broadcast_to(
+                np.asarray(valid, dtype=bool), candidates.shape
+            ).reshape(cand.shape)
+        rows = np.flatnonzero(tried.any(axis=1))
+        claimed = np.full(cand.shape[0], -1, dtype=np.int64)
+        if rows.size == 0:
+            return claimed.reshape(shape)
+        cand, tried = cand[rows], tried[rows]
+        free = tried & (self.memory.read(buf, cand) == buf.dtype.type(compare))
+        while True:
+            if not free.any(axis=1).all():
+                raise BatchFallbackError(
+                    f"a request found no free slot in {buf.name!r}")
+            pos = free.argmax(axis=1)
+            target = cand[np.arange(rows.size), pos]
+            # np.unique's first-occurrence index is the earliest request
+            # aiming at each slot; it keeps the slot, the others see it
+            # occupied and move on — which may bump a later request in
+            # turn, so iterate to the fixed point (picks only advance).
+            _, first = np.unique(target, return_index=True)
+            if first.size == target.size:
+                break
+            lost = np.ones(rows.size, dtype=bool)
+            lost[first] = False
+            free[lost, pos[lost]] = False
+        attempted = tried & (np.arange(cand.shape[1]) <= pos[:, None])
+        self.tally.global_write_bytes += (
+            int(np.count_nonzero(attempted)) * buf.dtype.itemsize)
+        self.atomics.charge(buf, cand[attempted])
+        claimed[rows] = target
+        return claimed.reshape(shape)
 
     def defer_table_insert(self, block_id: int, lanes: np.ndarray) -> None:
         """Queue a checksum-table insertion for deterministic apply."""

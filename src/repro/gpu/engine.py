@@ -55,7 +55,12 @@ deferred to launch-order application).
 
 Engines *fall back to serial* whenever the contract cannot be kept
 cheaply: kernels that opt out (``parallel_safe`` / ``batchable``),
-degenerate launches, or platforms without ``fork``. A worker that dies
+degenerate launches, platforms without ``fork``, or a single block
+group whose kernel raises :class:`~repro.errors.BatchFallbackError`
+(before any effect) because its input needs per-block execution. The
+fallback is visible, not silent: each one is counted per kernel in
+``engine.fallbacks`` (attribute and metric), and the blocks are
+reported under the configured engine's name. A worker that dies
 or raises mid-launch triggers *serial continuation*: already-replayed
 chunks keep their effects and the remaining blocks re-run serially —
 safe because workers never touch the persistence domain (stores
@@ -66,6 +71,7 @@ kernels whose re-execution overwrites them deterministically).
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
 import multiprocessing
 import pickle
@@ -76,7 +82,7 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from repro.errors import LaunchError
+from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu import shm
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.batch import BatchBlockContext
@@ -139,6 +145,22 @@ class LaunchEngine(abc.ABC):
     #: Stable identifier used by :func:`make_engine` and reports.
     name: str = "engine"
 
+    def __init__(self) -> None:
+        #: Times this engine handed work to per-block execution instead
+        #: of its own fast path, by kernel name — whole launches of a
+        #: kernel that opted out, and single groups that raised
+        #: :class:`~repro.errors.BatchFallbackError`. Kept on the
+        #: engine (not only in the metrics registry) so a caller with
+        #: no recorder installed can still ask.
+        self.fallbacks: collections.Counter = collections.Counter()
+
+    def _note_fallback(self, plan: LaunchPlan) -> None:
+        self.fallbacks[plan.kernel.name] += 1
+        rec = _recorder()
+        if rec.metrics.active:
+            rec.metrics.inc("engine.fallbacks", engine=self.name,
+                            kernel=plan.kernel.name)
+
     @abc.abstractmethod
     def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
         """Run every block in ``plan.block_ids``.
@@ -158,6 +180,14 @@ class SerialEngine(LaunchEngine):
 
     name = "serial"
 
+    def __init__(self, label: str | None = None) -> None:
+        super().__init__()
+        #: Engine name reported in spans and metrics — the owning
+        #: engine's when this instance is its per-block fallback, so
+        #: blocks are counted under the engine the device was
+        #: configured with.
+        self.label = label or self.name
+
     def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
         tally = plan.new_tally()
         completed: list[int] = []
@@ -171,7 +201,7 @@ class SerialEngine(LaunchEngine):
                 group = ids[lo:lo + TRACE_GROUP_BLOCKS]
                 with rec.trace.span(
                     "engine.blocks", cat="engine", track="engine",
-                    engine=self.name, mode=plan.mode.name,
+                    engine=self.label, mode=plan.mode.name,
                     first=group[0], count=len(group),
                 ):
                     self._run_blocks(plan, group, tally, completed,
@@ -182,13 +212,13 @@ class SerialEngine(LaunchEngine):
         if plan.mode is ExecMode.VALIDATE:
             with rec.trace.span(
                 "engine.validate.merge", cat="engine", track="engine",
-                engine=self.name, blocks=len(completed),
+                engine=self.label, blocks=len(completed),
             ):
                 plan.kernel.merge_validation_outcomes(outcomes)
         tally.absorb_atomics(plan.atomics)
         if rec.metrics.active:
             rec.metrics.inc("engine.blocks.completed", len(completed),
-                            engine=self.name)
+                            engine=self.label)
         return completed, tally
 
     def _run_blocks(self, plan: LaunchPlan, block_ids: list[int],
@@ -233,7 +263,12 @@ def _apply_batch_records(plan: LaunchPlan, block_ids, store_records,
                 keep = mask[row]
                 row_idx = row_idx[keep]
                 row_vals = row_vals[keep]
-            if row_idx.size:
+            if not row_idx.size:
+                continue
+            if isinstance(name, tuple):  # a st_record: thread-major
+                memory.write_interleaved([memory[n] for n in name],
+                                         row_idx, row_vals)
+            else:
                 memory.write(memory[name], row_idx, row_vals)
         for lanes in table_inserts.get(bid, ()):
             ctx = plan.block_context(bid)
@@ -246,20 +281,33 @@ def _apply_batch_records(plan: LaunchPlan, block_ids, store_records,
             plan.block_hook(n)
 
 
-def _run_batch_group(plan: LaunchPlan, group, tally: Tally,
-                     completed: list[int], outcomes: list) -> None:
-    """Execute one vectorized block group in-process and apply it."""
+def _run_batch_group(engine: LaunchEngine, plan: LaunchPlan, group,
+                     tally: Tally, completed: list[int],
+                     outcomes: list) -> None:
+    """Execute one vectorized block group in-process and apply it.
+
+    A group whose kernel raises
+    :class:`~repro.errors.BatchFallbackError` has had no effect yet
+    (that is the exception's contract); its blocks run one at a time
+    on ``engine``'s serial fallback instead, and are counted.
+    """
     bctx = BatchBlockContext(
         plan.memory, plan.config, group, mode=plan.mode,
         fence_latency_cycles=plan.fence_latency,
         fence_concurrency=plan.fence_concurrency,
+        atomics=plan.atomics,
     )
-    if plan.mode is ExecMode.VALIDATE:
-        outcomes.extend(plan.kernel.validate_block_batch(bctx))
-    elif plan.mode is ExecMode.RECOVER:
-        plan.kernel.recover_block_batch(bctx)
-    else:
-        plan.kernel.run_block_batch(bctx)
+    try:
+        if plan.mode is ExecMode.VALIDATE:
+            outcomes.extend(plan.kernel.validate_block_batch(bctx))
+        elif plan.mode is ExecMode.RECOVER:
+            plan.kernel.recover_block_batch(bctx)
+        else:
+            plan.kernel.run_block_batch(bctx)
+    except BatchFallbackError:
+        engine._note_fallback(plan)
+        engine._serial._run_blocks(plan, group, tally, completed, outcomes)
+        return
     tally.merge(bctx.finalize_tally())
     _apply_batch_records(plan, group, bctx.store_records,
                          bctx.table_inserts, tally, completed)
@@ -408,7 +456,11 @@ def _encode_batch_chunk(bctx: BatchBlockContext, outcomes) -> bytes:
     w = shm.PayloadWriter()
     w.u32(len(bctx.store_records))
     for name, idx, vals, mask in bctx.store_records:
-        w.str_(name)
+        # 0 = a plain store of one buffer; n = a st_record over n.
+        names = name if isinstance(name, tuple) else ()
+        w.u8(len(names))
+        for part in names or (name,):
+            w.str_(part)
         w.array(idx)
         w.array(vals)
         w.optional_array(mask)
@@ -426,7 +478,9 @@ def _decode_batch_chunk(buf):
     r = shm.PayloadReader(buf)
     store_records = []
     for _ in range(r.u32()):
-        name = r.str_()
+        n_names = r.u8()
+        name = (tuple(r.str_() for _ in range(n_names)) if n_names
+                else r.str_())
         idx = r.array()
         vals = r.array()
         mask = r.optional_array()
@@ -865,8 +919,9 @@ class ParallelEngine(LaunchEngine):
             jobs = shm.cpu_budget()
         if jobs < 1:
             raise LaunchError(f"ParallelEngine needs jobs >= 1, got {jobs}")
+        super().__init__()
         self.jobs = jobs
-        self._serial = SerialEngine()
+        self._serial = SerialEngine(label=self.name)
         self._pool: _WorkerPool | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -913,6 +968,7 @@ class ParallelEngine(LaunchEngine):
             and "fork" in multiprocessing.get_all_start_methods()
         )
         if not use_pool and not vectorized:
+            self._note_fallback(plan)
             return self._serial.execute(plan)
 
         tally = plan.new_tally()
@@ -930,7 +986,7 @@ class ParallelEngine(LaunchEngine):
                     engine=self.name, mode=plan.mode.name,
                     first=group[0], count=len(group),
                 ):
-                    _run_batch_group(plan, group, tally, completed,
+                    _run_batch_group(self, plan, group, tally, completed,
                                      outcomes)
         if plan.mode is ExecMode.VALIDATE:
             with rec.trace.span(
@@ -1085,11 +1141,13 @@ class BatchedEngine(LaunchEngine):
     per block in launch order, so the persistence domain sees exactly
     the serial engine's write sequence.
 
-    Requirements on batchable kernels (``batchable = True``): blocks
-    must not read locations written during the same launch (the
-    block-disjoint-output property LP regions have anyway), and any LP
-    wrapper needs commutative checksum lanes. Falls back to
-    :class:`SerialEngine` otherwise.
+    Requirements on batchable kernels (``batchable = True``): every
+    load must decide on the group's starting image what it would
+    decide mid-launch (see the contract in :mod:`repro.gpu.batch` —
+    block-disjoint outputs give it for free; kernels that claim slots
+    establish it per input), and any LP wrapper needs commutative
+    checksum lanes. Falls back to :class:`SerialEngine` otherwise, and
+    counts it.
 
     ``VALIDATE`` launches run the vectorized re-validation fast path:
     each group recomputes every block's checksum lanes in one batched
@@ -1107,11 +1165,13 @@ class BatchedEngine(LaunchEngine):
             raise LaunchError(
                 f"BatchedEngine needs group_size >= 1, got {group_size}"
             )
+        super().__init__()
         self.group_size = group_size
-        self._serial = SerialEngine()
+        self._serial = SerialEngine(label=self.name)
 
     def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
         if not plan.kernel.batchable:
+            self._note_fallback(plan)
             return self._serial.execute(plan)
 
         tally = plan.new_tally()
@@ -1126,7 +1186,8 @@ class BatchedEngine(LaunchEngine):
                 engine=self.name, mode=plan.mode.name,
                 first=group[0], count=len(group),
             ):
-                _run_batch_group(plan, group, tally, completed, outcomes)
+                _run_batch_group(self, plan, group, tally, completed,
+                                 outcomes)
             if rec.metrics.active:
                 rec.metrics.inc("engine.scheduling.groups",
                                 engine=self.name)

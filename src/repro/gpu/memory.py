@@ -93,16 +93,19 @@ class Buffer:
 
     # -- line geometry ---------------------------------------------------
 
+    def line_of_indices(self, flat_idx: np.ndarray) -> np.ndarray:
+        """Global line id of each flat element index, in index order.
+
+        An element may straddle a line boundary only if itemsize does
+        not divide line_size; with power-of-two sizes it never does, so
+        the first line suffices.
+        """
+        byte_off = flat_idx.astype(np.int64) * self.dtype.itemsize
+        return (self.base_addr + byte_off) // self.line_size
+
     def lines_for_indices(self, flat_idx: np.ndarray) -> np.ndarray:
         """Global line ids covering the given flat element indices."""
-        byte_off = flat_idx.astype(np.int64) * self.dtype.itemsize
-        first = (self.base_addr + byte_off) // self.line_size
-        if self.dtype.itemsize > 1:
-            # An element may straddle a line boundary only if itemsize
-            # does not divide line_size; with power-of-two sizes it never
-            # does, so the first line suffices.
-            pass
-        return np.unique(first)
+        return np.unique(self.line_of_indices(flat_idx))
 
     def line_byte_range(self, line_id: int) -> tuple[int, int]:
         """Byte range ``[lo, hi)`` of a global line within this buffer."""
@@ -296,6 +299,40 @@ class GlobalMemory:
             evicted = self.cache.touch_write(lines.tolist())
             if evicted:
                 self._write_back(evicted, WritebackReason.EVICTION)
+
+    def write_interleaved(self, bufs: "list[Buffer]", flat_idx: np.ndarray,
+                          values: np.ndarray) -> None:
+        """Store ``values[e, c]`` to ``bufs[c][flat_idx[e]]``, element-major.
+
+        Equivalent to one single-element :meth:`write` per ``(e, c)``,
+        ``e`` outermost — the order a scalar per-thread loop issues a
+        record's words (key, then value, then the next thread's). The
+        order is observable: an eviction that falls between two of the
+        stores writes back what the earlier ones left, and the line
+        recency they leave decides what a later crash loses. While the
+        cache has room for every touched line no eviction can fall
+        inside the sequence, so it collapses to one assignment per
+        buffer and one recency update in issue order; a cache that
+        could overflow takes the stores one at a time.
+        """
+        flat_idx = np.asarray(flat_idx)
+        tracked = [] if self._worker_mode else \
+            [buf for buf in bufs if buf.persistent]
+        lines: list[int] = []
+        if tracked:
+            lines = np.stack(
+                [buf.line_of_indices(flat_idx) for buf in tracked], axis=1
+            ).reshape(-1).tolist()
+        cache = self.cache
+        if cache.n_dirty + len(set(lines)) > cache.capacity_lines:
+            for e in range(flat_idx.size):
+                for c, buf in enumerate(bufs):
+                    self.write(buf, flat_idx[e:e + 1], values[e:e + 1, c])
+            return
+        for c, buf in enumerate(bufs):
+            self._check_bounds(buf, flat_idx)
+            buf.data[flat_idx] = values[:, c]
+        cache.touch_write(lines)
 
     # ------------------------------------------------------------------
     # Persistence-domain events

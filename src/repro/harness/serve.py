@@ -42,7 +42,7 @@ class _Daemon:
     """One spawned ``python -m repro serve`` child in its own session."""
 
     def __init__(self, tmp: ManagedTmpdir, tag: str, heap: Path,
-                 *, socket_path: str, shards: int, engine: str,
+                 *, socket_path: str, shards: int, engine: str | None,
                  capacity: int, cache_lines: int, max_batch: int,
                  max_wait_ms: float, kill_trigger: str | None,
                  telemetry: str | None, stats_path: Path | None) -> None:
@@ -55,13 +55,14 @@ class _Daemon:
             sys.executable, "-m", "repro", "serve",
             "--heap", str(heap),
             "--socket", self.socket_path,
-            "--engine", engine,
             "--capacity", str(capacity),
             "--cache-lines", str(cache_lines),
             "--max-batch", str(max_batch),
             "--max-wait-ms", str(max_wait_ms),
             "--ready-file", str(self.ready),
         ]
+        if engine is not None:  # else: whatever `serve` defaults to
+            cmd += ["--engine", engine]
         if shards:
             cmd += ["--shards", str(shards)]
         if kill_trigger:
@@ -122,7 +123,7 @@ def run_serve_scenario(
     *,
     shards: int = 0,
     seed: int = 0,
-    engine: str = "serial",
+    engine: str | None = None,
     clients: int = 3,
     requests_per_client: int = 200,
     key_space: int = 96,
@@ -145,7 +146,6 @@ def run_serve_scenario(
     report: dict = {
         "scenario": "serve",
         "shards": shards,
-        "engine": engine,
         "kill_trigger": kill_trigger,
         "clients": clients,
         "requests_per_client": requests_per_client,
@@ -258,6 +258,10 @@ def run_serve_scenario(
             "read_your_writes_mismatches": mismatches[:10],
             "final_sweep_mismatches": sweep_mismatches[:10],
             "resume": resume_stats["resume"],
+            # What the resumed daemon actually ran, not what was asked:
+            # `engine=None` means the daemon's own default.
+            "engine": resume_stats["config"]["engine"],
+            "engine_fallbacks": resume_stats["counters"]["engine_fallbacks"],
             "resumed_exit_rc": resumed.proc.returncode,
             "converged": (
                 rc == -signal.SIGKILL

@@ -24,11 +24,26 @@ Validation overrides for insert/delete replay the *semantic effect*
 (search the store for the key) rather than the mutation — the
 application-specific validation the paper anticipates for
 non-trivially-idempotent regions.
+
+All three kernels also run as one data-parallel pass per block group
+(``run_block_batch`` / ``validate_block_batch``), which is what the
+paper's MEGA-KV result rests on: a request batch is *one* kernel, so
+LP's per-region work is amortised over the whole block. The batched
+passes scan every request's buckets on the image the group started
+from, which decides hit or miss exactly as the per-request loop would
+*provided the batch's keys are distinct* — no earlier request can then
+store or clear another request's key. Insert and delete check that at
+construction and are ``batchable`` only when it holds (a batch with a
+repeated key runs per request); the remaining dependence between
+requests, two misses wanting the same empty slot, is resolved in
+request order by
+:meth:`~repro.gpu.batch.BatchBlockContext.atomic_cas_claim`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +56,24 @@ from repro.megakv.store import BUCKET_WIDTH, EMPTY_SLOT, MegaKVStore
 #: Seed perturbation selecting a key's second candidate bucket (must
 #: match :meth:`~repro.megakv.store.MegaKVStore.bucket_of`).
 _SECOND_CHOICE = 0x9E3779B97F4A7C15
+
+
+class _Probe(NamedTuple):
+    """One block group's bucket scan (leading axes = block, thread)."""
+
+    req: np.ndarray         #: request index of each thread
+    mask: np.ndarray        #: False on the ragged tail
+    keys: np.ndarray
+    slots: np.ndarray       #: (B, T, 2W) candidate slots, probe order
+    one_bucket: np.ndarray  #: both candidate buckets coincide
+    hit: np.ndarray
+    hit_slot: np.ndarray    #: first matching slot (where ``hit``)
+    probe_slots: int        #: slots the per-request scans read in total
+
+
+#: A one-element store folds into thread 0's accumulator (the scalar
+#: context's default slot for ``st(buf, scalar_index, word)``).
+_THREAD_0 = np.zeros(1, dtype=np.intp)
 
 
 class _BatchKernel(Kernel):
@@ -84,8 +117,86 @@ class _BatchKernel(Kernel):
             return None
         return int(slots[int(hit[0])])
 
+    # -- batched execution ----------------------------------------------
 
-class KVInsertKernel(_BatchKernel):
+    def _probe_batch(self, bctx) -> _Probe:
+        """Whole-group ``_find``: every request's two buckets at once.
+
+        The first matching slot in bucket-candidate order wins
+        (coinciding candidate buckets alias, so the earliest index is
+        the slot serial probing picks), read traffic counts the
+        *deduplicated* probe width per request, and the ragged tail
+        block is masked out. ``store.stats`` is left to the caller,
+        which must not touch it before it can no longer fall back.
+        """
+        # A batch shorter than one block is one block whose tail
+        # threads are all masked out; do not carry them.
+        T = min(self.threads, self.n_requests)
+        req = bctx.block_ids[:, None] * self.threads + np.arange(T)  # (B, T)
+        mask = req < self.n_requests
+        keys = self.batch_keys[np.where(mask, req, 0)]          # (B, T)
+
+        # Both candidate buckets in one hash pass: mix64 adds its seed
+        # to the key first, so pre-adding each seed (mod 2**64) and
+        # hashing with seed 0 is the same function.
+        seeds = np.array([self.store.seed,
+                          self.store.seed ^ _SECOND_CHOICE], dtype=np.uint64)
+        buckets = (mix64_array(keys[..., None] + seeds, 0)
+                   % np.uint64(self.store.n_buckets)).astype(np.int64)
+        slots = (buckets[..., None] * BUCKET_WIDTH
+                 + np.arange(BUCKET_WIDTH)).reshape(req.shape + (-1,))
+        # Serial probing deduplicates coinciding candidate buckets, so
+        # its per-request read charge is one bucket wide in that case.
+        one_bucket = buckets[..., 0] == buckets[..., 1]
+        probe_width = np.where(one_bucket, BUCKET_WIDTH, 2 * BUCKET_WIDTH)
+        probe_slots = int(probe_width[mask].sum())
+
+        bucket_keys = bctx.ld(self.store.keys, slots,
+                              charge_elements=probe_slots)
+        match = bucket_keys == keys[..., None]
+        hit = match.any(axis=-1) & mask
+        hit_slot = slots.reshape(-1, slots.shape[-1])[
+            np.arange(req.size), match.argmax(axis=-1).reshape(-1)
+        ].reshape(req.shape)
+        return _Probe(req, mask, keys, slots, one_bucket, hit, hit_slot,
+                      probe_slots)
+
+
+class _WriteKernel(_BatchKernel):
+    """What insert and delete share: they mutate the store's two
+    arrays, so those are the protected output, a batch must carry
+    distinct keys to run as one pass, and validation re-probes."""
+
+    def __init__(
+        self,
+        store: MegaKVStore,
+        batch_keys: np.ndarray,
+        threads_per_block: int = 64,
+    ) -> None:
+        super().__init__(store, batch_keys, threads_per_block)
+        self.protected_buffers = (store.keys.name, store.values.name)
+        #: A property of the input, not a setting: with a repeated key
+        #: an earlier request's store or clear changes what a later
+        #: request's bucket scan must see, so the batch runs per
+        #: request (module docstring).
+        self.batchable = \
+            len(set(self.batch_keys.tolist())) == self.n_requests
+
+    def validate_block_batch(self, bctx) -> list:
+        """Insert's and delete's check phase: fold what the store holds
+        at each key that is present (``validate_block``, group-wide)."""
+        p = self._probe_batch(bctx)
+        self.store.stats.probe_slots += p.probe_slots
+        # VALIDATE-mode stores fold memory contents; the words passed
+        # are ignored, exactly as in the per-request path.
+        bctx.st_record(
+            (self.store.keys, self.store.values),
+            np.where(p.hit, p.hit_slot, 0), (EMPTY_SLOT, EMPTY_SLOT),
+            slots=_THREAD_0, mask=p.hit)
+        return [None] * bctx.n_blocks_in_batch
+
+
+class KVInsertKernel(_WriteKernel):
     """SET: insert or update each (key, value) request."""
 
     name = "megakv-insert"
@@ -113,7 +224,6 @@ class KVInsertKernel(_BatchKernel):
             raise TableFullError("batch values must be non-zero")
         if self.batch_values.size != self.n_requests:
             raise TableFullError("keys and values must align")
-        self.protected_buffers = (store.keys.name, store.values.name)
 
     def run_block(self, ctx: BlockContext) -> None:
         for i in self._slice(ctx):
@@ -153,8 +263,43 @@ class KVInsertKernel(_BatchKernel):
             ctx.st(self.store.keys, slot, key)
             ctx.st(self.store.values, slot, self.batch_values[i])
 
+    # -- batched execution ----------------------------------------------
 
-class KVDeleteKernel(_BatchKernel):
+    def run_block_batch(self, bctx) -> None:
+        """``run_block`` over a whole group: scan, claim, store.
+
+        Hits update in place; misses claim the first empty candidate
+        slot in request order (a request neither bucket can take raises
+        ``BatchFallbackError`` from the claim, before anything below
+        has happened, and the group re-runs per request up to the
+        ``TableFullError``). Each request's key and value are stored as
+        one record, so they reach memory interleaved per request as
+        the scalar loop issues them.
+        """
+        p = self._probe_batch(bctx)
+        miss = p.mask & ~p.hit
+        second = np.arange(2 * BUCKET_WIDTH) >= BUCKET_WIDTH
+        claimed = bctx.atomic_cas_claim(
+            self.store.keys, p.slots, EMPTY_SLOT,
+            valid=miss[..., None] & ~(p.one_bucket[..., None] & second))
+
+        n_valid = int(np.count_nonzero(p.mask))
+        n_hits = int(np.count_nonzero(p.hit))
+        stats = self.store.stats
+        stats.probe_slots += p.probe_slots
+        stats.inserts += n_valid - n_hits
+        stats.updates += n_hits
+
+        slot = np.where(p.hit, p.hit_slot, claimed)
+        bctx.st_record(
+            (self.store.keys, self.store.values),
+            np.where(p.mask, slot, 0),
+            (p.keys, self.batch_values[np.where(p.mask, p.req, 0)]),
+            slots=_THREAD_0, mask=p.mask)
+        bctx.alu(4.0 * self.threads * n_valid)
+
+
+class KVDeleteKernel(_WriteKernel):
     """DELETE: remove each requested key (idempotent on absent keys)."""
 
     name = "megakv-delete"
@@ -167,15 +312,6 @@ class KVDeleteKernel(_BatchKernel):
                  "idempotence pinned by the dynamic oracle "
                  "(benchmarks/oracle_verdicts.json)",
     }
-
-    def __init__(
-        self,
-        store: MegaKVStore,
-        batch_keys: np.ndarray,
-        threads_per_block: int = 64,
-    ) -> None:
-        super().__init__(store, batch_keys, threads_per_block)
-        self.protected_buffers = (store.keys.name, store.values.name)
 
     def run_block(self, ctx: BlockContext) -> None:
         for i in self._slice(ctx):
@@ -200,6 +336,22 @@ class KVDeleteKernel(_BatchKernel):
                 continue  # correctly gone
             ctx.st(self.store.keys, slot, EMPTY_SLOT)
             ctx.st(self.store.values, slot, EMPTY_SLOT)
+
+    # -- batched execution ----------------------------------------------
+
+    def run_block_batch(self, bctx) -> None:
+        """``run_block`` over a whole group: scan, clear the hits."""
+        p = self._probe_batch(bctx)
+        n_hits = int(np.count_nonzero(p.hit))
+        stats = self.store.stats
+        stats.probe_slots += p.probe_slots
+        stats.deletes += int(np.count_nonzero(p.mask))
+        stats.removed += n_hits
+        bctx.st_record(
+            (self.store.keys, self.store.values),
+            np.where(p.hit, p.hit_slot, 0), (EMPTY_SLOT, EMPTY_SLOT),
+            slots=_THREAD_0, mask=p.hit)
+        bctx.alu(2.0 * self.threads * n_hits)
 
 
 class KVSearchKernel(_BatchKernel):
@@ -245,60 +397,23 @@ class KVSearchKernel(_BatchKernel):
                    slots=np.asarray([i % ctx.n_threads]))
             ctx.flops(2)
 
-    # -- batched execution ----------------------------------------------
-
     batchable = True
 
     def run_block_batch(self, bctx) -> None:
-        """Whole-group probe: every request's two buckets in one pass.
+        """``run_block`` over a whole group (read-only on the store, so
+        repeated keys are fine)."""
+        p = self._probe_batch(bctx)
+        n_valid = int(np.count_nonzero(p.mask))
+        stats = self.store.stats
+        stats.probe_slots += p.probe_slots
+        stats.searches += n_valid
+        stats.hits += int(np.count_nonzero(p.hit))
 
-        Reproduces ``run_block`` exactly: the first matching slot in
-        bucket-candidate order wins (duplicated candidate buckets alias,
-        so the earliest index is the same slot serial probing picks),
-        read traffic counts the *deduplicated* probe width per request,
-        and the ragged tail block is masked out.
-        """
-        T = self.threads
-        req = bctx.block_ids[:, None] * T + np.arange(T)       # (B, T)
-        mask = req < self.n_requests
-        keys = self.batch_keys[np.where(mask, req, 0)]          # (B, T)
-
-        n_buckets = np.uint64(self.store.n_buckets)
-        b0 = (mix64_array(keys, self.store.seed)
-              % n_buckets).astype(np.int64)
-        b1 = (mix64_array(keys, self.store.seed ^ _SECOND_CHOICE)
-              % n_buckets).astype(np.int64)
-        offs = np.arange(BUCKET_WIDTH)
-        slots = np.concatenate(
-            [b0[..., None] * BUCKET_WIDTH + offs,
-             b1[..., None] * BUCKET_WIDTH + offs],
-            axis=-1,
-        )                                                       # (B, T, 2W)
-        # Serial probing deduplicates coinciding candidate buckets, so
-        # its per-request read charge is one bucket wide in that case.
-        probe_width = np.where(b0 == b1, BUCKET_WIDTH, 2 * BUCKET_WIDTH)
-        total_probe = int(probe_width[mask].sum())
-        self.store.stats.probe_slots += total_probe
-
-        bucket_keys = bctx.ld(self.store.keys, slots,
-                              charge_elements=total_probe)
-        match = bucket_keys == keys[..., None]
-        hit = match.any(axis=-1) & mask
-        first = np.argmax(match, axis=-1)
-        hit_slot = np.take_along_axis(
-            slots, first[..., None], axis=-1
-        )[..., 0]
-
-        n_valid = int(np.count_nonzero(mask))
-        n_hits = int(np.count_nonzero(hit))
-        self.store.stats.searches += n_valid
-        self.store.stats.hits += n_hits
-
-        result = np.full(req.shape, EMPTY_SLOT, dtype=np.uint64)
-        result[hit] = bctx.ld(self.store.values, hit_slot[hit])
-        bctx.st(self.results_buffer, req, result,
-                slots=np.arange(T), mask=mask)
-        bctx.alu(2.0 * T * n_valid)
+        result = np.full(p.req.shape, EMPTY_SLOT, dtype=np.uint64)
+        result[p.hit] = bctx.ld(self.store.values, p.hit_slot[p.hit])
+        bctx.st(self.results_buffer, p.req, result,
+                slots=np.arange(p.req.shape[1]), mask=p.mask)
+        bctx.alu(2.0 * self.threads * n_valid)
 
 
 def alloc_results(device: Device, name: str, n_requests: int):

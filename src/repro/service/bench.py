@@ -44,7 +44,7 @@ SHARDED_QPS_FLOOR = 0.8
 _LOAD = dict(clients=4, pipeline=8, key_space=1024, theta=0.9,
              get_frac=0.5, put_frac=0.4, delete_frac=0.1, seed=7)
 
-_SERVICE = dict(capacity=8192, cache_lines=512, engine="serial")
+_SERVICE = dict(capacity=8192, cache_lines=512)
 
 
 def _scenario(name: str, service_cfg: ServiceConfig, load_cfg: LoadConfig,

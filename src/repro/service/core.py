@@ -63,7 +63,10 @@ class ServiceConfig:
     #: Record capacity of the store (slots are 8x this — the paper's
     #: <= 12.5 % load-factor sizing).
     capacity: int = 8192
-    engine: str = "serial"
+    #: Launch engine. ``batched`` runs each MegaKV launch as one
+    #: vectorized pass; ``serial`` is the per-request reference. All
+    #: engines are bit-identical in results.
+    engine: str = "batched"
     jobs: int | None = None
     cache_lines: int = 256
     #: LP configuration name (see :data:`LP_CONFIGS`).

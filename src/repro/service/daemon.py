@@ -389,6 +389,7 @@ class KVServer:
             "engine": self.config.engine,
             "uptime_s": time.monotonic() - self._t_start,
             "config": {
+                "engine": self.config.engine,
                 "capacity": self.config.capacity,
                 "cache_lines": self.config.cache_lines,
                 "max_batch": self.config.max_batch,
@@ -405,6 +406,10 @@ class KVServer:
                 "launches": self.launches,
                 "sub_batches": self.sub_batches,
                 "drained_lines": self.drained_lines,
+                # Launches (or block groups) the configured engine ran
+                # per block instead, by kernel: empty when every KV
+                # launch took the vectorized path.
+                "engine_fallbacks": dict(self.core.device.engine.fallbacks),
             },
             "queue_depth": self.queue_depth(),
             "batch_occupancy": {

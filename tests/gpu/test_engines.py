@@ -27,8 +27,17 @@ from repro.gpu.engine import (
     SerialEngine,
     make_engine,
 )
-from repro.megakv.kernels import KVInsertKernel, KVSearchKernel, alloc_results
+from repro.errors import TableFullError
+from repro.gpu.kernel import ExecMode
+from repro.megakv.kernels import (
+    KVDeleteKernel,
+    KVInsertKernel,
+    KVSearchKernel,
+    alloc_results,
+)
 from repro.megakv.store import MegaKVStore
+from repro.nvm import MappedShadow, ShardedShadow
+from repro.service.core import LP_CONFIGS
 from repro.workloads.spmv import SPMVWorkload
 
 ENGINES = ["parallel", "batched"]
@@ -153,6 +162,181 @@ def test_megakv_search_engine_parity(engine):
     # dedup'd probe width when both hash choices coincide.
     assert (dataclasses.asdict(store_s.stats)
             == dataclasses.asdict(store_b.stats))
+
+
+# ---------------------------------------------------------------------------
+# MEGA-KV write path: insert and delete, vectorized.
+
+SHADOWS = ["memory", "mapped", "sharded"]
+
+
+def run_megakv_writes(engine, config_name, shadow, tmp_path, monkeypatch):
+    """Insert, update + insert, delete, then validate all three — LP
+    instrumented, on a cache small enough that lines evict mid-launch.
+
+    Returns every observable the engines must agree on. The launch's
+    ``AtomicUnit`` is private to ``Device.launch``, so a recording
+    subclass is patched in to keep each launch's per-address histogram;
+    the write-back sequence is taken at ``GlobalMemory._write_back``.
+    """
+    atomic_units = []
+
+    class RecordingAtomicUnit(repro.gpu.device.AtomicUnit):
+        def __init__(self, memory):
+            super().__init__(memory)
+            atomic_units.append(self)
+
+    monkeypatch.setattr(repro.gpu.device, "AtomicUnit", RecordingAtomicUnit)
+
+    heap = None
+    if shadow == "mapped":
+        heap = MappedShadow.create(tmp_path / f"{engine}.heap.lpnv")
+    elif shadow == "sharded":
+        heap = ShardedShadow.create(tmp_path / f"{engine}.sharded",
+                                    n_shards=4)
+    device = repro.Device(cache_capacity_lines=16, engine=engine,
+                          shadow=heap)
+    writebacks = []
+    write_back = device.memory._write_back
+
+    def logged_write_back(line_ids, reason):
+        writebacks.append((tuple(line_ids), reason))
+        write_back(line_ids, reason)
+
+    monkeypatch.setattr(device.memory, "_write_back", logged_write_back)
+
+    store = MegaKVStore(device, capacity=512)
+    rng = np.random.default_rng(11)
+    keys = np.unique(rng.integers(1, 2 ** 40, size=300, dtype=np.uint64))
+    fresh = np.unique(rng.integers(2 ** 41, 2 ** 42, size=77,
+                                   dtype=np.uint64))
+    mixed = rng.permutation(np.concatenate([keys[::2], fresh]))
+    doomed = rng.permutation(np.concatenate(
+        [keys[1::3], fresh[:20], np.arange(5, 25, dtype=np.uint64)]))
+    kernels = [
+        KVInsertKernel(store, keys, keys ^ np.uint64(1 << 50), 16),
+        KVInsertKernel(store, mixed, mixed ^ np.uint64(1 << 51), 16),
+        KVDeleteKernel(store, doomed, 16),
+    ]
+    runtime = repro.LPRuntime(device, LP_CONFIGS[config_name]())
+    lp_kernels = [runtime.instrument(k, table_name=f"t{i}")
+                  for i, k in enumerate(kernels)]
+    results = [device.launch(lp) for lp in lp_kernels]
+    failures = []
+    for lp in lp_kernels:
+        lp.reset_validation()
+        results.append(device.launch(lp, mode=ExecMode.VALIDATE))
+        failures.append(list(lp.validation_failures))
+    device.drain()
+    observed = {
+        "stats": dataclasses.asdict(store.stats),
+        "failures": failures,
+        "atomics": [(unit.total_ops, dict(unit.per_address))
+                    for unit in atomic_units],
+        "writebacks": writebacks,
+        "fallbacks": dict(device.engine.fallbacks),
+    }
+    return device, results, observed, heap
+
+
+@pytest.mark.parametrize("shadow", SHADOWS)
+@pytest.mark.parametrize("config_name", list(LP_CONFIGS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_megakv_write_path_engine_parity(engine, config_name, shadow,
+                                         tmp_path, monkeypatch):
+    ref = run_megakv_writes("serial", config_name, shadow, tmp_path,
+                            monkeypatch)
+    got = run_megakv_writes(engine, config_name, shadow, tmp_path,
+                            monkeypatch)
+    try:
+        # Buffers cover the store arrays and every checksum table.
+        for res_ref, res_got in zip(ref[1], got[1]):
+            assert_same_launch((ref[0], res_ref), (got[0], res_got))
+        want, have = ref[2], got[2]
+        assert have["fallbacks"] == {}, "the write path fell back"
+        for key in ("stats", "failures", "atomics", "writebacks"):
+            assert have[key] == want[key], key
+        assert any(total for total, _ in want["atomics"])
+        assert len(want["writebacks"]) > 1, "no eviction before the drain"
+    finally:
+        for _, _, _, heap in (ref, got):
+            if heap is not None:
+                heap.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_table_full_mid_block_leaves_the_same_partial_state(engine):
+    """No free slot left for a request: its group falls back to
+    per-request execution and raises with exactly the earlier requests
+    applied — block 0 sealed, block 1 cut after its first update."""
+    states = {}
+    for name in ("serial", engine):
+        device = repro.Device(cache_capacity_lines=4, engine=name)
+        store = MegaKVStore(device, capacity=1)  # one 8-slot bucket
+        keys = np.arange(1, 7, dtype=np.uint64)
+        device.launch(KVInsertKernel(store, keys, keys + 100, 4))
+        # 40 and 41 take the last two slots; 42 finds none.
+        batch = np.array([3, 40, 41, 5, 6, 42, 2, 43], dtype=np.uint64)
+        lp = repro.LPRuntime(device, repro.LPConfig.paper_best()
+                             ).instrument(KVInsertKernel(
+                                 store, batch, batch + 200, 4))
+        with pytest.raises(TableFullError) as err:
+            device.launch(lp)
+        states[name] = (
+            str(err.value), dataclasses.asdict(store.stats),
+            {n: (b.data.copy(), b.shadow.copy())
+             for n, b in device.memory.buffers.items()},
+            device.memory.cache.dirty_lines,
+        )
+        assert store.host_search(6) == 206 and store.host_search(2) == 102
+    assert sum(device.engine.fallbacks.values()) == 1
+    ref, got = states["serial"], states[engine]
+    assert got[0] == ref[0] and got[1] == ref[1] and got[3] == ref[3]
+    for name, (data, shadow) in ref[2].items():
+        assert np.array_equal(got[2][name][0], data), name
+        assert np.array_equal(got[2][name][1], shadow), name
+
+
+@pytest.mark.parametrize("kernel_cls", [KVInsertKernel, KVDeleteKernel])
+def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
+    """Routed by a property of the input: a later request must see what
+    an earlier one to the same key stored or cleared."""
+    device = repro.Device()
+    store = MegaKVStore(device, capacity=64)
+    distinct = np.array([4, 9, 2], dtype=np.uint64)
+    repeated = np.array([4, 9, 4], dtype=np.uint64)
+    extra = (distinct,) if kernel_cls is KVInsertKernel else ()
+    assert kernel_cls(store, distinct, *extra).batchable
+    assert not kernel_cls(store, repeated, *extra).batchable
+    # Reads never conflict: a search batch may repeat keys.
+    alloc_results(device, "r", 3)
+    assert KVSearchKernel(store, repeated, "r").batchable
+
+
+def test_fallback_is_counted_under_the_configured_engine():
+    """A kernel the batched engine cannot vectorize still runs — per
+    block — but visibly: counted as a fallback, and its blocks under
+    ``engine="batched"``, not under a ``serial`` nobody configured."""
+    config = repro.LPConfig(
+        checksums=(repro.ChecksumKind.ADLER32,),
+        reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
+    )
+    with obs.recording(trace=False) as rec:
+        device, result = run_spmv("batched", config)
+        counters = rec.metrics_snapshot()["counters"]
+    kernel_name = result.kernel_name
+    assert device.engine.fallbacks == {kernel_name: 1}
+    by_engine = {key: value for key, value in counters.items()
+                 if key.startswith("engine.blocks.completed")}
+    assert len(by_engine) == 1
+    (key, blocks), = by_engine.items()
+    assert "batched" in key and "serial" not in key
+    assert blocks == result.n_completed
+    fallbacks = {key: value for key, value in counters.items()
+                 if key.startswith("engine.fallbacks")}
+    assert list(fallbacks.values()) == [1]
+    (key,) = fallbacks
+    assert "batched" in key and kernel_name in key
 
 
 # ---------------------------------------------------------------------------

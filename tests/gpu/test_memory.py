@@ -176,3 +176,37 @@ def test_buffers_are_line_aligned_and_disjoint():
     assert a.base_addr % 128 == 0
     assert b.base_addr % 128 == 0
     assert b.first_line >= a.first_line + a.n_lines
+
+
+@pytest.mark.parametrize("capacity_lines", [0, 1, 3, 64])
+def test_write_interleaved_equals_the_store_by_store_sequence(capacity_lines):
+    """Key word, value word, next request: with room in the cache the
+    sequence collapses to two assignments, without it it must not."""
+
+    def build():
+        mem = make_memory(capacity_lines)
+        keys = mem.alloc("k", (256,), np.uint64)
+        vals = mem.alloc("v", (256,), np.uint64)
+        scratch = mem.alloc("s", (256,), np.uint64, persistent=False)
+        return mem, [keys, vals, scratch]
+
+    rng = np.random.default_rng(4)
+    rounds = [(rng.choice(256, size=9, replace=False),
+               rng.integers(1, 1 << 40, size=(9, 3), dtype=np.uint64))
+              for _ in range(6)]
+
+    ref_mem, ref_bufs = build()
+    got_mem, got_bufs = build()
+    for idx, words in rounds:
+        for e in range(idx.size):
+            for c, buf in enumerate(ref_bufs):
+                ref_mem.write(buf, idx[e:e + 1], words[e:e + 1, c])
+        got_mem.write_interleaved(got_bufs, idx, words)
+
+    for ref, got in zip(ref_bufs, got_bufs):
+        assert np.array_equal(ref.data, got.data)
+        if ref.persistent:
+            assert np.array_equal(ref.shadow, got.shadow)
+    assert ref_mem.cache.dirty_lines == got_mem.cache.dirty_lines
+    assert ref_mem.cache.evictions == got_mem.cache.evictions
+    assert ref_mem.write_stats.by_buffer == got_mem.write_stats.by_buffer

@@ -88,8 +88,8 @@ def test_exemptions_are_documented_and_narrow():
     justification in docs/observability.md.
     """
     assert ORDER_SENSITIVE_PREFIXES == (
-        "time.", "engine.scheduling.", "engine.shm.", "engine.slots.",
-        "service.window.ms")
+        "time.", "engine.scheduling.", "engine.fallbacks", "engine.shm.",
+        "engine.slots.", "service.window.ms")
 
 
 def test_scheduling_series_differ_but_are_exempt():

@@ -1,0 +1,184 @@
+"""Property: the vectorized MEGA-KV write path *is* the per-request loop.
+
+``KVInsertKernel`` / ``KVDeleteKernel`` run a block group as one numpy
+pass under the batched engine. What makes the serial engine the
+reference is everything one request can do to the next inside a launch:
+a miss claims a slot the next miss in that bucket must then skip, a
+full first bucket spills into the second, key and value stores
+interleave per request on their way to the write-back cache, and a
+request neither bucket can take raises mid-block with the earlier ones
+applied. On a deliberately tiny store (1, 2 or 4 buckets of 8 slots, a
+pool of 30 keys) all of that happens in almost every example, so for
+arbitrary insert / delete sequences — distinct keys or repeated ones,
+ragged tail blocks, caches from one line to plenty — serial and
+batched must agree on
+
+* every buffer's volatile and NVM image (store arrays and checksum
+  tables alike),
+* ``store.stats``,
+* each launch's full tally, or the ``TableFullError`` text it died with,
+* the cache's dirty lines in recency order, its eviction count, and the
+  NVM write statistics.
+
+The named cases below pin the situations the search must not miss, with
+keys chosen by the bucket they hash to.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.errors import TableFullError
+from repro.megakv.kernels import KVDeleteKernel, KVInsertKernel
+from repro.megakv.store import BUCKET_WIDTH, MegaKVStore
+
+KEY_POOL = list(range(1, 31))
+
+key_lists = st.lists(st.sampled_from(KEY_POOL), min_size=1, max_size=14)
+launches = st.lists(
+    st.one_of(st.tuples(st.just("insert"), key_lists),
+              st.tuples(st.just("delete"), key_lists)),
+    min_size=1, max_size=5,
+)
+
+
+def run(engine, ops, capacity, threads, cache_lines):
+    """Launch ``ops`` LP-instrumented; everything observable afterwards."""
+    device = repro.Device(cache_capacity_lines=cache_lines, engine=engine)
+    store = MegaKVStore(device, capacity=capacity)
+    runtime = repro.LPRuntime(device, repro.LPConfig.paper_best())
+    outcomes = []
+    for n, (op, keys) in enumerate(ops):
+        keys = np.array(keys, dtype=np.uint64)
+        if op == "insert":
+            # Values differ per launch so an update is visible.
+            kernel = KVInsertKernel(store, keys, keys + 100 * (n + 1),
+                                    threads)
+        else:
+            kernel = KVDeleteKernel(store, keys, threads)
+        lp_kernel = runtime.instrument(kernel, table_name=f"t{n}")
+        try:
+            outcomes.append(device.launch(lp_kernel).tally.to_dict())
+        except TableFullError as exc:
+            outcomes.append(str(exc))
+    memory = device.memory
+    return {
+        "outcomes": outcomes,
+        "stats": dataclasses.asdict(store.stats),
+        "buffers": {name: (buf.data.copy(), buf.shadow.copy())
+                    for name, buf in memory.buffers.items()},
+        "dirty": memory.cache.dirty_lines,
+        "evictions": memory.cache.evictions,
+        "written": (dict(memory.write_stats.by_reason),
+                    dict(memory.write_stats.by_buffer)),
+        "fallbacks": sum(device.engine.fallbacks.values()),
+    }
+
+
+def assert_same(ref, got):
+    for key in ("outcomes", "stats", "dirty", "evictions", "written"):
+        assert got[key] == ref[key], key
+    assert got["buffers"].keys() == ref["buffers"].keys()
+    for name, (data, shadow) in ref["buffers"].items():
+        assert np.array_equal(got["buffers"][name][0], data), name
+        assert np.array_equal(got["buffers"][name][1], shadow), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=launches,
+       capacity=st.sampled_from([1, 2, 4]),
+       threads=st.sampled_from([2, 4, 8]),
+       cache_lines=st.sampled_from([1, 3, 64]))
+def test_batched_write_path_equals_serial(ops, capacity, threads,
+                                          cache_lines):
+    ref = run("serial", ops, capacity, threads, cache_lines)
+    got = run("batched", ops, capacity, threads, cache_lines)
+    assert_same(ref, got)
+    full = any(isinstance(o, str) for o in ref["outcomes"])
+    repeated = any(len(set(keys)) < len(keys) for _, keys in ops)
+    event(f"table full: {full}")
+    event(f"repeated key in a batch: {repeated}")
+    # The per-request path is taken for exactly those two reasons.
+    if not full and not repeated:
+        assert got["fallbacks"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The named cases, with keys picked by the buckets they hash to.
+
+
+def keys_by_buckets(capacity):
+    """``{(bucket_0, bucket_1): [keys...]}`` over a wide key range."""
+    store = MegaKVStore(repro.Device(), capacity=capacity)
+    table = {}
+    for key in range(1, 400):
+        pair = (store.bucket_of(key, 0), store.bucket_of(key, 1))
+        table.setdefault(pair, []).append(key)
+    return table
+
+
+def both_ways(ops, capacity=2, threads=4, cache_lines=3):
+    ref = run("serial", ops, capacity, threads, cache_lines)
+    got = run("batched", ops, capacity, threads, cache_lines)
+    assert_same(ref, got)
+    return ref, got
+
+
+def test_several_misses_into_one_bucket_claim_in_request_order():
+    # Six new keys, all with first-choice bucket 0: every one of them
+    # sees the same empty slots in the launch's starting image.
+    table = keys_by_buckets(2)
+    keys = (table[(0, 1)] + table[(0, 0)])[:6]
+    ref, got = both_ways([("insert", keys)])
+    assert got["fallbacks"] == 0
+    assert ref["stats"]["inserts"] == 6
+
+
+def test_first_bucket_full_spills_into_the_second():
+    table = keys_by_buckets(2)
+    fill = table[(0, 0)][:BUCKET_WIDTH]        # bucket 0 is now full
+    spill = table[(0, 1)][:3]                  # must land in bucket 1
+    ref, got = both_ways([("insert", fill), ("insert", spill)])
+    assert got["fallbacks"] == 0
+    assert isinstance(ref["outcomes"][1], dict)
+    # Eight failed CAS attempts on bucket 0 precede each claim.
+    assert ref["outcomes"][1]["atomic_ops"] >= 3 * (BUCKET_WIDTH + 1)
+
+
+def test_updates_and_inserts_mixed_in_one_ragged_launch():
+    table = keys_by_buckets(2)
+    old = table[(0, 1)][:3] + table[(1, 0)][:2]
+    new = table[(0, 1)][3:6] + table[(1, 1)][:1]
+    batch = [old[0], new[0], new[1], old[3], new[2], old[1], new[3]]
+    ref, got = both_ways([("insert", old), ("insert", batch)], threads=4)
+    assert got["fallbacks"] == 0
+    assert ref["stats"]["updates"] == 3 and ref["stats"]["inserts"] == 9
+
+
+def test_repeated_keys_run_per_request_and_still_agree():
+    table = keys_by_buckets(2)
+    a, b = table[(0, 1)][:2]
+    # insert a twice (second is an update of the first), then delete b
+    # twice (second finds it gone).
+    ref, got = both_ways([("insert", [a, b, a]), ("delete", [b, a, b])])
+    assert got["fallbacks"] == 2
+    assert ref["stats"]["inserts"] == 2 and ref["stats"]["updates"] == 1
+    assert ref["stats"]["deletes"] == 3 and ref["stats"]["removed"] == 2
+
+
+def test_both_buckets_full_raises_with_the_same_partial_state():
+    table = keys_by_buckets(2)
+    one_bucket = table[(0, 0)]
+    fill, late = one_bucket[:6], one_bucket[6:10]
+    # Two more fit, the third does not: it raises from the middle of
+    # block 0 with two claims and one update already applied.
+    batch = [late[0], fill[0], late[1], late[2], late[3]]
+    ref, got = both_ways([("insert", fill), ("insert", batch)], threads=8)
+    assert isinstance(ref["outcomes"][1], str)
+    assert "both candidate buckets" in ref["outcomes"][1]
+    assert got["fallbacks"] == 1
+    assert ref["stats"]["inserts"] == 8 and ref["stats"]["updates"] == 1

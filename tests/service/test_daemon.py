@@ -134,6 +134,11 @@ def test_stats_document_matches_committed_schema(server):
     validate(doc, schema)
     assert doc["counters"]["acked"] == 80
     assert doc["latency_ms"]["p50_ms"] is not None
+    # The daemon default is the batched engine, and a mixed run takes
+    # its vectorized path for all three KV kernels: nothing fell back.
+    assert doc["config"]["engine"] == doc["engine"] == "batched"
+    assert doc["counters"]["launches"] > 0
+    assert doc["counters"]["engine_fallbacks"] == {}
     # The wire round-trip preserves schema conformance.
     with ServiceClient(server.address) as client:
         validate(client.stats(), schema)

@@ -39,3 +39,7 @@ def test_sigkill_mid_batch_resumes_with_no_acked_loss(shards):
     assert report["acked_writes_checked"] > 0, detail
     assert report["resumed_exit_rc"] == 0, detail
     assert report["converged"], detail
+    # No engine was named, so both generations ran `serve`'s default —
+    # and the resumed one validated and served without leaving it.
+    assert report["engine"] == "batched", detail
+    assert report["engine_fallbacks"] == {}, detail
