@@ -18,13 +18,14 @@ Commands
     JSONL; ``--prom out.prom`` writes the final state in Prometheus
     text exposition format.
 ``inspect <heap> [--json] [--diff OTHER] [--shards N]``
-    Decode a ``MappedShadow`` heap file — or a sharded heap's manifest
-    plus every shard — **read-only**: header, armed journal
-    (EXACT/RANGE), CRC-checked directory, per-line occupancy,
-    torn-line diagnosis (per shard and merged, for sharded heaps).
+    Decode a heap — a plain heap file, or a shard manifest plus every
+    shard file it names — **read-only**: per extent the header, armed
+    journal (EXACT/RANGE), CRC-checked directory, per-line occupancy
+    and torn-line diagnosis, plus the torn view merged across extents.
     Unlike opening the heap, inspection never clears a journal.
-    ``--diff`` compares two heap images line-by-line (exit 1 when they
-    differ); ``--shards N`` asserts the target is an N-shard manifest.
+    ``--diff`` compares two heaps of the same layout line-by-line (exit
+    1 when they differ); ``--shards N`` asserts the target is an
+    N-shard manifest (``0``: a plain heap file).
 ``watch <telemetry.jsonl> [--once] [--interval S]``
     Live view of a telemetry stream written by ``run --telemetry`` or
     ``crash-test --telemetry``: tails the JSONL file and renders the
@@ -121,11 +122,11 @@ def _make_run(args: argparse.Namespace):
     shadow = None
     if getattr(args, "shards", 0):
         from repro.harness.tmpdir import ManagedTmpdir
-        from repro.nvm.sharded import ShardedShadow
+        from repro.nvm import create_heap
 
         tmp = stack.enter_context(ManagedTmpdir())
-        shadow = stack.enter_context(ShardedShadow.create(
-            tmp.file("heap.lpnv"), n_shards=args.shards))
+        shadow = stack.enter_context(create_heap(
+            tmp.file("heap.lpnv"), args.shards))
     try:
         device = repro.Device(cache_capacity_lines=args.cache_lines,
                               engine=engine, shadow=shadow)
@@ -446,7 +447,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.nvm.inspect import diff_paths, inspect_path
+    from repro.nvm import diff_paths, inspect_path
 
     try:
         if args.diff:
@@ -456,14 +457,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.shards is not None and not args.diff:
-        n_shards = getattr(report, "n_shards", 0)
-        if n_shards != args.shards:
-            kind = (f"a {n_shards}-shard manifest" if n_shards
-                    else "a plain (unsharded) heap file")
-            print(f"{args.heap}: expected a {args.shards}-shard "
-                  f"manifest, found {kind}", file=sys.stderr)
-            return 2
+    if args.shards is not None and not args.diff \
+            and report.n_shards != args.shards:
+        kind = (f"a {report.n_shards}-shard manifest" if report.manifest
+                else "a plain (unsharded) heap file")
+        print(f"{args.heap}: expected a {args.shards}-shard manifest, "
+              f"found {kind}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -610,6 +610,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro import obs
+    from repro.errors import ReproError
     from repro.service import KVServer, ServiceConfig
 
     config = ServiceConfig(
@@ -631,10 +632,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server = KVServer(config, heap_path=args.heap,
                           shards=args.shards, address=address)
-    except Exception:
+    except Exception as exc:
         if recorder is not None:
             obs.install(previous)
-        raise
+        if not isinstance(exc, ReproError):
+            raise
+        # Fail closed: an unreadable, damaged or contradicting heap is
+        # a message and exit 2, like ``inspect``, not a traceback.
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     if args.kill_trigger:
         # Harness-internal: die with SIGKILL inside the armed
         # write-back window (or after N blocks / S seconds).
@@ -899,13 +905,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("heap", help="path to a .lpnv heap file or a "
                                     "shard manifest")
     p_ins.add_argument("--diff", default=None, metavar="OTHER",
-                       help="compare against a second heap image "
-                            "line-by-line (exit 1 when they differ); "
-                            "sharded heaps diff manifest + every "
-                            "shard pair")
+                       help="compare against a second heap of the same "
+                            "layout, manifest then extent by extent, "
+                            "line-by-line (exit 1 when they differ)")
     p_ins.add_argument("--shards", type=int, default=None, metavar="N",
                        help="require the target to be an N-shard "
-                            "manifest (exit 2 otherwise)")
+                            "manifest, 0 a plain heap file (exit 2 "
+                            "otherwise)")
     p_ins.add_argument("--json", action="store_true",
                        help="print the report as JSON (validated by "
                             "heap_inspect.schema.json)")

@@ -472,7 +472,7 @@ def check_case(build: Callable[..., Any], case: str,
     :func:`repro.harness.crashproc.build_run` satisfies.
     """
     from repro.harness.tmpdir import ManagedTmpdir
-    from repro.nvm.mapped import MappedShadow
+    from repro.nvm import create_heap
 
     options = options or MCOptions()
     rec = _recorder()
@@ -480,7 +480,7 @@ def check_case(build: Callable[..., Any], case: str,
     with rec.trace.span("mc.case", cat="mc", track="mc", case=case,
                         budget=options.budget, engine=options.engine):
         with ManagedTmpdir(prefix="repro-mc-") as tmp:
-            heap = MappedShadow.create(str(tmp.file("mc-heap.bin")))
+            heap = create_heap(tmp.file("mc-heap.bin"))
             try:
                 built = build(heap)
                 device, lp_kernel = built[0], built[-1]
@@ -643,13 +643,13 @@ def replay_fixture(data: dict, build: Callable[..., Any]) -> dict:
     (or, once fixed, no longer does).
     """
     from repro.harness.tmpdir import ManagedTmpdir
-    from repro.nvm.mapped import MappedShadow
+    from repro.nvm import create_heap
 
     if data.get("schema") != 1:
         raise HarnessError(f"unknown crashmc fixture schema: {data!r}")
     state = CrashState.from_dict(data["state"])
     with ManagedTmpdir(prefix="repro-mc-replay-") as tmp:
-        heap = MappedShadow.create(str(tmp.file("mc-heap.bin")))
+        heap = create_heap(tmp.file("mc-heap.bin"))
         try:
             built = build(heap)
             device, lp_kernel = built[0], built[-1]

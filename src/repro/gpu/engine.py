@@ -635,7 +635,7 @@ def _worker_main(pool: "_WorkerPool", conn, worker_index: int) -> None:
         if msg[0] == "stop":
             break
         (_, seq, chunk_index, mode_value, ids, vectorized,
-         fence_latency, fence_concurrency, _shard) = msg
+         fence_latency, fence_concurrency) = msg
         t0 = time.perf_counter_ns()
         try:
             payload, tally = _run_chunk_in_worker(
@@ -766,17 +766,12 @@ class _WorkerPool:
     # -- launch driving --------------------------------------------------
 
     def _send_task(self, worker: int, seq: int, chunk_index: int,
-                   plan: LaunchPlan, ids, vectorized: bool,
-                   shard: int = -1) -> None:
-        # ``shard`` is the chunk's NVM shard affinity (-1 when the
-        # memory's shadow backend is unsharded) — carried in the task
-        # descriptor so the dispatcher and the worker agree on which
-        # persistence domain a chunk's write-backs will target.
+                   plan: LaunchPlan, ids, vectorized: bool) -> None:
         _, conn = self.workers[worker]
         conn.send((
             "task", seq, chunk_index, plan.mode.value,
             tuple(int(b) for b in ids), vectorized,
-            plan.fence_latency, plan.fence_concurrency, shard,
+            plan.fence_latency, plan.fence_concurrency,
         ))
         self._outstanding += 1
         if self._outstanding > self.peak_outstanding:
@@ -795,19 +790,15 @@ class _WorkerPool:
                 self._outstanding -= 1
 
     def iter_chunk_results(self, plan: LaunchPlan, chunks: list,
-                           vectorized: bool, chunk_shards=None):
+                           vectorized: bool):
         """Yield ``(chunk_index, payload, slot_copy)`` in chunk order.
 
         Chunks are dispatched dynamically (each worker gets a new chunk
         as it finishes its last) while results are surfaced strictly in
         submission order — chunks are contiguous slices of the launch's
         block order, so in-order consumption *is* launch-order replay
-        regardless of dispatch order. When ``chunk_shards`` is given
-        (per-chunk NVM shard affinity from a sharded shadow backend),
-        each worker *prefers* chunks whose shard maps to it, keeping a
-        worker's validate/recover stream shard-local; the preference
-        never changes which chunks run, only where. Raises
-        :class:`_PoolBroken` on worker death or a worker-side
+        regardless of dispatch order. Raises :class:`_PoolBroken` on
+        worker death or a worker-side
         :class:`~repro.errors.LaunchError`.
         """
         n = len(chunks)
@@ -826,17 +817,9 @@ class _WorkerPool:
         pending = list(range(n))
 
         def dispatch(worker: int) -> None:
-            pick = 0
-            if chunk_shards is not None:
-                for pos, chunk_index in enumerate(pending):
-                    if chunk_shards[chunk_index] % self.jobs == worker:
-                        pick = pos
-                        break
-            chunk_index = pending.pop(pick)
-            shard = -1 if chunk_shards is None else \
-                int(chunk_shards[chunk_index])
+            chunk_index = pending.pop(0)
             self._send_task(worker, seq, chunk_index, plan,
-                            chunks[chunk_index], vectorized, shard)
+                            chunks[chunk_index], vectorized)
 
         delivered = 0
         ready: dict[int, bytes] = {}
@@ -1014,24 +997,9 @@ class ParallelEngine(LaunchEngine):
                         completed: list[int], outcomes: list,
                         rec) -> None:
         pool = self._ensure_pool(plan)
-        # Per-chunk NVM shard affinity: when the memory persists into a
-        # sharded heap, tag each chunk with the shard its first block
-        # maps to so workers keep their streams shard-local. Chunks are
-        # contiguous block-id slices either way — affinity is purely a
-        # dispatch preference and cannot change results.
-        shard_of_block = getattr(
-            getattr(plan.memory, "shadow_backend", None),
-            "shard_of_block", None)
-        chunk_shards = (
-            [shard_of_block(chunk[0]) for chunk in chunks]
-            if callable(shard_of_block) else None
-        )
         if rec.metrics.active:
             rec.metrics.inc("engine.scheduling.chunks", len(chunks),
                             engine=self.name)
-            if chunk_shards is not None:
-                rec.metrics.inc("engine.scheduling.shard_affine",
-                                len(chunks), engine=self.name)
         replayed = 0
         busy_ns = 0.0
         merge_ns = 0
@@ -1043,7 +1011,7 @@ class ParallelEngine(LaunchEngine):
                 vectorized=vectorized,
             ):
                 for chunk_index, payload, slot in pool.iter_chunk_results(
-                        plan, chunks, vectorized, chunk_shards):
+                        plan, chunks, vectorized):
                     group = chunks[chunk_index]
                     m0 = time.perf_counter_ns()
                     busy_ns += slot[_SLOT_BUSY_NS]

@@ -3,7 +3,7 @@
 Everything before this module simulated crashes politely, inside one
 Python process. Here the failure is real: a **child process** runs a
 workload launch against an mmap-backed heap
-(:class:`~repro.nvm.mapped.MappedShadow`) and kills its own process
+(:func:`repro.nvm.create_heap`) and kills its own process
 group — ``SIGKILL``, no handlers, no cleanup — when a trigger fires:
 
 * ``writebacks:N`` — after the Nth cache line reaches the heap file
@@ -13,12 +13,12 @@ group — ``SIGKILL``, no handlers, no cleanup — when a trigger fires:
   the engines' block hook, journal clean);
 * ``walltime:T`` — T seconds into the run (a timer thread; lands
   wherever it lands);
-* ``shardwbK:N`` / ``shardwb*:N`` — sharded heaps only
-  (``ChildSpec.shards > 0``): after the Nth cache line lands on shard
-  ``K`` (or, with ``*``, on whichever shard reaches N first). Fires
-  inside *that shard's* journal window, so the reopened sharded heap
-  shows exactly one shard's journal armed while the others committed
-  cleanly — the shard-containment kill.
+* ``shardwbK:N`` / ``shardwb*:N`` — after the Nth cache line lands on
+  extent ``K`` of the heap (or, with ``*``, on whichever extent reaches
+  N first). Fires inside *that extent's* journal window, so a reopened
+  sharded heap shows exactly one shard's journal armed while the others
+  committed cleanly — the shard-containment kill. A plain heap is its
+  own extent 0.
 
 The parent (:func:`run_child`) spawns the child in its **own session**
 so the child's ``os.kill(0, SIGKILL)`` takes out any ``ParallelEngine``
@@ -127,10 +127,9 @@ class ChildSpec:
     #: JSONL file, one line per event flushed as it happens — the trace
     #: survives the trigger's SIGKILL up to the kill instant.
     trace_path: str | None = None
-    #: 0 — ``heap_path`` is a single :class:`MappedShadow` heap file
-    #: (the pre-sharding wire format, so old specs stay decodable);
-    #: N > 0 — ``heap_path`` is a shard manifest and the child runs
-    #: against an N-shard :class:`~repro.nvm.sharded.ShardedShadow`.
+    #: What :func:`repro.nvm.create_heap` makes the launch round's heap
+    #: from: 0 — one plain heap file (the pre-sharding wire format, so
+    #: old specs stay decodable); N > 0 — a manifest plus N shards.
     shards: int = 0
 
     def to_json(self) -> str:
@@ -198,62 +197,49 @@ def _die() -> None:
     os.kill(0, signal.SIGKILL)
 
 
-def _install_trigger(spec: ChildSpec, device, heap) -> None:
-    if spec.trigger is None:
-        return
-    kind, value = parse_trigger(spec.trigger)
-    if kind == "writebacks":
-        threshold = int(value)
+def install_kill_trigger(trigger: str, device, heap) -> None:
+    """Arm ``trigger`` on a live device + heap: the one installer, for
+    harness children and the serve daemon alike.
 
-        def on_writeback(cumulative_lines: int) -> None:
-            if cumulative_lines >= threshold:
-                _die()
+    ``heap`` may be ``None`` (a volatile daemon); only the triggers
+    that count write-backs need one.
+    """
+    kind, value = parse_trigger(trigger)
+    threshold = int(value)
 
-        heap.writeback_listener = on_writeback
-    elif _SHARDWB_RE.match(kind):
-        threshold = int(value)
-        target = shardwb_target(kind)
-        shards = getattr(heap, "shards", None)
-        if shards is None:
-            raise HarnessError(
-                f"trigger {spec.trigger!r} targets a shard, but the "
-                "heap is not sharded (set shards > 0 in the spec)"
-            )
-        if target is not None and target >= len(shards):
-            raise HarnessError(
-                f"trigger {spec.trigger!r} targets shard {target}, but "
-                f"the heap has only {len(shards)} shard(s)"
-            )
+    def on_count(cumulative: int) -> None:
+        if cumulative >= threshold:
+            _die()
 
-        def on_shard_writeback(cumulative_lines: int) -> None:
-            # Fires inside one shard's armed journal window; dying
-            # here tears that shard while committed shards stay clean.
-            if cumulative_lines >= threshold:
-                _die()
-
-        for k, shard in enumerate(shards):
-            if target is None or k == target:
-                shard.writeback_listener = on_shard_writeback
-    elif kind == "blocks":
-        threshold = int(value)
-
-        def on_block(cumulative_blocks: int) -> None:
-            if cumulative_blocks >= threshold:
-                _die()
-
-        device.block_hook = on_block
-    else:  # walltime
+    if kind == "blocks":
+        device.block_hook = on_count
+    elif kind == "walltime":
         timer = threading.Timer(value, _die)
         timer.daemon = True
         timer.start()
+    elif heap is None:
+        raise HarnessError(f"trigger {trigger!r} needs a durable heap")
+    elif kind == "writebacks":
+        heap.writeback_listener = on_count
+    else:  # shardwbK / shardwb*
+        # Fires inside one extent's armed journal window; dying there
+        # tears that extent while committed ones stay clean.
+        target = shardwb_target(kind)
+        if target is not None and target >= len(heap.extents):
+            raise HarnessError(
+                f"trigger {trigger!r} targets shard {target}, but "
+                f"the heap has only {len(heap.extents)} extent(s)"
+            )
+        for k, extent in enumerate(heap.extents):
+            if target is None or k == target:
+                extent.writeback_listener = on_count
 
 
 def child_main(spec_path: str) -> int:
     """Entry point of the killed-on-purpose process."""
     from repro import obs
     from repro.core.recovery import RecoveryManager
-    from repro.nvm.mapped import MappedShadow
-    from repro.nvm.sharded import ShardedShadow
+    from repro.nvm import create_heap, open_heap
 
     spec = ChildSpec.from_json(Path(spec_path).read_text())
     if spec.trace_path is not None:
@@ -265,23 +251,17 @@ def child_main(spec_path: str) -> int:
             tracer=obs.Tracer(obs.JsonlSink(spec.trace_path))
         ))
     if spec.phase == "launch":
-        if spec.shards > 0:
-            heap = ShardedShadow.create(spec.heap_path,
-                                        n_shards=spec.shards)
-        else:
-            heap = MappedShadow.create(spec.heap_path)
+        heap = create_heap(spec.heap_path, spec.shards)
         device, work, lp_kernel = build_run(spec, shadow=heap)
     elif spec.phase == "recover":
-        if spec.shards > 0:
-            heap = ShardedShadow.open(spec.heap_path)
-        else:
-            heap = MappedShadow.open(spec.heap_path)
+        heap = open_heap(spec.heap_path)
         device, work, lp_kernel = build_run(spec)
         heap.adopt(device.memory)
     else:
         raise HarnessError(f"unknown child phase {spec.phase!r}")
 
-    _install_trigger(spec, device, heap)
+    if spec.trigger is not None:
+        install_kill_trigger(spec.trigger, device, heap)
     obs.current().trace.instant(
         "harness.child.ready", cat="harness", track="harness",
         phase=spec.phase, workload=spec.workload, engine=spec.engine,

@@ -5,8 +5,8 @@ engine, LP config) combination:
 
 1. **kill round 0** — a child process runs the forward launch against a
    fresh mapped heap and is SIGKILLed by its trigger mid-launch.
-2. **measure** — the parent reopens the heap file cold
-   (:meth:`MappedShadow.open`), rebuilds the device deterministically,
+2. **measure** — the parent reopens the heap cold
+   (:func:`repro.nvm.open_heap`), rebuilds the device deterministically,
    adopts the persisted images, and runs a validation pass: the failed
    blocks are what the crash *actually* lost, and the journal reports
    any torn write-back.
@@ -23,18 +23,16 @@ builds the JSON report consumed by ``python -m repro crash-test`` and
 the CI smoke job: per-round blocks lost, blocks recovered, torn lines,
 and rounds to convergence.
 
-With ``shards > 0`` every cell runs against a sharded heap
-(:class:`~repro.nvm.sharded.ShardedShadow`): the launch round becomes a
-*shard-kill* round (the child dies inside one shard's armed journal
-window while the other shards stay clean), measurement adds the
-per-shard torn split, and the offline inspector decodes the manifest
-plus every shard file.
+With ``shards > 0`` every cell runs against a sharded heap and the
+launch round becomes a *shard-kill* round (the child dies inside one
+shard's armed journal window while the other shards stay clean).
+Measurement and the offline inspector are the same code either way: a
+heap is N >= 1 extents, and both report the per-extent torn split.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import zlib
 from pathlib import Path
 
@@ -47,6 +45,7 @@ from repro.harness.crashproc import (
     run_child,
 )
 from repro.harness.tmpdir import ManagedTmpdir
+from repro.nvm import copy_heap, inspect_path, open_heap
 from repro.obs import current as _recorder
 
 #: Grid defaults: two workloads with different store shapes (regular
@@ -61,40 +60,28 @@ DEFAULT_CACHE_LINES = 4
 DEFAULT_TRIGGER = "writebacks:6"
 
 
-def _open_heap(spec: ChildSpec):
-    """Parent-side cold open matching the spec's heap kind."""
-    from repro.nvm.mapped import MappedShadow
-    from repro.nvm.sharded import ShardedShadow
-
-    if spec.shards > 0:
-        return ShardedShadow.open(spec.heap_path)
-    return MappedShadow.open(spec.heap_path)
-
-
 def _measure(spec: ChildSpec) -> dict:
     """Reopen the heap cold and take stock: torn lines, failed blocks."""
     from repro.core.recovery import RecoveryManager
 
-    heap = _open_heap(spec)
+    heap = open_heap(spec.heap_path)
     try:
         torn_lines = heap.torn.n_lines if heap.torn is not None else 0
         torn_by_buffer = heap.torn_by_buffer()
         device, _work, lp_kernel = build_run(spec)
         heap.adopt(device.memory)
         report = RecoveryManager(device, lp_kernel).validate()
-        measured = {
+        return {
             "torn_lines": torn_lines,
             "torn_by_buffer": torn_by_buffer,
+            "torn_by_shard": {
+                str(k): torn.n_lines
+                for k, torn in sorted(heap.torn_by_extent.items())
+            },
             "buffers": sorted(heap.entries),
             "blocks_failed": report.n_failed,
             "missing_checksums": len(report.missing_checksums),
         }
-        if spec.shards > 0:
-            measured["torn_by_shard"] = {
-                str(k): torn.n_lines
-                for k, torn in sorted(heap.torn_by_shard.items())
-            }
-        return measured
     finally:
         heap.close()
 
@@ -105,36 +92,20 @@ def _inspect_round(spec: ChildSpec) -> dict:
     Must run *before* :func:`_measure`: the cold reopen clears armed
     journals as a side effect, and the whole point of the offline
     inspector is to decode the file(s) exactly as the SIGKILL left
-    them. For a sharded heap the manifest is decoded with every shard,
-    and per-shard torn windows are merged the same way the live reopen
-    merges them.
+    them. Per-extent torn windows are merged the same way the live
+    reopen merges them.
     """
-    from repro.nvm.inspect import inspect_heap, inspect_sharded
-
-    if spec.shards > 0:
-        report = inspect_sharded(spec.heap_path)
-        merged = report.merged_torn()
-        return {
-            "armed": bool(report.armed_shards()),
-            "mode": "+".join(report.shards[k].torn.mode
-                             for k in report.armed_shards()) or "EMPTY",
-            "torn_lines": merged["torn_lines"],
-            "torn_by_buffer": merged["torn_by_buffer"],
-            "buffers": sorted(
-                e.name for shard in report.shards for e in shard.entries),
-            "shards_armed": report.armed_shards(),
-            "torn_by_shard": {
-                str(k): report.shards[k].torn.n_lines
-                for k in report.armed_shards()
-            },
-        }
-    report = inspect_heap(spec.heap_path)
+    report = inspect_path(spec.heap_path)
+    armed = report.armed_extents()
     return {
-        "armed": report.torn.armed,
-        "mode": report.torn.mode,
-        "torn_lines": report.torn.n_lines,
-        "torn_by_buffer": dict(report.torn.by_buffer),
+        "armed": bool(armed),
+        "mode": "+".join(report.extents[k].torn.mode
+                         for k in armed) or "EMPTY",
+        **report.merged_torn(),
         "buffers": sorted(e.name for e in report.entries),
+        "shards_armed": armed,
+        "torn_by_shard": {
+            str(k): report.extents[k].torn.n_lines for k in armed},
     }
 
 
@@ -152,8 +123,7 @@ def _inspect_consistent(inspected: dict, measured: dict) -> bool:
         and inspected["torn_lines"] == measured["torn_lines"]
         and inspected["torn_by_buffer"] == measured["torn_by_buffer"]
         and inspected["buffers"] == measured["buffers"]
-        and inspected.get("torn_by_shard", {})
-        == measured.get("torn_by_shard", {})
+        and inspected["torn_by_shard"] == measured["torn_by_shard"]
     )
 
 
@@ -162,7 +132,7 @@ def _final_recover(spec: ChildSpec) -> dict:
     from repro.core.recovery import RecoveryManager
     from repro.errors import RecoveryError
 
-    heap = _open_heap(spec)
+    heap = open_heap(spec.heap_path)
     try:
         device, work, lp_kernel = build_run(spec)
         heap.adopt(device.memory)
@@ -236,8 +206,8 @@ def run_cell(
     all — after the last kill round, before the parent's in-process
     recovery cleans it, so ``repro inspect`` can be run on it later.
 
-    With ``shards > 0`` the cell runs against an N-shard
-    :class:`~repro.nvm.sharded.ShardedShadow` and the launch round
+    With ``shards > 0`` the cell runs against an N-shard heap and the
+    launch round
     becomes the **shard-kill round**: a count-based write-back trigger
     is rewritten to ``shardwb*`` so the SIGKILL lands inside exactly
     one shard's armed journal window while the other shards' committed
@@ -290,23 +260,11 @@ def run_cell(
                 # Snapshot the raw post-kill image (armed journal and
                 # all) before _measure's reopen disarms it; the last
                 # round's snapshot is the cell's artifact.
-                artifacts_dir = Path(artifacts_dir)
-                if shards > 0:
-                    cell_dir = artifacts_dir / f"{cell_tag}.sharded"
-                    cell_dir.mkdir(parents=True, exist_ok=True)
-                    heap_path = Path(base["heap_path"])
-                    shutil.copyfile(heap_path,
-                                    cell_dir / heap_path.name)
-                    for k in range(shards):
-                        shard_file = heap_path.with_name(
-                            f"{heap_path.name}.shard{k}")
-                        shutil.copyfile(shard_file,
-                                        cell_dir / shard_file.name)
-                else:
-                    artifacts_dir.mkdir(parents=True, exist_ok=True)
-                    shutil.copyfile(
-                        base["heap_path"],
-                        artifacts_dir / f"{cell_tag}.heap.lpnv")
+                # A manifest names its shard files, so a sharded cell
+                # gets a directory of its own.
+                copy_heap(base["heap_path"], Path(artifacts_dir) / (
+                    f"{cell_tag}.sharded/heap.lpnv" if shards > 0
+                    else f"{cell_tag}.heap.lpnv"))
             # Cold-inspect the heap *before* _measure reopens it —
             # open() disarms the journal, the inspector must see the
             # exact post-SIGKILL bytes.

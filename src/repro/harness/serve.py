@@ -25,6 +25,7 @@ that writer is a strict request/response client (pipeline 1).
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from pathlib import Path
 from repro.errors import ChildStartupError, ChildTimeoutError
 from repro.harness.crashproc import _child_env, _kill_group
 from repro.harness.tmpdir import ManagedTmpdir
+from repro.nvm import copy_heap, inspect_path
 from repro.service.loadgen import LoadConfig, run_load
 from repro.service.protocol import ServiceClient
 
@@ -107,16 +109,6 @@ class _Daemon:
 
     def kill(self) -> None:
         _kill_group(self.proc)
-
-
-def _journal_armed(heap: Path, shards: int) -> bool:
-    """Whether the SIGKILL left a torn-write journal armed (read-only)."""
-    from repro.nvm.inspect import inspect_path
-
-    report = inspect_path(heap)
-    if shards:
-        return bool(report.armed_shards())
-    return bool(report.journal.armed)
 
 
 def run_serve_scenario(
@@ -201,20 +193,16 @@ def run_serve_scenario(
         # Decode the post-kill image read-only while the clients spin
         # on reconnect: the writebacks trigger dies inside commit(), so
         # the journal must still be armed.
-        report["journal_armed_at_kill"] = _journal_armed(heap, shards)
+        report["journal_armed_at_kill"] = bool(
+            inspect_path(heap).armed_extents())
         if artifacts_dir is not None:
-            import shutil
-
-            dest = Path(artifacts_dir)
-            dest.mkdir(parents=True, exist_ok=True)
-            if shards:
-                shutil.copytree(heap.parent, dest / "serve.sharded",
-                                dirs_exist_ok=True)
-            else:
-                shutil.copy2(heap, dest / heap.name)
+            # Same relative layout as under the scratch dir: a sharded
+            # heap keeps its ``serve.sharded/`` directory.
+            dest = Path(artifacts_dir) / heap.relative_to(tmp.path)
+            copy_heap(heap, dest)
             reqlog = heap.with_name(heap.name + ".reqlog")
             if reqlog.exists():
-                shutil.copy2(reqlog, dest / reqlog.name)
+                shutil.copy2(reqlog, dest.with_name(reqlog.name))
 
         say("restarting daemon on the same heap")
         resumed = _Daemon(

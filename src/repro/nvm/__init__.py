@@ -21,17 +21,14 @@ _LAZY = {
     "HeapEntry": "repro.nvm.mapped",
     "TornWindow": "repro.nvm.mapped",
     "ShardedShadow": "repro.nvm.sharded",
+    "copy_heap": "repro.nvm.sharded",
+    "create_heap": "repro.nvm.sharded",
     "open_heap": "repro.nvm.sharded",
     "ShardManifest": "repro.nvm.layout",
     "HeapDiff": "repro.nvm.inspect",
     "HeapReport": "repro.nvm.inspect",
-    "ShardedHeapDiff": "repro.nvm.inspect",
-    "ShardedHeapReport": "repro.nvm.inspect",
-    "diff_heaps": "repro.nvm.inspect",
     "diff_paths": "repro.nvm.inspect",
-    "inspect_heap": "repro.nvm.inspect",
     "inspect_path": "repro.nvm.inspect",
-    "inspect_sharded": "repro.nvm.inspect",
 }
 
 __all__ = [

@@ -10,19 +10,18 @@ module: header fields, the journal's arm state (EXACT/RANGE), the
 CRC-checked buffer directory, a per-line occupancy map of the data
 region, and a torn-line diagnosis attributing armed lines to buffers.
 
-:func:`diff_heaps` compares two heap images line-by-line — the tool
-for "what did this crash round actually change?" between a pre-kill
-and post-kill image, or between two rounds of the harness.
-
-Sharded heaps (:mod:`repro.nvm.sharded`) are inspected the same way:
-:func:`inspect_sharded` decodes the CRC-guarded manifest plus every
-shard file (each an ordinary v1 heap) into a
-:class:`ShardedHeapReport` with per-shard torn diagnoses and a merged
-view, and :func:`diff_paths` / :func:`inspect_path` dispatch on the
-file's magic so the CLI works unchanged on either kind.
+:func:`inspect_path` and :func:`diff_paths` are the only entry points.
+A heap is its shard manifest — or none, for a plain heap file — plus
+N >= 1 *extents*, each an ordinary v1 heap file, so one
+:class:`HeapReport` (per-extent reports plus the merged torn view) and
+one :class:`HeapDiff` (manifest fields, then extent pair by extent
+pair) describe both layouts; a single shard file inspects as the plain
+heap it is. :func:`diff_paths` is the tool for "what did this crash
+round actually change?" between a pre-kill and post-kill image, or
+between two rounds of the harness.
 
 Reports serialize via ``to_dict`` into documents validated by
-``src/repro/obs/schemas/heap_inspect.schema.json`` (v2).
+``src/repro/obs/schemas/heap_inspect.schema.json`` (v3).
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ import numpy as np
 
 from repro.errors import HeapFormatError, HeapTruncatedError
 from repro.nvm import layout
+from repro.nvm.sharded import locate_extents
+
+__all__ = ["HeapDiff", "HeapReport", "diff_paths", "inspect_path"]
 
 #: Differing/torn line-id lists are capped in reports; counts stay exact.
 LINE_SAMPLE_CAP = 64
@@ -91,8 +93,8 @@ class TornDiagnosis:
 
 
 @dataclass(frozen=True)
-class HeapReport:
-    """Everything ``repro inspect`` decodes from one heap file."""
+class ExtentReport:
+    """Everything the inspector decodes from one v1 heap file."""
 
     path: str
     file_size: int
@@ -188,8 +190,8 @@ class BufferDiff:
 
 
 @dataclass(frozen=True)
-class HeapDiff:
-    """The result of ``repro inspect A --diff B``."""
+class ExtentDiff:
+    """Two v1 heap files compared: headers, directories, data lines."""
 
     path_a: str
     path_b: str
@@ -226,11 +228,8 @@ class HeapDiff:
             },
         }
 
-    def render_text(self) -> str:
-        lines = [f"diff {self.path_a} vs {self.path_b}"]
-        if self.identical:
-            lines.append("  heaps are identical")
-            return "\n".join(lines)
+    def render_lines(self) -> list[str]:
+        lines = []
         for key, (va, vb) in sorted(self.header_diff.items()):
             lines.append(f"  header.{key}: {va} != {vb}")
         for name in self.only_in_a:
@@ -257,7 +256,7 @@ class HeapDiff:
                     f"  buffer {buf.name}: {buf.n_differing}/"
                     f"{buf.n_lines} lines differ — lines {shown}{tail}"
                 )
-        return "\n".join(lines)
+        return lines
 
 
 class _ColdHeap:
@@ -377,14 +376,9 @@ def _occupancy(cold: _ColdHeap) -> tuple[OccupancySegment, ...]:
     return tuple(segments)
 
 
-def inspect_heap(path) -> HeapReport:
-    """Decode a heap file without mutating it (journal included).
-
-    Raises the same typed errors as :meth:`MappedShadow.open` on
-    corrupt, truncated or version-mismatched files.
-    """
+def _inspect_extent(path) -> ExtentReport:
     with _ColdHeap(path) as cold:
-        return HeapReport(
+        return ExtentReport(
             path=str(cold.path),
             file_size=cold.file_size,
             header=cold.header,
@@ -397,74 +391,100 @@ def inspect_heap(path) -> HeapReport:
 
 
 @dataclass(frozen=True)
-class ShardedHeapReport:
-    """Manifest topology plus every shard's :class:`HeapReport`."""
+class HeapReport:
+    """Everything ``repro inspect`` decodes from one heap: the shard
+    manifest, if it has one, and every extent's :class:`ExtentReport`."""
 
     path: str
-    n_shards: int
-    line_size: int
-    block_lines: int
-    shard_names: tuple[str, ...]
-    #: Per-shard reports; index == shard id.
-    shards: tuple[HeapReport, ...]
+    #: Static shard topology; ``None`` for a plain heap file.
+    manifest: layout.ShardManifest | None
+    #: N >= 1 per-extent reports; index == shard id under a manifest.
+    extents: tuple[ExtentReport, ...]
 
     @property
-    def n_mapped_blocks(self) -> int:
-        """Address blocks the shard directories claim, as the live
-        heap's open would derive them."""
-        return len({
-            block for report in self.shards for entry in report.entries
-            for block in layout.address_blocks(entry, self.line_size,
-                                               self.block_lines)})
+    def n_shards(self) -> int:
+        """Shards the manifest names; 0 for a plain heap file."""
+        return self.manifest.n_shards if self.manifest else 0
 
-    def armed_shards(self) -> list[int]:
-        """Shard ids whose torn-write journal the crash left armed."""
-        return [k for k, report in enumerate(self.shards)
-                if report.journal.armed]
+    @property
+    def entries(self) -> tuple[layout.HeapEntry, ...]:
+        """The union directory, extent by extent."""
+        return tuple(e for extent in self.extents for e in extent.entries)
+
+    def armed_extents(self) -> list[int]:
+        """Extents whose torn-write journal the crash left armed."""
+        return [k for k, extent in enumerate(self.extents)
+                if extent.journal.armed]
 
     def merged_torn(self) -> dict:
-        """Grid-wide torn view, merged exactly like the live reopen."""
+        """Heap-wide torn view, merged exactly like the live reopen."""
         torn_lines = 0
         by_buffer: dict[str, int] = {}
-        for report in self.shards:
-            torn_lines += report.torn.n_lines
-            for name, n in report.torn.by_buffer.items():
+        for extent in self.extents:
+            torn_lines += extent.torn.n_lines
+            for name, n in extent.torn.by_buffer.items():
                 by_buffer[name] = by_buffer.get(name, 0) + n
         return {"torn_lines": torn_lines, "torn_by_buffer": by_buffer}
 
+    def _manifest_dict(self) -> dict:
+        m = self.manifest
+        # Address blocks the shard directories claim, as the live
+        # heap's open would derive them.
+        blocks = {
+            block for entry in self.entries
+            for block in layout.address_blocks(entry, m.line_size,
+                                               m.block_lines)}
+        return {
+            "n_shards": m.n_shards,
+            "line_size": m.line_size,
+            "block_lines": m.block_lines,
+            "shard_names": list(m.shard_names),
+            "n_mapped_blocks": len(blocks),
+        }
+
     def to_dict(self) -> dict:
-        merged = self.merged_torn()
         return {
             "path": self.path,
-            "n_shards": self.n_shards,
-            "line_size": self.line_size,
-            "block_lines": self.block_lines,
-            "shard_names": list(self.shard_names),
-            "n_mapped_blocks": self.n_mapped_blocks,
-            "armed_shards": self.armed_shards(),
-            "torn_lines": merged["torn_lines"],
-            "torn_by_buffer": merged["torn_by_buffer"],
-            "shards": [report.to_dict() for report in self.shards],
+            "manifest": self._manifest_dict() if self.manifest else None,
+            "armed_extents": self.armed_extents(),
+            **self.merged_torn(),
+            "extents": [extent.to_dict() for extent in self.extents],
         }
 
     def render_text(self) -> str:
-        armed = self.armed_shards()
-        merged = self.merged_torn()
+        if self.manifest is None:
+            return self.extents[0].render_text()
+        armed = self.armed_extents()
+        m = self._manifest_dict()
         lines = [
             f"sharded heap {self.path}",
-            f"  manifest: {self.n_shards} shard(s), line size "
-            f"{self.line_size} B, {self.block_lines} line(s)/block, "
-            f"{self.n_mapped_blocks} mapped block(s)",
-            f"  journals: {len(armed)}/{self.n_shards} shard(s) armed"
+            f"  manifest: {m['n_shards']} shard(s), line size "
+            f"{m['line_size']} B, {m['block_lines']} line(s)/block, "
+            f"{m['n_mapped_blocks']} mapped block(s)",
+            f"  journals: {len(armed)}/{m['n_shards']} shard(s) armed"
             + (f" ({', '.join(str(k) for k in armed)}), "
-               f"{merged['torn_lines']} torn line(s) total"
+               f"{self.merged_torn()['torn_lines']} torn line(s) total"
                if armed else " (all clean)"),
         ]
-        for k, report in enumerate(self.shards):
+        for k, extent in enumerate(self.extents):
             lines.append(f"  --- shard {k} ---")
             lines.extend("  " + line
-                         for line in report.render_text().splitlines())
+                         for line in extent.render_text().splitlines())
         return "\n".join(lines)
+
+
+def inspect_path(path) -> HeapReport:
+    """Decode a heap — plain file or manifest + shards — mutating
+    nothing: every extent goes through the cold ``ACCESS_READ`` map, so
+    armed journals stay armed on disk.
+
+    Raises the same typed errors as :func:`repro.nvm.open_heap` on
+    missing, corrupt, truncated or version-mismatched files.
+    """
+    manifest, extents = locate_extents(path)
+    return HeapReport(
+        path=str(path), manifest=manifest,
+        extents=tuple(_inspect_extent(extent) for extent in extents))
 
 
 _DESCRIPTOR_FIELDS = ("dtype", "shape", "base_addr", "nbytes",
@@ -477,8 +497,7 @@ def _descriptor_diff(a: layout.HeapEntry, b: layout.HeapEntry) -> dict:
             if da[k] != db[k]}
 
 
-def diff_heaps(path_a, path_b) -> HeapDiff:
-    """Compare two heap images: headers, directories, data lines."""
+def _diff_extents(path_a, path_b) -> ExtentDiff:
     with _ColdHeap(path_a) as a, _ColdHeap(path_b) as b:
         header_diff = {}
         for key in ("version", "line_size", "data_offset"):
@@ -504,7 +523,7 @@ def diff_heaps(path_a, path_b) -> HeapDiff:
                 differing_sample=tuple(
                     int(first + i) for i in differ[:LINE_SAMPLE_CAP]),
             ))
-        return HeapDiff(
+        return ExtentDiff(
             path_a=str(a.path), path_b=str(b.path),
             header_diff=header_diff,
             only_in_a=tuple(sorted(names_a - names_b)),
@@ -514,78 +533,24 @@ def diff_heaps(path_a, path_b) -> HeapDiff:
         )
 
 
-# ----------------------------------------------------------------------
-# Sharded heaps: manifest + N shard files, still strictly read-only
-# ----------------------------------------------------------------------
-
-
-def _read_manifest_file(path: Path) -> layout.ShardManifest:
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise HeapTruncatedError(
-            f"cannot read shard manifest {path}: {exc}"
-        ) from None
-    return layout.parse_manifest(raw, path)
-
-
-def inspect_sharded(path) -> ShardedHeapReport:
-    """Decode a shard manifest and every shard file, mutating nothing.
-
-    The manifest is read with a plain ``read_bytes`` and each shard
-    through the same cold ``ACCESS_READ`` path as :func:`inspect_heap`
-    — armed journals stay armed on disk.
-    """
-    path = Path(path)
-    manifest = _read_manifest_file(path)
-    shards = tuple(
-        inspect_heap(path.with_name(name))
-        for name in manifest.shard_names
-    )
-    return ShardedHeapReport(
-        path=str(path),
-        n_shards=manifest.n_shards,
-        line_size=manifest.line_size,
-        block_lines=manifest.block_lines,
-        shard_names=manifest.shard_names,
-        shards=shards,
-    )
-
-
-def _is_manifest_file(path) -> bool:
-    try:
-        with open(Path(path), "rb") as fileobj:
-            head = fileobj.read(len(layout.MANIFEST_MAGIC))
-    except OSError as exc:
-        raise HeapTruncatedError(
-            f"cannot read heap file {path}: {exc}"
-        ) from None
-    return layout.is_manifest(head)
-
-
-def inspect_path(path) -> HeapReport | ShardedHeapReport:
-    """Inspect either kind of heap file, dispatching on its magic."""
-    if _is_manifest_file(path):
-        return inspect_sharded(path)
-    return inspect_heap(path)
-
-
 @dataclass(frozen=True)
-class ShardedHeapDiff:
-    """Two sharded heaps compared manifest-to-manifest, shard-by-shard."""
+class HeapDiff:
+    """The result of ``repro inspect A --diff B``: two heaps of the
+    same layout compared manifest-to-manifest, extent-by-extent."""
 
     path_a: str
     path_b: str
-    #: Manifest fields that disagree (name -> [a, b]); a shard count
-    #: mismatch leaves ``shards`` empty. Placement is not a manifest
-    #: field: a buffer homed differently shows in the per-shard diffs.
+    #: Manifest fields that disagree (name -> [a, b]); always empty
+    #: for two plain heaps, and a shard count mismatch leaves
+    #: ``extents`` empty. Placement is not a manifest field: a buffer
+    #: homed differently shows in the per-extent diffs.
     manifest_diff: dict
-    shards: tuple[HeapDiff, ...]
+    extents: tuple[ExtentDiff, ...]
 
     @property
     def identical(self) -> bool:
         return (not self.manifest_diff
-                and all(d.identical for d in self.shards))
+                and all(d.identical for d in self.extents))
 
     def to_dict(self) -> dict:
         return {
@@ -593,58 +558,45 @@ class ShardedHeapDiff:
             "path_b": self.path_b,
             "identical": self.identical,
             "manifest_diff": dict(self.manifest_diff),
-            "shards": [d.to_dict() for d in self.shards],
+            "extents": [d.to_dict() for d in self.extents],
         }
 
     def render_text(self) -> str:
-        lines = [f"diff {self.path_a} vs {self.path_b} (sharded)"]
+        lines = [f"diff {self.path_a} vs {self.path_b}"]
         if self.identical:
-            lines.append("  sharded heaps are identical")
+            lines.append("  heaps are identical")
             return "\n".join(lines)
         for key, (va, vb) in sorted(self.manifest_diff.items()):
             lines.append(f"  manifest.{key}: {va} != {vb}")
-        for k, d in enumerate(self.shards):
+        for k, d in enumerate(self.extents):
             if d.identical:
                 continue
-            lines.append(f"  --- shard {k} ---")
-            lines.extend("  " + line
-                         for line in d.render_text().splitlines()[1:])
+            if len(self.extents) > 1:
+                lines.append(f"  --- shard {k} ---")
+            lines.extend(d.render_lines())
         return "\n".join(lines)
 
 
-def diff_sharded(path_a, path_b) -> ShardedHeapDiff:
-    """Compare two sharded heaps: manifests, then each shard pair."""
-    path_a, path_b = Path(path_a), Path(path_b)
-    ma = _read_manifest_file(path_a)
-    mb = _read_manifest_file(path_b)
-    manifest_diff: dict = {}
-    for key in ("n_shards", "line_size", "block_lines"):
-        va, vb = getattr(ma, key), getattr(mb, key)
-        if va != vb:
-            manifest_diff[key] = [va, vb]
-    shards: tuple[HeapDiff, ...] = ()
-    if ma.n_shards == mb.n_shards:
-        shards = tuple(
-            diff_heaps(path_a.with_name(ma.shard_names[k]),
-                       path_b.with_name(mb.shard_names[k]))
-            for k in range(ma.n_shards)
-        )
-    return ShardedHeapDiff(path_a=str(path_a), path_b=str(path_b),
-                           manifest_diff=manifest_diff, shards=shards)
-
-
-def diff_paths(path_a, path_b) -> HeapDiff | ShardedHeapDiff:
-    """Diff two heap files of the *same* kind, dispatching on magic."""
-    a_sharded = _is_manifest_file(path_a)
-    b_sharded = _is_manifest_file(path_b)
-    if a_sharded != b_sharded:
-        plain, manifest = ((path_b, path_a) if a_sharded
+def diff_paths(path_a, path_b) -> HeapDiff:
+    """Diff two heaps of the *same* layout: manifests (when there are
+    any), then each extent pair."""
+    ma, extents_a = locate_extents(path_a)
+    mb, extents_b = locate_extents(path_b)
+    if (ma is None) != (mb is None):
+        plain, manifest = ((path_b, path_a) if mb is None
                            else (path_a, path_b))
         raise HeapFormatError(
             f"cannot diff a sharded heap ({manifest}) against a plain "
             f"heap file ({plain}); inspect one shard file directly to "
             "compare it with a plain heap"
         )
-    if a_sharded:
-        return diff_sharded(path_a, path_b)
-    return diff_heaps(path_a, path_b)
+    manifest_diff = {
+        key: [getattr(ma, key), getattr(mb, key)]
+        for key in ("n_shards", "line_size", "block_lines")
+        if ma is not None and getattr(ma, key) != getattr(mb, key)}
+    extents: tuple[ExtentDiff, ...] = ()
+    if len(extents_a) == len(extents_b):
+        extents = tuple(_diff_extents(a, b)
+                        for a, b in zip(extents_a, extents_b))
+    return HeapDiff(path_a=str(path_a), path_b=str(path_b),
+                    manifest_diff=manifest_diff, extents=extents)

@@ -158,6 +158,30 @@ class MappedShadow:
         self._sealed = False
 
     # ------------------------------------------------------------------
+    # The heap surface shared with ShardedShadow: a heap is N >= 1 v1
+    # extents, and a plain heap file is its own single extent.
+    # ------------------------------------------------------------------
+
+    #: Backend name ``repro serve`` prints and ``stats()`` reports.
+    kind = "mapped"
+    #: Shards a manifest names — none: a plain heap is one bare file
+    #: (the ``shards`` value :func:`repro.nvm.create_heap` makes it from).
+    n_shards = 0
+
+    @property
+    def extents(self) -> tuple["MappedShadow", ...]:
+        """The v1 heap handles a per-extent kill trigger hangs on."""
+        return (self,)
+
+    @property
+    def torn_by_extent(self) -> dict[int, TornWindow]:
+        """Torn windows found at :meth:`open`, by extent index."""
+        return {} if self.torn is None else {0: self.torn}
+
+    def extent_paths(self) -> list[Path]:
+        return [self.path]
+
+    # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
@@ -334,46 +358,7 @@ class MappedShadow:
         layout disagrees with the directory in any way.
         """
         self._check_open()
-        rec = _recorder()
-        with rec.trace.span("heap.adopt", cat="nvm", track="nvm",
-                            buffers=len(self.entries)):
-            persistent = {
-                name: buf for name, buf in memory.buffers.items()
-                if buf.persistent
-            }
-            if memory.line_size != self.line_size:
-                raise HeapLayoutError(
-                    f"memory line size {memory.line_size} != heap line "
-                    f"size {self.line_size}"
-                )
-            missing = sorted(set(self.entries) - set(persistent))
-            extra = sorted(set(persistent) - set(self.entries))
-            if missing or extra:
-                raise HeapLayoutError(
-                    f"heap {self.path} directory does not match the "
-                    f"rebuilt memory: missing from memory {missing[:5]}, "
-                    f"absent from heap {extra[:5]}"
-                )
-            for name, entry in self.entries.items():
-                buf = persistent[name]
-                got = (buf.dtype.str, tuple(buf.shape), buf.base_addr,
-                       buf.nbytes)
-                want = (entry.dtype.str, entry.shape, entry.base_addr,
-                        entry.nbytes)
-                if got != want:
-                    raise HeapLayoutError(
-                        f"buffer {name!r} diverged from the heap "
-                        f"directory: memory has (dtype, shape, addr, "
-                        f"nbytes) = {got}, heap has {want}"
-                    )
-            for name, buf in persistent.items():
-                view = self.view(name)
-                buf.shadow = view
-                buf.data[:] = view
-                self._attached[name] = buf
-            # Reboot state: nothing is pending persistence.
-            memory.cache.drop_all()
-            memory.shadow_backend = self
+        adopt_images(self, memory)
 
     # ------------------------------------------------------------------
     # Write-back journal (torn-write window)
@@ -534,3 +519,55 @@ class MappedShadow:
         # Re-point every live buffer's shadow at the new mapping.
         for name, buf in self._attached.items():
             buf.shadow = self.view(name)
+
+
+def adopt_images(heap, memory) -> None:
+    """The one ``adopt``: check ``memory`` against ``heap``'s directory,
+    then swap in every extent's cold images.
+
+    ``heap`` is either backend — :class:`MappedShadow` and
+    :class:`~repro.nvm.sharded.ShardedShadow` both delegate here, a
+    sharded heap checking against its union directory.
+    """
+    rec = _recorder()
+    with rec.trace.span("heap.adopt", cat="nvm", track="nvm",
+                        buffers=len(heap.entries), shards=heap.n_shards):
+        persistent = {
+            name: buf for name, buf in memory.buffers.items()
+            if buf.persistent
+        }
+        if memory.line_size != heap.line_size:
+            raise HeapLayoutError(
+                f"memory line size {memory.line_size} != heap line "
+                f"size {heap.line_size}"
+            )
+        missing = sorted(set(heap.entries) - set(persistent))
+        extra = sorted(set(persistent) - set(heap.entries))
+        if missing or extra:
+            raise HeapLayoutError(
+                f"heap {heap.path} directory does not match the "
+                f"rebuilt memory: missing from memory {missing[:5]}, "
+                f"absent from heap {extra[:5]}"
+            )
+        for name, entry in heap.entries.items():
+            buf = persistent[name]
+            got = (buf.dtype.str, tuple(buf.shape), buf.base_addr,
+                   buf.nbytes)
+            want = (entry.dtype.str, entry.shape, entry.base_addr,
+                    entry.nbytes)
+            if got != want:
+                raise HeapLayoutError(
+                    f"buffer {name!r} diverged from the heap "
+                    f"directory: memory has (dtype, shape, addr, "
+                    f"nbytes) = {got}, heap has {want}"
+                )
+        for extent in heap.extents:
+            for name in extent.entries:
+                buf = persistent[name]
+                view = extent.view(name)
+                buf.shadow = view
+                buf.data[:] = view
+                extent._attached[name] = buf
+        # Reboot state: nothing is pending persistence.
+        memory.cache.drop_all()
+        memory.shadow_backend = heap

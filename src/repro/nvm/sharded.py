@@ -43,10 +43,13 @@ drop-in ``Device(shadow=...)`` / ``GlobalMemory(shadow=...)`` target:
   shards stay clean.
 
 * **Concurrent recovery** — :meth:`open` validates and reopens all
-  shards concurrently (one thread per shard), and
-  :meth:`shard_of_block` exposes the block→shard affinity hint the
-  parallel engine uses to keep each worker's validate/recover chunks
-  shard-local.
+  shards concurrently (one thread per shard).
+
+Consumers never pick a class: :func:`create_heap` / :func:`open_heap`
+(re-exported by :mod:`repro.nvm`) are the two constructors, and both
+classes answer the same surface — ``kind``, ``n_shards``, ``extents``,
+``torn_by_extent``, ``extent_paths()`` — a plain :class:`MappedShadow`
+as its own single extent.
 
 No crash of this code leaves two shards claiming one address block or
 one buffer name; :meth:`open` refuses such a shard set as corrupt.
@@ -55,6 +58,7 @@ one buffer name; :meth:`open` refuses such a shard set as corrupt.
 from __future__ import annotations
 
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -77,12 +81,17 @@ from repro.nvm.layout import (
     HeapEntry,
     ShardManifest,
 )
-from repro.nvm.mapped import MappedShadow, TornWindow
+from repro.nvm.mapped import MappedShadow, TornWindow, adopt_images
 from repro.obs import current as _recorder
 
 __all__ = [
     "DEFAULT_SHARD_BLOCK_LINES",
     "ShardedShadow",
+    "copy_heap",
+    "create_heap",
+    "locate_extents",
+    "open_heap",
+    "read_manifest",
     "shard_path",
 ]
 
@@ -91,6 +100,39 @@ def shard_path(manifest_path, shard: int) -> Path:
     """Path of one shard's heap file next to its manifest."""
     manifest_path = Path(manifest_path)
     return manifest_path.with_name(f"{manifest_path.name}.shard{shard}")
+
+
+def _read(path, n: int = -1) -> bytes:
+    try:
+        with open(path, "rb") as fileobj:
+            return fileobj.read(n)
+    except OSError as exc:
+        raise HeapTruncatedError(
+            f"cannot read heap file {path}: {exc}") from None
+
+
+def _is_manifest(path) -> bool:
+    """The one magic sniff. Bytes that are neither a manifest nor a heap
+    are for :meth:`MappedShadow.open` / the inspector's cold decoder to
+    refuse; a missing or unreadable path is a typed
+    :class:`~repro.errors.HeapTruncatedError`, as at every other entry.
+    """
+    return layout.is_manifest(_read(path, len(layout.MANIFEST_MAGIC)))
+
+
+def read_manifest(path) -> ShardManifest:
+    """Decode the shard manifest at ``path``; raises typed errors."""
+    return layout.parse_manifest(_read(path), path)
+
+
+def locate_extents(path) -> tuple[ShardManifest | None, list[Path]]:
+    """A heap's manifest (``None`` for a plain file) and the N >= 1 v1
+    extent files it is made of, read cold — nothing is opened."""
+    path = Path(path)
+    if not _is_manifest(path):
+        return None, [path]
+    manifest = read_manifest(path)
+    return manifest, [path.with_name(name) for name in manifest.shard_names]
 
 
 class ShardedShadow:
@@ -107,7 +149,7 @@ class ShardedShadow:
                  line_size: int, block_lines: int) -> None:
         self.path = Path(path)
         #: The shard heaps, index == shard id.
-        self.shards = shards
+        self.extents = shards
         self.line_size = line_size
         self.block_lines = block_lines
         #: Address block id -> owning shard, derived from the shard
@@ -125,14 +167,14 @@ class ShardedShadow:
              for name, entry in shard.entries.items()),
             key=lambda item: item[1].base_addr))
         #: Per-shard torn windows found at :meth:`open`.
-        self.torn_by_shard: dict[int, TornWindow] = {
+        self.torn_by_extent: dict[int, TornWindow] = {
             k: shard.torn for k, shard in enumerate(shards)
             if shard.torn is not None}
         #: Merged torn window across shards (``None`` when clean).
-        self.torn = self._merge_torn(self.torn_by_shard)
+        self.torn = self._merge_torn(self.torn_by_extent)
         #: Sharded-level hooks, mirroring :class:`MappedShadow`. The
         #: write-back listener fires *before* any shard journal
-        #: clears; per-shard listeners (``shards[k].writeback_listener``)
+        #: clears; per-shard listeners (``extents[k].writeback_listener``)
         #: fire inside shard ``k``'s own armed window.
         self.writeback_listener = None
         self.arm_listener = None
@@ -142,9 +184,12 @@ class ShardedShadow:
         self._closed = False
         self._sealed = False
 
+    #: Backend name ``repro serve`` prints and ``stats()`` reports.
+    kind = "sharded"
+
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return len(self.extents)
 
     # ------------------------------------------------------------------
     # Construction
@@ -169,11 +214,18 @@ class ShardedShadow:
         rec = _recorder()
         with rec.trace.span("heap.sharded.create", cat="nvm", track="nvm",
                             path=str(path), shards=n_shards):
-            shards = [
-                MappedShadow.create(shard_path(path, k), line_size,
-                                    dir_capacity, data_capacity)
-                for k in range(n_shards)
-            ]
+            shards: list[MappedShadow] = []
+            try:
+                for k in range(n_shards):
+                    shards.append(MappedShadow.create(
+                        shard_path(path, k), line_size, dir_capacity,
+                        data_capacity))
+            except BaseException:
+                # No manifest will name what this call made so far.
+                for shard in shards:
+                    shard.close()
+                    shard.path.unlink()
+                raise
         heap = cls(path, shards, line_size, block_lines)
         heap._write_manifest()
         if rec.metrics.active:
@@ -196,7 +248,7 @@ class ShardedShadow:
         rec = _recorder()
         with rec.trace.span("heap.sharded.reopen", cat="nvm", track="nvm",
                             path=str(path)):
-            manifest = cls._read_manifest(path)
+            manifest = read_manifest(path)
 
             def open_shard(k: int) -> MappedShadow:
                 with rec.trace.span("heap.shard.reopen", cat="nvm",
@@ -231,30 +283,20 @@ class ShardedShadow:
         if rec.metrics.active:
             rec.metrics.inc("nvm.sharded.reopens")
             rec.metrics.set_gauge("nvm.sharded.shards", heap.n_shards)
-            for k, torn in heap.torn_by_shard.items():
+            for k, torn in heap.torn_by_extent.items():
                 rec.metrics.inc("nvm.sharded.torn_lines", torn.n_lines,
                                 shard=str(k))
         if rec.trace.enabled and heap.torn is not None:
             rec.trace.instant(
                 "heap.sharded.torn", cat="nvm", track="nvm",
                 n_lines=heap.torn.n_lines,
-                shards=sorted(heap.torn_by_shard),
+                shards=sorted(heap.torn_by_extent),
             )
         return heap
 
-    @classmethod
-    def _read_manifest(cls, path: Path) -> ShardManifest:
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise HeapTruncatedError(
-                f"cannot read shard manifest {path}: {exc}"
-            ) from None
-        return layout.parse_manifest(raw, path)
-
     def _derive_placement(self) -> None:
         """Rebuild owner / block map / loads from the shard directories."""
-        for k, shard in enumerate(self.shards):
+        for k, shard in enumerate(self.extents):
             if shard.line_size != self.line_size:
                 raise HeapCorruptError(
                     f"{self.path}: shard {k} has line size "
@@ -291,9 +333,9 @@ class ShardedShadow:
             )
         blocks = self._blocks_of(buf)
         shard_id = self._place(buf.name, blocks)
-        view = self.shards[shard_id].attach(buf)
+        view = self.extents[shard_id].attach(buf)
         self._claim(buf.name, blocks, shard_id)
-        self.entries[buf.name] = self.shards[shard_id].entries[buf.name]
+        self.entries[buf.name] = self.extents[shard_id].entries[buf.name]
         return view
 
     def detach(self, name: str) -> None:
@@ -302,7 +344,7 @@ class ShardedShadow:
         if name not in self.entries:
             return
         shard_id = self._owner[name]
-        self.shards[shard_id].detach(name)
+        self.extents[shard_id].detach(name)
         del self._owner[name]
         for block in self._blocks_of(self.entries.pop(name)):
             self._block_refs[block] -= 1
@@ -313,7 +355,7 @@ class ShardedShadow:
     def view(self, name: str) -> np.ndarray:
         """The mapped NVM image of one entry, from its owning shard."""
         self._check_open()
-        return self.shards[self._owner[name]].view(name)
+        return self.extents[self._owner[name]].view(name)
 
     def adopt(self, memory) -> None:
         """Swap a rebuilt memory's shadows for the shards' cold images.
@@ -324,47 +366,7 @@ class ShardedShadow:
         buffer's shadow becomes a view into its owning shard.
         """
         self._check_open()
-        rec = _recorder()
-        with rec.trace.span("heap.adopt", cat="nvm", track="nvm",
-                            buffers=len(self.entries),
-                            shards=self.n_shards):
-            persistent = {
-                name: buf for name, buf in memory.buffers.items()
-                if buf.persistent
-            }
-            if memory.line_size != self.line_size:
-                raise HeapLayoutError(
-                    f"memory line size {memory.line_size} != sharded "
-                    f"heap line size {self.line_size}"
-                )
-            missing = sorted(set(self.entries) - set(persistent))
-            extra = sorted(set(persistent) - set(self.entries))
-            if missing or extra:
-                raise HeapLayoutError(
-                    f"sharded heap {self.path} directory does not match "
-                    f"the rebuilt memory: missing from memory "
-                    f"{missing[:5]}, absent from heap {extra[:5]}"
-                )
-            for name, entry in self.entries.items():
-                buf = persistent[name]
-                got = (buf.dtype.str, tuple(buf.shape), buf.base_addr,
-                       buf.nbytes)
-                want = (entry.dtype.str, entry.shape, entry.base_addr,
-                        entry.nbytes)
-                if got != want:
-                    raise HeapLayoutError(
-                        f"buffer {name!r} diverged from the sharded heap "
-                        f"directory: memory has (dtype, shape, addr, "
-                        f"nbytes) = {got}, heap has {want}"
-                    )
-            for name, buf in persistent.items():
-                shard = self.shards[self._owner[name]]
-                view = shard.view(name)
-                buf.shadow = view
-                buf.data[:] = view
-                shard._attached[name] = buf
-            memory.cache.drop_all()
-            memory.shadow_backend = self
+        adopt_images(self, memory)
 
     # ------------------------------------------------------------------
     # Write-back journal fan-out
@@ -379,7 +381,7 @@ class ShardedShadow:
             parts.setdefault(self._shard_of_line(int(lid)), []).append(
                 int(lid))
         for shard_id in sorted(parts):
-            self.shards[shard_id].arm(parts[shard_id])
+            self.extents[shard_id].arm(parts[shard_id])
         self._armed = {shard_id: len(lines)
                        for shard_id, lines in parts.items()}
         rec = _recorder()
@@ -409,7 +411,7 @@ class ShardedShadow:
             listener(self.lines_written)
         armed, self._armed = self._armed, {}
         for shard_id in sorted(armed):
-            self.shards[shard_id].commit(armed[shard_id])
+            self.extents[shard_id].commit(armed[shard_id])
 
     def torn_lines(self) -> list[int]:
         """Merged torn-write window across all shards (maybe [])."""
@@ -418,7 +420,7 @@ class ShardedShadow:
     def torn_by_buffer(self) -> dict[str, int]:
         """Torn-write suspects attributed to buffers, all shards."""
         out: dict[str, int] = {}
-        for shard in self.shards:
+        for shard in self.extents:
             out.update(shard.torn_by_buffer())
         return out
 
@@ -429,7 +431,7 @@ class ShardedShadow:
     def seal(self) -> None:
         """Seal every shard for worker-process fork safety."""
         self._sealed = True
-        for shard in self.shards:
+        for shard in self.extents:
             shard.seal()
 
     def sync(self) -> None:
@@ -438,7 +440,7 @@ class ShardedShadow:
         self._check_writable()
         with _recorder().trace.span("heap.sharded.sync", cat="nvm",
                                     track="nvm", shards=self.n_shards):
-            for shard in self.shards:
+            for shard in self.extents:
                 shard.sync()
 
     def close(self) -> None:
@@ -446,7 +448,7 @@ class ShardedShadow:
         if self._closed:
             return
         self._closed = True
-        for shard in self.shards:
+        for shard in self.extents:
             shard.close()
 
     def __enter__(self) -> "ShardedShadow":
@@ -456,32 +458,22 @@ class ShardedShadow:
         self.close()
 
     # ------------------------------------------------------------------
-    # Shard topology accessors (engine affinity, harness, inspector)
+    # Shard topology accessors (harness, inspector)
     # ------------------------------------------------------------------
-
-    def shard_of_block(self, block_id: int) -> int:
-        """Affinity hint: the shard a *thread block*'s chunk prefers.
-
-        LP regions (thread blocks) are mutually independent, so any
-        deterministic partition is sound; a simple modulo keeps the
-        parallel engine's contiguous chunks spread evenly across
-        shard-affine workers.
-        """
-        return int(block_id) % self.n_shards
 
     def shard_of_buffer(self, name: str) -> int:
         """The shard that owns a directory buffer."""
         return self._owner[name]
 
-    def shard_paths(self) -> list[Path]:
-        return [shard.path for shard in self.shards]
+    def extent_paths(self) -> list[Path]:
+        return [shard.path for shard in self.extents]
 
     def manifest(self) -> ShardManifest:
         """This heap's static topology, as :meth:`create` recorded it."""
         return ShardManifest(
             n_shards=self.n_shards, line_size=self.line_size,
             block_lines=self.block_lines,
-            shard_names=tuple(shard.path.name for shard in self.shards),
+            shard_names=tuple(shard.path.name for shard in self.extents),
         )
 
     # ------------------------------------------------------------------
@@ -566,16 +558,43 @@ class ShardedShadow:
         return TornWindow(lines=tuple(sorted(lines)), exact=exact)
 
 
+def create_heap(path, shards: int = 0) -> "MappedShadow | ShardedShadow":
+    """Create a fresh durable heap at ``path``.
+
+    ``shards`` is the CLI's ``--shards``: 0 makes a bare
+    :class:`MappedShadow` file, N > 0 an N-shard
+    :class:`ShardedShadow` behind a manifest.
+    """
+    if shards > 0:
+        return ShardedShadow.create(path, n_shards=shards)
+    return MappedShadow.create(path)
+
+
 def open_heap(path) -> "MappedShadow | ShardedShadow":
     """Open an existing durable heap, dispatching on its on-disk magic.
 
     A plain ``LPNVHEAP`` file reopens as a :class:`MappedShadow`; an
     ``LPNVMANI`` shard manifest reopens as a :class:`ShardedShadow`
-    (which reopens every shard). Long-lived services use this so one
-    ``--heap`` path restarts correctly whatever layout created it.
+    (which reopens every shard). One ``--heap`` path therefore restarts
+    correctly whatever layout created it, and the caller reads the
+    layout back off the shared surface (``n_shards``, ``extents``).
     """
-    with open(path, "rb") as fileobj:
-        head = fileobj.read(len(layout.MANIFEST_MAGIC))
-    if layout.is_manifest(head):
+    if _is_manifest(path):
         return ShardedShadow.open(path)
     return MappedShadow.open(path)
+
+
+def copy_heap(src, dest) -> None:
+    """Copy a heap's files byte for byte, armed journals and all.
+
+    The plain file or manifest lands at ``dest``; shard files land
+    beside it under the names the manifest lists, so the copy opens.
+    ``dest`` must therefore be in another directory than ``src``.
+    """
+    manifest, extents = locate_extents(src)
+    dest = Path(dest)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(src, dest)
+    if manifest is not None:
+        for extent in extents:
+            shutil.copyfile(extent, dest.with_name(extent.name))

@@ -42,8 +42,7 @@ from repro.gpu.device import Device
 from repro.gpu.engine import make_engine
 from repro.megakv.lp import KVBatchSession
 from repro.megakv.store import MegaKVStore
-from repro.nvm.mapped import MappedShadow
-from repro.nvm.sharded import ShardedShadow, open_heap
+from repro.nvm import create_heap, open_heap
 from repro.obs import current as _recorder
 from repro.service.reqlog import RequestLog, log_path_for
 
@@ -236,10 +235,7 @@ class ServiceCore:
                 self.heap = self._reopen_heap()
             else:
                 self.heap_path.parent.mkdir(parents=True, exist_ok=True)
-                self.heap = (
-                    ShardedShadow.create(self.heap_path, n_shards=self.shards)
-                    if self.shards > 0
-                    else MappedShadow.create(self.heap_path))
+                self.heap = create_heap(self.heap_path, self.shards)
         # No heap_path is the volatile service (bench-serve's latency
         # baseline): same flush path, nothing survives a restart. A
         # reopened heap is adopted once the layout is rebuilt rather
@@ -263,7 +259,7 @@ class ServiceCore:
         """Open the existing heap by its on-disk magic; a ``shards``
         request that contradicts what is there is refused, not ignored."""
         heap = open_heap(self.heap_path)
-        found = heap.n_shards if isinstance(heap, ShardedShadow) else 0
+        found = heap.n_shards
         if self.shards > 0 and self.shards != found:
             heap.close()
             kind = (f"a {found}-shard manifest" if found
@@ -402,10 +398,7 @@ class ServiceCore:
     # ------------------------------------------------------------------
 
     def backend(self) -> str:
-        if self.heap is None:
-            return "memory"
-        return ("sharded" if isinstance(self.heap, ShardedShadow)
-                else "mapped")
+        return "memory" if self.heap is None else self.heap.kind
 
     def close(self, drain: bool = True) -> None:
         """Release the heap; ``drain=False`` abandons cached lines

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import collections
 import os
-import signal
 import socket
 import threading
 import time
@@ -434,53 +433,6 @@ class KVServer:
         armed write-back window, exactly like
         :mod:`repro.harness.crashproc` children do.
         """
-        from repro.harness.crashproc import (
-            _SHARDWB_RE,
-            parse_trigger,
-            shardwb_target,
-        )
+        from repro.harness.crashproc import install_kill_trigger
 
-        kind, value = parse_trigger(trigger)
-
-        def die() -> None:
-            os.kill(0, signal.SIGKILL)
-
-        if kind == "writebacks":
-            threshold = int(value)
-
-            def on_writeback(cumulative_lines: int) -> None:
-                if cumulative_lines >= threshold:
-                    die()
-
-            if self.core.heap is None:
-                raise ServiceError(
-                    "writebacks trigger needs a durable heap")
-            self.core.heap.writeback_listener = on_writeback
-        elif _SHARDWB_RE.match(kind):
-            threshold = int(value)
-            target = shardwb_target(kind)
-            shards = getattr(self.core.heap, "shards", None)
-            if shards is None:
-                raise ServiceError(
-                    f"trigger {trigger!r} targets a shard, but the heap "
-                    "is not sharded")
-
-            def on_shard_writeback(cumulative_lines: int) -> None:
-                if cumulative_lines >= threshold:
-                    die()
-
-            for k, shard in enumerate(shards):
-                if target is None or k == target:
-                    shard.writeback_listener = on_shard_writeback
-        elif kind == "blocks":
-            threshold = int(value)
-
-            def on_block(cumulative_blocks: int) -> None:
-                if cumulative_blocks >= threshold:
-                    die()
-
-            self.core.device.block_hook = on_block
-        else:  # walltime
-            timer = threading.Timer(value, die)
-            timer.daemon = True
-            timer.start()
+        install_kill_trigger(trigger, self.core.device, self.core.heap)

@@ -153,6 +153,91 @@ def test_clean_child_completes_and_leaves_consistent_heap():
 
 
 # ---------------------------------------------------------------------------
+# One kill-trigger installer, one inspect/measure path: every layout
+# ---------------------------------------------------------------------------
+
+LAYOUTS = pytest.mark.parametrize("shards", [0, 1, 4],
+                                  ids=["plain", "1-shard", "4-shard"])
+
+
+class _Killed(Exception):
+    """Stands in for the SIGKILL so the trigger can fire in-process."""
+
+
+def _raise_killed():
+    raise _Killed
+
+
+@LAYOUTS
+@pytest.mark.parametrize("trigger", ["writebacks:6", "shardwb{k}:1",
+                                     "shardwb*:2"])
+def test_install_kill_trigger_fires_inside_an_armed_window(
+        monkeypatch, tmp_path, shards, trigger):
+    from repro.harness import crashproc
+    from repro.nvm import create_heap, inspect_path
+
+    monkeypatch.setattr(crashproc, "_die", _raise_killed)
+    path = tmp_path / "heap.lpnv"
+    heap = create_heap(path, shards)
+    spec = ChildSpec(
+        workload="spmv", scale="small", seed=0, config="global-array",
+        engine="serial", jobs=None, cache_lines=4, heap_path=str(path),
+        ready_path="", phase="launch", trigger=None, shards=shards)
+    device, _work, lp_kernel = crashproc.build_run(spec, shadow=heap)
+    # {k}: the extent that homes the checksum table — always written.
+    target = next(k for k, extent in enumerate(heap.extents)
+                  if any(e.role == "table" for e in extent.entries.values()))
+    trigger = trigger.format(k=target)
+    crashproc.install_kill_trigger(trigger, device, heap)
+    with pytest.raises(_Killed):
+        device.launch(lp_kernel)
+        device.drain()
+    heap.close()  # the listener died before the journal cleared
+
+    armed = inspect_path(path).armed_extents()
+    assert armed, "the trigger must fire with a journal still armed"
+    if trigger.startswith(f"shardwb{target}"):
+        assert target in armed  # fired inside that extent's own window
+    if shards < 2:
+        assert armed == [0]  # a plain heap is its own extent 0
+
+
+def test_install_kill_trigger_refuses_what_it_cannot_arm(tmp_path):
+    from repro.harness import crashproc
+    from repro.nvm import create_heap
+
+    with create_heap(tmp_path / "heap.lpnv", 2) as heap:
+        with pytest.raises(HarnessError, match="only 2 extent"):
+            crashproc.install_kill_trigger("shardwb2:1", None, heap)
+    for trigger in ("writebacks:1", "shardwb*:1"):
+        with pytest.raises(HarnessError, match="needs a durable heap"):
+            crashproc.install_kill_trigger(trigger, None, None)
+
+
+@LAYOUTS
+def test_inspect_round_agrees_with_measure(shards):
+    """The cold inspector and the reopen-and-measure path report the
+    same armed / torn / per-extent / directory state, whatever the
+    layout — one code path each, no branch on ``shards``."""
+    from repro.harness.scenarios import (
+        _inspect_consistent,
+        _inspect_round,
+        _measure,
+    )
+
+    with ManagedTmpdir() as tmp:
+        spec = _spec(tmp, shards=shards, trigger="shardwb*:3",
+                     scale="small", cache_lines=4)
+        assert run_child(spec, tmp, timeout=60.0).killed
+        inspected = _inspect_round(spec)
+        measured = _measure(spec)
+    assert inspected["armed"] and measured["torn_lines"] > 0
+    assert inspected["shards_armed"] == \
+        [int(k) for k in measured["torn_by_shard"]]
+    assert _inspect_consistent(inspected, measured)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end kill matrix: the acceptance criterion
 # ---------------------------------------------------------------------------
 
@@ -279,7 +364,7 @@ def test_inspector_agrees_with_harness_on_armed_journal_kill(tmp_path):
     from the harness's reopen-and-measure path — cross-checked per
     round and folded into the cell verdict.
     """
-    from repro.nvm.inspect import inspect_heap
+    from repro.nvm import inspect_path
 
     cell = run_cell("tmm", "serial", "global-array", kill_rounds=1,
                     trigger="writebacks:6",
@@ -300,10 +385,11 @@ def test_inspector_agrees_with_harness_on_armed_journal_kill(tmp_path):
     # reopen disarmed the live heap *after* the snapshot), so
     # ``repro inspect`` on the artifact reproduces the round's state.
     artifact = tmp_path / "artifacts" / "tmm-serial-global-array.heap.lpnv"
-    report = inspect_heap(artifact)
-    assert report.torn.armed
-    assert report.torn.n_lines == round0["torn_lines"]
-    assert report.torn.by_buffer == round0["torn_by_buffer"]
+    report = inspect_path(artifact)
+    assert report.armed_extents() == [0]
+    assert report.merged_torn() == {
+        "torn_lines": round0["torn_lines"],
+        "torn_by_buffer": round0["torn_by_buffer"]}
     assert sorted(e.name for e in report.entries) == round0["buffers"]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from repro.gpu import shm
 from repro.harness import run_cell
-from repro.nvm.inspect import inspect_sharded
+from repro.nvm import inspect_path
 
 N_SHARDS = 4
 
@@ -54,11 +54,11 @@ def test_shard_kill_cell_converges_with_containment(tmp_path):
     for k in range(N_SHARDS):
         assert (cell_dir / f"heap.lpnv.shard{k}").exists()
     assert not list((tmp_path / "artifacts").glob("*.heap.lpnv"))
-    report = inspect_sharded(cell_dir / "heap.lpnv")
+    report = inspect_path(cell_dir / "heap.lpnv")
     assert report.n_shards == N_SHARDS
     # The last round's snapshot was taken before its reopen, so the
     # artifact still carries that round's armed journals verbatim.
-    assert report.armed_shards() == recover["inspect"]["shards_armed"]
+    assert report.armed_extents() == recover["inspect"]["shards_armed"]
     assert report.merged_torn()["torn_lines"] == recover["torn_lines"]
 
 

@@ -78,7 +78,7 @@ def _layout_memory():
 
 def _abandon(heap):
     """Simulate sudden death: flush mappings, never commit/close."""
-    for shard in heap.shards:
+    for shard in heap.extents:
         shard._mm.flush()
         shard._file.close()
 
@@ -185,7 +185,7 @@ def test_roundtrip_reopen_is_bit_identical(manifest_path):
             assert np.array_equal(
                 np.asarray(heap.view(name)).ravel(), values)
         assert heap.torn is None
-        assert heap.torn_by_shard == {}
+        assert heap.torn_by_extent == {}
 
 
 def test_buffers_spread_across_shards(manifest_path):
@@ -198,8 +198,8 @@ def test_buffers_spread_across_shards(manifest_path):
     for name, shard_id in owners.items():
         # Wholly inside one shard: its entry lives in exactly that
         # shard's directory.
-        assert name in heap.shards[shard_id].entries
-        for k, shard in enumerate(heap.shards):
+        assert name in heap.extents[shard_id].entries
+        for k, shard in enumerate(heap.extents):
             if k != shard_id:
                 assert name not in shard.entries
     heap.close()
@@ -399,13 +399,13 @@ def test_arm_partitions_lines_by_owning_shard(manifest_path):
     shard_b = heap.shard_of_buffer(name_b)
     assert shard_a != shard_b
     heap.arm(_lines_of(heap, name_a)[:2] + _lines_of(heap, name_b)[:3])
-    assert heap.shards[shard_a]._read_journal() is not None
-    assert heap.shards[shard_b]._read_journal() is not None
-    for k, shard in enumerate(heap.shards):
+    assert heap.extents[shard_a]._read_journal() is not None
+    assert heap.extents[shard_b]._read_journal() is not None
+    for k, shard in enumerate(heap.extents):
         if k not in (shard_a, shard_b):
             assert shard._read_journal() is None
     heap.commit(5)
-    assert all(s._read_journal() is None for s in heap.shards)
+    assert all(s._read_journal() is None for s in heap.extents)
     assert heap.lines_written == 5
     heap.close()
 
@@ -418,7 +418,7 @@ def test_kill_mid_writeback_tears_only_the_armed_shard(manifest_path):
     heap.arm(torn_lines)
     _abandon(heap)
     with ShardedShadow.open(manifest_path) as reopened:
-        assert sorted(reopened.torn_by_shard) == [victim]
+        assert sorted(reopened.torn_by_extent) == [victim]
         assert reopened.torn is not None
         assert list(reopened.torn.lines) == torn_lines
         assert reopened.torn_by_buffer() == {"c": 2}
@@ -439,7 +439,7 @@ def test_sharded_listener_fires_before_any_shard_commits(manifest_path):
     heap = ShardedShadow.open(manifest_path)
     armed_when_fired = []
     heap.writeback_listener = lambda _total: armed_when_fired.append(
-        [k for k, s in enumerate(heap.shards)
+        [k for k, s in enumerate(heap.extents)
          if s._read_journal() is not None])
     lines = _lines_of(heap, "a")[:1] + _lines_of(heap, "b")[:1]
     heap.arm(lines)
@@ -458,9 +458,9 @@ def test_per_shard_listener_fires_inside_its_own_window(manifest_path):
     shard_a = heap.shard_of_buffer("a")
     shard_b = heap.shard_of_buffer("b")
     states = []
-    heap.shards[shard_b].writeback_listener = lambda _n: states.append((
-        heap.shards[shard_a]._read_journal() is not None,
-        heap.shards[shard_b]._read_journal() is not None,
+    heap.extents[shard_b].writeback_listener = lambda _n: states.append((
+        heap.extents[shard_a]._read_journal() is not None,
+        heap.extents[shard_b]._read_journal() is not None,
     ))
     heap.arm(_lines_of(heap, "a")[:1] + _lines_of(heap, "b")[:1])
     heap.commit(2)
@@ -490,7 +490,7 @@ def test_adopt_swaps_shadows_and_resets_volatile(manifest_path):
     mem.drain()
     owner = heap.shard_of_buffer("a")
     assert np.array_equal(
-        np.asarray(heap.shards[owner].view("a"))[:10], np.full(10, 9.0))
+        np.asarray(heap.extents[owner].view("a"))[:10], np.full(10, 9.0))
     heap.close()
 
 
@@ -513,7 +513,7 @@ def test_worker_mode_seals_every_shard(manifest_path):
         heap.arm([0])
     with pytest.raises(HeapFormatError, match="sealed in a worker"):
         heap.sync()
-    for shard in heap.shards:
+    for shard in heap.extents:
         with pytest.raises(HeapFormatError, match="sealed in a worker"):
             shard.arm([0])
     heap.close()
@@ -565,10 +565,12 @@ def test_more_shards_than_blocks_cold_open_is_safe(tmp_path):
                               np.arange(16, dtype=np.int32))
 
 
-def test_shard_of_block_is_modulo(manifest_path):
+def test_extent_paths_are_the_manifest_named_shard_files(manifest_path):
     heap = ShardedShadow.create(manifest_path, n_shards=3)
-    assert [heap.shard_of_block(b) for b in range(6)] == [0, 1, 2, 0, 1, 2]
-    assert len(heap.shard_paths()) == 3
+    assert heap.extent_paths() == [shard_path(manifest_path, k)
+                                   for k in range(3)]
+    assert heap.n_shards == len(heap.extents) == 3
+    assert heap.kind == "sharded"
     heap.close()
 
 
@@ -595,7 +597,7 @@ def test_validation_and_forensics_carry_shard_id():
 
 
 # ---------------------------------------------------------------------------
-# Read-only sharded inspector + schema v2
+# Read-only sharded inspector + schema v3
 # ---------------------------------------------------------------------------
 
 def _validate_schema(doc):
@@ -605,13 +607,13 @@ def _validate_schema(doc):
 
 def test_inspect_sharded_decodes_manifest_and_all_shards(manifest_path):
     expected = _filled_sharded(manifest_path)
-    from repro.nvm.inspect import inspect_sharded
+    from repro.nvm import inspect_path
 
-    report = inspect_sharded(manifest_path)
+    report = inspect_path(manifest_path)
     assert report.n_shards == 4
-    assert report.armed_shards() == []
+    assert report.armed_extents() == []
     assert report.merged_torn() == {"torn_lines": 0, "torn_by_buffer": {}}
-    names = sorted(e.name for shard in report.shards
+    names = sorted(e.name for shard in report.extents
                    for e in shard.entries)
     assert names == sorted(expected)
     assert _validate_schema(report.to_dict()) is None
@@ -625,32 +627,33 @@ def test_inspect_sharded_sees_armed_shard_without_clearing_it(
     victim = heap.shard_of_buffer("b")
     heap.arm(_lines_of(heap, "b")[:3])
     _abandon(heap)
-    from repro.nvm.inspect import inspect_sharded
+    from repro.nvm import inspect_path
 
-    report = inspect_sharded(manifest_path)
-    assert report.armed_shards() == [victim]
+    report = inspect_path(manifest_path)
+    assert report.armed_extents() == [victim]
     merged = report.merged_torn()
     assert merged["torn_lines"] == 3
     assert merged["torn_by_buffer"] == {"b": 3}
     assert _validate_schema(report.to_dict()) is None
     # Read-only: a second inspection still sees the armed journal.
-    assert inspect_sharded(manifest_path).armed_shards() == [victim]
+    assert inspect_path(manifest_path).armed_extents() == [victim]
     # ... and the live reopen still gets its torn window afterwards.
     with ShardedShadow.open(manifest_path) as reopened:
-        assert sorted(reopened.torn_by_shard) == [victim]
+        assert sorted(reopened.torn_by_extent) == [victim]
 
 
 def test_inspect_path_dispatches_on_magic(manifest_path):
     _filled_sharded(manifest_path)
-    from repro.nvm.inspect import (
-        HeapReport,
-        ShardedHeapReport,
-        inspect_path,
-    )
+    from repro.nvm import inspect_path
 
-    assert isinstance(inspect_path(manifest_path), ShardedHeapReport)
-    assert isinstance(inspect_path(shard_path(manifest_path, 0)),
-                      HeapReport)
+    # One report type either way: the manifest decodes with every shard
+    # it names, a single shard file as the plain v1 heap it is.
+    whole = inspect_path(manifest_path)
+    assert whole.manifest.n_shards == len(whole.extents) == 4
+    shard = inspect_path(shard_path(manifest_path, 0))
+    assert shard.manifest is None and shard.n_shards == 0
+    assert shard.extents == whole.extents[:1]
+    assert _validate_schema(shard.to_dict()) is None
 
 
 def test_diff_paths_sharded(tmp_path):
@@ -658,7 +661,7 @@ def test_diff_paths_sharded(tmp_path):
     path_b = tmp_path / "b.lpnv"
     _filled_sharded(path_a)
     _filled_sharded(path_b)
-    from repro.nvm.inspect import diff_paths
+    from repro.nvm import diff_paths
 
     same = diff_paths(path_a, path_b)
     assert same.identical
@@ -672,13 +675,13 @@ def test_diff_paths_sharded(tmp_path):
         heap.sync()
     differ = diff_paths(path_a, path_b)
     assert not differ.identical
-    assert any(b.n_differing for d in differ.shards for b in d.buffers)
+    assert any(b.n_differing for d in differ.extents for b in d.buffers)
     assert _validate_schema(differ.to_dict()) is None
 
 
 def test_diff_paths_mixed_kinds_is_typed(manifest_path):
     _filled_sharded(manifest_path)
-    from repro.nvm.inspect import diff_paths
+    from repro.nvm import diff_paths
 
     with pytest.raises(HeapFormatError, match="cannot diff"):
         diff_paths(manifest_path, shard_path(manifest_path, 0))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.obs import load_schema, validate
 
@@ -177,8 +179,9 @@ def test_cli_inspect_human_and_json(tmp_path, capsys):
     assert main(["inspect", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     validate(doc, load_schema("heap_inspect"))
-    assert doc["torn"]["armed"] is True
-    assert doc["torn"]["by_buffer"] == {"x": 3}
+    assert doc["manifest"] is None and doc["armed_extents"] == [0]
+    assert doc["extents"][0]["torn"]["armed"] is True
+    assert doc["torn_by_buffer"] == {"x": 3}
 
     # inspection never disarmed the journal
     assert main(["inspect", str(path)]) == 0
@@ -243,17 +246,19 @@ def test_cli_inspect_sharded_manifest(tmp_path, capsys):
     assert main(["inspect", str(path), "--json", "--shards", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     validate(doc, load_schema("heap_inspect"))
-    assert doc["n_shards"] == 4
-    assert doc["armed_shards"] == [victim]
+    assert doc["manifest"]["n_shards"] == 4
+    assert doc["armed_extents"] == [victim]
     assert doc["torn_by_buffer"] == {"x": 2}
-    assert len(doc["shards"]) == 4
+    assert len(doc["extents"]) == 4
 
     # A single shard file is itself a valid v1 heap for the inspector.
     assert main(["inspect", str(tmp_path / f"heap.lpnv.shard{victim}"),
                  "--json"]) == 0
     shard_doc = json.loads(capsys.readouterr().out)
     validate(shard_doc, load_schema("heap_inspect"))
-    assert shard_doc["journal"]["armed"] is True
+    assert shard_doc["manifest"] is None
+    (extent,) = shard_doc["extents"]
+    assert extent["journal"]["armed"] is True
 
 
 def test_cli_inspect_shards_expectation_mismatch(tmp_path, capsys):
@@ -289,6 +294,51 @@ def test_cli_inspect_sharded_diff_and_mixed_kinds(tmp_path, capsys):
     assert main(["inspect", str(path), "--diff",
                  str(tmp_path / "heap.lpnv.shard0")]) == 2
     assert "cannot diff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shards", [0, 1, 4],
+                         ids=["plain", "1-shard", "4-shard"])
+def test_cli_inspect_is_one_command_for_every_layout(tmp_path, capsys,
+                                                     shards):
+    """``inspect [--json] [--diff] [--shards N]`` over a plain file, a
+    1-shard manifest and a 4-shard one: same flags, one schema."""
+    import numpy as np
+
+    from repro.gpu.memory import GlobalMemory
+    from repro.nvm import copy_heap, create_heap
+
+    path = tmp_path / "a" / "heap.lpnv"
+    path.parent.mkdir()
+    heap = create_heap(path, shards)
+    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
+    buf = mem.alloc("x", (300,), np.float64)
+    mem.write(buf, np.arange(300), np.arange(300, dtype=np.float64))
+    mem.drain()
+    first, _ = heap.entries["x"].line_span(heap.line_size)
+    heap.arm([first, first + 1])
+    heap.close()
+    copy = tmp_path / "b" / "heap.lpnv"
+    copy_heap(path, copy)
+
+    assert main(["inspect", str(path), "--shards", str(shards)]) == 0
+    assert "torn x: 2 line(s)" in capsys.readouterr().out
+    assert main(["inspect", str(path), "--json",
+                 "--shards", str(shards)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, load_schema("heap_inspect"))
+    assert (doc["manifest"] or {"n_shards": 0})["n_shards"] == shards
+    assert len(doc["extents"]) == max(1, shards)
+    assert doc["torn_lines"] == 2 and doc["torn_by_buffer"] == {"x": 2}
+
+    assert main(["inspect", str(path), "--shards", str(shards + 1)]) == 2
+    assert f"expected a {shards + 1}-shard manifest" in \
+        capsys.readouterr().err
+
+    assert main(["inspect", str(path), "--diff", str(copy), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validate(doc, load_schema("heap_inspect"))
+    assert doc["identical"] is True
+    assert len(doc["extents"]) == max(1, shards)
 
 
 # ---------------------------------------------------------------------------

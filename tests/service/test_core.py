@@ -136,7 +136,8 @@ def _make_core(tmp_path, shards):
                        heap_path=heap, shards=shards), heap
 
 
-@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+@pytest.mark.parametrize("shards", [0, 1, 4],
+                         ids=["mapped", "1-shard", "sharded"])
 def test_clean_restart_preserves_state(tmp_path, shards):
     core, heap = _make_core(tmp_path, shards)
     ops = [("put", 1, 10), ("put", 2, 20), ("delete", 1, None),
@@ -154,7 +155,8 @@ def test_clean_restart_preserves_state(tmp_path, shards):
         reopened.close()
 
 
-@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+@pytest.mark.parametrize("shards", [0, 1, 4],
+                         ids=["mapped", "1-shard", "sharded"])
 def test_unclean_stop_replays_wal_and_converges(tmp_path, shards):
     core, heap = _make_core(tmp_path, shards)
     acked = [("put", k, k * 100) for k in range(1, 21)]
@@ -211,6 +213,7 @@ def test_volatile_core_has_no_reqlog(volatile_core):
 
 
 @pytest.mark.parametrize("shards,backend", [(0, "mapped"),
+                                            (1, "sharded"),
                                             (4, "sharded")])
 def test_backend_names(tmp_path, shards, backend):
     core, _ = _make_core(tmp_path, shards)
@@ -234,7 +237,23 @@ def test_backend_is_what_the_heap_is_not_what_the_flag_says(tmp_path):
         reopened.close()
 
 
-@pytest.mark.parametrize("created,asked", [(0, 4), (4, 2)])
+@pytest.mark.parametrize("shards", [0, 1, 4],
+                         ids=["mapped", "1-shard", "sharded"])
+def test_reopen_follows_the_heap_with_or_without_the_flag(tmp_path, shards):
+    core, heap = _make_core(tmp_path, shards)
+    core.close()
+    for asked in (0, shards):
+        reopened = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
+                               heap_path=heap, shards=asked)
+        try:
+            assert reopened.shards == reopened.heap.n_shards == shards
+            assert reopened.backend() == reopened.heap.kind
+        finally:
+            reopened.close()
+
+
+@pytest.mark.parametrize("created,asked", [(0, 4), (4, 2), (0, 1),
+                                           (1, 4)])
 def test_contradicting_shards_on_existing_heap_is_refused(tmp_path, created,
                                                           asked):
     core, heap = _make_core(tmp_path, shards=created)

@@ -73,3 +73,12 @@ def test_report_writes_file(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_serve_on_an_unreadable_heap_fails_closed(tmp_path, capsys):
+    """``--heap`` naming something that cannot be a heap (here: a
+    directory) is a typed error on stderr and exit 2, not a traceback."""
+    assert main(["serve", "--heap", str(tmp_path),
+                 "--socket", str(tmp_path / "s.sock")]) == 2
+    assert "HeapTruncatedError" in capsys.readouterr().err
+    assert not (tmp_path / "s.sock").exists()
