@@ -62,13 +62,7 @@ from repro.ep import EagerPersistentKernel, EPRecoveryManager, EPRuntime
 from repro.core.tables import make_table
 from repro.errors import ReproError
 from repro.gpu.device import Device, LaunchResult
-from repro.gpu.engine import (
-    BatchedEngine,
-    LaunchEngine,
-    ParallelEngine,
-    SerialEngine,
-    make_engine,
-)
+from repro.gpu.engine import LaunchEngine, make_engine
 from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
 from repro.gpu.spec import GPUSpec, NVMSpec
 from repro.nvm.audit import AuditReport, audit_crash_consistency
@@ -84,7 +78,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AtomicMode",
     "AuditReport",
-    "BatchedEngine",
     "BlockContext",
     "CheckpointManager",
     "CheckpointPolicy",
@@ -109,12 +102,10 @@ __all__ = [
     "LPRuntime",
     "MappedShadow",
     "NVMSpec",
-    "ParallelEngine",
     "RecoveryManager",
     "RecoveryReport",
     "ReductionMode",
     "ReproError",
-    "SerialEngine",
     "ShardedShadow",
     "TableKind",
     "ValidationReport",

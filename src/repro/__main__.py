@@ -110,14 +110,8 @@ def _make_run(args: argparse.Namespace):
     import contextlib
 
     import repro
-    from repro.workloads import make_workload
+    from repro.harness.crashproc import make_lp_run
 
-    configs = {
-        "global-array": repro.LPConfig.paper_best(),
-        "quadratic": repro.LPConfig.naive_quadratic(),
-        "cuckoo": repro.LPConfig.naive_cuckoo(),
-    }
-    engine = repro.make_engine(args.engine, jobs=args.jobs)
     stack = contextlib.ExitStack()
     shadow = None
     if getattr(args, "shards", 0):
@@ -128,13 +122,9 @@ def _make_run(args: argparse.Namespace):
         shadow = stack.enter_context(create_heap(
             tmp.file("heap.lpnv"), args.shards))
     try:
-        device = repro.Device(cache_capacity_lines=args.cache_lines,
-                              engine=engine, shadow=shadow)
-        work = make_workload(args.workload, scale=args.scale,
-                             seed=args.seed)
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(
-            device, configs[args.config]).instrument(kernel)
+        device, work, lp_kernel = make_lp_run(
+            args.workload, args.scale, args.seed, args.config, args.engine,
+            args.jobs, args.cache_lines, shadow)
         crash_plan = None
         if args.crash_after is not None:
             crash_plan = repro.CrashPlan(after_blocks=args.crash_after,
@@ -720,11 +710,16 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
+    from repro.core.config import LP_CONFIGS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GPU Lazy Persistency reproduction (IISWC 2020).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    jobs_help = ("worker count of the parallel engine's pool (default "
+                 "or 0: the container-aware CPU budget); serial and "
+                 "batched have no pool and ignore it")
 
     p_exp = sub.add_parser("experiments",
                            help="run reproduction experiments")
@@ -740,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", default="small",
                        choices=("tiny", "small", "medium"))
         p.add_argument("--config", default="global-array",
-                       choices=("global-array", "quadratic", "cuckoo"))
+                       choices=tuple(LP_CONFIGS))
         p.add_argument("--crash-after", type=int, default=None,
                        metavar="N", help="crash after N blocks")
         p.add_argument("--cache-lines", type=int, default=64)
@@ -749,9 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("serial", "parallel", "batched"),
                        help="launch engine (all are bit-identical)")
         p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker count (parallel; default: the "
-                            "container-aware CPU budget) / "
-                            "group size (batched)")
+                       help=jobs_help)
         p.add_argument("--shards", type=int, default=0, metavar="N",
                        help="run against an N-shard mapped NVM heap "
                             "in a scratch directory (default: "
@@ -814,13 +807,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--scale", default="small",
                       choices=("tiny", "small", "medium"))
     p_mc.add_argument("--config", default="global-array",
-                      choices=("global-array", "quadratic", "cuckoo"))
+                      choices=tuple(LP_CONFIGS))
     p_mc.add_argument("--cache-lines", type=int, default=2,
                       help="write-back cache capacity; small values "
                            "maximize eviction events and therefore the "
                            "reachable crash-state space (default 2)")
     p_mc.add_argument("--seed", type=int, default=7)
-    p_mc.add_argument("--jobs", type=int, default=None, metavar="N")
+    p_mc.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help=jobs_help)
     p_mc.add_argument("--out", default=None, metavar="FILE",
                       help="write the JSON report here")
     p_mc.add_argument("--json", action="store_true",
@@ -843,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "three; with --serve, the first one named, "
                            "or the daemon's own default)")
     p_ct.add_argument("--configs", nargs="+", default=["global-array"],
-                      choices=("global-array", "quadratic", "cuckoo"),
+                      choices=tuple(LP_CONFIGS),
                       help="LP configs / checksum tables to cover")
     p_ct.add_argument("--scale", default="small",
                       choices=("tiny", "small", "medium"))
@@ -863,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "instead of the fixed --trigger threshold; "
                            "per-round triggers land in the JSON report "
                            "for exact replay")
-    p_ct.add_argument("--jobs", type=int, default=None, metavar="N")
+    p_ct.add_argument("--jobs", type=int, default=None, metavar="N",
+                      help=jobs_help)
     p_ct.add_argument("--shards", type=int, default=0, metavar="N",
                       help="run every cell against an N-shard heap; "
                            "the launch round becomes a shard-kill "
@@ -957,10 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "MegaKV launch runs as one vectorized "
                             "pass; serial is the per-request "
                             "reference; all are bit-identical)")
-    p_srv.add_argument("--jobs", type=int, default=None, metavar="N")
+    p_srv.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help=jobs_help)
     p_srv.add_argument("--cache-lines", type=int, default=256)
     p_srv.add_argument("--config", default="global-array",
-                       choices=("global-array", "quadratic", "cuckoo"))
+                       choices=tuple(LP_CONFIGS))
     p_srv.add_argument("--max-batch", type=int, default=128,
                        help="flush the batching window at this many "
                             "requests")

@@ -469,7 +469,7 @@ def check_case(build: Callable[..., Any], case: str,
     ``build(shadow)`` must construct the launch deterministically and
     return ``(device, lp_kernel)`` or ``(device, work, lp_kernel)``
     with every allocation already done — the same contract
-    :func:`repro.harness.crashproc.build_run` satisfies.
+    :func:`repro.harness.crashproc.make_lp_run` satisfies.
     """
     from repro.harness.tmpdir import ManagedTmpdir
     from repro.nvm import create_heap
@@ -570,18 +570,14 @@ def check_case(build: Callable[..., Any], case: str,
 def check_workload(workload: str,
                    options: MCOptions | None = None) -> MCReport:
     """Model-check one named workload at the given options."""
-    from repro.harness.crashproc import ChildSpec, build_run
+    from repro.harness.crashproc import make_lp_run
 
     options = options or MCOptions()
 
     def build(shadow):
-        spec = ChildSpec(
-            workload=workload, scale=options.scale, seed=options.seed,
-            config=options.config, engine=options.engine,
-            jobs=options.jobs, cache_lines=options.cache_lines,
-            heap_path="", ready_path="", phase="launch", trigger=None,
-        )
-        return build_run(spec, shadow=shadow)
+        return make_lp_run(workload, options.scale, options.seed,
+                           options.config, options.engine, options.jobs,
+                           options.cache_lines, shadow)
 
     return check_case(build, workload, options)
 

@@ -253,3 +253,24 @@ class LPConfig:
             if self.atomics is AtomicMode.EMULATED:
                 parts.append("noatomic")
         return "+".join(parts)
+
+
+#: The named design points, by the one spelling every front door
+#: accepts: the CLI's ``--config`` / ``--configs``, a crash-harness
+#: child spec, the KV service's ``ServiceConfig.config``.
+LP_CONFIGS: dict[str, LPConfig] = {
+    "global-array": LPConfig.paper_best(),
+    "quadratic": LPConfig.naive_quadratic(),
+    "cuckoo": LPConfig.naive_cuckoo(),
+}
+
+
+def named_lp_config(name: str) -> LPConfig:
+    """The :data:`LP_CONFIGS` entry called ``name``."""
+    try:
+        return LP_CONFIGS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown LP config {name!r}; expected one of "
+            + ", ".join(sorted(LP_CONFIGS))
+        ) from None

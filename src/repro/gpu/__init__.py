@@ -1,24 +1,14 @@
 """Simulated SIMT GPU substrate: memory, cache, warps, kernels, device.
 
-Block execution is pluggable: :mod:`repro.gpu.engine` provides the
-serial, process-parallel and batched (vectorized-group) launch engines,
-all bit-identical in results.
+Block execution is pluggable: :mod:`repro.gpu.engine` provides the one
+launch engine behind the ``serial``, ``parallel`` and ``batched``
+names (vectorize x place), all bit-identical in results.
 """
 
-from repro.gpu.engine import (
-    BatchedEngine,
-    LaunchEngine,
-    LaunchPlan,
-    ParallelEngine,
-    SerialEngine,
-    make_engine,
-)
+from repro.gpu.engine import LaunchEngine, LaunchPlan, make_engine
 
 __all__ = [
-    "BatchedEngine",
     "LaunchEngine",
     "LaunchPlan",
-    "ParallelEngine",
-    "SerialEngine",
     "make_engine",
 ]

@@ -98,9 +98,11 @@ class Device:
         Seed for shuffled block order and crash lotteries.
     engine:
         How blocks execute: a :class:`~repro.gpu.engine.LaunchEngine`
-        instance, an engine name (``"serial"`` / ``"parallel"`` /
-        ``"batched"``), or ``None`` for serial. All engines are
-        bit-identical in results; see :mod:`repro.gpu.engine`.
+        instance, or the name :func:`~repro.gpu.engine.make_engine`
+        builds one from — ``"serial"`` (scalar, inline), ``"batched"``
+        (vector, inline), ``"parallel"`` (vector, worker pool) — or
+        ``None`` for serial. All are bit-identical in results; see
+        :mod:`repro.gpu.engine`.
     shadow:
         Optional durable write-back target (a
         :class:`~repro.nvm.mapped.MappedShadow`). When given, every

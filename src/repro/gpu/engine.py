@@ -1,4 +1,4 @@
-"""Pluggable launch engines: how a launch's thread blocks get executed.
+"""The launch engine: how a launch's thread blocks get executed.
 
 The paper's central observation is that LP regions (= thread blocks) are
 *associative*: the GPU guarantees no inter-block ordering, so any
@@ -6,71 +6,84 @@ schedule that applies every block's effects exactly once is legal
 (Section IV-A; Lin & Solihin make the same assumption for GPU
 persistency models generally). The simulator exploits exactly that
 property here. :class:`~repro.gpu.device.Device.launch` delegates the
-block loop to a :class:`LaunchEngine`:
+block loop to a :class:`LaunchEngine`, which is one class holding two
+orthogonal choices:
 
-* :class:`SerialEngine` — the original one-block-at-a-time loop.
-* :class:`ParallelEngine` — the zero-copy shared-memory engine. A
-  *persistent* pool of forked workers shares the device's volatile
-  image through a named POSIX shared-memory segment (see
-  :mod:`repro.gpu.shm`): every buffer's ``data`` array is a view into
-  one segment, so workers read inputs — and, between the launches of a
-  recovery pipeline, each other's replayed results — with no
-  copy-on-write duplication and no pickled arrays. Tasks travel to
-  workers as compact block-group descriptors over pipes; results come
-  back through a preallocated per-chunk *slot array* (status, payload
-  length, busy time, the full cost tally) plus a per-chunk arena
-  region carrying the variable-size payload in the
-  :class:`~repro.gpu.shm.PayloadWriter` binary codec. Two worker-side
-  execution shapes exist: the composed **vectorized chunk** path
-  (``batchable`` kernels run whole chunks through one
-  :class:`~repro.gpu.batch.BatchBlockContext`, the multiplicative fast
-  path) and the block-granular op-log path for merely
-  ``parallel_safe`` kernels. Either way the parent applies every
-  chunk's deferred effects **in the launch's block order**, so cache
-  recency, eviction order, NVM shadow state, write statistics,
-  checksum tables and crash semantics are bit-identical to the serial
-  engine. With one job (or a launch too small to farm out) the same
-  vectorized chunks run inline, making ``parallel`` at worst the
-  batched engine under a different chunking.
-* :class:`BatchedEngine` — vectorizes *groups* of homogeneous blocks
-  across an extra numpy axis in-process (see
-  :class:`~repro.gpu.batch.BatchBlockContext`), for kernels whose
-  ``run_block`` is already array-shaped. Store application and table
-  insertion again happen per block in launch order.
+* **vectorize** — run a *group* of homogeneous blocks as one pass over
+  an extra numpy axis (:class:`~repro.gpu.batch.BatchBlockContext`,
+  ``run_block_batch``) instead of one block at a time;
+* **place** — run in this process (*inline*), or on a persistent pool
+  of ``jobs`` forked workers that share the device's volatile image
+  through a named POSIX shared-memory segment (:mod:`repro.gpu.shm`).
 
-Determinism contract (shared by all engines): given the same plan, an
-engine must produce the same ``completed_blocks``, the same tally, the
-same volatile + NVM memory images, the same write-back statistics and
-the same checksum-table contents as :class:`SerialEngine`. The parity
-test suite (``tests/gpu/test_engines.py``) pins this bit-for-bit.
+The three engine names are three settings of those choices
+(:func:`make_engine`): ``serial`` = (scalar, inline) — the reference
+loop; ``batched`` = (vector, inline); ``parallel`` = (vector, pool of
+``jobs`` workers). What a given *launch* runs as is decided per launch
+(:meth:`LaunchEngine._shape`) from what the engine can observe — the
+kernel's ``batchable`` / ``parallel_safe`` / ``idempotent`` flags, the
+launch's length against ``jobs``, whether ``fork`` exists — into one of
+four cells:
 
-The post-crash pipeline is engine-pluggable too: ``VALIDATE`` blocks
+==============  =====================================================
+scalar-inline   one :class:`~repro.gpu.kernel.BlockContext` per block,
+                effects land as the block runs
+vector-inline   ``group_size`` blocks per ``BatchBlockContext``; stores
+                and table inserts deferred, applied per block in order
+scalar-pool     the **op-log** path for merely ``parallel_safe``
+                (and ``idempotent``) kernels: workers run blocks under
+                :class:`RecordingBlockContext` and ship per-block op
+                logs for the parent to replay
+vector-pool     each worker runs a contiguous chunk through one
+                ``BatchBlockContext`` and ships the deferred records
+==============  =====================================================
+
+Pool tasks travel as compact block-group descriptors over pipes;
+results come back through a preallocated per-chunk *slot array*
+(status, payload length, busy time, the full cost tally) plus a
+per-chunk arena region carrying the variable-size payload in the
+:class:`~repro.gpu.shm.PayloadWriter` binary codec — no copy-on-write
+duplication and no pickled arrays. In every cell the parent applies
+effects **in the launch's block order**, so cache recency, eviction
+order, NVM shadow state, write statistics, checksum tables and crash
+semantics do not depend on the cell.
+
+Determinism contract: given the same plan, every cell must produce the
+same ``completed_blocks``, the same tally, the same volatile + NVM
+memory images, the same write-back statistics and the same
+checksum-table contents as scalar-inline. The parity test suite
+(``tests/gpu/test_engines.py``) pins this bit-for-bit.
+
+The post-crash pipeline rides the same cells: ``VALIDATE`` blocks
 *return* per-block outcome records (recomputed checksum lanes) instead
-of mutating host state, so any engine can run them concurrently and
-then hand the collected records — in the launch's block order — to
+of mutating host state, so any cell can run them and then hand the
+collected records — in the launch's block order — to
 :meth:`~repro.gpu.kernel.Kernel.merge_validation_outcomes` for one
 deterministic grid-wide table compare. ``RECOVER`` re-execution batches
 and parallelizes exactly like forward execution (table refreshes stay
-deferred to launch-order application).
+deferred to launch-order application). The NORMAL / VALIDATE / RECOVER
+switch exists once per execution form (:func:`_run_scalar`,
+:func:`_run_vector`); inline runners and pool workers call the same
+two functions.
 
-Engines *fall back to serial* whenever the contract cannot be kept
-cheaply: kernels that opt out (``parallel_safe`` / ``batchable``),
-degenerate launches, platforms without ``fork``, or a single block
-group whose kernel raises :class:`~repro.errors.BatchFallbackError`
-(before any effect) because its input needs per-block execution. The
-fallback is visible, not silent: each one is counted per kernel in
-``engine.fallbacks`` (attribute and metric), and the blocks are
-reported under the configured engine's name. A worker that dies
-or raises mid-launch triggers *serial continuation*: already-replayed
-chunks keep their effects and the remaining blocks re-run serially —
-safe because workers never touch the persistence domain (stores
-scribble the shared volatile image at most, and only for idempotent
-kernels whose re-execution overwrites them deterministically).
+**Fallbacks.** One rule: blocks that run scalar-inline under an engine
+configured for anything else are a fallback — a whole launch whose
+kernel opted out (``batchable`` / ``parallel_safe``) or that is
+degenerate for the pool, a single block group whose kernel raised
+:class:`~repro.errors.BatchFallbackError` (before any effect) because
+its input needs per-block execution, or the tail of a launch whose pool
+broke. Each is counted per kernel in ``engine.fallbacks`` (attribute
+and metric), and the blocks are reported under the configured engine's
+name. A worker that dies or raises mid-launch triggers *serial
+continuation*: already-replayed chunks keep their effects and the
+remaining blocks re-run scalar-inline — safe because workers never
+touch the persistence domain (stores scribble the shared volatile
+image at most, and only for idempotent kernels whose re-execution
+overwrites them deterministically).
 """
 
 from __future__ import annotations
 
-import abc
 import collections
 import dataclasses
 import multiprocessing
@@ -128,120 +141,45 @@ class LaunchPlan:
             threads_per_block=self.config.threads_per_block,
         )
 
-    def block_context(self, block_id: int,
-                      mode: ExecMode | None = None) -> BlockContext:
+    def block_context(self, block_id: int) -> BlockContext:
         """A fresh context for one block of this launch."""
         return BlockContext(
-            self.memory, self.atomics, self.config, block_id,
-            self.mode if mode is None else mode,
+            self.memory, self.atomics, self.config, block_id, self.mode,
             fence_latency_cycles=self.fence_latency,
             fence_concurrency=self.fence_concurrency,
         )
 
 
-class LaunchEngine(abc.ABC):
-    """Strategy for executing a launch plan's thread blocks."""
-
-    #: Stable identifier used by :func:`make_engine` and reports.
-    name: str = "engine"
-
-    def __init__(self) -> None:
-        #: Times this engine handed work to per-block execution instead
-        #: of its own fast path, by kernel name — whole launches of a
-        #: kernel that opted out, and single groups that raised
-        #: :class:`~repro.errors.BatchFallbackError`. Kept on the
-        #: engine (not only in the metrics registry) so a caller with
-        #: no recorder installed can still ask.
-        self.fallbacks: collections.Counter = collections.Counter()
-
-    def _note_fallback(self, plan: LaunchPlan) -> None:
-        self.fallbacks[plan.kernel.name] += 1
-        rec = _recorder()
-        if rec.metrics.active:
-            rec.metrics.inc("engine.fallbacks", engine=self.name,
-                            kernel=plan.kernel.name)
-
-    @abc.abstractmethod
-    def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
-        """Run every block in ``plan.block_ids``.
-
-        Returns the completed block ids (in execution order) and the
-        launch tally (atomic totals are filled in by the device
-        afterwards, from the plan's :class:`AtomicUnit`).
-        """
-
-
 # ---------------------------------------------------------------------------
-# Serial
+# The mode switch, once per execution form
 # ---------------------------------------------------------------------------
 
-class SerialEngine(LaunchEngine):
-    """One block at a time — the reference semantics."""
+def _run_scalar(kernel: Kernel, ctx: BlockContext, mode: ExecMode,
+                outcomes: list) -> None:
+    """Run one block on ``ctx`` as ``mode`` asks.
 
-    name = "serial"
-
-    def __init__(self, label: str | None = None) -> None:
-        super().__init__()
-        #: Engine name reported in spans and metrics — the owning
-        #: engine's when this instance is its per-block fallback, so
-        #: blocks are counted under the engine the device was
-        #: configured with.
-        self.label = label or self.name
-
-    def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
-        tally = plan.new_tally()
-        completed: list[int] = []
-        outcomes: list = []
-        rec = _recorder()
-        if rec.trace.enabled:
-            # Per-block-group spans: chunked only when tracing, so the
-            # default hot loop stays branch-free per block.
-            ids = plan.block_ids
-            for lo in range(0, len(ids), TRACE_GROUP_BLOCKS):
-                group = ids[lo:lo + TRACE_GROUP_BLOCKS]
-                with rec.trace.span(
-                    "engine.blocks", cat="engine", track="engine",
-                    engine=self.label, mode=plan.mode.name,
-                    first=group[0], count=len(group),
-                ):
-                    self._run_blocks(plan, group, tally, completed,
-                                     outcomes)
-        else:
-            self._run_blocks(plan, plan.block_ids, tally, completed,
-                             outcomes)
-        if plan.mode is ExecMode.VALIDATE:
-            with rec.trace.span(
-                "engine.validate.merge", cat="engine", track="engine",
-                engine=self.label, blocks=len(completed),
-            ):
-                plan.kernel.merge_validation_outcomes(outcomes)
-        tally.absorb_atomics(plan.atomics)
-        if rec.metrics.active:
-            rec.metrics.inc("engine.blocks.completed", len(completed),
-                            engine=self.label)
-        return completed, tally
-
-    def _run_blocks(self, plan: LaunchPlan, block_ids: list[int],
-                    tally: Tally, completed: list[int],
-                    outcomes: list) -> None:
-        kernel = plan.kernel
-        for block_id in block_ids:
-            ctx = plan.block_context(block_id)
-            if plan.mode is ExecMode.VALIDATE:
-                outcomes.append(kernel.validate_block(ctx))
-            elif plan.mode is ExecMode.RECOVER:
-                kernel.recover_block(ctx)
-            else:
-                kernel.run_block(ctx)
-            tally.merge(ctx.finalize_tally())
-            completed.append(block_id)
-            if plan.block_hook is not None:
-                plan.block_hook(len(completed))
+    ``ctx`` is a plain :class:`BlockContext` inline and a
+    :class:`RecordingBlockContext` in a pool worker; the switch is the
+    same.
+    """
+    if mode is ExecMode.VALIDATE:
+        outcomes.append(kernel.validate_block(ctx))
+    elif mode is ExecMode.RECOVER:
+        kernel.recover_block(ctx)
+    else:
+        kernel.run_block(ctx)
 
 
-# ---------------------------------------------------------------------------
-# Shared vectorized-group machinery (batched engine + parallel chunks)
-# ---------------------------------------------------------------------------
+def _run_vector(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
+                outcomes: list) -> None:
+    """Run one block group on ``bctx`` as ``mode`` asks."""
+    if mode is ExecMode.VALIDATE:
+        outcomes.extend(kernel.validate_block_batch(bctx))
+    elif mode is ExecMode.RECOVER:
+        kernel.recover_block_batch(bctx)
+    else:
+        kernel.run_block_batch(bctx)
+
 
 def _apply_batch_records(plan: LaunchPlan, block_ids, store_records,
                          table_inserts, tally: Tally,
@@ -279,38 +217,6 @@ def _apply_batch_records(plan: LaunchPlan, block_ids, store_records,
         for n in range(len(completed) - len(block_ids) + 1,
                        len(completed) + 1):
             plan.block_hook(n)
-
-
-def _run_batch_group(engine: LaunchEngine, plan: LaunchPlan, group,
-                     tally: Tally, completed: list[int],
-                     outcomes: list) -> None:
-    """Execute one vectorized block group in-process and apply it.
-
-    A group whose kernel raises
-    :class:`~repro.errors.BatchFallbackError` has had no effect yet
-    (that is the exception's contract); its blocks run one at a time
-    on ``engine``'s serial fallback instead, and are counted.
-    """
-    bctx = BatchBlockContext(
-        plan.memory, plan.config, group, mode=plan.mode,
-        fence_latency_cycles=plan.fence_latency,
-        fence_concurrency=plan.fence_concurrency,
-        atomics=plan.atomics,
-    )
-    try:
-        if plan.mode is ExecMode.VALIDATE:
-            outcomes.extend(plan.kernel.validate_block_batch(bctx))
-        elif plan.mode is ExecMode.RECOVER:
-            plan.kernel.recover_block_batch(bctx)
-        else:
-            plan.kernel.run_block_batch(bctx)
-    except BatchFallbackError:
-        engine._note_fallback(plan)
-        engine._serial._run_blocks(plan, group, tally, completed, outcomes)
-        return
-    tally.merge(bctx.finalize_tally())
-    _apply_batch_records(plan, group, bctx.store_records,
-                         bctx.table_inserts, tally, completed)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +320,7 @@ class RecordingBlockContext(BlockContext):
 # Chunk payload codec (worker → parent, no pickle on the data path)
 # ---------------------------------------------------------------------------
 
-def _encode_outcomes(w: shm.PayloadWriter, outcomes) -> None:
-    if outcomes is None:
-        w.u8(0)
-        return
-    w.u8(1)
+def _encode_outcomes(w: shm.PayloadWriter, outcomes: list) -> None:
     w.u32(len(outcomes))
     for outcome in outcomes:
         if outcome is None:
@@ -435,9 +337,7 @@ def _encode_outcomes(w: shm.PayloadWriter, outcomes) -> None:
             w.bytes_(pickle.dumps(outcome))
 
 
-def _decode_outcomes(r: shm.PayloadReader):
-    if not r.u8():
-        return None
+def _decode_outcomes(r: shm.PayloadReader) -> list:
     outcomes = []
     for _ in range(r.u32()):
         tag = r.u8()
@@ -577,19 +477,14 @@ def _run_chunk_in_worker(pool: "_WorkerPool", ids: list[int],
                          fence_latency: float,
                          fence_concurrency: int) -> tuple[bytes, Tally]:
     kernel, config, memory = pool.kernel, pool.config, pool.memory
+    outcomes: list = []
     if vectorized:
         bctx = BatchBlockContext(
             memory, config, ids, mode=mode,
             fence_latency_cycles=fence_latency,
             fence_concurrency=fence_concurrency,
         )
-        outcomes = None
-        if mode is ExecMode.VALIDATE:
-            outcomes = kernel.validate_block_batch(bctx)
-        elif mode is ExecMode.RECOVER:
-            kernel.recover_block_batch(bctx)
-        else:
-            kernel.run_block_batch(bctx)
+        _run_vector(kernel, bctx, mode, outcomes)
         tally = bctx.finalize_tally()
         return _encode_batch_chunk(bctx, outcomes), tally
 
@@ -598,19 +493,13 @@ def _run_chunk_in_worker(pool: "_WorkerPool", ids: list[int],
     atomics = AtomicUnit(memory)
     tally = Tally()
     blocks_ops: list = []
-    outcomes = [] if mode is ExecMode.VALIDATE else None
     for block_id in ids:
         ctx = RecordingBlockContext(
             memory, atomics, config, block_id, mode,
             fence_latency_cycles=fence_latency,
             fence_concurrency=fence_concurrency,
         )
-        if mode is ExecMode.VALIDATE:
-            outcomes.append(kernel.validate_block(ctx))
-        elif mode is ExecMode.RECOVER:
-            kernel.recover_block(ctx)
-        else:
-            kernel.run_block(ctx)
+        _run_scalar(kernel, ctx, mode, outcomes)
         tally.merge(ctx.finalize_tally())
         blocks_ops.append(ctx.ops)
     return _encode_block_chunk(blocks_ops, outcomes), tally
@@ -689,7 +578,7 @@ def _release_pool_resources(procs, conns, segments,
 class _WorkerPool:
     """A persistent forked worker pool sharing one device image.
 
-    Created lazily by :class:`ParallelEngine` on the first launch that
+    Created lazily by :class:`LaunchEngine` on the first launch that
     can use it and kept across launches (the recovery pipeline's
     NORMAL → VALIDATE → RECOVER sequence reuses one pool; only an
     allocation-epoch change or a different kernel/memory re-forks).
@@ -859,11 +748,18 @@ class _WorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# Parallel (persistent shared-memory pool + deterministic replay)
+# The engine
 # ---------------------------------------------------------------------------
 
-class ParallelEngine(LaunchEngine):
-    """Zero-copy shared-memory parallel execution with in-order replay.
+class LaunchEngine:
+    """Executes a launch plan's thread blocks: vectorize × place.
+
+    ``vectorize`` lets ``batchable`` kernels run ``group_size`` blocks
+    per :class:`~repro.gpu.batch.BatchBlockContext` pass; ``jobs`` is
+    the worker count of the forked pool, ``1`` meaning no pool — every
+    launch runs inline. Build one through :func:`make_engine` (or
+    ``Device(engine="...")``), which maps the three engine names onto
+    these choices; ``name`` is what spans, metrics and reports carry.
 
     The engine owns at most one :class:`_WorkerPool` at a time,
     attached lazily on the first pool-worthy launch and kept until the
@@ -872,39 +768,32 @@ class ParallelEngine(LaunchEngine):
     through a named segment and return per-chunk results through the
     slot array + arena — no pickled arrays in either direction.
 
-    Execution shape per launch:
-
-    * ``batchable`` kernels run **vectorized chunks** — each worker
-      executes a contiguous chunk through one
-      :class:`~repro.gpu.batch.BatchBlockContext` and ships the
-      deferred stores/table inserts back for in-order application (the
-      composed parallel(batched) fast path). With ``jobs=1``, no fork
-      or a too-small launch, the same chunks run inline in-process.
-    * ``parallel_safe`` (but unbatchable) kernels run block-granular
-      chunks under :class:`RecordingBlockContext`, shipping op logs.
-      This path additionally requires ``idempotent`` kernels: workers
-      scribble the shared volatile image, and the serial-continuation
-      fallback after a worker failure re-executes scribbled blocks.
-    * Everything else (and every failure) falls back to
-      :class:`SerialEngine` semantics — mid-launch failures continue
-      serially from the first unreplayed chunk, keeping effects
-      exactly-once.
-
-    ``VALIDATE`` and ``RECOVER`` launches ride the same paths, so
-    post-crash validation parallelizes identically to forward
-    execution.
+    Requirements on ``batchable`` kernels: every load must decide on
+    the group's starting image what it would decide mid-launch (see
+    the contract in :mod:`repro.gpu.batch` — block-disjoint outputs
+    give it for free; kernels that claim slots establish it per input),
+    and any LP wrapper needs commutative checksum lanes. The op-log
+    cell additionally requires ``idempotent`` kernels: workers scribble
+    the shared volatile image, and the serial continuation after a
+    worker failure re-executes scribbled blocks.
     """
 
-    name = "parallel"
-
-    def __init__(self, jobs: int | None = None) -> None:
-        if jobs is None:
-            jobs = shm.cpu_budget()
+    def __init__(self, name: str, vectorize: bool, jobs: int = 1,
+                 group_size: int = 256) -> None:
         if jobs < 1:
-            raise LaunchError(f"ParallelEngine needs jobs >= 1, got {jobs}")
-        super().__init__()
+            raise LaunchError(f"engine {name!r} needs jobs >= 1, got {jobs}")
+        if group_size < 1:
+            raise LaunchError(
+                f"engine {name!r} needs group_size >= 1, got {group_size}")
+        #: Stable identifier used by :func:`make_engine` and reports.
+        self.name = name
+        self.vectorize = vectorize
         self.jobs = jobs
-        self._serial = SerialEngine(label=self.name)
+        self.group_size = group_size
+        #: Fallbacks by kernel name (see :meth:`_run_scalar_inline`).
+        #: Kept on the engine (not only in the metrics registry) so a
+        #: caller with no recorder installed can still ask.
+        self.fallbacks: collections.Counter = collections.Counter()
         self._pool: _WorkerPool | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -915,7 +804,7 @@ class ParallelEngine(LaunchEngine):
             self._pool.close()
             self._pool = None
 
-    def __enter__(self) -> "ParallelEngine":
+    def __enter__(self) -> "LaunchEngine":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -941,36 +830,37 @@ class ParallelEngine(LaunchEngine):
 
     # -- execution -------------------------------------------------------
 
-    def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
-        vectorized = bool(plan.kernel.batchable)
-        use_pool = (
+    def _shape(self, plan: LaunchPlan) -> tuple[bool, bool]:
+        """The cell this launch runs in: ``(vector, pooled)``."""
+        kernel = plan.kernel
+        vector = self.vectorize and bool(kernel.batchable)
+        pooled = (
             self.jobs > 1
-            and plan.kernel.parallel_safe
-            and (vectorized or plan.kernel.idempotent)
+            and kernel.parallel_safe
+            and (vector or kernel.idempotent)
             and len(plan.block_ids) >= 2 * self.jobs
             and "fork" in multiprocessing.get_all_start_methods()
         )
-        if not use_pool and not vectorized:
-            self._note_fallback(plan)
-            return self._serial.execute(plan)
+        return vector, pooled
 
+    def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
+        """Run every block in ``plan.block_ids``.
+
+        Returns the completed block ids (in execution order) and the
+        launch tally, atomic totals included.
+        """
+        vector, pooled = self._shape(plan)
         tally = plan.new_tally()
         completed: list[int] = []
         outcomes: list = []
-        rec = _recorder()
-        chunks = self._chunk(plan.block_ids)
-        if use_pool:
-            self._execute_pooled(plan, chunks, vectorized, tally,
-                                 completed, outcomes, rec)
+        if pooled:
+            self._run_pooled(plan, vector, tally, completed, outcomes)
+        elif vector:
+            self._run_vector_inline(plan, tally, completed, outcomes)
         else:
-            for group in chunks:
-                with rec.trace.span(
-                    "engine.group", cat="engine", track="engine",
-                    engine=self.name, mode=plan.mode.name,
-                    first=group[0], count=len(group),
-                ):
-                    _run_batch_group(self, plan, group, tally, completed,
-                                     outcomes)
+            self._run_scalar_inline(plan, plan.block_ids, tally, completed,
+                                    outcomes)
+        rec = _recorder()
         if plan.mode is ExecMode.VALIDATE:
             with rec.trace.span(
                 "engine.validate.merge", cat="engine", track="engine",
@@ -983,20 +873,93 @@ class ParallelEngine(LaunchEngine):
                             engine=self.name)
         return completed, tally
 
+    def _run_scalar_inline(self, plan: LaunchPlan, block_ids: list[int],
+                           tally: Tally, completed: list[int],
+                           outcomes: list) -> None:
+        """One block at a time, in this process — the reference cell.
+
+        Also the one fallback rule: under an engine configured for
+        anything else, every call here — a whole launch, one
+        :class:`~repro.errors.BatchFallbackError` group, the tail of a
+        broken pool — is a fallback, and counted.
+        """
+        rec = _recorder()
+        if self.vectorize or self.jobs > 1:
+            self.fallbacks[plan.kernel.name] += 1
+            if rec.metrics.active:
+                rec.metrics.inc("engine.fallbacks", engine=self.name,
+                                kernel=plan.kernel.name)
+        # One span per 64-block group when tracing, else one null span
+        # around the whole loop: the hot loop stays branch-free per
+        # block.
+        step = TRACE_GROUP_BLOCKS if rec.trace.enabled \
+            else max(1, len(block_ids))
+        for lo in range(0, len(block_ids), step):
+            group = block_ids[lo:lo + step]
+            with rec.trace.span(
+                "engine.blocks", cat="engine", track="engine",
+                engine=self.name, mode=plan.mode.name,
+                first=group[0], count=len(group),
+            ):
+                for block_id in group:
+                    ctx = plan.block_context(block_id)
+                    _run_scalar(plan.kernel, ctx, plan.mode, outcomes)
+                    tally.merge(ctx.finalize_tally())
+                    completed.append(block_id)
+                    if plan.block_hook is not None:
+                        plan.block_hook(len(completed))
+
+    def _run_vector_inline(self, plan: LaunchPlan, tally: Tally,
+                           completed: list[int], outcomes: list) -> None:
+        """``group_size`` blocks per vectorized pass, in this process.
+
+        A group whose kernel raises
+        :class:`~repro.errors.BatchFallbackError` has had no effect yet
+        (that is the exception's contract); its blocks run
+        scalar-inline instead.
+        """
+        rec = _recorder()
+        ids = plan.block_ids
+        for lo in range(0, len(ids), self.group_size):
+            group = ids[lo:lo + self.group_size]
+            with rec.trace.span(
+                "engine.group", cat="engine", track="engine",
+                engine=self.name, mode=plan.mode.name,
+                first=group[0], count=len(group),
+            ):
+                bctx = BatchBlockContext(
+                    plan.memory, plan.config, group, mode=plan.mode,
+                    fence_latency_cycles=plan.fence_latency,
+                    fence_concurrency=plan.fence_concurrency,
+                    atomics=plan.atomics,
+                )
+                try:
+                    _run_vector(plan.kernel, bctx, plan.mode, outcomes)
+                except BatchFallbackError:
+                    self._run_scalar_inline(plan, group, tally, completed,
+                                            outcomes)
+                else:
+                    tally.merge(bctx.finalize_tally())
+                    _apply_batch_records(
+                        plan, group, bctx.store_records,
+                        bctx.table_inserts, tally, completed)
+            if rec.metrics.active:
+                rec.metrics.inc("engine.scheduling.groups",
+                                engine=self.name)
+
     def _chunk(self, block_ids: list[int]) -> list[list[int]]:
         """Contiguous chunks, a few per worker for load balance."""
         n = len(block_ids)
-        if n == 0:
-            return []
         n_chunks = min(n, self.jobs * _CHUNKS_PER_JOB)
         size = -(-n // n_chunks)
         return [block_ids[i:i + size] for i in range(0, n, size)]
 
-    def _execute_pooled(self, plan: LaunchPlan, chunks: list,
-                        vectorized: bool, tally: Tally,
-                        completed: list[int], outcomes: list,
-                        rec) -> None:
+    def _run_pooled(self, plan: LaunchPlan, vectorized: bool, tally: Tally,
+                    completed: list[int], outcomes: list) -> None:
+        """Chunks on the worker pool, replayed here in launch order."""
+        rec = _recorder()
         pool = self._ensure_pool(plan)
+        chunks = self._chunk(plan.block_ids)
         if rec.metrics.active:
             rec.metrics.inc("engine.scheduling.chunks", len(chunks),
                             engine=self.name)
@@ -1031,8 +994,7 @@ class ParallelEngine(LaunchEngine):
                             blocks_ops, outs = _decode_block_chunk(payload)
                             self._replay_block_ops(
                                 plan, group, blocks_ops, tally, completed)
-                    if outs is not None:
-                        outcomes.extend(outs)
+                    outcomes.extend(outs)
                     if rec.metrics.active:
                         # live depth: dispatched-but-unmerged chunks, so
                         # a telemetry sampler sees mid-launch pressure
@@ -1045,16 +1007,16 @@ class ParallelEngine(LaunchEngine):
         except _PoolBroken:
             # Exactly-once continuation: replayed chunks keep their
             # effects; everything from the first unreplayed chunk on
-            # re-runs serially (worker-side scribbles are overwritten
-            # by the deterministic re-execution).
+            # re-runs scalar-inline (worker-side scribbles are
+            # overwritten by the deterministic re-execution).
             self.close()
             remaining = [b for chunk in chunks[replayed:] for b in chunk]
             with rec.trace.span(
                 "engine.serial_continuation", cat="engine",
                 track="engine", engine=self.name, blocks=len(remaining),
             ):
-                self._serial._run_blocks(plan, remaining, tally,
-                                         completed, outcomes)
+                self._run_scalar_inline(plan, remaining, tally, completed,
+                                        outcomes)
             return
         wall_ns = time.perf_counter_ns() - t0
         if rec.metrics.active:
@@ -1069,6 +1031,7 @@ class ParallelEngine(LaunchEngine):
                     "engine.shm.worker_busy_frac",
                     busy_ns / (wall_ns * self.jobs), engine=self.name,
                 )
+
 
     def _replay_block_ops(self, plan: LaunchPlan, block_ids,
                           blocks_ops: list, tally: Tally,
@@ -1094,108 +1057,32 @@ class ParallelEngine(LaunchEngine):
                 plan.block_hook(len(completed))
 
 
-# ---------------------------------------------------------------------------
-# Batched (vectorized groups, in-process)
-# ---------------------------------------------------------------------------
+#: What each engine name stands for: ``(vectorize, pooled)``.
+ENGINES = {
+    "serial": (False, False),
+    "batched": (True, False),
+    "parallel": (True, True),
+}
 
-class BatchedEngine(LaunchEngine):
-    """Vectorize groups of homogeneous blocks across a numpy axis.
-
-    The engine hands the kernel a
-    :class:`~repro.gpu.batch.BatchBlockContext` covering up to
-    ``group_size`` blocks; the kernel's ``run_block_batch`` computes
-    every block's loads, stores and charges in whole-group array
-    operations. Stores (and deferred table insertions) are then applied
-    per block in launch order, so the persistence domain sees exactly
-    the serial engine's write sequence.
-
-    Requirements on batchable kernels (``batchable = True``): every
-    load must decide on the group's starting image what it would
-    decide mid-launch (see the contract in :mod:`repro.gpu.batch` —
-    block-disjoint outputs give it for free; kernels that claim slots
-    establish it per input), and any LP wrapper needs commutative
-    checksum lanes. Falls back to :class:`SerialEngine` otherwise, and
-    counts it.
-
-    ``VALIDATE`` launches run the vectorized re-validation fast path:
-    each group recomputes every block's checksum lanes in one batched
-    pass (``validate_block_batch``), and the collected outcome records
-    merge through one grid-wide vectorized table compare. ``RECOVER``
-    launches re-execute failed blocks in groups through
-    ``recover_block_batch``, with refreshed checksums applied per block
-    in launch order like any forward insert.
-    """
-
-    name = "batched"
-
-    def __init__(self, group_size: int = 256) -> None:
-        if group_size < 1:
-            raise LaunchError(
-                f"BatchedEngine needs group_size >= 1, got {group_size}"
-            )
-        super().__init__()
-        self.group_size = group_size
-        self._serial = SerialEngine(label=self.name)
-
-    def execute(self, plan: LaunchPlan) -> tuple[list[int], Tally]:
-        if not plan.kernel.batchable:
-            self._note_fallback(plan)
-            return self._serial.execute(plan)
-
-        tally = plan.new_tally()
-        completed: list[int] = []
-        outcomes: list = []
-        rec = _recorder()
-        ids = plan.block_ids
-        for lo in range(0, len(ids), self.group_size):
-            group = ids[lo:lo + self.group_size]
-            with rec.trace.span(
-                "engine.group", cat="engine", track="engine",
-                engine=self.name, mode=plan.mode.name,
-                first=group[0], count=len(group),
-            ):
-                _run_batch_group(self, plan, group, tally, completed,
-                                 outcomes)
-            if rec.metrics.active:
-                rec.metrics.inc("engine.scheduling.groups",
-                                engine=self.name)
-        if plan.mode is ExecMode.VALIDATE:
-            with rec.trace.span(
-                "engine.validate.merge", cat="engine", track="engine",
-                engine=self.name, blocks=len(completed),
-            ):
-                plan.kernel.merge_validation_outcomes(outcomes)
-        tally.absorb_atomics(plan.atomics)
-        if rec.metrics.active:
-            rec.metrics.inc("engine.blocks.completed", len(completed),
-                            engine=self.name)
-        return completed, tally
-
-
-# ---------------------------------------------------------------------------
-# Resolution
-# ---------------------------------------------------------------------------
 
 def make_engine(
     spec: LaunchEngine | str | None, jobs: int | None = None
 ) -> LaunchEngine:
     """Resolve an engine spec: instance, name, or ``None`` (serial).
 
-    ``jobs`` applies to ``"parallel"`` (worker count; ``None`` means
-    the container-aware :func:`repro.gpu.shm.cpu_budget`) and
-    ``"batched"`` (group size, default 256).
+    ``jobs`` is the pool's worker count and nothing else: ``None`` or
+    ``0`` means the container-aware :func:`repro.gpu.shm.cpu_budget`, a
+    negative count is a :class:`~repro.errors.LaunchError`, and an
+    engine with no pool (``serial``, ``batched``) ignores it.
     """
-    if spec is None:
-        return SerialEngine()
     if isinstance(spec, LaunchEngine):
         return spec
-    if spec == "serial":
-        return SerialEngine()
-    if spec == "parallel":
-        return ParallelEngine(jobs=jobs or None)
-    if spec == "batched":
-        return BatchedEngine(**({"group_size": jobs} if jobs else {}))
-    raise LaunchError(
-        f"unknown launch engine {spec!r}; "
-        "expected 'serial', 'parallel' or 'batched'"
-    )
+    name = "serial" if spec is None else spec
+    if name not in ENGINES:
+        raise LaunchError(
+            f"unknown launch engine {spec!r}; "
+            "expected 'serial', 'parallel' or 'batched'"
+        )
+    vectorize, pooled = ENGINES[name]
+    return LaunchEngine(
+        name, vectorize, (jobs or shm.cpu_budget()) if pooled else 1)

@@ -372,13 +372,15 @@ class Kernel(abc.ABC):
     protected_buffers: tuple[str, ...] = ()
     idempotent: bool = True
     #: Whether block execution is safe to replicate in a worker process
-    #: and replay from an operation log (see ``ParallelEngine``). A
+    #: and replay from an operation log (the engine's pool cells,
+    #: scalar-pool in particular; see :mod:`repro.gpu.engine`). A
     #: kernel must opt *out* when a block's behaviour depends on state
     #: the log cannot capture: host-side mutation (statistics objects),
     #: or read-modify-write control flow through ``atomic_cas`` /
     #: ``atomic_exch`` whose results depend on other blocks.
     parallel_safe: bool = True
-    #: Whether :meth:`run_block_batch` is implemented (``BatchedEngine``).
+    #: Whether :meth:`run_block_batch` is implemented — what admits a
+    #: launch to the engine's vector-inline and vector-pool cells.
     batchable: bool = False
 
     @abc.abstractmethod
@@ -393,8 +395,8 @@ class Kernel(abc.ABC):
         """Execute a homogeneous group of blocks in one vectorized pass.
 
         ``ctx`` is a :class:`~repro.gpu.batch.BatchBlockContext` whose
-        leading axis indexes the block within the group. Only called by
-        the batched launch engine and only when :attr:`batchable` is
+        leading axis indexes the block within the group. Only called in
+        the engine's vector cells and only when :attr:`batchable` is
         true; must issue exactly the loads, stores and work charges its
         blocks would issue under :meth:`run_block`, so that the batched
         launch is bit-identical to the serial one.

@@ -1,6 +1,6 @@
 """POSIX shared-memory plumbing for the zero-copy parallel engine.
 
-The :class:`~repro.gpu.engine.ParallelEngine` shares three kinds of
+A pooled :class:`~repro.gpu.engine.LaunchEngine` shares three kinds of
 state with its persistent worker pool through named
 ``multiprocessing.shared_memory`` segments:
 

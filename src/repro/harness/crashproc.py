@@ -21,8 +21,8 @@ group — ``SIGKILL``, no handlers, no cleanup — when a trigger fires:
   own extent 0.
 
 The parent (:func:`run_child`) spawns the child in its **own session**
-so the child's ``os.kill(0, SIGKILL)`` takes out any ``ParallelEngine``
-pool workers with it — nothing survives to corrupt the next round.
+so the child's ``os.kill(0, SIGKILL)`` takes out any ``parallel``
+engine's pool workers with it — nothing survives to corrupt the next round.
 Child startup (interpreter boot, imports, heap setup) is distinguished
 from the run itself by a *ready marker* file: a child that dies before
 the marker appears is retried with bounded backoff
@@ -163,33 +163,36 @@ class ChildOutcome:
 # Child side
 # ---------------------------------------------------------------------------
 
-def build_run(spec: ChildSpec, shadow=None):
-    """Deterministic device + instrumented-kernel construction.
+def make_lp_run(workload: str, scale: str, seed: int, config: str,
+                engine: str, jobs: int | None, cache_lines: int,
+                shadow=None):
+    """Deterministic device + workload + instrumented-kernel construction.
 
-    Used by the child for the live run and by the parent to rebuild the
-    *same memory layout* before adopting a reopened heap — workload
-    setup and LP instrumentation allocate identically given identical
-    parameters, which is what makes the adopt path sound.
+    The one run recipe: the CLI's ``run`` / ``profile``, the harness
+    child and its parent (:func:`build_run`) and the crash-state model
+    checker all build through here. Workload setup and LP
+    instrumentation allocate identically given identical parameters —
+    the *same memory layout* on every door is what makes adopting a
+    reopened heap into a rebuilt device sound.
     """
     import repro
+    from repro.core.config import named_lp_config
     from repro.workloads import make_workload
 
-    configs = {
-        "global-array": repro.LPConfig.paper_best,
-        "quadratic": repro.LPConfig.naive_quadratic,
-        "cuckoo": repro.LPConfig.naive_cuckoo,
-    }
-    if spec.config not in configs:
-        raise HarnessError(f"unknown LP config {spec.config!r}")
-    engine = repro.make_engine(spec.engine, jobs=spec.jobs)
-    device = repro.Device(cache_capacity_lines=spec.cache_lines,
-                          engine=engine, shadow=shadow)
-    work = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
+    device = repro.Device(cache_capacity_lines=cache_lines,
+                          engine=repro.make_engine(engine, jobs=jobs),
+                          shadow=shadow)
+    work = make_workload(workload, scale=scale, seed=seed)
     kernel = work.setup(device)
     lp_kernel = repro.LPRuntime(
-        device, configs[spec.config]()
-    ).instrument(kernel)
+        device, named_lp_config(config)).instrument(kernel)
     return device, work, lp_kernel
+
+
+def build_run(spec: ChildSpec, shadow=None):
+    """:func:`make_lp_run` from a child spec."""
+    return make_lp_run(spec.workload, spec.scale, spec.seed, spec.config,
+                       spec.engine, spec.jobs, spec.cache_lines, shadow)
 
 
 def _die() -> None:

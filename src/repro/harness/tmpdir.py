@@ -2,7 +2,7 @@
 
 The crash harness exists to SIGKILL processes at the worst possible
 moment, which is exactly how temp files get orphaned: a killed child
-never runs its own cleanup, and a ``ParallelEngine`` pool inside that
+never runs its own cleanup, and a ``parallel`` engine pool inside that
 child never tears down its workers' scratch space. The fix is
 structural — every file the harness or its children create (heap
 images, spec files, ready markers, engine temp files via ``TMPDIR``)

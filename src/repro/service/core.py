@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import LPConfig
+from repro.core.config import LPConfig, named_lp_config
 from repro.errors import ServiceError, TableFullError
 from repro.gpu.device import Device
 from repro.gpu.engine import make_engine
@@ -45,14 +45,6 @@ from repro.megakv.store import MegaKVStore
 from repro.nvm import create_heap, open_heap
 from repro.obs import current as _recorder
 from repro.service.reqlog import RequestLog, log_path_for
-
-#: LP configurations the service can run under (same names as the
-#: crash harness's ``--configs``).
-LP_CONFIGS = {
-    "global-array": LPConfig.paper_best,
-    "quadratic": LPConfig.naive_quadratic,
-    "cuckoo": LPConfig.naive_cuckoo,
-}
 
 
 @dataclass
@@ -66,9 +58,11 @@ class ServiceConfig:
     #: vectorized pass; ``serial`` is the per-request reference. All
     #: engines are bit-identical in results.
     engine: str = "batched"
+    #: Worker count of the ``parallel`` engine's pool (``None``: the
+    #: CPU budget); engines with no pool ignore it.
     jobs: int | None = None
     cache_lines: int = 256
-    #: LP configuration name (see :data:`LP_CONFIGS`).
+    #: LP configuration name (see :data:`repro.core.config.LP_CONFIGS`).
     config: str = "global-array"
     #: Flush the batching window at this many requests ...
     max_batch: int = 128
@@ -80,12 +74,7 @@ class ServiceConfig:
     store_name: str = "megakv"
 
     def lp_config(self) -> LPConfig:
-        if self.config not in LP_CONFIGS:
-            raise ServiceError(
-                f"unknown LP config {self.config!r}; expected one of "
-                + ", ".join(sorted(LP_CONFIGS))
-            )
-        return LP_CONFIGS[self.config]()
+        return named_lp_config(self.config)
 
 
 @dataclass

@@ -124,7 +124,7 @@ def test_record_store_survives_the_worker_codec():
     mask = np.array([[True] * 4, [True, True, False, False]])
     bctx.st_record(("k", "v"), idx, (idx + 10, idx + 20), mask=mask)
     bctx.st("r", idx, idx + 30, mask=mask)
-    records, _, _ = _decode_batch_chunk(_encode_batch_chunk(bctx, None))
+    records, _, _ = _decode_batch_chunk(_encode_batch_chunk(bctx, []))
     assert [r[0] for r in records] == [("k", "v"), "r"]
     for sent, got in zip(bctx.store_records, records):
         for a, b in zip(sent[1:], got[1:]):

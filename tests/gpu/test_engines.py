@@ -3,7 +3,7 @@
 LP regions are associative (DESIGN.md §3): a launch's final state must
 not depend on *how* its blocks were scheduled. The engines exploit that
 — process-parallel chunks, vectorized block groups — but the contract
-is strict bit-identity with :class:`SerialEngine` on every observable:
+is strict bit-identity with the ``serial`` engine on every observable:
 completed blocks, every tally field, every buffer's volatile data and
 NVM shadow, the write-back statistics, and (for LP kernels) the
 checksum-table contents those buffers hold. These tests pin that
@@ -19,14 +19,10 @@ import pytest
 
 import repro
 from repro import obs
+from repro.core.config import LP_CONFIGS
 from repro.errors import LaunchError
 from repro.gpu import shm
-from repro.gpu.engine import (
-    BatchedEngine,
-    ParallelEngine,
-    SerialEngine,
-    make_engine,
-)
+from repro.gpu.engine import make_engine
 from repro.errors import TableFullError
 from repro.gpu.kernel import ExecMode
 from repro.megakv.kernels import (
@@ -37,7 +33,7 @@ from repro.megakv.kernels import (
 )
 from repro.megakv.store import MegaKVStore
 from repro.nvm import MappedShadow, ShardedShadow
-from repro.service.core import LP_CONFIGS
+from repro.workloads.histo import HISTOWorkload
 from repro.workloads.spmv import SPMVWorkload
 
 ENGINES = ["parallel", "batched"]
@@ -218,7 +214,7 @@ def run_megakv_writes(engine, config_name, shadow, tmp_path, monkeypatch):
         KVInsertKernel(store, mixed, mixed ^ np.uint64(1 << 51), 16),
         KVDeleteKernel(store, doomed, 16),
     ]
-    runtime = repro.LPRuntime(device, LP_CONFIGS[config_name]())
+    runtime = repro.LPRuntime(device, LP_CONFIGS[config_name])
     lp_kernels = [runtime.instrument(k, table_name=f"t{i}")
                   for i, k in enumerate(kernels)]
     results = [device.launch(lp) for lp in lp_kernels]
@@ -372,11 +368,15 @@ def test_duplicate_block_ids_rejected():
 
 
 def test_make_engine_resolution():
-    assert isinstance(make_engine(None), SerialEngine)
-    assert isinstance(make_engine("serial"), SerialEngine)
-    assert isinstance(make_engine("parallel", jobs=2), ParallelEngine)
-    assert isinstance(make_engine("batched"), BatchedEngine)
-    engine = ParallelEngine(jobs=3)
+    """Three names, two choices each: (vectorize, pool of ``jobs``)."""
+    def choices(engine):
+        return engine.name, engine.vectorize, engine.jobs
+
+    assert choices(make_engine(None)) == ("serial", False, 1)
+    assert choices(make_engine("serial")) == ("serial", False, 1)
+    assert choices(make_engine("batched")) == ("batched", True, 1)
+    assert choices(make_engine("parallel", jobs=3)) == ("parallel", True, 3)
+    engine = make_engine("parallel", jobs=3)
     assert make_engine(engine) is engine
     with pytest.raises(LaunchError, match="unknown launch engine"):
         make_engine("warp-speculative")
@@ -384,14 +384,92 @@ def test_make_engine_resolution():
 
 def test_device_accepts_engine_name():
     device = repro.Device(engine="batched")
-    assert isinstance(device.engine, BatchedEngine)
+    assert device.engine.name == "batched"
 
 
 def test_parallel_jobs_default_is_container_aware():
-    engine = ParallelEngine()
-    assert engine.jobs == shm.cpu_budget()
+    assert make_engine("parallel").jobs == shm.cpu_budget()
+    assert make_engine("parallel", jobs=0).jobs == shm.cpu_budget()
     with pytest.raises(LaunchError, match="jobs >= 1"):
-        ParallelEngine(jobs=0)
+        make_engine("parallel", jobs=-1)
+
+
+def test_jobs_is_a_worker_count_and_nothing_else():
+    """An engine with no pool ignores ``jobs``; in particular it is not
+    the batched engine's group size."""
+    for name in ("serial", "batched"):
+        engine = make_engine(name, jobs=2)
+        assert (engine.jobs, engine.group_size) == (1, 256)
+    assert make_engine("parallel", jobs=2).group_size == 256
+
+
+# ---------------------------------------------------------------------------
+# The shape table: engine x launch -> cell.
+
+
+def _shape_case(case, device):
+    """``(kernel, block_ids)`` of one launch shape on ``device``."""
+    if case == "parallel_safe":  # HISTO: op-loggable, no batch kernel
+        kernel = HISTOWorkload(scale="small", seed=3).setup(device)
+    else:
+        kernel = SPMVWorkload(scale="small", seed=3).setup(device)
+    if case == "unsafe":  # EP logging reads shared cache state
+        return repro.EPRuntime(device).instrument(kernel), None
+    lp_kernel = repro.LPRuntime(
+        device, repro.LPConfig.paper_best()).instrument(kernel)
+    return lp_kernel, ([0] if case == "one_block" else None)
+
+
+#: engine -> launch -> (cell, is it a fallback). ``parallel`` is at
+#: ``jobs=2``: a launch pools from four blocks up.
+SHAPE_TABLE = {
+    "serial": {
+        "batchable": ("scalar-inline", False),
+        "parallel_safe": ("scalar-inline", False),
+        "unsafe": ("scalar-inline", False),
+        "one_block": ("scalar-inline", False),
+    },
+    "batched": {
+        "batchable": ("vector-inline", False),
+        "parallel_safe": ("scalar-inline", True),
+        "unsafe": ("scalar-inline", True),
+        "one_block": ("vector-inline", False),
+    },
+    "parallel": {
+        "batchable": ("vector-pool", False),
+        "parallel_safe": ("scalar-pool", False),
+        "unsafe": ("scalar-inline", True),
+        "one_block": ("vector-inline", False),
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_TABLE["serial"]))
+@pytest.mark.parametrize("engine_name", list(SHAPE_TABLE))
+def test_launch_shape_table(engine_name, case):
+    """Which of the four cells a launch runs in is decided per launch,
+    from the kernel's flags and the launch's length — read back here
+    from the spans each cell emits — and only blocks that ran
+    scalar-inline under a non-serial engine count as a fallback."""
+    engine = (_forked_engine() if engine_name == "parallel"
+              else make_engine(engine_name, jobs=2))
+    with engine, obs.recording(trace=True) as rec:
+        device = repro.Device(cache_capacity_lines=64, engine=engine)
+        kernel, block_ids = _shape_case(case, device)
+        device.launch(kernel, block_ids=block_ids)
+        events = {event.name: event.args for event in rec.trace.sink.events}
+    cells = {
+        "scalar-inline": "engine.blocks" in events,
+        "vector-inline": "engine.group" in events,
+        "scalar-pool": not events.get("engine.workers",
+                                      {}).get("vectorized", True),
+        "vector-pool": events.get("engine.workers",
+                                  {}).get("vectorized", False),
+    }
+    want_cell, want_fallback = SHAPE_TABLE[engine_name][case]
+    assert [cell for cell, ran in cells.items() if ran] == [want_cell]
+    assert engine.fallbacks == ({kernel.name: 1} if want_fallback else {})
+    assert not shm.leaked_segments()
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +479,7 @@ def test_parallel_jobs_default_is_container_aware():
 def _forked_engine(jobs=2):
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("no fork on this platform")
-    return ParallelEngine(jobs=jobs)
+    return make_engine("parallel", jobs=jobs)
 
 
 @pytest.mark.parametrize("config_name", ["paper_best", "naive_quadratic"])
@@ -482,6 +560,13 @@ def test_sigkilled_worker_falls_back_and_leaks_nothing():
             assert result.completed_blocks == list(
                 range(kernel.launch_config().n_blocks))
             work.verify(device)
+            # The serial continuation is a fallback like any other:
+            # counted once for the launch, under the configured engine.
+            assert engine.fallbacks == {lp_kernel.name: 1}
+            counters = rec.metrics_snapshot()["counters"]
+            assert counters[
+                "engine.fallbacks{engine=parallel,"
+                f"kernel={lp_kernel.name}}}"] == 1
         finally:
             engine.close()
         shm.reap_orphans()

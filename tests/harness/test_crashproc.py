@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from repro.errors import ChildStartupError, HarnessError
+from repro.core.config import LP_CONFIGS
+from repro.errors import ChildStartupError, ConfigError, HarnessError
 from repro.harness import (
     ChildSpec,
     ManagedTmpdir,
@@ -150,6 +151,52 @@ def test_clean_child_completes_and_leaves_consistent_heap():
             for name, expect in work.reference().items():
                 got = device.memory[name].array.reshape(expect.shape)
                 assert np.allclose(got, expect, rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("config", list(LP_CONFIGS))
+def test_every_door_builds_the_same_memory_layout(monkeypatch, config):
+    """``repro run``, the harness child spec and the model checker all
+    build through ``make_lp_run``: same buffers, same addresses, same
+    order — what adopting a reopened heap into a rebuilt device needs."""
+    from repro.__main__ import _make_run, build_parser
+    from repro.analysis import crashmc
+    from repro.harness.crashproc import build_run
+
+    def layout(device):
+        return [(name, buf.base_addr, buf.nbytes)
+                for name, buf in device.memory.buffers.items()]
+
+    layouts = {}
+    args = build_parser().parse_args([
+        "run", "histo", "--scale", "tiny", "--seed", "3",
+        "--config", config, "--cache-lines", "8"])
+    device, *_, stack = _make_run(args)
+    stack.close()
+    layouts["cli"] = layout(device)
+
+    with ManagedTmpdir() as tmp:
+        spec = _spec(tmp, workload="histo", seed=3, config=config)
+        layouts["harness"] = layout(build_run(spec)[0])
+
+    monkeypatch.setattr(
+        crashmc, "check_case",
+        lambda build, case, options: layout(build(None)[0]))
+    layouts["mc"] = crashmc.check_workload("histo", crashmc.MCOptions(
+        scale="tiny", seed=3, config=config, cache_lines=8))
+
+    assert len(layouts["cli"]) > 2, "workload buffers + a checksum table"
+    assert layouts["cli"] == layouts["harness"] == layouts["mc"]
+
+
+def test_unknown_lp_config_is_a_config_error_at_every_door():
+    from repro.analysis import crashmc
+    from repro.harness.crashproc import build_run
+
+    with ManagedTmpdir() as tmp:
+        with pytest.raises(ConfigError, match="unknown LP config"):
+            build_run(_spec(tmp, config="linear"))
+    with pytest.raises(ConfigError, match="unknown LP config"):
+        crashmc.check_workload("spmv", crashmc.MCOptions(config="linear"))
 
 
 # ---------------------------------------------------------------------------

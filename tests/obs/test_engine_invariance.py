@@ -25,11 +25,11 @@ ENGINES = ["serial", "parallel", "batched"]
 def record_spmv(engine, config, crash_after=None):
     """One launch (+ recovery when crashed) under a fresh registry."""
     with obs.recording(trace=False, metrics=True) as rec:
+        # jobs=2 forces the forked pool for ``parallel`` and means
+        # nothing to the two engines that have none.
         device = repro.Device(cache_capacity_lines=64,
                               block_order="shuffled", seed=7,
-                              engine=repro.make_engine(engine, jobs=2)
-                              if engine == "parallel"
-                              else repro.make_engine(engine))
+                              engine=repro.make_engine(engine, jobs=2))
         work = SPMVWorkload(scale="small", seed=3)
         kernel = work.setup(device)
         lp_kernel = repro.LPRuntime(device, config).instrument(kernel)

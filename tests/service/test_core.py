@@ -11,7 +11,7 @@ converge.
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.service.core import (
     ServiceConfig,
     ServiceCore,
@@ -264,5 +264,5 @@ def test_contradicting_shards_on_existing_heap_is_refused(tmp_path, created,
 
 
 def test_unknown_lp_config_rejected():
-    with pytest.raises(ServiceError):
+    with pytest.raises(ConfigError, match="unknown LP config 'nope'"):
         ServiceConfig(config="nope").lp_config()

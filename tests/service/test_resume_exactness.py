@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.config import LP_CONFIGS
 from repro.service.core import (
-    LP_CONFIGS,
     ServiceConfig,
     ServiceCore,
     partition_window,
