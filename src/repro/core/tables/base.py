@@ -154,18 +154,19 @@ class ChecksumTable(abc.ABC):
         self.cost_model = cost_model or CostModel()
         self.stats = TableStats()
         self._buffers: list[Buffer] = []
+        #: Seed word of each buffer, by name — what :meth:`reset` restores.
+        self._fills: dict[str, np.generic] = {}
 
     # -- construction helpers -------------------------------------------
 
-    def _alloc(self, suffix: str, shape, dtype=np.uint64, fill=None) -> Buffer:
-        """Allocate one persistent table buffer (``__lp_`` namespaced)."""
+    def _alloc(self, suffix: str, shape, dtype=np.uint64, *, fill) -> Buffer:
+        """Allocate one persistent table buffer (``__lp_`` namespaced),
+        every word seeded with ``fill`` (the kind's empty sentinel)."""
         full = f"{TABLE_BUFFER_PREFIX}{self.name}_{suffix}"
-        init = None
-        if fill is not None:
-            init = np.full(shape, fill, dtype=dtype)
         buf = self.memory.alloc(full, shape, dtype=dtype, persistent=True,
-                                init=init)
+                                init=np.full(shape, fill, dtype=dtype))
         self._buffers.append(buf)
+        self._fills[full] = fill
         return buf
 
     # -- abstract interface ----------------------------------------------
@@ -281,6 +282,22 @@ class ChecksumTable(abc.ABC):
         for buf in self._buffers:
             self.memory.free(buf.name)
         self._buffers.clear()
+
+    def reset(self) -> None:
+        """Re-seed the table in place: a fresh table without the alloc.
+
+        Volatile image, NVM image and write-back cache end up exactly
+        as construction (``alloc(init=...)`` plus the heap ``attach``)
+        left them, minus the directory write; :attr:`stats` keep
+        counting. For an owner that reuses one table across checkpoint
+        epochs (:class:`~repro.megakv.lp.KVBatchSession` with
+        ``max_keys``). The NVM image is overwritten unjournalled, so
+        call it only once the epoch the entries describe has drained —
+        and before anything records a new epoch against this table,
+        whose unpersisted stores a leftover checksum could vouch for.
+        """
+        for buf in self._buffers:
+            self.memory.reseed(buf, self._fills[buf.name])
 
     # -- lane packing -------------------------------------------------------
 

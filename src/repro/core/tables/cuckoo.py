@@ -74,7 +74,8 @@ class CuckooTable(ChecksumTable):
         self.per_table_capacity = per_table
         self.capacity = 2 * per_table
         self.max_chain = max_chain
-        self._seeds = [seed, seed ^ 0x6A09E667F3BCC909]
+        self._initial_seeds = (seed, seed ^ 0x6A09E667F3BCC909)
+        self._seeds = list(self._initial_seeds)
         self._keys = [
             self._alloc("keys0", (per_table,), np.uint64, fill=EMPTY_KEY),
             self._alloc("keys1", (per_table,), np.uint64, fill=EMPTY_KEY),
@@ -86,6 +87,12 @@ class CuckooTable(ChecksumTable):
                         fill=EMPTY_KEY),
         ]
         self._protocol = InsertionProtocol(config, self.cost_model, n_keys)
+
+    def reset(self) -> None:
+        """Re-seed the buffers and undo any rehash: the hash seeds a
+        fresh table starts from go with its empty slots."""
+        super().reset()
+        self._seeds = list(self._initial_seeds)
 
     # ------------------------------------------------------------------
     # Hashing

@@ -183,26 +183,6 @@ class GlobalMemory:
         """The bump allocator's next address (addresses are never reused)."""
         return self._next_addr
 
-    def set_alloc_cursor(self, addr: int) -> None:
-        """Advance the bump allocator to ``addr``.
-
-        Restart-replay support: a process rebuilding a crashed peer's
-        memory layout records the peer's cursor before a request window
-        and replays the window's allocations from the same address, so
-        every replayed buffer lands at the ``base_addr`` the durable
-        heap directory knows it by. The cursor only ever moves forward
-        — rewinding could overlap live buffers.
-        """
-        if addr < self._next_addr:
-            raise AllocationError(
-                f"alloc cursor may only advance: {addr} < {self._next_addr}"
-            )
-        if addr % self.line_size:
-            raise AllocationError(
-                f"alloc cursor {addr} is not {self.line_size}-byte aligned"
-            )
-        self._next_addr = addr
-
     def alloc(
         self,
         name: str,
@@ -259,6 +239,20 @@ class GlobalMemory:
         del self._index_first_lines[pos]
         del self._index_buffers[pos]
         self.version += 1
+
+    def reseed(self, buf: Buffer, fill) -> None:
+        """Put a live persistent buffer back where ``alloc(init=fill)``
+        left it: both images filled, none of its lines pending.
+
+        The NVM image is stored to directly, like the seed ``alloc`` /
+        ``attach`` write — no journalled write-back — so on a durable
+        heap the caller must order this against whatever could still
+        need the old contents (see ``ChecksumTable.reset``).
+        """
+        buf.data[:] = fill
+        buf.shadow[:] = fill
+        self.cache.discard(range(buf.first_line,
+                                 buf.first_line + buf.n_lines))
 
     def __contains__(self, name: str) -> bool:
         return name in self._buffers

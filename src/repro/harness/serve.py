@@ -250,6 +250,10 @@ def run_serve_scenario(
             # `engine=None` means the daemon's own default.
             "engine": resume_stats["config"]["engine"],
             "engine_fallbacks": resume_stats["counters"]["engine_fallbacks"],
+            # The resumed daemon's window shape: a coalesced window is
+            # at most a search, an insert and a delete.
+            "windows": resume_stats["counters"]["windows"],
+            "launches": resume_stats["counters"]["launches"],
             "resumed_exit_rc": resumed.proc.returncode,
             "converged": (
                 rc == -signal.SIGKILL
@@ -278,6 +282,8 @@ def render_serve_text(report: dict) -> str:
         f"reconnect(s), {load.get('resent')} resent, "
         f"{load.get('shed')} shed",
         f"  resume: {report.get('resume')}",
+        f"  resumed daemon: {report.get('launches')} launch(es) in "
+        f"{report.get('windows')} window(s)",
         f"  verified {report.get('acked_writes_checked')} acked "
         f"write(s); mismatches: "
         f"{len(report.get('final_sweep_mismatches', []))} final, "

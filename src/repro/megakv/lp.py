@@ -15,17 +15,33 @@ across batches) before new work is admitted, and a successful recovery
 persistence domain and closes the epoch. (A hypothesis model-based
 test caught exactly the single-batch-recovery bug this design removes.)
 
-The session is also the one place a batch is *named*:
-:meth:`KVBatchSession.prepare` formats the checksum-table and
-results-buffer names from the batch counter, allocates, and
-instruments. The forward path launches what ``prepare`` returns; a
-restarted service calls the same ``prepare`` at the recorded allocator
-cursor and counter and enrols the result instead, so the two cannot
-disagree about where a batch's buffers live.
+The session is also the one place a batch meets its checksum table:
+:meth:`KVBatchSession.prepare`. By default every batch gets a table
+(and a search its results buffer) of its own, named from the batch
+counter, allocated, instrumented, and freed when its epoch closes — the
+batch the paper measures in §VII-4. An owner that can *bound* its
+launches passes ``max_keys``: at most one insert and one delete launch
+per epoch, each of at most that many keys (``repro serve``: one
+coalesced window per epoch, ``max_batch`` requests). The session then
+allocates one table per write kernel and one volatile results buffer
+once, at construction — right after the store's buffers, so a
+restarted process rebuilds the identical layout from its configuration
+alone — binds each launch to its table, and an epoch's close *re-seeds*
+the tables (:meth:`~repro.core.tables.base.ChecksumTable.reset`)
+instead of freeing them: steady state allocates, attaches, instruments
+and frees nothing. The forward path launches what ``prepare`` returns;
+a restarted service has the same ``prepare`` bind its logged launches
+and enrols the result instead.
+
+Reads need none of this. :meth:`KVBatchSession.lookup` launches the
+search kernel uninstrumented, straight on the device, into the volatile
+results buffer: a GET makes nothing durable, so it gets no checksum
+table, joins no epoch and is never replayed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +50,8 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.config import LPConfig
 from repro.core.recovery import RecoveryReport
 from repro.core.runtime import LazyPersistentKernel, LPRuntime
+from repro.core.tables import ChecksumTable, make_table
+from repro.errors import ConfigError
 from repro.gpu.device import Device, LaunchResult
 from repro.megakv.kernels import (
     KVDeleteKernel,
@@ -66,8 +84,10 @@ class BatchOutcome:
 class KVBatchSession:
     """Batched, crash-recoverable operation stream against one store.
 
-    ``batch_counter`` seeds the batch numbering: 0 for a fresh session,
-    the request log's recorded counter for a service resuming a window.
+    ``max_keys`` is the owner's launch bound (module docstring): with
+    it, insert and delete run against two session-lifetime checksum
+    tables and :meth:`lookup` is available; without it every batch
+    allocates and frees its own.
     """
 
     def __init__(
@@ -76,28 +96,31 @@ class KVBatchSession:
         store: MegaKVStore,
         config: LPConfig | None = None,
         threads_per_block: int = 64,
-        batch_counter: int = 0,
+        max_keys: int | None = None,
     ) -> None:
         self.device = device
         self.store = store
         self.config = config or LPConfig.paper_best()
         self.runtime = LPRuntime(device, self.config)
         self.threads = threads_per_block
-        self._batch_counter = batch_counter
+        self._batch_counter = 0
         #: The open epoch: batches since the last checkpoint, oldest
         #: first. Closing it releases their tables and result buffers.
         self.manager = CheckpointManager(device, on_close=self._release)
-
-    @property
-    def batch_counter(self) -> int:
-        """Monotonic batch number; names the next batch's checksum table.
-
-        The service request log records this (plus the allocator
-        cursor) per window, so a restarted daemon can :meth:`prepare`
-        the window's batches under identical names and addresses
-        before adopting the reopened heap.
-        """
-        return self._batch_counter
+        self.max_keys = max_keys
+        #: Session-lifetime tables by write-kernel name (``max_keys``).
+        self._tables: dict[str, ChecksumTable] = {}
+        self._results = None
+        if max_keys is not None:
+            regions = math.ceil(max_keys / threads_per_block)
+            for kernel_cls in (KVInsertKernel, KVDeleteKernel):
+                self._tables[kernel_cls.name] = make_table(
+                    device.memory, kernel_cls.name, regions,
+                    self.runtime.cset.n_lanes, self.config,
+                    cost_model=device.cost_model)
+            self._results = device.alloc(
+                f"{store.name}_results", (max_keys,), np.uint64,
+                persistent=False)
 
     # ------------------------------------------------------------------
     # Operations
@@ -106,9 +129,11 @@ class KVBatchSession:
     def prepare(
         self, op: str, keys: np.ndarray, values: np.ndarray | None = None
     ) -> LazyPersistentKernel:
-        """Name, allocate and instrument the next batch; do not launch.
+        """Build the next batch's LP kernel; do not launch.
 
-        The only place a batch's buffers are named: results buffer
+        A write kernel of a ``max_keys`` session is bound to its
+        session-lifetime table. Otherwise this is the only place a
+        batch's buffers are named and allocated: results buffer
         ``<store>_results_<counter>`` (search only, allocated first),
         then checksum table ``<kernel>_b<counter>``.
         """
@@ -125,8 +150,19 @@ class KVBatchSession:
         else:
             raise ValueError(f"unknown KV operation {op!r}")
         self._batch_counter += 1
-        return self.runtime.instrument(
-            kernel, table_name=f"{kernel.name}_b{counter}")
+        table = self._tables.get(kernel.name)
+        if table is None:
+            return self.runtime.instrument(
+                kernel, table_name=f"{kernel.name}_b{counter}")
+        # A table entry is keyed by block id: a second launch would
+        # overwrite the first's checksums, a longer one has no entry.
+        if kernel.n_requests > self.max_keys or any(
+                open_.table is table for open_ in self.manager.epoch_kernels):
+            raise ConfigError(
+                f"{op} of {kernel.n_requests} keys breaks this session's "
+                f"bound: one {op} launch of at most {self.max_keys} keys "
+                "per epoch")
+        return LazyPersistentKernel(kernel, self.config, table)
 
     def insert(
         self,
@@ -151,6 +187,23 @@ class KVBatchSession:
         """GET a batch of keys; misses come back as 0."""
         return self._launch("search", self.prepare("search", keys),
                             crash_plan)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """GET a batch of keys the plain way; misses come back as 0.
+
+        Read-only: the search kernel runs uninstrumented into the
+        session's volatile results buffer, outside the epoch. A crash
+        loses an answer nobody received, which is all a read can lose.
+        Repeated keys are fine. Needs a ``max_keys`` session.
+        """
+        n = np.asarray(keys).size
+        if self._results is None or n > self.max_keys:
+            raise ConfigError(
+                f"lookup of {n} keys needs a session built with "
+                f"max_keys >= {n} (this one: {self.max_keys})")
+        self.device.launch(KVSearchKernel(
+            self.store, keys, self._results.name, self.threads))
+        return self._results.array[:n].copy()
 
     def mixed(
         self,
@@ -179,9 +232,10 @@ class KVBatchSession:
 
         Everything up to here is durable; a later crash can no longer
         require re-validating these batches, so their checksum tables
-        and search-result buffers (already copied into their
-        :class:`BatchOutcome`) are released. Returns the lines the
-        drain wrote.
+        are released — re-seeded if they are the session's own, freed
+        with their search-result buffers (already copied into their
+        :class:`BatchOutcome`) otherwise. Returns the lines the drain
+        wrote.
         """
         rec = _recorder()
         with rec.trace.span("megakv.checkpoint", cat="megakv",
@@ -198,11 +252,24 @@ class KVBatchSession:
     # ------------------------------------------------------------------
 
     def _release(self, closed: list[LazyPersistentKernel]) -> None:
-        """The manager's ``on_close`` hook: free a closed epoch."""
-        for lp_kernel in closed:
-            lp_kernel.table.free()
-            if isinstance(lp_kernel.inner, KVSearchKernel):
-                self.device.free(lp_kernel.inner.results_buffer)
+        """The manager's ``on_close`` hook: release a closed epoch.
+
+        Runs after the drain and before the owner forgets the epoch
+        (the service's WAL clear), which is what keeps a re-seeded
+        table from ever describing a window other than the logged one.
+        """
+        with _recorder().trace.span("megakv.release", cat="megakv",
+                                    track="megakv", batches=len(closed)):
+            # Both tables, launched or not: a launch that raised half
+            # way is in no epoch but has left checksums behind.
+            for table in self._tables.values():
+                table.reset()
+            for lp_kernel in closed:
+                if lp_kernel.inner.name in self._tables:
+                    continue
+                lp_kernel.table.free()
+                if isinstance(lp_kernel.inner, KVSearchKernel):
+                    self.device.free(lp_kernel.inner.results_buffer)
 
     def _launch(self, op, lp_kernel, crash_plan) -> BatchOutcome:
         rec = _recorder()

@@ -174,6 +174,13 @@ class HeapEntry:
             ) from None
 
 
+def geometry(span) -> tuple:
+    """``(dtype, shape, base address, byte length)`` of a directory
+    entry or a live buffer — what must agree for the one to be the
+    other's NVM image."""
+    return (span.dtype.str, tuple(span.shape), span.base_addr, span.nbytes)
+
+
 def table_role(name: str) -> str:
     """Directory role of a buffer: checksum-table vs application data."""
     return "table" if name.startswith("__lp_") else "data"

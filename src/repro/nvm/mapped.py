@@ -551,10 +551,7 @@ def adopt_images(heap, memory) -> None:
             )
         for name, entry in heap.entries.items():
             buf = persistent[name]
-            got = (buf.dtype.str, tuple(buf.shape), buf.base_addr,
-                   buf.nbytes)
-            want = (entry.dtype.str, entry.shape, entry.base_addr,
-                    entry.nbytes)
+            got, want = layout.geometry(buf), layout.geometry(entry)
             if got != want:
                 raise HeapLayoutError(
                     f"buffer {name!r} diverged from the heap "

@@ -39,8 +39,8 @@ MAPPED_P50_CEILING = 2.0
 SHARDED_QPS_FLOOR = 0.8
 
 #: Shared load shape: enough in-flight traffic (clients x pipeline)
-#: to fill windows, a key space wide enough that zipfian collisions
-#: don't fragment every window into singleton sub-batches.
+#: to fill windows, a key space wide enough that most of a window's
+#: requests reach the device instead of coalescing on the host.
 _LOAD = dict(clients=4, pipeline=8, key_space=1024, theta=0.9,
              get_frac=0.5, put_frac=0.4, delete_frac=0.1, seed=7)
 
@@ -67,7 +67,8 @@ def _scenario(name: str, service_cfg: ServiceConfig, load_cfg: LoadConfig,
         "backend": stats["backend"],
         "windows": stats["counters"]["windows"],
         "launches": stats["counters"]["launches"],
-        "sub_batches": stats["counters"]["sub_batches"],
+        "superseded_writes": stats["counters"]["superseded_writes"],
+        "local_gets": stats["counters"]["local_gets"],
         "drained_lines": stats["counters"]["drained_lines"],
         "batch_occupancy": stats["batch_occupancy"],
         "records": stats["records"],

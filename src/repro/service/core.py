@@ -5,27 +5,37 @@
 :class:`~repro.megakv.lp.KVBatchSession`, and implements the two
 halves of the service's contract:
 
-**The flush path.** A *window* (the requests one batching interval
-collected) is split into maximal key-disjoint *sub-batches* in arrival
-order (:func:`partition_window`), logged to the request WAL, launched
-as LP-instrumented MegaKV batches, and checkpointed — one
-``device.drain()`` per window, which is what makes batching pay: N
-requests share one persistence-domain drain instead of buying one
-each. Only after the drain (and the WAL retire) does the caller get
-the responses to ack, so *an acked write is a drained write*.
+**The flush path.** Inside one checkpoint epoch only the state at the
+boundary is observable, so a *window* (the requests one batching
+interval collected) launches only its durable work.
+:func:`partition_window` coalesces it on the host in arrival order —
+per key the last write wins, a GET that follows a same-key write is
+answered from the window, every other GET reads pre-window state —
+into at most three launches on pairwise-disjoint keys: one plain
+search first (:meth:`~repro.megakv.lp.KVBatchSession.lookup`: no
+checksum table, no WAL, no epoch — a read makes nothing durable), then
+one LP-instrumented insert and one delete, logged to the request WAL
+and checkpointed with one ``device.drain()``. N requests share that
+drain instead of buying one each, and a window with no write touches
+nothing durable at all. Only after the drain (and the WAL retire) does
+the caller get the responses to ack, so *an acked write is a drained
+write* and the acks are arrival-order linearizable.
 
 **The resume path.** A window is one checkpoint epoch described by one
-*launch list* (:func:`window_launches`), and that list is what the WAL
-holds. On construction with an existing heap the core cold-opens it,
-seeds a session at the WAL's allocator cursor and batch counter, and
-has the session :meth:`~repro.megakv.lp.KVBatchSession.prepare` the
-same list the forward path launched — so every in-flight table and
-results buffer lands under the name and at the address the heap
-directory knows it by — then adopts the heap and lets the session
-recover and checkpoint the epoch (validate, re-execute failed regions,
-drain). Acked windows were drained and cleared their WAL record, so
-they are untouched; the at-most-one unacked in-flight window either
-recovers fully or is re-applied by client retries — both idempotent.
+*launch list* (:meth:`WindowPlan.launches`), and that list is what the
+WAL holds. Every buffer of the service — the store's two, the
+session's two checksum tables — is allocated once, in a fixed order,
+from :class:`ServiceConfig` alone, so on construction with an existing
+heap the core rebuilds the same layout, adopts the heap, has the
+session :meth:`~repro.megakv.lp.KVBatchSession.prepare` the list the
+forward path launched, and lets it recover and checkpoint the epoch
+(validate, re-execute failed regions, drain, re-seed the tables).
+Acked windows were drained and cleared their WAL record, so they are
+untouched; the at-most-one unacked in-flight window either recovers
+fully or is re-applied by client retries — both idempotent. The
+forward order drain → re-seed → WAL clear keeps the invariant the
+validation rests on: *a WAL record never coexists with a checksum from
+an earlier window* (see :mod:`repro.service.reqlog`).
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from repro.gpu.engine import make_engine
 from repro.megakv.lp import KVBatchSession
 from repro.megakv.store import MegaKVStore
 from repro.nvm import create_heap, open_heap
+from repro.nvm.layout import geometry
 from repro.obs import current as _recorder
 from repro.service.reqlog import RequestLog, log_path_for
 
@@ -93,76 +104,79 @@ class Request:
 
 
 @dataclass
-class SubBatch:
-    """A key-disjoint slice of a window; its launches commute."""
+class WindowPlan:
+    """A coalesced window: what reaches the device, who is answered how."""
 
-    inserts: list[Request] = field(default_factory=list)
-    deletes: list[Request] = field(default_factory=list)
-    searches: list[Request] = field(default_factory=list)
+    #: ``(request, response-doc)`` per request, in arrival order. A GET
+    #: answered from the window already carries its value; one in
+    #: :attr:`deferred` gets it from the search launch.
+    responses: list[tuple[Request, dict]] = field(default_factory=list)
+    #: Distinct GET keys no earlier write of the window covers: one
+    #: search over pre-window state, launched first.
+    lookups: dict[int, int] = field(default_factory=dict)
+    #: ``(response-doc, index into lookups)`` of the GETs that wait.
+    deferred: list[tuple[dict, int]] = field(default_factory=list)
+    #: The window's last write per key; ``None`` is a delete.
+    writes: dict[int, int | None] = field(default_factory=dict)
+    #: PUT / DELETE requests acked without reaching the device.
+    superseded_writes: int = 0
+    #: GETs answered from the window's own writes.
+    local_gets: int = 0
+
+    def launches(self) -> list[tuple]:
+        """The window's write launches, JSON-able ``(op, keys, values)``
+        (``values`` is ``None`` for the delete): one insert, then one
+        delete, on disjoint keys, empty ones skipped. The WAL stores
+        this verbatim, the forward path launches it and the resume
+        path prepares it."""
+        puts = {k: v for k, v in self.writes.items() if v is not None}
+        deletes = [k for k, v in self.writes.items() if v is None]
+        out = []
+        if puts:
+            out.append(("insert", list(puts), list(puts.values())))
+        if deletes:
+            out.append(("delete", deletes, None))
+        return out
 
 
-def partition_window(requests: list[Request]) -> list[SubBatch]:
-    """Split a window into maximal key-disjoint sub-batches, in order.
+def partition_window(requests: list[Request]) -> WindowPlan:
+    """Coalesce a window into at most one search, insert and delete.
 
-    MegaKV batch kernels require unique keys per batch (writes within a
-    batch must commute), and a GET must not share a batch with a write
-    to the same key (the batch would not know which comes first). The
-    rule, scanning in arrival order: a write to a key already written
-    *or read* in the current sub-batch starts a new one; so does a read
-    of a key already written. Duplicate reads coexist fine.
+    One walk in arrival order keeps ``writes[key]``, the value the
+    window has left at ``key`` so far (``None``: deleted). A PUT or
+    DELETE overwrites it, so only the last write per key reaches the
+    device and the earlier ones are acked with it. A GET of a key in
+    ``writes`` is answered from it; any other GET precedes every write
+    of its key, so it reads pre-window state, and all such GETs share
+    one search over their distinct keys.
 
-    Within one sub-batch every op therefore touches a distinct key
-    (except repeated GETs), so executing inserts, then deletes, then
-    searches is equivalent to any interleaving — arrival order across
-    sub-batches carries the semantics.
+    MegaKV batch kernels require unique keys per batch; the insert and
+    the delete hold each key at most once between them, so the two
+    commute. Every request is acked only after the window's one drain,
+    which makes the acks equivalent to executing the window one
+    request at a time in arrival order.
     """
-    batches: list[SubBatch] = []
-    current = SubBatch()
-    written: set[int] = set()
-    read: set[int] = set()
+    plan = WindowPlan()
     for req in requests:
-        is_write = req.op in ("put", "delete")
-        conflict = (req.key in written) or (is_write and req.key in read)
-        if conflict:
-            batches.append(current)
-            current = SubBatch()
-            written = set()
-            read = set()
-        if req.op == "put":
-            current.inserts.append(req)
-            written.add(req.key)
-        elif req.op == "delete":
-            current.deletes.append(req)
-            written.add(req.key)
-        elif req.op == "get":
-            current.searches.append(req)
-            read.add(req.key)
-        else:
+        doc = {"ok": True, "op": req.op}
+        if req.op in ("put", "delete"):
+            if req.key in plan.writes:
+                plan.superseded_writes += 1
+            plan.writes[req.key] = req.value if req.op == "put" else None
+        elif req.op != "get":
             raise ServiceError(f"unbatchable op {req.op!r}")
-    if current.inserts or current.deletes or current.searches:
-        batches.append(current)
-    return batches
+        elif req.key in plan.writes:
+            doc["value"] = plan.writes[req.key]
+            plan.local_gets += 1
+        else:
+            slot = plan.lookups.setdefault(req.key, len(plan.lookups))
+            plan.deferred.append((doc, slot))
+        plan.responses.append((req, doc))
+    return plan
 
 
-def window_launches(sub_batches: list[SubBatch]):
-    """A window as one ordered launch list, plus who each launch answers.
-
-    ``launches[i]`` is the JSON-able ``(op, keys, values)`` of the i-th
-    kernel launch (``values`` is ``None`` except for inserts) and
-    ``groups[i]`` the requests it serves. This function alone fixes the
-    order within a sub-batch — inserts, deletes, searches, empty groups
-    skipped; the WAL stores ``launches`` verbatim, the forward path
-    launches it and the resume path prepares it.
-    """
-    launches, groups = [], []
-    for sb in sub_batches:
-        for op, reqs in (("insert", sb.inserts), ("delete", sb.deletes),
-                         ("search", sb.searches)):
-            if reqs:
-                values = [r.value for r in reqs] if op == "insert" else None
-                launches.append((op, [r.key for r in reqs], values))
-                groups.append(reqs)
-    return launches, groups
+#: Every span of this module sits on the service track.
+_SPAN = {"cat": "service", "track": "service"}
 
 
 def _operands(keys, values) -> list[np.ndarray]:
@@ -176,12 +190,17 @@ class WindowResult:
     """Outcome of one flushed window."""
 
     #: ``(request, response-doc)`` pairs, one per request, in arrival
-    #: order within each op group.
+    #: order.
     responses: list[tuple[Request, dict]]
+    #: Kernel launches, the plain search included (at most 3).
     launches: int
+    #: 1 for a served window, 0 for a failed one (a window used to be
+    #: cut into several key-disjoint sub-batches).
     sub_batches: int
     drained_lines: int
     elapsed_s: float
+    superseded_writes: int = 0
+    local_gets: int = 0
 
 
 class ServiceCore:
@@ -216,11 +235,11 @@ class ServiceCore:
         cfg = self.config
         engine = make_engine(cfg.engine, jobs=cfg.jobs)
         resuming = self.heap_path is not None and self.heap_path.exists()
-        wal = None
+        inflight: list = []
         if self.heap_path is not None:
             self.reqlog = RequestLog(log_path_for(self.heap_path))
             if resuming:
-                wal = self.reqlog.read()  # refuses a foreign schema first
+                inflight = self.reqlog.read()  # refuses a foreign schema first
                 self.heap = self._reopen_heap()
             else:
                 self.heap_path.parent.mkdir(parents=True, exist_ok=True)
@@ -228,21 +247,21 @@ class ServiceCore:
         # No heap_path is the volatile service (bench-serve's latency
         # baseline): same flush path, nothing survives a restart. A
         # reopened heap is adopted once the layout is rebuilt rather
-        # than attached buffer by buffer. The store comes first either
-        # way — its two buffers are always the first allocations.
+        # than attached buffer by buffer. The layout is the store's two
+        # buffers, then the session's two checksum tables — sized by
+        # the one bound the service can give, a window of ``max_batch``
+        # requests per epoch — in this order, every start.
         self.device = Device(cache_capacity_lines=cfg.cache_lines,
                              engine=engine,
                              shadow=None if resuming else self.heap)
         self.store = MegaKVStore(self.device, cfg.capacity,
                                  name=cfg.store_name)
-        if wal is not None:
-            self.device.memory.set_alloc_cursor(wal["next_addr"])
         self.session = KVBatchSession(
             self.device, self.store, cfg.lp_config(),
             threads_per_block=cfg.threads_per_block,
-            batch_counter=wal["batch_counter"] if wal is not None else 0)
+            max_keys=cfg.max_batch)
         if resuming:
-            self._resume(wal["launches"] if wal is not None else [])
+            self._resume(inflight)
 
     def _reopen_heap(self):
         """Open the existing heap by its on-disk magic; a ``shards``
@@ -261,43 +280,46 @@ class ServiceCore:
         return heap
 
     def _resume(self, launches: list) -> None:
-        """Rebuild the crashed window's epoch on the reopened heap,
-        recover it, and keep the session for serving."""
+        """Adopt the reopened heap into the rebuilt layout, recover the
+        crashed window's epoch, and keep the session for serving."""
         rec = _recorder()
         info = self.resume_info
         memory = self.device.memory
-        with rec.trace.span("service.resume", cat="service",
-                            track="service", heap=str(self.heap_path)):
-            # The same prepare() the forward path launched through, at
-            # the cursor and counter the WAL recorded (see _open).
-            for op, keys, values in launches:
-                self.session.manager.enrol(self.session.prepare(
-                    op, *_operands(keys, values)))
-
-            # Reconcile directory vs rebuilt layout. A prepared buffer
-            # the crashed process never reached is missing from the
-            # heap — attach it (its seed image equals what the live
-            # attach would have written). An entry no rebuilt buffer
-            # claims can only be a leftover the crashed process was
-            # mid-way through freeing after its drain — drop it.
-            for name, buf in memory.buffers.items():
-                if buf.persistent and name not in self.heap.entries:
-                    self.heap.attach(buf)
-                    info["reattached_buffers"] += 1
-            for name in list(self.heap.entries):
-                if name not in memory:
-                    self.heap.detach(name)
-                    info["detached_orphans"] += 1
+        with rec.trace.span("service.resume", heap=str(self.heap_path),
+                            **_SPAN):
+            if not launches:
+                # No window in flight: every checksum table is a seed
+                # image, i.e. scratch. One this configuration lays out
+                # differently (another --config or --max-batch, a heap
+                # from before the tables were session-lifetime, a first
+                # start killed mid-allocation) is dropped and attached
+                # afresh. With a window in flight nothing is: a layout
+                # that disagrees is adopt()'s typed error, not a
+                # silent re-seed of the checksums that window needs.
+                for name, entry in list(self.heap.entries.items()):
+                    if entry.role == "table" and (
+                            name not in memory
+                            or geometry(memory[name]) != geometry(entry)):
+                        self.heap.detach(name)
+                        info["detached_orphans"] += 1
+                for name, buf in memory.buffers.items():
+                    if buf.persistent and name not in self.heap.entries:
+                        self.heap.attach(buf)
+                        info["reattached_buffers"] += 1
             self.heap.adopt(memory)
 
-            # Engine-pluggable validate + recover, oldest-first, then
-            # one drain to retire the whole window.
+            # The same prepare() the forward path launched through,
+            # then engine-pluggable validate + recover, oldest-first,
+            # and one drain (+ re-seed) to retire the whole window.
             if launches:
+                for op, keys, values in launches:
+                    self.session.manager.enrol(self.session.prepare(
+                        op, *_operands(keys, values)))
                 reports = self.session.recover()
                 info["recovered_blocks"] = sum(
                     len(report.recovered_blocks) for report in reports)
                 self.session.checkpoint()
-            self.reqlog.clear()
+                self.reqlog.clear()
             info.update(resumed=True, replayed_launches=len(launches))
         if rec.metrics.active:
             rec.metrics.inc("service.resumes")
@@ -319,40 +341,56 @@ class ServiceCore:
         return int(np.count_nonzero(keys))
 
     def execute_window(self, requests: list[Request]) -> WindowResult:
-        """Partition, log, launch, checkpoint, and answer one window."""
+        """Coalesce, read, log, launch, checkpoint, and answer one window."""
         t0 = time.perf_counter()
-        sub_batches = partition_window(requests)
-        responses: list[tuple[Request, dict]] = []
+        trace = _recorder().trace
+        with trace.span("service.window", requests=len(requests), **_SPAN):
+            with trace.span("service.window.coalesce", **_SPAN):
+                plan = partition_window(requests)
+                launches = plan.launches()
 
-        # Admission guard: refuse puts that could not fit. Sub-batch
-        # inserts may still raise TableFullError under pathological
-        # bucket skew; that is handled below as a window-wide error.
-        n_puts = sum(len(sb.inserts) for sb in sub_batches)
-        record_cap = self.store.n_slots // 8  # the sized load-factor target
-        if n_puts and self.records() + n_puts > record_cap:
+            # Admission guard: refuse puts that could not fit. The
+            # insert may still raise TableFullError under pathological
+            # bucket skew; that is handled below as a window-wide error.
+            n_puts = sum(v is not None for v in plan.writes.values())
+            record_cap = self.store.n_slots // 8  # the sized load-factor target
+            if n_puts and self.records() + n_puts > record_cap:
+                return self._fail_window(requests, "store_full", t0)
+
+            if plan.lookups:
+                with trace.span("service.window.lookup",
+                                keys=len(plan.lookups), **_SPAN):
+                    found = self.session.lookup(np.array(
+                        list(plan.lookups), dtype=np.uint64)).tolist()
+                for doc, slot in plan.deferred:
+                    doc["value"] = found[slot] or None
+            # A window with no write touches nothing durable: no WAL
+            # record, no drain, no msync.
+            full, drained = self._apply(launches) if launches else (False, 0)
+        if full:
             return self._fail_window(requests, "store_full", t0)
+        return WindowResult(
+            responses=plan.responses,
+            launches=len(launches) + bool(plan.lookups),
+            sub_batches=1,
+            drained_lines=drained,
+            elapsed_s=time.perf_counter() - t0,
+            superseded_writes=plan.superseded_writes,
+            local_gets=plan.local_gets,
+        )
 
-        launches, groups = window_launches(sub_batches)
+    def _apply(self, launches: list[tuple]) -> tuple[bool, int]:
+        """A window's durable half: WAL begin, the write launches, one
+        checkpoint (drain, then re-seed the tables), WAL retire — in
+        that order. Returns ``(store_full, drained lines)``."""
+        trace = _recorder().trace
         if self.durable:
-            self.reqlog.begin(
-                next_addr=self.device.memory.alloc_cursor,
-                batch_counter=self.session.batch_counter,
-                launches=launches,
-            )
+            with trace.span("service.window.wal_begin", **_SPAN):
+                self.reqlog.begin(launches)
         full = False
         try:
-            for (op, keys, values), reqs in zip(launches, groups):
-                outcome = getattr(self.session, op)(*_operands(keys, values))
-                if op == "search":
-                    for req, raw in zip(reqs, outcome.results):
-                        value = int(raw)
-                        responses.append((req, {
-                            "ok": True, "op": "get",
-                            "value": value if value else None,
-                        }))
-                else:
-                    responses.extend((req, {"ok": True, "op": req.op})
-                                     for req in reqs)
+            for op, keys, values in launches:
+                getattr(self.session, op)(*_operands(keys, values))
         except TableFullError:
             # Converge whatever did land, retire the window, and report
             # the failure to every requester — their retries are
@@ -360,16 +398,9 @@ class ServiceCore:
             full = True
         drained = self.session.checkpoint()
         if self.durable:
-            self.reqlog.clear()
-        if full:
-            return self._fail_window(requests, "store_full", t0)
-        return WindowResult(
-            responses=responses,
-            launches=len(launches),
-            sub_batches=len(sub_batches),
-            drained_lines=drained,
-            elapsed_s=time.perf_counter() - t0,
-        )
+            with trace.span("service.window.wal_clear", **_SPAN):
+                self.reqlog.clear()
+        return full, drained
 
     @staticmethod
     def _fail_window(requests: list[Request], error: str,

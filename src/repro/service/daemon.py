@@ -12,8 +12,9 @@ Thread model
 * one **batcher** thread owns the :class:`~repro.service.core.ServiceCore`
   (and therefore the device): it collects a window until ``max_batch``
   requests or ``max_wait_ms`` after the window's first request,
-  flushes it as MegaKV batch launches plus one drain, and only then
-  writes the responses back — the ack *is* the durability receipt.
+  flushes it as at most three MegaKV launches plus — if anything was
+  written — one drain, and only then writes the responses back — the
+  ack *is* the durability receipt.
 
 Nothing here knows about persistence details; that is all
 :class:`ServiceCore`. The daemon adds networking, queueing and
@@ -117,6 +118,8 @@ class KVServer:
         self.launches = 0
         self.sub_batches = 0
         self.drained_lines = 0
+        self.superseded_writes = 0
+        self.local_gets = 0
         self.occupancy_last = 0
         self.occupancy_max = 0
         self._occupancy_sum = 0
@@ -327,6 +330,8 @@ class KVServer:
         self.launches += result.launches
         self.sub_batches += result.sub_batches
         self.drained_lines += result.drained_lines
+        self.superseded_writes += result.superseded_writes
+        self.local_gets += result.local_gets
         self.occupancy_last = len(window)
         self.occupancy_max = max(self.occupancy_max, len(window))
         self._occupancy_sum += len(window)
@@ -345,6 +350,9 @@ class KVServer:
         if rec.metrics.active:
             rec.metrics.inc("service.windows")
             rec.metrics.inc("service.launches", result.launches)
+            rec.metrics.inc("service.window.superseded_writes",
+                            result.superseded_writes)
+            rec.metrics.inc("service.window.local_gets", result.local_gets)
             rec.metrics.inc("service.requests.acked", len(window))
             rec.metrics.observe("service.window.occupancy", len(window))
             rec.metrics.observe("service.window.ms",
@@ -405,6 +413,12 @@ class KVServer:
                 "launches": self.launches,
                 "sub_batches": self.sub_batches,
                 "drained_lines": self.drained_lines,
+                # Work the window absorbed on the host: writes acked
+                # without reaching the device (a later write of the
+                # window to the same key did), GETs answered from the
+                # window's own writes.
+                "superseded_writes": self.superseded_writes,
+                "local_gets": self.local_gets,
                 # Launches (or block groups) the configured engine ran
                 # per block instead, by kernel: empty when every KV
                 # launch took the vectorized path.

@@ -1,31 +1,29 @@
 """Per-window request log — the tiny WAL behind restart-resume.
 
-The daemon's durability problem is not the data (the mapped heap
-already survives SIGKILL); it is the *layout*. `GlobalMemory` is a
-bump allocator — every checksum table and search-results buffer of an
-in-flight window sits at an address determined by the full allocation
-history — and `MappedShadow.adopt` demands an exact layout match. So
-before launching a window the daemon writes one log record capturing
-everything needed to rebuild the window's allocations deterministically
-in a fresh process:
+The data needs no log (the mapped heap already survives SIGKILL) and
+neither does the layout: the store's two buffers, the session's two
+checksum tables and its results buffer are allocated once, in that
+order, from :class:`~repro.service.core.ServiceConfig` alone, so a
+restarted process rebuilds the addresses the heap directory holds
+without being told. What a fresh process cannot know is *which writes
+were in flight*: the checksum tables say whether a region's stores
+persisted, not what the region was. So before a window's first write
+launch the daemon records its ``launches`` — ``[op, keys, values]`` per
+write kernel in execution order (at most one ``insert`` and one
+``delete``; ``values`` is null for the delete), exactly as
+:meth:`repro.service.core.WindowPlan.launches` produced them for the
+forward path. GETs are not in it: a read makes nothing durable and the
+client that asked is gone after a crash, so there is nothing to replay.
 
-* ``next_addr`` — the allocator cursor before the window's first
-  allocation,
-* ``batch_counter`` — the session's batch number, from which
-  :meth:`~repro.megakv.lp.KVBatchSession.prepare` names every checksum
-  table and results buffer,
-* ``launches`` — the window's launch list, ``[op, keys, values]`` per
-  kernel launch in execution order (``values`` is null except for
-  inserts), exactly as :func:`repro.service.core.window_launches`
-  produced it for the forward path.
-
-A restarted daemon reads the record, seeds a fresh allocator and
-session at ``next_addr`` / ``batch_counter``, has the session
-``prepare`` the same list the forward path launched — there is no
-second description of the window to keep in step with the first —
-adopts the heap, and lets the session recover and checkpoint the
-epoch. The log is cleared only after the window's checkpoint drained —
-crash anywhere in between and the record is still there.
+A restarted daemon reads the record, has the session ``prepare`` the
+same list the forward path launched — there is no second description
+of the window to keep in step with the first — and lets the session
+recover and checkpoint the epoch. The record is cleared only after the
+window's checkpoint drained *and* re-seeded the checksum tables, so **a
+record never coexists with a checksum from an earlier window**: a
+leftover ``cs(k, v1)`` would vouch for an in-flight ``PUT k = v2``
+whose stores were lost, because validating a write folds whatever the
+store holds at its keys.
 
 A record lives only between a crash and the next start, so there is no
 reader for older shapes: :data:`SCHEMA_VERSION` is bumped whenever the
@@ -47,7 +45,7 @@ from pathlib import Path
 
 from repro.errors import ServiceError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Suffix appended to the heap path to name its request log.
 SUFFIX = ".reqlog"
@@ -65,15 +63,9 @@ class RequestLog:
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def begin(self, *, next_addr: int, batch_counter: int,
-              launches: list) -> None:
-        """Durably record the window about to launch."""
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "next_addr": int(next_addr),
-            "batch_counter": int(batch_counter),
-            "launches": launches,
-        }
+    def begin(self, launches: list) -> None:
+        """Durably record the write launches of the window about to run."""
+        doc = {"schema": SCHEMA_VERSION, "launches": launches}
         tmp = self.path.with_name(self.path.name + ".tmp")
         tmp.write_text(json.dumps(doc, separators=(",", ":")))
         os.replace(tmp, self.path)
@@ -82,14 +74,14 @@ class RequestLog:
         """Retire the record (the window's checkpoint committed)."""
         self.path.unlink(missing_ok=True)
 
-    def read(self) -> dict | None:
-        """The pending window record, or ``None`` when nothing is armed."""
+    def read(self) -> list:
+        """The in-flight window's launch list; empty when none is armed."""
         try:
             raw = self.path.read_text()
         except FileNotFoundError:
-            return None
+            return []
         if not raw.strip():
-            return None
+            return []
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -104,4 +96,4 @@ class RequestLog:
                 f"{doc.get('schema')!r}; this build reads "
                 f"{SCHEMA_VERSION}"
             )
-        return doc
+        return doc["launches"]

@@ -152,6 +152,70 @@ def test_table_free_releases_buffers():
         assert name not in mem
 
 
+def _table_for_reset(kind, mem):
+    if kind == "cuckoo-rehashed":
+        # A minuscule chain bound forces rehashes (fresh hash seeds).
+        return CuckooTable(mem, "t", 24, 2, LPConfig.naive_cuckoo(),
+                           max_chain=2)
+    config = {"global-array": LPConfig.paper_best(),
+              "quadratic": LPConfig.naive_quadratic(),
+              "cuckoo": LPConfig.naive_cuckoo()}[kind]
+    return make_table(mem, "t", 24, 2, config)
+
+
+@pytest.mark.parametrize("durable", [False, True],
+                         ids=["memory", "mapped"])
+@pytest.mark.parametrize("kind", ["global-array", "quadratic", "cuckoo",
+                                  "cuckoo-rehashed"])
+def test_reset_leaves_a_fresh_table(kind, durable, tmp_path):
+    """reset() == a newly constructed table: both images, the cache,
+    and every insert / lookup that follows, bit for bit."""
+    from repro.nvm import create_heap
+
+    def env(tag):
+        heap = create_heap(tmp_path / f"{tag}.lpnv") if durable else None
+        mem = GlobalMemory(cache_capacity_lines=512, shadow=heap)
+        ctx = BlockContext(mem, AtomicUnit(mem),
+                           LaunchConfig.linear(24, 32), 0)
+        return mem, ctx, _table_for_reset(kind, mem)
+
+    def images(mem, table):
+        return [(mem[name].data.tolist(), mem[name].shadow.tolist())
+                for name in table.buffer_names]
+
+    used_mem, used_ctx, used = env("used")
+    fresh_mem, fresh_ctx, fresh = env("fresh")
+    seed = images(fresh_mem, fresh)
+
+    # Half the entries reach NVM, the other half stay dirty in the cache.
+    for key in range(24):
+        used.insert(used_ctx, key, lanes_for(key))
+        if key == 11:
+            used_mem.drain()
+    assert used_mem.cache.n_dirty > 0
+    assert images(used_mem, used) != seed
+    if kind == "cuckoo-rehashed":
+        assert used.stats.rehashes > 0
+    inserts = used.stats.inserts
+
+    used.reset()
+
+    assert images(used_mem, used) == seed
+    assert used_mem.cache.n_dirty == 0
+    for mem, ctx, table in ((used_mem, used_ctx, used),
+                            (fresh_mem, fresh_ctx, fresh)):
+        for key in reversed(range(24)):
+            table.insert(ctx, key, lanes_for(key + 100))
+    assert used_mem.cache.dirty_lines == fresh_mem.cache.dirty_lines
+    assert images(used_mem, used) == images(fresh_mem, fresh)
+    used_mem.drain(), fresh_mem.drain()
+    assert images(used_mem, used) == images(fresh_mem, fresh)
+    keys = np.arange(24)
+    for got, want in zip(used.lookup_many(keys), fresh.lookup_many(keys)):
+        assert np.array_equal(got, want)
+    assert used.stats.inserts == inserts + 24  # stats keep counting
+
+
 # -- quadratic specifics ---------------------------------------------------------
 
 def test_quadratic_counts_collisions():

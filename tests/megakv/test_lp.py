@@ -172,3 +172,87 @@ def test_crash_recovers_older_batches_in_epoch():
     )
     assert out.recovery is not None
     assert store.contents() == as_dict(keys, vals)
+
+
+# -- a session with a launch bound (``max_keys``) --------------------------
+
+
+def build_bounded(n=200, cache_lines=8, seed=0):
+    device = repro.Device(cache_capacity_lines=cache_lines)
+    store = MegaKVStore(device, capacity=512)
+    session = KVBatchSession(device, store, threads_per_block=16,
+                             max_keys=n)
+    keys, vals = key_value_records(np.random.default_rng(seed), n)
+    return device, store, session, keys, vals
+
+
+def test_bounded_session_allocates_once_and_reuses_its_tables():
+    device, store, session, keys, vals = build_bounded(cache_lines=1024)
+    layout = (sorted(device.memory.buffers), device.memory.alloc_cursor)
+    assert not device.memory[f"{store.name}_results"].persistent
+    for epoch in range(3):
+        session.insert(keys, vals + np.uint64(epoch))
+        session.delete(keys[:50])
+        session.checkpoint()
+        assert (sorted(device.memory.buffers),
+                device.memory.alloc_cursor) == layout
+    assert store.contents() == as_dict(keys[50:], vals[50:] + np.uint64(2))
+
+
+def test_lookup_reads_without_touching_the_persistence_domain():
+    device, _, session, keys, vals = build_bounded(cache_lines=1024)
+    session.insert(keys, vals)
+    session.checkpoint()
+    stats = device.memory.write_stats.total_lines
+    probe = np.concatenate([keys[:30], keys[:30], np.array([7], np.uint64)])
+    got = session.lookup(probe)
+    assert np.array_equal(
+        got, np.concatenate([vals[:30], vals[:30], np.zeros(1, np.uint64)]))
+    assert device.memory.cache.n_dirty == 0
+    assert device.memory.write_stats.total_lines == stats
+    assert session.manager.epoch_kernels == []
+
+
+def test_bounded_session_enforces_its_bound():
+    from repro.errors import ConfigError
+
+    _, _, session, keys, vals = build_bounded(n=64, cache_lines=1024)
+    more_keys, more_vals = key_value_records(np.random.default_rng(1), 65)
+    with pytest.raises(ConfigError, match="at most 64 keys"):
+        session.insert(more_keys, more_vals)
+    with pytest.raises(ConfigError):
+        session.lookup(more_keys)
+    session.insert(keys[:32], vals[:32])
+    with pytest.raises(ConfigError, match="one insert launch"):
+        session.insert(keys[32:], vals[32:])  # same epoch, same table
+    session.checkpoint()
+    session.insert(keys[32:], vals[32:])      # the next epoch is fine
+
+
+def test_lookup_needs_a_bounded_session():
+    from repro.errors import ConfigError
+
+    _, _, session, keys, _ = build(n=10)
+    with pytest.raises(ConfigError, match="max_keys"):
+        session.lookup(keys)
+
+
+@pytest.mark.parametrize("persist_fraction", [0.0, 0.3])
+def test_bounded_session_recovers_a_crashing_epoch(persist_fraction):
+    """A reused table must not vouch for lost stores: the second epoch
+    rewrites every key, block for block, and loses its cached lines —
+    with the first epoch's checksums left in NVM the store's old values
+    would validate."""
+    _, store, session, keys, vals = build_bounded(cache_lines=1024)
+    session.insert(keys, vals)
+    session.checkpoint()
+    fresh = vals + np.uint64(1)
+    n_blocks = -(-keys.size // 16)
+    out = session.insert(
+        keys, fresh,
+        crash_plan=repro.CrashPlan(after_blocks=n_blocks,
+                                   persist_fraction=persist_fraction,
+                                   seed=5))
+    assert out.recovery.recovered
+    assert out.recovery.recovered_blocks
+    assert store.contents() == as_dict(keys, fresh)

@@ -86,7 +86,8 @@ def _abandon(heap):
 def _buffer_at(addr, name, shape, dtype):
     """A live buffer at a chosen address, not yet homed in any heap."""
     scratch = GlobalMemory(cache_capacity_lines=4)
-    scratch.set_alloc_cursor(addr)
+    if addr:
+        scratch.alloc("pad", (addr,), np.uint8)  # addr is line-aligned
     return scratch.alloc(name, shape, dtype)
 
 

@@ -1,4 +1,4 @@
-"""ServiceCore: window partitioning, the flush path, and resume.
+"""ServiceCore: window coalescing, the flush path, and resume.
 
 The unclean-stop tests are the in-process mirror of the SIGKILL
 scenario (:mod:`tests.service.unclean`): the window runs through the
@@ -9,9 +9,13 @@ exactly what the kernel does to a SIGKILLed daemon, and the next
 converge.
 """
 
+import json
+import os
+
+import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, HeapLayoutError, ServiceError
 from repro.service.core import (
     ServiceConfig,
     ServiceCore,
@@ -19,7 +23,7 @@ from repro.service.core import (
 )
 from repro.service.reqlog import RequestLog, log_path_for
 from tests.service.unclean import apply_reference as _apply_reference
-from tests.service.unclean import crash_before_drain
+from tests.service.unclean import crash_before_drain, crash_window
 from tests.service.unclean import requests as _reqs
 
 
@@ -27,40 +31,65 @@ from tests.service.unclean import requests as _reqs
 # partition_window
 # ----------------------------------------------------------------------
 
+def _values(plan):
+    """The value each GET of a plan is answered with before any search
+    ran: its own, or ``("lookup", key)`` for one that waits."""
+    keys = list(plan.lookups)
+    waiting = {id(doc): ("lookup", keys[slot])
+               for doc, slot in plan.deferred}
+    return [waiting.get(id(doc), doc.get("value"))
+            for req, doc in plan.responses if req.op == "get"]
+
+
 def test_partition_disjoint_ops_stay_in_one_batch():
-    batches = partition_window(_reqs(
+    plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 2, 20), ("delete", 3, None),
         ("get", 4, None)))
-    assert len(batches) == 1
-    sb = batches[0]
-    assert [r.key for r in sb.inserts] == [1, 2]
-    assert [r.key for r in sb.deletes] == [3]
-    assert [r.key for r in sb.searches] == [4]
+    assert plan.launches() == [("insert", [1, 2], [10, 20]),
+                               ("delete", [3], None)]
+    assert list(plan.lookups) == [4]
+    assert (plan.superseded_writes, plan.local_gets) == (0, 0)
 
 
-def test_partition_write_after_write_cuts():
-    batches = partition_window(_reqs(
+def test_partition_write_after_write_keeps_the_last():
+    plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 1, 11)))
-    assert len(batches) == 2
+    assert plan.launches() == [("insert", [1], [11])]
+    assert plan.superseded_writes == 1
+    assert [doc for _, doc in plan.responses] == \
+        [{"ok": True, "op": "put"}] * 2
 
 
-def test_partition_read_after_write_cuts():
-    batches = partition_window(_reqs(
+def test_partition_read_after_write_is_answered_from_the_window():
+    plan = partition_window(_reqs(
         ("put", 1, 10), ("get", 1, None)))
-    assert len(batches) == 2
+    assert not plan.lookups and plan.local_gets == 1
+    assert _values(plan) == [10]
 
 
-def test_partition_write_after_read_cuts():
-    batches = partition_window(_reqs(
+def test_partition_write_after_read_reads_pre_window_state():
+    plan = partition_window(_reqs(
         ("get", 1, None), ("delete", 1, None)))
-    assert len(batches) == 2
+    assert _values(plan) == [("lookup", 1)]
+    assert plan.launches() == [("delete", [1], None)]
 
 
 def test_partition_duplicate_reads_coexist():
-    batches = partition_window(_reqs(
+    plan = partition_window(_reqs(
         ("get", 1, None), ("get", 1, None), ("get", 1, None)))
-    assert len(batches) == 1
-    assert len(batches[0].searches) == 3
+    assert list(plan.lookups) == [1]
+    assert _values(plan) == [("lookup", 1)] * 3
+
+
+def test_partition_same_key_chains_follow_arrival_order():
+    plan = partition_window(_reqs(
+        ("get", 1, None), ("put", 1, 10), ("get", 1, None),
+        ("delete", 1, None), ("get", 1, None), ("put", 2, 20),
+        ("delete", 2, None), ("put", 2, 21)))
+    assert _values(plan) == [("lookup", 1), 10, None]
+    assert plan.launches() == [("insert", [2], [21]),
+                               ("delete", [1], None)]
+    assert (plan.superseded_writes, plan.local_gets) == (3, 2)
 
 
 def test_partition_rejects_unbatchable_op():
@@ -95,7 +124,10 @@ def test_window_read_your_writes_within_one_window(volatile_core):
     reqs = [req for req, _ in result.responses]
     gets = [doc for req, doc in result.responses if req.op == "get"]
     assert [doc["value"] for doc in gets] == [10, 11]
-    assert result.sub_batches == 4
+    # One insert of the last value; both GETs answered from the window.
+    assert (result.sub_batches, result.launches) == (1, 1)
+    assert (result.superseded_writes, result.local_gets) == (1, 2)
+    assert volatile_core.store.contents() == {1: 11}
     assert all(by_req[id(r)]["ok"] for r in reqs)
 
 
@@ -150,7 +182,7 @@ def test_clean_restart_preserves_state(tmp_path, shards):
     try:
         assert reopened.resume_info["resumed"]
         assert reopened.resume_info["replayed_launches"] == 0
-        assert reopened.store.contents() == _apply_reference({}, ops)
+        assert reopened.store.contents() == _apply_reference({}, ops)[0]
     finally:
         reopened.close()
 
@@ -167,7 +199,7 @@ def test_unclean_stop_replays_wal_and_converges(tmp_path, shards):
     inflight = [("put", 1, 111), ("put", 30, 300), ("delete", 2, None),
                 ("get", 5, None), ("put", 5, 555)]
     crash_before_drain(core, *inflight)
-    assert RequestLog(log_path_for(heap)).read() is not None
+    assert RequestLog(log_path_for(heap)).read()
 
     reopened = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
                            heap_path=heap, shards=shards)
@@ -175,10 +207,11 @@ def test_unclean_stop_replays_wal_and_converges(tmp_path, shards):
         info = reopened.resume_info
         assert info["resumed"]
         assert info["replayed_launches"] >= 1
-        expected = _apply_reference(_apply_reference({}, acked), inflight)
+        expected, _ = _apply_reference(_apply_reference({}, acked)[0],
+                                       inflight)
         assert reopened.store.contents() == expected
         # The WAL is retired: a second restart replays nothing.
-        assert RequestLog(log_path_for(heap)).read() is None
+        assert RequestLog(log_path_for(heap)).read() == []
 
         # And the service keeps serving after the resume.
         result = reopened.execute_window(_reqs(("get", 5, None),
@@ -204,6 +237,184 @@ def test_unacked_window_is_idempotent_under_client_retry(tmp_path):
         assert reopened.store.contents() == {7: 70}
     finally:
         reopened.close()
+
+
+@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+def test_read_only_window_touches_nothing_durable(tmp_path, monkeypatch,
+                                                  shards):
+    core, heap = _make_core(tmp_path, shards)
+    try:
+        core.execute_window(_reqs(("put", 1, 10), ("put", 2, 20),
+                                  ("delete", 2, None)))
+        files = core.heap.extent_paths() + [heap]
+        before = [path.read_bytes() for path in files]
+        for step in ("sync", "arm"):
+            monkeypatch.setattr(core.heap, step, lambda *a, _s=step: (
+                pytest.fail(f"a GET-only window called heap.{_s}")))
+
+        result = core.execute_window(_reqs(
+            ("get", 1, None), ("get", 2, None), ("get", 1, None),
+            ("get", 3, None)))
+
+        assert [doc["value"] for _, doc in result.responses] == \
+            [10, None, 10, None]
+        assert (result.launches, result.drained_lines) == (1, 0)
+        assert [path.read_bytes() for path in files] == before
+        assert not log_path_for(heap).exists()
+    finally:
+        monkeypatch.undo()
+        core.close()
+
+
+def _directory(core):
+    return [(e.name, e.base_addr, e.nbytes)
+            for e in core.heap.entries.values()]
+
+
+@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+def test_serving_never_grows_the_heap(tmp_path, monkeypatch, shards):
+    """2 000 mixed windows: the allocator cursor, the directory and the
+    disk blocks of every extent stay where window 10 left them, and the
+    heap sees no attach / detach (it used to gain ~1 KiB per window)."""
+    core, _ = _make_core(tmp_path, shards)
+    rng = np.random.default_rng(5)
+    keys = range(1, 33)
+
+    def window():
+        ops = []
+        for _ in range(12):
+            op = ("get", "put", "put", "delete")[rng.integers(4)]
+            ops.append((op, int(rng.choice(keys)),
+                        int(rng.integers(1, 2**62)) if op == "put"
+                        else None))
+        return ops
+
+    def footprint():
+        return (core.device.memory.alloc_cursor, _directory(core),
+                [os.stat(path).st_blocks
+                 for path in core.heap.extent_paths()])
+
+    try:
+        oracle, _ = _apply_reference({}, [("put", k, k) for k in keys])
+        core.execute_window(_reqs(*[("put", k, k) for k in keys]))
+        for _ in range(9):
+            ops = window()
+            core.execute_window(_reqs(*ops))
+            _apply_reference(oracle, ops)
+        settled = footprint()
+        for step in ("attach", "detach"):
+            monkeypatch.setattr(core.heap, step, lambda *a, _s=step: (
+                pytest.fail(f"steady-state serving called heap.{_s}")))
+        for _ in range(1990):
+            ops = window()
+            core.execute_window(_reqs(*ops))
+            _apply_reference(oracle, ops)
+        assert footprint() == settled
+        assert core.store.contents() == oracle
+    finally:
+        monkeypatch.undo()
+        core.close()
+
+
+# ----------------------------------------------------------------------
+# Restart across a configuration change
+# ----------------------------------------------------------------------
+
+_BASE = dict(capacity=512, cache_lines=32)
+_OPS = [("put", 1, 10), ("put", 2, 20), ("delete", 1, None)]
+
+
+@pytest.mark.parametrize("change,dropped,attached", [
+    (dict(config="quadratic"), 2, 4),   # lanes x2 -> keys + lanes x2
+    (dict(config="cuckoo"), 2, 8),
+    (dict(max_batch=16), 2, 2),         # two regions -> one
+    (dict(max_batch=100), 0, 0),        # still two regions: same tables
+], ids=["quadratic", "cuckoo", "max-batch-16", "max-batch-100"])
+@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+def test_clean_restart_under_another_config_reseats_the_tables(
+        tmp_path, shards, change, dropped, attached):
+    core, heap = _make_core(tmp_path, shards)
+    core.execute_window(_reqs(*_OPS))
+    core.close()
+
+    reopened = ServiceCore(ServiceConfig(**_BASE, **change), heap_path=heap)
+    info = reopened.resume_info
+    assert (info["detached_orphans"], info["reattached_buffers"]) == \
+        (dropped, attached)
+    assert reopened.store.contents() == {2: 20}
+    reopened.execute_window(_reqs(("put", 3, 30), ("delete", 2, None)))
+    # And the re-seated tables carry a crashed window like any other.
+    crash_before_drain(reopened, ("put", 4, 40), ("delete", 3, None))
+
+    again = ServiceCore(ServiceConfig(**_BASE, **change), heap_path=heap)
+    try:
+        info = again.resume_info
+        assert (info["replayed_launches"], info["detached_orphans"],
+                info["reattached_buffers"]) == (2, 0, 0)
+        assert again.store.contents() == {4: 40}
+    finally:
+        again.close()
+
+
+@pytest.mark.parametrize("base,change,error", [
+    (_BASE, dict(config="quadratic"), HeapLayoutError),
+    (_BASE, dict(max_batch=16), HeapLayoutError),
+    # ceil(4 / 64) == ceil(2 / 64): the layout agrees, the bound does not.
+    (dict(_BASE, max_batch=4), dict(max_batch=2), ConfigError),
+], ids=["quadratic", "max-batch-16", "max-batch-2"])
+def test_config_change_with_a_window_in_flight_is_refused(tmp_path, base,
+                                                          change, error):
+    """The same mismatch with a WAL record present is a typed failure,
+    not a silent re-seed of the checksums that window needs."""
+    heap = tmp_path / "heap.lpnv"
+    core = ServiceCore(ServiceConfig(**base), heap_path=heap)
+    crash_window(core, "after-drain",
+                 ("put", 1, 10), ("put", 2, 20), ("put", 3, 30))
+    wal = log_path_for(heap).read_bytes()
+    with pytest.raises(error):
+        ServiceCore(ServiceConfig(**{**base, **change}), heap_path=heap)
+    assert log_path_for(heap).read_bytes() == wal
+
+    # Under the configuration that wrote it, the window still resumes.
+    reopened = ServiceCore(ServiceConfig(**base), heap_path=heap)
+    try:
+        assert reopened.resume_info["replayed_launches"] == 1
+        assert reopened.store.contents() == {1: 10, 2: 20, 3: 30}
+    finally:
+        reopened.close()
+
+
+def test_heap_without_session_tables_gets_them_on_first_start(tmp_path):
+    """A cleanly retired heap from before the tables were
+    session-lifetime holds the store's two buffers and nothing else."""
+    core, heap = _make_core(tmp_path, shards=0)
+    core.execute_window(_reqs(*_OPS))
+    for name in [n for n, e in core.heap.entries.items()
+                 if e.role == "table"]:
+        core.heap.detach(name)
+    assert len(_directory(core)) == 2
+    core.close()
+
+    reopened = ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
+    try:
+        info = reopened.resume_info
+        assert (info["detached_orphans"], info["reattached_buffers"]) == \
+            (0, 2)
+        assert reopened.store.contents() == {2: 20}
+        reopened.execute_window(_reqs(("put", 3, 30)))
+        assert reopened.store.contents() == {2: 20, 3: 30}
+    finally:
+        reopened.close()
+
+
+def test_foreign_wal_schema_is_refused(tmp_path):
+    core, heap = _make_core(tmp_path, shards=0)
+    core.close()
+    log_path_for(heap).write_text(json.dumps({
+        "schema": 2, "next_addr": 65664, "batch_counter": 1,
+        "launches": [["insert", [1], [10]]]}))
+    with pytest.raises(ServiceError, match="has schema 2"):
+        ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
 
 
 def test_volatile_core_has_no_reqlog(volatile_core):

@@ -62,6 +62,42 @@ def test_pipelined_requests_batch_into_one_window(server):
     assert stats["batch_occupancy"]["max"] > 1
 
 
+def test_window_absorbs_same_key_chains_on_the_host(tmp_path):
+    """One pipelined same-key burst is one window: one insert reaches
+    the device, the counters say what the window absorbed, and the
+    window's phases show up as spans."""
+    burst = [("put", 1, 1), ("get", 1, None), ("put", 1, 2),
+             ("get", 1, None), ("delete", 1, None), ("get", 1, None),
+             ("put", 1, 3), ("get", 1, None)]
+    with obs.recording() as rec:  # the batcher binds it at start
+        srv = KVServer(ServiceConfig(capacity=512, cache_lines=64,
+                                     max_batch=len(burst),
+                                     max_wait_ms=2000.0),
+                       heap_path=tmp_path / "heap.lpnv",
+                       address=str(tmp_path / "kv.sock")).start()
+        try:
+            with ServiceClient(srv.address) as client:
+                ids = [client.send(*op) for op in burst]
+                docs = [client.wait(req_id) for req_id in ids]
+                assert client.get(1) == 3
+            counters = srv.stats()["counters"]
+        finally:
+            srv.shutdown()
+            srv.join(timeout=30)
+    assert [doc.get("value") for doc in docs if doc["op"] == "get"] == \
+        [1, 2, None, 3]
+    assert (counters["windows"], counters["launches"]) == (2, 2)
+    assert (counters["superseded_writes"], counters["local_gets"]) == (3, 4)
+    assert rec.metrics.value("service.window.superseded_writes") == 3
+    assert rec.metrics.value("service.window.local_gets") == 4
+    spans = [event.name for event in rec.trace.sink.events
+             if event.ph == "X"]
+    for phase in ("coalesce", "lookup", "wal_begin", "wal_clear"):
+        assert f"service.window.{phase}" in spans, phase
+    assert spans.count("service.window") == 2
+    assert spans.count("megakv.release") == 1  # the GET-only window: none
+
+
 def test_one_per_launch_config_never_batches(tmp_path):
     srv = KVServer(ServiceConfig(capacity=512, cache_lines=64,
                                  max_batch=1, max_wait_ms=0.0),

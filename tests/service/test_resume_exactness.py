@@ -1,12 +1,14 @@
-"""Resume exactness: the restarted service rebuilds the crashed window
-under the very names and addresses the heap directory holds.
+"""Resume exactness: the restarted service rebuilds the layout the heap
+directory holds from its configuration alone, and recovers the crashed
+window to exactly the arrival-order outcome — wherever in its durable
+half the window died.
 
-Convergence of the store contents alone cannot see allocation drift —
-the reconcile step turns a replayed buffer that misses its directory
-entry into a detach + re-attach and recovery re-executes every block
-against the zeroed table, so the contents still come out right. The
-two reconcile counters staying at zero is the assertion that does see
-it: every prepared buffer met its entry by name and address.
+Convergence of the store contents alone cannot see layout drift — a
+reconcile step would turn a table that misses its directory entry into
+a detach + re-attach and recovery re-executes every block against the
+seeded table, so the contents still come out right. The two reconcile
+counters staying at zero is the assertion that does see it: every
+buffer met its entry by name and address.
 """
 
 import tempfile
@@ -18,14 +20,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.config import LP_CONFIGS
-from repro.service.core import (
-    ServiceConfig,
-    ServiceCore,
-    partition_window,
-)
+from repro.service.core import ServiceConfig, ServiceCore
 from tests.service.unclean import (
+    DEATH_POINTS,
     apply_reference,
     crash_before_drain,
+    crash_window,
     requests,
 )
 
@@ -36,11 +36,26 @@ OPS = st.one_of(
     st.tuples(st.just("get"), KEYS, st.none()),
 )
 
+#: Same-key chains a coalesced window must get right: each is a run of
+#: ops that appears, in this order, among one key's requests.
+CHAINS = (("put", "get"), ("put", "put"), ("put", "delete", "get"),
+          ("get", "put"))
+
+
+def _has_chain(ops) -> bool:
+    by_key: dict[int, list[str]] = {}
+    for op, key, _ in ops:
+        by_key.setdefault(key, []).append(op)
+    return any(
+        tuple(history[i:i + len(chain)]) == chain
+        for history in by_key.values() for chain in CHAINS
+        for i in range(len(history)))
+
 
 def _covers_the_plan(ops) -> bool:
-    """At least two sub-batches and all three kernels."""
+    """All three ops and at least one same-key chain."""
     return ({op for op, _, _ in ops} == {"put", "delete", "get"}
-            and len(partition_window(requests(*ops))) >= 2)
+            and _has_chain(ops))
 
 
 def _core(root, shards, config):
@@ -56,43 +71,52 @@ def _core(root, shards, config):
        inflight=st.lists(OPS, min_size=4, max_size=12)
        .filter(_covers_the_plan))
 def test_resume_rebuilds_the_window_exactly(shards, config, acked, inflight):
+    before, _ = apply_reference({}, acked)
+    after, responses = apply_reference(dict(before), inflight)
+
+    # Uncrashed, the window acks what one-at-a-time execution would.
     with tempfile.TemporaryDirectory() as root:
         core = _core(root, shards, config)
-        if acked:
-            core.execute_window(requests(*acked))
-        crash_before_drain(core, *inflight)
-
-        reopened = _core(root, 0, config)  # by magic, as a restart does
         try:
-            info = reopened.resume_info
-            assert info["replayed_launches"] >= 3
-            assert info["reattached_buffers"] == 0, info
-            assert info["detached_orphans"] == 0, info
-            assert reopened.store.contents() == \
-                apply_reference(apply_reference({}, acked), inflight)
+            core.execute_window(requests(*acked))
+            result = core.execute_window(requests(*inflight))
+            assert [doc for _, doc in result.responses] == responses
+            assert core.store.contents() == after
         finally:
-            reopened.close()
+            core.close()
+
+    for point in DEATH_POINTS:
+        with tempfile.TemporaryDirectory() as root:
+            core = _core(root, shards, config)
+            core.execute_window(requests(*acked))
+            crash_window(core, point, *inflight)
+
+            reopened = _core(root, 0, config)  # by magic, as a restart does
+            try:
+                info = reopened.resume_info
+                assert 1 <= info["replayed_launches"] <= 2, (point, info)
+                assert info["reattached_buffers"] == 0, (point, info)
+                assert info["detached_orphans"] == 0, (point, info)
+                assert reopened.store.contents() == after, point
+            finally:
+                reopened.close()
 
 
-#: One window, three sub-batches, five launches (2 inserts, 1 delete,
-#: 2 searches) after a 10-put acked window on a capacity-512 store.
+#: One window with same-key chains: it coalesces to one search ([9]),
+#: one insert ({1: 10, 3: 30}) and one delete ([2]).
 PINNED_WINDOW = [("put", 1, 10), ("put", 2, 20), ("get", 1, None),
                  ("delete", 2, None), ("put", 3, 30), ("get", 3, None),
                  ("get", 9, None)]
 
-#: What the heap directory held before that window's drain at the
-#: commit preceding the single-launch-list refactor (global-array LP;
-#: identical on the mapped and the 4-shard heap).
+#: What the heap directory of a capacity-512, max_batch-128 service
+#: holds — at every instant of its life, this window's death included:
+#: the store, then one two-region checksum table per write kernel
+#: (global-array LP; identical on the mapped and the 4-shard heap).
 PINNED_DIRECTORY = [
     ("megakv_keys", 0, 32768),
     ("megakv_vals", 32768, 32768),
-    ("__lp_megakv-insert_b1_lanes", 65664, 16),
-    ("__lp_megakv-insert_b2_lanes", 65792, 16),
-    ("__lp_megakv-delete_b3_lanes", 65920, 16),
-    ("megakv_results_4", 66048, 8),
-    ("__lp_megakv-search_b4_lanes", 66176, 16),
-    ("megakv_results_5", 66304, 16),
-    ("__lp_megakv-search_b5_lanes", 66432, 16),
+    ("__lp_megakv-insert_lanes", 65536, 32),
+    ("__lp_megakv-delete_lanes", 65664, 32),
 ]
 
 
@@ -101,15 +125,17 @@ def test_window_allocations_are_pinned(tmp_path, shards):
     heap = tmp_path / "h" / "heap.lpnv"
     core = ServiceCore(ServiceConfig(capacity=512, cache_lines=32),
                        heap_path=heap, shards=shards)
+    assert [(e.name, e.base_addr, e.nbytes)
+            for e in core.heap.entries.values()] == PINNED_DIRECTORY
     core.execute_window(requests(*[("put", k, k * 7)
                                    for k in range(40, 50)]))
     assert crash_before_drain(core, *PINNED_WINDOW) == PINNED_DIRECTORY
 
 
 def test_sharded_service_writes_the_manifest_once(tmp_path):
-    """Placement lives in the shard directories: serving, crashing and
-    resuming allocate and free a checksum table per launch without ever
-    touching the manifest again."""
+    """Placement lives in the shard directories, and those are written
+    when the service's buffers are first laid out: serving, crashing
+    and resuming touch neither the manifest nor any directory again."""
     heap = tmp_path / "h" / "heap.lpnv"
     config = ServiceConfig(capacity=512, cache_lines=32)
     with obs.recording(trace=False) as rec:
@@ -122,7 +148,7 @@ def test_sharded_service_writes_the_manifest_once(tmp_path):
         crash_before_drain(core, *PINNED_WINDOW)
         reopened = ServiceCore(config, heap_path=heap)
         try:
-            assert reopened.resume_info["replayed_launches"] == 5
+            assert reopened.resume_info["replayed_launches"] == 2
             reopened.execute_window(requests(("put", 7, 70)))
         finally:
             reopened.close()
