@@ -11,7 +11,12 @@ reference hot paths the engines were built for:
   probes, dedup'd bucket reads, slot claims by ``atomicCAS``, host-side
   stat accounting) — at 128 blocks, and again at the size ``repro
   serve`` actually launches: one block holding 8 requests, where the
-  per-launch fixed cost is all there is.
+  per-launch fixed cost is all there is; and
+* the other six Parboil kernels (TPACF, MRI-GRIDDING, SAD, HISTO,
+  CUTCP, MRI-Q) LP-instrumented as ``repro.workloads`` builds them at
+  ``medium`` — 16 to 256 blocks, what the end-to-end ``crash_cycle``
+  workload launches. SAD's row is gated; the other five are recorded
+  only (see ``PARBOIL_WORKLOADS``).
 
 A third scenario times the *post-crash pipeline* per engine: SPMV at
 1024 blocks is crashed mid-kernel, then the crash → validate → recover
@@ -56,6 +61,7 @@ from repro.megakv.kernels import (
     alloc_results,
 )
 from repro.megakv.store import MegaKVStore
+from repro.workloads import make_workload
 from repro.workloads.generators import small_ints, sparse_csr, unit_floats
 from repro.workloads.spmv import SPMVKernel
 from repro.workloads.tmm import TiledMatMulKernel
@@ -191,6 +197,28 @@ SERVICE_WORKLOADS = {
     for op in ("insert", "delete")
 }
 SERVICE_REPEATS = 25
+
+
+def setup_parboil(engine, name):
+    """An LP-instrumented ``repro.workloads`` kernel at ``medium``."""
+    device = repro.Device(engine=engine)
+    kernel = make_workload(name, scale="medium", seed=3).setup(device)
+    lp_kernel = repro.LPRuntime(
+        device, repro.LPConfig.paper_best()
+    ).instrument(kernel)
+    return device, lp_kernel, kernel.protected_buffers
+
+
+#: The six Parboil kernels ``WORKLOADS`` has no 1024-block shape for, as
+#: the suite itself runs them. Only ``sad`` — 256 tiny integer blocks,
+#: all per-block overhead — carries the batched floor. For the float
+#: kernels a block is already a (threads x chunk) array program, so
+#: vectorizing across 16-64 of them buys 1.4-4x: recorded, not gated —
+#: a ratio floor there would sit on its limit on a 2-vCPU runner.
+PARBOIL_WORKLOADS = {
+    name: functools.partial(setup_parboil, name=name)
+    for name in ("tpacf", "mri-gridding", "sad", "histo", "cutcp", "mri-q")
+}
 
 
 def measure_recovery(engine_name: str) -> dict:
@@ -613,7 +641,8 @@ def measure(setup_fn, engine_name: str, repeats: int = 3) -> dict:
 
 def run_suite() -> dict:
     suite = {}
-    for workload, setup_fn in {**WORKLOADS, **SERVICE_WORKLOADS}.items():
+    for workload, setup_fn in {**WORKLOADS, **SERVICE_WORKLOADS,
+                               **PARBOIL_WORKLOADS}.items():
         repeats = SERVICE_REPEATS if workload in SERVICE_WORKLOADS else 3
         rows = {}
         reference = None
@@ -645,9 +674,11 @@ def run_suite() -> dict:
 PARALLEL_SPEEDUP_WORKLOADS = ("spmv", "tmm")
 
 #: Floor on the batched engine: at least this much faster than serial
-#: on every 128-block-or-larger reference workload (``WORKLOADS``; the
-#: one-block service-size rows are recorded, not gated).
+#: on every 128-block-or-larger reference workload (``WORKLOADS``) and
+#: on ``sad``; the one-block service-size rows and the other Parboil
+#: rows are recorded, not gated.
 BATCHED_SPEEDUP_FLOOR = 3.0
+BATCHED_SPEEDUP_WORKLOADS = (*WORKLOADS, "sad")
 
 #: Floor on the gated parallel speedups: the shared-memory engine must
 #: beat serial by at least this factor on the workloads above.
@@ -766,7 +797,8 @@ def check_sharded_writeback(sharded: dict) -> str | None:
 def check_gates(suite: dict, recovery: dict, mapped: dict,
                 telemetry: dict, sharded: dict) -> int:
     """Apply every gate to one run's measurements (``--check``)."""
-    verdicts = [check_batched_speedup(suite, w) for w in WORKLOADS]
+    verdicts = [check_batched_speedup(suite, w)
+                for w in BATCHED_SPEEDUP_WORKLOADS]
     for workload in PARALLEL_SPEEDUP_WORKLOADS:
         verdicts += [check_parallel_speedup(suite, workload),
                      check_parallel_vs_batched(suite, workload)]

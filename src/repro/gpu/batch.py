@@ -112,6 +112,18 @@ class BatchBlockContext:
         """Flat thread indices ``[0, n_threads)`` (per block)."""
         return np.arange(self.n_threads)
 
+    @property
+    def block_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(blockIdx.x, blockIdx.y)`` vectors, one entry per block."""
+        grid_x = self.config.grid[0]
+        return self.block_ids % grid_x, self.block_ids // grid_x
+
+    def thread_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(threadIdx.x, threadIdx.y)`` vectors for a 2-D block."""
+        bx = self.config.block[0]
+        t = self.tid
+        return t % bx, t // bx
+
     # ------------------------------------------------------------------
     # Global memory
     # ------------------------------------------------------------------
@@ -130,7 +142,9 @@ class BatchBlockContext:
 
         ``charge_elements`` overrides the read-traffic element count
         when the serial path would charge differently than ``idx.size``
-        (e.g. per-request deduplicated probe reads).
+        (e.g. per-request deduplicated probe reads, or an input chunk
+        every block reads, loaded once here and charged once per block:
+        ``charge_elements=chunk * n_blocks_in_batch``).
         """
         buf = self.buffer(buf)
         idx = np.asarray(idx)

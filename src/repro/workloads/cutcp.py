@@ -7,6 +7,10 @@ Instruction-throughput bound (Table I): heavy per-point arithmetic
 
 LP structure: each block owns a disjoint tile of lattice points; every
 block reads all atoms (a small, persistent input).
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+evaluates a group of tiles in one ``(blocks, points, atoms)`` pass per
+atom chunk (the engine's vector cells), bit-identical to it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,46 @@ class CUTCPKernel(Kernel):
 
         out_idx = (by * tile + ty) * grid + (bx * tile + tx)
         ctx.st("cutcp_pot", out_idx, acc, slots=ctx.tid)
+
+    # -- batched execution ----------------------------------------------
+
+    #: Lattice tiles are block-disjoint and only the atoms are read, so
+    #: a group is one (blocks × points × atoms) program. Bit-identity
+    #: with ``run_block`` rests on the float32 reduction staying per
+    #: point over the same contiguous trailing chunk axis.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        tile, grid = self.tile, self.grid
+        bx, by = bctx.block_xy
+        tx, ty = bctx.thread_xy()
+        col = (bx * tile)[:, None] + tx  # (B, T)
+        row = (by * tile)[:, None] + ty
+        px = col.astype(np.float32)[:, :, None]
+        py = row.astype(np.float32)[:, :, None]
+
+        acc = np.zeros(col.shape, dtype=np.float32)
+        cutoff2 = self.cutoff * self.cutoff
+        for a0 in range(0, self.n_atoms, _CHUNK):
+            a_idx = np.arange(a0, min(a0 + _CHUNK, self.n_atoms))
+            # One read serves the group; each block is charged its own.
+            charge = a_idx.size * bctx.n_blocks_in_batch
+            ax = bctx.ld("cutcp_atoms", a_idx * 3 + 0, charge_elements=charge)
+            ay = bctx.ld("cutcp_atoms", a_idx * 3 + 1, charge_elements=charge)
+            aq = bctx.ld("cutcp_atoms", a_idx * 3 + 2, charge_elements=charge)
+            dx = px - ax
+            dy = py - ay
+            r2 = dx * dx + dy * dy
+            inside = (r2 < cutoff2) & (r2 > np.float32(1e-12))
+            contrib = np.where(
+                inside,
+                aq / np.sqrt(r2, where=r2 > 0, out=np.ones_like(r2)),
+                np.float32(0.0),
+            ).astype(np.float32)
+            acc += contrib.sum(axis=2, dtype=np.float32)
+            bctx.flops(8 * a_idx.size)
+
+        bctx.st("cutcp_pot", row * grid + col, acc, slots=bctx.tid)
 
 
 class CUTCPWorkload(Workload):

@@ -9,14 +9,18 @@ LP structure: the classic privatization split — each block histograms
 its input chunk into a block-private partial histogram (a disjoint
 output slice); the saturating cross-block merge is a separate step
 (:meth:`HISTOWorkload.merged_histogram`), as in Parboil's multi-kernel
-pipeline.
+pipeline. No block issues a global atomic.
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+builds a group's partials with one offset ``bincount`` (the engine's
+vector cells).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import LaunchError
+from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu.device import Device
 from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
 from repro.workloads.base import Workload
@@ -75,6 +79,34 @@ class HISTOKernel(Kernel):
         out_idx = b * self.n_bins + np.arange(self.n_bins)
         ctx.st("histo_partial", out_idx, shared_hist.astype(np.uint32),
                slots=np.arange(self.n_bins) % ctx.n_threads)
+
+    # -- batched execution ----------------------------------------------
+
+    #: Privatization makes the partials block-disjoint, so a group is
+    #: one offset ``bincount``.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        b = bctx.block_ids
+        n_batch, nb = bctx.n_blocks_in_batch, self.n_bins
+        idx = b[:, None] * self.chunk + np.arange(self.chunk)  # (B, chunk)
+        samples = bctx.ld("histo_in", idx).astype(np.int64)
+        if samples.min() < 0 or samples.max() >= nb:
+            # The offset bincount would count it in a neighbour's
+            # partial; per block, ``run_block`` rejects it.
+            raise BatchFallbackError("histo sample outside the bin range")
+
+        # Row r of the group histograms into bins [r * nb, (r + 1) * nb).
+        row_base = (np.arange(n_batch) * nb)[:, None]
+        hist = np.bincount((samples + row_base).ravel(),
+                           minlength=n_batch * nb).reshape(n_batch, nb)
+        bctx.charge_shared(self.chunk * 8)
+        bctx.flops(self.chunk / max(bctx.n_threads, 1))
+        bctx.syncthreads()
+
+        out_idx = b[:, None] * nb + np.arange(nb)
+        bctx.st("histo_partial", out_idx, hist.astype(np.uint32),
+                slots=np.arange(nb) % bctx.n_threads)
 
 
 class HISTOWorkload(Workload):

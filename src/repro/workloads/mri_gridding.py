@@ -11,6 +11,10 @@ hash-table checksums crumble on.
 
 LP structure: each block owns one tile of grid cells; all samples are
 shared read-only input.
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+grids a group of tiles in one ``(blocks, cells, samples)`` pass per
+sample chunk (the engine's vector cells), bit-identical to it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,43 @@ class MRIGriddingKernel(Kernel):
 
         out_idx = (by * tile + ty) * grid + (bx * tile + tx)
         ctx.st("mrig_grid", out_idx, acc, slots=ctx.tid)
+
+    # -- batched execution ----------------------------------------------
+
+    #: The gather formulation writes disjoint tiles and reads only the
+    #: samples, so a group is one (blocks × cells × samples) program.
+    #: Bit-identity with ``run_block`` rests on the float32 reduction
+    #: staying per cell over the same contiguous trailing chunk axis.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        tile, grid = self.tile, self.grid
+        bx, by = bctx.block_xy
+        tx, ty = bctx.thread_xy()
+        col = (bx * tile)[:, None] + tx  # (B, T)
+        row = (by * tile)[:, None] + ty
+        cx = col.astype(np.float32)[:, :, None]
+        cy = row.astype(np.float32)[:, :, None]
+
+        acc = np.zeros(col.shape, dtype=np.float32)
+        inv_w2 = np.float32(1.0) / (self.width * self.width)
+        support2 = np.float32((2.0 * float(self.width)) ** 2)
+        for s0 in range(0, self.n_samples, _CHUNK):
+            s_idx = np.arange(s0, min(s0 + _CHUNK, self.n_samples))
+            # One read serves the group; each block is charged its own.
+            charge = s_idx.size * bctx.n_blocks_in_batch
+            sx = bctx.ld("mrig_samples", s_idx * 3 + 0, charge_elements=charge)
+            sy = bctx.ld("mrig_samples", s_idx * 3 + 1, charge_elements=charge)
+            sv = bctx.ld("mrig_samples", s_idx * 3 + 2, charge_elements=charge)
+            dx = cx - sx
+            dy = cy - sy
+            r2 = dx * dx + dy * dy
+            w = np.where(r2 < support2,
+                         np.exp(-r2 * inv_w2), np.float32(0.0))
+            acc += (w * sv).sum(axis=2, dtype=np.float32)
+            bctx.flops(9 * s_idx.size)
+
+        bctx.st("mrig_grid", row * grid + col, acc, slots=bctx.tid)
 
 
 class MRIGriddingWorkload(Workload):

@@ -7,6 +7,10 @@ over all k-space sample points, split into real (cos) and imaginary
 LP structure: one thread per voxel, blocks own disjoint voxel ranges;
 both output buffers (``Qr``, ``Qi``) are protected, demonstrating LP
 over multiple protected stores per region.
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+accumulates a group of voxel ranges in one ``(blocks, voxels, k)`` pass
+per k-space chunk (the engine's vector cells), bit-identical to it.
 """
 
 from __future__ import annotations
@@ -81,6 +85,38 @@ class MRIQKernel(Kernel):
 
         ctx.st("mriq_qr", vox, qr, slots=ctx.tid)
         ctx.st("mriq_qi", vox, qi, slots=ctx.tid)
+
+    # -- batched execution ----------------------------------------------
+
+    #: Voxel ranges are block-disjoint and neither output is re-read,
+    #: so a group is one (blocks × voxels × k-samples) program.
+    #: Bit-identity with ``run_block`` rests on the float32 reductions
+    #: staying per voxel over the same contiguous trailing chunk axis.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        vox = bctx.block_ids[:, None] * self.threads + bctx.tid  # (B, T)
+        vx = bctx.ld("mriq_x", vox * 3 + 0)[:, :, None]
+        vy = bctx.ld("mriq_x", vox * 3 + 1)[:, :, None]
+        vz = bctx.ld("mriq_x", vox * 3 + 2)[:, :, None]
+
+        qr = np.zeros(vox.shape, dtype=np.float32)
+        qi = np.zeros(vox.shape, dtype=np.float32)
+        for k0 in range(0, self.n_k, _CHUNK):
+            k_idx = np.arange(k0, min(k0 + _CHUNK, self.n_k))
+            # One read serves the group; each block is charged its own.
+            charge = k_idx.size * bctx.n_blocks_in_batch
+            kx = bctx.ld("mriq_k", k_idx * 4 + 0, charge_elements=charge)
+            ky = bctx.ld("mriq_k", k_idx * 4 + 1, charge_elements=charge)
+            kz = bctx.ld("mriq_k", k_idx * 4 + 2, charge_elements=charge)
+            mag = bctx.ld("mriq_k", k_idx * 4 + 3, charge_elements=charge)
+            phase = _TWO_PI * (vx * kx + vy * ky + vz * kz)
+            qr += (mag * np.cos(phase)).sum(axis=2, dtype=np.float32)
+            qi += (mag * np.sin(phase)).sum(axis=2, dtype=np.float32)
+            bctx.flops(14 * k_idx.size)
+
+        bctx.st("mriq_qr", vox, qr, slots=bctx.tid)
+        bctx.st("mriq_qi", vox, qi, slots=bctx.tid)
 
 
 class MRIQWorkload(Workload):

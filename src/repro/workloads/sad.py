@@ -9,6 +9,11 @@ up lock-based and collision-prone checksum tables.
 
 LP structure: one block per macroblock, one thread per displacement
 candidate; each block's SAD outputs are a disjoint slice.
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+computes a group of macroblocks — every displacement window of every
+block — as one integer array program (the engine's vector cells), which
+is what makes a grid of this many tiny blocks cheap to simulate.
 """
 
 from __future__ import annotations
@@ -87,6 +92,34 @@ class SADKernel(Kernel):
         out_idx = mb * self.n_disp + np.arange(self.n_disp)
         ctx.st("sad_out", out_idx, sads.astype(np.uint32),
                slots=np.arange(self.n_disp))
+
+    # -- batched execution ----------------------------------------------
+
+    #: Macroblocks own disjoint output slices and never read ``sad_out``:
+    #: a group is one (blocks × displacements × pixels) integer program.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        mb = bctx.block_ids
+        rows = (mb // self.mb_cols * MB)[:, None] + np.arange(MB)  # (B, MB)
+        cols = (mb % self.mb_cols * MB)[:, None] + np.arange(MB)
+        flat = rows[:, :, None] * self.width + cols[:, None, :]
+        cur = bctx.ld("sad_cur", flat.reshape(mb.size, -1)).astype(np.int32)
+
+        # Every displacement's clamped window at once: (B, D, MB, MB).
+        dy, dx = self._displacements().T
+        ry = np.clip(rows[:, None, :] + dy[:, None], 0, self.height - 1)
+        rx = np.clip(cols[:, None, :] + dx[:, None], 0, self.width - 1)
+        rflat = ry[:, :, :, None] * self.width + rx[:, :, None, :]
+        ref = bctx.ld(
+            "sad_ref", rflat.reshape(mb.size, self.n_disp, -1)
+        ).astype(np.int32)
+        sads = np.abs(cur[:, None, :] - ref).sum(axis=2)
+        bctx.flops(2 * MB * MB)
+
+        out_idx = mb[:, None] * self.n_disp + np.arange(self.n_disp)
+        bctx.st("sad_out", out_idx, sads.astype(np.uint32),
+                slots=np.arange(self.n_disp))
 
 
 class SADWorkload(Workload):

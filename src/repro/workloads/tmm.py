@@ -90,12 +90,8 @@ class TiledMatMulKernel(Kernel):
 
     def run_block_batch(self, bctx) -> None:
         n, tile = self.n, self.tile
-        grid_x = n // tile
-        bx = bctx.block_ids % grid_x
-        by = bctx.block_ids // grid_x
-        tid = bctx.tid
-        tx = tid % tile
-        ty = tid // tile
+        bx, by = bctx.block_xy
+        tx, ty = bctx.thread_xy()
         row = (by * tile)[:, None] + ty
         col = (bx * tile)[:, None] + tx
         n_batch = bctx.n_blocks_in_batch

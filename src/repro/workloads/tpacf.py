@@ -12,6 +12,10 @@ blocks associative LP regions. (The final cross-block merge is a
 host-side helper; the paper instruments the main kernel.)
 
 Integer bin counts make this workload exact.
+
+Execution: ``run_block`` is the per-block reference; ``run_block_batch``
+histograms a group of blocks per partner chunk with one stacked matmul
+and one offset ``bincount`` (the engine's vector cells).
 """
 
 from __future__ import annotations
@@ -93,6 +97,43 @@ class TPACFKernel(Kernel):
 
         ctx.st("tpacf_hist", b * nb + np.arange(nb), hist.astype(np.int64),
                slots=np.arange(nb) % ctx.n_threads)
+
+    # -- batched execution ----------------------------------------------
+
+    #: Privatized histograms are block-disjoint and never re-read, so a
+    #: group is one (blocks × points × partners) program. The dot
+    #: products stay a *stacked* matmul of per-block ``(t, 3) @ (3,
+    #: chunk)`` slices: one collapsed GEMM would hand BLAS another shape
+    #: and need not round the float32 products identically.
+    batchable = True
+
+    def run_block_batch(self, bctx) -> None:
+        n, t, nb = self.n_points, self.threads, self.n_bins
+        n_batch = bctx.n_blocks_in_batch
+        my_idx = bctx.block_ids[:, None] * t + bctx.tid  # (B, t)
+        mine = np.stack(
+            [bctx.ld("tpacf_pts", my_idx * 3 + c) for c in range(3)], axis=2
+        )
+
+        # Row r of the group histograms into bins [r * nb, (r + 1) * nb).
+        row_base = (np.arange(n_batch) * nb)[:, None, None]
+        hist = np.zeros(n_batch * nb, dtype=np.int64)
+        for j0 in range(0, n, _CHUNK):
+            j_idx = np.arange(j0, min(j0 + _CHUNK, n))
+            # One read serves the group; each block is charged its own.
+            charge = j_idx.size * n_batch
+            partners = np.stack(
+                [bctx.ld("tpacf_pts", j_idx * 3 + c, charge_elements=charge)
+                 for c in range(3)], axis=1
+            )
+            dots = np.matmul(mine, partners.T)  # (B, t, chunk) float32
+            bins = np.digitize(dots, self._edges) + row_base
+            hist += np.bincount(bins.ravel(), minlength=hist.size)
+            bctx.flops((2 * 3 + 2) * j_idx.size)
+
+        out_idx = bctx.block_ids[:, None] * nb + np.arange(nb)
+        bctx.st("tpacf_hist", out_idx, hist.reshape(n_batch, nb),
+                slots=np.arange(nb) % bctx.n_threads)
 
 
 class TPACFWorkload(Workload):

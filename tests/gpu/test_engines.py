@@ -33,10 +33,16 @@ from repro.megakv.kernels import (
 )
 from repro.megakv.store import MegaKVStore
 from repro.nvm import MappedShadow, ShardedShadow
-from repro.workloads.histo import HISTOWorkload
 from repro.workloads.spmv import SPMVWorkload
 
 ENGINES = ["parallel", "batched"]
+
+#: An Adler-32 lane depends on store order, so its LP wrapper is not
+#: ``batchable`` whatever the inner kernel: the launch stays scalar.
+ORDER_SENSITIVE = repro.LPConfig(
+    checksums=(repro.ChecksumKind.ADLER32,),
+    reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
+)
 
 
 def assert_same_launch(ref, other):
@@ -313,10 +319,7 @@ def test_fallback_is_counted_under_the_configured_engine():
     """A kernel the batched engine cannot vectorize still runs — per
     block — but visibly: counted as a fallback, and its blocks under
     ``engine="batched"``, not under a ``serial`` nobody configured."""
-    config = repro.LPConfig(
-        checksums=(repro.ChecksumKind.ADLER32,),
-        reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
-    )
+    config = ORDER_SENSITIVE
     with obs.recording(trace=False) as rec:
         device, result = run_spmv("batched", config)
         counters = rec.metrics_snapshot()["counters"]
@@ -352,10 +355,7 @@ def test_parallel_falls_back_for_unsafe_kernels():
 
 def test_batched_requires_commutative_checksums():
     """Order-sensitive lanes (Adler-32) disable batching, not correctness."""
-    config = repro.LPConfig(
-        checksums=(repro.ChecksumKind.ADLER32,),
-        reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
-    )
+    config = ORDER_SENSITIVE
     assert_same_launch(run_spmv("serial", config),
                        run_spmv("batched", config))
 
@@ -409,14 +409,14 @@ def test_jobs_is_a_worker_count_and_nothing_else():
 
 def _shape_case(case, device):
     """``(kernel, block_ids)`` of one launch shape on ``device``."""
-    if case == "parallel_safe":  # HISTO: op-loggable, no batch kernel
-        kernel = HISTOWorkload(scale="small", seed=3).setup(device)
-    else:
-        kernel = SPMVWorkload(scale="small", seed=3).setup(device)
+    kernel = SPMVWorkload(scale="small", seed=3).setup(device)
     if case == "unsafe":  # EP logging reads shared cache state
         return repro.EPRuntime(device).instrument(kernel), None
-    lp_kernel = repro.LPRuntime(
-        device, repro.LPConfig.paper_best()).instrument(kernel)
+    # An order-sensitive lane leaves the LP wrapper op-loggable but not
+    # ``batchable`` — every workload kernel itself is.
+    config = (ORDER_SENSITIVE if case == "parallel_safe"
+              else repro.LPConfig.paper_best())
+    lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
     return lp_kernel, ([0] if case == "one_block" else None)
 
 
@@ -499,10 +499,7 @@ def test_forked_pool_vectorized_parity(config_name):
 
 def test_forked_pool_block_granular_parity():
     """Adler-32 lanes disable batching: workers ship per-block op logs."""
-    config = repro.LPConfig(
-        checksums=(repro.ChecksumKind.ADLER32,),
-        reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
-    )
+    config = ORDER_SENSITIVE
     engine = _forked_engine()
     try:
         ref = run_spmv("serial", config)

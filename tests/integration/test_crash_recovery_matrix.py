@@ -212,11 +212,11 @@ def test_recovery_mapped_backend_parity(engine_name, table_name,
 
 # -- full parity matrix ---------------------------------------------------------
 #
-# The shared-memory parallel engine drives the *whole* pipeline — the
-# crashed NORMAL launch, validation, recovery — across every workload,
-# every table, and both shadow backends, and must land bit-identically
-# on the serial reference: recovered volatile + NVM images, failed
-# sets, forensics, everything.
+# The shared-memory parallel engine and the batched engine each drive
+# the *whole* pipeline — the crashed NORMAL launch, validation, recovery
+# — across every workload, every table, and both shadow backends, and
+# must land bit-identically on the serial reference: recovered volatile
+# + NVM images, failed sets, forensics, everything.
 
 def _full_pipeline(engine_name, workload_name, config, shadow=None):
     device = repro.Device(cache_capacity_lines=16, block_order="shuffled",
@@ -257,24 +257,29 @@ def test_parallel_engine_parity_matrix(workload_name, table_name,
 
     ref_report, ref_images = _full_pipeline(
         "serial", workload_name, config, shadow=shadow())
-    report, images = _full_pipeline(
-        "parallel", workload_name, config, shadow=shadow())
+    for engine_name in ("parallel", "batched"):
+        report, images = _full_pipeline(
+            engine_name, workload_name, config, shadow=shadow())
 
-    for phase in ("initial", "final"):
-        ref_val = getattr(ref_report, phase)
-        val = getattr(report, phase)
-        assert val.n_blocks == ref_val.n_blocks
-        assert val.failed_blocks == ref_val.failed_blocks
-        assert val.missing_checksums == ref_val.missing_checksums
-        _assert_details_equal(ref_val.failure_details,
-                              val.failure_details)
-    assert report.recovered_blocks == ref_report.recovered_blocks
-    if ref_report.forensics is None:
-        assert report.forensics is None
-    else:
-        assert report.forensics.to_dict() == ref_report.forensics.to_dict()
-    assert images.keys() == ref_images.keys()
-    for name, (ref_data, ref_shadow) in ref_images.items():
-        data, shadow_bytes = images[name]
-        assert data == ref_data, (name, "volatile image")
-        assert shadow_bytes == ref_shadow, (name, "NVM image")
+        for phase in ("initial", "final"):
+            ref_val = getattr(ref_report, phase)
+            val = getattr(report, phase)
+            assert val.n_blocks == ref_val.n_blocks, engine_name
+            assert val.failed_blocks == ref_val.failed_blocks, engine_name
+            assert val.missing_checksums == ref_val.missing_checksums, \
+                engine_name
+            _assert_details_equal(ref_val.failure_details,
+                                  val.failure_details)
+        assert report.recovered_blocks == ref_report.recovered_blocks, \
+            engine_name
+        if ref_report.forensics is None:
+            assert report.forensics is None, engine_name
+        else:
+            assert (report.forensics.to_dict()
+                    == ref_report.forensics.to_dict()), engine_name
+        assert images.keys() == ref_images.keys(), engine_name
+        for name, (ref_data, ref_shadow) in ref_images.items():
+            data, shadow_bytes = images[name]
+            assert data == ref_data, (engine_name, name, "volatile image")
+            assert shadow_bytes == ref_shadow, (engine_name, name,
+                                                "NVM image")
