@@ -1,10 +1,11 @@
 """Tier-2 gate: KV-service throughput/latency vs BENCH_serve.json.
 
 Re-measures the ``bench-serve`` scenarios (quick shape) and enforces
-the three service gates: the batching window buys >= 3x the throughput
+the four service gates: the batching window buys >= 3x the throughput
 of a one-request-per-launch daemon on the same mapped heap, serving
-durably costs at most 2x the in-memory p50, and the 4-shard heap
-serves at >= 0.8x the mapped heap's QPS. Also sanity-checks
+durably costs at most 2x the in-memory p50, the 4-shard heap serves
+at >= 0.8x the mapped heap's QPS, and a lone synchronous client's p50
+is at most 2x what a ``max_wait_ms=0`` daemon gives it. Also sanity-checks
 the committed baseline itself — the gates must hold for the numbers we
 ship, not just the machine re-running them.
 """
@@ -59,3 +60,13 @@ def test_batching_actually_batches(suite):
         "batch_occupancy"]["max"] == 1
     assert suite["scenarios"]["batched_mapped"]["server"][
         "batch_occupancy"]["max"] > 4
+
+
+@pytest.mark.tier2
+def test_lone_client_does_not_wait_for_company(suite):
+    assert (suite["derived"]["lone_get_dwell_ratio"]
+            <= bench.LONE_GET_DWELL_CEILING), suite["derived"]
+    lone = suite["scenarios"]["lone_client"]["server"]
+    assert lone["batch_occupancy"]["max"] == 1
+    # It got there by running out of patience, not by a zero bound.
+    assert lone["batching"]["flush_reasons"]["quiet"] > 0

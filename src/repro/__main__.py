@@ -670,7 +670,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"resumed: replayed {resume['replayed_launches']} "
               f"in-flight launch(es), recovered "
               f"{resume['recovered_blocks']} region(s), "
-              f"{resume['torn_lines']} torn line(s)", flush=True)
+              f"{resume['torn_lines']} torn line(s)"
+              + (", torn WAL record discarded (its window never launched)"
+                 if resume["torn_wal"] else ""), flush=True)
     try:
         server.join()
     finally:
@@ -961,7 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flush the batching window at this many "
                             "requests")
     p_srv.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="... or this many ms after its first one")
+                       help="... or when the queue goes quiet, and at most "
+                            "this many ms after its first one")
     p_srv.add_argument("--queue-cap", type=int, default=1024,
                        help="admission-control bound; beyond it "
                             "requests are shed")

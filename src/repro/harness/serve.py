@@ -38,6 +38,7 @@ from repro.harness.tmpdir import ManagedTmpdir
 from repro.nvm import copy_heap, inspect_path
 from repro.service.loadgen import LoadConfig, run_load
 from repro.service.protocol import ServiceClient
+from repro.service.reqlog import log_path_for
 
 
 class _Daemon:
@@ -200,9 +201,10 @@ def run_serve_scenario(
             # heap keeps its ``serve.sharded/`` directory.
             dest = Path(artifacts_dir) / heap.relative_to(tmp.path)
             copy_heap(heap, dest)
-            reqlog = heap.with_name(heap.name + ".reqlog")
-            if reqlog.exists():
-                shutil.copy2(reqlog, dest.with_name(reqlog.name))
+            # The WAL is written in place, so the file is always there;
+            # a GET-only window leaves its bytes unchanged.
+            reqlog = log_path_for(heap)
+            shutil.copy2(reqlog, dest.with_name(reqlog.name))
 
         say("restarting daemon on the same heap")
         resumed = _Daemon(

@@ -3,7 +3,7 @@
 Runs the daemon in-process (real sockets, real threads — only the
 process boundary is elided) under the seeded load generator and
 records p50/p99 client latency and sustained QPS per scenario into
-``BENCH_serve.json``. Three gates pin the service's reason to exist:
+``BENCH_serve.json``. Four gates pin the service's reason to exist:
 
 * ``batched_speedup_floor`` — on the same mapped heap, the batching
   window must buy at least 3x the throughput of a one-request-per-
@@ -16,7 +16,12 @@ records p50/p99 client latency and sustained QPS per scenario into
 * ``sharded_qps_floor`` — the 4-shard heap must serve at least 0.8x
   the mapped heap's batched QPS: sharding buys parallel recovery and
   torn-write containment, and may not tax the normal path for it. A
-  16-shard scenario is recorded beside it.
+  16-shard scenario is recorded beside it;
+* ``lone_get_dwell_ceiling`` — a lone synchronous client (nobody to
+  batch with) must see at most 2x the GET p50 it gets from a
+  ``max_wait_ms=0`` daemon: the window waits for company only while
+  there is evidence of any. The closed-loop scenarios above cannot see
+  this case — they always have a full cohort in flight.
 """
 
 from __future__ import annotations
@@ -37,12 +42,19 @@ BATCHED_SPEEDUP_FLOOR = 3.0
 MAPPED_P50_CEILING = 2.0
 #: 4-shard batched QPS over mapped batched QPS must be at least this.
 SHARDED_QPS_FLOOR = 0.8
+#: A lone client's p50 at the default config over its p50 with
+#: ``max_wait_ms=0`` must be at most this.
+LONE_GET_DWELL_CEILING = 2.0
 
 #: Shared load shape: enough in-flight traffic (clients x pipeline)
 #: to fill windows, a key space wide enough that most of a window's
 #: requests reach the device instead of coalescing on the host.
 _LOAD = dict(clients=4, pipeline=8, key_space=1024, theta=0.9,
              get_frac=0.5, put_frac=0.4, delete_frac=0.1, seed=7)
+
+#: One synchronous client, nine GETs in ten (so the median is a GET).
+_LONE = dict(clients=1, pipeline=1, key_space=256, theta=0.9,
+             get_frac=0.9, put_frac=0.1, delete_frac=0.0, seed=7)
 
 _SERVICE = dict(capacity=8192, cache_lines=512)
 
@@ -71,6 +83,7 @@ def _scenario(name: str, service_cfg: ServiceConfig, load_cfg: LoadConfig,
         "local_gets": stats["counters"]["local_gets"],
         "drained_lines": stats["counters"]["drained_lines"],
         "batch_occupancy": stats["batch_occupancy"],
+        "batching": stats["batching"],
         "records": stats["records"],
     }
     return doc
@@ -104,6 +117,14 @@ def run_suite(quick: bool = False) -> dict:
                 ServiceConfig(max_batch=128, max_wait_ms=2.0, **_SERVICE),
                 LoadConfig(requests_per_client=rpc_batched, **_LOAD),
                 tmp, heap=True, shards=shards)
+        for name, max_wait_ms in (("lone_client", 2.0),
+                                  ("lone_client_nowait", 0.0)):
+            results[name] = _scenario(
+                name,
+                ServiceConfig(max_batch=128, max_wait_ms=max_wait_ms,
+                              **_SERVICE),
+                LoadConfig(requests_per_client=rpc_batched, **_LONE),
+                tmp, heap=True)
 
     speedup = (results["batched_mapped"]["qps"]
                / max(results["one_per_launch"]["qps"], 1e-9))
@@ -111,6 +132,8 @@ def run_suite(quick: bool = False) -> dict:
                  / max(results["batched_memory"]["p50_ms"], 1e-9))
     sharded_ratio = (results["batched_sharded"]["qps"]
                      / max(results["batched_mapped"]["qps"], 1e-9))
+    lone_ratio = (results["lone_client"]["p50_ms"]
+                  / max(results["lone_client_nowait"]["p50_ms"], 1e-9))
     return {
         "benchmark": "serve_smoke",
         "schema": 1,
@@ -119,11 +142,13 @@ def run_suite(quick: bool = False) -> dict:
             "batched_speedup_floor": BATCHED_SPEEDUP_FLOOR,
             "mapped_p50_ceiling": MAPPED_P50_CEILING,
             "sharded_qps_floor": SHARDED_QPS_FLOOR,
+            "lone_get_dwell_ceiling": LONE_GET_DWELL_CEILING,
         },
         "derived": {
             "batched_speedup": speedup,
             "mapped_p50_ratio": p50_ratio,
             "sharded_qps_ratio": sharded_ratio,
+            "lone_get_dwell_ratio": lone_ratio,
         },
         "scenarios": results,
     }
@@ -148,6 +173,11 @@ def check_gates(doc: dict) -> list[str]:
         failures.append(
             f"4-shard batched throughput is only {ratio:.2f}x the mapped "
             f"heap's (floor {doc['gates']['sharded_qps_floor']}x)")
+    ratio = doc["derived"]["lone_get_dwell_ratio"]
+    if ratio > doc["gates"]["lone_get_dwell_ceiling"]:
+        failures.append(
+            f"a lone client's p50 is {ratio:.2f}x what max_wait_ms=0 "
+            f"gives it (ceiling {doc['gates']['lone_get_dwell_ceiling']}x)")
     return failures
 
 
@@ -175,7 +205,10 @@ def main(argv: list[str] | None = None) -> int:
           f"mapped p50 ratio: {doc['derived']['mapped_p50_ratio']:.2f}x "
           f"(ceiling {doc['gates']['mapped_p50_ceiling']}x); "
           f"sharded qps ratio: {doc['derived']['sharded_qps_ratio']:.2f}x "
-          f"(floor {doc['gates']['sharded_qps_floor']}x)")
+          f"(floor {doc['gates']['sharded_qps_floor']}x); "
+          f"lone-client dwell ratio: "
+          f"{doc['derived']['lone_get_dwell_ratio']:.2f}x "
+          f"(ceiling {doc['gates']['lone_get_dwell_ceiling']}x)")
     failures = check_gates(doc)
     for failure in failures:
         print(f"GATE FAIL: {failure}")

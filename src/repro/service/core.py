@@ -77,7 +77,8 @@ class ServiceConfig:
     config: str = "global-array"
     #: Flush the batching window at this many requests ...
     max_batch: int = 128
-    #: ... or this many milliseconds after its first request.
+    #: ... or when the queue goes quiet, and at most this many
+    #: milliseconds after its first request.
     max_wait_ms: float = 2.0
     #: Admission-control bound: requests queued beyond this are shed.
     queue_cap: int = 1024
@@ -219,11 +220,14 @@ class ServiceCore:
         self.shards = shards
         self.heap = None
         self.reqlog: RequestLog | None = None
+        #: Attrs the caller wants on the next ``service.window`` span
+        #: (the daemon: why the window closed, how long it dwelt).
+        self.span_attrs: dict = {}
         #: Filled by the resume path; see ``stats()["resume"]``.
         self.resume_info: dict = {
             "resumed": False, "replayed_launches": 0,
             "recovered_blocks": 0, "reattached_buffers": 0,
-            "detached_orphans": 0, "torn_lines": 0,
+            "detached_orphans": 0, "torn_lines": 0, "torn_wal": 0,
         }
         self._open()
 
@@ -237,12 +241,15 @@ class ServiceCore:
         resuming = self.heap_path is not None and self.heap_path.exists()
         inflight: list = []
         if self.heap_path is not None:
-            self.reqlog = RequestLog(log_path_for(self.heap_path))
+            self.heap_path.parent.mkdir(parents=True, exist_ok=True)
+            self.reqlog = RequestLog(log_path_for(self.heap_path),
+                                     max_keys=cfg.max_batch)
             if resuming:
                 inflight = self.reqlog.read()  # refuses a foreign schema first
+                self.resume_info["torn_wal"] = int(self.reqlog.torn)
                 self.heap = self._reopen_heap()
             else:
-                self.heap_path.parent.mkdir(parents=True, exist_ok=True)
+                self.reqlog.clear()  # a new heap has no window in flight
                 self.heap = create_heap(self.heap_path, self.shards)
         # No heap_path is the volatile service (bench-serve's latency
         # baseline): same flush path, nothing survives a restart. A
@@ -319,12 +326,14 @@ class ServiceCore:
                 info["recovered_blocks"] = sum(
                     len(report.recovered_blocks) for report in reports)
                 self.session.checkpoint()
+            if launches or info["torn_wal"]:
                 self.reqlog.clear()
             info.update(resumed=True, replayed_launches=len(launches))
         if rec.metrics.active:
             rec.metrics.inc("service.resumes")
             for key in ("replayed_launches", "recovered_blocks",
-                        "reattached_buffers", "detached_orphans"):
+                        "reattached_buffers", "detached_orphans",
+                        "torn_wal"):
                 rec.metrics.inc(f"service.resume.{key}", info[key])
 
     # ------------------------------------------------------------------
@@ -344,7 +353,8 @@ class ServiceCore:
         """Coalesce, read, log, launch, checkpoint, and answer one window."""
         t0 = time.perf_counter()
         trace = _recorder().trace
-        with trace.span("service.window", requests=len(requests), **_SPAN):
+        with trace.span("service.window", requests=len(requests),
+                        **self.span_attrs, **_SPAN):
             with trace.span("service.window.coalesce", **_SPAN):
                 plan = partition_window(requests)
                 launches = plan.launches()
@@ -428,3 +438,4 @@ class ServiceCore:
         if self.heap is not None:
             self.heap.close()
             self.heap = None
+            self.reqlog.close()

@@ -10,9 +10,13 @@ Thread model
   what keeps a traffic spike from growing the window latency without
   bound;
 * one **batcher** thread owns the :class:`~repro.service.core.ServiceCore`
-  (and therefore the device): it collects a window until ``max_batch``
-  requests or ``max_wait_ms`` after the window's first request,
-  flushes it as at most three MegaKV launches plus — if anything was
+  (and therefore the device): it takes whatever queued while the
+  previous window ran, keeps the window open while requests are still
+  arriving, and closes it when it holds ``max_batch`` requests, when
+  the queue has been quiet for longer than a burst's gaps run
+  (:class:`FlushPolicy` learns them from the enqueue timestamps), or
+  at the latest ``max_wait_ms`` after it met the first request. It flushes
+  the window as at most three MegaKV launches plus — if anything was
   written — one drain, and only then writes the responses back — the
   ack *is* the durability receipt.
 
@@ -40,6 +44,95 @@ STATS_SCHEMA_VERSION = 1
 #: Window latencies kept for the p50/p99 stats estimate.
 LATENCY_WINDOW = 4096
 
+#: A window stays open until nothing has arrived for this many times the
+#: longest gap a typical burst contains: enough that the slowest sender
+#: of a burst seldom splits it, and noise beside the window it precedes.
+LINGER_GAPS = 2.0
+#: Weight of one window's longest gap in the running estimate.
+GAP_WEIGHT = 0.25
+#: A window nobody joined multiplies the patience by this, so a lone
+#: synchronous client stops paying for company that never comes.
+SOLO_DECAY = 0.5
+
+FLUSH_REASONS = ("fill", "quiet", "deadline", "stop")
+
+
+class FlushPolicy:
+    """When the open window closes — arithmetic on arrival times.
+
+    The batcher (or a test with a fake clock) reports each request it
+    takes (:meth:`add`, with ``Request.t_enqueue``), asks
+    :meth:`decide`, and reports when a window has run and its acks
+    start going out (:meth:`close`). The policy reads no clock and no
+    queue.
+
+    What the previous acks release comes back as a burst; a window
+    should hold the burst and not wait a moment longer. The policy
+    keeps a running mean of the *longest gap* between two consecutive
+    arrivals of a window (a pair with acks in between is two bursts,
+    not a gap) and closes a window once nothing has arrived for
+    ``LINGER_GAPS`` times that — counted from its last arrival or, if
+    later, from the previous window's acks, since what queued while
+    that window ran says nothing about who is about to answer them. A
+    window that closes with nobody having joined a request that met an
+    idle daemon halves the *patience*, a factor on the linger; a window
+    of two, or a request that had to queue behind the running window,
+    is evidence of company and restores it. Until traffic has said
+    anything the linger is ``max_wait``, and it never exceeds it.
+    """
+
+    def __init__(self, max_batch: int, max_wait_s: float) -> None:
+        self.max_batch = max_batch
+        self.max_wait = max_wait_s
+        self.gap = max_wait_s / LINGER_GAPS
+        self.patience = 1.0
+        self._n = 0             # requests in the open window
+        self._first = 0.0       # its first arrival
+        self._longest = 0.0     # its longest gap
+        self._last = 0.0        # the latest arrival of any window
+        self._acked_at = 0.0    # when the previous window's acks began
+
+    @property
+    def linger(self) -> float:
+        return min(self.max_wait,
+                   LINGER_GAPS * self.gap * self.patience)
+
+    def add(self, t_enqueue: float) -> None:
+        """A request joins the open window (opening it if none is)."""
+        if self._n and not self._last < self._acked_at <= t_enqueue:
+            self._longest = max(self._longest, t_enqueue - self._last)
+        if not self._n:
+            self._first = t_enqueue
+        self._n += 1
+        self._last = t_enqueue
+
+    def decide(self) -> tuple[float | None, str | None]:
+        """``(flush at, reason)`` if nobody else arrives; ``(None,
+        None)`` while no window is open. Neither clock starts before
+        the previous window's acks: what a request spent queued behind
+        a running window is not time the batcher chose to wait."""
+        if not self._n:
+            return None, None
+        if self._n >= self.max_batch:
+            return self._last, "fill"
+        quiet = max(self._last, self._acked_at) + self.linger
+        deadline = max(self._first, self._acked_at) + self.max_wait
+        if quiet < deadline:
+            return quiet, "quiet"
+        return deadline, "deadline"
+
+    def close(self, now: float) -> None:
+        """The open window ran; its acks go out from ``now``."""
+        if self._longest > 0.0:
+            self.gap += GAP_WEIGHT * (self._longest - self.gap)
+        if self._n > 1 or self._first < self._acked_at:
+            self.patience = 1.0
+        else:
+            self.patience *= SOLO_DECAY
+        self._n = 0
+        self._longest = 0.0
+        self._acked_at = now
+
 
 class _Conn:
     """A client connection: socket + serialized writes."""
@@ -53,7 +146,7 @@ class _Conn:
     def reply(self, doc: dict) -> bool:
         """Best-effort response write; a dead client is not an error
         (its request simply goes un-acked, and un-acked means
-        retryable)."""
+        retryable). False when the response went nowhere."""
         frame = pack_frame(doc)
         with self.lock:
             if self.closed:
@@ -62,16 +155,18 @@ class _Conn:
                 self.sock.sendall(frame)
                 return True
             except OSError:
-                self.closed = True
                 return False
 
-    def close(self) -> None:
+    def close(self) -> bool:
+        """Close the socket; True if this call did (not an earlier one)."""
         with self.lock:
+            first = not self.closed
             self.closed = True
             try:
                 self.sock.close()
             except OSError:
                 pass
+            return first
 
 
 class KVServer:
@@ -114,6 +209,7 @@ class KVServer:
         self.acked = 0
         self.shed = 0
         self.errors = 0
+        self.dropped_replies = 0
         self.windows = 0
         self.launches = 0
         self.sub_batches = 0
@@ -126,6 +222,10 @@ class KVServer:
         self._latencies: "collections.deque[float]" = collections.deque(
             maxlen=LATENCY_WINDOW)
         self._latency_count = 0
+        self._policy = FlushPolicy(self.config.max_batch,
+                                   self.config.max_wait_ms / 1000.0)
+        self.flush_reasons = dict.fromkeys(FLUSH_REASONS, 0)
+        self._dwell_sum = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -217,8 +317,13 @@ class KVServer:
             while not self._stop.is_set():
                 try:
                     doc = read_frame(conn.sock)
-                except (ProtocolError, ServiceUnavailableError, OSError):
-                    return
+                except ProtocolError:  # undecodable or oversized frame
+                    self.errors += 1
+                    return self._drop(conn, "protocol")
+                except ServiceUnavailableError:  # EOF inside a frame
+                    return self._drop(conn, "torn")
+                except OSError:
+                    return self._drop(conn, "reset")
                 if doc is None:
                     return
                 self._dispatch(conn, doc)
@@ -227,6 +332,20 @@ class KVServer:
             with self._conns_lock:
                 if conn in self._conns:
                     self._conns.remove(conn)
+
+    def _drop(self, conn: _Conn, reason: str) -> None:
+        """Close a connection the peer did not close cleanly — counted,
+        and nobody else's: the daemon keeps serving the others."""
+        if conn.close():
+            _recorder().metrics.inc("service.connections.dropped",
+                                    reason=reason)
+
+    def _reply(self, conn: _Conn | None, doc: dict) -> None:
+        """Answer a queued request; a reply with nowhere to go (the
+        client vanished mid-window) is counted, never raised."""
+        if conn is not None and not conn.reply(doc):
+            self.dropped_replies += 1
+            self._drop(conn, "reset")
 
     def _dispatch(self, conn: _Conn, doc: dict) -> None:
         req_id = doc.get("id")
@@ -276,8 +395,8 @@ class KVServer:
     # ------------------------------------------------------------------
 
     def _take(self, deadline: float | None) -> Request | None:
-        """Pop one queued request, waiting until ``deadline`` (None =
-        wait for intake or stop)."""
+        """Pop one queued request — at once if there is one, else
+        waiting until ``deadline`` (None: until intake or stop)."""
         while True:
             with self._queue_lock:
                 if self._queue:
@@ -286,9 +405,9 @@ class KVServer:
                         self._queue_event.clear()
                     return request
                 self._queue_event.clear()
+            if self._stop.is_set():
+                return None
             if deadline is None:
-                if self._stop.is_set():
-                    return None
                 self._queue_event.wait(timeout=0.05)
             else:
                 remaining = deadline - time.monotonic()
@@ -297,35 +416,45 @@ class KVServer:
                 self._queue_event.wait(timeout=remaining)
 
     def _batcher_loop(self) -> None:
-        cfg = self.config
+        policy = self._policy
         rec = _recorder()
+        window: list[Request] = []
         while True:
-            first = self._take(None)
-            if first is None:
-                if self._stop.is_set() and not self._queue:
-                    return
-                continue
-            window = [first]
-            deadline = time.monotonic() + cfg.max_wait_ms / 1000.0
-            while len(window) < cfg.max_batch:
-                request = self._take(deadline)
-                if request is None:
-                    break
+            deadline, reason = policy.decide()
+            request = None if reason == "fill" else self._take(deadline)
+            if request is not None:
                 window.append(request)
-            self._flush(window, rec)
+                policy.add(request.t_enqueue)
+            elif window:
+                if reason != "fill" and self._stop.is_set():
+                    reason = "stop"  # shutdown cut the wait short
+                self._flush(window, reason, rec)
+                window = []
+            elif self._stop.is_set() and not self._queue:
+                return
 
-    def _flush(self, window: list[Request], rec) -> None:
-        cfg = self.config
+    def _flush(self, window: list[Request], reason: str, rec) -> None:
+        dwell_ms = (time.monotonic() - window[0].t_enqueue) * 1000.0
+        self.core.span_attrs = {"dwell_ms": dwell_ms, "flush_reason": reason}
         try:
             result = self.core.execute_window(window)
         except ServiceError as exc:
+            result, error = None, str(exc)
+        # The acks start now: whatever is stamped later may be an answer
+        # to them, whatever queued earlier cannot be.
+        now = time.monotonic()
+        self._policy.close(now)
+        self.flush_reasons[reason] += 1
+        self._dwell_sum += dwell_ms
+        if rec.metrics.active:
+            rec.metrics.inc("service.window.flush", reason=reason)
+            rec.metrics.observe("service.window.dwell_ms", dwell_ms)
+        if result is None:
             self.errors += len(window)
             for req in window:
-                if req.conn is not None:
-                    req.conn.reply({"id": req.req_id, "ok": False,
-                                    "op": req.op, "error": str(exc)})
+                self._reply(req.conn, {"id": req.req_id, "ok": False,
+                                       "op": req.op, "error": error})
             return
-        now = time.monotonic()
         self.windows += 1
         self.launches += result.launches
         self.sub_batches += result.sub_batches
@@ -345,8 +474,7 @@ class KVServer:
             latency = now - req.t_enqueue
             self._latencies.append(latency)
             self._latency_count += 1
-            if req.conn is not None:
-                req.conn.reply(doc)
+            self._reply(req.conn, doc)
         if rec.metrics.active:
             rec.metrics.inc("service.windows")
             rec.metrics.inc("service.launches", result.launches)
@@ -390,6 +518,7 @@ class KVServer:
         """The daemon's stats document (``service_stats`` schema)."""
         occ_mean = (self._occupancy_sum / self.windows
                     if self.windows else 0.0)
+        flushed = sum(self.flush_reasons.values())
         return {
             "schema": STATS_SCHEMA_VERSION,
             "backend": self.core.backend(),
@@ -409,6 +538,9 @@ class KVServer:
                 "acked": self.acked,
                 "shed": self.shed,
                 "errors": self.errors,
+                # Responses with nowhere to go: the client closed or
+                # vanished between its request and the window's ack.
+                "dropped_replies": self.dropped_replies,
                 "windows": self.windows,
                 "launches": self.launches,
                 "sub_batches": self.sub_batches,
@@ -429,6 +561,15 @@ class KVServer:
                 "last": self.occupancy_last,
                 "mean": occ_mean,
                 "max": self.occupancy_max,
+            },
+            # Why windows closed and what they waited for: a window's
+            # dwell is first enqueue -> flush; ``linger_ms`` is what
+            # the flush policy would wait past the last arrival now.
+            "batching": {
+                "flush_reasons": dict(self.flush_reasons),
+                "dwell_ms_mean": (self._dwell_sum / flushed
+                                  if flushed else 0.0),
+                "linger_ms": self._policy.linger * 1000.0,
             },
             "latency_ms": self._latency_quantiles(),
             "records": self.core.records(),

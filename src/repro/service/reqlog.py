@@ -30,22 +30,47 @@ reader for older shapes: :data:`SCHEMA_VERSION` is bumped whenever the
 record changes and :meth:`RequestLog.read` refuses any other version
 with a typed :class:`~repro.errors.ServiceError`.
 
-Writes go through write-temp + :func:`os.replace`, so a reader sees
-either the previous record or the new one, never a torn mix. There is
-deliberately no fsync: the heap itself relies on page-cache durability
-(surviving process death, not power loss), and the log needs exactly
-the same guarantee — see ``docs/architecture.md`` §9.
+The log is one file, opened (and grown to the largest record
+``max_batch`` permits) once and then only overwritten in place: a
+record is ``magic | schema | length | crc32 | body`` written by one
+``pwrite`` at offset 0, and retiring it is one ``pwrite`` of a zeroed
+16-byte header. No temp file, no rename, no unlink — a window's WAL
+traffic is two writes into pages the file already owns and no directory
+operation (each of which would open a filesystem journal transaction
+behind the ``msync`` it follows). The header sits inside one page, so a
+SIGKILL cannot tear it; a body longer than a page can be cut at a page
+boundary, which leaves a header whose CRC does not cover what follows.
+That is a ``begin`` that never returned, and launches start only after
+``begin`` returns, so nothing of that window reached the heap:
+:meth:`RequestLog.read` reports it as *no window in flight* and sets
+:attr:`RequestLog.torn`. There is deliberately no fsync: the heap
+itself relies on page-cache durability (surviving process death, not
+power loss), and the log needs exactly the same guarantee — see
+``docs/architecture.md`` §9.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 from pathlib import Path
 
 from repro.errors import ServiceError
 
-SCHEMA_VERSION = 3
+MAGIC = b"LPRQ"
+SCHEMA_VERSION = 4
+
+#: ``magic | schema | body length | crc32(body)``; all-zero = no record.
+_HEADER = struct.Struct("<4sIII")
+_CLEARED = bytes(_HEADER.size)
+
+#: JSON bytes a launch list can take: a uint64 is at most 20 digits plus
+#: its comma, every key of a window appears once (with a value if it is
+#: inserted), and the brackets and op names fit the fixed part.
+_FIXED_BYTES = 64
+_BYTES_PER_KEY = 42
 
 #: Suffix appended to the heap path to name its request log.
 SUFFIX = ".reqlog"
@@ -58,42 +83,59 @@ def log_path_for(heap_path) -> Path:
 
 
 class RequestLog:
-    """One-record write-ahead log for the in-flight request window."""
+    """One-record, in-place write-ahead log for the in-flight window."""
 
-    def __init__(self, path) -> None:
+    def __init__(self, path, max_keys: int = 0) -> None:
+        """Open (creating) the log and reserve room for a window of
+        ``max_keys`` keys. The file only ever grows, by zeros past the
+        end: whatever record it holds is left as found."""
         self.path = Path(path)
+        #: The last :meth:`read` found a record its CRC does not cover.
+        self.torn = False
+        # The file object owns the descriptor (and closes it when the
+        # log is dropped); every access is a positional read or write.
+        self._file = open(os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644),
+                          "r+b", buffering=0)
+        self._fd = self._file.fileno()
+        size = os.fstat(self._fd).st_size
+        reserve = _HEADER.size + _FIXED_BYTES + _BYTES_PER_KEY * max_keys
+        if size < reserve:
+            os.pwrite(self._fd, bytes(reserve - size), size)
 
     def begin(self, launches: list) -> None:
         """Durably record the write launches of the window about to run."""
-        doc = {"schema": SCHEMA_VERSION, "launches": launches}
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(doc, separators=(",", ":")))
-        os.replace(tmp, self.path)
+        body = json.dumps(launches, separators=(",", ":")).encode()
+        os.pwrite(self._fd, _HEADER.pack(MAGIC, SCHEMA_VERSION, len(body),
+                                         zlib.crc32(body)) + body, 0)
 
     def clear(self) -> None:
         """Retire the record (the window's checkpoint committed)."""
-        self.path.unlink(missing_ok=True)
+        os.pwrite(self._fd, _CLEARED, 0)
 
     def read(self) -> list:
-        """The in-flight window's launch list; empty when none is armed."""
-        try:
-            raw = self.path.read_text()
-        except FileNotFoundError:
+        """The in-flight window's launch list; empty when none is armed
+        or the record is torn (see :attr:`torn`)."""
+        self.torn = False
+        head = os.pread(self._fd, _HEADER.size, 0)
+        if head in (b"", _CLEARED):
             return []
-        if not raw.strip():
+        if len(head) < _HEADER.size or not head.startswith(MAGIC):
+            raise ServiceError(
+                f"request log {self.path} is not a schema-{SCHEMA_VERSION} "
+                f"record (it starts {head[:8]!r}); a log written by an "
+                f"older build must be resumed by that build")
+        _, schema, length, crc = _HEADER.unpack(head)
+        if schema != SCHEMA_VERSION:
+            raise ServiceError(
+                f"request log {self.path} has schema {schema}; this "
+                f"build reads {SCHEMA_VERSION}")
+        body = b""
+        if length <= os.fstat(self._fd).st_size - _HEADER.size:
+            body = os.pread(self._fd, length, _HEADER.size)
+        if len(body) != length or zlib.crc32(body) != crc:
+            self.torn = True
             return []
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            # The atomic-replace write protocol makes this unreachable
-            # short of filesystem corruption; refuse to guess.
-            raise ServiceError(
-                f"request log {self.path} is undecodable: {exc}"
-            ) from exc
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ServiceError(
-                f"request log {self.path} has schema "
-                f"{doc.get('schema')!r}; this build reads "
-                f"{SCHEMA_VERSION}"
-            )
-        return doc["launches"]
+        return json.loads(body)
+
+    def close(self) -> None:
+        self._file.close()

@@ -246,7 +246,9 @@ def test_read_only_window_touches_nothing_durable(tmp_path, monkeypatch,
     try:
         core.execute_window(_reqs(("put", 1, 10), ("put", 2, 20),
                                   ("delete", 2, None)))
-        files = core.heap.extent_paths() + [heap]
+        # The WAL file always exists (written in place): it is one of
+        # the files a GET-only window must leave byte-for-byte alone.
+        files = core.heap.extent_paths() + [heap, log_path_for(heap)]
         before = [path.read_bytes() for path in files]
         for step in ("sync", "arm"):
             monkeypatch.setattr(core.heap, step, lambda *a, _s=step: (
@@ -260,7 +262,7 @@ def test_read_only_window_touches_nothing_durable(tmp_path, monkeypatch,
             [10, None, 10, None]
         assert (result.launches, result.drained_lines) == (1, 0)
         assert [path.read_bytes() for path in files] == before
-        assert not log_path_for(heap).exists()
+        assert RequestLog(log_path_for(heap)).read() == []
     finally:
         monkeypatch.undo()
         core.close()
@@ -273,10 +275,11 @@ def _directory(core):
 
 @pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
 def test_serving_never_grows_the_heap(tmp_path, monkeypatch, shards):
-    """2 000 mixed windows: the allocator cursor, the directory and the
-    disk blocks of every extent stay where window 10 left them, and the
-    heap sees no attach / detach (it used to gain ~1 KiB per window)."""
-    core, _ = _make_core(tmp_path, shards)
+    """2 000 mixed windows: the allocator cursor, the directory, the
+    disk blocks of every extent and the size of the WAL file stay where
+    window 10 left them, and the heap sees no attach / detach (it used
+    to gain ~1 KiB per window)."""
+    core, heap = _make_core(tmp_path, shards)
     rng = np.random.default_rng(5)
     keys = range(1, 33)
 
@@ -292,7 +295,9 @@ def test_serving_never_grows_the_heap(tmp_path, monkeypatch, shards):
     def footprint():
         return (core.device.memory.alloc_cursor, _directory(core),
                 [os.stat(path).st_blocks
-                 for path in core.heap.extent_paths()])
+                 for path in core.heap.extent_paths()],
+                os.stat(log_path_for(heap)).st_size,
+                sorted(os.listdir(heap.parent)))
 
     try:
         oracle, _ = _apply_reference({}, [("put", k, k) for k in keys])
@@ -408,13 +413,16 @@ def test_heap_without_session_tables_gets_them_on_first_start(tmp_path):
 
 
 def test_foreign_wal_schema_is_refused(tmp_path):
+    """An older build's record (a JSON document where the header
+    should be) is refused, not guessed at and not overwritten."""
     core, heap = _make_core(tmp_path, shards=0)
     core.close()
-    log_path_for(heap).write_text(json.dumps({
-        "schema": 2, "next_addr": 65664, "batch_counter": 1,
-        "launches": [["insert", [1], [10]]]}))
-    with pytest.raises(ServiceError, match="has schema 2"):
+    old = json.dumps({"schema": 3,
+                      "launches": [["insert", [1], [10]]]}).encode()
+    log_path_for(heap).write_bytes(old)
+    with pytest.raises(ServiceError, match="not a schema-4 record"):
         ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
+    assert log_path_for(heap).read_bytes().startswith(old)
 
 
 def test_volatile_core_has_no_reqlog(volatile_core):

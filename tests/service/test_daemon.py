@@ -5,18 +5,22 @@ TCP) with real reader/batcher threads — only the process boundary is
 elided relative to ``python -m repro serve``.
 """
 
+import dataclasses
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro import obs
 from repro.errors import ServiceError
 from repro.obs.schema import load_schema, validate
+from repro.service import daemon
 from repro.service.core import ServiceConfig
 from repro.service.daemon import KVServer
 from repro.service.loadgen import LoadConfig, run_load
-from repro.service.protocol import ServiceClient
+from repro.service.protocol import HEADER, MAX_FRAME, ServiceClient, pack_frame
 
 
 @pytest.fixture
@@ -50,40 +54,73 @@ def test_round_trip_over_tcp(tmp_path):
         srv.join(timeout=30)
 
 
-def test_pipelined_requests_batch_into_one_window(server):
-    """max_wait_ms collects a pipelined burst into few windows."""
-    with ServiceClient(server.address) as client:
-        ids = [client.send("put", k + 1, k + 1) for k in range(32)]
-        for req_id in ids:
-            assert client.wait(req_id)["ok"]
-    stats = server.stats()
+class _Inbox:
+    """Stands in for a connection: keeps what the daemon replies."""
+
+    def __init__(self, expected):
+        self.docs = []
+        self.expected = expected
+        self.full = threading.Event()
+
+    def reply(self, doc):
+        self.docs.append(doc)
+        if len(self.docs) == self.expected:
+            self.full.set()
+        return True
+
+
+def _serve_queued_burst(srv, burst):
+    """Admit ``burst`` before the batcher exists, then start the
+    daemon: its first take finds all of it, so the burst is one window
+    whatever the flush policy makes of the clock. Returns the acks."""
+    inbox = _Inbox(len(burst))
+    for req_id, (op, key, value) in enumerate(burst):
+        srv._dispatch(inbox, {"id": req_id, "op": op, "key": key,
+                              "value": value})
+    srv.start()
+    assert inbox.full.wait(timeout=30)
+    return inbox.docs
+
+
+def test_pipelined_requests_batch_into_one_window(tmp_path):
+    """What queued while the batcher was away is its next window."""
+    srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                   address=str(tmp_path / "kv.sock"))
+    try:
+        docs = _serve_queued_burst(
+            srv, [("put", k + 1, k + 1) for k in range(32)])
+        stats = srv.stats()
+    finally:
+        srv.shutdown()
+        srv.join(timeout=30)
+    assert all(doc["ok"] for doc in docs)
     assert stats["counters"]["acked"] == 32
-    assert stats["counters"]["windows"] < 32
-    assert stats["batch_occupancy"]["max"] > 1
+    assert stats["counters"]["windows"] == 1
+    assert stats["batch_occupancy"]["max"] == 32
+    assert sum(stats["batching"]["flush_reasons"].values()) == 1
 
 
 def test_window_absorbs_same_key_chains_on_the_host(tmp_path):
-    """One pipelined same-key burst is one window: one insert reaches
-    the device, the counters say what the window absorbed, and the
-    window's phases show up as spans."""
+    """One same-key burst is one window: one insert reaches the
+    device, the counters say what the window absorbed, and the
+    window's phases — and why it closed — show up as spans."""
     burst = [("put", 1, 1), ("get", 1, None), ("put", 1, 2),
              ("get", 1, None), ("delete", 1, None), ("get", 1, None),
              ("put", 1, 3), ("get", 1, None)]
     with obs.recording() as rec:  # the batcher binds it at start
-        srv = KVServer(ServiceConfig(capacity=512, cache_lines=64,
-                                     max_batch=len(burst),
-                                     max_wait_ms=2000.0),
+        srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
                        heap_path=tmp_path / "heap.lpnv",
-                       address=str(tmp_path / "kv.sock")).start()
+                       address=str(tmp_path / "kv.sock"))
         try:
+            docs = _serve_queued_burst(srv, burst)
             with ServiceClient(srv.address) as client:
-                ids = [client.send(*op) for op in burst]
-                docs = [client.wait(req_id) for req_id in ids]
                 assert client.get(1) == 3
-            counters = srv.stats()["counters"]
+            stats = srv.stats()
         finally:
             srv.shutdown()
             srv.join(timeout=30)
+    counters = stats["counters"]
+    assert [doc["id"] for doc in docs] == list(range(len(burst)))
     assert [doc.get("value") for doc in docs if doc["op"] == "get"] == \
         [1, 2, None, 3]
     assert (counters["windows"], counters["launches"]) == (2, 2)
@@ -96,6 +133,21 @@ def test_window_absorbs_same_key_chains_on_the_host(tmp_path):
         assert f"service.window.{phase}" in spans, phase
     assert spans.count("service.window") == 2
     assert spans.count("megakv.release") == 1  # the GET-only window: none
+    # Why each window closed, and after how long, is on its span, in
+    # the metrics and in the stats document — and the three agree.
+    windows = [event.args for event in rec.trace.sink.events
+               if event.ph == "X" and event.name == "service.window"]
+    reasons = stats["batching"]["flush_reasons"]
+    assert sum(reasons.values()) == 2
+    for reason, count in reasons.items():
+        assert rec.metrics.value("service.window.flush",
+                                 reason=reason) == count
+        assert sum(w["flush_reason"] == reason for w in windows) == count
+    dwell = rec.metrics.snapshot()["histograms"]["service.window.dwell_ms"]
+    assert dwell["count"] == 2
+    assert dwell["sum"] == pytest.approx(sum(w["dwell_ms"] for w in windows))
+    assert stats["batching"]["dwell_ms_mean"] == \
+        pytest.approx(dwell["sum"] / 2)
 
 
 def test_one_per_launch_config_never_batches(tmp_path):
@@ -142,6 +194,209 @@ def test_malformed_requests_get_error_responses(server):
         # The connection survives recoverable protocol errors.
         client.put(1, 5)
         assert client.get(1) == 5
+
+
+def _gone(server, n_before):
+    """Block (bounded) until the daemon has let go of the extra
+    connections, i.e. their reader threads have finished."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        with server._conns_lock:
+            if len(server._conns) <= n_before:
+                return True
+        time.sleep(0.005)
+    return False
+
+
+def test_dropped_connections_are_counted_and_cost_nobody_else(tmp_path):
+    """Half a frame, an undecodable frame, an oversized frame: each
+    closes its connection with a counted reason (the latter two are
+    protocol errors too); a bystander is served throughout."""
+    with obs.recording() as rec:
+        srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                       address=str(tmp_path / "kv.sock")).start()
+        try:
+            with ServiceClient(srv.address) as bystander:
+                bystander.put(1, 10)
+                errors = srv.stats()["counters"]["errors"]
+                frame = pack_frame({"id": 1, "op": "put", "key": 2,
+                                    "value": 20})
+                for payload in (frame[:len(frame) // 2],       # torn
+                                HEADER.pack(5) + b"{nope",     # undecodable
+                                HEADER.pack(MAX_FRAME + 1)):   # oversized
+                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    sock.connect(srv.address)
+                    sock.sendall(payload)
+                    sock.shutdown(socket.SHUT_WR)
+                    assert sock.recv(1) == b""  # the daemon hung up
+                    sock.close()
+                assert _gone(srv, n_before=1)
+                assert bystander.get(1) == 10
+                assert bystander.get(2) is None  # the half frame never ran
+                counters = srv.stats()["counters"]
+        finally:
+            srv.shutdown()
+            srv.join(timeout=30)
+    assert rec.metrics.value("service.connections.dropped",
+                             reason="torn") == 1
+    assert rec.metrics.value("service.connections.dropped",
+                             reason="protocol") == 2
+    assert rec.metrics.value("service.connections.dropped",
+                             reason="reset") == 0
+    assert counters["errors"] == errors + 2
+    assert counters["dropped_replies"] == 0
+
+
+def test_a_client_gone_before_its_ack_is_a_counted_dropped_reply(tmp_path):
+    """The request is served — a write is durable — and only the reply
+    has nowhere to go; the window's other clients get theirs."""
+    srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                   address=str(tmp_path / "kv.sock"))
+    # Both requests are admitted before the batcher exists, so they are
+    # one window, and the first connection is closed before it runs.
+    gone, stays = daemon._Conn(socket.socket(), "gone"), _Inbox(1)
+    gone.close()
+    srv._dispatch(gone, {"id": 1, "op": "put", "key": 7, "value": 70})
+    srv._dispatch(stays, {"id": 2, "op": "put", "key": 8, "value": 80})
+    srv.start()
+    try:
+        assert stays.full.wait(timeout=30)
+        assert stays.docs == [{"ok": True, "op": "put", "id": 2}]
+        with ServiceClient(srv.address) as client:
+            assert client.get(7) == 70  # served, just not answered
+            counters = client.stats()["counters"]
+        assert counters["dropped_replies"] == 1
+        assert counters["acked"] == 3 and counters["windows"] == 2
+    finally:
+        srv.shutdown()
+        srv.join(timeout=30)
+
+
+def test_a_client_that_vanishes_mid_window_is_dropped_as_reset(tmp_path):
+    """A peer that is gone by the time its ack is written: the send
+    fails, the reply is counted as dropped and the connection as reset."""
+    with obs.recording() as rec:
+        srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                       address=str(tmp_path / "kv.sock"))
+        ours, theirs = socket.socketpair()
+        theirs.close()  # the peer is gone; our end finds out on send
+        conn = daemon._Conn(ours, "vanished")
+        srv._dispatch(conn, {"id": 1, "op": "put", "key": 7, "value": 70})
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                assert client.get(7) == 70
+                assert client.stats()["counters"]["dropped_replies"] == 1
+        finally:
+            srv.shutdown()
+            srv.join(timeout=30)
+    assert conn.closed
+    assert rec.metrics.value("service.connections.dropped",
+                             reason="reset") == 1
+
+
+# ----------------------------------------------------------------------
+# Acked => msync'd
+# ----------------------------------------------------------------------
+
+def _record_sync_and_replies(srv, monkeypatch):
+    """Log, in the order they happen: each window's start (with its
+    request ids and whether it writes), each return of ``heap.sync``,
+    each ``_Conn.reply``."""
+    events = []
+    sync, execute = srv.core.heap.sync, srv.core.execute_window
+    reply = daemon._Conn.reply
+
+    def logged_sync():
+        sync()
+        events.append(("sync",))
+
+    def logged_window(requests):
+        events.append(("window", [r.req_id for r in requests],
+                       any(r.op != "get" for r in requests)))
+        return execute(requests)
+
+    def logged_reply(conn, doc):
+        events.append(("reply", doc.get("id"), doc.get("op")))
+        return reply(conn, doc)
+
+    monkeypatch.setattr(srv.core.heap, "sync", logged_sync)
+    monkeypatch.setattr(srv.core, "execute_window", logged_window)
+    monkeypatch.setattr(daemon._Conn, "reply", logged_reply)
+    return events
+
+
+def _assert_every_ack_follows_its_sync(events):
+    """Between a writing window's start and the first reply to one of
+    its requests, ``heap.sync`` has returned."""
+    writing, synced, checked = set(), False, 0
+    for event in events:
+        if event[0] == "window":
+            writing, synced = (set(event[1]) if event[2] else set()), False
+        elif event[0] == "sync":
+            synced = True
+        elif event[1] in writing:
+            assert synced, f"request {event[1]} acked before heap.sync"
+            checked += 1
+    assert checked, "no writing window was observed"
+    return checked
+
+
+def _mixed_traffic(address):
+    with ServiceClient(address) as client:
+        ids = [client.send("put", k, k * 3) for k in range(1, 25)]
+        ids += [client.send("get", k) for k in range(1, 9)]
+        ids += [client.send("delete", k) for k in range(1, 5)]
+        for req_id in ids:
+            assert client.wait(req_id)["ok"]
+        client.put(100, 1)     # and synchronous singles
+        assert client.get(100) == 1
+        client.delete(100)
+    return len(ids) + 3
+
+
+@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+def test_nothing_is_acked_before_its_msync(tmp_path, monkeypatch, shards):
+    srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                   heap_path=tmp_path / "h" / "heap.lpnv", shards=shards,
+                   address=str(tmp_path / "kv.sock"))
+    events = _record_sync_and_replies(srv, monkeypatch)
+    srv.start()
+    try:
+        sent = _mixed_traffic(srv.address)
+    finally:
+        srv.shutdown()
+        srv.join(timeout=30)
+    # Every PUT / DELETE, and every GET that shared a window with one.
+    assert _assert_every_ack_follows_its_sync(events) >= 24 + 4 + 2
+    assert sum(e[0] == "reply" and e[2] != "ping" for e in events) == sent
+
+
+def test_the_ack_ordering_check_catches_an_early_ack(tmp_path, monkeypatch):
+    """Seeded mutation: a daemon that answers a window and *then* makes
+    it durable must fail the assertion the real one passes."""
+    srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
+                   heap_path=tmp_path / "heap.lpnv",
+                   address=str(tmp_path / "kv.sock"))
+    execute = srv.core.execute_window
+
+    def ack_then_execute(requests):
+        for req in requests:
+            srv._reply(req.conn, {"id": req.req_id, "ok": True,
+                                  "op": req.op, "value": None})
+        return dataclasses.replace(execute(requests), responses=[])
+
+    monkeypatch.setattr(srv.core, "execute_window", ack_then_execute)
+    events = _record_sync_and_replies(srv, monkeypatch)
+    srv.start()
+    try:
+        with ServiceClient(srv.address) as client:
+            client.put(1, 10)
+    finally:
+        srv.shutdown()
+        srv.join(timeout=30)
+    with pytest.raises(AssertionError, match="acked before heap.sync"):
+        _assert_every_ack_follows_its_sync(events)
 
 
 def test_concurrent_clients_see_consistent_state(server):
@@ -213,8 +468,6 @@ def test_telemetry_sampler_carries_service_gauges(tmp_path, server):
         metrics, interval=0.05, jsonl_path=jsonl,
         gauge_providers=[server.publish_gauges])
     sampler.start()
-    import time
-
     time.sleep(0.3)
     sampler.stop()
     sampler.close()
