@@ -1,7 +1,7 @@
 """Launch-engine throughput smoke: blocks/sec per engine, per workload.
 
-Times the three launch engines (serial, parallel, batched) on the
-reference hot paths the engines were built for:
+Times the two launch engines (serial, batched) on the reference hot
+paths the engines were built for:
 
 * LP-instrumented SPMV at 1024 blocks (the paper-shape streaming
   kernel: disjoint row ranges, pure store traffic),
@@ -68,11 +68,8 @@ from repro.workloads.tmm import TiledMatMulKernel
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
-#: jobs=None — the container-aware CPU budget, so the parallel engine
-#: sizes its pool to what the runner actually grants.
 ENGINES = {
     "serial": lambda: repro.make_engine("serial"),
-    "parallel": lambda: repro.make_engine("parallel"),
     "batched": lambda: repro.make_engine("batched"),
 }
 
@@ -670,9 +667,6 @@ def run_suite() -> dict:
     return suite
 
 
-#: Workloads whose parallel-vs-serial speedup is a gated headline claim.
-PARALLEL_SPEEDUP_WORKLOADS = ("spmv", "tmm")
-
 #: Floor on the batched engine: at least this much faster than serial
 #: on every 128-block-or-larger reference workload (``WORKLOADS``) and
 #: on ``sad``; the one-block service-size rows and the other Parboil
@@ -680,45 +674,9 @@ PARALLEL_SPEEDUP_WORKLOADS = ("spmv", "tmm")
 BATCHED_SPEEDUP_FLOOR = 3.0
 BATCHED_SPEEDUP_WORKLOADS = (*WORKLOADS, "sad")
 
-#: Floor on the gated parallel speedups: the shared-memory engine must
-#: beat serial by at least this factor on the workloads above.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-
-#: Floor on parallel(batched chunks) vs the batched engine alone. The
-#: composed mode ships the same vectorized groups through the pool, so
-#: it may trail batched only by chunking + slot overhead — generous
-#: here because single-core runners get no fan-out to amortize it.
-PARALLEL_VS_BATCHED_FLOOR = 0.5
-
-#: Floors on post-crash *validation* vs serial, per engine: the
-#: vectorized fast path must pay, and the pooled pipeline must never
-#: lose to serial.
-VALIDATE_SPEEDUP_FLOORS = {"batched": 5.0, "parallel": 1.0}
-
-
-def derive_parallel_speedup(suite: dict, recovery: dict) -> dict:
-    """The ``parallel_speedup`` scenario: headline ratios, no re-timing.
-
-    Derived from the suite's parity-checked measurements: parallel vs
-    serial and parallel vs batched per gated workload, plus the
-    post-crash validation speedup.
-    """
-    rows: dict = {}
-    for workload in PARALLEL_SPEEDUP_WORKLOADS:
-        par = suite[workload]["parallel"]
-        bat = suite[workload]["batched"]
-        rows[workload] = {
-            "speedup_vs_serial": par["speedup_vs_serial"],
-            "vs_batched": round(
-                par["blocks_per_sec"] / bat["blocks_per_sec"], 3
-            ),
-        }
-        print(f"parallel_speedup {workload:8s} "
-              f"{rows[workload]['speedup_vs_serial']:6.2f}x vs serial, "
-              f"{rows[workload]['vs_batched']:6.2f}x vs batched")
-    rows["validate_speedup_vs_serial"] = \
-        recovery["parallel"]["validate_speedup_vs_serial"]
-    return rows
+#: Floor on post-crash *validation* vs serial: the vectorized fast
+#: path must pay.
+VALIDATE_SPEEDUP_FLOORS = {"batched": 5.0}
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +700,6 @@ def check_batched_speedup(suite: dict, workload: str) -> str | None:
     return _at_least(f"{workload}: batched engine vs serial",
                      suite[workload]["batched"]["speedup_vs_serial"],
                      BATCHED_SPEEDUP_FLOOR)
-
-
-def check_parallel_speedup(suite: dict, workload: str) -> str | None:
-    return _at_least(f"{workload}: parallel engine vs serial",
-                     suite[workload]["parallel"]["speedup_vs_serial"],
-                     PARALLEL_SPEEDUP_FLOOR)
-
-
-def check_parallel_vs_batched(suite: dict, workload: str) -> str | None:
-    rows = suite[workload]
-    return _at_least(f"{workload}: parallel(batched) vs batched",
-                     rows["parallel"]["blocks_per_sec"]
-                     / rows["batched"]["blocks_per_sec"],
-                     PARALLEL_VS_BATCHED_FLOOR)
 
 
 def check_validation_speedup(recovery: dict, engine: str) -> str | None:
@@ -799,9 +743,6 @@ def check_gates(suite: dict, recovery: dict, mapped: dict,
     """Apply every gate to one run's measurements (``--check``)."""
     verdicts = [check_batched_speedup(suite, w)
                 for w in BATCHED_SPEEDUP_WORKLOADS]
-    for workload in PARALLEL_SPEEDUP_WORKLOADS:
-        verdicts += [check_parallel_speedup(suite, workload),
-                     check_parallel_vs_batched(suite, workload)]
     verdicts += [check_validation_speedup(recovery, engine)
                  for engine in VALIDATE_SPEEDUP_FLOORS]
     verdicts += [check_mapped_writeback(mapped),
@@ -829,7 +770,6 @@ def main(argv: list[str] | None = None) -> int:
     mapped = run_mapped_suite()
     telemetry = run_telemetry_suite()
     sharded = run_sharded_suite()
-    speedup = derive_parallel_speedup(suite, recovery)
     if args.check:
         return check_gates(suite, recovery, mapped, telemetry, sharded)
 
@@ -838,7 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         "command": "PYTHONPATH=src python benchmarks/perf_smoke.py",
         "mapped_overhead_limit": MAPPED_OVERHEAD_LIMIT,
         "telemetry_overhead_limit": TELEMETRY_OVERHEAD_LIMIT,
-        "parallel_speedup_floor": PARALLEL_SPEEDUP_FLOOR,
         "sharded_recovery_limit": SHARDED_RECOVERY_LIMIT,
         "sharded_writeback_limit": SHARDED_WRITEBACK_LIMIT,
         "workloads": suite,
@@ -846,7 +785,6 @@ def main(argv: list[str] | None = None) -> int:
         "mapped_writeback": mapped,
         "telemetry_overhead": telemetry,
         "sharded_recovery": sharded,
-        "parallel_speedup": speedup,
     }, indent=2) + "\n")
     print(f"wrote {BASELINE_PATH}")
     return 0

@@ -124,7 +124,7 @@ def _make_run(args: argparse.Namespace):
     try:
         device, work, lp_kernel = make_lp_run(
             args.workload, args.scale, args.seed, args.config, args.engine,
-            args.jobs, args.cache_lines, shadow)
+            args.cache_lines, shadow)
         crash_plan = None
         if args.crash_after is not None:
             crash_plan = repro.CrashPlan(after_blocks=args.crash_after,
@@ -155,13 +155,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else obs.NullMetrics(),
     ) if want_recorder else None
     if want_telemetry:
-        from repro.gpu import shm
-
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges],
         )
         recorder.sampler.start()
     previous = obs.install(recorder) if recorder is not None else None
@@ -377,7 +374,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     options = MCOptions(
         scale=args.scale, seed=args.seed, config=args.config,
-        engine=args.engine, jobs=args.jobs, cache_lines=args.cache_lines,
+        engine=args.engine, cache_lines=args.cache_lines,
         budget=args.budget,
     )
     report = run_mc(list(args.workloads), options)
@@ -501,6 +498,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_crash_test(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.harness import render_text, run_grid, write_report
+    from repro.harness.scenarios import DEFAULT_ENGINES
 
     def progress(label: str) -> None:
         if not args.json:
@@ -539,27 +537,23 @@ def _cmd_crash_test(args: argparse.Namespace) -> int:
     previous = None
     recorder = None
     if args.telemetry:
-        from repro.gpu import shm
-
         recorder = obs.Recorder(metrics=obs.MetricsRegistry())
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges],
         )
         recorder.sampler.start()
         previous = obs.install(recorder)
     try:
         report = run_grid(
             workloads=args.workloads,
-            engines=args.engines or ["serial", "parallel", "batched"],
+            engines=args.engines or DEFAULT_ENGINES,
             configs=args.configs,
             scale=args.scale,
             seed=args.seed,
             kill_rounds=args.rounds,
             trigger=args.trigger,
-            jobs=args.jobs,
             cache_lines=args.cache_lines,
             timeout=args.timeout,
             progress=progress,
@@ -606,7 +600,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         capacity=args.capacity,
         engine=args.engine,
-        jobs=args.jobs,
         cache_lines=args.cache_lines,
         config=args.config,
         max_batch=args.max_batch,
@@ -636,14 +629,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # write-back window (or after N blocks / S seconds).
         server.install_kill_trigger(args.kill_trigger)
     if recorder is not None and args.telemetry:
-        from repro.gpu import shm
-
         recorder.sampler = obs.TelemetrySampler(
             recorder.metrics,
             interval=args.telemetry_interval,
             jsonl_path=args.telemetry,
-            gauge_providers=[shm.publish_segment_gauges,
-                             server.publish_gauges],
+            gauge_providers=[server.publish_gauges],
         )
         recorder.sampler.start()
 
@@ -713,15 +703,13 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     from repro.core.config import LP_CONFIGS
+    from repro.gpu.engine import ENGINES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GPU Lazy Persistency reproduction (IISWC 2020).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_help = ("worker count of the parallel engine's pool (default "
-                 "or 0: the container-aware CPU budget); serial and "
-                 "batched have no pool and ignore it")
 
     p_exp = sub.add_parser("experiments",
                            help="run reproduction experiments")
@@ -743,10 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-lines", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", default="serial",
-                       choices=("serial", "parallel", "batched"),
-                       help="launch engine (all are bit-identical)")
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help=jobs_help)
+                       choices=tuple(ENGINES),
+                       help="launch engine (both are bit-identical)")
         p.add_argument("--shards", type=int, default=0, metavar="N",
                        help="run against an N-shard mapped NVM heap "
                             "in a scratch directory (default: "
@@ -805,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max candidate crash states per workload "
                            "(default 4000)")
     p_mc.add_argument("--engine", default="serial",
-                      choices=("serial", "parallel", "batched"))
+                      choices=tuple(ENGINES))
     p_mc.add_argument("--scale", default="small",
                       choices=("tiny", "small", "medium"))
     p_mc.add_argument("--config", default="global-array",
@@ -815,8 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "maximize eviction events and therefore the "
                            "reachable crash-state space (default 2)")
     p_mc.add_argument("--seed", type=int, default=7)
-    p_mc.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help=jobs_help)
     p_mc.add_argument("--out", default=None, metavar="FILE",
                       help="write the JSON report here")
     p_mc.add_argument("--json", action="store_true",
@@ -834,9 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--workloads", nargs="+", default=["spmv", "tmm"],
                       help="workloads to kill (default: spmv tmm)")
     p_ct.add_argument("--engines", nargs="+", default=None,
-                      choices=("serial", "parallel", "batched"),
-                      help="launch engines to cover (default: all "
-                           "three; with --serve, the first one named, "
+                      choices=tuple(ENGINES),
+                      help="launch engines to cover (default: "
+                           "both; with --serve, the first one named, "
                            "or the daemon's own default)")
     p_ct.add_argument("--configs", nargs="+", default=["global-array"],
                       choices=tuple(LP_CONFIGS),
@@ -859,8 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "instead of the fixed --trigger threshold; "
                            "per-round triggers land in the JSON report "
                            "for exact replay")
-    p_ct.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help=jobs_help)
     p_ct.add_argument("--shards", type=int, default=0, metavar="N",
                       help="run every cell against an N-shard heap; "
                            "the launch round becomes a shard-kill "
@@ -949,13 +931,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--capacity", type=int, default=8192,
                        help="store record capacity (slots are 8x)")
     p_srv.add_argument("--engine", default="batched",
-                       choices=("serial", "parallel", "batched"),
+                       choices=tuple(ENGINES),
                        help="launch engine (default batched: each "
                             "MegaKV launch runs as one vectorized "
                             "pass; serial is the per-request "
-                            "reference; all are bit-identical)")
-    p_srv.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help=jobs_help)
+                            "reference; both are bit-identical)")
     p_srv.add_argument("--cache-lines", type=int, default=256)
     p_srv.add_argument("--config", default="global-array",
                        choices=tuple(LP_CONFIGS))

@@ -73,10 +73,6 @@ class PyKernelEffects:
     name: str
     stores: list[StoreOp] = field(default_factory=list)
     loads: list[LoadOp] = field(default_factory=list)
-    #: Line numbers of ``self.<...> = / += ...`` host-state mutations.
-    host_mutations: list[int] = field(default_factory=list)
-    #: Line numbers of ``ctx.clwb`` calls (cache-state dependent).
-    clwb_lines: list[int] = field(default_factory=list)
     #: Local names whose values (may) depend on block identity.
     block_tainted: set[str] = field(default_factory=set)
     #: Local names whose values (may) depend on thread identity.
@@ -382,20 +378,6 @@ class _BodyWalker:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 self._handle_call(sub, ctx_name, depth)
-            elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for tgt in targets:
-                    self._check_host_mutation(tgt, ctx_name)
-
-    def _check_host_mutation(self, target: ast.expr, ctx_name: str) -> None:
-        base = target
-        if isinstance(base, ast.Subscript):
-            base = base.value
-        chain = _attr_chain(base)
-        if chain and chain[0] == "self" and len(chain) > 1:
-            self.effects.host_mutations.append(target.lineno)
 
     def _handle_call(self, call: ast.Call, ctx_name: str, depth: int) -> None:
         func = call.func
@@ -464,8 +446,6 @@ class _BodyWalker:
         elif attr in ("atomic_add", "atomic_max", "atomic_cas", "atomic_exch"):
             store(arg(3) if attr == "atomic_cas" else arg(2),
                   atomic=attr.removeprefix("atomic_"))
-        elif attr == "clwb":
-            self.effects.clwb_lines.append(call.lineno)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,6 @@ class MCOptions:
     seed: int = 7
     config: str = "global-array"
     engine: str = "serial"
-    jobs: int | None = None
     #: Small on purpose: a tight write-back cache maximizes eviction
     #: events, which is what grows the reachable crash-state space.
     cache_lines: int = 3
@@ -576,7 +575,7 @@ def check_workload(workload: str,
 
     def build(shadow):
         return make_lp_run(workload, options.scale, options.seed,
-                           options.config, options.engine, options.jobs,
+                           options.config, options.engine,
                            options.cache_lines, shadow)
 
     return check_case(build, workload, options)

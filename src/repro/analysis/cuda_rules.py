@@ -6,9 +6,8 @@ Rules implemented here: LP001 (uncovered persistent store), LP002
 (cross-block write race on a covered store), LP004 (checksum-table
 sizing vs. grid size), LP006 (parity-only checksum over float stores)
 and LP008 (block identity wrapped modulo K < grid — overlapping
-per-block write sets). LP005 is a Python-front-end rule — the
-directive compiler has no ``parallel_safe`` declaration to contradict;
-LP009/LP010 need the Python AST's value dataflow.
+per-block write sets). LP009/LP010 need the Python AST's value
+dataflow.
 
 All rules follow the analyzer's conservatism contract: a rule fires
 only on *provable* violations; anything unresolvable (symbolic grid

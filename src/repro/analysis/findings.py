@@ -31,6 +31,8 @@ class Severity(enum.Enum):
 
 
 #: Rule id -> one-line description (the lint's public contract).
+#: LP005 is retired, not reused: it policed a declaration that went
+#: with the forked launch pool.
 RULES: dict[str, str] = {
     "LP001": "persistent/protected store not covered by any "
              "lpcuda_checksum directive or protected= declaration",
@@ -39,8 +41,6 @@ RULES: dict[str, str] = {
     "LP003": "cross-block write race on a protected buffer "
              "(per-block write sets are not disjoint)",
     "LP004": "checksum-table sizing hazard (nelems vs. grid size)",
-    "LP005": "kernel uses atomics/CAS/host-visible effects while "
-             "declaring parallel_safe = True",
     "LP006": "parity (XOR) checksum over float stores without the "
              "ordered-integer conversion",
     "LP007": "static verdict contradicted by a dynamic oracle "

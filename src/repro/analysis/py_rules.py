@@ -3,16 +3,10 @@
 Operates on live kernel objects (object mode — buffer names resolve,
 helper methods inline) or on plain ``.py`` source files (file mode —
 conservative, literal-only resolution). The rules mirror their CUDA
-counterparts in :mod:`repro.analysis.cuda_rules`, plus the two that
-only exist on this front-end:
-
-* LP004/LP006 fire on :class:`~repro.core.runtime.LazyPersistentKernel`
-  wrappers, where the checksum-table sizing and the parity/float
-  configuration are concrete objects instead of directive text.
-* LP005 cross-checks a kernel's ``parallel_safe`` declaration against
-  the replay constraints of the parallel launch engine
-  (:mod:`repro.gpu.engine` forbids ``atomic_cas``/``atomic_exch``/
-  ``clwb`` and host-visible mutation in replayed blocks).
+counterparts in :mod:`repro.analysis.cuda_rules`, plus LP004/LP006,
+which fire on :class:`~repro.core.runtime.LazyPersistentKernel`
+wrappers, where the checksum-table sizing and the parity/float
+configuration are concrete objects instead of directive text.
 """
 
 from __future__ import annotations
@@ -162,38 +156,6 @@ def _check_lp003(kernel, effects: PyKernelEffects) -> list[Finding]:
                 ),
             ))
     return findings
-
-
-def _check_lp005(kernel, effects: PyKernelEffects) -> list[Finding]:
-    if not getattr(kernel, "parallel_safe", False):
-        return []
-    reasons: list[tuple[str, int | None]] = []
-    for store in effects.atomic_stores:
-        if store.atomic in ("cas", "exch"):
-            reasons.append((
-                f"ctx.atomic_{store.atomic} on "
-                f"'{store.buffer or store.buffer_text}'",
-                store.lineno,
-            ))
-    for lineno in effects.clwb_lines:
-        reasons.append(("explicit ctx.clwb (cache-state dependent)", lineno))
-    for lineno in effects.host_mutations:
-        reasons.append(("mutation of host-visible kernel state (self.*)", lineno))
-    return [
-        Finding(
-            rule="LP005",
-            severity=Severity.ERROR,
-            message=(
-                f"kernel declares parallel_safe = True but uses {what}; "
-                "the parallel launch engine replays blocks out of order "
-                "and forbids this"
-            ),
-            line=lineno,
-            kernel=kernel.name,
-            fix_hint="declare parallel_safe = False on the kernel class",
-        )
-        for what, lineno in reasons
-    ]
 
 
 def _resolve_int(node: ast.expr, kernel) -> int | None:
@@ -531,7 +493,6 @@ def lint_kernel_object(kernel, device=None) -> list[Finding]:
     findings.extend(_check_lp001(base, effects, device))
     findings.extend(_check_lp002(base, effects))
     findings.extend(_check_lp003(base, effects))
-    findings.extend(_check_lp005(base, effects))
     findings.extend(_check_lp008(base, effects))
     findings.extend(_check_lp009(base, effects))
     findings.extend(_check_lp010(base, effects))
@@ -581,10 +542,9 @@ def _class_literal(node: ast.ClassDef, name: str):
 def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
     """File-mode lint of Python source defining kernel classes.
 
-    Four rules run here — LP002 (when the class pins
+    Three rules run here — LP002 (when the class pins
     ``idempotent = True`` literally and defines no ``recover_block``),
-    LP005 (when it pins ``parallel_safe = True`` literally), LP009
-    (literal-buffer load→store dataflow under default recovery) and
+    LP009 (literal-buffer load→store dataflow under default recovery) and
     LP010 (divergent-barrier shared escapes against a literal
     ``protected_buffers``) — the set that is still sound without live
     objects. Everything else needs resolved buffers and launch shapes,
@@ -692,22 +652,6 @@ def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
                             "hoist ctx.syncthreads() out of "
                             "thread-dependent control flow"
                         ),
-                    ))
-        if _class_literal(node, "parallel_safe") is True:
-            for store in effects.atomic_stores:
-                if store.atomic in ("cas", "exch"):
-                    findings.append(Finding(
-                        rule="LP005",
-                        severity=Severity.ERROR,
-                        message=(
-                            "class declares parallel_safe = True but "
-                            f"run_block uses ctx.atomic_{store.atomic}; "
-                            "the parallel launch engine forbids this"
-                        ),
-                        file=path,
-                        line=store.lineno,
-                        kernel=node.name,
-                        fix_hint="declare parallel_safe = False",
                     ))
         apply_suppressions(
             [f for f in findings if f.kernel == node.name],

@@ -90,12 +90,6 @@ class LazyPersistentKernel(Kernel):
     # -- launch-engine integration --------------------------------------
 
     @property
-    def parallel_safe(self) -> bool:
-        """Safe iff the inner kernel is; table insertion is deferred to
-        the parent process, so the table never runs in a worker."""
-        return self.inner.parallel_safe
-
-    @property
     def batchable(self) -> bool:
         """Batchable iff the inner kernel is and every checksum lane is
         commutative (the batched fold reorders value accumulation)."""
@@ -186,8 +180,8 @@ class LazyPersistentKernel(Kernel):
         in :meth:`merge_validation_outcomes`, which the launch engine
         calls once with every block's record in block order. Keeping
         this method free of host-state mutation and table access is
-        what lets all engines — including the process-pool one — run
-        validation blocks concurrently.
+        what lets the vectorized engine run a whole group of validation
+        blocks in one pass.
         """
         if ctx.mode is not ExecMode.VALIDATE:
             raise ConfigError("validate_block requires a VALIDATE context")
@@ -285,13 +279,7 @@ class LazyPersistentKernel(Kernel):
 
     def _seal_region(self, ctx: BlockContext, observer: LPRegionObserver) -> None:
         lanes = reduce_block(observer.state, self.config.reduction, ctx)
-        deferral = getattr(ctx, "table_insert_deferral", None)
-        if deferral is not None:
-            # A launch engine applies insertions later, in block order
-            # (hash-table probe sequences depend on insertion history).
-            deferral(ctx.block_id, lanes)
-        else:
-            self.table.insert(ctx, ctx.block_id, lanes)
+        self.table.insert(ctx, ctx.block_id, lanes)
 
 
 class LPRuntime:

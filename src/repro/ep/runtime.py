@@ -61,11 +61,6 @@ class _EPInterceptor:
 class EagerPersistentKernel(Kernel):
     """A kernel wrapped with undo-log Eager Persistency."""
 
-    #: ``clwb`` flush counts depend on cache state shared across blocks,
-    #: which a worker's snapshot cannot reproduce — EP blocks must run
-    #: serially against the real persistence domain.
-    parallel_safe = False
-
     def __init__(self, inner: Kernel, log: UndoLog) -> None:
         if not inner.protected_buffers:
             raise ConfigError(

@@ -1,8 +1,8 @@
 """Simulated SIMT GPU substrate: memory, cache, warps, kernels, device.
 
 Block execution is pluggable: :mod:`repro.gpu.engine` provides the one
-launch engine behind the ``serial``, ``parallel`` and ``batched``
-names (vectorize x place), all bit-identical in results.
+launch engine behind the ``serial`` and ``batched`` names (vectorize
+or not), both bit-identical in results.
 """
 
 from repro.gpu.engine import LaunchEngine, LaunchPlan, make_engine

@@ -67,8 +67,9 @@ class BatchBlockContext:
         atomics: AtomicUnit | None = None,
     ) -> None:
         self.memory = memory
-        #: The launch's atomic unit; ``None`` in a pool worker, where
-        #: contention cannot be charged (see :meth:`atomic_cas_claim`).
+        #: The launch's atomic unit; ``None`` when a context is built
+        #: directly without one, where contention cannot be charged
+        #: (see :meth:`atomic_cas_claim`).
         self.atomics = atomics
         self.config = config
         self.mode = mode
@@ -298,9 +299,9 @@ class BatchBlockContext:
             )
         if self.atomics is None:
             raise LaunchError(
-                "atomic_cas_claim needs the launch's AtomicUnit and "
-                "cannot run in a pool worker; mark the kernel "
-                "parallel_safe = False"
+                "atomic_cas_claim needs the launch's AtomicUnit to "
+                "charge contention to; build the BatchBlockContext "
+                "with atomics="
             )
         candidates = np.asarray(candidates)
         shape = candidates.shape[:-1]

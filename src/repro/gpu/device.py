@@ -99,9 +99,9 @@ class Device:
     engine:
         How blocks execute: a :class:`~repro.gpu.engine.LaunchEngine`
         instance, or the name :func:`~repro.gpu.engine.make_engine`
-        builds one from — ``"serial"`` (scalar, inline), ``"batched"``
-        (vector, inline), ``"parallel"`` (vector, worker pool) — or
-        ``None`` for serial. All are bit-identical in results; see
+        builds one from — ``"serial"`` (one block at a time, the
+        reference) or ``"batched"`` (vectorized block groups) — or
+        ``None`` for serial. Both are bit-identical in results; see
         :mod:`repro.gpu.engine`.
     shadow:
         Optional durable write-back target (a

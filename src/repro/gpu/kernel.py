@@ -136,12 +136,6 @@ class BlockContext:
         #: by the EP kernel wrapper. Must expose ``protected`` and
         #: ``before_store(ctx, buf, idx)``.
         self.ep_interceptor = None
-        #: Optional checksum-table-insert deferral hook, set by launch
-        #: engines that apply table insertions in a later deterministic
-        #: pass (see :mod:`repro.gpu.engine`). When not ``None``, LP
-        #: kernel wrappers call ``table_insert_deferral(key, lanes)`` at
-        #: region end instead of inserting into the table directly.
-        self.table_insert_deferral = None
         # Persist-barrier cost parameters (set by the device per launch).
         self._fence_latency = fence_latency_cycles
         self._fence_concurrency = max(1, fence_concurrency)
@@ -371,16 +365,8 @@ class Kernel(abc.ABC):
     name: str = "kernel"
     protected_buffers: tuple[str, ...] = ()
     idempotent: bool = True
-    #: Whether block execution is safe to replicate in a worker process
-    #: and replay from an operation log (the engine's pool cells,
-    #: scalar-pool in particular; see :mod:`repro.gpu.engine`). A
-    #: kernel must opt *out* when a block's behaviour depends on state
-    #: the log cannot capture: host-side mutation (statistics objects),
-    #: or read-modify-write control flow through ``atomic_cas`` /
-    #: ``atomic_exch`` whose results depend on other blocks.
-    parallel_safe: bool = True
     #: Whether :meth:`run_block_batch` is implemented — what admits a
-    #: launch to the engine's vector-inline and vector-pool cells.
+    #: launch to the engine's vector cell.
     batchable: bool = False
 
     @abc.abstractmethod
@@ -396,7 +382,7 @@ class Kernel(abc.ABC):
 
         ``ctx`` is a :class:`~repro.gpu.batch.BatchBlockContext` whose
         leading axis indexes the block within the group. Only called in
-        the engine's vector cells and only when :attr:`batchable` is
+        the engine's vector cell and only when :attr:`batchable` is
         true; must issue exactly the loads, stores and work charges its
         blocks would issue under :meth:`run_block`, so that the batched
         launch is bit-identical to the serial one.

@@ -162,13 +162,6 @@ class GlobalMemory:
         self.shadow_backend = shadow
         self._buffers: dict[str, Buffer] = {}
         self._next_addr = 0
-        #: Allocation epoch: bumped on every alloc/free so pooled
-        #: launch engines can tell when their forked workers' buffer
-        #: tables (and any shared device image) went stale.
-        self.version = 0
-        #: Worker-process scribble mode: stores update the volatile
-        #: image only (see :meth:`enter_worker_mode`).
-        self._worker_mode = False
         # Parallel arrays for bisect: first-line of each live buffer,
         # kept sorted by construction (addresses grow monotonically).
         self._index_first_lines: list[int] = []
@@ -223,7 +216,6 @@ class GlobalMemory:
         self._buffers[name] = buf
         self._index_first_lines.append(buf.first_line)
         self._index_buffers.append(buf)
-        self.version += 1
         return buf
 
     def free(self, name: str) -> None:
@@ -238,7 +230,6 @@ class GlobalMemory:
         pos = self._index_buffers.index(buf)
         del self._index_first_lines[pos]
         del self._index_buffers[pos]
-        self.version += 1
 
     def reseed(self, buf: Buffer, fill) -> None:
         """Put a live persistent buffer back where ``alloc(init=fill)``
@@ -281,13 +272,6 @@ class GlobalMemory:
         """Store elements; persistent stores enter the cache dirty."""
         self._check_bounds(buf, flat_idx)
         buf.data[flat_idx] = values
-        if self._worker_mode:
-            # Scribble mode: a pool worker only needs volatile
-            # semantics (a block may re-read its own stores). The
-            # persistence domain — cache recency, evictions, shadow
-            # images, write statistics — is owned by the parent, which
-            # re-applies every store during deterministic replay.
-            return
         if buf.persistent:
             lines = buf.lines_for_indices(np.asarray(flat_idx))
             evicted = self.cache.touch_write(lines.tolist())
@@ -310,8 +294,7 @@ class GlobalMemory:
         could overflow takes the stores one at a time.
         """
         flat_idx = np.asarray(flat_idx)
-        tracked = [] if self._worker_mode else \
-            [buf for buf in bufs if buf.persistent]
+        tracked = [buf for buf in bufs if buf.persistent]
         lines: list[int] = []
         if tracked:
             lines = np.stack(
@@ -437,56 +420,6 @@ class GlobalMemory:
         if line_id >= buf.first_line + buf.n_lines:
             raise OutOfBoundsError(f"line {line_id} maps to no live buffer")
         return buf
-
-    def enter_worker_mode(self) -> None:
-        """Put this (forked) copy of the memory into scribble mode.
-
-        Called once in each pool worker: instead of duplicating every
-        NVM image, the worker keeps its attach-by-name views — the
-        shared device image and any ``MAP_SHARED`` durable heap
-        inherited across ``fork`` — but gives up the right to
-        *persist* anything.
-        :meth:`write` updates the volatile image only, and a durable
-        backend is sealed so an accidental write-back path raises
-        instead of corrupting the parent's heap file. Effects reach the
-        persistence domain exclusively through the parent's
-        deterministic replay.
-        """
-        self._worker_mode = True
-        if self.shadow_backend is not None:
-            self.shadow_backend.seal()
-            self.shadow_backend = None
-
-    @property
-    def image_nbytes(self) -> int:
-        """Bytes of line-aligned address space allocated so far."""
-        return self._next_addr
-
-    def export_data_image(self, raw) -> None:
-        """Move every buffer's volatile image into ``raw`` (zero-copy).
-
-        ``raw`` is a writable buffer (e.g. a shared-memory segment's
-        memoryview) covering at least :attr:`image_nbytes`. Each
-        buffer's ``data`` array is copied in at its line-aligned
-        ``base_addr`` and re-pointed to a view of ``raw``, so processes
-        mapping the same segment observe one coherent volatile image.
-        ``Buffer.array`` is a property over ``data`` — existing handles
-        stay valid across the re-point.
-        """
-        for buf in self._buffers.values():
-            view = np.frombuffer(raw, dtype=buf.dtype, count=buf.size,
-                                 offset=buf.base_addr)
-            view[:] = buf.data
-            buf.data = view
-
-    def materialize_data(self) -> None:
-        """Copy every buffer's volatile image back to private arrays.
-
-        The inverse of :meth:`export_data_image`: drops all views into
-        shared segments so the segment can be closed and unlinked.
-        """
-        for buf in self._buffers.values():
-            buf.data = np.array(buf.data, copy=True)
 
     def _write_back(self, line_ids: list[int], reason: WritebackReason) -> None:
         """Copy dirty lines to their NVM images.

@@ -21,8 +21,8 @@ group — ``SIGKILL``, no handlers, no cleanup — when a trigger fires:
   own extent 0.
 
 The parent (:func:`run_child`) spawns the child in its **own session**
-so the child's ``os.kill(0, SIGKILL)`` takes out any ``parallel``
-engine's pool workers with it — nothing survives to corrupt the next round.
+so the child's ``os.kill(0, SIGKILL)`` takes out anything the child
+started with it — nothing survives to corrupt the next round.
 Child startup (interpreter boot, imports, heap setup) is distinguished
 from the run itself by a *ready marker* file: a child that dies before
 the marker appears is retried with bounded backoff
@@ -49,7 +49,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import ChildStartupError, ChildTimeoutError, HarnessError
-from repro.gpu import shm
 
 #: Trigger kinds and whether their threshold is an int count.
 TRIGGER_KINDS = ("writebacks", "blocks", "walltime")
@@ -113,7 +112,6 @@ class ChildSpec:
     seed: int
     config: str
     engine: str
-    jobs: int | None
     cache_lines: int
     heap_path: str
     ready_path: str
@@ -164,8 +162,7 @@ class ChildOutcome:
 # ---------------------------------------------------------------------------
 
 def make_lp_run(workload: str, scale: str, seed: int, config: str,
-                engine: str, jobs: int | None, cache_lines: int,
-                shadow=None):
+                engine: str, cache_lines: int, shadow=None):
     """Deterministic device + workload + instrumented-kernel construction.
 
     The one run recipe: the CLI's ``run`` / ``profile``, the harness
@@ -180,7 +177,7 @@ def make_lp_run(workload: str, scale: str, seed: int, config: str,
     from repro.workloads import make_workload
 
     device = repro.Device(cache_capacity_lines=cache_lines,
-                          engine=repro.make_engine(engine, jobs=jobs),
+                          engine=engine,
                           shadow=shadow)
     work = make_workload(workload, scale=scale, seed=seed)
     kernel = work.setup(device)
@@ -192,7 +189,7 @@ def make_lp_run(workload: str, scale: str, seed: int, config: str,
 def build_run(spec: ChildSpec, shadow=None):
     """:func:`make_lp_run` from a child spec."""
     return make_lp_run(spec.workload, spec.scale, spec.seed, spec.config,
-                       spec.engine, spec.jobs, spec.cache_lines, shadow)
+                       spec.engine, spec.cache_lines, shadow)
 
 
 def _die() -> None:
@@ -297,9 +294,9 @@ def _child_env(tmpdir: Path) -> dict[str, str]:
         src_root if not existing
         else src_root + os.pathsep + existing
     )
-    # Engine pools and any tempfile use inside the child land in the
-    # managed dir, so a SIGKILLed child leaks nothing the parent's
-    # cleanup doesn't remove.
+    # Any tempfile use inside the child lands in the managed dir, so
+    # a SIGKILLed child leaks nothing the parent's cleanup doesn't
+    # remove.
     env["TMPDIR"] = str(tmpdir)
     return env
 
@@ -339,10 +336,6 @@ def run_child(
         ):
             outcome = _run_once(spec_path, ready, tmpdir, timeout)
         if outcome is not None:
-            # A SIGKILLed child (and its engine pool workers, killed
-            # with the session) never ran its shared-memory atexit
-            # sweep; reap any segments its dead pids left in /dev/shm.
-            shm.reap_orphans()
             if rec.metrics.active and outcome.killed:
                 rec.metrics.inc("harness.kill", phase=spec.phase,
                                 workload=spec.workload,
@@ -406,7 +399,7 @@ def _run_once(spec_path: Path, ready: Path, tmpdir,
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL the child's whole session (pool workers included)."""
+    """SIGKILL the child's whole session."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:

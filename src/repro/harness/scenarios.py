@@ -37,6 +37,7 @@ import zlib
 from pathlib import Path
 
 from repro.errors import HarnessError
+from repro.gpu.engine import ENGINES
 from repro.harness.crashproc import (
     DEFAULT_TIMEOUT,
     ChildSpec,
@@ -52,7 +53,7 @@ from repro.obs import current as _recorder
 #: row-per-block SPMV, strided tile-output TMM), every engine, the
 #: paper-best table.
 DEFAULT_WORKLOADS = ("spmv", "tmm")
-DEFAULT_ENGINES = ("serial", "parallel", "batched")
+DEFAULT_ENGINES = tuple(ENGINES)
 DEFAULT_CONFIGS = ("global-array",)
 #: Small write-back cache so the eviction trickle (and therefore kill
 #: triggers and real data loss) starts early even at small scale.
@@ -188,7 +189,6 @@ def run_cell(
     seed: int = 0,
     kill_rounds: int = 2,
     trigger: str = DEFAULT_TRIGGER,
-    jobs: int | None = None,
     cache_lines: int = DEFAULT_CACHE_LINES,
     timeout: float = DEFAULT_TIMEOUT,
     keep_tmp: bool = False,
@@ -232,7 +232,7 @@ def run_cell(
     ):
         base = dict(
             workload=workload, scale=scale, seed=seed, config=config,
-            engine=engine, jobs=jobs, cache_lines=cache_lines,
+            engine=engine, cache_lines=cache_lines,
             heap_path=str(tmp.file("heap.lpnv")),
             ready_path=str(tmp.file("ready")),
             shards=shards,
@@ -318,7 +318,6 @@ def run_grid(
     seed: int = 0,
     kill_rounds: int = 2,
     trigger: str = DEFAULT_TRIGGER,
-    jobs: int | None = None,
     cache_lines: int = DEFAULT_CACHE_LINES,
     timeout: float = DEFAULT_TIMEOUT,
     progress=None,
@@ -336,7 +335,7 @@ def run_grid(
                     progress(f"{workload} × {engine} × {config}")
                 cells.append(run_cell(
                     workload, engine, config, scale=scale, seed=seed,
-                    kill_rounds=kill_rounds, trigger=trigger, jobs=jobs,
+                    kill_rounds=kill_rounds, trigger=trigger,
                     cache_lines=cache_lines, timeout=timeout,
                     kill_seed=kill_seed, trace_dir=trace_dir,
                     artifacts_dir=artifacts_dir, shards=shards,

@@ -2,12 +2,11 @@
 
 The crash harness exists to SIGKILL processes at the worst possible
 moment, which is exactly how temp files get orphaned: a killed child
-never runs its own cleanup, and a ``parallel`` engine pool inside that
-child never tears down its workers' scratch space. The fix is
-structural — every file the harness or its children create (heap
-images, spec files, ready markers, engine temp files via ``TMPDIR``)
-lives under one :class:`ManagedTmpdir` owned by the *parent*, removed
-by context-manager exit and, as a backstop, by ``atexit``. Cleanup
+never runs its own cleanup. The fix is structural — every file the
+harness or its children create (heap images, spec files, ready
+markers, temp files via ``TMPDIR``) lives under one
+:class:`ManagedTmpdir` owned by the *parent*, removed by
+context-manager exit and, as a backstop, by ``atexit``. Cleanup
 therefore never depends on the process being killed having had a
 chance to do anything.
 """

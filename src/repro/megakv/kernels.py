@@ -79,12 +79,6 @@ _THREAD_0 = np.zeros(1, dtype=np.intp)
 class _BatchKernel(Kernel):
     """Shared plumbing: one thread per request, contiguous block slices."""
 
-    #: Every MEGA-KV kernel mutates host-side ``store.stats`` inside
-    #: ``run_block`` (and insert claims slots via ``atomic_cas``), so a
-    #: forked worker's execution cannot be replayed faithfully. The
-    #: in-process batched engine is fine — search opts back in below.
-    parallel_safe = False
-
     def __init__(
         self,
         store: MegaKVStore,

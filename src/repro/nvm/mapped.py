@@ -155,7 +155,6 @@ class MappedShadow:
         #: (re-attached after a grow remaps the file).
         self._attached: dict[str, object] = {}
         self._closed = False
-        self._sealed = False
 
     # ------------------------------------------------------------------
     # The heap surface shared with ShardedShadow: a heap is N >= 1 v1
@@ -301,7 +300,6 @@ class MappedShadow:
         ``buf.shadow``.
         """
         self._check_open()
-        self._check_writable()
         if buf.name in self.entries:
             raise AllocationError(
                 f"buffer {buf.name!r} already lives in heap {self.path}"
@@ -367,7 +365,6 @@ class MappedShadow:
     def arm(self, line_ids) -> None:
         """Record write-back intent for ``line_ids`` before the copy."""
         self._check_open()
-        self._check_writable()
         payload = layout.pack_journal(line_ids)
         self._mm[_JOURNAL_OFFSET:_JOURNAL_OFFSET + len(payload)] = payload
         rec = _recorder()
@@ -392,7 +389,6 @@ class MappedShadow:
         leaves the journal armed, exactly like a power failure inside
         the copy.
         """
-        self._check_writable()
         self.lines_written += n_lines
         listener = self.writeback_listener
         if listener is not None:
@@ -431,22 +427,9 @@ class MappedShadow:
     # Durability and lifecycle
     # ------------------------------------------------------------------
 
-    def seal(self) -> None:
-        """Forbid further persistence through this handle (fork safety).
-
-        A pool worker inherits the parent's ``MAP_SHARED`` mapping —
-        zero-copy reads of the heap images stay valid, but the
-        persistence domain (directory, journal, write-backs, msync)
-        belongs to the parent alone. ``GlobalMemory.enter_worker_mode``
-        seals the inherited handle so any accidental write-back in a
-        worker fails loudly instead of corrupting the shared file.
-        """
-        self._sealed = True
-
     def sync(self) -> None:
         """``msync`` the whole heap (drain-time durability point)."""
         self._check_open()
-        self._check_writable()
         with _recorder().trace.span("heap.sync", cat="nvm", track="nvm"):
             self._mm.flush()
 
@@ -480,13 +463,6 @@ class MappedShadow:
     def _check_open(self) -> None:
         if self._closed:
             raise HeapFormatError(f"heap {self.path} is closed")
-
-    def _check_writable(self) -> None:
-        if self._sealed:
-            raise HeapFormatError(
-                f"heap {self.path} is sealed in a worker process; only "
-                "the parent may persist"
-            )
 
     def _write_directory(self) -> None:
         payload = layout.pack_directory(self.entries.values())

@@ -142,7 +142,7 @@ class ShardedShadow:
     reconstruct one cold from its manifest after a crash; both return
     an object interchangeable with :class:`MappedShadow` everywhere a
     shadow backend is accepted (``Device``, ``GlobalMemory``, the
-    crash harness, ``adopt``/``enter_worker_mode`` flows).
+    crash harness, the ``adopt`` flow).
     """
 
     def __init__(self, path: Path, shards: list[MappedShadow],
@@ -182,7 +182,6 @@ class ShardedShadow:
         #: Last :meth:`arm` partition: shard id -> armed line count.
         self._armed: dict[int, int] = {}
         self._closed = False
-        self._sealed = False
 
     #: Backend name ``repro serve`` prints and ``stats()`` reports.
     kind = "sharded"
@@ -325,7 +324,6 @@ class ShardedShadow:
     def attach(self, buf) -> np.ndarray:
         """Home ``buf`` in one shard; its directory records the claim."""
         self._check_open()
-        self._check_writable()
         if buf.name in self.entries:
             raise AllocationError(
                 f"buffer {buf.name!r} already lives in sharded heap "
@@ -375,7 +373,6 @@ class ShardedShadow:
     def arm(self, line_ids) -> None:
         """Partition a write-back by shard and arm each shard's journal."""
         self._check_open()
-        self._check_writable()
         parts: dict[int, list[int]] = {}
         for lid in line_ids:
             parts.setdefault(self._shard_of_line(int(lid)), []).append(
@@ -404,7 +401,6 @@ class ShardedShadow:
         same write-back) armed while already-committed shards are
         clean.
         """
-        self._check_writable()
         self.lines_written += n_lines
         listener = self.writeback_listener
         if listener is not None:
@@ -428,16 +424,9 @@ class ShardedShadow:
     # Durability and lifecycle
     # ------------------------------------------------------------------
 
-    def seal(self) -> None:
-        """Seal every shard for worker-process fork safety."""
-        self._sealed = True
-        for shard in self.extents:
-            shard.seal()
-
     def sync(self) -> None:
         """``msync`` every shard, in shard order."""
         self._check_open()
-        self._check_writable()
         with _recorder().trace.span("heap.sharded.sync", cat="nvm",
                                     track="nvm", shards=self.n_shards):
             for shard in self.extents:
@@ -483,13 +472,6 @@ class ShardedShadow:
     def _check_open(self) -> None:
         if self._closed:
             raise HeapFormatError(f"sharded heap {self.path} is closed")
-
-    def _check_writable(self) -> None:
-        if self._sealed:
-            raise HeapFormatError(
-                f"sharded heap {self.path} is sealed in a worker "
-                "process; only the parent may persist"
-            )
 
     def _shard_of_line(self, line_id: int) -> int:
         block = line_id // self.block_lines

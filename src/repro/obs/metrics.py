@@ -38,19 +38,14 @@ from dataclasses import dataclass, field
 #:
 #: * ``time.`` — wall-clock observations; never deterministic.
 #: * ``engine.scheduling.`` — how an engine carved the launch into
-#:   chunks/groups is the engine's own business (serial has no chunks).
+#:   groups is the engine's own business (serial has no groups).
 #: * ``engine.fallbacks`` — launches a vectorizing engine ran per block
 #:   instead; the serial engine has no fast path to fall back from.
-#: * ``engine.shm.`` — shared-memory pool bookkeeping (segment bytes,
-#:   worker busy fractions); only the parallel engine emits it.
-#: * ``engine.slots.`` — slot-array merge timing; wall clock, and only
-#:   the parallel engine's pooled path has slots at all.
 #: * ``service.window.ms`` — the KV daemon's per-window wall clock.
 #:
-#: Everything else must match across serial/parallel/batched engines.
+#: Everything else must match across the serial and batched engines.
 ORDER_SENSITIVE_PREFIXES = ("time.", "engine.scheduling.",
-                            "engine.fallbacks", "engine.shm.",
-                            "engine.slots.", "service.window.ms")
+                            "engine.fallbacks", "service.window.ms")
 
 #: Labels whose *values* are identity, not semantics: the ``engine``
 #: label names which engine ran the launch, and differs by construction

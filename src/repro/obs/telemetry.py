@@ -79,7 +79,7 @@ class TelemetrySampler:
 
     ``gauge_providers`` are callables invoked (with the registry) right
     before each snapshot — the hook for state that is only observable
-    by walking something (e.g. the shm segment registry) rather than
+    by walking something (e.g. the daemon's queue depth) rather than
     pushed at an event site.
     """
 

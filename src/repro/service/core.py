@@ -66,12 +66,9 @@ class ServiceConfig:
     #: <= 12.5 % load-factor sizing).
     capacity: int = 8192
     #: Launch engine. ``batched`` runs each MegaKV launch as one
-    #: vectorized pass; ``serial`` is the per-request reference. All
+    #: vectorized pass; ``serial`` is the per-request reference. Both
     #: engines are bit-identical in results.
     engine: str = "batched"
-    #: Worker count of the ``parallel`` engine's pool (``None``: the
-    #: CPU budget); engines with no pool ignore it.
-    jobs: int | None = None
     cache_lines: int = 256
     #: LP configuration name (see :data:`repro.core.config.LP_CONFIGS`).
     config: str = "global-array"
@@ -237,7 +234,7 @@ class ServiceCore:
 
     def _open(self) -> None:
         cfg = self.config
-        engine = make_engine(cfg.engine, jobs=cfg.jobs)
+        engine = make_engine(cfg.engine)
         resuming = self.heap_path is not None and self.heap_path.exists()
         inflight: list = []
         if self.heap_path is not None:

@@ -39,7 +39,6 @@ class CUTCPKernel(Kernel):
     name = "cutcp"
     protected_buffers = ("cutcp_pot",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, grid: int, tile: int, n_atoms: int, cutoff: float) -> None:
         if grid % tile:

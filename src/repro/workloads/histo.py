@@ -42,7 +42,6 @@ class HISTOKernel(Kernel):
     name = "histo"
     protected_buffers = ("histo_partial",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_samples: int, n_bins: int, n_blocks: int,
                  threads: int) -> None:

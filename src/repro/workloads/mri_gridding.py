@@ -43,7 +43,6 @@ class MRIGriddingKernel(Kernel):
     name = "mri-gridding"
     protected_buffers = ("mrig_grid",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, grid: int, tile: int, n_samples: int,
                  width: float) -> None:

@@ -42,7 +42,6 @@ class MRIQKernel(Kernel):
     name = "mri-q"
     protected_buffers = ("mriq_qr", "mriq_qi")
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_voxels: int, n_k: int, threads: int) -> None:
         if n_voxels % threads:

@@ -43,7 +43,6 @@ class SADKernel(Kernel):
     name = "sad"
     protected_buffers = ("sad_out",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, height: int, width: int, radius: int) -> None:
         if height % MB or width % MB:

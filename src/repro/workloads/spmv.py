@@ -32,7 +32,6 @@ class SPMVKernel(Kernel):
     name = "spmv"
     protected_buffers = ("spmv_y",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_rows: int, nnz_per_row: int, threads: int) -> None:
         if n_rows % threads:

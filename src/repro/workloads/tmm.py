@@ -36,7 +36,6 @@ class TiledMatMulKernel(Kernel):
     name = "tmm"
     protected_buffers = ("tmm_C",)
     idempotent = True
-    parallel_safe = True
     batchable = True
 
     def __init__(self, n: int, tile: int) -> None:

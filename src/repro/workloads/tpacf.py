@@ -56,7 +56,6 @@ class TPACFKernel(Kernel):
     name = "tpacf"
     protected_buffers = ("tpacf_hist",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_points: int, threads: int, n_bins: int) -> None:
         if n_points % threads:

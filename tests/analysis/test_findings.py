@@ -36,7 +36,9 @@ def test_unknown_rule_id_rejected():
 
 
 def test_every_rule_has_a_description():
-    assert set(RULES) == {f"LP{i:03d}" for i in range(1, 11)}
+    # LP005 is retired (its subject, the forked launch pool's
+    # ``parallel_safe`` declaration, is gone); the id is not reused.
+    assert set(RULES) == {f"LP{i:03d}" for i in range(1, 11)} - {"LP005"}
     assert all(desc for desc in RULES.values())
 
 

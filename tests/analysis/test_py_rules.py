@@ -170,63 +170,6 @@ def test_lp003_single_block_grids_cannot_race():
 
 
 # ---------------------------------------------------------------------------
-# LP005 — parallel_safe vs. the engine's replay constraints
-# ---------------------------------------------------------------------------
-
-class _CasKernel(Kernel):
-    name = "cas-kernel"
-    protected_buffers = ("out",)
-    idempotent = True
-    parallel_safe = True   # the lie LP005 catches
-
-    def launch_config(self):
-        return LaunchConfig.linear(4, 8)
-
-    def run_block(self, ctx: BlockContext) -> None:
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
-        ctx.atomic_cas("out", idx, 0.0, 1.0)
-
-    def recover_block(self, ctx: BlockContext) -> None:
-        self.run_block(ctx)
-
-
-def test_lp005_cas_with_parallel_safe_true():
-    findings = lint_kernel_object(_CasKernel())
-    assert rules_of(findings) == {"LP005"}
-    assert "atomic_cas" in findings[0].message
-
-
-def test_lp005_silent_when_parallel_safe_false():
-    class Honest(_CasKernel):
-        parallel_safe = False
-
-    assert lint_kernel_object(Honest()) == []
-
-
-class _HostMutator(Kernel):
-    name = "host-mutator"
-    protected_buffers = ("out",)
-    parallel_safe = True
-
-    def __init__(self):
-        self.counter = 0
-
-    def launch_config(self):
-        return LaunchConfig.linear(4, 8)
-
-    def run_block(self, ctx: BlockContext) -> None:
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
-        self.counter += 1   # host-visible effect a replay cannot redo
-        ctx.st("out", idx, 1.0)
-
-
-def test_lp005_host_state_mutation():
-    findings = lint_kernel_object(_HostMutator())
-    assert rules_of(findings) == {"LP005"}
-    assert "host-visible" in findings[0].message
-
-
-# ---------------------------------------------------------------------------
 # LP004/LP006 — LazyPersistentKernel configuration rules
 # ---------------------------------------------------------------------------
 
@@ -374,9 +317,7 @@ class Accumulating(Kernel):
         ctx.st("out", ctx.tid, v + 1.0)
 
 
-class LyingAboutSafety(Kernel):
-    parallel_safe = True
-
+class ClaimsSlots(Kernel):
     def run_block(self, ctx):
         ctx.atomic_cas("slots", ctx.tid, 0, 1)
 
@@ -398,9 +339,8 @@ def test_file_mode_flags_literal_declarations_only():
         by_kernel.setdefault(f.kernel, set()).add(f.rule)
     assert by_kernel == {
         "Accumulating": {"LP002"},
-        # The CAS kernel gets both: the safety lie (LP005) and the
-        # conservative atomic-under-default-recovery hazard (LP002).
-        "LyingAboutSafety": {"LP002", "LP005"},
+        # The conservative atomic-under-default-recovery hazard.
+        "ClaimsSlots": {"LP002"},
     }
     assert all(f.file == "kern.py" for f in findings)
 

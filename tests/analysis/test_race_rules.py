@@ -3,7 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.cuda_rules import lint_cuda_text
@@ -14,11 +13,6 @@ from repro.analysis.py_rules import (
     lint_kernel_object,
     lint_python_text,
 )
-from repro.errors import LaunchError
-from repro.gpu.atomics import AtomicUnit
-from repro.gpu.engine import RecordingBlockContext
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
-from repro.gpu.memory import GlobalMemory
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "lint"
 
@@ -144,45 +138,3 @@ def test_finalize_keeps_distinct_suppression_states():
     hidden = Finding(rule="LP002", severity=Severity.ERROR, message="m",
                      suppressed=True, suppress_reason="known")
     assert len(finalize_findings([shown, hidden])) == 2
-
-
-# ---------------------------------------------------------------------------
-# Worker-mode guards pair with the static rule (LP005)
-# ---------------------------------------------------------------------------
-
-class _CasKernel(Kernel):
-    name = "cas-under-parallel"
-    protected_buffers = ("out",)
-    idempotent = True
-    parallel_safe = True  # the lie LP005 exists to catch
-
-    def launch_config(self) -> LaunchConfig:
-        return LaunchConfig.linear(2, 4)
-
-    def run_block(self, ctx: BlockContext) -> None:
-        ctx.atomic_cas("out", 0, np.float32(0.0), np.float32(1.0))
-
-
-def test_cas_under_parallel_safe_is_flagged_before_launch():
-    import repro
-
-    device = repro.Device()
-    device.alloc("out", (8,), np.float32, persistent=True)
-    findings = lint_kernel_object(_CasKernel(), device=device)
-    hits = [f for f in findings if f.rule == "LP005"]
-    assert hits and all(not f.suppressed for f in hits)
-
-
-@pytest.mark.parametrize("op", ["atomic_cas", "atomic_exch", "clwb"])
-def test_worker_mode_guard_cites_the_lint_rule(op):
-    memory = GlobalMemory(cache_capacity_lines=4)
-    buf = memory.alloc("out", (8,), np.float32, persistent=True)
-    ctx = RecordingBlockContext(memory, AtomicUnit(memory),
-                                LaunchConfig.linear(1, 4), 0)
-    args = {
-        "atomic_cas": (buf, 0, np.float32(0.0), np.float32(1.0)),
-        "atomic_exch": (buf, 0, np.float32(1.0)),
-        "clwb": (buf, np.arange(1)),
-    }[op]
-    with pytest.raises(LaunchError, match="LP005"):
-        getattr(ctx, op)(*args)

@@ -1,10 +1,10 @@
 """Tests for the EXPERIMENTS.md generator."""
 
-from repro.bench.make_experiments_md import generate, main
+from repro.bench.make_experiments_md import main
 
 
-def test_generate_contains_every_experiment():
-    text = generate()
+def test_generate_contains_every_experiment(experiments_md_text):
+    text = experiments_md_text
     from repro.bench.experiments import EXPERIMENTS
 
     for exp_id in EXPERIMENTS:
@@ -13,7 +13,7 @@ def test_generate_contains_every_experiment():
     assert "FAIL" not in text  # every fidelity check passes
 
 
-def test_main_writes_given_path(tmp_path, capsys):
+def test_main_writes_given_path(tmp_path, capsys, shared_generation):
     out = tmp_path / "X.md"
     main(str(out))
     assert out.exists()

@@ -32,7 +32,6 @@ class LP008WrapKernel(Kernel):
     name = "lp008-wrap"
     protected_buffers = ("race_out",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_blocks: int = 4, threads: int = 8) -> None:
         self.n_blocks = n_blocks
@@ -57,7 +56,6 @@ class LP009FeedbackKernel(Kernel):
     name = "lp009-feedback"
     protected_buffers = ("acc_out",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_blocks: int = 4, threads: int = 64) -> None:
         self.n_blocks = n_blocks
@@ -82,7 +80,6 @@ class LP010SharedEscapeKernel(Kernel):
     name = "lp010-shared-escape"
     protected_buffers = ("esc_out",)
     idempotent = True
-    parallel_safe = True
 
     def __init__(self, n_blocks: int = 2, threads: int = 8) -> None:
         self.n_blocks = n_blocks
@@ -116,12 +113,12 @@ OFFENDERS = ("lp008-wrap", "lp009-feedback", "lp010-shared-escape")
 
 
 def make_offender_case(name: str, shadow=None, engine: str = "serial",
-                       cache_lines: int = 4, jobs=None):
+                       cache_lines: int = 4):
     """Build ``(device, lp_kernel)`` for one offender, crashmc-style."""
     import repro
 
     device = repro.Device(cache_capacity_lines=cache_lines,
-                          engine=repro.make_engine(engine, jobs=jobs),
+                          engine=engine,
                           shadow=shadow)
     if name == "lp008-wrap":
         kernel = LP008WrapKernel()

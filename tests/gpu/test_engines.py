@@ -1,9 +1,9 @@
-"""Launch-engine parity: serial vs parallel vs batched, bit for bit.
+"""Launch-engine parity: serial vs batched, bit for bit.
 
 LP regions are associative (DESIGN.md §3): a launch's final state must
-not depend on *how* its blocks were scheduled. The engines exploit that
-— process-parallel chunks, vectorized block groups — but the contract
-is strict bit-identity with the ``serial`` engine on every observable:
+not depend on *how* its blocks were scheduled. The ``batched`` engine
+exploits that — vectorized block groups — but the contract is strict
+bit-identity with the ``serial`` engine on every observable:
 completed blocks, every tally field, every buffer's volatile data and
 NVM shadow, the write-back statistics, and (for LP kernels) the
 checksum-table contents those buffers hold. These tests pin that
@@ -11,8 +11,6 @@ contract across block orders and mid-kernel crashes.
 """
 
 import dataclasses
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -20,10 +18,9 @@ import pytest
 import repro
 from repro import obs
 from repro.core.config import LP_CONFIGS
-from repro.errors import LaunchError
-from repro.gpu import shm
+from repro.errors import LaunchError, ReproError, TableFullError
+from repro.gpu.engine import ENGINES as ENGINE_NAMES
 from repro.gpu.engine import make_engine
-from repro.errors import TableFullError
 from repro.gpu.kernel import ExecMode
 from repro.megakv.kernels import (
     KVDeleteKernel,
@@ -35,7 +32,7 @@ from repro.megakv.store import MegaKVStore
 from repro.nvm import MappedShadow, ShardedShadow
 from repro.workloads.spmv import SPMVWorkload
 
-ENGINES = ["parallel", "batched"]
+ENGINES = ["batched"]
 
 #: An Adler-32 lane depends on store order, so its LP wrapper is not
 #: ``batchable`` whatever the inner kernel: the launch stays scalar.
@@ -342,17 +339,6 @@ def test_fallback_is_counted_under_the_configured_engine():
 # Engine mechanics.
 
 
-def test_parallel_falls_back_for_unsafe_kernels():
-    """EP kernels (clwb, cache-state dependent) must run serially."""
-    device = repro.Device(cache_capacity_lines=64, engine="parallel")
-    work = SPMVWorkload(scale="tiny", seed=3)
-    kernel = work.setup(device)
-    ep_kernel = repro.EPRuntime(device).instrument(kernel)
-    assert not getattr(ep_kernel, "parallel_safe", True)
-    device.launch(ep_kernel)
-    work.verify(device)
-
-
 def test_batched_requires_commutative_checksums():
     """Order-sensitive lanes (Adler-32) disable batching, not correctness."""
     config = ORDER_SENSITIVE
@@ -368,39 +354,43 @@ def test_duplicate_block_ids_rejected():
 
 
 def test_make_engine_resolution():
-    """Three names, two choices each: (vectorize, pool of ``jobs``)."""
+    """Two names, one choice: vectorize or not."""
     def choices(engine):
-        return engine.name, engine.vectorize, engine.jobs
+        return engine.name, engine.vectorize, engine.group_size
 
-    assert choices(make_engine(None)) == ("serial", False, 1)
-    assert choices(make_engine("serial")) == ("serial", False, 1)
-    assert choices(make_engine("batched")) == ("batched", True, 1)
-    assert choices(make_engine("parallel", jobs=3)) == ("parallel", True, 3)
-    engine = make_engine("parallel", jobs=3)
+    assert choices(make_engine(None)) == ("serial", False, 256)
+    assert choices(make_engine("serial")) == ("serial", False, 256)
+    assert choices(make_engine("batched")) == ("batched", True, 256)
+    engine = make_engine("batched")
     assert make_engine(engine) is engine
     with pytest.raises(LaunchError, match="unknown launch engine"):
         make_engine("warp-speculative")
 
 
+def test_parallel_is_an_unknown_engine_like_any_other():
+    """No alias, no shim: every constructor that takes an engine name
+    refuses it with the typed error, whose text lists the valid names."""
+    from repro.service import ServiceConfig
+    from repro.service.core import ServiceCore
+
+    doors = [
+        lambda: make_engine("parallel"),
+        lambda: repro.Device(engine="parallel"),
+        lambda: ServiceCore(ServiceConfig(engine="parallel")),
+    ]
+    for door in doors:
+        with pytest.raises(ReproError, match="unknown launch engine") as err:
+            door()
+        assert isinstance(err.value, LaunchError)
+        assert all(repr(name) in str(err.value) for name in ENGINE_NAMES)
+    assert list(ENGINE_NAMES) == ["serial", "batched"]
+    with pytest.raises(TypeError):
+        make_engine("batched", jobs=2)
+
+
 def test_device_accepts_engine_name():
     device = repro.Device(engine="batched")
     assert device.engine.name == "batched"
-
-
-def test_parallel_jobs_default_is_container_aware():
-    assert make_engine("parallel").jobs == shm.cpu_budget()
-    assert make_engine("parallel", jobs=0).jobs == shm.cpu_budget()
-    with pytest.raises(LaunchError, match="jobs >= 1"):
-        make_engine("parallel", jobs=-1)
-
-
-def test_jobs_is_a_worker_count_and_nothing_else():
-    """An engine with no pool ignores ``jobs``; in particular it is not
-    the batched engine's group size."""
-    for name in ("serial", "batched"):
-        engine = make_engine(name, jobs=2)
-        assert (engine.jobs, engine.group_size) == (1, 256)
-    assert make_engine("parallel", jobs=2).group_size == 256
 
 
 # ---------------------------------------------------------------------------
@@ -410,36 +400,29 @@ def test_jobs_is_a_worker_count_and_nothing_else():
 def _shape_case(case, device):
     """``(kernel, block_ids)`` of one launch shape on ``device``."""
     kernel = SPMVWorkload(scale="small", seed=3).setup(device)
-    if case == "unsafe":  # EP logging reads shared cache state
+    if case == "unsafe":  # the EP wrapper has no ``run_block_batch``
         return repro.EPRuntime(device).instrument(kernel), None
-    # An order-sensitive lane leaves the LP wrapper op-loggable but not
-    # ``batchable`` — every workload kernel itself is.
-    config = (ORDER_SENSITIVE if case == "parallel_safe"
+    # An order-sensitive lane leaves the LP wrapper not ``batchable`` —
+    # every workload kernel itself is.
+    config = (ORDER_SENSITIVE if case == "order_sensitive"
               else repro.LPConfig.paper_best())
     lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
     return lp_kernel, ([0] if case == "one_block" else None)
 
 
-#: engine -> launch -> (cell, is it a fallback). ``parallel`` is at
-#: ``jobs=2``: a launch pools from four blocks up.
+#: engine -> launch -> (cell, is it a fallback).
 SHAPE_TABLE = {
     "serial": {
-        "batchable": ("scalar-inline", False),
-        "parallel_safe": ("scalar-inline", False),
-        "unsafe": ("scalar-inline", False),
-        "one_block": ("scalar-inline", False),
+        "batchable": ("scalar", False),
+        "order_sensitive": ("scalar", False),
+        "unsafe": ("scalar", False),
+        "one_block": ("scalar", False),
     },
     "batched": {
-        "batchable": ("vector-inline", False),
-        "parallel_safe": ("scalar-inline", True),
-        "unsafe": ("scalar-inline", True),
-        "one_block": ("vector-inline", False),
-    },
-    "parallel": {
-        "batchable": ("vector-pool", False),
-        "parallel_safe": ("scalar-pool", False),
-        "unsafe": ("scalar-inline", True),
-        "one_block": ("vector-inline", False),
+        "batchable": ("vector", False),
+        "order_sensitive": ("scalar", True),
+        "unsafe": ("scalar", True),
+        "one_block": ("vector", False),
     },
 }
 
@@ -447,190 +430,20 @@ SHAPE_TABLE = {
 @pytest.mark.parametrize("case", list(SHAPE_TABLE["serial"]))
 @pytest.mark.parametrize("engine_name", list(SHAPE_TABLE))
 def test_launch_shape_table(engine_name, case):
-    """Which of the four cells a launch runs in is decided per launch,
-    from the kernel's flags and the launch's length — read back here
-    from the spans each cell emits — and only blocks that ran
-    scalar-inline under a non-serial engine count as a fallback."""
-    engine = (_forked_engine() if engine_name == "parallel"
-              else make_engine(engine_name, jobs=2))
-    with engine, obs.recording(trace=True) as rec:
+    """Which of the two cells a launch runs in is decided per launch,
+    from the kernel's ``batchable`` flag — read back here from the
+    spans each cell emits — and only blocks that ran scalar under the
+    vectorizing engine count as a fallback."""
+    engine = make_engine(engine_name)
+    with obs.recording(trace=True) as rec:
         device = repro.Device(cache_capacity_lines=64, engine=engine)
         kernel, block_ids = _shape_case(case, device)
         device.launch(kernel, block_ids=block_ids)
-        events = {event.name: event.args for event in rec.trace.sink.events}
+        events = {event.name for event in rec.trace.sink.events}
     cells = {
-        "scalar-inline": "engine.blocks" in events,
-        "vector-inline": "engine.group" in events,
-        "scalar-pool": not events.get("engine.workers",
-                                      {}).get("vectorized", True),
-        "vector-pool": events.get("engine.workers",
-                                  {}).get("vectorized", False),
+        "scalar": "engine.blocks" in events,
+        "vector": "engine.group" in events,
     }
     want_cell, want_fallback = SHAPE_TABLE[engine_name][case]
     assert [cell for cell, ran in cells.items() if ran] == [want_cell]
     assert engine.fallbacks == ({kernel.name: 1} if want_fallback else {})
-    assert not shm.leaked_segments()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory pool mechanics.
-
-
-def _forked_engine(jobs=2):
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    return make_engine("parallel", jobs=jobs)
-
-
-@pytest.mark.parametrize("config_name", ["paper_best", "naive_quadratic"])
-def test_forked_pool_vectorized_parity(config_name):
-    """jobs=2 forces real worker processes through the batched path."""
-    config = getattr(repro.LPConfig, config_name)()
-    engine = _forked_engine()
-    try:
-        ref = run_spmv("serial", config, "shuffled")
-        got = run_spmv(engine, config, "shuffled")
-        assert engine._pool is not None, "pool path was not exercised"
-        assert_same_launch(ref, got)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_forked_pool_block_granular_parity():
-    """Adler-32 lanes disable batching: workers ship per-block op logs."""
-    config = ORDER_SENSITIVE
-    engine = _forked_engine()
-    try:
-        ref = run_spmv("serial", config)
-        got = run_spmv(engine, config)
-        assert engine._pool is not None, "pool path was not exercised"
-        assert_same_launch(ref, got)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_engine_is_reentrant_and_reuses_its_pool():
-    """Two launches on one engine instance: one fork, identical results."""
-    engine = _forked_engine()
-    try:
-        device = repro.Device(cache_capacity_lines=64, seed=7,
-                              engine=engine)
-        work = SPMVWorkload(scale="small", seed=3)
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(
-            device, repro.LPConfig.paper_best()).instrument(kernel)
-        device.launch(lp_kernel)
-        first_pool = engine._pool
-        assert first_pool is not None
-        first_pids = [p.pid for p, _ in first_pool.workers]
-        device.launch(lp_kernel)
-        assert engine._pool is first_pool, "pool must persist across launches"
-        assert [p.pid for p, _ in engine._pool.workers] == first_pids
-        work.verify(device)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-
-
-def test_sigkilled_worker_falls_back_and_leaks_nothing():
-    """Killing a pool worker must not lose blocks or /dev/shm segments."""
-    engine = _forked_engine()
-    with obs.recording(trace=False) as rec:
-        try:
-            device = repro.Device(cache_capacity_lines=64, seed=7,
-                                  engine=engine)
-            work = SPMVWorkload(scale="small", seed=3)
-            kernel = work.setup(device)
-            lp_kernel = repro.LPRuntime(
-                device, repro.LPConfig.paper_best()).instrument(kernel)
-            device.launch(lp_kernel)
-            pool = engine._pool
-            assert pool is not None
-            victim = pool.workers[0][0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=5.0)
-
-            result = device.launch(lp_kernel)
-            assert engine._pool is None, "broken pool must be torn down"
-            assert result.completed_blocks == list(
-                range(kernel.launch_config().n_blocks))
-            work.verify(device)
-            # The serial continuation is a fallback like any other:
-            # counted once for the launch, under the configured engine.
-            assert engine.fallbacks == {lp_kernel.name: 1}
-            counters = rec.metrics_snapshot()["counters"]
-            assert counters[
-                "engine.fallbacks{engine=parallel,"
-                f"kernel={lp_kernel.name}}}"] == 1
-        finally:
-            engine.close()
-        shm.reap_orphans()
-        assert not shm.leaked_segments()
-        # the live segment gauges must agree with the empty registry
-        assert shm.publish_segment_gauges(rec.metrics) == (0, 0)
-        snap = rec.metrics_snapshot()["gauges"]
-        assert snap["engine.shm.segments"] == 0
-        assert snap["engine.shm.segment_bytes"] == 0
-
-
-def test_forked_pool_over_a_sharded_heap_keeps_parity(tmp_path):
-    """Pool workers are sealed and never touch a shard file, so where a
-    buffer's shadow lives cannot change what a pooled launch computes
-    or persists: same results, same shard bytes as serial.
-    """
-    from repro.nvm.sharded import ShardedShadow
-
-    config = repro.LPConfig.paper_best()
-
-    def run(engine, path):
-        heap = ShardedShadow.create(path, n_shards=4)
-        device = repro.Device(cache_capacity_lines=64, seed=7,
-                              engine=engine, shadow=heap)
-        work = SPMVWorkload(scale="small", seed=3)
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
-        result = device.launch(lp_kernel)
-        device.drain()
-        heap.close()
-        return device, result
-
-    engine = _forked_engine()
-    try:
-        ref = run("serial", tmp_path / "a.lpnv")
-        got = run(engine, tmp_path / "b.lpnv")
-        assert engine._pool is not None, "pool path was not exercised"
-        assert_same_launch(ref, got)
-    finally:
-        engine.close()
-    assert not shm.leaked_segments()
-    # The two heaps converged to bit-identical persistent images.
-    for k in range(4):
-        a = (tmp_path / f"a.lpnv.shard{k}").read_bytes()
-        b = (tmp_path / f"b.lpnv.shard{k}").read_bytes()
-        assert a == b, f"shard {k} diverged between serial and pooled"
-
-
-def test_engine_close_unlinks_every_segment():
-    engine = _forked_engine()
-    config = repro.LPConfig.paper_best()
-    with obs.recording(trace=False) as rec:
-        run_spmv(engine, config)
-        assert engine._pool is not None
-        created = {engine._pool.image_seg.name, engine._pool.slot_seg.name,
-                   engine._pool.arena_seg.name}
-        assert created <= set(shm.leaked_segments())
-        gauges = rec.metrics_snapshot()["gauges"]
-        assert gauges["engine.shm.segments"] >= 3
-        assert gauges["engine.shm.segment_bytes"] >= sum(
-            seg.nbytes for seg in (engine._pool.image_seg,
-                                   engine._pool.slot_seg,
-                                   engine._pool.arena_seg))
-        engine.close()
-        assert not created & set(shm.leaked_segments())
-        assert engine._pool is None
-        # unlinking the last segment drove the gauges back to zero
-        gauges = rec.metrics_snapshot()["gauges"]
-        assert gauges["engine.shm.segments"] == 0
-        assert gauges["engine.shm.segment_bytes"] == 0

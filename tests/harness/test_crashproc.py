@@ -99,7 +99,7 @@ def test_managed_tmpdir_keep_leaves_directory():
 def _spec(tmp, **overrides):
     base = dict(
         workload="spmv", scale="tiny", seed=0, config="global-array",
-        engine="serial", jobs=None, cache_lines=8,
+        engine="serial", cache_lines=8,
         heap_path=str(tmp.file("heap.lpnv")),
         ready_path=str(tmp.file("ready")),
         phase="launch", trigger=None,
@@ -228,7 +228,7 @@ def test_install_kill_trigger_fires_inside_an_armed_window(
     heap = create_heap(path, shards)
     spec = ChildSpec(
         workload="spmv", scale="small", seed=0, config="global-array",
-        engine="serial", jobs=None, cache_lines=4, heap_path=str(path),
+        engine="serial", cache_lines=4, heap_path=str(path),
         ready_path="", phase="launch", trigger=None, shards=shards)
     device, _work, lp_kernel = crashproc.build_run(spec, shadow=heap)
     # {k}: the extent that homes the checksum table — always written.
@@ -288,7 +288,7 @@ def test_inspect_round_agrees_with_measure(shards):
 # End-to-end kill matrix: the acceptance criterion
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["serial", "parallel", "batched"])
+@pytest.mark.parametrize("engine", ["serial", "batched"])
 @pytest.mark.parametrize("workload", ["spmv", "tmm"])
 def test_kill_midlaunch_reopen_recover_verify(workload, engine):
     cell = run_cell(workload, engine, "global-array", kill_rounds=1,

@@ -77,8 +77,8 @@ def test_block_order_invariance(workload_name):
 # -- engine parity of the post-crash pipeline -----------------------------------
 #
 # The validation fast path (vectorized re-checksum + batched table
-# lookups) and the batched/chunked recovery dispatch must be invisible:
-# every engine reproduces the serial reference's ValidationReport bit
+# lookups) and the batched recovery dispatch must be invisible: the
+# batched engine reproduces the serial reference's ValidationReport bit
 # for bit — failed sets, missing entries, per-block failure_details
 # lanes, and the forensics serialization (hex lanes included).
 
@@ -129,7 +129,7 @@ def _assert_details_equal(ref, got):
 
 @pytest.mark.parametrize("checksum_name", sorted(CHECKSUM_KINDS))
 @pytest.mark.parametrize("table_name", sorted(TABLES))
-@pytest.mark.parametrize("engine_name", ["parallel", "batched"])
+@pytest.mark.parametrize("engine_name", ["batched"])
 def test_recovery_pipeline_engine_parity(engine_name, table_name,
                                          checksum_name):
     config = TABLES[table_name].with_(
@@ -167,7 +167,7 @@ def test_recovery_pipeline_engine_parity(engine_name, table_name,
 # bit-identical to the in-memory backend under the same CrashPlan seed.
 
 @pytest.mark.parametrize("table_name", sorted(TABLES))
-@pytest.mark.parametrize("engine_name", ["serial", "parallel", "batched"])
+@pytest.mark.parametrize("engine_name", ["serial", "batched"])
 def test_recovery_mapped_backend_parity(engine_name, table_name,
                                         tmp_path):
     config = TABLES[table_name]
@@ -212,10 +212,10 @@ def test_recovery_mapped_backend_parity(engine_name, table_name,
 
 # -- full parity matrix ---------------------------------------------------------
 #
-# The shared-memory parallel engine and the batched engine each drive
-# the *whole* pipeline — the crashed NORMAL launch, validation, recovery
-# — across every workload, every table, and both shadow backends, and
-# must land bit-identically on the serial reference: recovered volatile
+# The batched engine drives the *whole* pipeline — the crashed NORMAL
+# launch, validation, recovery — across every workload, every table,
+# and both shadow backends, and must land bit-identically on the
+# serial reference: recovered volatile
 # + NVM images, failed sets, forensics, everything.
 
 def _full_pipeline(engine_name, workload_name, config, shadow=None):
@@ -257,29 +257,29 @@ def test_parallel_engine_parity_matrix(workload_name, table_name,
 
     ref_report, ref_images = _full_pipeline(
         "serial", workload_name, config, shadow=shadow())
-    for engine_name in ("parallel", "batched"):
-        report, images = _full_pipeline(
-            engine_name, workload_name, config, shadow=shadow())
+    engine_name = "batched"
+    report, images = _full_pipeline(
+        engine_name, workload_name, config, shadow=shadow())
 
-        for phase in ("initial", "final"):
-            ref_val = getattr(ref_report, phase)
-            val = getattr(report, phase)
-            assert val.n_blocks == ref_val.n_blocks, engine_name
-            assert val.failed_blocks == ref_val.failed_blocks, engine_name
-            assert val.missing_checksums == ref_val.missing_checksums, \
-                engine_name
-            _assert_details_equal(ref_val.failure_details,
-                                  val.failure_details)
-        assert report.recovered_blocks == ref_report.recovered_blocks, \
+    for phase in ("initial", "final"):
+        ref_val = getattr(ref_report, phase)
+        val = getattr(report, phase)
+        assert val.n_blocks == ref_val.n_blocks, engine_name
+        assert val.failed_blocks == ref_val.failed_blocks, engine_name
+        assert val.missing_checksums == ref_val.missing_checksums, \
             engine_name
-        if ref_report.forensics is None:
-            assert report.forensics is None, engine_name
-        else:
-            assert (report.forensics.to_dict()
-                    == ref_report.forensics.to_dict()), engine_name
-        assert images.keys() == ref_images.keys(), engine_name
-        for name, (ref_data, ref_shadow) in ref_images.items():
-            data, shadow_bytes = images[name]
-            assert data == ref_data, (engine_name, name, "volatile image")
-            assert shadow_bytes == ref_shadow, (engine_name, name,
-                                                "NVM image")
+        _assert_details_equal(ref_val.failure_details,
+                              val.failure_details)
+    assert report.recovered_blocks == ref_report.recovered_blocks, \
+        engine_name
+    if ref_report.forensics is None:
+        assert report.forensics is None, engine_name
+    else:
+        assert (report.forensics.to_dict()
+                == ref_report.forensics.to_dict()), engine_name
+    assert images.keys() == ref_images.keys(), engine_name
+    for name, (ref_data, ref_shadow) in ref_images.items():
+        data, shadow_bytes = images[name]
+        assert data == ref_data, (engine_name, name, "volatile image")
+        assert shadow_bytes == ref_shadow, (engine_name, name,
+                                            "NVM image")

@@ -18,7 +18,7 @@ from repro.gpu.engine import make_engine
 from repro.megakv import KVBatchSession, MegaKVStore
 from repro.nvm import MappedShadow, ShardedShadow
 
-ENGINES = ["serial", "parallel", "batched"]
+ENGINES = ["serial", "batched"]
 SHADOWS = ["memory", "mapped", "sharded"]
 
 

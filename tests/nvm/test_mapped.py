@@ -335,42 +335,3 @@ def test_writeback_listener_fires_inside_the_torn_window(heap_path):
     assert all(armed for _, armed in seen)
     assert seen[-1][0] == heap.lines_written
     heap.close()
-
-
-# ---------------------------------------------------------------------------
-# Worker mode (pool fork-safety)
-# ---------------------------------------------------------------------------
-
-def test_worker_mode_seals_the_heap(heap_path):
-    heap = MappedShadow.create(heap_path)
-    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
-    buf = mem.alloc("x", (64,), np.int64,
-                    init=np.arange(64, dtype=np.int64))
-    before_shadow = np.asarray(buf.shadow).copy()
-    before_heap = np.asarray(heap.view("x")).copy()
-    mem.enter_worker_mode()
-    assert mem.shadow_backend is None
-    mem.write(buf, np.arange(64), np.zeros(64, np.int64))
-    mem.drain()
-    # Worker stores scribble the volatile image only; the persistence
-    # domain — shadow arrays and the heap file — stays the parent's.
-    assert np.array_equal(np.asarray(buf.data), np.zeros(64, np.int64))
-    assert np.array_equal(np.asarray(buf.shadow), before_shadow)
-    assert np.array_equal(np.asarray(heap.view("x")), before_heap)
-    heap.close()
-
-
-def test_sealed_heap_refuses_persistence(heap_path):
-    heap = MappedShadow.create(heap_path)
-    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
-    mem.alloc("x", (64,), np.int64)
-    mem.enter_worker_mode()
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.sync()
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.arm([0])
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.commit(0)
-    # Reads stay valid — workers consume the mapping zero-copy.
-    assert np.asarray(heap.view("x")).shape == (64,)
-    heap.close()

@@ -504,22 +504,6 @@ def test_adopt_layout_mismatch_is_typed(manifest_path):
             heap.adopt(mem)
 
 
-def test_worker_mode_seals_every_shard(manifest_path):
-    heap = ShardedShadow.create(manifest_path, n_shards=2)
-    mem = GlobalMemory(cache_capacity_lines=4, shadow=heap)
-    mem.alloc("x", (64,), np.int64)
-    mem.enter_worker_mode()
-    assert mem.shadow_backend is None
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.arm([0])
-    with pytest.raises(HeapFormatError, match="sealed in a worker"):
-        heap.sync()
-    for shard in heap.extents:
-        with pytest.raises(HeapFormatError, match="sealed in a worker"):
-            shard.arm([0])
-    heap.close()
-
-
 # ---------------------------------------------------------------------------
 # Degenerate configurations
 # ---------------------------------------------------------------------------

@@ -138,8 +138,6 @@ def test_run_telemetry_stream_and_prom_export(tmp_path, capsys):
     assert any(k.startswith("device.launches") for k in final["counters"])
     assert any(k.startswith("engine.blocks.completed")
                for k in final["counters"])
-    # the shm gauge provider ran before each sample
-    assert "engine.shm.segments" in final["gauges"]
 
     text = prom.read_text()
     assert "repro_device_launches_total" in text
@@ -358,14 +356,14 @@ def test_cli_watch_once_renders_latest_sample(tmp_path, capsys):
     sampler.sample()
     clock_t[0] += 1.0
     reg.inc("harness.rounds", 3, phase="launch")
-    reg.set_gauge("engine.shm.segments", 1)
+    reg.set_gauge("service.queue.depth", 1)
     sampler.sample()
     sampler.close()
 
     assert main(["watch", str(stream), "--once"]) == 0
     out = capsys.readouterr().out
     assert "harness.rounds" in out
-    assert "engine.shm.segments" in out
+    assert "service.queue.depth" in out
 
 
 def test_cli_watch_empty_stream_fails(tmp_path, capsys):

@@ -19,17 +19,15 @@ from repro import obs
 from repro.obs.metrics import ORDER_SENSITIVE_PREFIXES, commutative_view
 from repro.workloads.spmv import SPMVWorkload
 
-ENGINES = ["serial", "parallel", "batched"]
+ENGINES = ["serial", "batched"]
 
 
 def record_spmv(engine, config, crash_after=None):
     """One launch (+ recovery when crashed) under a fresh registry."""
     with obs.recording(trace=False, metrics=True) as rec:
-        # jobs=2 forces the forked pool for ``parallel`` and means
-        # nothing to the two engines that have none.
         device = repro.Device(cache_capacity_lines=64,
                               block_order="shuffled", seed=7,
-                              engine=repro.make_engine(engine, jobs=2))
+                              engine=engine)
         work = SPMVWorkload(scale="small", seed=3)
         kernel = work.setup(device)
         lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
@@ -88,12 +86,12 @@ def test_exemptions_are_documented_and_narrow():
     justification in docs/observability.md.
     """
     assert ORDER_SENSITIVE_PREFIXES == (
-        "time.", "engine.scheduling.", "engine.fallbacks", "engine.shm.",
-        "engine.slots.", "service.window.ms")
+        "time.", "engine.scheduling.", "engine.fallbacks",
+        "service.window.ms")
 
 
 def test_scheduling_series_differ_but_are_exempt():
-    """Parallel/batched record scheduling counters serial never emits —
+    """Batched records scheduling counters serial never emits —
     the projection must be what hides them, not luck."""
     config = repro.LPConfig.paper_best()
     raw_serial = record_spmv("serial", config)["counters"]

@@ -68,7 +68,7 @@ def test_commutative_view_drops_order_sensitive_series():
     reg = MetricsRegistry()
     reg.inc("nvm.writeback.lines", 5, buffer="y", reason="eviction")
     reg.inc("time.launch.us", 120)
-    reg.inc("engine.scheduling.chunks", 4, engine="parallel")
+    reg.inc("engine.scheduling.groups", 4, engine="batched")
     view = commutative_view(reg.snapshot())
     assert view == {
         "nvm.writeback.lines{buffer=y,reason=eviction}": 5.0,
@@ -178,7 +178,7 @@ def test_commutative_view_label_normalization_collision():
     """Two engine-labelled series collapse to one: values must sum."""
     reg = MetricsRegistry()
     reg.inc("engine.blocks.completed", 10, engine="serial")
-    reg.inc("engine.blocks.completed", 6, engine="parallel")
+    reg.inc("engine.blocks.completed", 6, engine="batched")
     view = commutative_view(reg.snapshot())
     assert view == {"engine.blocks.completed{engine=*}": 16.0}
 

@@ -38,11 +38,11 @@ def test_samples_capture_counters_rates_and_gauges():
 
     clock.advance(2.0)
     reg.inc("nvm.writeback.lines", 30, buffer="y")
-    reg.set_gauge("engine.shm.segments", 3)
+    reg.set_gauge("service.queue.depth", 3)
     second = sampler.sample()
     assert second.dt == 2.0
     assert second.rates == {"nvm.writeback.lines{buffer=y}": 15.0}
-    assert second.gauges == {"engine.shm.segments": 3.0}
+    assert second.gauges == {"service.queue.depth": 3.0}
 
     # unchanged counters produce no rate entry
     clock.advance(1.0)
@@ -169,7 +169,7 @@ def _sample_snapshot():
     reg = MetricsRegistry()
     reg.inc("nvm.writeback.lines", 12, buffer="spmv_y", reason="eviction")
     reg.inc("device.launches", 2, mode="NORMAL")
-    reg.set_gauge("engine.shm.segment_bytes", 4096)
+    reg.set_gauge("service.queue.capacity", 4096)
     for v in (1.0, 2.0, 3.0, 10.0):
         reg.observe("time.launch.ms", v)
     return reg.snapshot()
@@ -180,7 +180,7 @@ def test_prometheus_rendering_families():
     assert "# TYPE repro_nvm_writeback_lines_total counter" in text
     assert ('repro_nvm_writeback_lines_total'
             '{buffer="spmv_y",reason="eviction"} 12.0') in text
-    assert "# TYPE repro_engine_shm_segment_bytes gauge" in text
+    assert "# TYPE repro_service_queue_capacity gauge" in text
     assert "# TYPE repro_time_launch_ms summary" in text
     assert 'repro_time_launch_ms{quantile="0.5"}' in text
     assert "repro_time_launch_ms_sum 16.0" in text

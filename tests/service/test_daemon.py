@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ServiceError
+from repro.gpu.engine import ENGINES
 from repro.obs.schema import load_schema, validate
 from repro.service import daemon
 from repro.service.core import ServiceConfig
@@ -418,6 +419,9 @@ def test_concurrent_clients_see_consistent_state(server):
 
 def test_stats_document_matches_committed_schema(server):
     schema = load_schema("service_stats")
+    # The schema's engine enum is the engine's own name list.
+    assert (schema["properties"]["config"]["properties"]["engine"]["enum"]
+            == list(ENGINES))
     validate(server.stats(), schema)  # empty server
     run_load(server.address,
              LoadConfig(clients=2, requests_per_client=40, pipeline=4))

@@ -10,6 +10,7 @@ after the restart and every un-acked in-flight request was cleanly
 retryable.
 """
 
+import os
 import signal
 
 import pytest
@@ -19,8 +20,11 @@ from repro.harness.serve import render_serve_text, run_serve_scenario
 
 @pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
 def test_sigkill_mid_batch_resumes_with_no_acked_loss(shards):
+    shm_before = sorted(os.listdir("/dev/shm"))
     report = run_serve_scenario(shards=shards)
     detail = render_serve_text(report)
+
+    assert sorted(os.listdir("/dev/shm")) == shm_before, detail
 
     assert report["kill_rc"] == -signal.SIGKILL, detail
     # The trigger fires inside commit(): the torn-write journal must

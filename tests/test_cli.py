@@ -62,7 +62,7 @@ def test_experiments_unknown_id(capsys):
     assert "unknown experiments" in capsys.readouterr().err
 
 
-def test_report_writes_file(tmp_path, capsys):
+def test_report_writes_file(tmp_path, capsys, shared_generation):
     out_file = tmp_path / "EXP.md"
     assert main(["report", str(out_file)]) == 0
     text = out_file.read_text()
@@ -82,3 +82,32 @@ def test_serve_on_an_unreadable_heap_fails_closed(tmp_path, capsys):
                  "--socket", str(tmp_path / "s.sock")]) == 2
     assert "HeapTruncatedError" in capsys.readouterr().err
     assert not (tmp_path / "s.sock").exists()
+
+
+# ---------------------------------------------------------------------------
+# The engine choice: two names, no worker count.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["run", "spmv", "--engine", "parallel"],
+    ["mc", "--engine", "parallel"],
+    ["crash-test", "--engines", "parallel"],
+    ["serve", "--engine", "parallel"],
+], ids=lambda argv: argv[0])
+def test_parallel_is_not_an_engine_choice(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'parallel'" in err
+    assert "'serial'" in err and "'batched'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "spmv"], ["profile", "spmv"], ["mc"], ["crash-test"], ["serve"],
+], ids=lambda argv: argv[0])
+def test_jobs_is_not_an_option(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

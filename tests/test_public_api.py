@@ -28,6 +28,27 @@ def test_subpackage_surfaces():
     assert len(experiments.EXPERIMENTS) == 16
 
 
+def test_nothing_in_the_package_imports_multiprocessing():
+    """Every block runs in the launching process: no module under
+    ``src/repro`` forks workers or maps shared-memory segments."""
+    import ast
+    from pathlib import Path
+
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing"
+                   for name in names):
+                offenders.append(f"{path}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_package_docstring_quick_tour_runs():
     """The __init__ docstring's tour must actually work."""
     device = repro.Device()

@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro import obs
 from repro.core.recovery import RecoveryManager
-from repro.gpu import shm
 from repro.gpu.engine import LaunchEngine
 from repro.workloads import SCALES, WORKLOADS, make_workload
 from repro.workloads import cutcp, mri_gridding, mri_q, tpacf
 from repro.workloads.histo import HISTOKernel
-from tests.gpu.test_engines import _forked_engine, assert_same_launch
+from tests.gpu.test_engines import assert_same_launch
 
 ALL = sorted(WORKLOADS)
 GROUP_SIZES = [1, 3, 256]
@@ -87,26 +85,6 @@ def test_no_workload_falls_back_under_batched(name):
     assert RecoveryManager(device, lp_kernel).recover().recovered
     work.verify(device)
     assert device.engine.fallbacks == {}
-
-
-@pytest.mark.parametrize("name", ALL)
-def test_pooled_launch_takes_the_vector_pool_cell(name):
-    """Under ``parallel`` the same kernels ship vectorized chunks — no
-    launch of the cycle records an op log — and land on serial's bits."""
-    config = repro.LPConfig.paper_best()
-    ref = _launch("serial", name, "small", config, crash=True)
-    with _forked_engine() as engine, obs.recording(trace=True) as rec:
-        got = _launch(engine, name, "small", config, crash=True)
-        assert_same_launch(ref[:2], got[:2])
-        for device, _, work, lp_kernel in (ref, got):
-            assert RecoveryManager(device, lp_kernel).recover().recovered
-        assert_same_launch(ref[:2], got[:2])
-        pooled = [event.args["vectorized"]
-                  for event in rec.trace.sink.events
-                  if event.name == "engine.workers"]
-    assert pooled and all(pooled)
-    assert engine.fallbacks == {}
-    assert not shm.leaked_segments()
 
 
 # ---------------------------------------------------------------------------
