@@ -256,6 +256,9 @@ def run_serve_scenario(
             # at most a search, an insert and a delete.
             "windows": resume_stats["counters"]["windows"],
             "launches": resume_stats["counters"]["launches"],
+            # ... and why its windows closed: synchronous clients answer
+            # every ack, so all but the first should read `answered`.
+            "batching": resume_stats["batching"],
             "resumed_exit_rc": resumed.proc.returncode,
             "converged": (
                 rc == -signal.SIGKILL
@@ -273,6 +276,7 @@ def run_serve_scenario(
 def render_serve_text(report: dict) -> str:
     """Human-readable summary of a serve-scenario report."""
     load = report.get("load", {})
+    reasons = report.get("batching", {}).get("flush_reasons", {})
     lines = [
         "serve crash scenario "
         + ("CONVERGED" if report.get("converged") else "FAILED"),
@@ -285,7 +289,10 @@ def render_serve_text(report: dict) -> str:
         f"{load.get('shed')} shed",
         f"  resume: {report.get('resume')}",
         f"  resumed daemon: {report.get('launches')} launch(es) in "
-        f"{report.get('windows')} window(s)",
+        f"{report.get('windows')} window(s), closed on "
+        + (", ".join(f"{reason} {count}"
+                     for reason, count in reasons.items() if count)
+           or "nothing"),
         f"  verified {report.get('acked_writes_checked')} acked "
         f"write(s); mismatches: "
         f"{len(report.get('final_sweep_mismatches', []))} final, "

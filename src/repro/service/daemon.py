@@ -13,12 +13,15 @@ Thread model
   (and therefore the device): it takes whatever queued while the
   previous window ran, keeps the window open while requests are still
   arriving, and closes it when it holds ``max_batch`` requests, when
-  the queue has been quiet for longer than a burst's gaps run
-  (:class:`FlushPolicy` learns them from the enqueue timestamps), or
-  at the latest ``max_wait_ms`` after it met the first request. It flushes
-  the window as at most three MegaKV launches plus — if anything was
-  written — one drain, and only then writes the responses back — the
-  ack *is* the durability receipt.
+  every connection has sent as many requests as the previous window
+  acked it (a closed loop answers each ack with one request, so the
+  cohort is whole and nobody is left to wait for), when the queue has
+  been quiet for longer than a burst's gaps run, or at the latest
+  ``max_wait_ms`` after it met the first request — :class:`FlushPolicy`
+  counts the answers and learns the gaps from the enqueue timestamps.
+  It flushes the window as at most three MegaKV launches plus — if
+  anything was written — one drain, and only then writes the responses
+  back — the ack *is* the durability receipt.
 
 Nothing here knows about persistence details; that is all
 :class:`ServiceCore`. The daemon adds networking, queueing and
@@ -51,34 +54,51 @@ LINGER_GAPS = 2.0
 #: Weight of one window's longest gap in the running estimate.
 GAP_WEIGHT = 0.25
 #: A window nobody joined multiplies the patience by this, so a lone
-#: synchronous client stops paying for company that never comes.
+#: synchronous client stops paying for company that never comes. One
+#: that keeps its connection is released by ``answered`` anyway; one that
+#: opens a connection per request never answers anybody, and windows of
+#: one observe no gap, so without this its linger stays ``max_wait``.
 SOLO_DECAY = 0.5
 
-FLUSH_REASONS = ("fill", "quiet", "deadline", "stop")
+FLUSH_REASONS = ("fill", "answered", "quiet", "deadline", "stop")
 
 
 class FlushPolicy:
     """When the open window closes — arithmetic on arrival times.
 
     The batcher (or a test with a fake clock) reports each request it
-    takes (:meth:`add`, with ``Request.t_enqueue``), asks
-    :meth:`decide`, and reports when a window has run and its acks
-    start going out (:meth:`close`). The policy reads no clock and no
-    queue.
+    takes (:meth:`add`, with ``Request.t_enqueue`` and who sent it),
+    asks :meth:`decide`, and reports when a window has run and whom its
+    acks go to (:meth:`close`). The policy reads no clock, no queue and
+    no socket; a source is any hashable.
 
     What the previous acks release comes back as a burst; a window
-    should hold the burst and not wait a moment longer. The policy
-    keeps a running mean of the *longest gap* between two consecutive
-    arrivals of a window (a pair with acks in between is two bursts,
-    not a gap) and closes a window once nothing has arrived for
-    ``LINGER_GAPS`` times that — counted from its last arrival or, if
-    later, from the previous window's acks, since what queued while
-    that window ran says nothing about who is about to answer them. A
-    window that closes with nobody having joined a request that met an
-    idle daemon halves the *patience*, a factor on the linger; a window
-    of two, or a request that had to queue behind the running window,
-    is evidence of company and restores it. Until traffic has said
-    anything the linger is ``max_wait``, and it never exceeds it.
+    should hold the burst and not wait a moment longer. Two rules say
+    when the burst is over.
+
+    *Answered.* A closed-loop client answers each ack with one request
+    on the same connection. :meth:`close` records how many acks each
+    source was sent; an arrival stamped at or after them pays one off,
+    and once nothing is owed the cohort is whole: the window closes at
+    its last arrival. A request stamped before the acks queued behind
+    the running window and answers nothing. The rule waits for nobody,
+    so it only ever closes a window earlier than the other would; a
+    source that does not answer (it left, it sends less, it never
+    waited for acks) leaves the window to the other rule — for one
+    window: the next is owed only what this one acks.
+
+    *Quiet.* The policy keeps a running mean of the *longest gap*
+    between two consecutive arrivals of a window (a pair with acks in
+    between is two bursts, not a gap) and closes a window once nothing
+    has arrived for ``LINGER_GAPS`` times that — counted from its last
+    arrival or, if later, from the previous window's acks, since what
+    queued while that window ran says nothing about who is about to
+    answer them. A window that closes with nobody having joined a
+    request that met an idle daemon halves the *patience*, a factor on
+    the linger; a window of two, or a request that had to queue behind
+    the running window, is evidence of company and restores it. Until
+    traffic has said anything the linger is ``max_wait``, and it never
+    exceeds it.
     """
 
     def __init__(self, max_batch: int, max_wait_s: float) -> None:
@@ -91,38 +111,52 @@ class FlushPolicy:
         self._longest = 0.0     # its longest gap
         self._last = 0.0        # the latest arrival of any window
         self._acked_at = 0.0    # when the previous window's acks began
+        self._owed = collections.Counter()  # source -> acks to answer
+        self._was_owed = False  # those acks reached somebody
 
     @property
     def linger(self) -> float:
         return min(self.max_wait,
                    LINGER_GAPS * self.gap * self.patience)
 
-    def add(self, t_enqueue: float) -> None:
-        """A request joins the open window (opening it if none is)."""
+    def add(self, t_enqueue: float, source=None) -> None:
+        """A request from ``source`` joins the open window (opening it
+        if none is)."""
         if self._n and not self._last < self._acked_at <= t_enqueue:
             self._longest = max(self._longest, t_enqueue - self._last)
         if not self._n:
             self._first = t_enqueue
         self._n += 1
         self._last = t_enqueue
+        owed = self._owed.get(source)
+        if owed and t_enqueue >= self._acked_at:
+            if owed > 1:
+                self._owed[source] = owed - 1
+            else:
+                del self._owed[source]
 
     def decide(self) -> tuple[float | None, str | None]:
         """``(flush at, reason)`` if nobody else arrives; ``(None,
-        None)`` while no window is open. Neither clock starts before
-        the previous window's acks: what a request spent queued behind
-        a running window is not time the batcher chose to wait."""
+        None)`` while no window is open. ``answered`` is due at the
+        last arrival, which is already past: take what is queued, then
+        flush. Neither of the other clocks starts before the previous
+        window's acks: what a request spent queued behind a running
+        window is not time the batcher chose to wait."""
         if not self._n:
             return None, None
         if self._n >= self.max_batch:
             return self._last, "fill"
+        if self._was_owed and not self._owed:
+            return self._last, "answered"
         quiet = max(self._last, self._acked_at) + self.linger
         deadline = max(self._first, self._acked_at) + self.max_wait
         if quiet < deadline:
             return quiet, "quiet"
         return deadline, "deadline"
 
-    def close(self, now: float) -> None:
-        """The open window ran; its acks go out from ``now``."""
+    def close(self, now: float, acked=()) -> None:
+        """The open window ran; its acks went out from ``now``, one to
+        ``acked``'s source for each entry."""
         if self._longest > 0.0:
             self.gap += GAP_WEIGHT * (self._longest - self.gap)
         if self._n > 1 or self._first < self._acked_at:
@@ -132,6 +166,8 @@ class FlushPolicy:
         self._n = 0
         self._longest = 0.0
         self._acked_at = now
+        self._owed = collections.Counter(acked)
+        self._was_owed = bool(self._owed)
 
 
 class _Conn:
@@ -340,12 +376,17 @@ class KVServer:
             _recorder().metrics.inc("service.connections.dropped",
                                     reason=reason)
 
-    def _reply(self, conn: _Conn | None, doc: dict) -> None:
+    def _reply(self, conn: _Conn | None, doc: dict) -> bool:
         """Answer a queued request; a reply with nowhere to go (the
-        client vanished mid-window) is counted, never raised."""
-        if conn is not None and not conn.reply(doc):
-            self.dropped_replies += 1
-            self._drop(conn, "reset")
+        client vanished mid-window) is counted, never raised. True if
+        it reached the connection."""
+        if conn is None:
+            return False
+        if conn.reply(doc):
+            return True
+        self.dropped_replies += 1
+        self._drop(conn, "reset")
+        return False
 
     def _dispatch(self, conn: _Conn, doc: dict) -> None:
         req_id = doc.get("id")
@@ -420,13 +461,15 @@ class KVServer:
         rec = _recorder()
         window: list[Request] = []
         while True:
+            # An ``answered`` deadline is already past: ``_take`` then
+            # pops what is queued and waits for nothing.
             deadline, reason = policy.decide()
             request = None if reason == "fill" else self._take(deadline)
             if request is not None:
                 window.append(request)
-                policy.add(request.t_enqueue)
+                policy.add(request.t_enqueue, request.conn)
             elif window:
-                if reason != "fill" and self._stop.is_set():
+                if reason in ("quiet", "deadline") and self._stop.is_set():
                     reason = "stop"  # shutdown cut the wait short
                 self._flush(window, reason, rec)
                 window = []
@@ -441,9 +484,9 @@ class KVServer:
         except ServiceError as exc:
             result, error = None, str(exc)
         # The acks start now: whatever is stamped later may be an answer
-        # to them, whatever queued earlier cannot be.
+        # to them, whatever queued earlier cannot be. Only a reply that
+        # was delivered can be answered.
         now = time.monotonic()
-        self._policy.close(now)
         self.flush_reasons[reason] += 1
         self._dwell_sum += dwell_ms
         if rec.metrics.active:
@@ -451,9 +494,10 @@ class KVServer:
             rec.metrics.observe("service.window.dwell_ms", dwell_ms)
         if result is None:
             self.errors += len(window)
-            for req in window:
-                self._reply(req.conn, {"id": req.req_id, "ok": False,
-                                       "op": req.op, "error": error})
+            self._policy.close(now, [
+                req.conn for req in window
+                if self._reply(req.conn, {"id": req.req_id, "ok": False,
+                                          "op": req.op, "error": error})])
             return
         self.windows += 1
         self.launches += result.launches
@@ -464,6 +508,7 @@ class KVServer:
         self.occupancy_last = len(window)
         self.occupancy_max = max(self.occupancy_max, len(window))
         self._occupancy_sum += len(window)
+        delivered = []
         for req, doc in result.responses:
             doc["id"] = req.req_id
             ok = doc.get("ok", False)
@@ -474,7 +519,9 @@ class KVServer:
             latency = now - req.t_enqueue
             self._latencies.append(latency)
             self._latency_count += 1
-            self._reply(req.conn, doc)
+            if self._reply(req.conn, doc):
+                delivered.append(req.conn)
+        self._policy.close(now, delivered)
         if rec.metrics.active:
             rec.metrics.inc("service.windows")
             rec.metrics.inc("service.launches", result.launches)

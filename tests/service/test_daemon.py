@@ -297,6 +297,108 @@ def test_a_client_that_vanishes_mid_window_is_dropped_as_reset(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Windows close when their acks have been answered
+# ----------------------------------------------------------------------
+
+class _Lockstep:
+    """Pipelined clients driven from the test's own thread: a round
+    sends every client's requests, then collects every response. The
+    bound is far beyond any scheduling hiccup (and the learned linger
+    with it, this few windows in), so which rule closed a window is a
+    matter of who sent what — not of timing."""
+
+    MAX_WAIT_MS = 600.0
+
+    def __init__(self, tmp_path):
+        self.srv = KVServer(
+            ServiceConfig(capacity=512, cache_lines=64,
+                          max_wait_ms=self.MAX_WAIT_MS),
+            address=str(tmp_path / "kv.sock")).start()
+        self.key = 0
+
+    def send(self, client, depth):
+        ids = []
+        for _ in range(depth):
+            self.key += 1
+            ids.append(client.send("put", self.key, self.key))
+        return ids
+
+    def round(self, *clients_and_depths):
+        sent = [(client, self.send(client, depth))
+                for client, depth in clients_and_depths]
+        for client, ids in sent:
+            for req_id in ids:
+                assert client.wait(req_id)["ok"]
+
+    def reasons_since(self, before=None):
+        """Non-zero flush reasons (since an earlier ``srv.stats()``)."""
+        now = self.srv.stats()["batching"]["flush_reasons"]
+        then = before["batching"]["flush_reasons"] if before else {}
+        return {reason: count - then.get(reason, 0)
+                for reason, count in now.items()
+                if count - then.get(reason, 0)}
+
+    def warm_up(self, a, b):
+        """The first window knows nothing; the second is owed 8 + 8."""
+        self.round((a, 8), (b, 8))
+        self.round((a, 8), (b, 8))
+        assert self.reasons_since() == {"deadline": 1, "answered": 1}
+        return self.srv.stats()
+
+    def stop(self):
+        self.srv.shutdown()
+        self.srv.join(timeout=30)
+
+
+@pytest.fixture
+def lockstep(tmp_path):
+    harness = _Lockstep(tmp_path)
+    yield harness
+    harness.stop()
+
+
+def test_a_client_gone_with_requests_in_flight_owes_nothing(lockstep):
+    srv = lockstep.srv
+    with ServiceClient(srv.address) as a, ServiceClient(srv.address) as b:
+        warm = lockstep.warm_up(a, b)
+        lockstep.send(a, 8)
+        a.close()
+        assert _gone(srv, n_before=1)
+        # The window is still owed b's 8 and takes them; a's replies go
+        # nowhere, so the next window is owed 8, by b alone.
+        for _ in range(3):
+            lockstep.round((b, 8))
+        stats = srv.stats()
+    assert stats["counters"]["dropped_replies"] == 8
+    assert stats["counters"]["windows"] == 2 + 3
+    assert lockstep.reasons_since(warm) == {"answered": 3}
+
+
+def test_a_client_gone_after_its_acks_costs_one_fallback_window(lockstep):
+    srv = lockstep.srv
+    with ServiceClient(srv.address) as a, ServiceClient(srv.address) as b:
+        warm = lockstep.warm_up(a, b)
+        a.close()  # acked 8, answers none of them
+        for _ in range(3):
+            lockstep.round((b, 8))
+        stats = srv.stats()
+    assert stats["counters"]["dropped_replies"] == 0
+    assert lockstep.reasons_since(warm) == {"quiet": 1, "answered": 2}
+
+
+def test_a_client_that_halves_its_depth_costs_one_fallback_window(lockstep):
+    srv = lockstep.srv
+    with ServiceClient(srv.address) as a, ServiceClient(srv.address) as b:
+        warm = lockstep.warm_up(a, b)
+        for _ in range(3):
+            lockstep.round((a, 4), (b, 8))
+        stats = srv.stats()
+    assert lockstep.reasons_since(warm) == {"quiet": 1, "answered": 2}
+    assert stats["counters"]["windows"] == 2 + 3
+    assert stats["batch_occupancy"]["last"] == 12
+
+
+# ----------------------------------------------------------------------
 # Acked => msync'd
 # ----------------------------------------------------------------------
 
@@ -422,6 +524,10 @@ def test_stats_document_matches_committed_schema(server):
     # The schema's engine enum is the engine's own name list.
     assert (schema["properties"]["config"]["properties"]["engine"]["enum"]
             == list(ENGINES))
+    # ... and its flush reasons are the daemon's, in the daemon's order.
+    reasons = schema["properties"]["batching"]["properties"]["flush_reasons"]
+    assert (reasons["required"] == list(reasons["properties"])
+            == list(daemon.FLUSH_REASONS))
     validate(server.stats(), schema)  # empty server
     run_load(server.address,
              LoadConfig(clients=2, requests_per_client=40, pipeline=4))
