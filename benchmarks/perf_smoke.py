@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -547,11 +546,7 @@ def run_sharded_suite() -> dict:
 
 #: Ceiling on the telemetry sampler's cost: with a background sampler
 #: attached the same metrics-recorded launch may be at most 5 % slower.
-#: Override with the ``TELEMETRY_OVERHEAD_LIMIT`` env var (a ratio,
-#: e.g. ``1.15``) on noisy shared runners.
-TELEMETRY_OVERHEAD_LIMIT = float(
-    os.environ.get("TELEMETRY_OVERHEAD_LIMIT", "1.05")
-)
+TELEMETRY_OVERHEAD_LIMIT = 1.05
 
 #: Sampling period for the overhead scenario: aggressive (50 ms) so a
 #: sub-second launch still sees several snapshot cycles.

@@ -65,7 +65,6 @@ from repro.gpu.device import Device, LaunchResult
 from repro.gpu.engine import LaunchEngine, make_engine
 from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
 from repro.gpu.spec import GPUSpec, NVMSpec
-from repro.nvm.audit import AuditReport, audit_crash_consistency
 from repro.nvm.crash import CrashPlan, FaultInjector
 from repro.nvm.mapped import MappedShadow
 from repro.nvm.sharded import ShardedShadow
@@ -77,7 +76,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AtomicMode",
-    "AuditReport",
     "BlockContext",
     "CheckpointManager",
     "CheckpointPolicy",
@@ -110,7 +108,6 @@ __all__ = [
     "TableKind",
     "ValidationReport",
     "__version__",
-    "audit_crash_consistency",
     "float_bits",
     "float_to_ordered_int",
     "fuse_blocks",

@@ -608,7 +608,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     address = args.socket if args.socket else (args.host, args.port)
 
-    want_metrics = bool(args.telemetry or args.prom or args.stats)
+    # The daemon counts into its own registry unless a recorder is
+    # installed before it is built; only the streams need every layer's.
+    want_metrics = bool(args.telemetry or args.prom)
     recorder = obs.Recorder(metrics=obs.MetricsRegistry()) \
         if want_metrics else None
     previous = obs.install(recorder) if recorder is not None else None
@@ -690,14 +692,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.service.bench import main as bench_main
+    from repro.service.bench import run
 
-    argv = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    return bench_main(argv)
+    return run(args.out, quick=args.quick, check=args.check)
 
 
 def build_parser() -> argparse.ArgumentParser:

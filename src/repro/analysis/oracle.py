@@ -2,10 +2,13 @@
 
 The analyzer's contract is that it can never be *less* conservative
 than the machine: whenever static analysis certifies a property, the
-simulator must agree. :func:`dynamic_oracle` establishes the machine's
-verdict by actually re-executing blocks (the generalization of
-:func:`repro.compiler.idempotence.check_idempotent_dynamic` to kernels
-whose buffers are bound to a device at construction time), and
+simulator must agree. :func:`dynamic_oracle` is the package's one
+dynamic idempotence verdict: it re-executes each tested block on a
+fresh device and compares the protected buffers, for any kernel — a
+workload's, a DSL function's, or one like MegaKV's whose buffers are
+bound to a device at construction time. Static verdicts come from
+:mod:`repro.analysis.py_rules` and
+:func:`repro.compiler.idempotence.analyze_kernel_source`;
 :func:`cross_check` turns any static-vs-dynamic disagreement into a
 finding:
 

@@ -34,11 +34,8 @@ from repro.core.config import (
     TableKind,
 )
 from repro.core.reduction import reduction_tally
-from repro.core.tables.base import pow2_ceil
+from repro.core.tables import TABLE_CLASSES, WORD_BYTES
 from repro.gpu.costs import CostModel, Tally, TimeBreakdown
-
-#: Bytes per checksum-table word (key or lane).
-_WORD = 8
 
 
 @lru_cache(maxsize=None)
@@ -84,25 +81,11 @@ def lp_update_and_reduction_tally(
         # update through shared/global memory ("we store data to these
         # memories and calculate checksums sequentially", §IV-D-5),
         # which is what crushes the bandwidth-bound benchmarks.
-        staged = total_stores * _WORD * n_comm
+        staged = total_stores * WORD_BYTES * n_comm
         tally.shared_bytes += 2 * staged
         tally.global_read_bytes += staged
         tally.global_write_bytes += staged
     return tally
-
-
-def lp_added_cycles(
-    n_blocks: int,
-    threads_per_block: int,
-    stores_per_thread: float,
-    config: LPConfig,
-    model: CostModel,
-) -> float:
-    """Standalone time of LP's table-independent work (coarse anchor)."""
-    tally = lp_update_and_reduction_tally(
-        n_blocks, threads_per_block, stores_per_thread, config
-    )
-    return model.time_of(tally).total_cycles
 
 
 @dataclass(frozen=True)
@@ -133,22 +116,12 @@ class LPEstimate:
         return self.table_bytes / self.protected_bytes
 
 
-def table_space_bytes(config: LPConfig, n_keys: int) -> float:
-    """Device footprint of the checksum table a config would allocate.
-
-    Mirrors the sizing logic of :mod:`repro.core.tables` (pinned by a
-    test against the functional tables' ``space_bytes``).
-    """
-    lanes = len(config.checksums)
-    if config.table is TableKind.GLOBAL_ARRAY:
-        return n_keys * lanes * _WORD
-    if config.table is TableKind.QUADRATIC:
-        cap = pow2_ceil(int(math.ceil(n_keys / config.quad_target_load_factor)))
-        return cap * (1 + lanes) * _WORD
-    per_table = pow2_ceil(
-        int(math.ceil(n_keys / (2 * config.cuckoo_target_load_factor)))
-    )
-    return 2 * per_table * (1 + lanes) * _WORD
+def table_space_bytes(config: LPConfig, n_keys: int,
+                      perfect_hash: bool = False) -> int:
+    """Device footprint of the checksum table a config would allocate:
+    the table class's own sizing (``ChecksumTable.space_for``)."""
+    return TABLE_CLASSES[config.table].space_for(
+        n_keys, len(config.checksums), config, perfect_hash)
 
 
 def insertion_tally(
@@ -175,13 +148,13 @@ def insertion_tally(
 
     # Entry traffic: every successful insert writes key + lane words;
     # each probe touches a key word.
-    tally.global_write_bytes += n_blocks * (1 + lanes) * _WORD
-    tally.global_read_bytes += sim.probes * _WORD
+    tally.global_write_bytes += n_blocks * (1 + lanes) * WORD_BYTES
+    tally.global_read_bytes += sim.probes * WORD_BYTES
 
     if config.table is TableKind.GLOBAL_ARRAY:
         # One uncontended store per block; no key, no probes, no atomics.
         tally.global_read_bytes = 0.0
-        tally.global_write_bytes = n_blocks * lanes * _WORD
+        tally.global_write_bytes = n_blocks * lanes * WORD_BYTES
         return tally
 
     slack = baseline.overlapped_cycles
@@ -286,25 +259,14 @@ def estimate(
         waves = math.ceil(profile.n_blocks / waiters)
         lp_tally.serial_cycles += per_block * waves
 
-    lp_time = model.time_of(lp_tally)
-
-    n_keys = profile.n_blocks
-    if perfect_hash and config.table is not TableKind.GLOBAL_ARRAY:
-        table_bytes = float(
-            pow2_ceil(n_keys) * (1 + len(config.checksums)) * _WORD
-        )
-        if config.table is TableKind.CUCKOO:
-            table_bytes *= 2
-    else:
-        table_bytes = table_space_bytes(config, n_keys)
-
     return LPEstimate(
         profile_name=profile.name,
         config=config,
         baseline=baseline,
-        lp=lp_time,
+        lp=model.time_of(lp_tally),
         insert_sim=sim,
-        table_bytes=table_bytes,
+        table_bytes=table_space_bytes(config, profile.n_blocks,
+                                      perfect_hash),
         protected_bytes=profile.protected_data_bytes,
     )
 

@@ -6,7 +6,9 @@ SAD's 128 640 block ids — into the hash tables. Running those through
 the full functional device (line tracking, atomic accounting) would be
 needlessly slow for a statistic that only depends on the probing logic,
 so this module re-implements *exactly* the probe/eviction walks of
-:mod:`repro.core.tables` on host arrays.
+:mod:`repro.core.tables` on host arrays. Table sizes and hash seeds
+are not re-implemented: they come from the table classes themselves
+(``slots_for``, ``seeds_for``, ``rehash_seeds``).
 
 Fidelity is pinned by tests: for equal (keys, seeds, capacity) the
 counts here must equal the functional tables' ``TableStats``.
@@ -20,17 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import LPConfig, TableKind
-from repro.core.tables.base import mix64, pow2_ceil
-from repro.core.tables.cuckoo import DEFAULT_MAX_CHAIN, MAX_REHASH_ATTEMPTS
+from repro.core.tables.base import mix64
+from repro.core.tables.cuckoo import (
+    DEFAULT_MAX_CHAIN,
+    MAX_REHASH_ATTEMPTS,
+    CuckooTable,
+)
+from repro.core.tables.quadratic import QuadraticTable
 from repro.errors import RehashLimitError, TableFullError
 
 #: uint64 empty sentinel as a Python int (host arrays use -1 via object
 #: comparison-free int64 space; we use -1 in int64 arrays).
 _EMPTY = -1
-
-#: Default hash seeds, mirrored from the table classes.
-QUAD_SEED = 0x9E3779B9
-CUCKOO_SEED = 0x2545F491
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,12 @@ class InsertSim:
 def simulate_quadratic(
     n_keys: int,
     target_load_factor: float = 0.70,
-    seed: int = QUAD_SEED,
+    seed: int = QuadraticTable.SEED,
     perfect_hash: bool = False,
 ) -> InsertSim:
     """Replay :class:`~repro.core.tables.quadratic.QuadraticTable`."""
-    if perfect_hash:
-        capacity = pow2_ceil(n_keys)
-    else:
-        capacity = pow2_ceil(int(np.ceil(n_keys / target_load_factor)))
+    capacity = QuadraticTable.slots_for(n_keys, target_load_factor,
+                                        perfect_hash)
     slots = np.full(capacity, _EMPTY, dtype=np.int64)
 
     probes = collisions = max_chain = 0
@@ -103,22 +104,18 @@ def simulate_quadratic(
 def simulate_cuckoo(
     n_keys: int,
     target_load_factor: float = 0.45,
-    seed: int = CUCKOO_SEED,
+    seed: int = CuckooTable.SEED,
     max_chain: int = DEFAULT_MAX_CHAIN,
     perfect_hash: bool = False,
 ) -> InsertSim:
     """Replay :class:`~repro.core.tables.cuckoo.CuckooTable`."""
-    if perfect_hash:
-        per_table = pow2_ceil(n_keys)
-    else:
-        per_table = pow2_ceil(
-            int(np.ceil(n_keys / (2 * target_load_factor)))
-        )
+    per_table = CuckooTable.slots_for(n_keys, target_load_factor,
+                                      perfect_hash)
     tables = [
         np.full(per_table, _EMPTY, dtype=np.int64),
         np.full(per_table, _EMPTY, dtype=np.int64),
     ]
-    seeds = [seed, seed ^ 0x6A09E667F3BCC909]
+    seeds = list(CuckooTable.seeds_for(seed))
     stats = {"probes": 0, "collisions": 0, "rehashes": 0, "max_chain": 0}
 
     def index(t: int, key: int) -> int:
@@ -156,8 +153,7 @@ def simulate_cuckoo(
             live = tables[t][tables[t] != _EMPTY]
             entries.extend(int(k) for k in live)
             tables[t][:] = _EMPTY
-        seeds[0] = mix64(seeds[0], 0xD1B54A32D192ED03 + depth)
-        seeds[1] = mix64(seeds[1], 0xD1B54A32D192ED03 + depth)
+        seeds[:] = CuckooTable.rehash_seeds(seeds, depth)
         for k in entries:
             insert(k, depth + 1)
 

@@ -12,7 +12,6 @@ Two entry points:
 from repro.compiler.idempotence import (
     IdempotenceReport,
     analyze_kernel_source,
-    check_idempotent_dynamic,
 )
 from repro.compiler.model import (
     CHECKSUM_TYPE_TOKENS,
@@ -45,7 +44,6 @@ __all__ = [
     "CHECKSUM_TYPE_TOKENS",
     "IdempotenceReport",
     "analyze_kernel_source",
-    "check_idempotent_dynamic",
     "ChecksumDirective",
     "CompiledProgram",
     "FunctionKernel",

@@ -4,25 +4,21 @@
 trivially identical to the original kernel function. Such idempotency
 can be statically identified using compiler."
 
-Two analyses are provided:
+:func:`analyze_kernel_source` is the static, compiler-side check over
+CUDA-like source, built on a real statement scanner
+(:func:`scan_statement`) that tracks per-statement read / write /
+accumulate sets with proper bracket matching: a region is idempotent
+when no array is both read and written (re-execution would then
+consume its own output) and no written array is updated through an
+atomic or compound assignment (re-execution would accumulate twice).
 
-* :func:`analyze_kernel_source` — the static, compiler-side check over
-  CUDA-like source, built on a real statement scanner
-  (:func:`scan_statement`) that tracks per-statement read / write /
-  accumulate sets with proper bracket matching: a region is idempotent
-  when no array is both read and written (re-execution would then
-  consume its own output) and no written array is updated through an
-  atomic or compound assignment (re-execution would accumulate twice).
-* :func:`check_idempotent_dynamic` — the simulator-side oracle: run a
-  block twice back to back and compare the protected outputs. Used to
-  validate the static verdicts and to classify kernels the static
-  analysis cannot see through.
-
-The static analysis is conservative: it may flag an idempotent kernel
-as unknown (e.g. when a read and a write to the same array never alias
+The analysis is conservative: it may flag an idempotent kernel as
+unknown (e.g. when a read and a write to the same array never alias
 dynamically), never the reverse — exactly the safe direction for
-generating default recovery functions. The richer cross-checking
-machinery lives in :mod:`repro.analysis.oracle`.
+generating default recovery functions. The machine's own verdict —
+run a block twice back to back and compare the protected outputs — is
+:func:`repro.analysis.oracle.dynamic_oracle`, which checks the static
+verdicts against the simulator.
 """
 
 from __future__ import annotations
@@ -30,10 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.compiler.model import KernelSource
-from repro.gpu.kernel import Kernel
 
 #: Compound/assignment operators checked longest-first so ``<<=`` is not
 #: misread as ``<`` + ``<=``.
@@ -262,32 +255,3 @@ def analyze_kernel_source(kernel: KernelSource) -> IdempotenceReport:
         written_arrays=written,
         read_arrays=read,
     )
-
-
-def check_idempotent_dynamic(
-    kernel: Kernel,
-    setup,
-    blocks: list[int] | None = None,
-) -> bool:
-    """Run each block twice on a fresh device; outputs must not move.
-
-    ``setup`` is a zero-argument callable returning a freshly prepared
-    :class:`~repro.gpu.device.Device` whose buffers are allocated for
-    ``kernel`` (a workload's ``setup`` wrapped in a lambda). A kernel
-    passes when, for every tested block, executing it a second time
-    leaves every protected buffer bit-identical.
-    """
-    n_blocks = kernel.launch_config().n_blocks
-    test_blocks = blocks if blocks is not None else list(range(n_blocks))
-    for block in test_blocks:
-        device = setup()
-        device.launch(kernel, block_ids=[block])
-        snapshot = {
-            name: device.memory[name].array.copy()
-            for name in kernel.protected_buffers
-        }
-        device.launch(kernel, block_ids=[block])
-        for name, before in snapshot.items():
-            if not np.array_equal(device.memory[name].array, before):
-                return False
-    return True

@@ -10,6 +10,7 @@ from repro.core.config import LPConfig, TableKind
 from repro.core.tables.base import (
     EMPTY_KEY,
     TABLE_BUFFER_PREFIX,
+    WORD_BYTES,
     ChecksumTable,
     TableStats,
     mix64,
@@ -32,12 +33,19 @@ __all__ = [
     "GlobalArrayTable",
     "InsertionProtocol",
     "QuadraticTable",
+    "TABLE_CLASSES",
     "TableStats",
+    "WORD_BYTES",
     "make_table",
     "mix64",
     "mix64_array",
     "pow2_ceil",
 ]
+
+#: The table class of each kind.
+TABLE_CLASSES: dict[TableKind, type[ChecksumTable]] = {
+    cls.kind: cls for cls in (GlobalArrayTable, QuadraticTable, CuckooTable)
+}
 
 
 def make_table(
@@ -55,23 +63,15 @@ def make_table(
     on the hash-table kinds (it is meaningless for the global array,
     which is already collision-free).
     """
-    if config.table is TableKind.QUADRATIC:
-        return QuadraticTable(
-            memory, name, n_keys, n_lanes, config, cost_model,
-            perfect_hash=perfect_hash,
+    cls = TABLE_CLASSES.get(config.table)
+    if cls is None:
+        raise TableError(f"unknown table kind: {config.table}")
+    if cls is not GlobalArrayTable:
+        return cls(memory, name, n_keys, n_lanes, config, cost_model,
+                   perfect_hash=perfect_hash)
+    if perfect_hash:
+        raise TableError(
+            "perfect_hash is a hash-table ablation; the global array "
+            "is already collision-free"
         )
-    if config.table is TableKind.CUCKOO:
-        return CuckooTable(
-            memory, name, n_keys, n_lanes, config, cost_model,
-            perfect_hash=perfect_hash,
-        )
-    if config.table is TableKind.GLOBAL_ARRAY:
-        if perfect_hash:
-            raise TableError(
-                "perfect_hash is a hash-table ablation; the global array "
-                "is already collision-free"
-            )
-        return GlobalArrayTable(
-            memory, name, n_keys, n_lanes, config, cost_model
-        )
-    raise TableError(f"unknown table kind: {config.table}")
+    return cls(memory, name, n_keys, n_lanes, config, cost_model)

@@ -39,6 +39,8 @@ from repro.obs import current as _recorder
 EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Prefix of every table buffer name, for write-stats attribution.
 TABLE_BUFFER_PREFIX = "__lp_"
+#: Bytes of one table word (a key or a checksum lane).
+WORD_BYTES = np.dtype(np.uint64).itemsize
 
 _MASK64 = (1 << 64) - 1
 
@@ -170,6 +172,14 @@ class ChecksumTable(abc.ABC):
         return buf
 
     # -- abstract interface ----------------------------------------------
+
+    @classmethod
+    @abc.abstractmethod
+    def space_for(cls, n_keys: int, n_lanes: int, config: LPConfig,
+                  perfect_hash: bool = False) -> int:
+        """Bytes a table of this kind allocates for ``n_keys`` regions —
+        the sizing its constructor applies, for models that never build
+        one."""
 
     @abc.abstractmethod
     def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:

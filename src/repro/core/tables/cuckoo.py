@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.config import LPConfig, TableKind
 from repro.core.tables.base import (
     EMPTY_KEY,
+    WORD_BYTES,
     ChecksumTable,
     mix64,
     mix64_array,
@@ -49,6 +50,8 @@ class CuckooTable(ChecksumTable):
     """Standard two-table cuckoo hash for per-block checksums."""
 
     kind = TableKind.CUCKOO
+    #: Hash seed a table built without one derives both tables' from.
+    SEED = 0x2545F491
 
     def __init__(
         self,
@@ -58,23 +61,18 @@ class CuckooTable(ChecksumTable):
         n_lanes: int,
         config: LPConfig,
         cost_model: CostModel | None = None,
-        seed: int = 0x2545F491,
+        seed: int = SEED,
         max_chain: int = DEFAULT_MAX_CHAIN,
         perfect_hash: bool = False,
     ) -> None:
         super().__init__(memory, name, n_keys, n_lanes, config, cost_model)
         self.perfect_hash = perfect_hash
-        if perfect_hash:
-            per_table = pow2_ceil(n_keys)
-        else:
-            # Combined load factor = n / (2 * per_table) <= target.
-            per_table = pow2_ceil(
-                int(np.ceil(n_keys / (2 * config.cuckoo_target_load_factor)))
-            )
+        per_table = self.slots_for(
+            n_keys, config.cuckoo_target_load_factor, perfect_hash)
         self.per_table_capacity = per_table
         self.capacity = 2 * per_table
         self.max_chain = max_chain
-        self._initial_seeds = (seed, seed ^ 0x6A09E667F3BCC909)
+        self._initial_seeds = self.seeds_for(seed)
         self._seeds = list(self._initial_seeds)
         self._keys = [
             self._alloc("keys0", (per_table,), np.uint64, fill=EMPTY_KEY),
@@ -93,6 +91,38 @@ class CuckooTable(ChecksumTable):
         fresh table starts from go with its empty slots."""
         super().reset()
         self._seeds = list(self._initial_seeds)
+
+    # ------------------------------------------------------------------
+    # Sizing and seeds (shared with the host-side insertion model)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def slots_for(n_keys: int, load_factor: float,
+                  perfect_hash: bool = False) -> int:
+        """Slots *per table*: a power of two keeping the combined load
+        factor ``n_keys / (2 * slots)`` under ``load_factor`` (at least
+        ``n_keys`` under ``perfect_hash``)."""
+        if perfect_hash:
+            return pow2_ceil(n_keys)
+        return pow2_ceil(int(np.ceil(n_keys / (2 * load_factor))))
+
+    @classmethod
+    def space_for(cls, n_keys: int, n_lanes: int, config: LPConfig,
+                  perfect_hash: bool = False) -> int:
+        """Two tables of a key word and ``n_lanes`` lane words per slot."""
+        slots = cls.slots_for(n_keys, config.cuckoo_target_load_factor,
+                              perfect_hash)
+        return 2 * slots * (1 + n_lanes) * WORD_BYTES
+
+    @staticmethod
+    def seeds_for(seed: int) -> tuple[int, int]:
+        """The two tables' hash seeds, derived from one."""
+        return seed, seed ^ 0x6A09E667F3BCC909
+
+    @staticmethod
+    def rehash_seeds(seeds, depth: int) -> list[int]:
+        """The seeds after a rehash at chain ``depth``."""
+        return [mix64(s, 0xD1B54A32D192ED03 + depth) for s in seeds]
 
     # ------------------------------------------------------------------
     # Hashing
@@ -181,7 +211,7 @@ class CuckooTable(ChecksumTable):
             ctx.st(self._keys[t], all_idx, EMPTY_KEY)
             ctx.st(self._lanes[t], np.arange(lanes.size), EMPTY_KEY)
 
-        self._seeds = [mix64(s, 0xD1B54A32D192ED03 + depth) for s in self._seeds]
+        self._seeds = self.rehash_seeds(self._seeds, depth)
         for old_key, old_lanes in entries:
             self._insert_inner(ctx, old_key, old_lanes, depth + 1)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.checksum import EMPTY_SENTINEL
 from repro.core.config import LPConfig, TableKind
-from repro.core.tables.base import ChecksumTable
+from repro.core.tables.base import WORD_BYTES, ChecksumTable
 from repro.errors import TableError
 from repro.gpu.costs import CostModel
 from repro.gpu.kernel import BlockContext
@@ -49,6 +49,12 @@ class GlobalArrayTable(ChecksumTable):
         self._lanes = self._alloc(
             "lanes", (n_keys * n_lanes,), np.uint64, fill=EMPTY_SENTINEL
         )
+
+    @classmethod
+    def space_for(cls, n_keys: int, n_lanes: int, config: LPConfig,
+                  perfect_hash: bool = False) -> int:
+        """One lane row per region and nothing else."""
+        return n_keys * n_lanes * WORD_BYTES
 
     def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
         """One plain store; no probe, no atomic, no lock."""

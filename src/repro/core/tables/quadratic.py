@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.config import LPConfig, TableKind
 from repro.core.tables.base import (
     EMPTY_KEY,
+    WORD_BYTES,
     ChecksumTable,
     mix64,
     mix64_array,
@@ -41,6 +42,8 @@ class QuadraticTable(ChecksumTable):
     """Quadratic-probing open-addressing checksum table."""
 
     kind = TableKind.QUADRATIC
+    #: Hash seed of a table built without one.
+    SEED = 0x9E3779B9
 
     def __init__(
         self,
@@ -50,17 +53,13 @@ class QuadraticTable(ChecksumTable):
         n_lanes: int,
         config: LPConfig,
         cost_model: CostModel | None = None,
-        seed: int = 0x9E3779B9,
+        seed: int = SEED,
         perfect_hash: bool = False,
     ) -> None:
         super().__init__(memory, name, n_keys, n_lanes, config, cost_model)
         self.perfect_hash = perfect_hash
-        if perfect_hash:
-            self.capacity = pow2_ceil(n_keys)
-        else:
-            self.capacity = pow2_ceil(
-                int(np.ceil(n_keys / config.quad_target_load_factor))
-            )
+        self.capacity = self.slots_for(
+            n_keys, config.quad_target_load_factor, perfect_hash)
         self.seed = seed
         self._keys = self._alloc("keys", (self.capacity,), np.uint64,
                                  fill=EMPTY_KEY)
@@ -73,6 +72,24 @@ class QuadraticTable(ChecksumTable):
         self._lanes = self._alloc("lanes", (self.capacity * n_lanes,),
                                   np.uint64, fill=EMPTY_KEY)
         self._protocol = InsertionProtocol(config, self.cost_model, n_keys)
+
+    @staticmethod
+    def slots_for(n_keys: int, load_factor: float,
+                  perfect_hash: bool = False) -> int:
+        """The sizing policy: a power of two keeping ``n_keys`` under
+        ``load_factor`` (at least ``n_keys`` slots under
+        ``perfect_hash``)."""
+        if perfect_hash:
+            return pow2_ceil(n_keys)
+        return pow2_ceil(int(np.ceil(n_keys / load_factor)))
+
+    @classmethod
+    def space_for(cls, n_keys: int, n_lanes: int, config: LPConfig,
+                  perfect_hash: bool = False) -> int:
+        """A key word and ``n_lanes`` lane words per slot."""
+        slots = cls.slots_for(n_keys, config.quad_target_load_factor,
+                              perfect_hash)
+        return slots * (1 + n_lanes) * WORD_BYTES
 
     # ------------------------------------------------------------------
     # Hashing

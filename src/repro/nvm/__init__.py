@@ -1,20 +1,15 @@
 """NVM persistence domain: write accounting, crash plans, fault
-injection, and crash-consistency auditing.
+injection, and the durable heap.
 
 Submodules are exposed lazily (PEP 562): :mod:`repro.gpu.memory`
 imports :mod:`repro.nvm.model` while the ``gpu`` package is still
 initializing, so this ``__init__`` must not import the higher-level
-crash/audit modules eagerly.
+crash/heap modules eagerly.
 """
 
 from repro.nvm.model import WritebackReason, WriteStats, write_amplification
 
 _LAZY = {
-    "AuditFailure": "repro.nvm.audit",
-    "AuditReport": "repro.nvm.audit",
-    "CrashSchedule": "repro.nvm.audit",
-    "audit_crash_consistency": "repro.nvm.audit",
-    "generate_schedules": "repro.nvm.audit",
     "CrashPlan": "repro.nvm.crash",
     "FaultInjector": "repro.nvm.crash",
     "MappedShadow": "repro.nvm.mapped",

@@ -144,13 +144,18 @@ class HistogramSummary:
     def _clip(self, value: float) -> float:
         return min(max(value, self.minimum), self.maximum)
 
+    @property
+    def mean(self) -> float:
+        """Mean observation (0.0 when empty)."""
+        return self.total / self.count if self.count else 0.0
+
     def to_dict(self) -> dict:
         return {
             "count": self.count,
             "sum": self.total,
             "min": self.minimum,
             "max": self.maximum,
-            "mean": self.total / self.count if self.count else 0.0,
+            "mean": self.mean,
             "p50": self.quantile(0.50),
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
@@ -214,6 +219,11 @@ class MetricsRegistry:
     def value(self, name: str, **labels) -> float:
         """Current value of one counter series (0.0 if never touched)."""
         return self._counters.get(format_name(name, labels), 0.0)
+
+    def histogram(self, name: str, **labels) -> HistogramSummary:
+        """One histogram series (an empty summary if never observed)."""
+        return (self._histograms.get(format_name(name, labels))
+                or HistogramSummary())
 
     def snapshot(self) -> dict:
         """The whole registry as one JSON-serializable dict.

@@ -181,21 +181,11 @@ def check_gates(doc: dict) -> list[str]:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="measure KV-service latency/QPS scenarios")
-    parser.add_argument("--out", default=str(BASELINE_PATH),
-                        help="where to write the bench JSON")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller request counts (CI smoke)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero when a gate fails")
-    args = parser.parse_args(argv)
-
-    doc = run_suite(quick=args.quick)
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+def run(out, quick: bool = False, check: bool = False) -> int:
+    """``repro bench-serve``: measure, write ``out``, print the gates;
+    non-zero only when ``check`` is set and a gate failed."""
+    doc = run_suite(quick=quick)
+    Path(out).write_text(json.dumps(doc, indent=2) + "\n")
     for name, sc in doc["scenarios"].items():
         print(f"{name:>17}: {sc['qps']:8.1f} req/s  "
               f"p50 {sc['p50_ms']:.2f} ms  p99 {sc['p99_ms']:.2f} ms  "
@@ -212,8 +202,4 @@ def main(argv: list[str] | None = None) -> int:
     failures = check_gates(doc)
     for failure in failures:
         print(f"GATE FAIL: {failure}")
-    return 1 if (failures and args.check) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return 1 if (failures and check) else 0

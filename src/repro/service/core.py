@@ -57,6 +57,12 @@ from repro.nvm.layout import geometry
 from repro.obs import current as _recorder
 from repro.service.reqlog import RequestLog, log_path_for
 
+#: Threads per MegaKV launch block: a window of ``max_batch`` keys is
+#: at most ``ceil(max_batch / THREADS_PER_BLOCK)`` LP regions per launch.
+THREADS_PER_BLOCK = 64
+#: Prefix of the store's two heap buffers (``megakv_keys`` / ``_vals``).
+STORE_NAME = "megakv"
+
 
 @dataclass
 class ServiceConfig:
@@ -79,8 +85,6 @@ class ServiceConfig:
     max_wait_ms: float = 2.0
     #: Admission-control bound: requests queued beyond this are shed.
     queue_cap: int = 1024
-    threads_per_block: int = 64
-    store_name: str = "megakv"
 
     def lp_config(self) -> LPConfig:
         return named_lp_config(self.config)
@@ -258,12 +262,10 @@ class ServiceCore:
         self.device = Device(cache_capacity_lines=cfg.cache_lines,
                              engine=engine,
                              shadow=None if resuming else self.heap)
-        self.store = MegaKVStore(self.device, cfg.capacity,
-                                 name=cfg.store_name)
+        self.store = MegaKVStore(self.device, cfg.capacity, name=STORE_NAME)
         self.session = KVBatchSession(
             self.device, self.store, cfg.lp_config(),
-            threads_per_block=cfg.threads_per_block,
-            max_keys=cfg.max_batch)
+            threads_per_block=THREADS_PER_BLOCK, max_keys=cfg.max_batch)
         if resuming:
             self._resume(inflight)
 

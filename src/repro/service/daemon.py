@@ -25,7 +25,9 @@ Thread model
 
 Nothing here knows about persistence details; that is all
 :class:`ServiceCore`. The daemon adds networking, queueing and
-telemetry on top.
+telemetry on top: every count it keeps is kept once, in one metrics
+registry (:attr:`KVServer.metrics`), and :meth:`KVServer.stats` reads
+it back.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import threading
 import time
 
 from repro.errors import ProtocolError, ServiceError, ServiceUnavailableError
+from repro.obs import MetricsRegistry
 from repro.obs import current as _recorder
 from repro.service import protocol
 from repro.service.core import Request, ServiceConfig, ServiceCore
@@ -240,28 +243,20 @@ class KVServer:
         self._conns_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._t_start = time.monotonic()
-        # -- counters (batcher/reader threads; ints under the GIL) ----
-        self.requests = {"get": 0, "put": 0, "delete": 0}
-        self.acked = 0
-        self.shed = 0
-        self.errors = 0
-        self.dropped_replies = 0
-        self.windows = 0
-        self.launches = 0
-        self.sub_batches = 0
-        self.drained_lines = 0
-        self.superseded_writes = 0
-        self.local_gets = 0
+        rec = _recorder()
+        #: Where every count of this daemon lives: the registry of the
+        #: recorder installed at construction if it records (telemetry
+        #: and Prometheus read the same series), else one of its own.
+        self.metrics = rec.metrics if rec.metrics.active \
+            else MetricsRegistry()
+        # Several reader threads count at once, and ``inc`` is a
+        # read-modify-write.
+        self._count_lock = threading.Lock()
         self.occupancy_last = 0
-        self.occupancy_max = 0
-        self._occupancy_sum = 0
         self._latencies: "collections.deque[float]" = collections.deque(
             maxlen=LATENCY_WINDOW)
-        self._latency_count = 0
         self._policy = FlushPolicy(self.config.max_batch,
                                    self.config.max_wait_ms / 1000.0)
-        self.flush_reasons = dict.fromkeys(FLUSH_REASONS, 0)
-        self._dwell_sum = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -354,7 +349,7 @@ class KVServer:
                 try:
                     doc = read_frame(conn.sock)
                 except ProtocolError:  # undecodable or oversized frame
-                    self.errors += 1
+                    self._count("service.requests.errors", reason="protocol")
                     return self._drop(conn, "protocol")
                 except ServiceUnavailableError:  # EOF inside a frame
                     return self._drop(conn, "torn")
@@ -369,12 +364,16 @@ class KVServer:
                 if conn in self._conns:
                     self._conns.remove(conn)
 
+    def _count(self, name: str, **labels) -> None:
+        """One count from a reader thread (or shared with one)."""
+        with self._count_lock:
+            self.metrics.inc(name, **labels)
+
     def _drop(self, conn: _Conn, reason: str) -> None:
         """Close a connection the peer did not close cleanly — counted,
         and nobody else's: the daemon keeps serving the others."""
         if conn.close():
-            _recorder().metrics.inc("service.connections.dropped",
-                                    reason=reason)
+            self._count("service.connections.dropped", reason=reason)
 
     def _reply(self, conn: _Conn | None, doc: dict) -> bool:
         """Answer a queued request; a reply with nowhere to go (the
@@ -384,7 +383,7 @@ class KVServer:
             return False
         if conn.reply(doc):
             return True
-        self.dropped_replies += 1
+        self.metrics.inc("service.replies.dropped")
         self._drop(conn, "reset")
         return False
 
@@ -393,7 +392,7 @@ class KVServer:
         try:
             op = validate_request(doc)
         except ProtocolError as exc:
-            self.errors += 1
+            self._count("service.requests.errors", reason="protocol")
             conn.reply({"id": req_id, "ok": False, "error": str(exc)})
             return
         if op == "ping":
@@ -418,16 +417,12 @@ class KVServer:
                 self._queue.append(request)
                 admitted = True
         if admitted:
-            self.requests[op] += 1
             self._queue_event.set()
         else:
             # Admission control: bounded queue, counted shed. The
             # client sees an immediate, explicit reject instead of an
             # unbounded latency tail.
-            self.shed += 1
-            rec = _recorder()
-            if rec.metrics.active:
-                rec.metrics.inc("service.requests.shed", op=op)
+            self._count("service.requests.shed", op=op)
             conn.reply({"id": req_id, "ok": False, "op": op,
                         "error": "shed", "shed": True})
 
@@ -458,7 +453,6 @@ class KVServer:
 
     def _batcher_loop(self) -> None:
         policy = self._policy
-        rec = _recorder()
         window: list[Request] = []
         while True:
             # An ``answered`` deadline is already past: ``_take`` then
@@ -471,12 +465,15 @@ class KVServer:
             elif window:
                 if reason in ("quiet", "deadline") and self._stop.is_set():
                     reason = "stop"  # shutdown cut the wait short
-                self._flush(window, reason, rec)
+                self._flush(window, reason)
                 window = []
             elif self._stop.is_set() and not self._queue:
                 return
 
-    def _flush(self, window: list[Request], reason: str, rec) -> None:
+    def _flush(self, window: list[Request], reason: str) -> None:
+        metrics = self.metrics
+        for op, n in collections.Counter(r.op for r in window).items():
+            metrics.inc("service.requests", n, op=op)
         dwell_ms = (time.monotonic() - window[0].t_enqueue) * 1000.0
         self.core.span_attrs = {"dwell_ms": dwell_ms, "flush_reason": reason}
         try:
@@ -487,51 +484,40 @@ class KVServer:
         # to them, whatever queued earlier cannot be. Only a reply that
         # was delivered can be answered.
         now = time.monotonic()
-        self.flush_reasons[reason] += 1
-        self._dwell_sum += dwell_ms
-        if rec.metrics.active:
-            rec.metrics.inc("service.window.flush", reason=reason)
-            rec.metrics.observe("service.window.dwell_ms", dwell_ms)
+        metrics.inc("service.window.flush", reason=reason)
+        metrics.observe("service.window.dwell_ms", dwell_ms)
         if result is None:
-            self.errors += len(window)
+            metrics.inc("service.requests.errors", len(window),
+                        reason="window")
             self._policy.close(now, [
                 req.conn for req in window
                 if self._reply(req.conn, {"id": req.req_id, "ok": False,
                                           "op": req.op, "error": error})])
             return
-        self.windows += 1
-        self.launches += result.launches
-        self.sub_batches += result.sub_batches
-        self.drained_lines += result.drained_lines
-        self.superseded_writes += result.superseded_writes
-        self.local_gets += result.local_gets
+        # Counted before the first ack goes out, so a client that reads
+        # stats() after its answer finds its request in them.
+        acked = sum(1 for _, doc in result.responses if doc.get("ok"))
+        metrics.inc("service.requests.acked", acked)
+        if acked < len(window):
+            metrics.inc("service.requests.errors", len(window) - acked,
+                        reason="window")
+        metrics.inc("service.windows")
+        metrics.inc("service.launches", result.launches)
+        metrics.inc("service.window.sub_batches", result.sub_batches)
+        metrics.inc("service.window.drained_lines", result.drained_lines)
+        metrics.inc("service.window.superseded_writes",
+                    result.superseded_writes)
+        metrics.inc("service.window.local_gets", result.local_gets)
+        metrics.observe("service.window.occupancy", len(window))
+        metrics.observe("service.window.ms", result.elapsed_s * 1000.0)
         self.occupancy_last = len(window)
-        self.occupancy_max = max(self.occupancy_max, len(window))
-        self._occupancy_sum += len(window)
         delivered = []
         for req, doc in result.responses:
             doc["id"] = req.req_id
-            ok = doc.get("ok", False)
-            if ok:
-                self.acked += 1
-            else:
-                self.errors += 1
-            latency = now - req.t_enqueue
-            self._latencies.append(latency)
-            self._latency_count += 1
+            self._latencies.append(now - req.t_enqueue)
             if self._reply(req.conn, doc):
                 delivered.append(req.conn)
         self._policy.close(now, delivered)
-        if rec.metrics.active:
-            rec.metrics.inc("service.windows")
-            rec.metrics.inc("service.launches", result.launches)
-            rec.metrics.inc("service.window.superseded_writes",
-                            result.superseded_writes)
-            rec.metrics.inc("service.window.local_gets", result.local_gets)
-            rec.metrics.inc("service.requests.acked", len(window))
-            rec.metrics.observe("service.window.occupancy", len(window))
-            rec.metrics.observe("service.window.ms",
-                                result.elapsed_s * 1000.0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -542,15 +528,13 @@ class KVServer:
             return len(self._queue)
 
     def publish_gauges(self, metrics) -> None:
-        """`TelemetrySampler` gauge provider: live service health."""
+        """`TelemetrySampler` gauge provider: the readings that are not
+        counts (those are in :attr:`metrics` already)."""
         metrics.set_gauge("service.queue.depth", self.queue_depth())
         metrics.set_gauge("service.queue.capacity", self.config.queue_cap)
         metrics.set_gauge("service.batch.occupancy", self.occupancy_last)
-        metrics.set_gauge("service.shed.requests", self.shed)
-        metrics.set_gauge("service.windows.flushed", self.windows)
 
-    def _latency_quantiles(self) -> dict:
-        count = self._latency_count
+    def _latency_quantiles(self, count: int) -> dict:
         sample = sorted(self._latencies)
         if not sample:
             return {"count": 0, "p50_ms": None, "p99_ms": None}
@@ -562,10 +546,15 @@ class KVServer:
         return {"count": count, "p50_ms": pct(0.50), "p99_ms": pct(0.99)}
 
     def stats(self) -> dict:
-        """The daemon's stats document (``service_stats`` schema)."""
-        occ_mean = (self._occupancy_sum / self.windows
-                    if self.windows else 0.0)
-        flushed = sum(self.flush_reasons.values())
+        """The daemon's stats document (``service_stats`` schema): its
+        counts as :attr:`metrics` holds them, plus configuration, the
+        latency sample and what the last restart recovered."""
+        metrics = self.metrics
+        occupancy = metrics.histogram("service.window.occupancy")
+
+        def count(name: str, **labels) -> int:
+            return int(metrics.value(name, **labels))
+
         return {
             "schema": STATS_SCHEMA_VERSION,
             "backend": self.core.backend(),
@@ -581,23 +570,27 @@ class KVServer:
                 "shards": self.core.shards,
             },
             "counters": {
-                "requests": dict(self.requests),
-                "acked": self.acked,
-                "shed": self.shed,
-                "errors": self.errors,
+                # Requests the batcher took into a window, by op.
+                "requests": {op: count("service.requests", op=op)
+                             for op in protocol.BATCH_OPS},
+                "acked": count("service.requests.acked"),
+                "shed": sum(count("service.requests.shed", op=op)
+                            for op in protocol.BATCH_OPS),
+                "errors": sum(count("service.requests.errors", reason=r)
+                              for r in ("protocol", "window")),
                 # Responses with nowhere to go: the client closed or
                 # vanished between its request and the window's ack.
-                "dropped_replies": self.dropped_replies,
-                "windows": self.windows,
-                "launches": self.launches,
-                "sub_batches": self.sub_batches,
-                "drained_lines": self.drained_lines,
+                "dropped_replies": count("service.replies.dropped"),
+                "windows": count("service.windows"),
+                "launches": count("service.launches"),
+                "sub_batches": count("service.window.sub_batches"),
+                "drained_lines": count("service.window.drained_lines"),
                 # Work the window absorbed on the host: writes acked
                 # without reaching the device (a later write of the
                 # window to the same key did), GETs answered from the
                 # window's own writes.
-                "superseded_writes": self.superseded_writes,
-                "local_gets": self.local_gets,
+                "superseded_writes": count("service.window.superseded_writes"),
+                "local_gets": count("service.window.local_gets"),
                 # Launches (or block groups) the configured engine ran
                 # per block instead, by kernel: empty when every KV
                 # launch took the vectorized path.
@@ -606,19 +599,23 @@ class KVServer:
             "queue_depth": self.queue_depth(),
             "batch_occupancy": {
                 "last": self.occupancy_last,
-                "mean": occ_mean,
-                "max": self.occupancy_max,
+                "mean": occupancy.mean,
+                "max": int(occupancy.maximum) if occupancy.count else 0,
             },
             # Why windows closed and what they waited for: a window's
             # dwell is first enqueue -> flush; ``linger_ms`` is what
             # the flush policy would wait past the last arrival now.
             "batching": {
-                "flush_reasons": dict(self.flush_reasons),
-                "dwell_ms_mean": (self._dwell_sum / flushed
-                                  if flushed else 0.0),
+                "flush_reasons": {
+                    reason: count("service.window.flush", reason=reason)
+                    for reason in FLUSH_REASONS},
+                "dwell_ms_mean":
+                    metrics.histogram("service.window.dwell_ms").mean,
                 "linger_ms": self._policy.linger * 1000.0,
             },
-            "latency_ms": self._latency_quantiles(),
+            # Every request of a served window got a response, so their
+            # number is the sum of the windows' occupancies.
+            "latency_ms": self._latency_quantiles(int(occupancy.total)),
             "records": self.core.records(),
             "resume": dict(self.core.resume_info),
         }

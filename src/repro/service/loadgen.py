@@ -76,8 +76,6 @@ class LoadConfig:
     seed: int = 0
     #: Outstanding requests per client (1 = strict request/response).
     pipeline: int = 1
-    #: Optional aggregate request-rate cap (requests/s across clients).
-    target_qps: float | None = None
     timeout: float = 30.0
     #: Give each client a disjoint rank partition (enables verification).
     partition_keys: bool = False
@@ -259,7 +257,6 @@ def _run_client(address, cfg: LoadConfig, idx: int,
     client = ServiceClient(address, timeout=cfg.timeout)
     client.connect(retry_for=cfg.reconnect_wait_s
                    if cfg.retry_until_acked else 0.0)
-    gap = (cfg.clients / cfg.target_qps) if cfg.target_qps else 0.0
     deadline = time.monotonic() + deadline_s
 
     def on_lost() -> None:
@@ -289,8 +286,6 @@ def _run_client(address, cfg: LoadConfig, idx: int,
             todo.popleft()
             pending.append(_Pending(req_id, (op, key, value),
                                     time.monotonic()))
-            if gap:
-                time.sleep(gap)
         # Retire one response.
         try:
             resp = client.wait_any()

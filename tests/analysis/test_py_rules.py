@@ -80,6 +80,21 @@ def test_lp001_resolves_buffer_names_through_closures():
     assert "'closed_over'" in findings[0].message
 
 
+def test_lp001_flags_a_workload_output_left_out_of_protected():
+    """MRI-Q with its ``qi`` output dropped from ``protected=``: recovery
+    would never notice a crash that lost it, and the crash checker only
+    compares declared buffers, so the lint error is what catches it."""
+    device = repro.Device(cache_capacity_lines=4)
+    kernel = repro.workloads.MRIQWorkload(scale="tiny").setup(device)
+    kernel.protected_buffers = ("mriq_qr",)
+    lp_kernel = repro.LPRuntime(device).instrument(kernel)
+    findings = lint_kernel_object(lp_kernel, device=device)
+    assert rules_of(findings) == {"LP001"}
+    (f,) = findings
+    assert f.severity.value == "error"
+    assert "'mriq_qi'" in f.message
+
+
 # ---------------------------------------------------------------------------
 # LP002 — non-idempotent region behind default re-execution recovery
 # ---------------------------------------------------------------------------

@@ -57,6 +57,12 @@ def test_table_space_matches_functional_tables():
         mem = GlobalMemory(cache_capacity_lines=64)
         table = make_table(mem, "t", 100, 2, config, model)
         assert table_space_bytes(config, 100) == table.space_bytes
+    for config in (LPConfig.naive_quadratic(), LPConfig.naive_cuckoo()):
+        mem = GlobalMemory(cache_capacity_lines=64)
+        table = make_table(mem, "t", 100, 2, config, model,
+                           perfect_hash=True)
+        assert table_space_bytes(config, 100, perfect_hash=True) \
+            == table.space_bytes
 
 
 def test_estimate_lp_never_faster_than_baseline():

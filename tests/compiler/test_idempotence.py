@@ -3,10 +3,8 @@
 import pytest
 
 import repro
-from repro.compiler.idempotence import (
-    analyze_kernel_source,
-    check_idempotent_dynamic,
-)
+from repro.analysis.oracle import dynamic_oracle
+from repro.compiler.idempotence import analyze_kernel_source
 from repro.compiler.parser import parse_program
 from repro.workloads import WORKLOADS, make_workload
 
@@ -97,16 +95,15 @@ __global__ void cmp(float *out, float *in) {
 def test_all_workload_kernels_are_dynamically_idempotent(name):
     """Every paper benchmark's kernel really is re-execution safe —
     the property the default recovery path relies on."""
-    def setup():
+    def make_case():
         device = repro.Device()
-        make_workload(name, scale="tiny").setup(device)
-        return device
+        return device, make_workload(name, scale="tiny").setup(device)
 
-    device = repro.Device()
-    kernel = make_workload(name, scale="tiny").setup(device)
+    _, kernel = make_case()
     n_blocks = kernel.launch_config().n_blocks
     sample = list(range(0, n_blocks, max(1, n_blocks // 4)))
-    assert check_idempotent_dynamic(kernel, setup, blocks=sample)
+    verdict = dynamic_oracle(make_case, blocks=sample)
+    assert verdict.idempotent, verdict.failed_blocks
 
 
 def test_dynamic_check_catches_accumulation():
@@ -119,9 +116,11 @@ def test_dynamic_check_catches_accumulation():
         idx = ctx.block_id * ctx.n_threads + ctx.tid
         ctx.st("acc", idx, ctx.ld("acc", idx) + 1.0)
 
-    def setup():
+    def make_case():
         device = repro.Device()
         device.alloc("acc", (64,), np.float32)
-        return device
+        return device, accumulate
 
-    assert not check_idempotent_dynamic(accumulate, setup)
+    verdict = dynamic_oracle(make_case)
+    assert not verdict.idempotent
+    assert verdict.failed_blocks == [0, 1]

@@ -8,6 +8,7 @@ elided relative to ``python -m repro serve``.
 import dataclasses
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -108,7 +109,7 @@ def test_window_absorbs_same_key_chains_on_the_host(tmp_path):
     burst = [("put", 1, 1), ("get", 1, None), ("put", 1, 2),
              ("get", 1, None), ("delete", 1, None), ("get", 1, None),
              ("put", 1, 3), ("get", 1, None)]
-    with obs.recording() as rec:  # the batcher binds it at start
+    with obs.recording() as rec:  # the daemon counts into it from birth
         srv = KVServer(ServiceConfig(capacity=512, cache_lines=64),
                        heap_path=tmp_path / "heap.lpnv",
                        address=str(tmp_path / "kv.sock"))
@@ -184,6 +185,41 @@ def test_admission_control_sheds_over_capacity(tmp_path):
     finally:
         srv.shutdown()
         srv.join(timeout=30)
+
+
+def test_concurrent_sheds_are_all_counted(tmp_path):
+    """Four connections shed at once, their reader threads switching
+    every few microseconds: a count lost between two readers' ``inc``
+    would show as fewer sheds than the clients saw."""
+    srv = KVServer(ServiceConfig(capacity=512, cache_lines=64, queue_cap=1,
+                                 max_batch=1, max_wait_ms=50.0),
+                   address=str(tmp_path / "shed.sock")).start()
+    interval = sys.getswitchinterval()
+    seen = [[] for _ in range(4)]
+
+    def burst(shed):
+        with ServiceClient(srv.address) as client:
+            ids = [client.send("put", k + 1, 1) for k in range(64)]
+            shed.extend(bool(client.wait(i).get("shed")) for i in ids)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=burst, args=(shed,))
+                   for shed in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        try:
+            counters = srv.stats()["counters"]
+        finally:
+            srv.shutdown()
+            srv.join(timeout=30)
+    assert [len(shed) for shed in seen] == [64] * 4
+    assert counters["shed"] == sum(map(sum, seen)) > 0
 
 
 def test_malformed_requests_get_error_responses(server):
@@ -294,6 +330,88 @@ def test_a_client_that_vanishes_mid_window_is_dropped_as_reset(tmp_path):
     assert conn.closed
     assert rec.metrics.value("service.connections.dropped",
                              reason="reset") == 1
+
+
+def _serve_every_kind_of_count(tmp_path):
+    """A served window with a dropped reply, a shed burst, a protocol
+    error, then a ``store_full`` window. Returns the server and its
+    stats after both."""
+    srv = KVServer(ServiceConfig(capacity=32, cache_lines=64, queue_cap=20),
+                   address=str(tmp_path / "kv.sock"))
+    # Before the batcher exists: 20 PUTs fill the queue (one from a
+    # client already gone), three more are shed, one is malformed.
+    first, gone = _Inbox(19 + 3 + 1), daemon._Conn(socket.socket(), "gone")
+    gone.close()
+    srv._dispatch(gone, {"id": 0, "op": "put", "key": 1, "value": 1})
+    for key in range(2, 24):
+        srv._dispatch(first, {"id": key, "op": "put", "key": key,
+                              "value": key})
+    srv._dispatch(first, {"id": 99, "op": "put", "key": 0, "value": 1})
+    srv.start()
+    try:
+        assert first.full.wait(timeout=30)
+        # 20 records held, capacity 32: 16 more do not fit.
+        full = _Inbox(16)
+        for key in range(100, 116):
+            srv._dispatch(full, {"id": key, "op": "put", "key": key,
+                                 "value": key})
+        assert full.full.wait(timeout=30)
+        assert {doc.get("error") for doc in full.docs} == {"store_full"}
+        return srv, srv.stats()
+    finally:
+        srv.shutdown()
+        srv.join(timeout=30)
+
+
+@pytest.mark.parametrize("recorded", [True, False],
+                         ids=["recorder", "own-registry"])
+def test_every_count_is_kept_once(tmp_path, recorded):
+    """Each count ``stats()`` shows is the value of its registry series:
+    the installed recorder's when the daemon was built inside one, else
+    the daemon's own."""
+    if recorded:
+        with obs.recording() as rec:
+            srv, stats = _serve_every_kind_of_count(tmp_path)
+        registry = rec.metrics
+    else:
+        srv, stats = _serve_every_kind_of_count(tmp_path)
+        registry = srv.metrics
+        assert not obs.current().metrics.active
+    assert registry.active
+    counters = stats["counters"]
+    assert counters["requests"] == {"get": 0, "put": 36, "delete": 0}
+    assert (counters["acked"], counters["shed"], counters["errors"],
+            counters["dropped_replies"]) == (20, 3, 16 + 1, 1)
+    assert (counters["windows"], counters["launches"]) == (2, 1)
+
+    def value(name, **labels):
+        return int(registry.value(name, **labels))
+
+    ops, reasons = ("get", "put", "delete"), ("protocol", "window")
+    assert counters == {
+        "requests": {op: value("service.requests", op=op) for op in ops},
+        "acked": value("service.requests.acked"),
+        "shed": sum(value("service.requests.shed", op=op) for op in ops),
+        "errors": sum(value("service.requests.errors", reason=r)
+                      for r in reasons),
+        "dropped_replies": value("service.replies.dropped"),
+        "windows": value("service.windows"),
+        "launches": value("service.launches"),
+        "sub_batches": value("service.window.sub_batches"),
+        "drained_lines": value("service.window.drained_lines"),
+        "superseded_writes": value("service.window.superseded_writes"),
+        "local_gets": value("service.window.local_gets"),
+        "engine_fallbacks": {},
+    }
+    assert stats["batching"]["flush_reasons"] == {
+        reason: value("service.window.flush", reason=reason)
+        for reason in daemon.FLUSH_REASONS}
+    occupancy = registry.histogram("service.window.occupancy")
+    assert stats["batch_occupancy"] == {"last": 16, "mean": 18.0, "max": 20}
+    assert (occupancy.count, occupancy.total) == (2, 36)
+    assert stats["latency_ms"]["count"] == 36
+    validate(stats, load_schema("service_stats"))
+    assert srv.metrics is registry
 
 
 # ----------------------------------------------------------------------
@@ -551,31 +669,32 @@ def test_stats_schema_round_trips_as_json(server):
 
 
 def test_gauges_published_to_registry(server):
+    """The gauges are the readings that are not counts; the counts are
+    the daemon's own registry series."""
     with ServiceClient(server.address) as client:
         for k in range(8):
             client.put(k + 1, 1)
     metrics = obs.MetricsRegistry()
     server.publish_gauges(metrics)
-    snap = metrics.snapshot()
-    gauges = snap["gauges"]
-    assert gauges["service.queue.depth"] == 0
-    assert gauges["service.queue.capacity"] == 1024
-    assert gauges["service.windows.flushed"] >= 1
-    assert "service.batch.occupancy" in gauges
-    assert "service.shed.requests" in gauges
+    assert metrics.snapshot()["gauges"] == {
+        "service.queue.depth": 0,
+        "service.queue.capacity": 1024,
+        "service.batch.occupancy": 1,
+    }
+    assert server.metrics.value("service.windows") >= 1
+    assert server.metrics.value("service.requests", op="put") == 8
 
 
 def test_telemetry_sampler_carries_service_gauges(tmp_path, server):
-    """The serve CLI wiring: sampler + gauge_providers → JSONL lines
-    that validate against the telemetry schema and carry the service
-    gauges."""
+    """The serve CLI wiring: sampler + gauge_providers over the
+    daemon's registry → JSONL lines that validate against the telemetry
+    schema and carry the service counters and gauges."""
     with ServiceClient(server.address) as client:
         for k in range(8):
             client.put(k + 1, 1)
-    metrics = obs.MetricsRegistry()
     jsonl = tmp_path / "svc-telemetry.jsonl"
     sampler = obs.TelemetrySampler(
-        metrics, interval=0.05, jsonl_path=jsonl,
+        server.metrics, interval=0.05, jsonl_path=jsonl,
         gauge_providers=[server.publish_gauges])
     sampler.start()
     time.sleep(0.3)
@@ -588,7 +707,8 @@ def test_telemetry_sampler_carries_service_gauges(tmp_path, server):
     for line in lines:
         validate(line, schema)
     assert "service.queue.depth" in lines[-1]["gauges"]
-    assert "service.windows.flushed" in lines[-1]["gauges"]
+    assert lines[-1]["counters"]["service.windows"] >= 1
+    assert lines[-1]["counters"]["service.requests.acked"] == 8
 
 
 def test_durable_server_resumes_after_clean_restart(tmp_path):

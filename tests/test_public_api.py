@@ -61,13 +61,14 @@ def test_package_docstring_quick_tour_runs():
     assert result.n_completed == kernel.launch_config().n_blocks
 
 
-def test_audit_docstring_example_runs():
-    def scenario():
-        device = repro.Device(cache_capacity_lines=16)
-        work = repro.workloads.TMMWorkload(scale="tiny")
-        kernel = work.setup(device)
-        lp_kernel = repro.LPRuntime(device).instrument(kernel)
-        return device, lp_kernel, work.verify
+def test_readme_check_case_snippet_runs():
+    """README's "for your own kernels" snippet, at a small budget."""
+    import re
+    from pathlib import Path
 
-    report = repro.audit_crash_consistency(scenario, n_schedules=5)
-    assert report.all_passed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (snippet,) = [block for block in
+                  re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+                  if "check_case" in block]
+    assert "budget=1000" in snippet
+    exec(snippet.replace("budget=1000", "budget=40"), {})
