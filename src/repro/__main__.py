@@ -941,9 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests")
     p_srv.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="... or when the previous window's acks "
-                            "have all been answered, or when the queue "
-                            "goes quiet, and at most this many ms after "
-                            "its first one")
+                            "have all been answered, and at most this "
+                            "many ms after its first one")
     p_srv.add_argument("--queue-cap", type=int, default=1024,
                        help="admission-control bound; beyond it "
                             "requests are shed")

@@ -62,8 +62,6 @@ class BatchBlockContext:
         config: LaunchConfig,
         block_ids,
         mode: ExecMode = ExecMode.NORMAL,
-        fence_latency_cycles: float = 660.0,
-        fence_concurrency: int = 1,
         atomics: AtomicUnit | None = None,
     ) -> None:
         self.memory = memory
@@ -91,8 +89,6 @@ class BatchBlockContext:
         self.store_records: list[tuple] = []
         #: Deferred checksum-table insertions: block id -> [lane arrays].
         self.table_inserts: dict[int, list[np.ndarray]] = {}
-        self._fence_latency = fence_latency_cycles
-        self._fence_concurrency = max(1, fence_concurrency)
 
     # ------------------------------------------------------------------
     # Geometry

@@ -292,8 +292,6 @@ class LaunchEngine:
             ):
                 bctx = BatchBlockContext(
                     plan.memory, plan.config, group, mode=plan.mode,
-                    fence_latency_cycles=plan.fence_latency,
-                    fence_concurrency=plan.fence_concurrency,
                     atomics=plan.atomics,
                 )
                 try:

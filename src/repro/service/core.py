@@ -80,8 +80,8 @@ class ServiceConfig:
     config: str = "global-array"
     #: Flush the batching window at this many requests ...
     max_batch: int = 128
-    #: ... or when the queue goes quiet, and at most this many
-    #: milliseconds after its first request.
+    #: ... or when the previous window's acks have all been answered,
+    #: and at most this many milliseconds after its first request.
     max_wait_ms: float = 2.0
     #: Admission-control bound: requests queued beyond this are shed.
     queue_cap: int = 1024

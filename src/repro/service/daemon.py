@@ -15,10 +15,9 @@ Thread model
   arriving, and closes it when it holds ``max_batch`` requests, when
   every connection has sent as many requests as the previous window
   acked it (a closed loop answers each ack with one request, so the
-  cohort is whole and nobody is left to wait for), when the queue has
-  been quiet for longer than a burst's gaps run, or at the latest
+  cohort is whole and nobody is left to wait for), or at the latest
   ``max_wait_ms`` after it met the first request — :class:`FlushPolicy`
-  counts the answers and learns the gaps from the enqueue timestamps.
+  counts the answers from the enqueue timestamps.
   It flushes the window as at most three MegaKV launches plus — if
   anything was written — one drain, and only then writes the responses
   back — the ack *is* the durability receipt.
@@ -50,20 +49,7 @@ STATS_SCHEMA_VERSION = 1
 #: Window latencies kept for the p50/p99 stats estimate.
 LATENCY_WINDOW = 4096
 
-#: A window stays open until nothing has arrived for this many times the
-#: longest gap a typical burst contains: enough that the slowest sender
-#: of a burst seldom splits it, and noise beside the window it precedes.
-LINGER_GAPS = 2.0
-#: Weight of one window's longest gap in the running estimate.
-GAP_WEIGHT = 0.25
-#: A window nobody joined multiplies the patience by this, so a lone
-#: synchronous client stops paying for company that never comes. One
-#: that keeps its connection is released by ``answered`` anyway; one that
-#: opens a connection per request never answers anybody, and windows of
-#: one observe no gap, so without this its linger stays ``max_wait``.
-SOLO_DECAY = 0.5
-
-FLUSH_REASONS = ("fill", "answered", "quiet", "deadline", "stop")
+FLUSH_REASONS = ("fill", "answered", "deadline", "stop")
 
 
 class FlushPolicy:
@@ -76,57 +62,40 @@ class FlushPolicy:
     no socket; a source is any hashable.
 
     What the previous acks release comes back as a burst; a window
-    should hold the burst and not wait a moment longer. Two rules say
-    when the burst is over.
+    should hold the burst and not wait a moment longer. It closes on
+    whichever of three rules comes first.
+
+    *Fill.* It holds ``max_batch`` requests.
 
     *Answered.* A closed-loop client answers each ack with one request
     on the same connection. :meth:`close` records how many acks each
     source was sent; an arrival stamped at or after them pays one off,
     and once nothing is owed the cohort is whole: the window closes at
     its last arrival. A request stamped before the acks queued behind
-    the running window and answers nothing. The rule waits for nobody,
-    so it only ever closes a window earlier than the other would; a
-    source that does not answer (it left, it sends less, it never
-    waited for acks) leaves the window to the other rule — for one
+    the running window and answers nothing. The rule waits for nobody;
+    a source that does not answer (it left, it sends less, it never
+    waited for acks) leaves the window to the deadline — for one
     window: the next is owed only what this one acks.
 
-    *Quiet.* The policy keeps a running mean of the *longest gap*
-    between two consecutive arrivals of a window (a pair with acks in
-    between is two bursts, not a gap) and closes a window once nothing
-    has arrived for ``LINGER_GAPS`` times that — counted from its last
-    arrival or, if later, from the previous window's acks, since what
-    queued while that window ran says nothing about who is about to
-    answer them. A window that closes with nobody having joined a
-    request that met an idle daemon halves the *patience*, a factor on
-    the linger; a window of two, or a request that had to queue behind
-    the running window, is evidence of company and restores it. Until
-    traffic has said anything the linger is ``max_wait``, and it never
-    exceeds it.
+    *Deadline.* ``max_wait`` after the window's first arrival or, if
+    later, after the previous window's acks: what a request spent
+    queued behind a running window is not time the batcher chose to
+    wait.
     """
 
     def __init__(self, max_batch: int, max_wait_s: float) -> None:
         self.max_batch = max_batch
         self.max_wait = max_wait_s
-        self.gap = max_wait_s / LINGER_GAPS
-        self.patience = 1.0
         self._n = 0             # requests in the open window
         self._first = 0.0       # its first arrival
-        self._longest = 0.0     # its longest gap
-        self._last = 0.0        # the latest arrival of any window
+        self._last = 0.0        # its latest arrival
         self._acked_at = 0.0    # when the previous window's acks began
         self._owed = collections.Counter()  # source -> acks to answer
         self._was_owed = False  # those acks reached somebody
 
-    @property
-    def linger(self) -> float:
-        return min(self.max_wait,
-                   LINGER_GAPS * self.gap * self.patience)
-
     def add(self, t_enqueue: float, source=None) -> None:
         """A request from ``source`` joins the open window (opening it
         if none is)."""
-        if self._n and not self._last < self._acked_at <= t_enqueue:
-            self._longest = max(self._longest, t_enqueue - self._last)
         if not self._n:
             self._first = t_enqueue
         self._n += 1
@@ -142,32 +111,19 @@ class FlushPolicy:
         """``(flush at, reason)`` if nobody else arrives; ``(None,
         None)`` while no window is open. ``answered`` is due at the
         last arrival, which is already past: take what is queued, then
-        flush. Neither of the other clocks starts before the previous
-        window's acks: what a request spent queued behind a running
-        window is not time the batcher chose to wait."""
+        flush."""
         if not self._n:
             return None, None
         if self._n >= self.max_batch:
             return self._last, "fill"
         if self._was_owed and not self._owed:
             return self._last, "answered"
-        quiet = max(self._last, self._acked_at) + self.linger
-        deadline = max(self._first, self._acked_at) + self.max_wait
-        if quiet < deadline:
-            return quiet, "quiet"
-        return deadline, "deadline"
+        return max(self._first, self._acked_at) + self.max_wait, "deadline"
 
     def close(self, now: float, acked=()) -> None:
         """The open window ran; its acks went out from ``now``, one to
         ``acked``'s source for each entry."""
-        if self._longest > 0.0:
-            self.gap += GAP_WEIGHT * (self._longest - self.gap)
-        if self._n > 1 or self._first < self._acked_at:
-            self.patience = 1.0
-        else:
-            self.patience *= SOLO_DECAY
         self._n = 0
-        self._longest = 0.0
         self._acked_at = now
         self._owed = collections.Counter(acked)
         self._was_owed = bool(self._owed)
@@ -211,23 +167,14 @@ class _Conn:
 class KVServer:
     """Long-lived daemon serving one durable MegaKV store.
 
-    ``address``: a Unix socket path (``str``) or ``(host, port)``
+    ``address``: a Unix socket path (any ``str``) or ``(host, port)``
     tuple; port 0 binds an ephemeral port (read :attr:`address` after
     :meth:`start` / :meth:`serve_forever` binds).
     """
 
     def __init__(self, config: ServiceConfig | None = None, *,
                  heap_path=None, shards: int = 0,
-                 address="127.0.0.1:0") -> None:
-        if isinstance(address, str) and ":" in address:
-            host, _, port = address.rpartition(":")
-            try:
-                address = (host, int(port))
-            except ValueError:
-                raise ServiceError(
-                    f"address {address!r} looks like host:port but the "
-                    f"port is not an integer"
-                ) from None
+                 address=("127.0.0.1", 0)) -> None:
         self.config = config or ServiceConfig()
         self.core = ServiceCore(self.config, heap_path=heap_path,
                                 shards=shards)
@@ -463,7 +410,7 @@ class KVServer:
                 window.append(request)
                 policy.add(request.t_enqueue, request.conn)
             elif window:
-                if reason in ("quiet", "deadline") and self._stop.is_set():
+                if reason == "deadline" and self._stop.is_set():
                     reason = "stop"  # shutdown cut the wait short
                 self._flush(window, reason)
                 window = []
@@ -603,15 +550,13 @@ class KVServer:
                 "max": int(occupancy.maximum) if occupancy.count else 0,
             },
             # Why windows closed and what they waited for: a window's
-            # dwell is first enqueue -> flush; ``linger_ms`` is what
-            # the flush policy would wait past the last arrival now.
+            # dwell is first enqueue -> flush.
             "batching": {
                 "flush_reasons": {
                     reason: count("service.window.flush", reason=reason)
                     for reason in FLUSH_REASONS},
                 "dwell_ms_mean":
                     metrics.histogram("service.window.dwell_ms").mean,
-                "linger_ms": self._policy.linger * 1000.0,
             },
             # Every request of a served window got a response, so their
             # number is the sum of the windows' occupancies.

@@ -105,11 +105,9 @@ def test_a_learned_burst_closes_as_one_window_right_behind_its_last_arrival():
         flushed, reason, window = batcher.windows[-1]
         assert len(window) == 32
     # The first window knew nothing and sat out max_wait_ms. Every later
-    # one was owed 16 answers by each connection and closed on the last ...
+    # one was owed 16 answers by each connection and closed on the last.
     assert [w[1] for w in batcher.windows] == ["deadline"] + ["answered"] * 19
     assert flushed == last
-    # ... while the linger it would fall back on is learned as before.
-    assert batcher.policy.linger == pytest.approx(2 * 45 * US, rel=0.25)
 
 
 def test_a_lone_client_stops_waiting_and_a_second_one_restores_batching():
@@ -123,8 +121,8 @@ def test_a_lone_client_stops_waiting_and_a_second_one_restores_batching():
     assert [w[1] for w in lone[1:]] == ["answered"] * 19
     assert list(map(Batcher.dwell, lone[1:])) == [0.0] * 19
 
-    # A second synchronous client shows up while a window is running:
-    # it queues behind it, which is the evidence that restores patience.
+    # A second synchronous client shows up while a window is running: it
+    # queues behind it, and once both are owed an ack they pair up.
     batcher.think["b"] = 130 * US
     batcher.send(batcher.now + 50 * US, "b")
     after = batcher.run(20 + 30)[20:]
@@ -157,10 +155,8 @@ def test_a_stretched_gap_may_split_a_burst_but_nobody_waits_past_the_bound(
     _burst(batcher, batcher.now + 100 * US, stretch=stretch)
     windows = batcher.run(8)[before:]
     assert sum(len(w[2]) for w in windows) == 32
-    # `quiet` closes what came before the stall; the tail arrives after
-    # that part's acks and is counted as their answer, so a part of one
-    # is "answered" by the first of the tail: one more small window.
-    assert 1 <= len(windows) <= (3 if stretch == 1 else 2)
+    # The window is owed the whole cohort, stretch or not.
+    assert [w[1] for w in windows] == ["answered"]
     assert max(batcher.held()) <= 2.0 * MS + 1e-12
 
 
@@ -180,10 +176,9 @@ def test_requests_that_queued_behind_a_window_are_not_answers_to_it():
 
 def _cohort(service_s, stall_at=None):
     """Two connections x 16 in flight, all answered by one client
-    process: 40 us after the acks, then one every 30 us. The learned
-    linger (60 us) covers that turnaround, as it does on the real daemon
-    (0.8 ms against 0.5). ``stall_at``: the process stalls for 0.3 ms
-    before that answer of the 21st burst."""
+    process: 40 us after the acks, then one every 30 us. ``stall_at``:
+    the process stalls for 0.3 ms before that answer of the 21st
+    burst."""
     batcher = Batcher(service_s=service_s)
     batcher.think = {0: 40 * US, 1: 40 * US}
     batcher.spread = 30 * US
@@ -197,18 +192,14 @@ def _cohort(service_s, stall_at=None):
     return batcher
 
 
-@pytest.mark.parametrize("service_ms, rounds", [(0.4, 3), (2.3, 1)])
+@pytest.mark.parametrize("service_ms", [0.4, 2.3])
 @pytest.mark.parametrize("stall_at", [5, 10, 16, 25])
-def test_a_split_burst_heals_by_itself(service_ms, rounds, stall_at):
-    """The tail of a split burst passes for the answer to its head, so
-    the windows after a split are small — until a part's real answers
-    queue behind the next part's window and are merged with that
-    window's answers. The longer a window runs, the sooner."""
+def test_a_stalled_cohort_closes_as_one_answered_window(service_ms, stall_at):
+    """A stall mid-answer is not the end of the cohort: the window is
+    still owed the rest and waits for it, within the bound."""
     batcher = _cohort(service_ms * MS, stall_at)
     after = batcher.run(12)[20:]
-    sizes = [len(w[2]) for w in after]
-    assert (sizes[0], after[0][1]) == (stall_at, "quiet")
-    assert sizes[rounds:] == [32] * (12 - rounds), sizes
+    assert [(len(w[2]), w[1]) for w in after] == [(32, "answered")] * 12
     assert max(batcher.held()) <= 2.0 * MS + 1e-12
 
 
@@ -228,16 +219,15 @@ def test_a_third_client_is_whole_with_the_cohort_within_two_windows(
 
 def test_a_client_that_reconnects_per_request_still_stops_waiting():
     """Nobody ever answers on a connection that is gone, so `answered`
-    never fires; what releases this client is the patience."""
+    never fires; what releases this client is the deadline, every time
+    and never later."""
     batcher = Batcher(service_s=0.3 * MS)
     batcher.think = {"a": 100 * US}
     batcher.reconnects = {"a"}
     batcher.send(0.0, "a")
     lone = batcher.run(20)
-    assert all(len(w[2]) == 1 for w in lone)
-    assert "answered" not in {w[1] for w in lone}
-    assert Batcher.dwell(lone[0]) == pytest.approx(2.0 * MS)
-    assert max(map(Batcher.dwell, lone[8:])) <= 0.1 * MS
+    assert [(len(w[2]), w[1]) for w in lone] == [(1, "deadline")] * 20
+    assert list(map(Batcher.dwell, lone)) == [pytest.approx(2.0 * MS)] * 20
 
 
 @pytest.mark.parametrize("rate, floor", [(500, 0.85), (3000, 0.98),
@@ -245,11 +235,9 @@ def test_a_client_that_reconnects_per_request_still_stops_waiting():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_open_loop_traffic_on_one_connection(rate, floor, seed):
     """Arrivals that answer nobody. With no source named nothing is ever
-    owed and only `quiet` / `deadline` close a window: against that no
+    owed and only `fill` / `deadline` close a window: against that no
     window is held longer, and windows stay as full wherever there is
-    load to fill them. At 500 /s — a request every 2 ms, windows of one
-    or two — the connection is a lone client as far as anyone can tell,
-    and is released like one: smaller windows, no wait."""
+    load to fill them."""
     occupancy = []
     for sources in (True, False):
         batcher = Batcher(max_batch=32, service_s=2.3 * MS, sources=sources)
@@ -272,7 +260,6 @@ def test_max_wait_zero_never_waits():
     windows = batcher.run(50)
     assert len(windows) == 50
     assert batcher.held() == [0.0] * 50
-    assert batcher.policy.linger == 0.0
 
 
 def test_max_batch_one_is_one_request_per_window():
