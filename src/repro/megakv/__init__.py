@@ -9,6 +9,7 @@ from repro.megakv.kernels import (
     KVDeleteKernel,
     KVInsertKernel,
     KVSearchKernel,
+    KVWriteKernel,
     alloc_results,
 )
 from repro.megakv.lp import BatchOutcome, KVBatchSession
@@ -22,6 +23,7 @@ __all__ = [
     "KVDeleteKernel",
     "KVInsertKernel",
     "KVSearchKernel",
+    "KVWriteKernel",
     "MegaKVStore",
     "StoreStats",
     "alloc_results",

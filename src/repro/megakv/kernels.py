@@ -1,14 +1,19 @@
-"""Batched insert/search/delete kernels for the MEGA-KV store.
+"""Batched write/search kernels for the MEGA-KV store.
 
 Each kernel processes one request batch: one request per thread, blocks
 owning disjoint, contiguous request slices — the LP region layout of
 Section VII-4.
 
+:class:`KVWriteKernel` carries a PUT or a DELETE per lane (value ``0``,
+the empty-slot sentinel, deletes); the paper's separate insert and
+delete batches are write kernels whose lanes are all puts or all
+deletes. :class:`KVSearchKernel` reads.
+
 Checksum protocol (shared with :mod:`repro.megakv.lp`): every kernel
 folds, per request, exactly the words that must be durable for the
 request to have "happened":
 
-* **insert** — folds ``[key, value]`` by (re-)storing both the key and
+* **put** — folds ``[key, value]`` by (re-)storing both the key and
   the value at the chosen slot. The key is stored even on the update
   path, so original execution, recovery re-execution and validation all
   fold the same words.
@@ -20,23 +25,23 @@ request to have "happened":
 * **search** — read-only over the store; the per-request results buffer
   is the protected output, making it an ordinary idempotent LP region.
 
-Validation overrides for insert/delete replay the *semantic effect*
-(search the store for the key) rather than the mutation — the
-application-specific validation the paper anticipates for
-non-trivially-idempotent regions.
+Validation of a write replays the *semantic effect* (search the store
+for the key) rather than the mutation — the application-specific
+validation the paper anticipates for non-trivially-idempotent regions.
 
-All three kernels also run as one data-parallel pass per block group
+Both kernels also run as one data-parallel pass per block group
 (``run_block_batch`` / ``validate_block_batch``), which is what the
 paper's MEGA-KV result rests on: a request batch is *one* kernel, so
 LP's per-region work is amortised over the whole block. The batched
 passes scan every request's buckets on the image the group started
 from, which decides hit or miss exactly as the per-request loop would
 *provided the batch's keys are distinct* — no earlier request can then
-store or clear another request's key. Insert and delete check that at
-construction and are ``batchable`` only when it holds (a batch with a
-repeated key runs per request); the remaining dependence between
-requests, two misses wanting the same empty slot, is resolved in
-request order by
+store or clear another request's key. A write kernel checks that at
+construction and is ``batchable`` only when it holds (a batch with a
+repeated key runs per request). It also runs its puts before its
+deletes, so no put can claim a slot a delete of the same launch frees;
+the remaining dependence between requests, two misses wanting the same
+empty slot, is resolved in request order by
 :meth:`~repro.gpu.batch.BatchBlockContext.atomic_cas_claim`.
 """
 
@@ -156,49 +161,17 @@ class _BatchKernel(Kernel):
                       probe_slots)
 
 
-class _WriteKernel(_BatchKernel):
-    """What insert and delete share: they mutate the store's two
-    arrays, so those are the protected output, a batch must carry
-    distinct keys to run as one pass, and validation re-probes."""
+class KVWriteKernel(_BatchKernel):
+    """SET or DELETE per request: each lane's value is what its key
+    holds afterwards, and ``0`` deletes the key (idempotent on an absent
+    one). The store's two arrays are the protected output."""
 
-    def __init__(
-        self,
-        store: MegaKVStore,
-        batch_keys: np.ndarray,
-        threads_per_block: int = 64,
-    ) -> None:
-        super().__init__(store, batch_keys, threads_per_block)
-        self.protected_buffers = (store.keys.name, store.values.name)
-        #: A property of the input, not a setting: with a repeated key
-        #: an earlier request's store or clear changes what a later
-        #: request's bucket scan must see, so the batch runs per
-        #: request (module docstring).
-        self.batchable = \
-            len(set(self.batch_keys.tolist())) == self.n_requests
-
-    def validate_block_batch(self, bctx) -> list:
-        """Insert's and delete's check phase: fold what the store holds
-        at each key that is present (``validate_block``, group-wide)."""
-        p = self._probe_batch(bctx)
-        self.store.stats.probe_slots += p.probe_slots
-        # VALIDATE-mode stores fold memory contents; the words passed
-        # are ignored, exactly as in the per-request path.
-        bctx.st_record(
-            (self.store.keys, self.store.values),
-            np.where(p.hit, p.hit_slot, 0), (EMPTY_SLOT, EMPTY_SLOT),
-            slots=_THREAD_0, mask=p.hit)
-        return [None] * bctx.n_blocks_in_batch
-
-
-class KVInsertKernel(_WriteKernel):
-    """SET: insert or update each (key, value) request."""
-
-    name = "megakv-insert"
+    name = "megakv-write"
     idempotent = True
     #: lplint sees the atomic_cas claim and the bucket-scan read of the
     #: key array it also writes; re-execution nevertheless stores the
-    #: same [key, value] words on every path (module docstring), and
-    #: the dynamic oracle pins that (benchmarks/oracle_verdicts.json).
+    #: same words on every path (module docstring), and the dynamic
+    #: oracle pins that (benchmarks/oracle_verdicts.json).
     lint_suppressions = {
         "LP002": "re-execution stores identical [key, value] words on "
                  "every path; idempotence pinned by the dynamic oracle "
@@ -213,27 +186,48 @@ class KVInsertKernel(_WriteKernel):
         threads_per_block: int = 64,
     ) -> None:
         super().__init__(store, batch_keys, threads_per_block)
-        self.batch_values = np.asarray(batch_values, dtype=np.uint64)
-        if np.any(self.batch_values == EMPTY_SLOT):
-            raise TableFullError("batch values must be non-zero")
-        if self.batch_values.size != self.n_requests:
+        values = np.asarray(batch_values, dtype=np.uint64)
+        if values.size != self.n_requests:
             raise TableFullError("keys and values must align")
+        deletes = values == EMPTY_SLOT
+        if deletes.any():
+            # Lanes run puts first, stably: no put can then claim a slot
+            # a delete of this launch frees, which the batched pass —
+            # claiming on the group's starting image — could not see.
+            order = np.argsort(deletes, kind="stable")
+            self.batch_keys, values = self.batch_keys[order], values[order]
+        self.batch_values = values
+        self.protected_buffers = (store.keys.name, store.values.name)
+        #: A property of the input, not a setting: with a repeated key
+        #: an earlier request's store or clear changes what a later
+        #: request's bucket scan must see, so the batch runs per
+        #: request (module docstring).
+        self.batchable = \
+            len(set(self.batch_keys.tolist())) == self.n_requests
 
     def run_block(self, ctx: BlockContext) -> None:
         for i in self._slice(ctx):
             key = self.batch_keys[i]
             value = self.batch_values[i]
             slot = self._find(ctx, key)
-            if slot is None:
+            if value == EMPTY_SLOT:
+                self.store.stats.deletes += 1
+                if slot is None:
+                    continue
+                self.store.stats.removed += 1
+                # Clearing stores fold 0 — the identity of both
+                # checksum lanes, by design (see module docstring).
+                key = EMPTY_SLOT
+            elif slot is None:
                 slot = self._claim(ctx, key)
                 self.store.stats.inserts += 1
             else:
                 self.store.stats.updates += 1
-            # Store key AND value on both paths so every execution of
+            # Store key AND value on every path so every execution of
             # this request folds the same [key, value] words.
             ctx.st(self.store.keys, slot, key)
             ctx.st(self.store.values, slot, value)
-            ctx.flops(4)
+            ctx.flops(4 if value else 2)
 
     def _claim(self, ctx: BlockContext, key: np.uint64) -> int:
         slots = self.store.bucket_slots(int(key))
@@ -247,105 +241,106 @@ class KVInsertKernel(_WriteKernel):
         )
 
     def validate_block(self, ctx: BlockContext) -> None:
-        """Fold what the store *now holds* for each of my requests."""
+        """Fold what the store *now holds* at each of my keys: a lost
+        put folds nothing, a lost delete folds the key — either way a
+        key-lane mismatch."""
         for i in self._slice(ctx):
-            key = self.batch_keys[i]
-            slot = self._find(ctx, key)
+            slot = self._find(ctx, self.batch_keys[i])
             if slot is None:
-                continue  # lost insert: nothing folds, key-lane mismatch
+                continue
             # VALIDATE-mode stores fold memory contents at these slots.
-            ctx.st(self.store.keys, slot, key)
-            ctx.st(self.store.values, slot, self.batch_values[i])
+            ctx.st(self.store.keys, slot, EMPTY_SLOT)
+            ctx.st(self.store.values, slot, EMPTY_SLOT)
 
     # -- batched execution ----------------------------------------------
 
     def run_block_batch(self, bctx) -> None:
         """``run_block`` over a whole group: scan, claim, store.
 
-        Hits update in place; misses claim the first empty candidate
-        slot in request order (a request neither bucket can take raises
-        ``BatchFallbackError`` from the claim, before anything below
-        has happened, and the group re-runs per request up to the
-        ``TableFullError``). Each request's key and value are stored as
-        one record, so they reach memory interleaved per request as
-        the scalar loop issues them.
+        Put hits update in place; put misses claim the first empty
+        candidate slot in request order (a request neither bucket can
+        take raises ``BatchFallbackError`` from the claim, before
+        anything below has happened, and the group re-runs per request
+        up to the ``TableFullError``); delete hits clear their slot.
+        Each request's two words are stored as one record, so they
+        reach memory interleaved per request as the scalar loop issues
+        them.
         """
         p = self._probe_batch(bctx)
-        miss = p.mask & ~p.hit
+        values = self.batch_values[np.where(p.mask, p.req, 0)]
+        put = p.mask & (values != EMPTY_SLOT)
+        cleared = p.hit & ~put
         second = np.arange(2 * BUCKET_WIDTH) >= BUCKET_WIDTH
         claimed = bctx.atomic_cas_claim(
             self.store.keys, p.slots, EMPTY_SLOT,
-            valid=miss[..., None] & ~(p.one_bucket[..., None] & second))
+            valid=(put & ~p.hit)[..., None]
+            & ~(p.one_bucket[..., None] & second))
 
-        n_valid = int(np.count_nonzero(p.mask))
-        n_hits = int(np.count_nonzero(p.hit))
+        n_puts = int(np.count_nonzero(put))
+        n_updates = int(np.count_nonzero(put & p.hit))
+        n_cleared = int(np.count_nonzero(cleared))
         stats = self.store.stats
         stats.probe_slots += p.probe_slots
-        stats.inserts += n_valid - n_hits
-        stats.updates += n_hits
+        stats.inserts += n_puts - n_updates
+        stats.updates += n_updates
+        stats.deletes += int(np.count_nonzero(p.mask)) - n_puts
+        stats.removed += n_cleared
 
-        slot = np.where(p.hit, p.hit_slot, claimed)
+        stored = put | cleared
         bctx.st_record(
             (self.store.keys, self.store.values),
-            np.where(p.mask, slot, 0),
-            (p.keys, self.batch_values[np.where(p.mask, p.req, 0)]),
-            slots=_THREAD_0, mask=p.mask)
-        bctx.alu(4.0 * self.threads * n_valid)
+            np.where(stored, np.where(p.hit, p.hit_slot, claimed), 0),
+            (np.where(put, p.keys, EMPTY_SLOT), values),
+            slots=_THREAD_0, mask=stored)
+        bctx.alu(4.0 * self.threads * n_puts
+                 + 2.0 * self.threads * n_cleared)
 
-
-class KVDeleteKernel(_WriteKernel):
-    """DELETE: remove each requested key (idempotent on absent keys)."""
-
-    name = "megakv-delete"
-    idempotent = True
-    #: lplint sees the bucket scan reading the key array the delete
-    #: also writes; clearing an already-cleared slot is a no-op, so
-    #: re-execution is idempotent — pinned by the dynamic oracle.
-    lint_suppressions = {
-        "LP002": "clearing an already-cleared slot is a no-op; "
-                 "idempotence pinned by the dynamic oracle "
-                 "(benchmarks/oracle_verdicts.json)",
-    }
-
-    def run_block(self, ctx: BlockContext) -> None:
-        for i in self._slice(ctx):
-            key = self.batch_keys[i]
-            slot = self._find(ctx, key)
-            self.store.stats.deletes += 1
-            if slot is None:
-                continue
-            self.store.stats.removed += 1
-            # Clearing stores fold 0 — the identity of both checksum
-            # lanes, by design (see module docstring).
-            ctx.st(self.store.keys, slot, EMPTY_SLOT)
-            ctx.st(self.store.values, slot, EMPTY_SLOT)
-            ctx.flops(2)
-
-    def validate_block(self, ctx: BlockContext) -> None:
-        """A persisted delete folds nothing; a lost one folds the key."""
-        for i in self._slice(ctx):
-            key = self.batch_keys[i]
-            slot = self._find(ctx, key)
-            if slot is None:
-                continue  # correctly gone
-            ctx.st(self.store.keys, slot, EMPTY_SLOT)
-            ctx.st(self.store.values, slot, EMPTY_SLOT)
-
-    # -- batched execution ----------------------------------------------
-
-    def run_block_batch(self, bctx) -> None:
-        """``run_block`` over a whole group: scan, clear the hits."""
+    def validate_block_batch(self, bctx) -> list:
+        """``validate_block`` over a whole group."""
         p = self._probe_batch(bctx)
-        n_hits = int(np.count_nonzero(p.hit))
-        stats = self.store.stats
-        stats.probe_slots += p.probe_slots
-        stats.deletes += int(np.count_nonzero(p.mask))
-        stats.removed += n_hits
+        self.store.stats.probe_slots += p.probe_slots
+        # VALIDATE-mode stores fold memory contents; the words passed
+        # are ignored, exactly as in the per-request path.
         bctx.st_record(
             (self.store.keys, self.store.values),
             np.where(p.hit, p.hit_slot, 0), (EMPTY_SLOT, EMPTY_SLOT),
             slots=_THREAD_0, mask=p.hit)
-        bctx.alu(2.0 * self.threads * n_hits)
+        return [None] * bctx.n_blocks_in_batch
+
+
+class KVInsertKernel(KVWriteKernel):
+    """SET: insert or update each (key, value) request — a write whose
+    lanes are all puts."""
+
+    name = "megakv-insert"
+
+    def __init__(
+        self,
+        store: MegaKVStore,
+        batch_keys: np.ndarray,
+        batch_values: np.ndarray,
+        threads_per_block: int = 64,
+    ) -> None:
+        if np.any(np.asarray(batch_values, dtype=np.uint64) == EMPTY_SLOT):
+            raise TableFullError("batch values must be non-zero")
+        super().__init__(store, batch_keys, batch_values, threads_per_block)
+
+
+class KVDeleteKernel(KVWriteKernel):
+    """DELETE: remove each requested key (idempotent on absent keys) —
+    a write whose lanes are all deletes."""
+
+    name = "megakv-delete"
+
+    def __init__(
+        self,
+        store: MegaKVStore,
+        batch_keys: np.ndarray,
+        threads_per_block: int = 64,
+    ) -> None:
+        keys = np.asarray(batch_keys, dtype=np.uint64)
+        super().__init__(store, keys, np.zeros(keys.size, np.uint64),
+                         threads_per_block)
 
 
 class KVSearchKernel(_BatchKernel):

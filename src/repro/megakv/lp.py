@@ -20,18 +20,19 @@ The session is also the one place a batch meets its checksum table:
 (and a search its results buffer) of its own, named from the batch
 counter, allocated, instrumented, and freed when its epoch closes — the
 batch the paper measures in §VII-4. An owner that can *bound* its
-launches passes ``max_keys``: at most one insert and one delete launch
-per epoch, each of at most that many keys (``repro serve``: one
-coalesced window per epoch, ``max_batch`` requests). The session then
-allocates one table per write kernel and one volatile results buffer
-once, at construction — right after the store's buffers, so a
-restarted process rebuilds the identical layout from its configuration
-alone — binds each launch to its table, and an epoch's close *re-seeds*
-the tables (:meth:`~repro.core.tables.base.ChecksumTable.reset`)
-instead of freeing them: steady state allocates, attaches, instruments
-and frees nothing. The forward path launches what ``prepare`` returns;
-a restarted service has the same ``prepare`` bind its logged launches
-and enrols the result instead.
+launches passes ``max_keys``: at most one write launch per epoch (an
+insert, a delete or a mixed :meth:`~KVBatchSession.write`) of at most
+that many keys (``repro serve``: one coalesced window per epoch,
+``max_batch`` requests). The session then allocates one checksum table,
+``megakv-write``, and one volatile results buffer once, at
+construction — right after the store's buffers, so a restarted process
+rebuilds the identical layout from its configuration alone — binds
+every write launch to that table, and an epoch's close *re-seeds* it
+(:meth:`~repro.core.tables.base.ChecksumTable.reset`) instead of
+freeing it: steady state allocates, attaches, instruments and frees
+nothing. The forward path launches what ``prepare`` returns; a
+restarted service has the same ``prepare`` bind its logged launch and
+enrols the result instead.
 
 Reads need none of this. :meth:`KVBatchSession.lookup` launches the
 search kernel uninstrumented, straight on the device, into the volatile
@@ -42,7 +43,7 @@ table, joins no epoch and is never replayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from repro.megakv.kernels import (
     KVDeleteKernel,
     KVInsertKernel,
     KVSearchKernel,
+    KVWriteKernel,
     alloc_results,
 )
 from repro.megakv.store import MegaKVStore
@@ -73,7 +75,6 @@ class BatchOutcome:
     lp_kernel: LazyPersistentKernel
     recovery: RecoveryReport | None = None
     results: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def crashed(self) -> bool:
@@ -85,9 +86,9 @@ class KVBatchSession:
     """Batched, crash-recoverable operation stream against one store.
 
     ``max_keys`` is the owner's launch bound (module docstring): with
-    it, insert and delete run against two session-lifetime checksum
-    tables and :meth:`lookup` is available; without it every batch
-    allocates and frees its own.
+    it, every write runs against one session-lifetime checksum table
+    and :meth:`lookup` is available; without it every batch allocates
+    and frees its own.
     """
 
     def __init__(
@@ -108,16 +109,15 @@ class KVBatchSession:
         #: first. Closing it releases their tables and result buffers.
         self.manager = CheckpointManager(device, on_close=self._release)
         self.max_keys = max_keys
-        #: Session-lifetime tables by write-kernel name (``max_keys``).
-        self._tables: dict[str, ChecksumTable] = {}
+        #: The session-lifetime write table (``max_keys``).
+        self._table: ChecksumTable | None = None
         self._results = None
         if max_keys is not None:
-            regions = math.ceil(max_keys / threads_per_block)
-            for kernel_cls in (KVInsertKernel, KVDeleteKernel):
-                self._tables[kernel_cls.name] = make_table(
-                    device.memory, kernel_cls.name, regions,
-                    self.runtime.cset.n_lanes, self.config,
-                    cost_model=device.cost_model)
+            self._table = make_table(
+                device.memory, KVWriteKernel.name,
+                math.ceil(max_keys / threads_per_block),
+                self.runtime.cset.n_lanes, self.config,
+                cost_model=device.cost_model)
             self._results = device.alloc(
                 f"{store.name}_results", (max_keys,), np.uint64,
                 persistent=False)
@@ -131,14 +131,16 @@ class KVBatchSession:
     ) -> LazyPersistentKernel:
         """Build the next batch's LP kernel; do not launch.
 
-        A write kernel of a ``max_keys`` session is bound to its
+        A write kernel of a ``max_keys`` session is bound to the
         session-lifetime table. Otherwise this is the only place a
         batch's buffers are named and allocated: results buffer
         ``<store>_results_<counter>`` (search only, allocated first),
         then checksum table ``<kernel>_b<counter>``.
         """
         counter = self._batch_counter
-        if op == "insert":
+        if op == "write":
+            kernel = KVWriteKernel(self.store, keys, values, self.threads)
+        elif op == "insert":
             kernel = KVInsertKernel(self.store, keys, values, self.threads)
         elif op == "delete":
             kernel = KVDeleteKernel(self.store, keys, self.threads)
@@ -150,8 +152,8 @@ class KVBatchSession:
         else:
             raise ValueError(f"unknown KV operation {op!r}")
         self._batch_counter += 1
-        table = self._tables.get(kernel.name)
-        if table is None:
+        table = self._table
+        if table is None or op == "search":
             return self.runtime.instrument(
                 kernel, table_name=f"{kernel.name}_b{counter}")
         # A table entry is keyed by block id: a second launch would
@@ -160,9 +162,20 @@ class KVBatchSession:
                 open_.table is table for open_ in self.manager.epoch_kernels):
             raise ConfigError(
                 f"{op} of {kernel.n_requests} keys breaks this session's "
-                f"bound: one {op} launch of at most {self.max_keys} keys "
+                f"bound: one write launch of at most {self.max_keys} keys "
                 "per epoch")
         return LazyPersistentKernel(kernel, self.config, table)
+
+    def write(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        crash_plan: CrashPlan | None = None,
+    ) -> BatchOutcome:
+        """SET and DELETE a batch of keys in one launch: a value of 0
+        deletes its key."""
+        return self._launch("write", self.prepare("write", keys, values),
+                            crash_plan)
 
     def insert(
         self,
@@ -213,8 +226,9 @@ class KVBatchSession:
         """Run a mixed request stream, one batch per operation.
 
         ``ops`` is a list of ``("insert", keys, values)``,
-        ``("search", keys)`` or ``("delete", keys)`` tuples — the
-        paper's "insert, search & delete 16K recs" workload shape.
+        ``("search", keys)``, ``("delete", keys)`` or ``("write", keys,
+        values)`` tuples — the first three are the paper's "insert,
+        search & delete 16K recs" workload shape.
         ``crash_plans`` optionally injects a crash into the i-th batch;
         the session recovers each crashed batch before admitting the
         next, so the stream's semantics are crash-transparent.
@@ -260,12 +274,12 @@ class KVBatchSession:
         """
         with _recorder().trace.span("megakv.release", cat="megakv",
                                     track="megakv", batches=len(closed)):
-            # Both tables, launched or not: a launch that raised half
-            # way is in no epoch but has left checksums behind.
-            for table in self._tables.values():
-                table.reset()
+            # The write table, launched or not: a launch that raised
+            # half way is in no epoch but has left checksums behind.
+            if self._table is not None:
+                self._table.reset()
             for lp_kernel in closed:
-                if lp_kernel.inner.name in self._tables:
+                if lp_kernel.table is self._table:
                     continue
                 lp_kernel.table.free()
                 if isinstance(lp_kernel.inner, KVSearchKernel):

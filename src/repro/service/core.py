@@ -11,11 +11,12 @@ interval collected) launches only its durable work.
 :func:`partition_window` coalesces it on the host in arrival order —
 per key the last write wins, a GET that follows a same-key write is
 answered from the window, every other GET reads pre-window state —
-into at most three launches on pairwise-disjoint keys: one plain
-search first (:meth:`~repro.megakv.lp.KVBatchSession.lookup`: no
-checksum table, no WAL, no epoch — a read makes nothing durable), then
-one LP-instrumented insert and one delete, logged to the request WAL
-and checkpointed with one ``device.drain()``. N requests share that
+into at most two launches: one plain search first
+(:meth:`~repro.megakv.lp.KVBatchSession.lookup`: no checksum table, no
+WAL, no epoch — a read makes nothing durable), then one LP-instrumented
+write (:meth:`~repro.megakv.lp.KVBatchSession.write`) carrying every
+put and delete on distinct keys, logged to the request WAL and
+checkpointed with one ``device.drain()``. N requests share that
 drain instead of buying one each, and a window with no write touches
 nothing durable at all. Only after the drain (and the WAL retire) does
 the caller get the responses to ack, so *an acked write is a drained
@@ -24,12 +25,12 @@ write* and the acks are arrival-order linearizable.
 **The resume path.** A window is one checkpoint epoch described by one
 *launch list* (:meth:`WindowPlan.launches`), and that list is what the
 WAL holds. Every buffer of the service — the store's two, the
-session's two checksum tables — is allocated once, in a fixed order,
+session's write checksum table — is allocated once, in a fixed order,
 from :class:`ServiceConfig` alone, so on construction with an existing
 heap the core rebuilds the same layout, adopts the heap, has the
 session :meth:`~repro.megakv.lp.KVBatchSession.prepare` the list the
 forward path launched, and lets it recover and checkpoint the epoch
-(validate, re-execute failed regions, drain, re-seed the tables).
+(validate, re-execute failed regions, drain, re-seed the table).
 Acked windows were drained and cleared their WAL record, so they are
 untouched; the at-most-one unacked in-flight window either recovers
 fully or is re-applied by client retries — both idempotent. The
@@ -126,23 +127,22 @@ class WindowPlan:
     local_gets: int = 0
 
     def launches(self) -> list[tuple]:
-        """The window's write launches, JSON-able ``(op, keys, values)``
-        (``values`` is ``None`` for the delete): one insert, then one
-        delete, on disjoint keys, empty ones skipped. The WAL stores
-        this verbatim, the forward path launches it and the resume
-        path prepares it."""
-        puts = {k: v for k, v in self.writes.items() if v is not None}
-        deletes = [k for k, v in self.writes.items() if v is None]
-        out = []
-        if puts:
-            out.append(("insert", list(puts), list(puts.values())))
-        if deletes:
-            out.append(("delete", deletes, None))
-        return out
+        """The window's write launch, JSON-able ``(op, keys, values)``:
+        one ``write`` over every key the window leaves written, its
+        puts first and then its deletes (value 0) — the order the
+        kernel runs its lanes in — or none for a window that wrote
+        nothing. The WAL stores this verbatim, the forward path
+        launches it and the resume path prepares it."""
+        if not self.writes:
+            return []
+        # A stable sort: puts, then deletes, each in arrival order.
+        lanes = sorted(self.writes.items(), key=lambda kv: kv[1] is None)
+        return [("write", [k for k, _ in lanes],
+                 [0 if v is None else v for _, v in lanes])]
 
 
 def partition_window(requests: list[Request]) -> WindowPlan:
-    """Coalesce a window into at most one search, insert and delete.
+    """Coalesce a window into at most one search and one write.
 
     One walk in arrival order keeps ``writes[key]``, the value the
     window has left at ``key`` so far (``None``: deleted). A PUT or
@@ -152,11 +152,10 @@ def partition_window(requests: list[Request]) -> WindowPlan:
     of its key, so it reads pre-window state, and all such GETs share
     one search over their distinct keys.
 
-    MegaKV batch kernels require unique keys per batch; the insert and
-    the delete hold each key at most once between them, so the two
-    commute. Every request is acked only after the window's one drain,
-    which makes the acks equivalent to executing the window one
-    request at a time in arrival order.
+    MegaKV batch kernels require unique keys per batch; the write holds
+    each key at most once, so its lanes commute. Every request is acked
+    only after the window's one drain, which makes the acks equivalent
+    to executing the window one request at a time in arrival order.
     """
     plan = WindowPlan()
     for req in requests:
@@ -181,10 +180,9 @@ def partition_window(requests: list[Request]) -> WindowPlan:
 _SPAN = {"cat": "service", "track": "service"}
 
 
-def _operands(keys, values) -> list[np.ndarray]:
+def _operands(keys, values) -> tuple[np.ndarray, np.ndarray]:
     """The uint64 arrays a launch-list entry passes to the session."""
-    return [np.array(column, dtype=np.uint64)
-            for column in (keys, values) if column is not None]
+    return np.array(keys, dtype=np.uint64), np.array(values, dtype=np.uint64)
 
 
 @dataclass
@@ -194,7 +192,7 @@ class WindowResult:
     #: ``(request, response-doc)`` pairs, one per request, in arrival
     #: order.
     responses: list[tuple[Request, dict]]
-    #: Kernel launches, the plain search included (at most 3).
+    #: Kernel launches, the plain search included (at most 2).
     launches: int
     #: 1 for a served window, 0 for a failed one (a window used to be
     #: cut into several key-disjoint sub-batches).
@@ -256,7 +254,7 @@ class ServiceCore:
         # baseline): same flush path, nothing survives a restart. A
         # reopened heap is adopted once the layout is rebuilt rather
         # than attached buffer by buffer. The layout is the store's two
-        # buffers, then the session's two checksum tables — sized by
+        # buffers, then the session's write checksum table — sized by
         # the one bound the service can give, a window of ``max_batch``
         # requests per epoch — in this order, every start.
         self.device = Device(cache_capacity_lines=cfg.cache_lines,
@@ -297,8 +295,8 @@ class ServiceCore:
                 # No window in flight: every checksum table is a seed
                 # image, i.e. scratch. One this configuration lays out
                 # differently (another --config or --max-batch, a heap
-                # from before the tables were session-lifetime, a first
-                # start killed mid-allocation) is dropped and attached
+                # laid out by an older build's tables, a first start
+                # killed mid-allocation) is dropped and attached
                 # afresh. With a window in flight nothing is: a layout
                 # that disagrees is adopt()'s typed error, not a
                 # silent re-seed of the checksums that window needs.
@@ -359,7 +357,7 @@ class ServiceCore:
                 launches = plan.launches()
 
             # Admission guard: refuse puts that could not fit. The
-            # insert may still raise TableFullError under pathological
+            # write may still raise TableFullError under pathological
             # bucket skew; that is handled below as a window-wide error.
             n_puts = sum(v is not None for v in plan.writes.values())
             record_cap = self.store.n_slots // 8  # the sized load-factor target
@@ -389,8 +387,8 @@ class ServiceCore:
         )
 
     def _apply(self, launches: list[tuple]) -> tuple[bool, int]:
-        """A window's durable half: WAL begin, the write launches, one
-        checkpoint (drain, then re-seed the tables), WAL retire — in
+        """A window's durable half: WAL begin, the write launch, one
+        checkpoint (drain, then re-seed the table), WAL retire — in
         that order. Returns ``(store_full, drained lines)``."""
         trace = _recorder().trace
         if self.durable:

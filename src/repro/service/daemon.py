@@ -18,7 +18,7 @@ Thread model
   cohort is whole and nobody is left to wait for), or at the latest
   ``max_wait_ms`` after it met the first request — :class:`FlushPolicy`
   counts the answers from the enqueue timestamps.
-  It flushes the window as at most three MegaKV launches plus — if
+  It flushes the window as at most two MegaKV launches plus — if
   anything was written — one drain, and only then writes the responses
   back — the ack *is* the durability receipt.
 

@@ -1,17 +1,16 @@
 """Per-window request log — the tiny WAL behind restart-resume.
 
 The data needs no log (the mapped heap already survives SIGKILL) and
-neither does the layout: the store's two buffers, the session's two
-checksum tables and its results buffer are allocated once, in that
+neither does the layout: the store's two buffers, the session's write
+checksum table and its results buffer are allocated once, in that
 order, from :class:`~repro.service.core.ServiceConfig` alone, so a
 restarted process rebuilds the addresses the heap directory holds
 without being told. What a fresh process cannot know is *which writes
-were in flight*: the checksum tables say whether a region's stores
-persisted, not what the region was. So before a window's first write
-launch the daemon records its ``launches`` — ``[op, keys, values]`` per
-write kernel in execution order (at most one ``insert`` and one
-``delete``; ``values`` is null for the delete), exactly as
-:meth:`repro.service.core.WindowPlan.launches` produced them for the
+were in flight*: the checksum table says whether a region's stores
+persisted, not what the region was. So before a window's write launch
+the daemon records its ``launches`` — at most one ``["write", keys,
+values]``, a value of 0 deleting its key — exactly as
+:meth:`repro.service.core.WindowPlan.launches` produced it for the
 forward path. GETs are not in it: a read makes nothing durable and the
 client that asked is gone after a crash, so there is nothing to replay.
 
@@ -19,7 +18,7 @@ A restarted daemon reads the record, has the session ``prepare`` the
 same list the forward path launched — there is no second description
 of the window to keep in step with the first — and lets the session
 recover and checkpoint the epoch. The record is cleared only after the
-window's checkpoint drained *and* re-seeded the checksum tables, so **a
+window's checkpoint drained *and* re-seeded the checksum table, so **a
 record never coexists with a checksum from an earlier window**: a
 leftover ``cs(k, v1)`` would vouch for an in-flight ``PUT k = v2``
 whose stores were lost, because validating a write folds whatever the
@@ -60,15 +59,15 @@ from pathlib import Path
 from repro.errors import ServiceError
 
 MAGIC = b"LPRQ"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: ``magic | schema | body length | crc32(body)``; all-zero = no record.
 _HEADER = struct.Struct("<4sIII")
 _CLEARED = bytes(_HEADER.size)
 
 #: JSON bytes a launch list can take: a uint64 is at most 20 digits plus
-#: its comma, every key of a window appears once (with a value if it is
-#: inserted), and the brackets and op names fit the fixed part.
+#: its comma, every key of a window appears once with its value (``0,``
+#: for a delete), and the brackets and op name fit the fixed part.
 _FIXED_BYTES = 64
 _BYTES_PER_KEY = 42
 

@@ -26,6 +26,7 @@ from repro.megakv.kernels import (
     KVDeleteKernel,
     KVInsertKernel,
     KVSearchKernel,
+    KVWriteKernel,
     alloc_results,
 )
 from repro.megakv.store import MegaKVStore
@@ -164,14 +165,15 @@ def test_megakv_search_engine_parity(engine):
 
 
 # ---------------------------------------------------------------------------
-# MEGA-KV write path: insert and delete, vectorized.
+# MEGA-KV write path: insert, delete and mixed write, vectorized.
 
 SHADOWS = ["memory", "mapped", "sharded"]
 
 
 def run_megakv_writes(engine, config_name, shadow, tmp_path, monkeypatch):
-    """Insert, update + insert, delete, then validate all three — LP
-    instrumented, on a cache small enough that lines evict mid-launch.
+    """Insert, update + insert, delete, mixed write, then validate all
+    four — LP instrumented, on a cache small enough that lines evict
+    mid-launch.
 
     Returns every observable the engines must agree on. The launch's
     ``AtomicUnit`` is private to ``Device.launch``, so a recording
@@ -212,10 +214,17 @@ def run_megakv_writes(engine, config_name, shadow, tmp_path, monkeypatch):
     mixed = rng.permutation(np.concatenate([keys[::2], fresh]))
     doomed = rng.permutation(np.concatenate(
         [keys[1::3], fresh[:20], np.arange(5, 25, dtype=np.uint64)]))
+    # The service's launch: updates, claims, deletes of present and of
+    # absent keys, every third lane a delete, in no particular order.
+    written = rng.permutation(np.concatenate(
+        [keys[2::5], fresh[30:50], np.arange(30, 40, dtype=np.uint64)]))
     kernels = [
         KVInsertKernel(store, keys, keys ^ np.uint64(1 << 50), 16),
         KVInsertKernel(store, mixed, mixed ^ np.uint64(1 << 51), 16),
         KVDeleteKernel(store, doomed, 16),
+        KVWriteKernel(store, written, np.where(
+            np.arange(written.size) % 3 == 0, np.uint64(0),
+            written ^ np.uint64(1 << 52)), 16),
     ]
     runtime = repro.LPRuntime(device, LP_CONFIGS[config_name])
     lp_kernels = [runtime.instrument(k, table_name=f"t{i}")
@@ -296,7 +305,8 @@ def test_table_full_mid_block_leaves_the_same_partial_state(engine):
         assert np.array_equal(got[2][name][1], shadow), name
 
 
-@pytest.mark.parametrize("kernel_cls", [KVInsertKernel, KVDeleteKernel])
+@pytest.mark.parametrize("kernel_cls",
+                         [KVInsertKernel, KVDeleteKernel, KVWriteKernel])
 def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
     """Routed by a property of the input: a later request must see what
     an earlier one to the same key stored or cleared."""
@@ -304,7 +314,9 @@ def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
     store = MegaKVStore(device, capacity=64)
     distinct = np.array([4, 9, 2], dtype=np.uint64)
     repeated = np.array([4, 9, 4], dtype=np.uint64)
-    extra = (distinct,) if kernel_cls is KVInsertKernel else ()
+    extra = {KVInsertKernel: (distinct,), KVDeleteKernel: (),
+             KVWriteKernel: (np.array([4, 0, 2], dtype=np.uint64),)
+             }[kernel_cls]
     assert kernel_cls(store, distinct, *extra).batchable
     assert not kernel_cls(store, repeated, *extra).batchable
     # Reads never conflict: a search batch may repeat keys.

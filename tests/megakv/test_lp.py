@@ -189,14 +189,24 @@ def build_bounded(n=200, cache_lines=8, seed=0):
 def test_bounded_session_allocates_once_and_reuses_its_tables():
     device, store, session, keys, vals = build_bounded(cache_lines=1024)
     layout = (sorted(device.memory.buffers), device.memory.alloc_cursor)
+    assert [n for n in layout[0] if n.startswith("__lp_")] == \
+        ["__lp_megakv-write_lanes"]
     assert not device.memory[f"{store.name}_results"].persistent
     for epoch in range(3):
-        session.insert(keys, vals + np.uint64(epoch))
-        session.delete(keys[:50])
+        # One launch carries the epoch's puts and deletes: a delete is
+        # a lane whose value is 0, and it may come before a put.
+        session.write(keys, np.where(np.arange(keys.size) % 4 == epoch,
+                                     np.uint64(0), vals + np.uint64(epoch)))
         session.checkpoint()
         assert (sorted(device.memory.buffers),
                 device.memory.alloc_cursor) == layout
-    assert store.contents() == as_dict(keys[50:], vals[50:] + np.uint64(2))
+    session.delete(keys[:50])  # the paper's kernels share the table
+    session.checkpoint()
+    assert (sorted(device.memory.buffers),
+            device.memory.alloc_cursor) == layout
+    live = (np.arange(keys.size) >= 50) & (np.arange(keys.size) % 4 != 2)
+    assert store.contents() == as_dict(keys[live],
+                                       vals[live] + np.uint64(2))
 
 
 def test_lookup_reads_without_touching_the_persistence_domain():
@@ -223,8 +233,10 @@ def test_bounded_session_enforces_its_bound():
     with pytest.raises(ConfigError):
         session.lookup(more_keys)
     session.insert(keys[:32], vals[:32])
-    with pytest.raises(ConfigError, match="one insert launch"):
-        session.insert(keys[32:], vals[32:])  # same epoch, same table
+    for second in (lambda: session.insert(keys[32:], vals[32:]),
+                   lambda: session.delete(keys[:8])):
+        with pytest.raises(ConfigError, match="one write launch"):
+            second()  # same epoch, same table
     session.checkpoint()
     session.insert(keys[32:], vals[32:])      # the next epoch is fine
 

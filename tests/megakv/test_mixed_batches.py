@@ -39,6 +39,12 @@ def _stream(seed=0, n=64):
     ops.append(("insert", keyspace[:8],             # overwrite live keys
                 rng.integers(1, 1 << 63, 8, dtype=np.uint64)))
     ops.append(("delete", keyspace[40:48]))         # delete absent keys
+    # One write launch, as the service issues it: deletes (value 0) of
+    # live and absent keys listed among updates and fresh puts.
+    written = keyspace[[0, 24, 9, 48, 1, 25, 44, 10, 49]]
+    ops.append(("write", written, np.where(
+        np.arange(written.size) % 2 == 0, np.uint64(0),
+        rng.integers(1, 1 << 63, written.size, dtype=np.uint64))))
     ops.append(("search", keyspace))                # full sweep
     return ops
 
@@ -48,9 +54,12 @@ def _oracle(ops):
     state: dict[int, int] = {}
     searches = []
     for op in ops:
-        if op[0] == "insert":
+        if op[0] in ("insert", "write"):
             for k, v in zip(op[1], op[2]):
-                state[int(k)] = int(v)
+                if v:
+                    state[int(k)] = int(v)
+                else:
+                    state.pop(int(k), None)
         elif op[0] == "delete":
             for k in op[1]:
                 state.pop(int(k), None)

@@ -1,16 +1,18 @@
 """Property: the vectorized MEGA-KV write path *is* the per-request loop.
 
-``KVInsertKernel`` / ``KVDeleteKernel`` run a block group as one numpy
-pass under the batched engine. What makes the serial engine the
-reference is everything one request can do to the next inside a launch:
-a miss claims a slot the next miss in that bucket must then skip, a
-full first bucket spills into the second, key and value stores
-interleave per request on their way to the write-back cache, and a
-request neither bucket can take raises mid-block with the earlier ones
-applied. On a deliberately tiny store (1, 2 or 4 buckets of 8 slots, a
-pool of 30 keys) all of that happens in almost every example, so for
-arbitrary insert / delete sequences — distinct keys or repeated ones,
-ragged tail blocks, caches from one line to plenty — serial and
+``KVWriteKernel`` — and ``KVInsertKernel`` / ``KVDeleteKernel``, its
+all-put and all-delete forms — runs a block group as one numpy pass
+under the batched engine. What makes the serial engine the reference is
+everything one request can do to the next inside a launch: a miss
+claims a slot the next miss in that bucket must then skip, a full first
+bucket spills into the second, a delete frees a slot a later put could
+claim, key and value stores interleave per request on their way to the
+write-back cache, and a request neither bucket can take raises
+mid-block with the earlier ones applied. On a deliberately tiny store
+(1, 2 or 4 buckets of 8 slots, a pool of 30 keys) all of that happens
+in almost every example, so for arbitrary insert / delete / mixed write
+sequences — distinct keys or repeated ones, put and delete lanes in any
+order, ragged tail blocks, caches from one line to plenty — serial and
 batched must agree on
 
 * every buffer's volatile and NVM image (store arrays and checksum
@@ -33,15 +35,19 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import TableFullError
-from repro.megakv.kernels import KVDeleteKernel, KVInsertKernel
+from repro.megakv.kernels import KVDeleteKernel, KVInsertKernel, KVWriteKernel
 from repro.megakv.store import BUCKET_WIDTH, MegaKVStore
 
 KEY_POOL = list(range(1, 31))
 
 key_lists = st.lists(st.sampled_from(KEY_POOL), min_size=1, max_size=14)
+#: A write's lanes: a negative entry deletes the key of its magnitude.
+lane_lists = st.lists(st.sampled_from(KEY_POOL + [-k for k in KEY_POOL]),
+                      min_size=1, max_size=14)
 launches = st.lists(
     st.one_of(st.tuples(st.just("insert"), key_lists),
-              st.tuples(st.just("delete"), key_lists)),
+              st.tuples(st.just("delete"), key_lists),
+              st.tuples(st.just("write"), lane_lists)),
     min_size=1, max_size=5,
 )
 
@@ -52,14 +58,19 @@ def run(engine, ops, capacity, threads, cache_lines):
     store = MegaKVStore(device, capacity=capacity)
     runtime = repro.LPRuntime(device, repro.LPConfig.paper_best())
     outcomes = []
-    for n, (op, keys) in enumerate(ops):
-        keys = np.array(keys, dtype=np.uint64)
+    for n, (op, lanes) in enumerate(ops):
+        signed = np.array(lanes, dtype=np.int64)
+        keys = np.abs(signed).astype(np.uint64)
+        # Values differ per launch so an update is visible.
+        values = keys + np.uint64(100 * (n + 1))
         if op == "insert":
-            # Values differ per launch so an update is visible.
-            kernel = KVInsertKernel(store, keys, keys + 100 * (n + 1),
-                                    threads)
-        else:
+            kernel = KVInsertKernel(store, keys, values, threads)
+        elif op == "delete":
             kernel = KVDeleteKernel(store, keys, threads)
+        else:
+            kernel = KVWriteKernel(
+                store, keys, np.where(signed < 0, np.uint64(0), values),
+                threads)
         lp_kernel = runtime.instrument(kernel, table_name=f"t{n}")
         try:
             outcomes.append(device.launch(lp_kernel).tally.to_dict())
@@ -99,9 +110,12 @@ def test_batched_write_path_equals_serial(ops, capacity, threads,
     got = run("batched", ops, capacity, threads, cache_lines)
     assert_same(ref, got)
     full = any(isinstance(o, str) for o in ref["outcomes"])
-    repeated = any(len(set(keys)) < len(keys) for _, keys in ops)
+    repeated = any(len(set(map(abs, lanes))) < len(lanes)
+                   for _, lanes in ops)
+    mixed = any(min(lanes) < 0 < max(lanes) for _, lanes in ops)
     event(f"table full: {full}")
     event(f"repeated key in a batch: {repeated}")
+    event(f"puts and deletes in one launch: {mixed}")
     # The per-request path is taken for exactly those two reasons.
     if not full and not repeated:
         assert got["fallbacks"] == 0
@@ -182,3 +196,21 @@ def test_both_buckets_full_raises_with_the_same_partial_state():
     assert "both candidate buckets" in ref["outcomes"][1]
     assert got["fallbacks"] == 1
     assert ref["stats"]["inserts"] == 8 and ref["stats"]["updates"] == 1
+
+
+def test_a_delete_listed_before_a_put_frees_nothing_the_put_can_claim():
+    """Bucket 0 is full and holds the delete's key; the put's first
+    choice is bucket 0 and its second bucket 1. Run in listed order the
+    put would claim the slot the delete frees; lanes run puts first, so
+    it lands in bucket 1 on both engines and the freed slot stays
+    empty."""
+    table = keys_by_buckets(2)
+    fill = table[(0, 0)][:BUCKET_WIDTH]
+    victim, new = fill[3], table[(0, 1)][0]
+    ref, got = both_ways([("insert", fill), ("write", [-victim, new])])
+    assert got["fallbacks"] == 0
+    assert ref["stats"]["removed"] == 1
+    assert ref["stats"]["inserts"] == BUCKET_WIDTH + 1
+    keys = ref["buffers"]["megakv_keys"][0]
+    assert int(np.flatnonzero(keys == new)[0]) // BUCKET_WIDTH == 1
+    assert keys[3] == 0 and victim not in keys

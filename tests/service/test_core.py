@@ -10,18 +10,33 @@ converge.
 """
 
 import json
+import math
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.runtime import LPRuntime
+from repro.core.tables import make_table
 from repro.errors import ConfigError, HeapLayoutError, ServiceError
+from repro.gpu.device import Device
+from repro.megakv import KVInsertKernel, MegaKVStore
+from repro.nvm import create_heap
 from repro.service.core import (
+    STORE_NAME,
+    THREADS_PER_BLOCK,
     ServiceConfig,
     ServiceCore,
     partition_window,
 )
-from repro.service.reqlog import RequestLog, log_path_for
+from repro.service.reqlog import (
+    MAGIC,
+    SCHEMA_VERSION,
+    RequestLog,
+    log_path_for,
+)
 from tests.service.unclean import apply_reference as _apply_reference
 from tests.service.unclean import crash_before_drain, crash_window
 from tests.service.unclean import requests as _reqs
@@ -45,8 +60,7 @@ def test_partition_disjoint_ops_stay_in_one_batch():
     plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 2, 20), ("delete", 3, None),
         ("get", 4, None)))
-    assert plan.launches() == [("insert", [1, 2], [10, 20]),
-                               ("delete", [3], None)]
+    assert plan.launches() == [("write", [1, 2, 3], [10, 20, 0])]
     assert list(plan.lookups) == [4]
     assert (plan.superseded_writes, plan.local_gets) == (0, 0)
 
@@ -54,7 +68,7 @@ def test_partition_disjoint_ops_stay_in_one_batch():
 def test_partition_write_after_write_keeps_the_last():
     plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 1, 11)))
-    assert plan.launches() == [("insert", [1], [11])]
+    assert plan.launches() == [("write", [1], [11])]
     assert plan.superseded_writes == 1
     assert [doc for _, doc in plan.responses] == \
         [{"ok": True, "op": "put"}] * 2
@@ -71,7 +85,7 @@ def test_partition_write_after_read_reads_pre_window_state():
     plan = partition_window(_reqs(
         ("get", 1, None), ("delete", 1, None)))
     assert _values(plan) == [("lookup", 1)]
-    assert plan.launches() == [("delete", [1], None)]
+    assert plan.launches() == [("write", [1], [0])]
 
 
 def test_partition_duplicate_reads_coexist():
@@ -87,8 +101,9 @@ def test_partition_same_key_chains_follow_arrival_order():
         ("delete", 1, None), ("get", 1, None), ("put", 2, 20),
         ("delete", 2, None), ("put", 2, 21)))
     assert _values(plan) == [("lookup", 1), 10, None]
-    assert plan.launches() == [("insert", [2], [21]),
-                               ("delete", [1], None)]
+    # Key 1 was written first, but its last write is a delete: the
+    # write's lanes run puts first.
+    assert plan.launches() == [("write", [2, 1], [21, 0])]
     assert (plan.superseded_writes, plan.local_gets) == (3, 2)
 
 
@@ -124,7 +139,7 @@ def test_window_read_your_writes_within_one_window(volatile_core):
     reqs = [req for req, _ in result.responses]
     gets = [doc for req, doc in result.responses if req.op == "get"]
     assert [doc["value"] for doc in gets] == [10, 11]
-    # One insert of the last value; both GETs answered from the window.
+    # One write of the last value; both GETs answered from the window.
     assert (result.sub_batches, result.launches) == (1, 1)
     assert (result.superseded_writes, result.local_gets) == (1, 2)
     assert volatile_core.store.contents() == {1: 11}
@@ -330,10 +345,10 @@ _OPS = [("put", 1, 10), ("put", 2, 20), ("delete", 1, None)]
 
 
 @pytest.mark.parametrize("change,dropped,attached", [
-    (dict(config="quadratic"), 2, 4),   # lanes x2 -> keys + lanes x2
-    (dict(config="cuckoo"), 2, 8),
-    (dict(max_batch=16), 2, 2),         # two regions -> one
-    (dict(max_batch=100), 0, 0),        # still two regions: same tables
+    (dict(config="quadratic"), 1, 2),   # lanes -> keys + lanes
+    (dict(config="cuckoo"), 1, 4),
+    (dict(max_batch=16), 1, 1),         # two regions -> one
+    (dict(max_batch=100), 0, 0),        # still two regions: same table
 ], ids=["quadratic", "cuckoo", "max-batch-16", "max-batch-100"])
 @pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
 def test_clean_restart_under_another_config_reseats_the_tables(
@@ -348,14 +363,14 @@ def test_clean_restart_under_another_config_reseats_the_tables(
         (dropped, attached)
     assert reopened.store.contents() == {2: 20}
     reopened.execute_window(_reqs(("put", 3, 30), ("delete", 2, None)))
-    # And the re-seated tables carry a crashed window like any other.
+    # And the re-seated table carries a crashed window like any other.
     crash_before_drain(reopened, ("put", 4, 40), ("delete", 3, None))
 
     again = ServiceCore(ServiceConfig(**_BASE, **change), heap_path=heap)
     try:
         info = again.resume_info
         assert (info["replayed_launches"], info["detached_orphans"],
-                info["reattached_buffers"]) == (2, 0, 0)
+                info["reattached_buffers"]) == (1, 0, 0)
         assert again.store.contents() == {4: 40}
     finally:
         again.close()
@@ -404,12 +419,75 @@ def test_heap_without_session_tables_gets_them_on_first_start(tmp_path):
     try:
         info = reopened.resume_info
         assert (info["detached_orphans"], info["reattached_buffers"]) == \
-            (0, 2)
+            (0, 1)
         assert reopened.store.contents() == {2: 20}
         reopened.execute_window(_reqs(("put", 3, 30)))
         assert reopened.store.contents() == {2: 20, 3: 30}
     finally:
         reopened.close()
+
+
+def _two_table_heap(heap, shards):
+    """A cleanly stopped heap in the two-table layout — store, then one
+    checksum table per write kernel — holding {1: 10, 2: 20}."""
+    config = ServiceConfig(**_BASE)
+    device = Device(cache_capacity_lines=config.cache_lines,
+                    shadow=create_heap(heap, shards))
+    store = MegaKVStore(device, config.capacity, name=STORE_NAME)
+    runtime = LPRuntime(device, config.lp_config())
+    for name in ("megakv-insert", "megakv-delete"):
+        make_table(device.memory, name,
+                   math.ceil(config.max_batch / THREADS_PER_BLOCK),
+                   runtime.cset.n_lanes, config.lp_config(),
+                   cost_model=device.cost_model)
+    device.launch(KVInsertKernel(store, np.array([1, 2], np.uint64),
+                                 np.array([10, 20], np.uint64)))
+    device.drain()
+    assert [name for name in device.memory.buffers
+            if name.startswith("__lp_")] == \
+        ["__lp_megakv-insert_lanes", "__lp_megakv-delete_lanes"]
+    device.shadow.close()
+    RequestLog(log_path_for(heap), max_keys=config.max_batch).clear()
+
+
+@pytest.mark.parametrize("shards", [0, 4], ids=["mapped", "sharded"])
+def test_two_table_heap_resumes_with_its_wal_clear(tmp_path, shards):
+    """Both old tables are orphans (no window needs their checksums);
+    the one write table takes their place."""
+    heap = tmp_path / "heap.lpnv"
+    _two_table_heap(heap, shards)
+    reopened = ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
+    try:
+        info = reopened.resume_info
+        assert (info["replayed_launches"], info["detached_orphans"],
+                info["reattached_buffers"]) == (0, 2, 1)
+        assert [name for name, e in reopened.heap.entries.items()
+                if e.role == "table"] == ["__lp_megakv-write_lanes"]
+        assert reopened.store.contents() == {1: 10, 2: 20}
+        reopened.execute_window(_reqs(("put", 3, 30), ("delete", 1, None)))
+        assert reopened.store.contents() == {2: 20, 3: 30}
+    finally:
+        reopened.close()
+
+
+def test_older_wal_with_a_window_in_flight_is_refused(tmp_path):
+    """The two-table build's record of an in-flight window — an insert
+    and a delete — is not replayed by this build: a typed refusal that
+    leaves the heap and the log byte for byte as they were."""
+    heap = tmp_path / "heap.lpnv"
+    _two_table_heap(heap, 0)
+    body = json.dumps([["insert", [3], [30]], ["delete", [1], None]],
+                      separators=(",", ":")).encode()
+    record = struct.pack("<4sIII", MAGIC, SCHEMA_VERSION - 1, len(body),
+                         zlib.crc32(body)) + body
+    cleared = log_path_for(heap).read_bytes()  # preallocated, in place
+    log_path_for(heap).write_bytes(record + cleared[len(record):])
+    files = [heap, log_path_for(heap)]
+    before = [path.read_bytes() for path in files]
+    with pytest.raises(ServiceError,
+                       match=f"has schema {SCHEMA_VERSION - 1}"):
+        ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
+    assert [path.read_bytes() for path in files] == before
 
 
 def test_foreign_wal_schema_is_refused(tmp_path):
@@ -420,7 +498,8 @@ def test_foreign_wal_schema_is_refused(tmp_path):
     old = json.dumps({"schema": 3,
                       "launches": [["insert", [1], [10]]]}).encode()
     log_path_for(heap).write_bytes(old)
-    with pytest.raises(ServiceError, match="not a schema-4 record"):
+    with pytest.raises(ServiceError,
+                       match=f"not a schema-{SCHEMA_VERSION} record"):
         ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
     assert log_path_for(heap).read_bytes().startswith(old)
 

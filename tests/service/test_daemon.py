@@ -102,7 +102,7 @@ def test_pipelined_requests_batch_into_one_window(tmp_path):
 
 
 def test_window_absorbs_same_key_chains_on_the_host(tmp_path):
-    """One same-key burst is one window: one insert reaches the
+    """One same-key burst is one window: one write reaches the
     device, the counters say what the window absorbed, and the
     window's phases — and why it closed — show up as spans."""
     burst = [("put", 1, 1), ("get", 1, None), ("put", 1, 2),

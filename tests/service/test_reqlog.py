@@ -25,7 +25,7 @@ HEADER = 16
 
 #: A window whose record spans two pages: 128 twenty-digit keys and values.
 BIG = [("put", 2**63 + k, 2**64 - 1 - k) for k in range(128)]
-LAUNCHES = [["insert", [k for _, k, _ in BIG], [v for _, _, v in BIG]]]
+LAUNCHES = [["write", [k for _, k, _ in BIG], [v for _, _, v in BIG]]]
 
 
 def _record_pages(launches) -> int:
@@ -38,8 +38,8 @@ def test_begin_read_clear_round_trip_in_a_file_that_never_resizes(tmp_path):
     size = os.stat(log.path).st_size
     assert size >= HEADER + len(json.dumps(LAUNCHES, separators=(",", ":")))
     assert log.read() == [] and not log.torn
-    for launches in (LAUNCHES, [["delete", [7], None]],
-                     [["insert", [1], [2]], ["delete", [3], None]]):
+    for launches in (LAUNCHES, [["write", [7], [0]]],
+                     [["write", [1, 3], [2, 0]]]):
         log.begin(launches)
         assert RequestLog(log.path).read() == launches
         log.clear()
@@ -95,14 +95,17 @@ def test_a_length_past_the_end_of_the_file_is_torn_not_an_allocation(tmp_path):
     assert log.read() == [] and log.torn
 
 
+_FOREIGN = f"not a schema-{SCHEMA_VERSION} record"
+_OLDER = SCHEMA_VERSION - 1
+
+
 @pytest.mark.parametrize("raw,match", [
-    (b"XXXX" + bytes(12), "not a schema-4 record"),
-    (json.dumps({"schema": 3, "launches": []}).encode(),
-     "not a schema-4 record"),
-    (b"{}", "not a schema-4 record"),
-    (struct.pack("<4sIII", MAGIC, 5, 2, zlib.crc32(b"[]")) + b"[]",
-     "has schema 5"),
-], ids=["magic", "schema-3-json", "short", "schema-5"])
+    (b"XXXX" + bytes(12), _FOREIGN),
+    (json.dumps({"schema": 3, "launches": []}).encode(), _FOREIGN),
+    (b"{}", _FOREIGN),
+    (struct.pack("<4sIII", MAGIC, _OLDER, 2, zlib.crc32(b"[]")) + b"[]",
+     f"has schema {_OLDER}; this build reads {SCHEMA_VERSION}"),
+], ids=["magic", "schema-3-json", "short", "older-schema"])
 def test_a_foreign_file_is_refused_with_a_typed_error(tmp_path, raw, match):
     (tmp_path / "wal").write_bytes(raw)
     log = RequestLog(tmp_path / "wal", max_keys=128)

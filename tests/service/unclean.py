@@ -2,7 +2,7 @@
 shared by the service tests.
 
 The window goes through the production ``execute_window`` — coalesce,
-plain search, WAL begin, the write launches — and "dies" at one of
+plain search, WAL begin, the write launch — and "dies" at one of
 :data:`DEATH_POINTS`, so the request log the next :class:`ServiceCore`
 resumes from is the one the service itself wrote, never a hand-built
 copy of its format.
@@ -47,7 +47,7 @@ def _die(*_args, **_kwargs):
 
 
 def _after_wal_begin(core):
-    """WAL armed, both checksum tables still seed images."""
+    """WAL armed, the checksum table still a seed image."""
     begin = core.reqlog.begin
 
     def begin_then_die(launches):
@@ -57,20 +57,13 @@ def _after_wal_begin(core):
     core.reqlog.begin = begin_then_die
 
 
-def _between_insert_and_delete(core):
-    """The insert launched, the delete never did (a window with no
-    delete launch dies before the drain instead)."""
-    core.session.delete = _die
-    core.session.checkpoint = _die
-
-
 def _before_drain(core):
-    """Every launch ran, nothing was drained."""
+    """The write launch ran, nothing was drained."""
     core.session.checkpoint = _die
 
 
 def _after_drain(core):
-    """Drained, the tables still hold this window's checksums."""
+    """Drained, the table still holds this window's checksums."""
     core.session.manager.on_close = _die
 
 
@@ -83,7 +76,6 @@ def _after_reseed(core):
 #: death on a live core.
 DEATH_POINTS = {
     "after-wal-begin": _after_wal_begin,
-    "between-insert-and-delete": _between_insert_and_delete,
     "before-drain": _before_drain,
     "after-drain": _after_drain,
     "after-reseed": _after_reseed,
@@ -104,5 +96,5 @@ def crash_window(core, point, *ops):
 
 
 def crash_before_drain(core, *ops):
-    """:func:`crash_window` at the point every launch has run."""
+    """:func:`crash_window` at the point the write launch has run."""
     return crash_window(core, "before-drain", *ops)
