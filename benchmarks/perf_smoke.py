@@ -209,8 +209,9 @@ def setup_parboil(engine, name):
 #: the suite itself runs them. Only ``sad`` — 256 tiny integer blocks,
 #: all per-block overhead — carries the batched floor. For the float
 #: kernels a block is already a (threads x chunk) array program, so
-#: vectorizing across 16-64 of them buys 1.4-4x: recorded, not gated —
-#: a ratio floor there would sit on its limit on a 2-vCPU runner.
+#: vectorizing across 16-64 of them buys 2.2-4.7x (TPACF 2.2x,
+#: MRI-GRIDDING 4.1x, CUTCP 4.7x): recorded, not gated — a ratio floor
+#: there would sit on its limit on a 2-vCPU runner.
 PARBOIL_WORKLOADS = {
     name: functools.partial(setup_parboil, name=name)
     for name in ("tpacf", "mri-gridding", "sad", "histo", "cutcp", "mri-q")

@@ -459,8 +459,9 @@ class GlobalMemory:
             return
 
         # Bulk path (drains, batched evictions): one searchsorted maps
-        # every line to its buffer, then consecutive lines coalesce into
-        # a handful of slice copies per buffer.
+        # every line to its buffer, then each buffer's lines copy as
+        # rows of a (lines, line_size) view in one fancy-indexed
+        # assignment, plus its partial last line if that is among them.
         lines = np.asarray(line_ids, dtype=np.int64)
         firsts = np.asarray(self._index_first_lines, dtype=np.int64)
         pos = np.searchsorted(firsts, lines, side="right") - 1
@@ -478,20 +479,22 @@ class GlobalMemory:
                 )
             if buf.shadow is None:
                 continue
-            lo = (group - buf.first_line) * self.line_size
-            hi = np.minimum(lo + self.line_size, buf.nbytes)
-            lo = np.sort(lo[lo < hi])
-            if lo.size == 0:
+            rows = group - buf.first_line
+            rows = rows[rows * self.line_size < buf.nbytes]
+            if rows.size == 0:
                 continue
             src = buf.data.view(np.uint8)
             dst = buf.shadow.view(np.uint8)
-            # Runs of consecutive lines copy with one slice each.
-            breaks = np.flatnonzero(np.diff(lo) != self.line_size) + 1
-            for run in np.split(lo, breaks):
-                start = int(run[0])
-                end = min(int(run[-1]) + self.line_size, buf.nbytes)
-                dst[start:end] = src[start:end]
-            self.write_stats.record(reason, buf.name, n_lines=int(lo.size))
+            n_full, tail = divmod(buf.nbytes, self.line_size)
+            full = rows[rows < n_full]
+            if full.size:
+                shape = (n_full, self.line_size)
+                whole = n_full * self.line_size
+                dst[:whole].reshape(shape)[full] = (
+                    src[:whole].reshape(shape)[full])
+            if tail and full.size < rows.size:
+                dst[-tail:] = src[-tail:]
+            self.write_stats.record(reason, buf.name, n_lines=int(rows.size))
             if metrics.active:
-                metrics.inc("nvm.writeback.lines", int(lo.size),
+                metrics.inc("nvm.writeback.lines", int(rows.size),
                             reason=reason.value, buffer=buf.name)

@@ -10,7 +10,13 @@ block reads all atoms (a small, persistent input).
 
 Execution: ``run_block`` is the per-block reference; ``run_block_batch``
 evaluates a group of tiles in one ``(blocks, points, atoms)`` pass per
-atom chunk (the engine's vector cells), bit-identical to it.
+atom chunk (the engine's vector cells), bit-identical to it. Both form
+a tile's squared distances with MRI-GRIDDING's ``_tile_r2`` (``dx²``
+once per column, ``dy²`` once per row) and each pair's term with
+:func:`_potential`. Each element gets exactly the float32 operations
+of ``q / sqrt(dx*dx + dy*dy)`` inside the cutoff shell and 0 outside,
+and the ``(..., points, chunk)`` array each point's sum reduces keeps
+its shape, order and zeros.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from repro.errors import LaunchError
 from repro.gpu.device import Device
 from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
 from repro.workloads.base import Workload
+from repro.workloads.mri_gridding import _tile_r2
 
 #: (grid_edge, tile_edge, n_atoms, cutoff) per scale.
 _SCALE_SHAPES = {
@@ -31,6 +38,20 @@ _SCALE_SHAPES = {
 
 #: Atoms are processed in chunks of this size per step.
 _CHUNK = 32
+
+
+def _potential(r2: np.ndarray, aq: np.ndarray,
+               cutoff2: np.float32) -> np.ndarray:
+    """Each pair's ``q / r`` inside the cutoff shell, 0 outside.
+
+    ``sqrt`` and the divide run over every pair and one ``np.where``
+    keeps the shell: outside it a lane may read ``inf`` or ``0/0``
+    (``r2 == 0``), which the ``where`` discards. Masking the ``sqrt``
+    to the few pairs inside measured slower.
+    """
+    inside = (r2 < cutoff2) & (r2 > np.float32(1e-12))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inside, aq / np.sqrt(r2), np.float32(0.0))
 
 
 class CUTCPKernel(Kernel):
@@ -64,9 +85,10 @@ class CUTCPKernel(Kernel):
         tile, grid = self.tile, self.grid
         bx, by = ctx.block_xy
         tx, ty = ctx.thread_xy()
-        # Each thread owns one lattice point of the tile.
-        px = (bx * tile + tx).astype(np.float32)
-        py = (by * tile + ty).astype(np.float32)
+        # Each thread owns one lattice point of the tile (tid = ty*tile
+        # + tx); these are the tile's column and row coordinates.
+        cols = (bx * tile + np.arange(tile)).astype(np.float32)
+        rows = (by * tile + np.arange(tile)).astype(np.float32)
 
         acc = np.zeros(ctx.n_threads, dtype=np.float32)
         cutoff2 = self.cutoff * self.cutoff
@@ -75,17 +97,8 @@ class CUTCPKernel(Kernel):
             ax = ctx.ld("cutcp_atoms", a_idx * 3 + 0)
             ay = ctx.ld("cutcp_atoms", a_idx * 3 + 1)
             aq = ctx.ld("cutcp_atoms", a_idx * 3 + 2)
-            dx = px[:, None] - ax[None, :]
-            dy = py[:, None] - ay[None, :]
-            r2 = dx * dx + dy * dy
-            inside = (r2 < cutoff2) & (r2 > np.float32(1e-12))
-            contrib = np.where(
-                inside,
-                aq[None, :] / np.sqrt(r2, where=r2 > 0,
-                                      out=np.ones_like(r2)),
-                np.float32(0.0),
-            ).astype(np.float32)
-            acc += contrib.sum(axis=1, dtype=np.float32)
+            r2 = _tile_r2(cols, rows, ax, ay)
+            acc += _potential(r2, aq, cutoff2).sum(axis=-1, dtype=np.float32)
             ctx.flops(8 * a_idx.size)  # dist + rsqrt + masked MAC
 
         out_idx = (by * tile + ty) * grid + (bx * tile + tx)
@@ -103,10 +116,10 @@ class CUTCPKernel(Kernel):
         tile, grid = self.tile, self.grid
         bx, by = bctx.block_xy
         tx, ty = bctx.thread_xy()
-        col = (bx * tile)[:, None] + tx  # (B, T)
-        row = (by * tile)[:, None] + ty
-        px = col.astype(np.float32)[:, :, None]
-        py = row.astype(np.float32)[:, :, None]
+        x0, y0 = (bx * tile)[:, None], (by * tile)[:, None]
+        col, row = x0 + tx, y0 + ty  # (B, T)
+        cols = (x0 + np.arange(tile)).astype(np.float32)  # (B, tile)
+        rows = (y0 + np.arange(tile)).astype(np.float32)
 
         acc = np.zeros(col.shape, dtype=np.float32)
         cutoff2 = self.cutoff * self.cutoff
@@ -117,16 +130,8 @@ class CUTCPKernel(Kernel):
             ax = bctx.ld("cutcp_atoms", a_idx * 3 + 0, charge_elements=charge)
             ay = bctx.ld("cutcp_atoms", a_idx * 3 + 1, charge_elements=charge)
             aq = bctx.ld("cutcp_atoms", a_idx * 3 + 2, charge_elements=charge)
-            dx = px - ax
-            dy = py - ay
-            r2 = dx * dx + dy * dy
-            inside = (r2 < cutoff2) & (r2 > np.float32(1e-12))
-            contrib = np.where(
-                inside,
-                aq / np.sqrt(r2, where=r2 > 0, out=np.ones_like(r2)),
-                np.float32(0.0),
-            ).astype(np.float32)
-            acc += contrib.sum(axis=2, dtype=np.float32)
+            r2 = _tile_r2(cols, rows, ax, ay)  # (B, T, chunk)
+            acc += _potential(r2, aq, cutoff2).sum(axis=-1, dtype=np.float32)
             bctx.flops(8 * a_idx.size)
 
         bctx.st("cutcp_pot", row * grid + col, acc, slots=bctx.tid)

@@ -15,7 +15,9 @@ Integer bin counts make this workload exact.
 
 Execution: ``run_block`` is the per-block reference; ``run_block_batch``
 histograms a group of blocks per partner chunk with one stacked matmul
-and one offset ``bincount`` (the engine's vector cells).
+and one offset ``bincount`` (the engine's vector cells). Both bin with
+:func:`_bin_of`, which names a uniform bin arithmetically and lands on
+``np.digitize``'s index exactly, without its binary search.
 """
 
 from __future__ import annotations
@@ -48,6 +50,25 @@ def _unit_sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
 def _bin_edges(n_bins: int) -> np.ndarray:
     """Interior bin edges over the dot-product range [-1, 1]."""
     return np.linspace(-1.0, 1.0, n_bins + 1, dtype=np.float32)[1:-1]
+
+
+def _bin_of(dots: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.digitize(dots, edges)`` for the uniform ``_bin_edges``.
+
+    The bins are uniform, so ``(x + 1) * n_bins / 2`` names a bin
+    directly. Float rounding (of that product and of the float32 edges)
+    can leave the guess one bin off near an edge, never more; one
+    comparison against each neighbouring edge, padded by ±inf, moves it
+    onto ``digitize``'s index exactly.
+    """
+    n_bins = edges.size + 1
+    padded = np.concatenate(([-np.inf], edges, [np.inf])).astype(edges.dtype)
+    # Truncating toward zero then clipping at 0 is floor then clip.
+    guess = ((dots + np.float32(1.0)) * np.float32(n_bins / 2)).astype(np.intp)
+    np.clip(guess, 0, n_bins - 1, out=guess)
+    guess -= dots < np.take(padded, guess)
+    guess += dots >= np.take(padded[1:], guess)
+    return guess
 
 
 class TPACFKernel(Kernel):
@@ -89,7 +110,7 @@ class TPACFKernel(Kernel):
                 [ctx.ld("tpacf_pts", j_idx * 3 + c) for c in range(3)], axis=1
             )
             dots = mine @ partners.T  # (t, chunk) float32
-            bins = np.digitize(dots.ravel(), self._edges)
+            bins = _bin_of(dots.ravel(), self._edges)
             hist += np.bincount(bins, minlength=nb)
             # 2*3 flops per pair (dot) + compare/bin work.
             ctx.flops((2 * 3 + 2) * j_idx.size)
@@ -126,7 +147,7 @@ class TPACFKernel(Kernel):
                  for c in range(3)], axis=1
             )
             dots = np.matmul(mine, partners.T)  # (B, t, chunk) float32
-            bins = np.digitize(dots, self._edges) + row_base
+            bins = _bin_of(dots, self._edges) + row_base
             hist += np.bincount(bins.ravel(), minlength=hist.size)
             bctx.flops((2 * 3 + 2) * j_idx.size)
 
