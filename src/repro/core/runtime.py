@@ -105,14 +105,10 @@ class LazyPersistentKernel(Kernel):
         is charged analytically via :func:`reduction_tally` (pinned by
         tests to equal the functional reduction's charges) and produces
         per-block lane values bit-identical to :func:`reduce_block`
-        (exact commutative folds). Table insertions are deferred so the
-        engine applies them in launch order — hash-table probe
-        sequences depend on insertion history, so order matters there
-        even though the checksums themselves commute.
+        (exact commutative folds), then inserted (:meth:`_insert_group`).
         """
         lanes = self._batch_protocol(bctx, self.inner.run_block_batch)
-        for row, block_id in enumerate(bctx.block_ids):
-            bctx.defer_table_insert(int(block_id), lanes[row])
+        self._insert_group(bctx, lanes)
 
     def validate_block_batch(self, bctx) -> list:
         """Vectorized check phase: recompute every block's lanes at once.
@@ -135,12 +131,26 @@ class LazyPersistentKernel(Kernel):
         """Vectorized eager recovery: re-execute failed regions grouped.
 
         Identical to :meth:`run_block_batch` except the inner kernel
-        re-executes through its batched recovery path; refreshed
-        checksums are deferred for launch-order table insertion.
+        re-executes through its batched recovery path.
         """
         lanes = self._batch_protocol(bctx, self.inner.recover_block_batch)
-        for row, block_id in enumerate(bctx.block_ids):
-            bctx.defer_table_insert(int(block_id), lanes[row])
+        self._insert_group(bctx, lanes)
+
+    def _insert_group(self, bctx, lanes: np.ndarray) -> None:
+        """Insert every block's checksum after the block's own stores.
+
+        A table whose insert is a plain store (the global array) hands
+        the group's inserts over as one batched store, the row after
+        each block's data. A hash table's probe sequence depends on
+        insertion history, so its inserts are deferred for the engine
+        to run one per block, in launch order, even though the
+        checksums themselves commute.
+        """
+        stores = self.table.insert_stores(bctx.block_ids, lanes)
+        if stores is None:
+            bctx.defer_table_inserts(lanes)
+        else:
+            bctx.st(*stores)
 
     def _batch_protocol(self, bctx, inner_pass) -> np.ndarray:
         """Run one batched inner pass under LP observation.

@@ -190,6 +190,20 @@ class ChecksumTable(abc.ABC):
         its lanes — which is exactly what recovery re-execution needs.
         """
 
+    def insert_stores(self, keys: np.ndarray, lanes: np.ndarray):
+        """Many regions' inserts as plain stores, when this kind allows.
+
+        An insert that needs no read of the table is one store of its
+        lane words, and a group of them commutes: this returns
+        ``(buffer, idx, values)`` with one row per key for the caller to
+        issue in one batched store (which charges its traffic), the
+        inserts already counted in :attr:`stats` and the metrics.
+        ``None`` (the default) means an insert here reads the table —
+        probes, claims, evictions — so each must run in order through
+        :meth:`insert`.
+        """
+        return None
+
     @abc.abstractmethod
     def lookup(self, key: int) -> np.ndarray | None:
         """Host-side lookup during crash recovery.
@@ -311,7 +325,8 @@ class ChecksumTable(abc.ABC):
 
     # -- lane packing -------------------------------------------------------
 
-    def _lane_slice(self, entry_index: int) -> np.ndarray:
-        """Flat indices of an entry's lane words in a packed lane buffer."""
-        base = entry_index * self.n_lanes
-        return np.arange(base, base + self.n_lanes)
+    def _lane_slice(self, entry_index) -> np.ndarray:
+        """Flat indices of an entry's lane words in a packed lane buffer
+        (one row per entry when ``entry_index`` is an array)."""
+        return (np.asarray(entry_index, dtype=np.int64)[..., None]
+                * self.n_lanes + np.arange(self.n_lanes))

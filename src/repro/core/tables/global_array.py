@@ -28,6 +28,7 @@ from repro.errors import TableError
 from repro.gpu.costs import CostModel
 from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import GlobalMemory
+from repro.obs import current as _recorder
 
 
 class GlobalArrayTable(ChecksumTable):
@@ -59,11 +60,28 @@ class GlobalArrayTable(ChecksumTable):
     def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
         """One plain store; no probe, no atomic, no lock."""
         self._check_key(key)
-        marker = self._stats_marker()
-        self.stats.inserts += 1
-        self.stats.probes += 1
         ctx.st(self._lanes, self._lane_slice(int(key)), lanes)
-        self._publish_insert(marker)
+        self._count_inserts(1)
+
+    def insert_stores(self, keys: np.ndarray, lanes: np.ndarray):
+        """Every entry is its own lane row, so any number of inserts is
+        one store of those rows."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        self._check_key(int(keys.min()))
+        self._check_key(int(keys.max()))
+        self._count_inserts(keys.size)
+        return (self._lanes, self._lane_slice(keys),
+                np.asarray(lanes, dtype=np.uint64))
+
+    def _count_inserts(self, n: int) -> None:
+        """Stats and metrics of ``n`` inserts: one probe each."""
+        self.stats.inserts += n
+        self.stats.probes += n
+        metrics = _recorder().metrics
+        if metrics.active:
+            label = self.kind.value
+            metrics.inc("table.insert.count", n, table=label)
+            metrics.inc("table.insert.probes", n, table=label)
 
     def lookup(self, key: int) -> np.ndarray | None:
         self._check_key(key)

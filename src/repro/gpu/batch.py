@@ -27,12 +27,18 @@ serial execution):
   engine runs that group per block.
 * **Stores are deferred.** ``st`` records the store (and folds it into
   the attached LP observer, charging checksum work) but does not touch
-  memory; the engine applies the recorded rows per block, in launch
-  order, through :meth:`~repro.gpu.memory.GlobalMemory.write`. Cache
-  recency, evictions and NVM write statistics therefore match the
-  serial engine exactly. ``st_record`` is the variant for a per-thread
-  loop that stores several words per request (a key *and* its value):
-  its rows reach memory thread by thread, word by word.
+  memory. The engine lands the whole group's records in one
+  :meth:`~repro.gpu.memory.GlobalMemory.write_rows` pass that is
+  observably one :meth:`~repro.gpu.memory.GlobalMemory.write` per
+  block row, in launch order: it replays cache recency on line ids
+  step by step, lands the data in as few assignments as the evictions
+  allow (a step that re-touches a line still waiting for its
+  write-back cuts there) and writes back once per evicting step.
+  Cache recency, evictions, NVM write statistics and the heap's
+  write-back brackets therefore match the serial engine exactly.
+  ``st_record`` is the variant for a per-thread loop that stores
+  several words per request (a key *and* its value): each of its
+  words is a step of its own, thread by thread, word by word.
 * **Charges are totals.** ``flops``/``alu`` charge whole-group counts;
   all tally fields are integer-valued, so grouped summation is exact
   and the final tally is bit-identical to per-block accumulation.
@@ -87,8 +93,9 @@ class BatchBlockContext:
         #: A ``st_record`` entry names a *tuple* of buffers and carries
         #: one trailing ``values`` column per buffer.
         self.store_records: list[tuple] = []
-        #: Deferred checksum-table insertions: block id -> [lane arrays].
-        self.table_inserts: dict[int, list[np.ndarray]] = {}
+        #: Deferred order-dependent checksum-table inserts: one lane row
+        #: per block (leading axis = block), or ``None``.
+        self.table_inserts: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Geometry
@@ -159,7 +166,7 @@ class BatchBlockContext:
     ) -> None:
         """Batched global store (leading axis of ``idx`` = block).
 
-        The store is recorded for deferred per-block application and —
+        The store is recorded for deferred launch-order application and —
         when the buffer is LP-protected — folded into the batch
         observer. ``slots`` broadcasts against ``idx`` and names the
         issuing thread of each element (defaults to position order
@@ -185,11 +192,13 @@ class BatchBlockContext:
         ``st(bufs[0], i, values[0])``, ``st(bufs[1], i, values[1])``, …
         for its request before moving to the next thread: charges and
         checksum folds equal those separate stores, and the deferred
-        rows reach memory in that thread-major order
-        (:meth:`~repro.gpu.memory.GlobalMemory.write_interleaved`)
+        rows reach memory in that thread-major order (a tuple-target
+        record of :meth:`~repro.gpu.memory.GlobalMemory.write_rows`)
         instead of one whole buffer after the other.
         """
         idx, mask = self._store_geometry(idx, mask)
+        if len({self.buffer(buf).name for buf in bufs}) != len(bufs):
+            raise LaunchError("a record stores one word per distinct buffer")
         names, columns = [], []
         for buf, vals in zip(bufs, values):
             buf = self.buffer(buf)
@@ -337,11 +346,11 @@ class BatchBlockContext:
         claimed[rows] = target
         return claimed.reshape(shape)
 
-    def defer_table_insert(self, block_id: int, lanes: np.ndarray) -> None:
-        """Queue a checksum-table insertion for deterministic apply."""
-        self.table_inserts.setdefault(int(block_id), []).append(
-            np.array(lanes, copy=True)
-        )
+    def defer_table_inserts(self, lanes: np.ndarray) -> None:
+        """Queue one checksum-table insert per block (row = block) that
+        must run in launch order: the engine runs each once its block's
+        stores have landed."""
+        self.table_inserts = np.array(lanes, copy=True)
 
     # ------------------------------------------------------------------
     # Work accounting

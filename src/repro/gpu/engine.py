@@ -21,12 +21,23 @@ else runs. A given *launch* lands in one of two cells:
 scalar          one :class:`~repro.gpu.kernel.BlockContext` per block,
                 effects land as the block runs
 vector          ``group_size`` blocks per ``BatchBlockContext``; stores
-                and table inserts deferred, applied per block in order
+                (a global-array checksum insert among them) deferred,
+                then landed in one
+                :meth:`~repro.gpu.memory.GlobalMemory.write_rows` pass
 ==============  =====================================================
 
 In both cells effects are applied **in the launch's block order**, so
 cache recency, eviction order, NVM shadow state, write statistics,
-checksum tables and crash semantics do not depend on the cell.
+checksum tables and crash semantics do not depend on the cell. The
+vector cell gets there without one ``write`` per store: it replays the
+group's cache recency on line ids alone, step by step, then lands the
+data in as few assignments per buffer as the evictions allow — a step
+that re-touches a line still waiting for its write-back cuts the
+sequence, so every write-back copies what the steps up to its own left.
+Write-backs stay one call per evicting step, in order, so the durable
+heap sees the scalar cell's arm / copy / commit brackets. A hash-table
+insert reads the table, so it ends a segment and runs per block after
+its block's stores.
 
 Determinism contract: given the same plan, the vector cell must produce
 the same ``completed_blocks``, the same tally, the same volatile + NVM
@@ -138,37 +149,31 @@ def _run_vector(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
         kernel.run_block_batch(bctx)
 
 
-def _apply_batch_records(plan: LaunchPlan, block_ids, store_records,
-                         table_inserts, tally: Tally,
-                         completed: list[int]) -> None:
-    """Apply a vectorized group's deferred effects, per block in order.
+def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
+                         tally: Tally, completed: list[int]) -> None:
+    """Land a vectorized group's deferred effects in one memory pass.
 
-    ``store_records``/``table_inserts`` follow the
-    :class:`BatchBlockContext` shapes (leading store axis = block;
-    insert lanes keyed by block id).
+    The group's store records (row = block, in launch order) go through
+    one :meth:`~repro.gpu.memory.GlobalMemory.write_rows`; inserts the
+    batch context could only defer (an order-dependent table's) run
+    after their block's row, through ``kernel.apply_table_insert``.
     """
     memory = plan.memory
-    for row, block_id in enumerate(block_ids):
-        bid = int(block_id)
-        for name, idx, vals, mask in store_records:
-            row_idx = idx[row]
-            row_vals = vals[row]
-            if mask is not None:
-                keep = mask[row]
-                row_idx = row_idx[keep]
-                row_vals = row_vals[keep]
-            if not row_idx.size:
-                continue
-            if isinstance(name, tuple):  # a st_record: thread-major
-                memory.write_interleaved([memory[n] for n in name],
-                                         row_idx, row_vals)
-            else:
-                memory.write(memory[name], row_idx, row_vals)
-        for lanes in table_inserts.get(bid, ()):
-            ctx = plan.block_context(bid)
-            plan.kernel.apply_table_insert(ctx, bid, lanes)
+    records = [
+        (tuple(memory[n] for n in name) if isinstance(name, tuple)
+         else memory[name], idx, vals, mask)
+        for name, idx, vals, mask in bctx.store_records
+    ]
+    block_ids = bctx.block_ids.tolist()
+    lanes = bctx.table_inserts
+    after_row = None
+    if lanes is not None:
+        def after_row(row: int) -> None:
+            ctx = plan.block_context(block_ids[row])
+            plan.kernel.apply_table_insert(ctx, block_ids[row], lanes[row])
             tally.merge(ctx.finalize_tally())
-    completed.extend(int(b) for b in block_ids)
+    memory.write_rows(len(block_ids), records, after_row)
+    completed.extend(block_ids)
     if plan.block_hook is not None:
         for n in range(len(completed) - len(block_ids) + 1,
                        len(completed) + 1):
@@ -301,9 +306,7 @@ class LaunchEngine:
                                             outcomes)
                 else:
                     tally.merge(bctx.finalize_tally())
-                    _apply_batch_records(
-                        plan, group, bctx.store_records,
-                        bctx.table_inserts, tally, completed)
+                    _apply_batch_records(plan, bctx, tally, completed)
             if rec.metrics.active:
                 rec.metrics.inc("engine.scheduling.groups",
                                 engine=self.name)

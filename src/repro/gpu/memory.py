@@ -41,6 +41,40 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _row_lines(buf: Buffer, idx: np.ndarray, keep):
+    """Each row's distinct line ids, ascending — ``np.unique`` of every
+    row, from one sort along the row axis — as the sorted rows and the
+    mask of their first occurrences."""
+    lines = buf.line_of_indices(idx)
+    if keep is not None:
+        lines[~keep] = -1
+    lines.sort(axis=1)
+    first = np.ones(lines.shape, dtype=bool)
+    first[:, 1:] = lines[:, 1:] != lines[:, :-1]
+    if keep is not None:
+        first &= lines >= 0
+    return lines, first
+
+
+def _flatten_stream(parts: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """One buffer's kept ``(idx, values)`` in the order its steps issue
+    them: its ``(idx, values, keep)`` row blocks side by side, in record
+    order, read row-major."""
+    if len(parts) == 1:
+        idx, values, keep = parts[0]
+    else:
+        idx = np.concatenate([p[0] for p in parts], axis=1)
+        values = np.concatenate([p[1] for p in parts], axis=1)
+        keep = None
+        if any(p[2] is not None for p in parts):
+            keep = np.concatenate(
+                [np.ones(p[0].shape, dtype=bool) if p[2] is None else p[2]
+                 for p in parts], axis=1)
+    if keep is None:
+        return idx.reshape(-1), values.reshape(-1)
+    return idx[keep], values[keep]
+
+
 class Buffer:
     """One allocation in simulated global memory.
 
@@ -278,38 +312,163 @@ class GlobalMemory:
             if evicted:
                 self._write_back(evicted, WritebackReason.EVICTION)
 
-    def write_interleaved(self, bufs: "list[Buffer]", flat_idx: np.ndarray,
-                          values: np.ndarray) -> None:
-        """Store ``values[e, c]`` to ``bufs[c][flat_idx[e]]``, element-major.
+    def write_rows(self, n_rows: int, records, after_row=None) -> None:
+        """Land rows of deferred stores as if by one :meth:`write` per step.
 
-        Equivalent to one single-element :meth:`write` per ``(e, c)``,
-        ``e`` outermost — the order a scalar per-thread loop issues a
-        record's words (key, then value, then the next thread's). The
-        order is observable: an eviction that falls between two of the
-        stores writes back what the earlier ones left, and the line
-        recency they leave decides what a later crash loses. While the
-        cache has room for every touched line no eviction can fall
-        inside the sequence, so it collapses to one assignment per
-        buffer and one recency update in issue order; a cache that
-        could overflow takes the stores one at a time.
+        ``records`` are ``(target, idx, values, mask)`` whose arrays lead
+        with an ``n_rows`` axis (``mask`` may be ``None``). Row ``r`` of a
+        record whose target is one :class:`Buffer` is one step,
+        ``write(target, idx[r][mask[r]], values[r][mask[r]])``. A tuple
+        of distinct buffers (a thread-major multi-word record) makes each
+        kept element of the row one step per buffer, element-major:
+        ``write(target[c], idx[r, e], values[r, e, c])``. Steps run row
+        by row, each row's records in order; ``after_row(r)``, if given,
+        runs once row ``r`` has landed, for an effect that reads memory
+        (an insert whose probe sequence depends on what is stored).
+
+        Data, NVM images, cache recency and evictions, write statistics
+        and the backend's arm / commit sequence all equal that sequence
+        of writes, reached in a few numpy calls per group:
+
+        * **Recency replay.** Each step's distinct line ids (one sort per
+          record, all rows at once) go through
+          :meth:`~repro.gpu.cache.WriteBackCache.touch_write` in step
+          order — line ids only, which is all the cache ever sees. With
+          room in the cache for every line the pass touches no step can
+          evict, and the replay is one call.
+        * **The cut rule.** A write-back must copy what the steps up to
+          its own left in a line. So data lands per buffer in as few
+          fancy-indexed assignments as that allows: a step that touches
+          a line still waiting for its write-back first lands every
+          step before it and writes the waiting lines back. Disjoint
+          outputs rarely cut; at capacity 0 every re-touched line does.
+        * **One write-back per evicting step**, in step order: the
+          backend's arm / copy / commit brackets, and with them its
+          torn windows and kill points, are the per-step ones.
+
+        Every record's bounds are checked before anything lands: an
+        out-of-bounds element raises :class:`OutOfBoundsError` with
+        memory, cache and statistics untouched.
         """
-        flat_idx = np.asarray(flat_idx)
-        tracked = [buf for buf in bufs if buf.persistent]
-        lines: list[int] = []
-        if tracked:
-            lines = np.stack(
-                [buf.line_of_indices(flat_idx) for buf in tracked], axis=1
-            ).reshape(-1).tolist()
+        streams: dict[Buffer, list[tuple]] = {}  # its (idx, values, keep)
+        grids, lines, hits = [], [], []
+        for targets, idx, values, keep in (
+                self._row_record(n_rows, *record) for record in records):
+            if isinstance(targets, Buffer):
+                streams.setdefault(targets, []).append((idx, values, keep))
+                first = None
+                if targets.persistent:
+                    row_lines, first = _row_lines(targets, idx, keep)
+                    lines.append(row_lines)
+                    hits.append(first)
+                grids.append((targets, idx.shape[1], keep, first))
+                continue
+            # Element-major: each kept element's words, a step per buffer.
+            for c, buf in enumerate(targets):
+                streams.setdefault(buf, []).append(
+                    (idx, values[:, :, c].astype(buf.dtype, copy=False), keep))
+            base = np.array([buf.base_addr for buf in targets])
+            size = np.array([buf.dtype.itemsize for buf in targets])
+            lines.append(((base + idx[:, :, None] * size) // self.line_size)
+                         .reshape(n_rows, -1))
+            persistent = np.array([buf.persistent for buf in targets])
+            hits.append(np.broadcast_to(
+                persistent if keep is None else keep[:, :, None] & persistent,
+                idx.shape + persistent.shape).reshape(n_rows, -1))
+            grids.append((targets, idx.shape[1], keep, hits[-1]))
+
+        # Every step's lines in step order: row-major over the records'
+        # rows laid side by side.
+        touched = [] if not lines else np.concatenate(lines, axis=1)[
+            np.concatenate(hits, axis=1)].tolist()
+        flat = {buf: _flatten_stream(parts) for buf, parts in streams.items()}
         cache = self.cache
-        if cache.n_dirty + len(set(lines)) > cache.capacity_lines:
-            for e in range(flat_idx.size):
-                for c, buf in enumerate(bufs):
-                    self.write(buf, flat_idx[e:e + 1], values[e:e + 1, c])
+        if after_row is None \
+                and cache.n_dirty + len(touched) <= cache.capacity_lines:
+            # Room for every line the pass touches: no step can evict, so
+            # the replay is one touch and each buffer lands once.
+            cache.touch_write(touched)
+            for buf, (idx, values) in flat.items():
+                buf.data[idx] = values
             return
-        for c, buf in enumerate(bufs):
-            self._check_bounds(buf, flat_idx)
-            buf.data[flat_idx] = values[:, c]
-        cache.touch_write(lines)
+
+        # Per step, row-major: its buffer, its kept elements, its touches.
+        step_bufs: list[Buffer] = []
+        counts, touches = [], []
+        for targets, width, keep, hit in grids:
+            if isinstance(targets, Buffer):
+                step_bufs.append(targets)
+                counts.append(np.full((n_rows, 1), width) if keep is None
+                              else keep.sum(axis=1, keepdims=True))
+                touches.append(np.zeros((n_rows, 1), dtype=np.int64)
+                               if hit is None
+                               else hit.sum(axis=1, keepdims=True))
+                continue
+            step_bufs.extend(targets * width)
+            counts.append(np.ones(hit.shape, dtype=np.int64) if keep is None
+                          else np.repeat(keep, len(targets), axis=1))
+            touches.append(hit)
+        per_row = len(step_bufs)
+        if not per_row:  # nothing stored, so only the hooks are left
+            for r in range(n_rows):
+                after_row(r)
+            return
+        # Where each step's lines end in ``touched``.
+        ends = np.cumsum(np.concatenate(touches, axis=1)).tolist()
+        step_counts = np.concatenate(counts, axis=1)
+        # Per buffer, how many of its elements are issued by each step.
+        issued = {
+            buf: np.cumsum(np.where([b is buf for b in step_bufs],
+                                    step_counts, 0))
+            for buf in streams
+        }
+        landed = dict.fromkeys(streams, 0)
+        pending: list[list[int]] = []
+        waiting: set[int] = set()
+
+        def settle(done: int) -> None:
+            """Land steps ``[0, done)``, then write back what they evicted."""
+            for buf, (idx, values) in flat.items():
+                lo, hi = landed[buf], int(issued[buf][done - 1])
+                if hi > lo:
+                    buf.data[idx[lo:hi]] = values[lo:hi]
+                    landed[buf] = hi
+            for evicted in pending:
+                self._write_back(evicted, WritebackReason.EVICTION)
+            pending.clear()
+            waiting.clear()
+
+        start = 0
+        for k, end in enumerate(ends):
+            step_lines = touched[start:end]
+            start = end
+            if waiting and not waiting.isdisjoint(step_lines):
+                settle(k)
+            evicted = cache.touch_write(step_lines)
+            if evicted:
+                pending.append(evicted)
+                waiting.update(evicted)
+            if after_row is not None and (k + 1) % per_row == 0:
+                settle(k + 1)
+                after_row(k // per_row)
+        settle(len(ends))
+
+    def _row_record(self, n_rows: int, target, idx, values, mask):
+        """One :meth:`write_rows` record as 2-D rows, bounds checked."""
+        idx = np.asarray(idx, dtype=np.int64).reshape(n_rows, -1)
+        keep = None if mask is None \
+            else np.asarray(mask, dtype=bool).reshape(n_rows, -1)
+        kept = idx if keep is None else idx[keep]
+        bufs = (target,) if isinstance(target, Buffer) else tuple(target)
+        if kept.size:
+            lo, hi = int(kept.min()), int(kept.max())
+            for buf in bufs:
+                self._check_range(buf, lo, hi)
+        if isinstance(target, Buffer):
+            values = np.asarray(values, dtype=target.dtype)
+            return target, idx, values.reshape(n_rows, -1), keep
+        values = np.asarray(values).reshape(n_rows, -1, len(bufs))
+        return bufs, idx, values, keep
 
     # ------------------------------------------------------------------
     # Persistence-domain events
@@ -403,9 +562,11 @@ class GlobalMemory:
 
     def _check_bounds(self, buf: Buffer, flat_idx: np.ndarray) -> None:
         idx = np.asarray(flat_idx)
-        if idx.size == 0:
-            return
-        lo, hi = int(idx.min()), int(idx.max())
+        if idx.size:
+            self._check_range(buf, int(idx.min()), int(idx.max()))
+
+    @staticmethod
+    def _check_range(buf: Buffer, lo: int, hi: int) -> None:
         if lo < 0 or hi >= buf.size:
             raise OutOfBoundsError(
                 f"indices [{lo}, {hi}] out of range for buffer "

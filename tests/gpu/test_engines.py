@@ -18,10 +18,15 @@ import pytest
 import repro
 from repro import obs
 from repro.core.config import LP_CONFIGS
-from repro.errors import LaunchError, ReproError, TableFullError
+from repro.errors import (
+    LaunchError,
+    OutOfBoundsError,
+    ReproError,
+    TableFullError,
+)
 from repro.gpu.engine import ENGINES as ENGINE_NAMES
 from repro.gpu.engine import make_engine
-from repro.gpu.kernel import ExecMode
+from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 from repro.megakv.kernels import (
     KVDeleteKernel,
     KVInsertKernel,
@@ -356,6 +361,60 @@ def test_batched_requires_commutative_checksums():
     config = ORDER_SENSITIVE
     assert_same_launch(run_spmv("serial", config),
                        run_spmv("batched", config))
+
+
+class _OverrunKernel(Kernel):
+    """Block ``b`` stores four words at ``4 * b``; the buffer is two
+    words short, so the last block's row runs past its end."""
+
+    name = "overrun"
+    protected_buffers = ("out",)
+    batchable = True
+    N_BLOCKS = 8
+
+    def launch_config(self):
+        return LaunchConfig.linear(self.N_BLOCKS, 4)
+
+    @staticmethod
+    def _idx(block_ids):
+        return np.asarray(block_ids)[:, None] * 4 + np.arange(4)
+
+    def run_block(self, ctx):
+        ctx.st("out", self._idx([ctx.block_id])[0], ctx.block_id + 1)
+
+    def run_block_batch(self, bctx):
+        bctx.st("out", self._idx(bctx.block_ids),
+                np.repeat(bctx.block_ids[:, None] + 1, 4, axis=1))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_out_of_bounds_row_lands_nothing_of_its_group(engine):
+    """The one-pass apply checks every record's bounds before anything
+    lands: an overrunning last row leaves memory, cache and write
+    statistics exactly as the group found them (serial, by contrast,
+    has stored every earlier block when it raises)."""
+    after = {}
+    for name in ("serial", engine):
+        device = repro.Device(cache_capacity_lines=1, engine=name)
+        mem = device.memory
+        out = mem.alloc("out", (4 * _OverrunKernel.N_BLOCKS - 2,), np.int32)
+        lp = repro.LPRuntime(device).instrument(_OverrunKernel())
+        mem.write(out, np.array([0]), np.array([-1], dtype=np.int32))
+
+        def snapshot():
+            return (
+                {n: (b.data.tobytes(), b.shadow.tobytes())
+                 for n, b in mem.buffers.items()},
+                mem.cache.dirty_lines, mem.cache.evictions,
+                mem.write_stats.to_dict(),
+            )
+
+        before = snapshot()
+        with pytest.raises(OutOfBoundsError):
+            device.launch(lp)
+        after[name] = (before, snapshot())
+    assert after[engine][1] == after[engine][0]
+    assert after["serial"][1] != after["serial"][0]
 
 
 def test_duplicate_block_ids_rejected():

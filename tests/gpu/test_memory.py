@@ -180,8 +180,9 @@ def test_buffers_are_line_aligned_and_disjoint():
 
 @pytest.mark.parametrize("capacity_lines", [0, 1, 3, 64])
 def test_write_interleaved_equals_the_store_by_store_sequence(capacity_lines):
-    """Key word, value word, next request: with room in the cache the
-    sequence collapses to two assignments, without it it must not."""
+    """Key word, value word, next request: a multi-word record's rows
+    land through ``write_rows`` as the store-by-store sequence would,
+    with room in the cache and without it."""
 
     def build():
         mem = make_memory(capacity_lines)
@@ -191,17 +192,17 @@ def test_write_interleaved_equals_the_store_by_store_sequence(capacity_lines):
         return mem, [keys, vals, scratch]
 
     rng = np.random.default_rng(4)
-    rounds = [(rng.choice(256, size=9, replace=False),
-               rng.integers(1, 1 << 40, size=(9, 3), dtype=np.uint64))
-              for _ in range(6)]
+    idx = np.stack([rng.choice(256, size=9, replace=False)
+                    for _ in range(6)])
+    words = rng.integers(1, 1 << 40, size=(6, 9, 3), dtype=np.uint64)
 
     ref_mem, ref_bufs = build()
     got_mem, got_bufs = build()
-    for idx, words in rounds:
-        for e in range(idx.size):
+    for row in range(idx.shape[0]):
+        for e in range(idx.shape[1]):
             for c, buf in enumerate(ref_bufs):
-                ref_mem.write(buf, idx[e:e + 1], words[e:e + 1, c])
-        got_mem.write_interleaved(got_bufs, idx, words)
+                ref_mem.write(buf, idx[row, e:e + 1], words[row, e:e + 1, c])
+    got_mem.write_rows(6, [(tuple(got_bufs), idx, words, None)])
 
     for ref, got in zip(ref_bufs, got_bufs):
         assert np.array_equal(ref.data, got.data)
@@ -210,3 +211,31 @@ def test_write_interleaved_equals_the_store_by_store_sequence(capacity_lines):
     assert ref_mem.cache.dirty_lines == got_mem.cache.dirty_lines
     assert ref_mem.cache.evictions == got_mem.cache.evictions
     assert ref_mem.write_stats.by_buffer == got_mem.write_stats.by_buffer
+
+
+@pytest.mark.parametrize("n_lines", [3, 4, 5])
+def test_write_rows_at_the_edge_of_the_cache_room(n_lines):
+    """One row per fresh line against four lines of room: up to four the
+    pass cannot evict, the fifth must evict the first and write it back
+    holding what its row stored."""
+
+    def build():
+        mem = make_memory(capacity_lines=6)
+        buf = mem.alloc("a", (32 * 8,), np.int32)  # 8 lines of 32 words
+        mem.write(buf, np.array([7 * 32, 6 * 32]), np.array([1, 2]))
+        return mem, buf
+
+    idx = 32 * np.arange(n_lines)[:, None] + np.array([[0, 5]])
+    values = (idx + 100).astype(np.int32)
+    ref_mem, ref_buf = build()
+    for row in range(n_lines):
+        ref_mem.write(ref_buf, idx[row], values[row])
+    got_mem, got_buf = build()
+    got_mem.write_rows(n_lines, [(got_buf, idx, values, None)])
+
+    assert np.array_equal(got_buf.data, ref_buf.data)
+    assert np.array_equal(got_buf.shadow, ref_buf.shadow)
+    assert got_mem.cache.dirty_lines == ref_mem.cache.dirty_lines
+    assert got_mem.write_stats.to_dict() == ref_mem.write_stats.to_dict()
+    assert got_mem.cache.evictions == ref_mem.cache.evictions \
+        == max(0, n_lines - 4)
