@@ -411,17 +411,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         outdir = Path(args.fixtures_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for case in report["cases"]:
-            for i, ce_dict in enumerate(case["counterexamples"]):
-                from repro.analysis.crashmc import Counterexample, CrashState
-
-                ce = Counterexample(
-                    case=ce_dict["case"],
-                    state=CrashState.from_dict(ce_dict["state"]),
-                    journal=ce_dict["journal"],
-                    reason=ce_dict["reason"],
-                    image_digest=ce_dict["image_digest"],
-                )
-                path = outdir / f"{ce.case}-{i}.json"
+            for i, ce in enumerate(case["counterexamples"]):
+                path = outdir / f"{ce['case']}-{i}.json"
                 with open(path, "w") as fh:
                     json.dump(fixture_dict(ce, options), fh, indent=2)
                     fh.write("\n")

@@ -12,6 +12,7 @@ Two resolution modes share the same walker:
   attribute chains (``self.store.keys``) resolve to real buffer names
   via ``getattr``, and helper methods called through ``self`` are
   inlined (``self._find(ctx, key)`` contributes its loads/atomics).
+  Line numbers are those of the source file each function lives in.
 * **file mode** — only source text is available (CI linting a ``.py``
   file); literal buffer names still resolve, helper methods of the same
   class are inlined by name, and everything else stays conservatively
@@ -103,10 +104,6 @@ class PyKernelEffects:
     def atomic_stores(self) -> list[StoreOp]:
         return [s for s in self.stores if s.atomic is not None]
 
-    @property
-    def uses_cas_or_exch(self) -> bool:
-        return any(s.atomic in ("cas", "exch") for s in self.stores)
-
     def idempotence_hazards(self) -> list[str]:
         """Section IV-A hazards, mirroring the C analysis' wording."""
         hazards: list[str] = []
@@ -132,8 +129,10 @@ class PyKernelEffects:
 
 
 def _function_ast(fn) -> ast.FunctionDef:
-    source = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(source)
+    """Parse ``fn``'s definition, numbering lines as its source file does."""
+    lines, start = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    ast.increment_lineno(tree, start - 1)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return node

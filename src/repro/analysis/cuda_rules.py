@@ -182,6 +182,37 @@ def _check_lp002(kernel: KernelSource, path: str) -> list[Finding]:
     ]
 
 
+def _index_closure(
+    kernel: KernelSource, index_expr: str
+) -> tuple[set[str], list[str]]:
+    """Identifiers a store index depends on, and the texts defining them.
+
+    A transitive closure over body definitions (backward, to a
+    fixpoint): the same walk slice_for_index does, but tolerant of free
+    variables. Returns the identifier set and ``index_expr`` followed by
+    each distinct right-hand side that feeds it.
+    """
+    closure = set(identifiers(index_expr))
+    texts = [index_expr]
+    for _ in range(len(kernel.body) + 1):
+        grew = False
+        for line in kernel.body:
+            definition = statement_definition(line)
+            if definition is None:
+                continue
+            name, rhs = definition
+            if name in closure:
+                if rhs not in texts:
+                    texts.append(rhs)
+                new = identifiers(rhs) - closure
+                if new:
+                    closure |= new
+                    grew = True
+        if not grew:
+            break
+    return closure, texts
+
+
 def _check_lp003(kernel: KernelSource, path: str) -> list[Finding]:
     """Covered store whose index provably ignores block identity."""
     findings: list[Finding] = []
@@ -192,24 +223,7 @@ def _check_lp003(kernel: KernelSource, path: str) -> list[Finding]:
             target = parse_store_target(directive.target_statement)
         except SliceError:
             continue
-        closure = set(identifiers(target.index_expr))
-        # Transitive closure over body definitions (backward, to a
-        # fixpoint): the same walk slice_for_index does, but tolerant
-        # of free variables — LP003 only needs the identifier set.
-        for _ in range(len(kernel.body) + 1):
-            grew = False
-            for line in kernel.body:
-                definition = statement_definition(line)
-                if definition is None:
-                    continue
-                name, rhs = definition
-                if name in closure:
-                    new = identifiers(rhs) - closure
-                    if new:
-                        closure |= new
-                        grew = True
-            if not grew:
-                break
+        closure, _ = _index_closure(kernel, target.index_expr)
         if "blockIdx" not in closure:
             findings.append(Finding(
                 rule="LP003",
@@ -237,24 +251,7 @@ _BLOCK_MOD_RE = re.compile(r"blockIdx\.[xyz]\s*%\s*(\d+)")
 def _wrap_modulus(kernel: KernelSource, index_expr: str) -> int | None:
     """Largest K when every ``blockIdx`` reference feeding the index
     sits directly under ``% K`` with a numeric literal; None otherwise."""
-    closure = set(identifiers(index_expr))
-    texts = [index_expr]
-    for _ in range(len(kernel.body) + 1):
-        grew = False
-        for line in kernel.body:
-            definition = statement_definition(line)
-            if definition is None:
-                continue
-            name, rhs = definition
-            if name in closure:
-                if rhs not in texts:
-                    texts.append(rhs)
-                new = identifiers(rhs) - closure
-                if new:
-                    closure |= new
-                    grew = True
-        if not grew:
-            break
+    _, texts = _index_closure(kernel, index_expr)
     blob = " ; ".join(texts)
     refs = _BLOCK_REF_RE.findall(blob)
     if not refs:

@@ -12,11 +12,14 @@ configuration are concrete objects instead of directive text.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.astinfo import (
+    _BLOCK_ATTRS,
     PyKernelEffects,
+    _attr_chain,
     analyze_function_node,
     analyze_kernel_callable,
     is_block_independent,
@@ -48,12 +51,42 @@ def _body_callable(kernel):
     return type(kernel).run_block
 
 
-def _has_custom_recovery(kernel) -> bool:
-    if hasattr(kernel, "_recover_fn"):
-        # FunctionKernel's recover_block override is only a dispatcher;
-        # the recovery is custom iff a recover_fn was actually given.
-        return kernel._recover_fn is not None
-    return type(kernel).recover_block is not Kernel.recover_block
+@dataclass(frozen=True)
+class KernelFacts:
+    """What LP002 / LP009 / LP010 know about a kernel beyond its body.
+
+    Object mode reads them off a live kernel (:meth:`of`); file mode
+    reads the class's literal ``protected_buffers`` / ``idempotent``
+    and whether it defines a ``recover_block``. Either way the same
+    three rules run over them.
+    """
+
+    name: str
+    protected: frozenset[str]
+    #: Recovery is default re-execution: the kernel is declared
+    #: idempotent and has no custom ``recover_block``.
+    reexecutes: bool
+    #: Where file mode reports: the source path and the body's ``def``
+    #: line. Object-mode reports name the kernel instead (None).
+    file: str | None = None
+    line: int | None = None
+    #: ``self.*`` buffer expressions resolve (object mode only).
+    live: bool = True
+
+    @classmethod
+    def of(cls, kernel) -> KernelFacts:
+        if hasattr(kernel, "_recover_fn"):
+            # FunctionKernel's recover_block override is only a
+            # dispatcher; the recovery is custom iff a recover_fn was
+            # actually given.
+            custom = kernel._recover_fn is not None
+        else:
+            custom = type(kernel).recover_block is not Kernel.recover_block
+        return cls(
+            name=kernel.name,
+            protected=frozenset(kernel.protected_buffers),
+            reexecutes=bool(kernel.idempotent) and not custom,
+        )
 
 
 def kernel_effects(kernel) -> PyKernelEffects:
@@ -101,12 +134,16 @@ def _check_lp001(kernel, effects: PyKernelEffects, device) -> list[Finding]:
     return findings
 
 
-def _check_lp002(kernel, effects: PyKernelEffects) -> list[Finding]:
-    if _has_custom_recovery(kernel) or not kernel.idempotent:
+def _check_lp002(facts: KernelFacts, effects: PyKernelEffects) -> list[Finding]:
+    if not facts.reexecutes:
         # A non-idempotent declaration makes default recovery raise
         # UnrecoverableRegionError instead of silently re-executing.
         return []
     hazards = effects.idempotence_hazards()
+    if not facts.live:
+        # Without a live kernel self.* buffers cannot resolve; their
+        # stores are unknown, not hazards.
+        hazards = [h for h in hazards if "unresolvable" not in h]
     return [
         Finding(
             rule="LP002",
@@ -115,7 +152,9 @@ def _check_lp002(kernel, effects: PyKernelEffects) -> list[Finding]:
                 f"region is not provably idempotent ({hazard}) but "
                 "default recovery re-executes it"
             ),
-            kernel=kernel.name,
+            file=facts.file,
+            line=facts.line,
+            kernel=facts.name,
             fix_hint=(
                 "declare idempotent=False, provide a custom "
                 "recover_block, or restructure the region so outputs "
@@ -162,11 +201,7 @@ def _resolve_int(node: ast.expr, kernel) -> int | None:
     """Best-effort constant resolution of an index subexpression."""
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return node.value
-    chain = None
-    if isinstance(node, ast.Attribute):
-        from repro.analysis.astinfo import _attr_chain
-
-        chain = _attr_chain(node)
+    chain = _attr_chain(node) if isinstance(node, ast.Attribute) else None
     if chain and chain[0] == "self" and kernel is not None:
         value = kernel
         for attr in chain[1:]:
@@ -190,8 +225,6 @@ def _block_mod_wrap(index: ast.expr | None, effects, kernel) -> int | None:
         return None
 
     def mentions_block(node: ast.expr) -> bool:
-        from repro.analysis.astinfo import _BLOCK_ATTRS, _attr_chain
-
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute):
                 chain = _attr_chain(sub)
@@ -215,8 +248,6 @@ def _block_mod_wrap(index: ast.expr | None, effects, kernel) -> int | None:
     if not mods:
         return None
     # Every block mention must live inside one of the mod subtrees.
-    from repro.analysis.astinfo import _BLOCK_ATTRS, _attr_chain
-
     for sub in ast.walk(index):
         block_leaf = False
         if isinstance(sub, ast.Attribute):
@@ -325,7 +356,7 @@ def _check_lp008(kernel, effects: PyKernelEffects) -> list[Finding]:
     return findings
 
 
-def _check_lp009(kernel, effects: PyKernelEffects) -> list[Finding]:
+def _check_lp009(facts: KernelFacts, effects: PyKernelEffects) -> list[Finding]:
     """Recovered stores whose RHS reads kernel-mutated locations.
 
     Under default re-execution recovery, a store whose value derives
@@ -334,13 +365,12 @@ def _check_lp009(kernel, effects: PyKernelEffects) -> list[Finding]:
     double-apply. Sharper (per store, with the value's provenance)
     than LP002's buffer-granularity overlap.
     """
-    if _has_custom_recovery(kernel) or not kernel.idempotent:
+    if not facts.reexecutes:
         return []
-    protected = set(kernel.protected_buffers)
     written = effects.written_buffers
     findings: list[Finding] = []
     for s in effects.stores:
-        if s.atomic is not None or s.buffer is None or s.buffer not in protected:
+        if s.atomic is not None or s.buffer not in facts.protected:
             continue
         bad = sorted(s.value_buffers & (written | {s.buffer}))
         if bad:
@@ -353,8 +383,9 @@ def _check_lp009(kernel, effects: PyKernelEffects) -> list[Finding]:
                     "after a partial persist, re-execution reads the "
                     "already-new value and double-applies"
                 ),
+                file=facts.file,
                 line=s.lineno,
-                kernel=kernel.name,
+                kernel=facts.name,
                 fix_hint=(
                     "stage the read-modify-write through a scratch "
                     "buffer, or declare idempotent=False / provide a "
@@ -364,7 +395,7 @@ def _check_lp009(kernel, effects: PyKernelEffects) -> list[Finding]:
     return findings
 
 
-def _check_lp010(kernel, effects: PyKernelEffects) -> list[Finding]:
+def _check_lp010(facts: KernelFacts, effects: PyKernelEffects) -> list[Finding]:
     """Shared-memory values persisted after a divergent barrier.
 
     ``syncthreads`` under a thread-dependent branch deadlocks or
@@ -376,10 +407,9 @@ def _check_lp010(kernel, effects: PyKernelEffects) -> list[Finding]:
     if not effects.divergent_sync_lines:
         return []
     first = min(effects.divergent_sync_lines)
-    protected = set(kernel.protected_buffers)
     findings: list[Finding] = []
     for s in effects.stores:
-        if (s.buffer in protected and s.value_uses_shared
+        if (s.buffer in facts.protected and s.value_uses_shared
                 and s.lineno > first):
             findings.append(Finding(
                 rule="LP010",
@@ -390,8 +420,9 @@ def _check_lp010(kernel, effects: PyKernelEffects) -> list[Finding]:
                     f"thread-divergent branch (line {first}); threads "
                     "that skip the barrier may persist stale data"
                 ),
+                file=facts.file,
                 line=s.lineno,
-                kernel=kernel.name,
+                kernel=facts.name,
                 fix_hint=(
                     "hoist ctx.syncthreads() out of thread-dependent "
                     "control flow before any persistent store"
@@ -489,13 +520,14 @@ def lint_kernel_object(kernel, device=None) -> list[Finding]:
     except (OSError, TypeError, ValueError):
         return []  # source unavailable (REPL-defined kernel): nothing to say
 
+    facts = KernelFacts.of(base)
     findings: list[Finding] = []
     findings.extend(_check_lp001(base, effects, device))
-    findings.extend(_check_lp002(base, effects))
+    findings.extend(_check_lp002(facts, effects))
     findings.extend(_check_lp003(base, effects))
     findings.extend(_check_lp008(base, effects))
-    findings.extend(_check_lp009(base, effects))
-    findings.extend(_check_lp010(base, effects))
+    findings.extend(_check_lp009(facts, effects))
+    findings.extend(_check_lp010(facts, effects))
     for wrapper in wrappers:
         if wrapper is not base and hasattr(wrapper, "table"):
             findings.extend(_check_lp004_object(wrapper))
@@ -542,27 +574,26 @@ def _class_literal(node: ast.ClassDef, name: str):
 def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
     """File-mode lint of Python source defining kernel classes.
 
-    Three rules run here — LP002 (when the class pins
-    ``idempotent = True`` literally and defines no ``recover_block``),
-    LP009 (literal-buffer load→store dataflow under default recovery) and
-    LP010 (divergent-barrier shared escapes against a literal
-    ``protected_buffers``) — the set that is still sound without live
-    objects. Everything else needs resolved buffers and launch shapes,
-    which file mode cannot prove, and lplint never guesses.
+    Runs the object-mode LP002, LP009 and LP010 over facts read from
+    the class literals: ``protected_buffers``, ``idempotent`` and
+    whether the class defines a ``recover_block``. They are the rules
+    still sound without live objects; ``self.*`` buffers stay
+    unresolved, so LP002 skips their stores. Everything else needs
+    resolved buffers and launch shapes, which file mode cannot prove,
+    and lplint never guesses.
     """
-    findings: list[Finding] = []
     try:
         tree = ast.parse(text)
     except SyntaxError as exc:
-        findings.append(Finding(
+        return [Finding(
             rule="LP002",
             severity=Severity.NOTE,
             message=f"file could not be parsed: {exc}",
             file=path,
             line=exc.lineno,
-        ))
-        return findings
+        )]
 
+    findings: list[Finding] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef) or not _is_kernel_class(node):
             continue
@@ -577,84 +608,24 @@ def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
         effects = analyze_function_node(
             run_block, method_asts=methods, name=node.name
         )
-        suppressions = _class_literal(node, "lint_suppressions") or {}
-
-        if (
-            _class_literal(node, "idempotent") is not False
-            and "recover_block" not in methods
-        ):
-            for hazard in effects.idempotence_hazards():
-                if "unresolvable" in hazard:
-                    continue  # file mode cannot resolve self.* buffers
-                findings.append(Finding(
-                    rule="LP002",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"region is not provably idempotent ({hazard}) "
-                        "but default recovery re-executes it"
-                    ),
-                    file=path,
-                    line=run_block.lineno,
-                    kernel=node.name,
-                    fix_hint=(
-                        "declare idempotent=False or provide a custom "
-                        "recover_block"
-                    ),
-                ))
-        protected_literal = _class_literal(node, "protected_buffers")
-        protected = set(protected_literal or ())
-        if (
-            _class_literal(node, "idempotent") is not False
-            and "recover_block" not in methods
-        ):
-            written = effects.written_buffers
-            for store in effects.stores:
-                if (store.atomic is not None or store.buffer is None
-                        or store.buffer not in protected):
-                    continue
-                bad = sorted(store.value_buffers & (written | {store.buffer}))
-                if bad:
-                    findings.append(Finding(
-                        rule="LP009",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"recovered store to '{store.buffer}' computes "
-                            f"its value from a load of {bad} which this "
-                            "kernel mutates; re-execution after a partial "
-                            "persist double-applies"
-                        ),
-                        file=path,
-                        line=store.lineno,
-                        kernel=node.name,
-                        fix_hint=(
-                            "stage the read-modify-write through a "
-                            "scratch buffer, or declare idempotent=False"
-                        ),
-                    ))
-        if effects.divergent_sync_lines:
-            first = min(effects.divergent_sync_lines)
-            for store in effects.stores:
-                if (store.buffer in protected and store.value_uses_shared
-                        and store.lineno > first):
-                    findings.append(Finding(
-                        rule="LP010",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"store to protected buffer '{store.buffer}' "
-                            "persists a shared-memory value after a "
-                            "syncthreads inside a thread-divergent branch "
-                            f"(line {first})"
-                        ),
-                        file=path,
-                        line=store.lineno,
-                        kernel=node.name,
-                        fix_hint=(
-                            "hoist ctx.syncthreads() out of "
-                            "thread-dependent control flow"
-                        ),
-                    ))
-        apply_suppressions(
-            [f for f in findings if f.kernel == node.name],
-            {k: str(v) for k, v in suppressions.items()},
+        facts = KernelFacts(
+            name=node.name,
+            protected=frozenset(
+                _class_literal(node, "protected_buffers") or ()
+            ),
+            reexecutes=(
+                _class_literal(node, "idempotent") is not False
+                and "recover_block" not in methods
+            ),
+            file=path,
+            line=run_block.lineno,
+            live=False,
         )
+        suppressions = _class_literal(node, "lint_suppressions") or {}
+        findings.extend(apply_suppressions(
+            _check_lp002(facts, effects)
+            + _check_lp009(facts, effects)
+            + _check_lp010(facts, effects),
+            {k: str(v) for k, v in suppressions.items()},
+        ))
     return findings

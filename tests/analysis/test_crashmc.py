@@ -168,7 +168,7 @@ def test_fixture_roundtrip_reproduces_counterexample():
     report = check_case(_offender_build("lp009-feedback"), "lp009-feedback",
                         options)
     ce = report.counterexamples[0]
-    data = fixture_dict(ce, options, kind="offender")
+    data = fixture_dict(ce.to_dict(), options, kind="offender")
     result = replay_fixture(data, _offender_build("lp009-feedback"))
     assert result["converged"] is False
     assert result["image_digest"] == ce.image_digest

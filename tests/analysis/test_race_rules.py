@@ -79,6 +79,43 @@ def test_file_mode_flags_python_offenders():
     assert {"LP009", "LP010"} <= _rules(findings)
 
 
+def _verdicts(findings):
+    """LP002 / LP009 / LP010 findings as comparable tuples; object mode
+    gives LP002 no line, so LP002's line is left out."""
+    return sorted(
+        (f.rule, f.severity.value, f.message, f.fix_hint,
+         None if f.rule == "LP002" else f.line)
+        for f in findings
+        if f.rule in ("LP002", "LP009", "LP010")
+    )
+
+
+def test_file_mode_matches_object_mode_on_offenders():
+    from repro.gpu.kernel import Kernel
+
+    module = _offenders()
+    text = (FIXTURES / "lp_offenders.py").read_text()
+    file_findings = lint_python_text(text, path="lp_offenders.py")
+    classes = [c for c in vars(module).values()
+               if isinstance(c, type) and issubclass(c, Kernel)
+               and c.__module__ == module.__name__]
+    assert len(classes) == 3
+    compared = 0
+    for cls in classes:
+        expected = _verdicts(f for f in file_findings
+                             if f.kernel == cls.__name__)
+        assert _verdicts(lint_kernel_object(cls())) == expected, cls
+        compared += len(expected)
+    assert compared == 3   # LP002 + LP009 on feedback, LP010 on escape
+
+
+def test_object_mode_reports_source_file_lines():
+    module = _offenders()
+    (hit,) = [f for f in lint_kernel_object(module.LP009FeedbackKernel())
+              if f.rule == "LP009"]
+    assert hit.line == 74   # the ctx.st of ld(acc_out) + 1
+
+
 def test_cuda_front_end_flags_lp008_wrap():
     text = (FIXTURES / "bad_kernel_lp008.cu").read_text()
     findings = lint_cuda_text(text, path="bad_kernel_lp008.cu")
