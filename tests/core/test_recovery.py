@@ -8,6 +8,7 @@ from repro.core.recovery import RecoveryManager
 from repro.core.runtime import LPRuntime
 from repro.errors import RecoveryError
 from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.workloads import WORKLOADS, make_workload
 
 
 class StampKernel(Kernel):
@@ -162,3 +163,18 @@ def test_recovery_validates_persistence_not_semantics():
     assert report.recovered  # consistent, though semantically rewritten
     out = device.memory["st_out"].array
     assert np.any(out == -1.0)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_clean_launch_validates_under_an_order_sensitive_lane(name):
+    """Adler-32 folds in store order: validation must fetch a block's
+    output map in the order the block stored it (MRI-Q stores ``qr``
+    then ``qi``), or a launch nothing happened to never validates."""
+    config = repro.LPConfig(checksums=(repro.ChecksumKind.ADLER32,),
+                            reduction=repro.ReductionMode.SEQUENTIAL_MEMORY)
+    device = repro.Device()
+    lp_kernel = LPRuntime(device, config).instrument(
+        make_workload(name, scale="tiny", seed=0).setup(device))
+    device.launch(lp_kernel)
+    report = RecoveryManager(device, lp_kernel).recover()
+    assert report.initial.failed_blocks == []
