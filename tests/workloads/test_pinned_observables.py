@@ -1,14 +1,14 @@
-"""Every Parboil kernel against the observables pinned beside it.
+"""Every pinned kernel against the observables recorded beside it.
 
 ``tests/fixtures/kernels/expected.json`` holds what a clean launch +
-drain and a crash at half the grid + recover + drain leave behind for
-each of the eight kernels at ``small`` and ``medium``, as written by
-the kernel bodies before the pair kernels' arithmetic was cut down to
-what their sums read (see ``make_fixtures.py`` beside it). Both engines
-must still reproduce it bit for bit: image hashes, every ``Tally``
-field, cycles, write-back statistics, failed blocks and recovery
-cycles. Engine parity alone cannot catch an error the scalar and the
-vector body share.
+drain, a crash at half the grid + recover + drain, and the same crash
+under an Adler-32 lane leave behind for each of the eight Parboil
+kernels at ``small`` and ``medium``, plus a clean and a crash row for
+the MEGA-KV write and search kernels (see ``make_fixtures.py`` beside
+it for which bodies wrote each part). Both engines must still
+reproduce it bit for bit: image hashes, every ``Tally`` field, cycles,
+write-back statistics, failed blocks and recovery cycles. Engine parity
+alone cannot catch an error both engines share.
 """
 
 import json
@@ -16,17 +16,32 @@ import json
 import pytest
 
 from repro.workloads import WORKLOADS
-from tests.fixtures.kernels.make_fixtures import HERE, OBSERVE, SCALES
+from tests.fixtures.kernels.make_fixtures import (
+    HERE,
+    KV_KERNELS,
+    KV_LEGS,
+    OBSERVE,
+    SCALES,
+)
 
 EXPECTED = json.loads((HERE / "expected.json").read_text())
 
 
 def test_fixture_covers_every_kernel_scale_and_leg():
-    assert sorted(EXPECTED) == sorted(WORKLOADS)
-    for by_scale in EXPECTED.values():
-        assert sorted(by_scale) == sorted(SCALES)
-        for by_leg in by_scale.values():
+    assert sorted(EXPECTED) == sorted([*WORKLOADS, *KV_KERNELS])
+    for name in WORKLOADS:
+        assert sorted(EXPECTED[name]) == sorted(SCALES)
+        for by_leg in EXPECTED[name].values():
             assert sorted(by_leg) == sorted(OBSERVE)
+    for name in KV_KERNELS:
+        assert sorted(EXPECTED[name]) == sorted(KV_LEGS)
+
+
+def _assert_reproduces(want, have):
+    have = json.loads(json.dumps(have))
+    for key in want:
+        assert have[key] == want[key], key
+    assert have.keys() == want.keys()
 
 
 @pytest.mark.parametrize("leg", sorted(OBSERVE))
@@ -34,8 +49,12 @@ def test_fixture_covers_every_kernel_scale_and_leg():
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_kernel_reproduces_its_pinned_observables(name, scale, engine, leg):
-    want = EXPECTED[name][scale][leg]
-    have = json.loads(json.dumps(OBSERVE[leg](name, scale, engine)))
-    for key in want:
-        assert have[key] == want[key], key
-    assert have.keys() == want.keys()
+    _assert_reproduces(EXPECTED[name][scale][leg],
+                       OBSERVE[leg](name, scale, engine))
+
+
+@pytest.mark.parametrize("leg", KV_LEGS)
+@pytest.mark.parametrize("engine", ["serial", "batched"])
+@pytest.mark.parametrize("name", KV_KERNELS)
+def test_megakv_kernel_reproduces_its_pinned_observables(name, engine, leg):
+    _assert_reproduces(EXPECTED[name][leg], OBSERVE[leg](name, None, engine))
