@@ -1,10 +1,10 @@
 """AST inspection of Python-DSL kernel bodies.
 
 The Python front-end analogue of the C statement scanner in
-:mod:`repro.compiler.idempotence`: given a kernel's ``run_block`` (or a
-``kernel_from_function`` body), extract its read / write / atomic /
-host-effect sets plus a block-identity taint map, from the function's
-abstract syntax tree.
+:mod:`repro.compiler.idempotence`: given a kernel's block body
+(``run_block``, ``run_block_batch`` or a ``kernel_from_function``
+body), extract its read / write / atomic / host-effect sets plus a
+block-identity taint map, from the function's abstract syntax tree.
 
 Two resolution modes share the same walker:
 
@@ -20,8 +20,9 @@ Two resolution modes share the same walker:
 
 The taint map drives the LP003 race rule: a store index that provably
 depends only on thread identity (never on ``ctx.block_id`` /
-``ctx.block_xy`` or anything derived from them) is written identically
-by every block — a cross-block write race.
+``ctx.block_xy`` / a batch's ``bctx.block_ids`` or anything derived
+from them) is written identically by every block — a cross-block write
+race.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import textwrap
 from dataclasses import dataclass, field
 
 #: ``ctx`` attribute names that carry block identity.
-_BLOCK_ATTRS = ("block_id", "block_xy", "block_coords")
+_BLOCK_ATTRS = ("block_id", "block_ids", "block_xy", "block_coords")
 #: ``ctx`` attribute names that carry *thread* identity (uniform values
 #: like ``n_threads`` deliberately excluded).
 _THREAD_ATTRS = ("tid", "thread_xy", "lane")
@@ -452,7 +453,7 @@ class _BodyWalker:
 # ---------------------------------------------------------------------------
 
 def analyze_kernel_callable(fn, instance=None, name=None) -> PyKernelEffects:
-    """Analyze a live kernel callable (``run_block`` or a DSL body).
+    """Analyze a live kernel callable (a block body or a DSL body).
 
     ``instance`` (the kernel object) enables ``self`` attribute
     resolution and helper-method inlining.

@@ -44,11 +44,16 @@ def _unwrap(kernel):
 
 
 def _body_callable(kernel):
-    """The function whose AST is the kernel's block body."""
+    """The function whose AST is the kernel's block body: the body that
+    runs — ``run_block_batch`` when the class keeps the default
+    ``run_block``, which runs it one block at a time."""
     fn = getattr(kernel, "_fn", None)
     if fn is not None:  # FunctionKernel / kernel_from_function
         return fn
-    return type(kernel).run_block
+    cls = type(kernel)
+    if cls.run_block is Kernel.run_block:
+        return cls.run_block_batch
+    return cls.run_block
 
 
 @dataclass(frozen=True)
@@ -540,6 +545,11 @@ def lint_kernel_object(kernel, device=None) -> list[Finding]:
 # File mode
 # ---------------------------------------------------------------------------
 
+#: A class's block body, by name, in the order file mode looks for it:
+#: a class that defines no ``run_block`` runs its ``run_block_batch``.
+_BODY_NAMES = ("run_block", "run_block_batch")
+
+
 def _is_kernel_class(node: ast.ClassDef) -> bool:
     bases = set()
     for b in node.bases:
@@ -548,7 +558,7 @@ def _is_kernel_class(node: ast.ClassDef) -> bool:
         elif isinstance(b, ast.Attribute):
             bases.add(b.attr)
     return bool(bases & {"Kernel", "FunctionKernel", "_BatchKernel"}) or any(
-        isinstance(item, ast.FunctionDef) and item.name == "run_block"
+        isinstance(item, ast.FunctionDef) and item.name in _BODY_NAMES
         for item in node.body
     )
 
@@ -602,11 +612,11 @@ def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
             for item in node.body
             if isinstance(item, ast.FunctionDef)
         }
-        run_block = methods.get("run_block")
-        if run_block is None:
+        body = next((methods[m] for m in _BODY_NAMES if m in methods), None)
+        if body is None:
             continue
         effects = analyze_function_node(
-            run_block, method_asts=methods, name=node.name
+            body, method_asts=methods, name=node.name
         )
         facts = KernelFacts(
             name=node.name,
@@ -618,7 +628,7 @@ def lint_python_text(text: str, path: str = "<source>") -> list[Finding]:
                 and "recover_block" not in methods
             ),
             file=path,
-            line=run_block.lineno,
+            line=body.lineno,
             live=False,
         )
         suppressions = _class_literal(node, "lint_suppressions") or {}

@@ -2,10 +2,11 @@
 
 :class:`BatchBlockContext` is the batched counterpart of
 :class:`~repro.gpu.kernel.BlockContext`: one extra leading numpy axis
-indexes the thread block within the group, so a kernel whose
-``run_block`` is already array-shaped across threads can compute an
-entire group of blocks in a handful of whole-array operations instead
-of one Python call chain per block.
+indexes the thread block within the group, so a kernel's
+``run_block_batch`` computes an entire group of blocks in a handful of
+whole-array operations instead of one Python call chain per block. The
+same body runs one block at a time in the scalar cell, through the
+one-block view :meth:`~repro.gpu.kernel.Kernel.run_block` builds.
 
 Semantics contract (what lets the batched engine stay bit-identical to
 serial execution):

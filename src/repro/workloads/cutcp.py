@@ -8,15 +8,16 @@ Instruction-throughput bound (Table I): heavy per-point arithmetic
 LP structure: each block owns a disjoint tile of lattice points; every
 block reads all atoms (a small, persistent input).
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-evaluates a group of tiles in one ``(blocks, points, atoms)`` pass per
-atom chunk (the engine's vector cells), bit-identical to it. Both form
-a tile's squared distances with MRI-GRIDDING's ``_tile_r2`` (``dx²``
-once per column, ``dy²`` once per row) and each pair's term with
-:func:`_potential`. Each element gets exactly the float32 operations
-of ``q / sqrt(dx*dx + dy*dy)`` inside the cutoff shell and 0 outside,
-and the ``(..., points, chunk)`` array each point's sum reduces keeps
-its shape, order and zeros.
+Execution: ``run_block_batch`` is the one body. It evaluates a group of
+tiles in one ``(blocks, points, atoms)`` pass per atom chunk;
+``serial`` runs it one block at a time
+(:meth:`~repro.gpu.kernel.Kernel.run_block`). It forms a tile's squared
+distances with MRI-GRIDDING's ``_tile_r2`` (``dx²`` once per column,
+``dy²`` once per row) and each pair's term with :func:`_potential`.
+Each element gets exactly the float32 operations of ``q / sqrt(dx*dx +
+dy*dy)`` inside the cutoff shell and 0 outside, and the ``(...,
+points, chunk)`` array each point's sum reduces keeps its shape, order
+and zeros.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 from repro.workloads.mri_gridding import _tile_r2
 
@@ -81,34 +82,9 @@ class CUTCPKernel(Kernel):
         cols = bx * tile + np.arange(tile)
         return {"cutcp_pot": np.add.outer(rows, cols).ravel()}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        tile, grid = self.tile, self.grid
-        bx, by = ctx.block_xy
-        tx, ty = ctx.thread_xy()
-        # Each thread owns one lattice point of the tile (tid = ty*tile
-        # + tx); these are the tile's column and row coordinates.
-        cols = (bx * tile + np.arange(tile)).astype(np.float32)
-        rows = (by * tile + np.arange(tile)).astype(np.float32)
-
-        acc = np.zeros(ctx.n_threads, dtype=np.float32)
-        cutoff2 = self.cutoff * self.cutoff
-        for a0 in range(0, self.n_atoms, _CHUNK):
-            a_idx = np.arange(a0, min(a0 + _CHUNK, self.n_atoms))
-            ax = ctx.ld("cutcp_atoms", a_idx * 3 + 0)
-            ay = ctx.ld("cutcp_atoms", a_idx * 3 + 1)
-            aq = ctx.ld("cutcp_atoms", a_idx * 3 + 2)
-            r2 = _tile_r2(cols, rows, ax, ay)
-            acc += _potential(r2, aq, cutoff2).sum(axis=-1, dtype=np.float32)
-            ctx.flops(8 * a_idx.size)  # dist + rsqrt + masked MAC
-
-        out_idx = (by * tile + ty) * grid + (bx * tile + tx)
-        ctx.st("cutcp_pot", out_idx, acc, slots=ctx.tid)
-
-    # -- batched execution ----------------------------------------------
-
     #: Lattice tiles are block-disjoint and only the atoms are read, so
     #: a group is one (blocks × points × atoms) program. Bit-identity
-    #: with ``run_block`` rests on the float32 reduction staying per
+    #: across group sizes rests on the float32 reduction staying per
     #: point over the same contiguous trailing chunk axis.
     batchable = True
 
@@ -132,7 +108,7 @@ class CUTCPKernel(Kernel):
             aq = bctx.ld("cutcp_atoms", a_idx * 3 + 2, charge_elements=charge)
             r2 = _tile_r2(cols, rows, ax, ay)  # (B, T, chunk)
             acc += _potential(r2, aq, cutoff2).sum(axis=-1, dtype=np.float32)
-            bctx.flops(8 * a_idx.size)
+            bctx.flops(8 * a_idx.size)  # dist + rsqrt + masked MAC
 
         bctx.st("cutcp_pot", row * grid + col, acc, slots=bctx.tid)
 

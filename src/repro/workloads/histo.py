@@ -11,9 +11,11 @@ output slice); the saturating cross-block merge is a separate step
 (:meth:`HISTOWorkload.merged_histogram`), as in Parboil's multi-kernel
 pipeline. No block issues a global atomic.
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-builds a group's partials with one offset ``bincount`` (the engine's
-vector cells).
+Execution: ``run_block_batch`` is the one body. It builds a group's
+partials with one offset ``bincount``; ``serial`` runs it one block at
+a time (:meth:`~repro.gpu.kernel.Kernel.run_block`). A sample outside
+the bin range raises :class:`~repro.errors.LaunchError` in the block
+that holds it, after the blocks before it have landed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 
 #: Saturation ceiling of the final merged histogram.
@@ -60,27 +62,6 @@ class HISTOKernel(Kernel):
         base = block_id * self.n_bins
         return {"histo_partial": base + np.arange(self.n_bins)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        b = ctx.block_id
-        idx = np.arange(b * self.chunk, (b + 1) * self.chunk)
-        samples = ctx.ld("histo_in", idx)
-
-        # Threads accumulate into a shared privatized histogram; the
-        # simulator folds the whole chunk at once (shared-memory
-        # atomics inside one block are race-free by construction here).
-        shared_hist = ctx.shared.alloc("hist", (self.n_bins,), np.int64)
-        shared_hist += np.bincount(samples.astype(np.int64),
-                                   minlength=self.n_bins)
-        ctx.charge_shared(self.chunk * 8)
-        ctx.flops(self.chunk / max(ctx.n_threads, 1))
-        ctx.syncthreads()
-
-        out_idx = b * self.n_bins + np.arange(self.n_bins)
-        ctx.st("histo_partial", out_idx, shared_hist.astype(np.uint32),
-               slots=np.arange(self.n_bins) % ctx.n_threads)
-
-    # -- batched execution ----------------------------------------------
-
     #: Privatization makes the partials block-disjoint, so a group is
     #: one offset ``bincount``.
     batchable = True
@@ -92,13 +73,18 @@ class HISTOKernel(Kernel):
         samples = bctx.ld("histo_in", idx).astype(np.int64)
         if samples.min() < 0 or samples.max() >= nb:
             # The offset bincount would count it in a neighbour's
-            # partial; per block, ``run_block`` rejects it.
-            raise BatchFallbackError("histo sample outside the bin range")
+            # partial. A group falls back to one block at a time; one
+            # block has nothing to fall back to and rejects it.
+            error = LaunchError if n_batch == 1 else BatchFallbackError
+            raise error("histo sample outside the bin range")
 
         # Row r of the group histograms into bins [r * nb, (r + 1) * nb).
         row_base = (np.arange(n_batch) * nb)[:, None]
         hist = np.bincount((samples + row_base).ravel(),
                            minlength=n_batch * nb).reshape(n_batch, nb)
+        # Threads accumulate into a shared privatized histogram (the
+        # simulator folds each chunk at once; shared-memory atomics
+        # inside one block are race-free by construction here).
         bctx.charge_shared(self.chunk * 8)
         bctx.flops(self.chunk / max(bctx.n_threads, 1))
         bctx.syncthreads()

@@ -12,15 +12,16 @@ hash-table checksums crumble on.
 LP structure: each block owns one tile of grid cells; all samples are
 shared read-only input.
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-grids a group of tiles in one ``(blocks, cells, samples)`` pass per
-sample chunk (the engine's vector cells), bit-identical to it. Both
-form a tile's squared distances with :func:`_tile_r2` (``dx²`` once per
-column, ``dy²`` once per row) and weight them with :func:`_window`
-(``exp`` only where the pair is inside the support). Each element gets
-exactly the float32 operations of ``np.where(r2 < support2,
-exp(-(dx*dx + dy*dy) * inv_w2), 0)``, and the ``(..., cells, chunk)``
-array each cell's sum reduces keeps its shape, order and zeros.
+Execution: ``run_block_batch`` is the one body. It grids a group of
+tiles in one ``(blocks, cells, samples)`` pass per sample chunk;
+``serial`` runs it one block at a time
+(:meth:`~repro.gpu.kernel.Kernel.run_block`). It forms a tile's squared
+distances with :func:`_tile_r2` (``dx²`` once per column, ``dy²`` once
+per row) and weights them with :func:`_window` (``exp`` only where the
+pair is inside the support). Each element gets exactly the float32
+operations of ``np.where(r2 < support2, exp(-(dx*dx + dy*dy) *
+inv_w2), 0)``, and the ``(..., cells, chunk)`` array each cell's sum
+reduces keeps its shape, order and zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 
 #: (grid_edge, tile_edge, n_samples, kernel_width) per scale.
@@ -101,35 +102,9 @@ class MRIGriddingKernel(Kernel):
         cols = bx * tile + np.arange(tile)
         return {"mrig_grid": np.add.outer(rows, cols).ravel()}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        tile, grid = self.tile, self.grid
-        bx, by = ctx.block_xy
-        tx, ty = ctx.thread_xy()
-        # The tile's column and row coordinates; cell tid = ty*tile + tx.
-        cols = (bx * tile + np.arange(tile)).astype(np.float32)
-        rows = (by * tile + np.arange(tile)).astype(np.float32)
-
-        acc = np.zeros(ctx.n_threads, dtype=np.float32)
-        inv_w2 = np.float32(1.0) / (self.width * self.width)
-        support2 = np.float32((2.0 * float(self.width)) ** 2)
-        for s0 in range(0, self.n_samples, _CHUNK):
-            s_idx = np.arange(s0, min(s0 + _CHUNK, self.n_samples))
-            sx = ctx.ld("mrig_samples", s_idx * 3 + 0)
-            sy = ctx.ld("mrig_samples", s_idx * 3 + 1)
-            sv = ctx.ld("mrig_samples", s_idx * 3 + 2)
-            r2 = _tile_r2(cols, rows, sx, sy)
-            w = _window(r2, support2, inv_w2)
-            acc += (w * sv).sum(axis=-1, dtype=np.float32)
-            ctx.flops(9 * s_idx.size)  # dist + exp window + MAC
-
-        out_idx = (by * tile + ty) * grid + (bx * tile + tx)
-        ctx.st("mrig_grid", out_idx, acc, slots=ctx.tid)
-
-    # -- batched execution ----------------------------------------------
-
     #: The gather formulation writes disjoint tiles and reads only the
     #: samples, so a group is one (blocks × cells × samples) program.
-    #: Bit-identity with ``run_block`` rests on the float32 reduction
+    #: Bit-identity across group sizes rests on the float32 reduction
     #: staying per cell over the same contiguous trailing chunk axis.
     batchable = True
 
@@ -155,7 +130,7 @@ class MRIGriddingKernel(Kernel):
             r2 = _tile_r2(cols, rows, sx, sy)  # (B, T, chunk)
             w = _window(r2, support2, inv_w2)
             acc += (w * sv).sum(axis=-1, dtype=np.float32)
-            bctx.flops(9 * s_idx.size)
+            bctx.flops(9 * s_idx.size)  # dist + exp window + MAC
 
         bctx.st("mrig_grid", row * grid + col, acc, slots=bctx.tid)
 

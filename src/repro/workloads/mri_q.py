@@ -8,9 +8,10 @@ LP structure: one thread per voxel, blocks own disjoint voxel ranges;
 both output buffers (``Qr``, ``Qi``) are protected, demonstrating LP
 over multiple protected stores per region.
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-accumulates a group of voxel ranges in one ``(blocks, voxels, k)`` pass
-per k-space chunk (the engine's vector cells), bit-identical to it.
+Execution: ``run_block_batch`` is the one body. It accumulates a group
+of voxel ranges in one ``(blocks, voxels, k)`` pass per k-space chunk;
+``serial`` runs it one block at a time
+(:meth:`~repro.gpu.kernel.Kernel.run_block`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 from repro.workloads.generators import unit_floats
 
@@ -57,39 +58,9 @@ class MRIQKernel(Kernel):
         vox = block_id * self.threads + np.arange(self.threads)
         return {"mriq_qr": vox, "mriq_qi": vox.copy()}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        vox = ctx.block_id * self.threads + ctx.tid
-        vx = ctx.ld("mriq_x", vox * 3 + 0)
-        vy = ctx.ld("mriq_x", vox * 3 + 1)
-        vz = ctx.ld("mriq_x", vox * 3 + 2)
-
-        qr = np.zeros(ctx.n_threads, dtype=np.float32)
-        qi = np.zeros(ctx.n_threads, dtype=np.float32)
-        for k0 in range(0, self.n_k, _CHUNK):
-            k_idx = np.arange(k0, min(k0 + _CHUNK, self.n_k))
-            kx = ctx.ld("mriq_k", k_idx * 4 + 0)
-            ky = ctx.ld("mriq_k", k_idx * 4 + 1)
-            kz = ctx.ld("mriq_k", k_idx * 4 + 2)
-            mag = ctx.ld("mriq_k", k_idx * 4 + 3)
-            phase = _TWO_PI * (
-                vx[:, None] * kx[None, :]
-                + vy[:, None] * ky[None, :]
-                + vz[:, None] * kz[None, :]
-            )
-            qr += (mag[None, :] * np.cos(phase)).sum(axis=1,
-                                                     dtype=np.float32)
-            qi += (mag[None, :] * np.sin(phase)).sum(axis=1,
-                                                     dtype=np.float32)
-            ctx.flops(14 * k_idx.size)  # 3 MACs + 2 trig + 2 MACs per k
-
-        ctx.st("mriq_qr", vox, qr, slots=ctx.tid)
-        ctx.st("mriq_qi", vox, qi, slots=ctx.tid)
-
-    # -- batched execution ----------------------------------------------
-
     #: Voxel ranges are block-disjoint and neither output is re-read,
     #: so a group is one (blocks × voxels × k-samples) program.
-    #: Bit-identity with ``run_block`` rests on the float32 reductions
+    #: Bit-identity across group sizes rests on the float32 reductions
     #: staying per voxel over the same contiguous trailing chunk axis.
     batchable = True
 
@@ -112,7 +83,7 @@ class MRIQKernel(Kernel):
             phase = _TWO_PI * (vx * kx + vy * ky + vz * kz)
             qr += (mag * np.cos(phase)).sum(axis=2, dtype=np.float32)
             qi += (mag * np.sin(phase)).sum(axis=2, dtype=np.float32)
-            bctx.flops(14 * k_idx.size)
+            bctx.flops(14 * k_idx.size)  # 3 MACs + 2 trig + 2 MACs per k
 
         bctx.st("mriq_qr", vox, qr, slots=bctx.tid)
         bctx.st("mriq_qi", vox, qi, slots=bctx.tid)

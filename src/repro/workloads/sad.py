@@ -10,10 +10,11 @@ up lock-based and collision-prone checksum tables.
 LP structure: one block per macroblock, one thread per displacement
 candidate; each block's SAD outputs are a disjoint slice.
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-computes a group of macroblocks — every displacement window of every
-block — as one integer array program (the engine's vector cells), which
-is what makes a grid of this many tiny blocks cheap to simulate.
+Execution: ``run_block_batch`` is the one body. It computes a group of
+macroblocks — every displacement window of every block — as one
+integer array program, which is what makes a grid of this many tiny
+blocks cheap to simulate; ``serial`` runs it one block at a time
+(:meth:`~repro.gpu.kernel.Kernel.run_block`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 from repro.workloads.generators import byte_frames
 
@@ -68,32 +69,6 @@ class SADKernel(Kernel):
         d = np.arange(self.n_disp)
         return np.stack([d // side - r, d % side - r], axis=1)
 
-    def run_block(self, ctx: BlockContext) -> None:
-        mb = ctx.block_id
-        mb_r, mb_c = mb // self.mb_cols, mb % self.mb_cols
-        y0, x0 = mb_r * MB, mb_c * MB
-
-        rows = np.arange(y0, y0 + MB)
-        cols = np.arange(x0, x0 + MB)
-        flat = (rows[:, None] * self.width + cols[None, :]).ravel()
-        cur = ctx.ld("sad_cur", flat).astype(np.int32)
-
-        sads = np.zeros(self.n_disp, dtype=np.int64)
-        for t, (dy, dx) in enumerate(self._displacements()):
-            # Clamp the shifted window to the frame (edge replication).
-            ry = np.clip(rows + dy, 0, self.height - 1)
-            rx = np.clip(cols + dx, 0, self.width - 1)
-            rflat = (ry[:, None] * self.width + rx[None, :]).ravel()
-            ref = ctx.ld("sad_ref", rflat).astype(np.int32)
-            sads[t] = np.abs(cur - ref).sum()
-        ctx.flops(2 * MB * MB)  # per-thread |a-b| + accumulate
-
-        out_idx = mb * self.n_disp + np.arange(self.n_disp)
-        ctx.st("sad_out", out_idx, sads.astype(np.uint32),
-               slots=np.arange(self.n_disp))
-
-    # -- batched execution ----------------------------------------------
-
     #: Macroblocks own disjoint output slices and never read ``sad_out``:
     #: a group is one (blocks × displacements × pixels) integer program.
     batchable = True
@@ -105,7 +80,8 @@ class SADKernel(Kernel):
         flat = rows[:, :, None] * self.width + cols[:, None, :]
         cur = bctx.ld("sad_cur", flat.reshape(mb.size, -1)).astype(np.int32)
 
-        # Every displacement's clamped window at once: (B, D, MB, MB).
+        # Every displacement's window at once, clamped to the frame
+        # (edge replication): (B, D, MB, MB).
         dy, dx = self._displacements().T
         ry = np.clip(rows[:, None, :] + dy[:, None], 0, self.height - 1)
         rx = np.clip(cols[:, None, :] + dx[:, None], 0, self.width - 1)
@@ -114,7 +90,7 @@ class SADKernel(Kernel):
             "sad_ref", rflat.reshape(mb.size, self.n_disp, -1)
         ).astype(np.int32)
         sads = np.abs(cur[:, None, :] - ref).sum(axis=2)
-        bctx.flops(2 * MB * MB)
+        bctx.flops(2 * MB * MB)  # per-thread |a-b| + accumulate
 
         out_idx = mb[:, None] * self.n_disp + np.arange(self.n_disp)
         bctx.st("sad_out", out_idx, sads.astype(np.uint32),

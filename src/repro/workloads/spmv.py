@@ -6,6 +6,10 @@ property). Memory-bandwidth bound (Table I): each multiply-add streams
 a value, a column index, and a gathered ``x`` element.
 
 LP structure: one thread per row, blocks own disjoint row ranges.
+
+Execution: ``run_block_batch`` is the one body, one ``(blocks,
+threads)`` array program per group; ``serial`` runs it one block at a
+time (:meth:`~repro.gpu.kernel.Kernel.run_block`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 from repro.workloads.generators import sparse_csr, unit_floats
 
@@ -46,20 +50,6 @@ class SPMVKernel(Kernel):
     def block_output_map(self, block_id):
         base = block_id * self.threads
         return {"spmv_y": base + np.arange(self.threads)}
-
-    def run_block(self, ctx: BlockContext) -> None:
-        rows = ctx.block_id * self.threads + ctx.tid
-        acc = np.zeros(ctx.n_threads, dtype=np.float32)
-        base = rows * self.nnz_per_row
-        for k in range(self.nnz_per_row):
-            vals = ctx.ld("spmv_vals", base + k)
-            cols = ctx.ld("spmv_cols", base + k)
-            xk = ctx.ld("spmv_x", cols)
-            acc += vals * xk
-            ctx.flops(2)
-        ctx.st("spmv_y", rows, acc, slots=ctx.tid)
-
-    # -- batched execution ----------------------------------------------
 
     #: Blocks own disjoint row ranges and never read ``spmv_y``, so a
     #: whole group of blocks is one (blocks × threads) array program.

@@ -10,6 +10,10 @@ Each block's stores (its C tile) are disjoint from every other
 block's, so blocks are associative, idempotent LP regions. The paper's
 4096×4096 run (tile 32) yields the 16 384 thread blocks of Table III;
 the functional scales here shrink ``n`` while preserving the structure.
+
+Execution: ``run_block_batch`` is the one body: a group's tiles are one
+stacked integer matmul per step of the shared dimension, and ``serial``
+runs it one block at a time (:meth:`~repro.gpu.kernel.Kernel.run_block`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 from repro.workloads.generators import small_ints
 
@@ -56,37 +60,6 @@ class TiledMatMulKernel(Kernel):
         cols = bx * tile + np.arange(tile)
         return {"tmm_C": np.add.outer(rows, cols).ravel()}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        n, tile = self.n, self.tile
-        bx, by = ctx.block_xy
-        tx, ty = ctx.thread_xy()
-        row = by * tile + ty
-        col = bx * tile + tx
-
-        acc = np.zeros(ctx.n_threads, dtype=np.int64)
-        shared_a = ctx.shared.alloc("A", (tile, tile), np.int32)
-        shared_b = ctx.shared.alloc("B", (tile, tile), np.int32)
-
-        for kt in range(n // tile):
-            # Stage one tile of A and one of B into shared memory.
-            a_idx = row * n + (kt * tile + tx)
-            b_idx = (kt * tile + ty) * n + col
-            shared_a[ty, tx] = ctx.ld("tmm_A", a_idx)
-            shared_b[ty, tx] = ctx.ld("tmm_B", b_idx)
-            ctx.charge_shared(ctx.n_threads * 2 * 4)  # the two tile writes
-            ctx.syncthreads()
-
-            # Each thread accumulates a dot product over the tile; the
-            # whole block's work is one tile-by-tile matmul.
-            partial = shared_a.astype(np.int64) @ shared_b.astype(np.int64)
-            acc += partial[ty, tx]
-            ctx.flops(2 * tile)
-            # Each thread reads 2*tile shared values of 4 bytes.
-            ctx.charge_shared(ctx.n_threads * 2 * tile * 4)
-            ctx.syncthreads()
-
-        ctx.st("tmm_C", row * n + col, acc.astype(np.int32), slots=ctx.tid)
-
     def run_block_batch(self, bctx) -> None:
         n, tile = self.n, self.tile
         bx, by = bctx.block_xy
@@ -99,17 +72,19 @@ class TiledMatMulKernel(Kernel):
         for kt in range(n // tile):
             a_idx = row * n + (kt * tile + tx)
             b_idx = (kt * tile + ty)[None, :] * n + col
-            # Row-major reshape recovers each block's shared_[ty, tx]
-            # staging layout (tid = ty * tile + tx).
+            # Stage one tile of A and one of B per block: a row-major
+            # reshape gives the shared-memory layout [ty, tx] (tid =
+            # ty * tile + tx).
             tile_a = bctx.ld("tmm_A", a_idx).reshape(n_batch, tile, tile)
             tile_b = bctx.ld("tmm_B", b_idx).reshape(n_batch, tile, tile)
-            bctx.charge_shared(bctx.n_threads * 2 * 4)
+            bctx.charge_shared(bctx.n_threads * 2 * 4)  # the two tile writes
             bctx.syncthreads()
 
             partial = np.matmul(tile_a.astype(np.int64),
                                 tile_b.astype(np.int64))
             acc += partial.reshape(n_batch, -1)
             bctx.flops(2 * tile)
+            # Each thread reads 2*tile shared values of 4 bytes.
             bctx.charge_shared(bctx.n_threads * 2 * tile * 4)
             bctx.syncthreads()
 

@@ -13,9 +13,10 @@ host-side helper; the paper instruments the main kernel.)
 
 Integer bin counts make this workload exact.
 
-Execution: ``run_block`` is the per-block reference; ``run_block_batch``
-histograms a group of blocks per partner chunk with one stacked matmul
-and one offset ``bincount`` (the engine's vector cells). Both bin with
+Execution: ``run_block_batch`` is the one body. It histograms a group of
+blocks per partner chunk with one stacked matmul and one offset
+``bincount``; ``serial`` runs it one block at a time
+(:meth:`~repro.gpu.kernel.Kernel.run_block`). It bins with
 :func:`_bin_of`, which names a uniform bin arithmetically and lands on
 ``np.digitize``'s index exactly, without its binary search.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.errors import LaunchError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.workloads.base import Workload
 
 #: (n_points, threads_per_block, n_bins) per scale.
@@ -93,33 +94,6 @@ class TPACFKernel(Kernel):
         base = block_id * self.n_bins
         return {"tpacf_hist": base + np.arange(self.n_bins)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        n, t, nb = self.n_points, self.threads, self.n_bins
-        b = ctx.block_id
-        my_idx = b * t + ctx.tid  # each thread owns one "i" point
-
-        # Fetch this block's points (x, y, z are separate strided loads).
-        mine = np.stack(
-            [ctx.ld("tpacf_pts", my_idx * 3 + c) for c in range(3)], axis=1
-        )
-
-        hist = np.zeros(nb, dtype=np.int64)
-        for j0 in range(0, n, _CHUNK):
-            j_idx = np.arange(j0, min(j0 + _CHUNK, n))
-            partners = np.stack(
-                [ctx.ld("tpacf_pts", j_idx * 3 + c) for c in range(3)], axis=1
-            )
-            dots = mine @ partners.T  # (t, chunk) float32
-            bins = _bin_of(dots.ravel(), self._edges)
-            hist += np.bincount(bins, minlength=nb)
-            # 2*3 flops per pair (dot) + compare/bin work.
-            ctx.flops((2 * 3 + 2) * j_idx.size)
-
-        ctx.st("tpacf_hist", b * nb + np.arange(nb), hist.astype(np.int64),
-               slots=np.arange(nb) % ctx.n_threads)
-
-    # -- batched execution ----------------------------------------------
-
     #: Privatized histograms are block-disjoint and never re-read, so a
     #: group is one (blocks × points × partners) program. The dot
     #: products stay a *stacked* matmul of per-block ``(t, 3) @ (3,
@@ -149,6 +123,7 @@ class TPACFKernel(Kernel):
             dots = np.matmul(mine, partners.T)  # (B, t, chunk) float32
             bins = _bin_of(dots, self._edges) + row_base
             hist += np.bincount(bins.ravel(), minlength=hist.size)
+            # 2*3 flops per pair (dot) + compare/bin work.
             bctx.flops((2 * 3 + 2) * j_idx.size)
 
         out_idx = bctx.block_ids[:, None] * nb + np.arange(nb)

@@ -99,14 +99,16 @@ def test_file_mode_matches_object_mode_on_offenders():
     classes = [c for c in vars(module).values()
                if isinstance(c, type) and issubclass(c, Kernel)
                and c.__module__ == module.__name__]
-    assert len(classes) == 3
+    assert len(classes) == 4
     compared = 0
     for cls in classes:
         expected = _verdicts(f for f in file_findings
                              if f.kernel == cls.__name__)
         assert _verdicts(lint_kernel_object(cls())) == expected, cls
         compared += len(expected)
-    assert compared == 3   # LP002 + LP009 on feedback, LP010 on escape
+    # LP002 + LP009 on each feedback kernel (the batch-only one
+    # included: neither mode may skip it), LP010 on escape.
+    assert compared == 5
 
 
 def test_object_mode_reports_source_file_lines():

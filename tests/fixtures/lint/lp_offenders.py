@@ -105,6 +105,31 @@ class LP010SharedEscapeKernel(Kernel):
         ctx.st("esc_out", idx, tile * np.float32(2.0), slots=ctx.tid)
 
 
+class LP009BatchFeedbackKernel(Kernel):
+    """``LP009FeedbackKernel`` written as a batch body only.
+
+    It defines no ``run_block``: the default runs this body one block
+    at a time, so lint must read it in file mode and object mode alike.
+    """
+
+    name = "lp009-batch-feedback"
+    protected_buffers = ("acc_out",)
+    idempotent = True
+    batchable = True
+
+    def __init__(self, n_blocks: int = 4, threads: int = 64) -> None:
+        self.n_blocks = n_blocks
+        self.threads = threads
+
+    def launch_config(self) -> LaunchConfig:
+        return LaunchConfig.linear(self.n_blocks, self.threads)
+
+    def run_block_batch(self, bctx) -> None:
+        idx = bctx.block_ids[:, None] * self.threads + bctx.tid
+        prev = bctx.ld("acc_out", idx)
+        bctx.st("acc_out", idx, prev + np.float32(1.0), slots=bctx.tid)
+
+
 # ---------------------------------------------------------------------------
 # Live-case construction for the model checker
 # ---------------------------------------------------------------------------

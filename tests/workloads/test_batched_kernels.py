@@ -1,11 +1,15 @@
-"""Every Parboil kernel's ``run_block_batch`` against its ``run_block``.
+"""Every Parboil kernel's ``run_block_batch`` across group sizes.
 
-The vector cell must be indistinguishable from the ``serial`` reference
-on every observable ``assert_same_launch`` pins (completed blocks,
-tally, volatile + NVM images, write-back statistics, checksum-table
-buffers) — through a clean launch and through crash → validate →
-recover. Group sizes 1 and 3 are what catch a float path whose rounding
-depends on the batch shape; 256 is the engine's default.
+A Parboil kernel has one body, ``run_block_batch``; ``serial`` runs it
+one block at a time through a one-block view of the scalar context
+(:meth:`~repro.gpu.kernel.Kernel.run_block`). The vector cell must be
+indistinguishable from that reference on every observable
+``assert_same_launch`` pins (completed blocks, tally, volatile + NVM
+images, write-back statistics, checksum-table buffers) — through a
+clean launch and through crash → validate → recover. Group sizes 1
+and 3 are what catch a float path whose rounding depends on the batch
+shape; 256 is the engine's default. What a body computes is pinned
+separately, in ``tests/fixtures/kernels/expected.json``.
 """
 
 import numpy as np
@@ -13,7 +17,9 @@ import pytest
 
 import repro
 from repro.core.recovery import RecoveryManager
+from repro.errors import LaunchError
 from repro.gpu.engine import LaunchEngine
+from repro.gpu.kernel import Kernel
 from repro.workloads import SCALES, WORKLOADS, make_workload
 from repro.workloads import cutcp, mri_gridding, mri_q, tpacf
 from repro.workloads.histo import HISTOKernel
@@ -74,6 +80,14 @@ def test_vector_cell_matches_serial(name, scale, config_name, group_size,
         for want_launch, have_launch in zip(*launches):
             assert_same_launch((ref[0], want_launch), (got[0], have_launch))
     assert engine.fallbacks == {}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_the_batch_body_is_the_only_body(name):
+    """No Parboil kernel keeps a scalar twin: ``serial`` runs its
+    ``run_block_batch`` through the default ``run_block``."""
+    kernel = make_workload(name, scale="tiny", seed=0).setup(repro.Device())
+    assert type(kernel).run_block is Kernel.run_block
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -166,7 +180,8 @@ def test_ragged_last_chunk_matches_serial(name, group_size):
 
 def test_histo_sample_outside_the_bins_is_rejected_per_block():
     """An out-of-range sample must not land in a neighbour's partial:
-    the group falls back and ``run_block`` raises as it always did."""
+    the group falls back, and the one-block pass that meets the sample
+    raises a typed error — never the ``BatchFallbackError``."""
     errors = []
     for engine in ("serial", "batched"):
         device = repro.Device(engine=engine)
@@ -175,8 +190,9 @@ def test_histo_sample_outside_the_bins_is_rejected_per_block():
         device.alloc("histo_in", (64,), np.int32, persistent=True,
                      init=samples)
         device.alloc("histo_partial", (4 * 8,), np.uint32, persistent=True)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(LaunchError) as err:
             device.launch(HISTOKernel(64, 8, 4, 4))
+        assert err.type is LaunchError   # not a BatchFallbackError
         errors.append(str(err.value))
         # Blocks 0 and 1 completed; block 2 holds the bad sample.
         assert np.array_equal(
