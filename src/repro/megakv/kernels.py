@@ -7,7 +7,8 @@ Section VII-4.
 :class:`KVWriteKernel` carries a PUT or a DELETE per lane (value ``0``,
 the empty-slot sentinel, deletes); the paper's separate insert and
 delete batches are write kernels whose lanes are all puts or all
-deletes. :class:`KVSearchKernel` reads.
+deletes. A write lane may also read (a service window's GETs), and a
+lane past the writing ones only reads. :class:`KVSearchKernel` reads.
 
 Checksum protocol (shared with :mod:`repro.megakv.lp`): every kernel
 folds, per request, exactly the words that must be durable for the
@@ -24,6 +25,10 @@ request to have "happened":
   absent ⇒ nothing folded).
 * **search** — read-only over the store; the per-request results buffer
   is the protected output, making it an ordinary idempotent LP region.
+* **read lane** of a write — loads its key's value (``0`` on a miss)
+  into a *volatile* results buffer, before the lane's own store. That
+  buffer is not protected, so a read folds nothing: a read-only lane
+  folds nothing at all, in any execution, and validation skips it.
 
 Validation of a write replays the *semantic effect* (search the store
 for the key) rather than the mutation — the application-specific
@@ -84,6 +89,11 @@ _THREAD_0 = np.zeros(1, dtype=np.intp)
 class _BatchKernel(Kernel):
     """Shared plumbing: one thread per request, contiguous block slices."""
 
+    #: Where a reading lane stores its answer (``None``: nothing reads).
+    results_buffer: str | None = None
+    #: Lanes that answer a GET (the span attribute ``reads``).
+    n_reads = 0
+
     def __init__(
         self,
         store: MegaKVStore,
@@ -101,9 +111,11 @@ class _BatchKernel(Kernel):
         n_blocks = max(1, math.ceil(self.n_requests / self.threads))
         return LaunchConfig.linear(n_blocks, self.threads)
 
-    def _slice(self, ctx: BlockContext) -> range:
+    def _slice(self, ctx: BlockContext, end: int | None = None) -> range:
+        """This block's lanes, cut at lane ``end`` (default: all)."""
         lo = ctx.block_id * self.threads
-        hi = min(lo + self.threads, self.n_requests)
+        hi = min(lo + self.threads,
+                 self.n_requests if end is None else end)
         return range(lo, hi)
 
     def _find(self, ctx: BlockContext, key: np.uint64) -> int | None:
@@ -116,23 +128,37 @@ class _BatchKernel(Kernel):
             return None
         return int(slots[int(hit[0])])
 
+    def _answer(self, ctx: BlockContext, slot: int | None, at: int) -> None:
+        """A GET of the key ``_find`` put at ``slot``: its value (``0`` on
+        a miss) into ``results_buffer[at]``."""
+        self.store.stats.searches += 1
+        if slot is None:
+            value = EMPTY_SLOT
+        else:
+            value = ctx.ld(self.store.values, slot)[0]
+            self.store.stats.hits += 1
+        ctx.st(self.results_buffer, at, value,
+               slots=np.asarray([at % ctx.n_threads]))
+        ctx.flops(2)
+
     # -- batched execution ----------------------------------------------
 
-    def _probe_batch(self, bctx) -> _Probe:
+    def _probe_batch(self, bctx, end: int | None = None) -> _Probe:
         """Whole-group ``_find``: every request's two buckets at once.
 
         The first matching slot in bucket-candidate order wins
         (coinciding candidate buckets alias, so the earliest index is
         the slot serial probing picks), read traffic counts the
         *deduplicated* probe width per request, and the ragged tail
-        block is masked out. ``store.stats`` is left to the caller,
-        which must not touch it before it can no longer fall back.
+        block — and every lane from ``end`` on — is masked out.
+        ``store.stats`` is left to the caller, which must not touch it
+        before it can no longer fall back.
         """
         # A batch shorter than one block is one block whose tail
         # threads are all masked out; do not carry them.
         T = min(self.threads, self.n_requests)
         req = bctx.block_ids[:, None] * self.threads + np.arange(T)  # (B, T)
-        mask = req < self.n_requests
+        mask = req < (self.n_requests if end is None else end)
         keys = self.batch_keys[np.where(mask, req, 0)]          # (B, T)
 
         # Both candidate buckets in one hash pass: mix64 adds its seed
@@ -160,21 +186,46 @@ class _BatchKernel(Kernel):
         return _Probe(req, mask, keys, slots, one_bucket, hit, hit_slot,
                       probe_slots)
 
+    def _answer_batch(self, bctx, p: _Probe, read: np.ndarray,
+                      at: np.ndarray) -> None:
+        """Whole-group ``_answer`` of the ``read`` lanes of ``p``."""
+        n_read = int(np.count_nonzero(read))
+        found = p.hit & read
+        stats = self.store.stats
+        stats.searches += n_read
+        stats.hits += int(np.count_nonzero(found))
+        result = np.full(p.req.shape, EMPTY_SLOT, dtype=np.uint64)
+        result[found] = bctx.ld(self.store.values, p.hit_slot[found])
+        bctx.st(self.results_buffer, at, result,
+                slots=np.arange(p.req.shape[1]), mask=read)
+        bctx.alu(2.0 * self.threads * n_read)
+
 
 class KVWriteKernel(_BatchKernel):
     """SET or DELETE per request: each lane's value is what its key
     holds afterwards, and ``0`` deletes the key (idempotent on an absent
-    one). The store's two arrays are the protected output."""
+    one). The store's two arrays are the protected output.
+
+    ``values`` covers the writing lanes; the lanes after them only
+    read. A lane marked in ``reads`` stores its key's value as the
+    launch found it into ``results_buffer`` at the lane's position in
+    ``batch_keys`` (module docstring: read lane).
+    """
 
     name = "megakv-write"
     idempotent = True
-    #: lplint sees the atomic_cas claim and the bucket-scan read of the
-    #: key array it also writes; re-execution nevertheless stores the
-    #: same words on every path (module docstring), and the dynamic
-    #: oracle pins that (benchmarks/oracle_verdicts.json).
+    #: lplint sees the atomic_cas claim, the bucket-scan read of the key
+    #: array it also writes and, from the read lanes, a load of the value
+    #: array and a store to a results buffer it cannot resolve. The
+    #: suppression says why none of them breaks re-execution (module
+    #: docstring); the dynamic oracle pins it
+    #: (benchmarks/oracle_verdicts.json).
     lint_suppressions = {
         "LP002": "re-execution stores identical [key, value] words on "
-                 "every path; idempotence pinned by the dynamic oracle "
+                 "every path; a read lane loads its own key's value "
+                 "before its own store, on a key unique per launch, into "
+                 "the volatile results buffer outside the checksum; "
+                 "idempotence pinned by the dynamic oracle "
                  "(benchmarks/oracle_verdicts.json)",
     }
 
@@ -184,19 +235,38 @@ class KVWriteKernel(_BatchKernel):
         batch_keys: np.ndarray,
         batch_values: np.ndarray,
         threads_per_block: int = 64,
+        reads: np.ndarray | None = None,
+        results_buffer: str | None = None,
     ) -> None:
         super().__init__(store, batch_keys, threads_per_block)
         values = np.asarray(batch_values, dtype=np.uint64)
-        if values.size != self.n_requests:
+        reads = (np.zeros(self.n_requests, bool) if reads is None
+                 else np.asarray(reads, dtype=bool))
+        #: Lanes ``[0, n_writes)`` write; the rest only read.
+        self.n_writes = values.size
+        if (reads.size != self.n_requests or values.size > self.n_requests
+                or not reads[values.size:].all()):
             raise TableFullError("keys and values must align")
+        self.n_reads = int(np.count_nonzero(reads))
+        if self.n_reads and results_buffer is None:
+            raise TableFullError("a reading lane needs a results buffer")
+        #: Where lane ``i`` answers: its position in ``batch_keys``.
+        self.answer_at = np.arange(self.n_requests)
         deletes = values == EMPTY_SLOT
         if deletes.any():
             # Lanes run puts first, stably: no put can then claim a slot
             # a delete of this launch frees, which the batched pass —
             # claiming on the group's starting image — could not see.
-            order = np.argsort(deletes, kind="stable")
-            self.batch_keys, values = self.batch_keys[order], values[order]
-        self.batch_values = values
+            order = self.answer_at.copy()
+            order[:values.size] = np.argsort(deletes, kind="stable")
+            values = values[order[:values.size]]
+            self.batch_keys, reads = self.batch_keys[order], reads[order]
+            self.answer_at = order
+        # A read-only lane's value is a placeholder it never stores.
+        self.batch_values = np.zeros(self.n_requests, np.uint64)
+        self.batch_values[:values.size] = values
+        self.reads = reads
+        self.results_buffer = results_buffer
         self.protected_buffers = (store.keys.name, store.values.name)
         #: A property of the input, not a setting: with a repeated key
         #: an earlier request's store or clear changes what a later
@@ -210,6 +280,10 @@ class KVWriteKernel(_BatchKernel):
             key = self.batch_keys[i]
             value = self.batch_values[i]
             slot = self._find(ctx, key)
+            if self.reads[i]:
+                self._answer(ctx, slot, int(self.answer_at[i]))
+            if i >= self.n_writes:
+                continue
             if value == EMPTY_SLOT:
                 self.store.stats.deletes += 1
                 if slot is None:
@@ -241,10 +315,11 @@ class KVWriteKernel(_BatchKernel):
         )
 
     def validate_block(self, ctx: BlockContext) -> None:
-        """Fold what the store *now holds* at each of my keys: a lost
+        """Fold what the store *now holds* at each key I write: a lost
         put folds nothing, a lost delete folds the key — either way a
-        key-lane mismatch."""
-        for i in self._slice(ctx):
+        key-lane mismatch. A read-only lane folded nothing, so it is
+        not replayed."""
+        for i in self._slice(ctx, self.n_writes):
             slot = self._find(ctx, self.batch_keys[i])
             if slot is None:
                 continue
@@ -267,9 +342,11 @@ class KVWriteKernel(_BatchKernel):
         them.
         """
         p = self._probe_batch(bctx)
-        values = self.batch_values[np.where(p.mask, p.req, 0)]
-        put = p.mask & (values != EMPTY_SLOT)
-        cleared = p.hit & ~put
+        lanes = np.where(p.mask, p.req, 0)
+        values = self.batch_values[lanes]
+        writes = p.mask & (lanes < self.n_writes)
+        put = writes & (values != EMPTY_SLOT)
+        cleared = p.hit & writes & ~put
         second = np.arange(2 * BUCKET_WIDTH) >= BUCKET_WIDTH
         claimed = bctx.atomic_cas_claim(
             self.store.keys, p.slots, EMPTY_SLOT,
@@ -283,8 +360,11 @@ class KVWriteKernel(_BatchKernel):
         stats.probe_slots += p.probe_slots
         stats.inserts += n_puts - n_updates
         stats.updates += n_updates
-        stats.deletes += int(np.count_nonzero(p.mask)) - n_puts
+        stats.deletes += int(np.count_nonzero(writes)) - n_puts
         stats.removed += n_cleared
+        if self.n_reads:
+            self._answer_batch(bctx, p, p.mask & self.reads[lanes],
+                               self.answer_at[lanes])
 
         stored = put | cleared
         bctx.st_record(
@@ -297,7 +377,7 @@ class KVWriteKernel(_BatchKernel):
 
     def validate_block_batch(self, bctx) -> list:
         """``validate_block`` over a whole group."""
-        p = self._probe_batch(bctx)
+        p = self._probe_batch(bctx, self.n_writes)
         self.store.stats.probe_slots += p.probe_slots
         # VALIDATE-mode stores fold memory contents; the words passed
         # are ignored, exactly as in the per-request path.
@@ -363,6 +443,7 @@ class KVSearchKernel(_BatchKernel):
     ) -> None:
         super().__init__(store, batch_keys, threads_per_block)
         self.results_buffer = results_buffer
+        self.n_reads = self.n_requests
         self.protected_buffers = (results_buffer,)
 
     def block_output_map(self, block_id: int):
@@ -374,17 +455,7 @@ class KVSearchKernel(_BatchKernel):
 
     def run_block(self, ctx: BlockContext) -> None:
         for i in self._slice(ctx):
-            key = self.batch_keys[i]
-            slot = self._find(ctx, key)
-            self.store.stats.searches += 1
-            if slot is None:
-                value = EMPTY_SLOT
-            else:
-                value = ctx.ld(self.store.values, slot)[0]
-                self.store.stats.hits += 1
-            ctx.st(self.results_buffer, i, value,
-                   slots=np.asarray([i % ctx.n_threads]))
-            ctx.flops(2)
+            self._answer(ctx, self._find(ctx, self.batch_keys[i]), i)
 
     batchable = True
 
@@ -392,17 +463,8 @@ class KVSearchKernel(_BatchKernel):
         """``run_block`` over a whole group (read-only on the store, so
         repeated keys are fine)."""
         p = self._probe_batch(bctx)
-        n_valid = int(np.count_nonzero(p.mask))
-        stats = self.store.stats
-        stats.probe_slots += p.probe_slots
-        stats.searches += n_valid
-        stats.hits += int(np.count_nonzero(p.hit))
-
-        result = np.full(p.req.shape, EMPTY_SLOT, dtype=np.uint64)
-        result[p.hit] = bctx.ld(self.store.values, p.hit_slot[p.hit])
-        bctx.st(self.results_buffer, p.req, result,
-                slots=np.arange(p.req.shape[1]), mask=p.mask)
-        bctx.alu(2.0 * self.threads * n_valid)
+        self.store.stats.probe_slots += p.probe_slots
+        self._answer_batch(bctx, p, p.mask, p.req)
 
 
 def alloc_results(device: Device, name: str, n_requests: int):

@@ -34,10 +34,12 @@ nothing. The forward path launches what ``prepare`` returns; a
 restarted service has the same ``prepare`` bind its logged launch and
 enrols the result instead.
 
-Reads need none of this. :meth:`KVBatchSession.lookup` launches the
-search kernel uninstrumented, straight on the device, into the volatile
-results buffer: a GET makes nothing durable, so it gets no checksum
-table, joins no epoch and is never replayed.
+Reads need none of this: a GET makes nothing durable, so in a
+``max_keys`` session it answers into the volatile results buffer, which
+no checksum covers. A :meth:`~KVBatchSession.write` given ``reads``
+answers them from its own launch, so a batch that reads and writes is
+one launch; :meth:`KVBatchSession.lookup`, for a batch that only
+reads, launches the search kernel uninstrumented, outside the epoch.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class KVBatchSession:
     """Batched, crash-recoverable operation stream against one store.
 
     ``max_keys`` is the owner's launch bound (module docstring): with
-    it, every write runs against one session-lifetime checksum table
-    and :meth:`lookup` is available; without it every batch allocates
-    and frees its own.
+    it, every write runs against one session-lifetime checksum table,
+    and read lanes and :meth:`lookup` answer into one volatile results
+    buffer; without it every batch allocates and frees its own.
     """
 
     def __init__(
@@ -127,19 +129,25 @@ class KVBatchSession:
     # ------------------------------------------------------------------
 
     def prepare(
-        self, op: str, keys: np.ndarray, values: np.ndarray | None = None
+        self, op: str, keys: np.ndarray, values: np.ndarray | None = None,
+        reads: np.ndarray | None = None,
     ) -> LazyPersistentKernel:
         """Build the next batch's LP kernel; do not launch.
 
         A write kernel of a ``max_keys`` session is bound to the
-        session-lifetime table. Otherwise this is the only place a
+        session-lifetime table, and its read lanes (``reads``) to the
+        session's results buffer. Otherwise this is the only place a
         batch's buffers are named and allocated: results buffer
         ``<store>_results_<counter>`` (search only, allocated first),
         then checksum table ``<kernel>_b<counter>``.
         """
         counter = self._batch_counter
         if op == "write":
-            kernel = KVWriteKernel(self.store, keys, values, self.threads)
+            if reads is not None:
+                self._check_results(np.asarray(keys).size, "read lanes")
+            kernel = KVWriteKernel(
+                self.store, keys, values, self.threads, reads,
+                None if self._results is None else self._results.name)
         elif op == "insert":
             kernel = KVInsertKernel(self.store, keys, values, self.threads)
         elif op == "delete":
@@ -170,11 +178,19 @@ class KVBatchSession:
         self,
         keys: np.ndarray,
         values: np.ndarray,
+        reads: np.ndarray | None = None,
         crash_plan: CrashPlan | None = None,
     ) -> BatchOutcome:
         """SET and DELETE a batch of keys in one launch: a value of 0
-        deletes its key."""
-        return self._launch("write", self.prepare("write", keys, values),
+        deletes its key.
+
+        ``values`` covers the first keys; the keys after them are only
+        read. Where ``reads`` is set, the outcome's ``results`` holds
+        what the key held before the launch (0: absent), by position in
+        ``keys``. Needs a ``max_keys`` session.
+        """
+        return self._launch("write",
+                            self.prepare("write", keys, values, reads),
                             crash_plan)
 
     def insert(
@@ -210,13 +226,16 @@ class KVBatchSession:
         Repeated keys are fine. Needs a ``max_keys`` session.
         """
         n = np.asarray(keys).size
-        if self._results is None or n > self.max_keys:
-            raise ConfigError(
-                f"lookup of {n} keys needs a session built with "
-                f"max_keys >= {n} (this one: {self.max_keys})")
+        self._check_results(n, "lookup")
         self.device.launch(KVSearchKernel(
             self.store, keys, self._results.name, self.threads))
         return self._results.array[:n].copy()
+
+    def _check_results(self, n: int, what: str) -> None:
+        if self._results is None or n > self.max_keys:
+            raise ConfigError(
+                f"{what} of {n} keys needs a session built with "
+                f"max_keys >= {n} (this one: {self.max_keys})")
 
     def mixed(
         self,
@@ -287,8 +306,10 @@ class KVBatchSession:
 
     def _launch(self, op, lp_kernel, crash_plan) -> BatchOutcome:
         rec = _recorder()
+        inner = lp_kernel.inner
         with rec.trace.span("megakv.batch", cat="megakv", track="megakv",
-                            op=op, batch=self._batch_counter - 1):
+                            op=op, batch=self._batch_counter - 1,
+                            reads=inner.n_reads):
             launch = self.manager.launch(lp_kernel, crash_plan=crash_plan)
             outcome = BatchOutcome(op=op, launch=launch,
                                    lp_kernel=lp_kernel)
@@ -299,9 +320,9 @@ class KVBatchSession:
                 if rec.metrics.active:
                     rec.metrics.inc("megakv.batch.crashes", op=op)
                 outcome.recovery = self.recover()[-1]
-            if op == "search":
+            if inner.n_reads:
                 outcome.results = self.device.memory[
-                    lp_kernel.inner.results_buffer].array.copy()
+                    inner.results_buffer].array[:inner.n_requests].copy()
             if launch.crashed:
                 # Checkpoint so the epoch starts clean (after the copy:
                 # closing the epoch frees the results buffer).

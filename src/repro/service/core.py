@@ -11,15 +11,17 @@ interval collected) launches only its durable work.
 :func:`partition_window` coalesces it on the host in arrival order —
 per key the last write wins, a GET that follows a same-key write is
 answered from the window, every other GET reads pre-window state —
-into at most two launches: one plain search first
-(:meth:`~repro.megakv.lp.KVBatchSession.lookup`: no checksum table, no
-WAL, no epoch — a read makes nothing durable), then one LP-instrumented
-write (:meth:`~repro.megakv.lp.KVBatchSession.write`) carrying every
-put and delete on distinct keys, logged to the request WAL and
-checkpointed with one ``device.drain()``. N requests share that
-drain instead of buying one each, and a window with no write touches
-nothing durable at all. Only after the drain (and the WAL retire) does
-the caller get the responses to ack, so *an acked write is a drained
+into one launch. A window that writes is one LP-instrumented write
+(:meth:`~repro.megakv.lp.KVBatchSession.write`) with a lane per
+distinct key: its puts and deletes, and a read lane for each GET of
+pre-window state, answered before that lane's write. It is logged to
+the request WAL and checkpointed with one ``device.drain()``. N
+requests share that drain instead of buying one each. A window that
+only reads is one plain search
+(:meth:`~repro.megakv.lp.KVBatchSession.lookup`: no checksum table,
+no WAL, no epoch — a read makes nothing durable) and touches nothing
+durable at all. Only after the drain (and the WAL retire) does the
+caller get the responses to ack, so *an acked write is a drained
 write* and the acks are arrival-order linearizable.
 
 **The resume path.** A window is one checkpoint epoch described by one
@@ -112,12 +114,13 @@ class WindowPlan:
 
     #: ``(request, response-doc)`` per request, in arrival order. A GET
     #: answered from the window already carries its value; one in
-    #: :attr:`deferred` gets it from the search launch.
+    #: :attr:`deferred` gets it from the launch.
     responses: list[tuple[Request, dict]] = field(default_factory=list)
-    #: Distinct GET keys no earlier write of the window covers: one
-    #: search over pre-window state, launched first.
-    lookups: dict[int, int] = field(default_factory=dict)
-    #: ``(response-doc, index into lookups)`` of the GETs that wait.
+    #: Distinct GET keys no earlier write of the window covers, in
+    #: arrival order (the values are unused): each reads pre-window
+    #: state.
+    lookups: dict[int, None] = field(default_factory=dict)
+    #: ``(response-doc, key)`` of the GETs that wait.
     deferred: list[tuple[dict, int]] = field(default_factory=list)
     #: The window's last write per key; ``None`` is a delete.
     writes: dict[int, int | None] = field(default_factory=dict)
@@ -127,22 +130,26 @@ class WindowPlan:
     local_gets: int = 0
 
     def launches(self) -> list[tuple]:
-        """The window's write launch, JSON-able ``(op, keys, values)``:
-        one ``write`` over every key the window leaves written, its
-        puts first and then its deletes (value 0) — the order the
-        kernel runs its lanes in — or none for a window that wrote
-        nothing. The WAL stores this verbatim, the forward path
-        launches it and the resume path prepares it."""
+        """The window's write launch, JSON-able ``(op, keys, values,
+        reads)``: one ``write`` with a lane per distinct key the window
+        touches — its puts, then its deletes (value 0), then the keys
+        it only reads; the order the kernel runs its lanes in — and
+        ``reads`` marking (1) the lanes of :attr:`lookups`. ``values``
+        covers the writing lanes. None for a window that wrote nothing.
+        The WAL stores this verbatim, the forward path launches it and
+        the resume path prepares it."""
         if not self.writes:
             return []
         # A stable sort: puts, then deletes, each in arrival order.
         lanes = sorted(self.writes.items(), key=lambda kv: kv[1] is None)
-        return [("write", [k for k, _ in lanes],
-                 [0 if v is None else v for _, v in lanes])]
+        keys = [k for k, _ in lanes]
+        keys += [k for k in self.lookups if k not in self.writes]
+        return [("write", keys, [0 if v is None else v for _, v in lanes],
+                 [int(k in self.lookups) for k in keys])]
 
 
 def partition_window(requests: list[Request]) -> WindowPlan:
-    """Coalesce a window into at most one search and one write.
+    """Coalesce a window into one launch: a write, or a search.
 
     One walk in arrival order keeps ``writes[key]``, the value the
     window has left at ``key`` so far (``None``: deleted). A PUT or
@@ -150,7 +157,8 @@ def partition_window(requests: list[Request]) -> WindowPlan:
     device and the earlier ones are acked with it. A GET of a key in
     ``writes`` is answered from it; any other GET precedes every write
     of its key, so it reads pre-window state, and all such GETs share
-    one search over their distinct keys.
+    one read of their distinct keys — the write's read lanes, or a
+    search in a window that wrote nothing.
 
     MegaKV batch kernels require unique keys per batch; the write holds
     each key at most once, so its lanes commute. Every request is acked
@@ -170,8 +178,8 @@ def partition_window(requests: list[Request]) -> WindowPlan:
             doc["value"] = plan.writes[req.key]
             plan.local_gets += 1
         else:
-            slot = plan.lookups.setdefault(req.key, len(plan.lookups))
-            plan.deferred.append((doc, slot))
+            plan.lookups[req.key] = None
+            plan.deferred.append((doc, req.key))
         plan.responses.append((req, doc))
     return plan
 
@@ -180,9 +188,10 @@ def partition_window(requests: list[Request]) -> WindowPlan:
 _SPAN = {"cat": "service", "track": "service"}
 
 
-def _operands(keys, values) -> tuple[np.ndarray, np.ndarray]:
-    """The uint64 arrays a launch-list entry passes to the session."""
-    return np.array(keys, dtype=np.uint64), np.array(values, dtype=np.uint64)
+def _operands(keys, values, reads) -> tuple[np.ndarray, ...]:
+    """The arrays a launch-list entry passes to the session."""
+    return (np.array(keys, dtype=np.uint64),
+            np.array(values, dtype=np.uint64), np.array(reads, dtype=bool))
 
 
 @dataclass
@@ -192,7 +201,8 @@ class WindowResult:
     #: ``(request, response-doc)`` pairs, one per request, in arrival
     #: order.
     responses: list[tuple[Request, dict]]
-    #: Kernel launches, the plain search included (at most 2).
+    #: Kernel launches: the write, or a GET-only window's search (at
+    #: most 1).
     launches: int
     #: 1 for a served window, 0 for a failed one (a window used to be
     #: cut into several key-disjoint sub-batches).
@@ -316,9 +326,9 @@ class ServiceCore:
             # then engine-pluggable validate + recover, oldest-first,
             # and one drain (+ re-seed) to retire the whole window.
             if launches:
-                for op, keys, values in launches:
+                for op, *operands in launches:
                     self.session.manager.enrol(self.session.prepare(
-                        op, *_operands(keys, values)))
+                        op, *_operands(*operands)))
                 reports = self.session.recover()
                 info["recovered_blocks"] = sum(
                     len(report.recovered_blocks) for report in reports)
@@ -347,7 +357,7 @@ class ServiceCore:
         return int(np.count_nonzero(keys))
 
     def execute_window(self, requests: list[Request]) -> WindowResult:
-        """Coalesce, read, log, launch, checkpoint, and answer one window."""
+        """Coalesce, log, launch, checkpoint, and answer one window."""
         t0 = time.perf_counter()
         trace = _recorder().trace
         with trace.span("service.window", requests=len(requests),
@@ -364,21 +374,19 @@ class ServiceCore:
             if n_puts and self.records() + n_puts > record_cap:
                 return self._fail_window(requests, "store_full", t0)
 
-            if plan.lookups:
-                with trace.span("service.window.lookup",
-                                keys=len(plan.lookups), **_SPAN):
-                    found = self.session.lookup(np.array(
-                        list(plan.lookups), dtype=np.uint64)).tolist()
-                for doc, slot in plan.deferred:
-                    doc["value"] = found[slot] or None
-            # A window with no write touches nothing durable: no WAL
-            # record, no drain, no msync.
-            full, drained = self._apply(launches) if launches else (False, 0)
+            if launches:
+                full, drained, found = self._apply(launches)
+            else:
+                # A window with no write touches nothing durable: no WAL
+                # record, no drain, no msync.
+                full, drained, found = False, 0, self._lookup(plan)
         if full:
             return self._fail_window(requests, "store_full", t0)
+        for doc, key in plan.deferred:
+            doc["value"] = found[key] or None
         return WindowResult(
             responses=plan.responses,
-            launches=len(launches) + bool(plan.lookups),
+            launches=int(bool(launches or plan.lookups)),
             sub_batches=1,
             drained_lines=drained,
             elapsed_s=time.perf_counter() - t0,
@@ -386,28 +394,42 @@ class ServiceCore:
             local_gets=plan.local_gets,
         )
 
-    def _apply(self, launches: list[tuple]) -> tuple[bool, int]:
-        """A window's durable half: WAL begin, the write launch, one
-        checkpoint (drain, then re-seed the table), WAL retire — in
-        that order. Returns ``(store_full, drained lines)``."""
+    def _lookup(self, plan: WindowPlan) -> dict[int, int]:
+        """A GET-only window's one plain search: value per lookup key."""
+        if not plan.lookups:
+            return {}
+        with _recorder().trace.span("service.window.lookup",
+                                    keys=len(plan.lookups), **_SPAN):
+            keys = list(plan.lookups)
+            found = self.session.lookup(np.array(keys, dtype=np.uint64))
+        return dict(zip(keys, found.tolist()))
+
+    def _apply(self, launches: list[tuple]) -> tuple[bool, int, dict]:
+        """A window's durable half: WAL begin, the write launch (which
+        answers the window's reads), one checkpoint (drain, then
+        re-seed the table), WAL retire — in that order. Returns
+        ``(store_full, drained lines, value per read key)``."""
         trace = _recorder().trace
         if self.durable:
             with trace.span("service.window.wal_begin", **_SPAN):
                 self.reqlog.begin(launches)
-        full = False
+        (_, keys, values, reads), = launches
+        full, found = False, {}
         try:
-            for op, keys, values in launches:
-                getattr(self.session, op)(*_operands(keys, values))
+            outcome = self.session.write(*_operands(keys, values, reads))
         except TableFullError:
             # Converge whatever did land, retire the window, and report
             # the failure to every requester — their retries are
             # idempotent.
             full = True
+        else:
+            if outcome.results is not None:
+                found = dict(zip(keys, outcome.results.tolist()))
         drained = self.session.checkpoint()
         if self.durable:
             with trace.span("service.window.wal_clear", **_SPAN):
                 self.reqlog.clear()
-        return full, drained
+        return full, drained, found
 
     @staticmethod
     def _fail_window(requests: list[Request], error: str,

@@ -18,9 +18,10 @@ Thread model
   cohort is whole and nobody is left to wait for), or at the latest
   ``max_wait_ms`` after it met the first request — :class:`FlushPolicy`
   counts the answers from the enqueue timestamps.
-  It flushes the window as at most two MegaKV launches plus — if
-  anything was written — one drain, and only then writes the responses
-  back — the ack *is* the durability receipt.
+  It flushes the window as one MegaKV launch — a write whose lanes
+  also answer the window's GETs, or a GET-only window's search — plus,
+  if anything was written, one drain, and only then writes the
+  responses back — the ack *is* the durability receipt.
 
 Nothing here knows about persistence details; that is all
 :class:`ServiceCore`. The daemon adds networking, queueing and

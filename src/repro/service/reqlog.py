@@ -9,10 +9,13 @@ without being told. What a fresh process cannot know is *which writes
 were in flight*: the checksum table says whether a region's stores
 persisted, not what the region was. So before a window's write launch
 the daemon records its ``launches`` — at most one ``["write", keys,
-values]``, a value of 0 deleting its key — exactly as
+values, reads]``, a value of 0 deleting its key — exactly as
 :meth:`repro.service.core.WindowPlan.launches` produced it for the
-forward path. GETs are not in it: a read makes nothing durable and the
-client that asked is gone after a crash, so there is nothing to replay.
+forward path. The read mask is kept too, although a read makes nothing
+durable: the window's GETs ride the launch as lanes, and the resumed
+launch must lay its lanes out over the same blocks, because the
+checksum table is keyed by block id. The answers a replayed launch
+computes are discarded; the clients that asked are gone after a crash.
 
 A restarted daemon reads the record, has the session ``prepare`` the
 same list the forward path launched — there is no second description
@@ -59,17 +62,18 @@ from pathlib import Path
 from repro.errors import ServiceError
 
 MAGIC = b"LPRQ"
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: ``magic | schema | body length | crc32(body)``; all-zero = no record.
 _HEADER = struct.Struct("<4sIII")
 _CLEARED = bytes(_HEADER.size)
 
 #: JSON bytes a launch list can take: a uint64 is at most 20 digits plus
-#: its comma, every key of a window appears once with its value (``0,``
-#: for a delete), and the brackets and op name fit the fixed part.
+#: its comma, every key of a window appears once with at most its value
+#: (``0,`` for a delete) and its read flag (``1,``), and the brackets and
+#: op name fit the fixed part.
 _FIXED_BYTES = 64
-_BYTES_PER_KEY = 42
+_BYTES_PER_KEY = 44
 
 #: Suffix appended to the heap path to name its request log.
 SUFFIX = ".reqlog"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro import obs
 from repro.megakv import KVBatchSession, MegaKVStore
 from repro.workloads.generators import key_value_records
 
@@ -221,6 +222,36 @@ def test_lookup_reads_without_touching_the_persistence_domain():
     assert device.memory.cache.n_dirty == 0
     assert device.memory.write_stats.total_lines == stats
     assert session.manager.epoch_kernels == []
+
+
+def test_write_answers_its_read_lanes_in_the_same_launch():
+    """A write given ``reads`` is one launch that answers each read key
+    with what it held before, by position in ``keys`` — a delete listed
+    before a put included — and writes exactly what it would without."""
+    _, store, session, keys, vals = build_bounded(cache_lines=1024)
+    session.insert(keys[:100], vals[:100])
+    session.checkpoint()
+    # Lanes: delete keys[0], put keys[150] (absent), put keys[1]; then
+    # read-only keys[2] and keys[160] (absent).
+    with obs.recording(trace=False) as rec:
+        outcome = session.write(
+            keys[[0, 150, 1, 2, 160]], np.array([0, 7, 9], np.uint64),
+            reads=np.array([True, True, False, True, True]))
+    session.checkpoint()
+    assert rec.metrics.value("device.launches", mode="NORMAL") == 1
+    assert outcome.results.tolist() == [int(vals[0]), 0, 0, int(vals[2]), 0]
+    assert store.host_search(int(keys[0])) is None
+    assert (store.host_search(int(keys[150])),
+            store.host_search(int(keys[1]))) == (7, 9)
+    assert store.host_search(int(keys[160])) is None
+
+
+def test_read_lanes_need_a_bounded_session():
+    from repro.errors import ConfigError
+
+    _, _, session, keys, vals = build(n=10)
+    with pytest.raises(ConfigError, match="max_keys"):
+        session.write(keys, vals, reads=np.ones(keys.size, bool))
 
 
 def test_bounded_session_enforces_its_bound():

@@ -9,6 +9,7 @@ exactly what the kernel does to a SIGKILLed daemon, and the next
 converge.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.runtime import LPRuntime
 from repro.core.tables import make_table
 from repro.errors import ConfigError, HeapLayoutError, ServiceError
@@ -47,11 +49,9 @@ from tests.service.unclean import requests as _reqs
 # ----------------------------------------------------------------------
 
 def _values(plan):
-    """The value each GET of a plan is answered with before any search
+    """The value each GET of a plan is answered with before any launch
     ran: its own, or ``("lookup", key)`` for one that waits."""
-    keys = list(plan.lookups)
-    waiting = {id(doc): ("lookup", keys[slot])
-               for doc, slot in plan.deferred}
+    waiting = {id(doc): ("lookup", key) for doc, key in plan.deferred}
     return [waiting.get(id(doc), doc.get("value"))
             for req, doc in plan.responses if req.op == "get"]
 
@@ -60,7 +60,9 @@ def test_partition_disjoint_ops_stay_in_one_batch():
     plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 2, 20), ("delete", 3, None),
         ("get", 4, None)))
-    assert plan.launches() == [("write", [1, 2, 3], [10, 20, 0])]
+    # The GET of 4 is a read-only lane after the writing ones.
+    assert plan.launches() == [("write", [1, 2, 3, 4], [10, 20, 0],
+                                [0, 0, 0, 1])]
     assert list(plan.lookups) == [4]
     assert (plan.superseded_writes, plan.local_gets) == (0, 0)
 
@@ -68,7 +70,7 @@ def test_partition_disjoint_ops_stay_in_one_batch():
 def test_partition_write_after_write_keeps_the_last():
     plan = partition_window(_reqs(
         ("put", 1, 10), ("put", 1, 11)))
-    assert plan.launches() == [("write", [1], [11])]
+    assert plan.launches() == [("write", [1], [11], [0])]
     assert plan.superseded_writes == 1
     assert [doc for _, doc in plan.responses] == \
         [{"ok": True, "op": "put"}] * 2
@@ -85,7 +87,8 @@ def test_partition_write_after_read_reads_pre_window_state():
     plan = partition_window(_reqs(
         ("get", 1, None), ("delete", 1, None)))
     assert _values(plan) == [("lookup", 1)]
-    assert plan.launches() == [("write", [1], [0])]
+    # One lane reads key 1, then deletes it.
+    assert plan.launches() == [("write", [1], [0], [1])]
 
 
 def test_partition_duplicate_reads_coexist():
@@ -102,8 +105,9 @@ def test_partition_same_key_chains_follow_arrival_order():
         ("delete", 2, None), ("put", 2, 21)))
     assert _values(plan) == [("lookup", 1), 10, None]
     # Key 1 was written first, but its last write is a delete: the
-    # write's lanes run puts first.
-    assert plan.launches() == [("write", [2, 1], [21, 0])]
+    # write's lanes run puts first. Its lane also reads, for the GET
+    # that came before any write of it.
+    assert plan.launches() == [("write", [2, 1], [21, 0], [0, 1])]
     assert (plan.superseded_writes, plan.local_gets) == (3, 2)
 
 
@@ -170,6 +174,63 @@ def test_window_store_full_fails_whole_window(volatile_core):
     # The store still works afterwards.
     ok = _window(volatile_core, ("put", 1, 1), ("get", 1, None))
     assert all(doc["ok"] for _, doc in ok.responses)
+
+
+def _mixed_windows(seed, n_windows, n_keys=32):
+    rng = np.random.default_rng(seed)
+    for _ in range(n_windows):
+        ops = []
+        for _ in range(12):
+            op = ("get", "get", "put", "delete")[rng.integers(4)]
+            ops.append((op, int(rng.integers(1, n_keys + 1)),
+                        int(rng.integers(1, 2**62)) if op == "put"
+                        else None))
+        yield ops
+
+
+def test_a_window_is_one_launch_and_counts_like_a_search(volatile_core):
+    """Each window is one launch, and the store counts what a search
+    before the write would have: the same searches and hits, with only
+    ``probe_slots`` lower — a key read and written is probed once. The
+    trace still shows how many GETs each launch answered, and a lookup
+    span appears only for a GET-only window."""
+    two_launch = ServiceCore(ServiceConfig(capacity=256, cache_lines=64))
+    session = two_launch.session
+    probed_once = 0
+    with obs.recording() as rec:
+        for ops in [[("put", k, k) for k in range(1, 33)],
+                    [("get", 1, None), ("get", 40, None)],
+                    *_mixed_windows(3, 40)]:
+            result = volatile_core.execute_window(_reqs(*ops))
+            plan = partition_window(_reqs(*ops))
+            assert result.launches == 1
+            assert [doc for _, doc in result.responses] == \
+                _apply_reference(two_launch.store.contents(), ops)[1]
+            # The same window as a search, then a write of its writes.
+            if plan.lookups:
+                session.lookup(np.array(list(plan.lookups), np.uint64))
+            if plan.writes:
+                keys = np.array(list(plan.writes), np.uint64)
+                session.write(keys, np.array(
+                    [v or 0 for v in plan.writes.values()], np.uint64))
+                session.checkpoint()
+            probed_once += sum(
+                volatile_core.store.bucket_slots(key).size
+                for key in plan.lookups if key in plan.writes)
+    assert volatile_core.store.contents() == two_launch.store.contents()
+    want = dataclasses.asdict(two_launch.store.stats)
+    got = dataclasses.asdict(volatile_core.store.stats)
+    two_launch.close()
+    assert probed_once > 0
+    assert got.pop("probe_slots") == want.pop("probe_slots") - probed_once
+    assert got == want
+    spans = [event for event in rec.trace.sink.events if event.ph == "X"]
+    # Per window: the write's span says how many GETs it answered.
+    batches = [e.args["reads"] for e in spans if e.name == "megakv.batch"]
+    lookups = [e.args["keys"] for e in spans
+               if e.name == "service.window.lookup"]
+    assert lookups[:1] == [2]
+    assert sum(batches) + sum(lookups) == got["searches"]
 
 
 # ----------------------------------------------------------------------
@@ -471,23 +532,36 @@ def test_two_table_heap_resumes_with_its_wal_clear(tmp_path, shards):
 
 
 def test_older_wal_with_a_window_in_flight_is_refused(tmp_path):
-    """The two-table build's record of an in-flight window — an insert
-    and a delete — is not replayed by this build: a typed refusal that
-    leaves the heap and the log byte for byte as they were."""
-    heap = tmp_path / "heap.lpnv"
-    _two_table_heap(heap, 0)
-    body = json.dumps([["insert", [3], [30]], ["delete", [1], None]],
-                      separators=(",", ":")).encode()
-    record = struct.pack("<4sIII", MAGIC, SCHEMA_VERSION - 1, len(body),
-                         zlib.crc32(body)) + body
-    cleared = log_path_for(heap).read_bytes()  # preallocated, in place
-    log_path_for(heap).write_bytes(record + cleared[len(record):])
-    files = [heap, log_path_for(heap)]
-    before = [path.read_bytes() for path in files]
-    with pytest.raises(ServiceError,
-                       match=f"has schema {SCHEMA_VERSION - 1}"):
-        ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
-    assert [path.read_bytes() for path in files] == before
+    """An older build's record of an in-flight window is not replayed by
+    this build: a typed refusal that leaves the heap and the log byte
+    for byte as they were. The two-table build (schema 4) logged an
+    insert and a delete; the one-write build (schema 5) logged a write
+    without a read mask."""
+    def one_write_heap(heap, shards):
+        core = ServiceCore(ServiceConfig(**_BASE), heap_path=heap,
+                           shards=shards)
+        core.execute_window(_reqs(("put", 1, 10), ("put", 2, 20)))
+        core.close()
+
+    for schema, make_heap, launches in (
+            (4, _two_table_heap,
+             [["insert", [3], [30]], ["delete", [1], None]]),
+            (5, one_write_heap, [["write", [3, 1], [30, 0]]])):
+        heap = tmp_path / f"schema-{schema}" / "heap.lpnv"
+        heap.parent.mkdir()
+        make_heap(heap, 0)
+        body = json.dumps(launches, separators=(",", ":")).encode()
+        record = struct.pack("<4sIII", MAGIC, schema, len(body),
+                             zlib.crc32(body)) + body
+        cleared = log_path_for(heap).read_bytes()  # preallocated, in place
+        log_path_for(heap).write_bytes(record + cleared[len(record):])
+        files = [heap, log_path_for(heap)]
+        before = [path.read_bytes() for path in files]
+        with pytest.raises(ServiceError,
+                           match=f"has schema {schema}; this build reads "
+                                 f"{SCHEMA_VERSION}"):
+            ServiceCore(ServiceConfig(**_BASE), heap_path=heap)
+        assert [path.read_bytes() for path in files] == before
 
 
 def test_foreign_wal_schema_is_refused(tmp_path):

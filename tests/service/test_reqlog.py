@@ -48,6 +48,19 @@ def test_begin_read_clear_round_trip_in_a_file_that_never_resizes(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["wal"]  # no temp, no rename
 
 
+def test_the_largest_record_fits_the_reserve(tmp_path):
+    """A ``max_batch`` record in which every lane reads and writes —
+    twenty-digit keys and values, every read flag set — lands in the
+    bytes the log reserved at open: the file does not grow."""
+    log = RequestLog(tmp_path / "wal", max_keys=128)
+    size = os.stat(log.path).st_size
+    keys = [2**64 - 1 - k for k in range(128)]
+    launches = [["write", keys, keys, [1] * 128]]
+    log.begin(launches)
+    assert os.stat(log.path).st_size == size
+    assert log.read() == launches
+
+
 def test_reopening_never_shrinks_or_rewrites_a_record(tmp_path):
     RequestLog(tmp_path / "wal", max_keys=128).begin(LAUNCHES)
     raw = (tmp_path / "wal").read_bytes()

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -70,6 +70,11 @@ def _core(root, shards, config):
 @given(acked=st.lists(OPS, min_size=0, max_size=8),
        inflight=st.lists(OPS, min_size=4, max_size=12)
        .filter(_covers_the_plan))
+# A read-only lane beside a write: validation that folded the read's
+# hit never converged.
+@example(acked=[("put", 2, 20)],
+         inflight=[("delete", 1, None), ("put", 1, 10), ("put", 1, 11),
+                   ("get", 2, None)])
 def test_resume_rebuilds_the_window_exactly(shards, config, acked, inflight):
     before, _ = apply_reference({}, acked)
     after, responses = apply_reference(dict(before), inflight)

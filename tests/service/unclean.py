@@ -2,10 +2,10 @@
 shared by the service tests.
 
 The window goes through the production ``execute_window`` — coalesce,
-plain search, WAL begin, the write launch — and "dies" at one of
-:data:`DEATH_POINTS`, so the request log the next :class:`ServiceCore`
-resumes from is the one the service itself wrote, never a hand-built
-copy of its format.
+WAL begin, the write launch that also answers its GETs — and "dies" at
+one of :data:`DEATH_POINTS`, so the request log the next
+:class:`ServiceCore` resumes from is the one the service itself wrote,
+never a hand-built copy of its format.
 """
 
 import pytest
