@@ -12,8 +12,8 @@ NVM image (outputs and checksum table apart), every ``Tally`` field
 and the modeled cycles of every launch, the write-back statistics, and
 for a crash the failed-block set and the recovery cycles. The MEGA-KV
 write kernel (updates, fresh puts and deletes of present and absent
-keys in one batch) and search kernel (half hits, half misses) have a
-clean and a crash row each on a preloaded store.
+keys in one batch) and search kernel (half hits, half misses) have the
+same three legs each, on a preloaded store.
 ``tests/workloads/test_pinned_observables.py`` replays every case on
 both engines and compares.
 
@@ -27,9 +27,12 @@ MRI-GRIDDING and CUTCP pair loops were rewritten to compute only what
 their sums read. The ``crash_adler32`` leg and the MEGA-KV rows were
 written by the scalar ``run_block`` bodies as they stood at commit
 274ddd0, with validation folding an output map in store order; the
-Parboil ones were deleted right after. Regenerating the file with a
-newer body only proves the body agrees with itself, so do it only for
-a deliberate change of a kernel's results — and say so in the commit.
+Parboil ones were deleted right after. The MEGA-KV ``crash_adler32``
+rows were written by the MEGA-KV scalar bodies as they stood at commit
+5de6cd1 (read lanes included), just before those were deleted too.
+Regenerating the file with a newer body only proves the body agrees
+with itself, so do it only for a deliberate change of a kernel's
+results — and say so in the commit.
 """
 
 import functools
@@ -186,7 +189,7 @@ def observe_crash(name: str, scale: str, engine: str, config=None) -> dict:
 OBSERVE = {"clean": observe_clean, "crash": observe_crash,
            "crash_adler32": functools.partial(observe_crash, config=ADLER32)}
 #: The legs the MEGA-KV rows record (they have no scale presets).
-KV_LEGS = ("clean", "crash")
+KV_LEGS = ("clean", "crash", "crash_adler32")
 
 
 def main():

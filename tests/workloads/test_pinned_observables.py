@@ -3,8 +3,8 @@
 ``tests/fixtures/kernels/expected.json`` holds what a clean launch +
 drain, a crash at half the grid + recover + drain, and the same crash
 under an Adler-32 lane leave behind for each of the eight Parboil
-kernels at ``small`` and ``medium``, plus a clean and a crash row for
-the MEGA-KV write and search kernels (see ``make_fixtures.py`` beside
+kernels at ``small`` and ``medium``, and for the MEGA-KV write and
+search kernels (see ``make_fixtures.py`` beside
 it for which bodies wrote each part). Both engines must still
 reproduce it bit for bit: image hashes, every ``Tally`` field, cycles,
 write-back statistics, failed blocks and recovery cycles. Engine parity
