@@ -406,8 +406,9 @@ class _BodyWalker:
         def arg(i: int) -> ast.expr | None:
             return args[i] if len(args) > i else None
 
-        def store(value: ast.expr | None, atomic: str | None = None) -> None:
-            buf = arg(0)
+        def store(value: ast.expr | None, atomic: str | None = None,
+                  buf: ast.expr | None = None) -> None:
+            buf = arg(0) if buf is None else buf
             if buf is None:
                 return
             if value is None:
@@ -434,6 +435,14 @@ class _BodyWalker:
 
         if attr == "st":
             store(arg(2))
+        elif attr == "st_record":
+            # One store per buffer of the record, each of its own word.
+            words = getattr(arg(2), "elts", [])
+            for i, buf in enumerate(getattr(arg(0), "elts", [arg(0)])):
+                store(words[i] if i < len(words) else arg(2), buf=buf)
+        elif attr == "atomic_cas_claim":
+            # A CAS on its buffer; the word is the caller's own store.
+            store(None, atomic="cas")
         elif attr == "ld":
             buf = arg(0)
             if buf is None:

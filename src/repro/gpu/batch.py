@@ -6,7 +6,8 @@ indexes the thread block within the group, so a kernel's
 ``run_block_batch`` computes an entire group of blocks in a handful of
 whole-array operations instead of one Python call chain per block. The
 same body runs one block at a time in the scalar cell, through the
-one-block view :meth:`~repro.gpu.kernel.Kernel.run_block` builds.
+one-block view :meth:`~repro.gpu.kernel.Kernel.run_block` builds; that
+view offers every primitive below, so no kernel needs a scalar twin.
 
 Semantics contract (what lets the batched engine stay bit-identical to
 serial execution):
@@ -21,9 +22,9 @@ serial execution):
   turn another request's bucket scan from miss to hit or back; and the
   one thing an earlier request *can* change for a later one — an empty
   slot becoming occupied — is resolved inside
-  :meth:`BatchBlockContext.atomic_cas_claim`, in request order. An
-  input that breaks the first fact is not batchable (the kernel says
-  so through ``batchable``); a request the claim cannot place raises
+  :meth:`BatchBlockContext.atomic_cas_claim`, in request order. The
+  kernel refuses an input that breaks the first fact when it is built;
+  a request the claim cannot place raises
   :class:`~repro.errors.BatchFallbackError` before any effect and the
   engine runs that group per block.
 * **Stores are deferred.** ``st`` records the store (and folds it into
@@ -37,9 +38,9 @@ serial execution):
   write-back cuts there) and writes back once per evicting step.
   Cache recency, evictions, NVM write statistics and the heap's
   write-back brackets therefore match the serial engine exactly.
-  ``st_record`` is the variant for a per-thread loop that stores
-  several words per request (a key *and* its value): each of its
-  words is a step of its own, thread by thread, word by word.
+  ``st_record`` is the variant for a body that stores several words
+  per request (a key *and* its value): each of its words is a step of
+  its own, thread by thread, word by word.
 * **Charges are totals.** ``flops``/``alu`` charge whole-group counts;
   all tally fields are integer-valued, so grouped summation is exact
   and the final tally is bit-identical to per-block accumulation.
@@ -53,10 +54,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import BatchFallbackError, DeviceError, LaunchError
+from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import ExecMode, LaunchConfig
+from repro.gpu.kernel import ExecMode, LaunchConfig, cas_claim
 from repro.gpu.memory import Buffer, GlobalMemory
 
 
@@ -265,87 +266,18 @@ class BatchBlockContext:
         compare,
         valid: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Claim one slot per request by ``atomicCAS(compare -> word)``.
-
-        ``candidates[..., c]`` lists each request's slots in probe
-        order (leading axes in launch order: block, then thread);
-        ``valid`` silences padding candidates and whole masked-out
-        requests. Every request walks its candidates exactly as the
-        scalar loop ``for s in slots: if atomic_cas(buf, s, compare,
-        word) == compare: break`` does: a slot holding anything but
-        ``compare`` costs one failed CAS, the first one holding
-        ``compare`` is claimed. Requests are resolved **in request
-        order**: a slot an earlier request of this call claimed reads
-        as occupied to every later one — the one dependence between
-        requests the batched load contract cannot hide, settled here.
-
-        Returns the claimed index per request (``-1`` where ``valid``
-        left nothing to try). Each attempt is charged as the scalar
-        context charges it — element bytes of write traffic and one op
-        on the launch's :class:`~repro.gpu.atomics.AtomicUnit` at that
-        address. The winning CAS's own write is *not* recorded: the
-        caller must store the claimed word at the returned index in the
-        same pass (``st`` / ``st_record``; an LP kernel does anyway, to
-        fold it), and a store of the same word to the same line right
-        after is indistinguishable, to the persistence domain, from the
-        pair.
-
-        A request with no claimable candidate is past what this
-        primitive can reproduce (the scalar kernel raises mid-block
-        with earlier requests applied): it raises
-        :class:`~repro.errors.BatchFallbackError` before charging
-        anything, and the engine re-runs the group per block.
+        """Claim one slot per request by ``atomicCAS(compare -> word)``:
+        :func:`~repro.gpu.kernel.cas_claim` over the group (leading
+        axes block, then thread), returning the claimed index per
+        request. A request no candidate can take raises
+        :class:`~repro.errors.BatchFallbackError` before any effect, and
+        the engine re-runs the group per block.
         """
-        buf = self.buffer(buf)
-        if self.mode is ExecMode.VALIDATE and buf.persistent:
-            raise DeviceError(
-                "atomic to persistent buffer during VALIDATE replay; "
-                "kernels that accumulate into persistent data must "
-                "override validate_block_batch()"
-            )
-        if self.atomics is None:
-            raise LaunchError(
-                "atomic_cas_claim needs the launch's AtomicUnit to "
-                "charge contention to; build the BatchBlockContext "
-                "with atomics="
-            )
-        candidates = np.asarray(candidates)
-        shape = candidates.shape[:-1]
-        cand = candidates.reshape(-1, candidates.shape[-1])
-        if valid is None:
-            tried = np.ones(cand.shape, dtype=bool)
-        else:
-            tried = np.broadcast_to(
-                np.asarray(valid, dtype=bool), candidates.shape
-            ).reshape(cand.shape)
-        rows = np.flatnonzero(tried.any(axis=1))
-        claimed = np.full(cand.shape[0], -1, dtype=np.int64)
-        if rows.size == 0:
-            return claimed.reshape(shape)
-        cand, tried = cand[rows], tried[rows]
-        free = tried & (self.memory.read(buf, cand) == buf.dtype.type(compare))
-        while True:
-            if not free.any(axis=1).all():
-                raise BatchFallbackError(
-                    f"a request found no free slot in {buf.name!r}")
-            pos = free.argmax(axis=1)
-            target = cand[np.arange(rows.size), pos]
-            # np.unique's first-occurrence index is the earliest request
-            # aiming at each slot; it keeps the slot, the others see it
-            # occupied and move on — which may bump a later request in
-            # turn, so iterate to the fixed point (picks only advance).
-            _, first = np.unique(target, return_index=True)
-            if first.size == target.size:
-                break
-            lost = np.ones(rows.size, dtype=bool)
-            lost[first] = False
-            free[lost, pos[lost]] = False
-        attempted = tried & (np.arange(cand.shape[1]) <= pos[:, None])
-        self.tally.global_write_bytes += (
-            int(np.count_nonzero(attempted)) * buf.dtype.itemsize)
-        self.atomics.charge(buf, cand[attempted])
-        claimed[rows] = target
-        return claimed.reshape(shape)
+        claimed, full = cas_claim(self, buf, candidates, compare, valid)
+        if full.any():
+            raise BatchFallbackError(
+                f"a request found no free slot in {self.buffer(buf).name!r}")
+        return claimed
 
     def defer_table_inserts(self, lanes: np.ndarray) -> None:
         """Queue one checksum-table insert per block (row = block) that

@@ -6,8 +6,10 @@ vectorized across each block's threads with numpy (axis 0 = thread
 index, in lane order). The body is ``run_block_batch``, written over a
 leading block axis (:mod:`repro.gpu.batch`); the default ``run_block``
 runs it for **one thread block** through a one-block view of a
-:class:`BlockContext`. A kernel may instead override ``run_block`` with
-a scalar body of its own.
+:class:`BlockContext`, and the default ``validate_block`` runs
+``validate_block_batch`` through the same view. A wrapper (LP, EP,
+fusion) or a DSL kernel overrides ``run_block`` with a scalar body of
+its own.
 
 The :class:`BlockContext` handed to ``run_block`` is the only legal way
 to touch device state. It provides:
@@ -352,17 +354,105 @@ class BlockContext:
         return self.tally
 
 
+def cas_claim(ctx, buf: Buffer | str, candidates: np.ndarray, compare,
+              valid: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Claim one slot per request by ``atomicCAS(compare -> word)``.
+
+    The one walk behind both contexts' ``atomic_cas_claim``; ``ctx``
+    is a :class:`BlockContext` or a batch context, and its tally and
+    atomic unit are charged. ``candidates[..., c]`` lists each
+    request's slots in probe order (leading axes in request order);
+    ``valid`` silences padding candidates and whole masked-out
+    requests. Every request walks its candidates as the scalar loop
+    ``for s in slots: if atomic_cas(buf, s, compare, word) == compare:
+    break`` does: a slot holding anything but ``compare`` costs one
+    failed CAS, the first one holding ``compare`` is claimed. Requests
+    are resolved **in request order**: a slot an earlier request
+    claimed reads as occupied to every later one — the one dependence
+    between requests the batched load contract cannot hide.
+
+    Returns ``(claimed, full)``: the claimed index per request (``-1``
+    where ``valid`` left nothing to try or nothing was free) and the
+    requests none of whose candidates was free. Each attempt is charged
+    as the scalar context charges it — element bytes of write traffic
+    and one op on the :class:`~repro.gpu.atomics.AtomicUnit` at that
+    address — unless a request is full: then nothing is. The winning
+    CAS's own write is *not* made: the caller stores the claimed word
+    at the returned index in the same pass (an LP kernel does anyway,
+    to fold it), and a store of the same word to the same line right
+    after is indistinguishable, to the persistence domain, from the
+    pair.
+    """
+    buf = ctx.buffer(buf)
+    if ctx.mode is ExecMode.VALIDATE and buf.persistent:
+        raise DeviceError(
+            "atomic to persistent buffer during VALIDATE replay; "
+            "kernels that accumulate into persistent data must "
+            "override validate_block_batch()"
+        )
+    if ctx.atomics is None:
+        raise LaunchError(
+            "atomic_cas_claim needs the launch's AtomicUnit to "
+            "charge contention to; build the BatchBlockContext "
+            "with atomics="
+        )
+    candidates = np.asarray(candidates)
+    shape = candidates.shape[:-1]
+    cand = candidates.reshape(-1, candidates.shape[-1])
+    if valid is None:
+        tried = np.ones(cand.shape, dtype=bool)
+    else:
+        tried = np.broadcast_to(
+            np.asarray(valid, dtype=bool), candidates.shape
+        ).reshape(cand.shape)
+    rows = np.flatnonzero(tried.any(axis=1))
+    claimed = np.full(cand.shape[0], -1, dtype=np.int64)
+    full = np.zeros(cand.shape[0], dtype=bool)
+    cand, tried = cand[rows], tried[rows]
+    free = tried & (ctx.memory.read(buf, cand) == buf.dtype.type(compare))
+    while True:
+        # A request with nothing left is full for good: each of its
+        # slots is occupied or held by an earlier request. It claims
+        # nothing, and the walk goes on to the others' fixed point.
+        out = ~free.any(axis=1)
+        pos = np.where(out, -1, free.argmax(axis=1))
+        live = np.flatnonzero(~out)
+        target = cand[live, pos[live]]
+        # np.unique's first-occurrence index is the earliest request
+        # aiming at each slot; it keeps the slot, the others see it
+        # occupied and move on — which may bump a later request in
+        # turn, so iterate to the fixed point (picks only advance).
+        _, first = np.unique(target, return_index=True)
+        if first.size == target.size:
+            break
+        lost = np.ones(live.size, dtype=bool)
+        lost[first] = False
+        free[live[lost], pos[live[lost]]] = False
+    claimed[rows[live]] = target
+    full[rows] = out
+    if not out.any():
+        attempted = tried & (np.arange(cand.shape[1]) <= pos[:, None])
+        ctx.tally.global_write_bytes += (
+            int(np.count_nonzero(attempted)) * buf.dtype.itemsize)
+        ctx.atomics.charge(buf, cand[attempted])
+    return claimed.reshape(shape), full.reshape(shape)
+
+
 class _OneBlockView:
     """A scalar :class:`BlockContext` seen as a one-block batch.
 
-    What :meth:`Kernel.run_block` hands a kernel's ``run_block_batch``:
+    What :meth:`Kernel.run_block` hands a kernel's ``run_block_batch``
+    (and :meth:`Kernel.validate_block` its ``validate_block_batch``):
     a :class:`~repro.gpu.batch.BatchBlockContext`'s geometry with a
     length-1 block axis, charging ``ctx`` as the batch context would.
     Stores are not deferred: row 0 of each batched store goes through
-    ``ctx.st`` at once, so the LP observer, the EP interceptor,
-    ``VALIDATE`` suppression and cache order are the scalar context's
-    own. It offers what the Parboil batch bodies use, and no
-    ``st_record`` or ``atomic_cas_claim``.
+    ``ctx.st`` at once — a record store's words thread-major, as a
+    per-request loop issues them — so the LP observer, the EP
+    interceptor, ``VALIDATE`` suppression and cache order are the
+    scalar context's own. A slot claim is :func:`cas_claim` on ``ctx``;
+    with no group to fall back from, a request no candidate can take
+    reads ``-1`` and the kernel raises its own error.
     """
 
     n_blocks_in_batch = 1
@@ -401,8 +491,30 @@ class _OneBlockView:
            mask: np.ndarray | None = None) -> None:
         """Issue row 0 of a batched store, with ``mask`` and default
         slots as :meth:`BatchBlockContext.st` applies them."""
+        buf = self._ctx.buffer(buf)
+        row, slots = self._row0(idx, slots, mask)
+        self._ctx.st(buf, row(idx), row(values, buf.dtype), slots=slots)
+
+    def st_record(self, bufs, idx: np.ndarray, values,
+                  slots: np.ndarray | None = None,
+                  mask: np.ndarray | None = None) -> None:
+        """Issue row 0 of :meth:`BatchBlockContext.st_record` thread-major:
+        each element's word for every buffer in turn, one ``ctx.st``
+        apiece, as a per-request loop stores a key and then its value."""
         ctx = self._ctx
-        buf = ctx.buffer(buf)
+        bufs = [ctx.buffer(buf) for buf in bufs]
+        row, slots = self._row0(idx, slots, mask)
+        at = row(idx)
+        words = [row(word, buf.dtype) for buf, word in zip(bufs, values)]
+        for i in range(at.size):
+            for buf, word in zip(bufs, words):
+                ctx.st(buf, at[i:i + 1], word[i:i + 1],
+                       slots=slots[i:i + 1])
+
+    def _row0(self, idx, slots, mask):
+        """Row 0 of a batched store, flattened: ``row(a)`` broadcasts
+        ``a`` to ``idx`` and keeps row 0's unmasked elements; returned
+        with the issuing thread of each kept element."""
         idx = np.asarray(idx)
         if idx.ndim < 2 or idx.shape[0] != 1:
             raise LaunchError(
@@ -410,15 +522,21 @@ class _OneBlockView:
                 f"block axis; got shape {idx.shape}")
         if slots is None:
             slots = np.arange(idx[0].size).reshape(idx.shape[1:]) \
-                % ctx.n_threads
+                % self._ctx.n_threads
+        keep = slice(None) if mask is None else np.broadcast_to(
+            np.asarray(mask, dtype=bool), idx.shape)[0].reshape(-1)
 
         def row(a, dtype=None):
             return np.broadcast_to(np.asarray(a, dtype=dtype),
-                                   idx.shape)[0].reshape(-1)
+                                   idx.shape)[0].reshape(-1)[keep]
 
-        keep = slice(None) if mask is None else row(mask, bool)
-        ctx.st(buf, row(idx)[keep], row(values, buf.dtype)[keep],
-               slots=row(slots)[keep])
+        return row, row(slots)
+
+    def atomic_cas_claim(self, buf: Buffer | str, candidates: np.ndarray,
+                         compare, valid: np.ndarray | None = None
+                         ) -> np.ndarray:
+        """:func:`cas_claim` on the scalar context (class docstring)."""
+        return cas_claim(self._ctx, buf, candidates, compare, valid)[0]
 
 
 class Kernel(abc.ABC):
@@ -451,9 +569,9 @@ class Kernel(abc.ABC):
 
         By default this is :meth:`run_block_batch` over a one-block
         view of ``ctx``: a kernel that writes only the batch body runs
-        the same body in the scalar cell, one block at a time. A kernel
-        whose batch body needs ``st_record`` or ``atomic_cas_claim``
-        (MEGA-KV) overrides this with a scalar body of its own.
+        the same body in the scalar cell, one block at a time — every
+        workload kernel and both MEGA-KV kernels do. Wrappers and DSL
+        kernels override this with a scalar body of their own.
         """
         self.run_block_batch(_OneBlockView(ctx))
 
@@ -502,10 +620,13 @@ class Kernel(abc.ABC):
     def validate_block(self, ctx: BlockContext) -> object | None:
         """Replay a block for checksum validation (``VALIDATE`` mode).
 
-        If :meth:`block_output_map` provides the store-address slice,
-        only those locations are fetched (the cheap Listing-7 path);
-        otherwise :meth:`run_block` is replayed with persistent writes
-        suppressed and memory contents fed to the checksum observer.
+        By default this is :meth:`validate_block_batch` — the pass the
+        vector cell runs — over a one-block view of ``ctx``: the
+        :meth:`block_output_map` locations are fetched (the cheap
+        Listing-7 path), or the batch body is replayed with persistent
+        writes suppressed and memory contents fed to the checksum
+        observer. A kernel with a scalar body of its own and no output
+        map replays :meth:`run_block` instead.
 
         May return a per-block *outcome record* (any picklable value);
         the launch engine collects every block's record — in the
@@ -514,15 +635,10 @@ class Kernel(abc.ABC):
         kernels return ``None``; the LP wrapper returns the block's
         recomputed checksum lanes.
         """
-        output_map = self.block_output_map(ctx.block_id)
-        if output_map is None:
-            self.run_block(ctx)
-            return None
-        for buf_name, idx in output_map.items():
-            # In VALIDATE mode ``st`` folds what memory holds at ``idx``
-            # (the written values are ignored), which is exactly the
-            # check phase of the generated recovery kernel.
-            ctx.st(buf_name, idx, 0)
+        if (type(self).run_block is Kernel.run_block
+                or self.block_output_map(ctx.block_id) is not None):
+            return self.validate_block_batch(_OneBlockView(ctx))[0]
+        self.run_block(ctx)
         return None
 
     def validate_block_batch(self, bctx) -> list:
@@ -553,10 +669,11 @@ class Kernel(abc.ABC):
             for row, r in enumerate(rows):
                 idx[row, :r.size] = r
                 mask[row, :r.size] = True
-            # Masked charge and default slots reproduce the serial
-            # per-block ``ctx.st(name, map, 0)`` calls exactly: each
-            # row folds its first ``len(map)`` elements with
-            # ``arange % n_threads`` slots.
+            # In VALIDATE mode ``st`` folds what memory holds (the
+            # values are ignored) — the check phase of the generated
+            # recovery kernel. Each row folds its first ``len(map)``
+            # elements with ``arange % n_threads`` slots, as one store
+            # of the map from that block would.
             bctx.st(name, idx, 0, mask=None if mask.all() else mask)
         return [None] * bctx.n_blocks_in_batch
 

@@ -34,20 +34,24 @@ Validation of a write replays the *semantic effect* (search the store
 for the key) rather than the mutation — the application-specific
 validation the paper anticipates for non-trivially-idempotent regions.
 
-Both kernels also run as one data-parallel pass per block group
-(``run_block_batch`` / ``validate_block_batch``), which is what the
-paper's MEGA-KV result rests on: a request batch is *one* kernel, so
-LP's per-region work is amortised over the whole block. The batched
-passes scan every request's buckets on the image the group started
-from, which decides hit or miss exactly as the per-request loop would
-*provided the batch's keys are distinct* — no earlier request can then
-store or clear another request's key. A write kernel checks that at
-construction and is ``batchable`` only when it holds (a batch with a
-repeated key runs per request). It also runs its puts before its
-deletes, so no put can claim a slot a delete of the same launch frees;
-the remaining dependence between requests, two misses wanting the same
-empty slot, is resolved in request order by
-:meth:`~repro.gpu.batch.BatchBlockContext.atomic_cas_claim`.
+Each kernel has one body, ``run_block_batch`` (a write also one
+validation body, ``validate_block_batch``): one data-parallel pass per
+block group, which is what the paper's MEGA-KV result rests on — a
+request batch is *one* kernel, so LP's per-region work is amortised
+over the whole block. ``serial`` runs the same body one block at a
+time, through :meth:`~repro.gpu.kernel.Kernel.run_block`'s view. The
+pass scans every request's buckets on the image the group started
+from, which decides hit or miss exactly as a per-request loop would
+*because the batch's keys are distinct*: no earlier request can store
+or clear another request's key. A write kernel refuses a repeated key
+when it is built (:class:`~repro.errors.LaunchError`, before any
+effect), so a caller coalesces first, as the service does. A write
+also runs its puts before its deletes, so no put can claim a slot a
+delete of the same launch frees; two misses wanting the same empty
+slot are resolved in request order by ``atomic_cas_claim``. A put
+neither candidate bucket can take raises
+:class:`~repro.errors.TableFullError` at block granularity: the blocks
+before its block land, its block does not, on either engine.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.tables.base import mix64_array
-from repro.errors import TableFullError
+from repro.errors import LaunchError, TableFullError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.megakv.store import BUCKET_WIDTH, EMPTY_SLOT, MegaKVStore
 
 #: Seed perturbation selecting a key's second candidate bucket (must
@@ -81,14 +85,15 @@ class _Probe(NamedTuple):
     probe_slots: int        #: slots the per-request scans read in total
 
 
-#: A one-element store folds into thread 0's accumulator (the scalar
-#: context's default slot for ``st(buf, scalar_index, word)``).
+#: A request's record folds into thread 0's accumulator, as a
+#: one-element ``st(buf, index, word)`` does by default.
 _THREAD_0 = np.zeros(1, dtype=np.intp)
 
 
 class _BatchKernel(Kernel):
     """Shared plumbing: one thread per request, contiguous block slices."""
 
+    batchable = True
     #: Where a reading lane stores its answer (``None``: nothing reads).
     results_buffer: str | None = None
     #: Lanes that answer a GET (the span attribute ``reads``).
@@ -111,44 +116,12 @@ class _BatchKernel(Kernel):
         n_blocks = max(1, math.ceil(self.n_requests / self.threads))
         return LaunchConfig.linear(n_blocks, self.threads)
 
-    def _slice(self, ctx: BlockContext, end: int | None = None) -> range:
-        """This block's lanes, cut at lane ``end`` (default: all)."""
-        lo = ctx.block_id * self.threads
-        hi = min(lo + self.threads,
-                 self.n_requests if end is None else end)
-        return range(lo, hi)
-
-    def _find(self, ctx: BlockContext, key: np.uint64) -> int | None:
-        """Scan the key's bucket; returns the slot index or ``None``."""
-        slots = self.store.bucket_slots(int(key))
-        bucket_keys = ctx.ld(self.store.keys, slots)
-        self.store.stats.probe_slots += slots.size
-        hit = np.flatnonzero(bucket_keys == key)
-        if hit.size == 0:
-            return None
-        return int(slots[int(hit[0])])
-
-    def _answer(self, ctx: BlockContext, slot: int | None, at: int) -> None:
-        """A GET of the key ``_find`` put at ``slot``: its value (``0`` on
-        a miss) into ``results_buffer[at]``."""
-        self.store.stats.searches += 1
-        if slot is None:
-            value = EMPTY_SLOT
-        else:
-            value = ctx.ld(self.store.values, slot)[0]
-            self.store.stats.hits += 1
-        ctx.st(self.results_buffer, at, value,
-               slots=np.asarray([at % ctx.n_threads]))
-        ctx.flops(2)
-
-    # -- batched execution ----------------------------------------------
-
     def _probe_batch(self, bctx, end: int | None = None) -> _Probe:
-        """Whole-group ``_find``: every request's two buckets at once.
+        """Scan every request's two candidate buckets at once.
 
         The first matching slot in bucket-candidate order wins
         (coinciding candidate buckets alias, so the earliest index is
-        the slot serial probing picks), read traffic counts the
+        the slot a per-request probe picks), read traffic counts the
         *deduplicated* probe width per request, and the ragged tail
         block — and every lane from ``end`` on — is masked out.
         ``store.stats`` is left to the caller, which must not touch it
@@ -170,8 +143,8 @@ class _BatchKernel(Kernel):
                    % np.uint64(self.store.n_buckets)).astype(np.int64)
         slots = (buckets[..., None] * BUCKET_WIDTH
                  + np.arange(BUCKET_WIDTH)).reshape(req.shape + (-1,))
-        # Serial probing deduplicates coinciding candidate buckets, so
-        # its per-request read charge is one bucket wide in that case.
+        # A probe reads coinciding candidate buckets once, so its
+        # per-request read charge is one bucket wide in that case.
         one_bucket = buckets[..., 0] == buckets[..., 1]
         probe_width = np.where(one_bucket, BUCKET_WIDTH, 2 * BUCKET_WIDTH)
         probe_slots = int(probe_width[mask].sum())
@@ -188,7 +161,8 @@ class _BatchKernel(Kernel):
 
     def _answer_batch(self, bctx, p: _Probe, read: np.ndarray,
                       at: np.ndarray) -> None:
-        """Whole-group ``_answer`` of the ``read`` lanes of ``p``."""
+        """Answer the ``read`` lanes of ``p``: each key's value (``0``
+        on a miss) into ``results_buffer`` at ``at``."""
         n_read = int(np.count_nonzero(read))
         found = p.hit & read
         stats = self.store.stats
@@ -214,7 +188,7 @@ class KVWriteKernel(_BatchKernel):
 
     name = "megakv-write"
     idempotent = True
-    #: lplint sees the atomic_cas claim, the bucket-scan read of the key
+    #: lplint sees the atomic_cas_claim, the bucket-scan read of the key
     #: array it also writes and, from the read lanes, a load of the value
     #: array and a store to a results buffer it cannot resolve. The
     #: suppression says why none of them breaks re-execution (module
@@ -239,6 +213,12 @@ class KVWriteKernel(_BatchKernel):
         results_buffer: str | None = None,
     ) -> None:
         super().__init__(store, batch_keys, threads_per_block)
+        if np.unique(self.batch_keys).size != self.n_requests:
+            # An earlier lane's store or clear would change what a later
+            # lane of the same key must see (module docstring).
+            raise LaunchError(
+                f"{self.name} batch repeats a key; coalesce it to one "
+                "lane per key first")
         values = np.asarray(batch_values, dtype=np.uint64)
         reads = (np.zeros(self.n_requests, bool) if reads is None
                  else np.asarray(reads, dtype=bool))
@@ -268,78 +248,17 @@ class KVWriteKernel(_BatchKernel):
         self.reads = reads
         self.results_buffer = results_buffer
         self.protected_buffers = (store.keys.name, store.values.name)
-        #: A property of the input, not a setting: with a repeated key
-        #: an earlier request's store or clear changes what a later
-        #: request's bucket scan must see, so the batch runs per
-        #: request (module docstring).
-        self.batchable = \
-            len(set(self.batch_keys.tolist())) == self.n_requests
-
-    def run_block(self, ctx: BlockContext) -> None:
-        for i in self._slice(ctx):
-            key = self.batch_keys[i]
-            value = self.batch_values[i]
-            slot = self._find(ctx, key)
-            if self.reads[i]:
-                self._answer(ctx, slot, int(self.answer_at[i]))
-            if i >= self.n_writes:
-                continue
-            if value == EMPTY_SLOT:
-                self.store.stats.deletes += 1
-                if slot is None:
-                    continue
-                self.store.stats.removed += 1
-                # Clearing stores fold 0 — the identity of both
-                # checksum lanes, by design (see module docstring).
-                key = EMPTY_SLOT
-            elif slot is None:
-                slot = self._claim(ctx, key)
-                self.store.stats.inserts += 1
-            else:
-                self.store.stats.updates += 1
-            # Store key AND value on every path so every execution of
-            # this request folds the same [key, value] words.
-            ctx.st(self.store.keys, slot, key)
-            ctx.st(self.store.values, slot, value)
-            ctx.flops(4 if value else 2)
-
-    def _claim(self, ctx: BlockContext, key: np.uint64) -> int:
-        slots = self.store.bucket_slots(int(key))
-        for s in slots:
-            old = ctx.atomic_cas(self.store.keys, int(s), EMPTY_SLOT, key)
-            if old == EMPTY_SLOT or old == key:
-                return int(s)
-        raise TableFullError(
-            f"both candidate buckets of key {int(key)} are full "
-            f"(load factor {self.store.load_factor:.2f})"
-        )
-
-    def validate_block(self, ctx: BlockContext) -> None:
-        """Fold what the store *now holds* at each key I write: a lost
-        put folds nothing, a lost delete folds the key — either way a
-        key-lane mismatch. A read-only lane folded nothing, so it is
-        not replayed."""
-        for i in self._slice(ctx, self.n_writes):
-            slot = self._find(ctx, self.batch_keys[i])
-            if slot is None:
-                continue
-            # VALIDATE-mode stores fold memory contents at these slots.
-            ctx.st(self.store.keys, slot, EMPTY_SLOT)
-            ctx.st(self.store.values, slot, EMPTY_SLOT)
-
-    # -- batched execution ----------------------------------------------
 
     def run_block_batch(self, bctx) -> None:
-        """``run_block`` over a whole group: scan, claim, store.
+        """Scan, claim, store — every lane of the group in one pass.
 
         Put hits update in place; put misses claim the first empty
-        candidate slot in request order (a request neither bucket can
-        take raises ``BatchFallbackError`` from the claim, before
-        anything below has happened, and the group re-runs per request
-        up to the ``TableFullError``); delete hits clear their slot.
-        Each request's two words are stored as one record, so they
-        reach memory interleaved per request as the scalar loop issues
-        them.
+        candidate slot in request order; delete hits clear their slot.
+        A put neither bucket can take stops the block before anything
+        below has happened (module docstring). Every path stores the
+        lane's key *and* value, so every execution of a request folds
+        the same ``[key, value]`` words; they are stored as one record,
+        so they reach memory interleaved per request.
         """
         p = self._probe_batch(bctx)
         lanes = np.where(p.mask, p.req, 0)
@@ -352,6 +271,11 @@ class KVWriteKernel(_BatchKernel):
             self.store.keys, p.slots, EMPTY_SLOT,
             valid=(put & ~p.hit)[..., None]
             & ~(p.one_bucket[..., None] & second))
+        full = put & ~p.hit & (claimed < 0)
+        if full.any():
+            raise TableFullError(
+                f"both candidate buckets of key {int(p.keys[full][0])} "
+                f"are full (load factor {self.store.load_factor:.2f})")
 
         n_puts = int(np.count_nonzero(put))
         n_updates = int(np.count_nonzero(put & p.hit))
@@ -376,11 +300,14 @@ class KVWriteKernel(_BatchKernel):
                  + 2.0 * self.threads * n_cleared)
 
     def validate_block_batch(self, bctx) -> list:
-        """``validate_block`` over a whole group."""
+        """Fold what the store *now holds* at each key the group writes:
+        a lost put folds nothing, a lost delete folds the key — either
+        way a key-lane mismatch. A read-only lane folded nothing, so it
+        is not replayed."""
         p = self._probe_batch(bctx, self.n_writes)
         self.store.stats.probe_slots += p.probe_slots
         # VALIDATE-mode stores fold memory contents; the words passed
-        # are ignored, exactly as in the per-request path.
+        # are ignored.
         bctx.st_record(
             (self.store.keys, self.store.values),
             np.where(p.hit, p.hit_slot, 0), (EMPTY_SLOT, EMPTY_SLOT),
@@ -453,14 +380,8 @@ class KVSearchKernel(_BatchKernel):
         hi = min(lo + self.threads, self.n_requests)
         return {self.results_buffer: np.arange(lo, hi)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        for i in self._slice(ctx):
-            self._answer(ctx, self._find(ctx, self.batch_keys[i]), i)
-
-    batchable = True
-
     def run_block_batch(self, bctx) -> None:
-        """``run_block`` over a whole group (read-only on the store, so
+        """Answer every lane of the group (read-only on the store, so
         repeated keys are fine)."""
         p = self._probe_batch(bctx)
         self.store.stats.probe_slots += p.probe_slots

@@ -1,9 +1,12 @@
 """Python-DSL (object-mode) lint rules: LP001-LP006."""
 
+import ast
+
 import numpy as np
 import pytest
 
 import repro
+from repro.analysis.astinfo import analyze_kernel_callable
 from repro.analysis.py_rules import lint_kernel_object, lint_python_text
 from repro.compiler.pydsl import kernel_from_function, lazy_persistent
 from repro.core.config import ChecksumKind, LPConfig
@@ -298,6 +301,26 @@ class _Helper(Kernel):
 
 def test_helper_methods_are_inlined():
     assert "LP002" in rules_of(lint_kernel_object(_Helper()))
+
+
+class _Claims(Kernel):
+    name = "claims"
+
+    def launch_config(self):
+        return LaunchConfig.linear(1, 4)
+
+    def run_block_batch(self, bctx):
+        slot = bctx.atomic_cas_claim("keys", bctx.tid[None, :, None], 0)
+        bctx.st_record(("keys", "vals"), slot, (bctx.tid, 1.0))
+
+
+def test_record_store_and_slot_claim_are_seen():
+    """One store per buffer of a record, and a claim is an atomic CAS."""
+    effects = analyze_kernel_callable(_Claims.run_block_batch, _Claims())
+    assert [(s.buffer, s.atomic) for s in effects.stores] == [
+        ("keys", "cas"), ("keys", None), ("vals", None)]
+    assert [ast.unparse(s.value) for s in effects.stores[1:]] == [
+        "bctx.tid", "1.0"]
 
 
 def test_megakv_kernels_only_carry_documented_suppressions():

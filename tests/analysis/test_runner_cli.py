@@ -20,6 +20,32 @@ def test_builtins_report_only_documented_suppressions():
     assert len(report.targets) == 11  # 8 workloads + 3 MegaKV kernels
 
 
+#: What lplint sees in a MEGA-KV write body: the slot claim, the bucket
+#: scan of the key array and a read lane's load of the value array
+#: beside the record store of both, and the read lanes' store to a
+#: results buffer it cannot resolve.
+MEGAKV_HAZARDS = (
+    "atomic read-modify-write on 'megakv_keys' accumulates on re-execution",
+    "buffer 'megakv_keys' is both read and written; re-execution would "
+    "consume its own output",
+    "buffer 'megakv_vals' is both read and written; re-execution would "
+    "consume its own output",
+    "store to unresolvable buffer expression 'self.results_buffer' cannot "
+    "be proven idempotent",
+)
+
+
+def test_builtins_see_every_megakv_hazard():
+    """lplint reads the body that runs: a primitive it does not model
+    (a record store, a slot claim) would drop findings silently."""
+    report, _, _ = lint_builtin()
+    assert {(f.kernel, f.rule, f.message) for f in report.findings} == {
+        (kernel, "LP002", f"region is not provably idempotent ({hazard}) "
+                          "but default recovery re-executes it")
+        for kernel in ("megakv-insert", "megakv-delete")
+        for hazard in MEGAKV_HAZARDS}
+
+
 def test_run_lint_flags_seeded_bad_kernel():
     report, _, _ = run_lint([str(FIXTURE)])
     assert report.exit_code == 1

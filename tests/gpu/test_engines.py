@@ -280,8 +280,8 @@ def test_megakv_write_path_engine_parity(engine, config_name, shadow,
 @pytest.mark.parametrize("engine", ENGINES)
 def test_table_full_mid_block_leaves_the_same_partial_state(engine):
     """No free slot left for a request: its group falls back to
-    per-request execution and raises with exactly the earlier requests
-    applied — block 0 sealed, block 1 cut after its first update."""
+    per-block execution and raises at block granularity — block 0
+    sealed, block 1 (whose first lane would update key 6) untouched."""
     states = {}
     for name in ("serial", engine):
         device = repro.Device(cache_capacity_lines=4, engine=name)
@@ -301,9 +301,13 @@ def test_table_full_mid_block_leaves_the_same_partial_state(engine):
              for n, b in device.memory.buffers.items()},
             device.memory.cache.dirty_lines,
         )
-        assert store.host_search(6) == 206 and store.host_search(2) == 102
+        assert store.host_search(6) == 106 and store.host_search(2) == 102
+        assert store.host_search(40) == 240 and store.host_search(3) == 203
+        # Only the blocks that landed are counted.
+        assert (store.stats.inserts, store.stats.updates) == (6 + 2, 2)
     assert sum(device.engine.fallbacks.values()) == 1
     ref, got = states["serial"], states[engine]
+    assert "both candidate buckets of key 42 are full" in ref[0]
     assert got[0] == ref[0] and got[1] == ref[1] and got[3] == ref[3]
     for name, (data, shadow) in ref[2].items():
         assert np.array_equal(got[2][name][0], data), name
@@ -313,8 +317,9 @@ def test_table_full_mid_block_leaves_the_same_partial_state(engine):
 @pytest.mark.parametrize("kernel_cls",
                          [KVInsertKernel, KVDeleteKernel, KVWriteKernel])
 def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
-    """Routed by a property of the input: a later request must see what
-    an earlier one to the same key stored or cleared."""
+    """A write batch that repeats a key is refused when it is built: a
+    later lane would have to see what an earlier one to the same key
+    stored or cleared. Any batch that is built is batchable."""
     device = repro.Device()
     store = MegaKVStore(device, capacity=64)
     distinct = np.array([4, 9, 2], dtype=np.uint64)
@@ -323,7 +328,8 @@ def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
              KVWriteKernel: (np.array([4, 0, 2], dtype=np.uint64),)
              }[kernel_cls]
     assert kernel_cls(store, distinct, *extra).batchable
-    assert not kernel_cls(store, repeated, *extra).batchable
+    with pytest.raises(LaunchError, match="repeats a key"):
+        kernel_cls(store, repeated, *extra)
     # Reads never conflict: a search batch may repeat keys.
     alloc_results(device, "r", 3)
     assert KVSearchKernel(store, repeated, "r").batchable

@@ -1,10 +1,14 @@
 """Unit tests for MEGA-KV insert/search/delete kernels."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import repro
+import repro.megakv as megakv
 from repro.errors import TableFullError
+from repro.gpu.kernel import Kernel
 from repro.megakv import MegaKVStore
 from repro.megakv.kernels import (
     KVDeleteKernel,
@@ -94,3 +98,23 @@ def test_delete_then_insert_reuses_slot():
     assert store.contents() == {}
     device.launch(KVInsertKernel(store, keys, vals, threads_per_block=8))
     assert len(store.contents()) == 10
+
+
+def test_each_kv_kernel_has_one_body():
+    """No scalar twin in ``repro.megakv``: ``serial`` runs the batch
+    body (and a write's batch validation) on the one-block view, and
+    whether a kernel batches is a constant, not a property of its
+    input."""
+    classes = [cls for module in (megakv.kernels, megakv.lp, megakv.store)
+               for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+    kernels = [cls for cls in classes if issubclass(cls, Kernel)]
+    assert len(kernels) >= 5  # _BatchKernel, write, insert, delete, search
+    for cls in classes:
+        assert not {"run_block", "validate_block", "_find", "_claim",
+                    "_answer"} & vars(cls).keys(), cls
+    for cls in kernels:
+        assert cls.run_block is Kernel.run_block
+        assert cls.batchable is True
+    device, store, keys, vals = build()
+    assert "batchable" not in vars(KVInsertKernel(store, keys, vals))
