@@ -1,6 +1,8 @@
 """Regenerate the pinned kernel observables (run from the repo root).
 
-    PYTHONPATH=src python tests/fixtures/kernels/make_fixtures.py
+    PYTHONPATH=src python tests/fixtures/kernels/make_fixtures.py [LEG ...]
+
+(naming legs re-records only those, leaving every other entry as is).
 
 ``expected.json`` records, for each of the eight Parboil kernels at
 ``small`` and ``medium``, what three legs leave behind: one clean
@@ -13,7 +15,11 @@ and the modeled cycles of every launch, the write-back statistics, and
 for a crash the failed-block set and the recovery cycles. The MEGA-KV
 write kernel (updates, fresh puts and deletes of present and absent
 keys in one batch) and search kernel (half hits, half misses) have the
-same three legs each, on a preloaded store.
+same three legs each, on a preloaded store. At ``small`` only, four
+more legs take the same crash through each hash table's probe or
+eviction walk: ``crash_quadratic`` and ``crash_cuckoo`` under the
+``naive_*`` presets, and the ``_locked`` pair under a table lock with
+emulated atomics, which charges ``serial_cycles`` per probe.
 ``tests/workloads/test_pinned_observables.py`` replays every case on
 both engines and compares.
 
@@ -30,6 +36,9 @@ written by the scalar ``run_block`` bodies as they stood at commit
 Parboil ones were deleted right after. The MEGA-KV ``crash_adler32``
 rows were written by the MEGA-KV scalar bodies as they stood at commit
 5de6cd1 (read lanes included), just before those were deleted too.
+The four hash-table legs were written by the two tables' own walks as
+they stood at commit c632891, before ``insertsim`` and the tables came
+to share one walk per table.
 Regenerating the file with a newer body only proves the body agrees
 with itself, so do it only for a deliberate change of a kernel's
 results — and say so in the commit.
@@ -43,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
+from repro.core.config import AtomicMode, LockMode
 from repro.core.recovery import RecoveryManager
 from repro.core.tables.base import TABLE_BUFFER_PREFIX
 from repro.megakv.kernels import (
@@ -186,23 +196,47 @@ def observe_crash(name: str, scale: str, engine: str, config=None) -> dict:
     }
 
 
+#: A table lock and emulated atomics: the hash tables' slowest corner.
+LOCKED = {"locks": LockMode.LOCK_BASED, "atomics": AtomicMode.EMULATED}
 OBSERVE = {"clean": observe_clean, "crash": observe_crash,
            "crash_adler32": functools.partial(observe_crash, config=ADLER32)}
+#: The crash leg through each hash table's walk, at ``TABLE_SCALE``.
+TABLE_LEGS = {
+    f"crash_{table}{suffix}": functools.partial(
+        observe_crash, config=preset().with_(**changes))
+    for table, preset in (("quadratic", repro.LPConfig.naive_quadratic),
+                          ("cuckoo", repro.LPConfig.naive_cuckoo))
+    for suffix, changes in (("", {}), ("_locked", LOCKED))}
+TABLE_SCALE = "small"
 #: The legs the MEGA-KV rows record (they have no scale presets).
 KV_LEGS = ("clean", "crash", "crash_adler32")
 
 
-def main():
-    expected = {
-        name: {scale: {leg: observe(name, scale, "serial")
-                       for leg, observe in OBSERVE.items()}
-               for scale in SCALES}
-        for name in WORKLOADS}
-    expected.update({
-        name: {leg: OBSERVE[leg](name, None, "serial") for leg in KV_LEGS}
-        for name in KV_KERNELS})
-    (HERE / "expected.json").write_text(json.dumps(expected, indent=1) + "\n")
+def legs_at(scale: str) -> dict:
+    """The legs a Parboil kernel records at ``scale``."""
+    return {**OBSERVE, **(TABLE_LEGS if scale == TABLE_SCALE else {})}
+
+
+def main(only=()):
+    """Record every leg, or re-record only the legs named in ``only``
+    into the existing file, leaving every other entry as it is."""
+    path = HERE / "expected.json"
+    expected = json.loads(path.read_text()) if only else {}
+    for name in WORKLOADS:
+        for scale in SCALES:
+            by_leg = expected.setdefault(name, {}).setdefault(scale, {})
+            for leg, observe in legs_at(scale).items():
+                if not only or leg in only:
+                    by_leg[leg] = observe(name, scale, "serial")
+    for name in KV_KERNELS:
+        for leg in KV_LEGS:
+            if not only or leg in only:
+                expected.setdefault(name, {})[leg] = OBSERVE[leg](
+                    name, None, "serial")
+    path.write_text(json.dumps(expected, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    import sys
+
+    main(sys.argv[1:])

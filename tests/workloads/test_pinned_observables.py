@@ -3,9 +3,11 @@
 ``tests/fixtures/kernels/expected.json`` holds what a clean launch +
 drain, a crash at half the grid + recover + drain, and the same crash
 under an Adler-32 lane leave behind for each of the eight Parboil
-kernels at ``small`` and ``medium``, and for the MEGA-KV write and
-search kernels (see ``make_fixtures.py`` beside
-it for which bodies wrote each part). Both engines must still
+kernels at ``small`` and ``medium``, the same crash through each hash
+table's walk (lock-free, and locked with emulated atomics) at
+``small``, and the clean, crash and Adler-32 legs of the MEGA-KV write
+and search kernels (see ``make_fixtures.py`` beside it for which
+bodies wrote each part). Both engines must still
 reproduce it bit for bit: image hashes, every ``Tally`` field, cycles,
 write-back statistics, failed blocks and recovery cycles. Engine parity
 alone cannot catch an error both engines share.
@@ -22,6 +24,9 @@ from tests.fixtures.kernels.make_fixtures import (
     KV_LEGS,
     OBSERVE,
     SCALES,
+    TABLE_LEGS,
+    TABLE_SCALE,
+    legs_at,
 )
 
 EXPECTED = json.loads((HERE / "expected.json").read_text())
@@ -31,8 +36,8 @@ def test_fixture_covers_every_kernel_scale_and_leg():
     assert sorted(EXPECTED) == sorted([*WORKLOADS, *KV_KERNELS])
     for name in WORKLOADS:
         assert sorted(EXPECTED[name]) == sorted(SCALES)
-        for by_leg in EXPECTED[name].values():
-            assert sorted(by_leg) == sorted(OBSERVE)
+        for scale, by_leg in EXPECTED[name].items():
+            assert sorted(by_leg) == sorted(legs_at(scale))
     for name in KV_KERNELS:
         assert sorted(EXPECTED[name]) == sorted(KV_LEGS)
 
@@ -51,6 +56,14 @@ def _assert_reproduces(want, have):
 def test_kernel_reproduces_its_pinned_observables(name, scale, engine, leg):
     _assert_reproduces(EXPECTED[name][scale][leg],
                        OBSERVE[leg](name, scale, engine))
+
+
+@pytest.mark.parametrize("leg", sorted(TABLE_LEGS))
+@pytest.mark.parametrize("engine", ["serial", "batched"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_kernel_reproduces_its_pinned_table_walks(name, engine, leg):
+    _assert_reproduces(EXPECTED[name][TABLE_SCALE][leg],
+                       TABLE_LEGS[leg](name, TABLE_SCALE, engine))
 
 
 @pytest.mark.parametrize("leg", KV_LEGS)
