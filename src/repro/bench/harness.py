@@ -158,23 +158,18 @@ def insertion_tally(
         return tally
 
     slack = baseline.overlapped_cycles
+    # Emulated atomics' plain load/store sequences still hit the same
+    # contended lines; their L2 service is no cheaper than the atomics
+    # they replace, so the atomic-unit floor applies either way.
+    tally.atomic_ops += sim.probes
     if config.atomics is AtomicMode.EMULATED:
-        # The plain load/store sequences still hit the same contended
-        # lines; their L2 service is no cheaper than the atomics they
-        # replace, so the atomic-unit floor applies either way.
-        tally.atomic_ops += sim.probes
-        if config.table is TableKind.QUADRATIC:
-            tally.serial_cycles += model.emulated_cas_cycles(
-                sim.collisions, n_blocks, threads_per_block,
-                slack_cycles=slack,
-            )
-        else:
-            tally.serial_cycles += model.emulated_swap_cycles(
-                sim.collisions, n_blocks, threads_per_block,
-                slack_cycles=slack,
-            )
+        emulated = (model.emulated_cas_cycles
+                    if config.table is TableKind.QUADRATIC
+                    else model.emulated_swap_cycles)
+        tally.serial_cycles += emulated(sim.collisions, n_blocks,
+                                        threads_per_block,
+                                        slack_cycles=slack)
     else:
-        tally.atomic_ops += sim.probes
         factor = (model.coeff.cuckoo_exch_factor
                   if config.table is TableKind.CUCKOO else 1.0)
         demand = (sim.collisions * factor
@@ -277,11 +272,7 @@ def geomean_overhead(overheads) -> float:
     Matches the paper's convention: the geometric mean is taken over
     slowdowns (``1 + overhead``), then converted back to an overhead.
     """
-    overheads = list(overheads)
-    if not overheads:
-        raise ValueError("no overheads to aggregate")
-    log_sum = sum(math.log(1.0 + o) for o in overheads)
-    return math.exp(log_sum / len(overheads)) - 1.0
+    return geomean_slowdown(1.0 + o for o in overheads) - 1.0
 
 
 def geomean_slowdown(slowdowns) -> float:

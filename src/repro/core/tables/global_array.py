@@ -85,15 +85,11 @@ class GlobalArrayTable(ChecksumTable):
 
     def lookup(self, key: int) -> np.ndarray | None:
         self._check_key(key)
-        self.stats.lookups += 1
         base = int(key) * self.n_lanes
         lanes = self._lanes.array[base:base + self.n_lanes].copy()
-        if np.all(lanes == EMPTY_SENTINEL):
-            self.stats.failed_lookups += 1
-            self._publish_lookup(found=False)
-            return None
-        self._publish_lookup(found=True)
-        return lanes
+        missing = bool(np.all(lanes == EMPTY_SENTINEL))
+        self._count_lookups(1, int(missing))
+        return None if missing else lanes
 
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fancy-indexed batch lookup: one gather, one sentinel compare."""
@@ -109,10 +105,7 @@ class GlobalArrayTable(ChecksumTable):
             self.capacity, self.n_lanes
         )[keys].copy()
         found = ~np.all(lanes == EMPTY_SENTINEL, axis=1)
-        self.stats.lookups += keys.size
-        n_failed = int(keys.size - np.count_nonzero(found))
-        self.stats.failed_lookups += n_failed
-        self._publish_lookup_many(keys.size, n_failed)
+        self._count_lookups(keys.size, int(keys.size - np.count_nonzero(found)))
         return lanes, found
 
     def _check_key(self, key: int) -> None:
