@@ -641,7 +641,7 @@ def megakv_overheads(n_records: int = 16384,
 
 def fig1() -> ExperimentResult:
     """Shuffle reduction: log2(32) steps, bit-exact lane values."""
-    from repro.core.checksum import ChecksumSet
+    from repro.core.checksum import BatchChecksumState, ChecksumSet
     from repro.core.config import PAPER_CHECKSUM_PAIR
     from repro.core.reduction import reduce_parallel, reduce_sequential
     from repro.gpu.warp import WARP_SIZE, warp_reduce
@@ -651,8 +651,8 @@ def fig1() -> ExperimentResult:
     _, steps = warp_reduce(values, "add")
 
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    state = cset.new_block_state(256)
-    state.update(values.view(np.float64), np.arange(256))
+    state = BatchChecksumState(cset, 256)
+    state.update(values.view(np.float64)[None], np.arange(256))
     par = reduce_parallel(state)
     seq = reduce_sequential(state)
 

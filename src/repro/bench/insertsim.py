@@ -85,17 +85,22 @@ def simulate_quadratic(
                      stats.collisions, 0, stats.max_chain)
 
 
+#: The host tables' empty slot: :data:`EMPTY_KEY` as a Python int.
+_EMPTY = int(EMPTY_KEY)
+
+
 class _HostCuckoo(CuckooLayout):
-    """Block ids ``0..n_keys-1`` on two host key arrays: the eviction
+    """Block ids ``0..n_keys-1`` on two host key lists: the eviction
     walk's layout (every id hashed at once per seed set) and its slot
-    operations, with no device and no lane words. Block ids are unique,
-    so a key met twice is refused, not assumed away."""
+    operations, with no device and no lane words. Slots hold Python
+    ints (:data:`_EMPTY` when free), so a probe reads no numpy scalar.
+    Block ids are unique, so a key met twice is refused, not assumed
+    away."""
 
     def __init__(self, n_keys: int, per_table: int, *args) -> None:
         super().__init__(per_table, *args)
         self.ids = np.arange(n_keys, dtype=np.uint64)
-        self.keys = [np.full(per_table, EMPTY_KEY, dtype=np.uint64)
-                     for _ in (0, 1)]
+        self.keys = [[_EMPTY] * per_table for _ in (0, 1)]
         self._hash()
 
     def _hash(self) -> None:
@@ -108,17 +113,18 @@ class _HostCuckoo(CuckooLayout):
     def index(self, table: int, key: int) -> int:
         return self._slots[table][key]
 
-    def key_at(self, t: int, idx: int) -> np.uint64:
+    def key_at(self, t: int, idx: int) -> int:
         return self.keys[t][idx]
 
     def refresh(self, t: int, idx: int, lanes) -> None:
         raise TableError(f"block id {self.keys[t][idx]} inserted twice")
 
-    def swap(self, t: int, idx: int, key: int) -> np.uint64:
-        old = self.keys[t][idx]
+    def swap(self, t: int, idx: int, key: int) -> int:
+        keys = self.keys[t]
+        old = keys[idx]
         if old == key:
             raise TableError(f"an eviction chain met block id {key} twice")
-        self.keys[t][idx] = key
+        keys[idx] = key
         return old
 
     def move(self, t: int, idx: int, lanes) -> None:
@@ -128,13 +134,12 @@ class _HostCuckoo(CuckooLayout):
         pass
 
     def take_all(self, depth: int) -> list[tuple]:
-        live = [np.flatnonzero(keys != EMPTY_KEY) for keys in self.keys]
-        if np.intersect1d(self.keys[0][live[0]], self.keys[1][live[1]]).size:
+        entries = [(t, idx, key, None) for t in (0, 1)
+                   for idx, key in enumerate(self.keys[t]) if key != _EMPTY]
+        if not {e[2] for e in entries if e[0] == 0}.isdisjoint(
+                e[2] for e in entries if e[0] == 1):
             raise TableError("a rehash found a block id in both tables")
-        entries = [(t, idx, int(self.keys[t][idx]), None)
-                   for t in (0, 1) for idx in live[t].tolist()]
-        for keys in self.keys:
-            keys[:] = EMPTY_KEY
+        self.keys = [[_EMPTY] * self.per_table for _ in (0, 1)]
         return entries
 
 

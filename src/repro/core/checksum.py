@@ -10,11 +10,14 @@ persistent store values:
   to integers (Fig. 2: ``3.5`` → bits ``0x40600000`` → ``1080033280``);
 * **Adler-32** — the zlib checksum, rejected by the paper as expensive;
   it is also order-*sensitive*, so it cannot use the parallel shuffle
-  reduction and is provided for sequential mode and comparisons only.
+  reduction: each region folds its stores in issue order, one
+  ``(a, b)`` pair per region (sequential mode and comparisons only).
 
 A region is protected by a :class:`ChecksumSet` — one or more functions
 evaluated simultaneously; the paper recommends modular + parity, which
 drives the combined false-negative rate below one in a trillion.
+:class:`BatchChecksumState` holds the running checksums of a group of
+regions (one region — one thread block — is a group of one).
 
 All folds operate on ``uint64`` *lanes*. Store values of any dtype are
 first normalized by :func:`to_lane_words`.
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import abc
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,11 +208,13 @@ class Adler32Checksum(ChecksumFunction):
     """zlib's Adler-32, folded over the little-endian bytes of words.
 
     Order-sensitive: the per-thread scatter-fold and parallel reduction
-    are unavailable (matching why the paper drops it on GPUs). Use
-    :meth:`fold_all` over a deterministic value order.
+    are unavailable (matching why the paper drops it on GPUs). A region
+    folds its values in issue order — :meth:`fold_all` over a flat
+    array, :meth:`fold_rows` over one row per region.
     """
 
     kind = ChecksumKind.ADLER32
+    identity = np.uint64(1)
     ops_per_update = 8
     order_sensitive = True
 
@@ -222,8 +226,41 @@ class Adler32Checksum(ChecksumFunction):
         data = np.ascontiguousarray(words, dtype="<u8").tobytes()
         return np.uint64(zlib.adler32(data, state))
 
+    def fold_rows(self, states: np.ndarray, words: np.ndarray,
+                  keep: np.ndarray | None = None) -> np.ndarray:
+        """Fold each row of ``words`` into that row's Adler state.
+
+        ``words`` is ``(rows, n)``; ``keep`` (same shape) drops
+        elements. Row ``r``'s kept words fold as :meth:`fold_all` would
+        from ``states[r]``, in closed form: over bytes ``B_1 … B_n``,
+        ``a' = a + ΣB`` and ``b' = b + n·a + Σ (n − k + 1)·B_k``, both
+        mod 65 521 — each kept byte weighted by its rank among the
+        row's kept bytes.
+        """
+        data = np.ascontiguousarray(words, dtype="<u8").view(np.uint8) \
+            .reshape(words.shape[0], -1).astype(np.int64)
+        if keep is None:
+            n = data.shape[1]
+            weight = np.arange(n, 0, -1, dtype=np.int64) % _ADLER_MOD
+        else:
+            kept = np.repeat(keep, 8, axis=1)
+            rank = np.cumsum(kept, axis=1)
+            n = np.count_nonzero(kept, axis=1)
+            data = np.where(kept, data, 0)
+            weight = (n[:, None] - rank + 1) % _ADLER_MOD
+        states = states.astype(np.int64)
+        a, b = states & 0xFFFF, states >> 16
+        new_a = (a + data.sum(axis=1)) % _ADLER_MOD
+        new_b = (b + n % _ADLER_MOD * a
+                 + (data * weight).sum(axis=1)) % _ADLER_MOD
+        return (new_b << 16 | new_a).astype(np.uint64)
+
     def combine(self, a, b):
         raise ConfigError("Adler-32 cannot be combined commutatively")
+
+
+#: Adler-32's modulus: the largest prime below 2**16.
+_ADLER_MOD = 65521
 
 
 _FUNCTIONS: dict[ChecksumKind, type[ChecksumFunction]] = {
@@ -239,7 +276,7 @@ def make_function(kind: ChecksumKind) -> ChecksumFunction:
 
 
 # ---------------------------------------------------------------------------
-# Checksum sets and per-block state
+# Checksum sets and region state
 # ---------------------------------------------------------------------------
 
 class ChecksumSet:
@@ -262,10 +299,6 @@ class ChecksumSet:
         """ALU ops charged per protected store value (all lanes)."""
         return sum(f.ops_per_update for f in self.functions)
 
-    def new_block_state(self, n_threads: int) -> "BlockChecksumState":
-        """Fresh accumulators for one LP region (one thread block)."""
-        return BlockChecksumState(self, n_threads)
-
     def checksum_of(self, values: np.ndarray) -> np.ndarray:
         """Reference fold: lane values for a flat value array."""
         words = to_lane_words(np.asarray(values).reshape(-1))
@@ -283,105 +316,41 @@ class ChecksumSet:
         return float(2.0 ** (-64 * self.n_lanes))
 
 
-@dataclass
-class BlockChecksumState:
-    """Per-thread checksum accumulators for one LP region."""
-
-    cset: ChecksumSet
-    n_threads: int
-
-    def __post_init__(self) -> None:
-        commutative = [
-            i for i, f in enumerate(self.cset.functions) if not f.order_sensitive
-        ]
-        self._comm_lane_pos = commutative
-        self.per_thread = np.zeros(
-            (self.n_threads, len(commutative)), dtype=np.uint64
-        )
-        # Order-sensitive lanes fold sequentially in store-issue order.
-        self._seq_states: dict[int, np.uint64] = {
-            i: np.uint64(1) if isinstance(f, Adler32Checksum) else f.identity
-            for i, f in enumerate(self.cset.functions)
-            if f.order_sensitive
-        }
-        #: Number of store values folded so far.
-        self.n_values = 0
-
-    @property
-    def comm_lane_positions(self) -> list[int]:
-        """Lane indices (into the ChecksumSet) with commutative folds."""
-        return self._comm_lane_pos
-
-    @property
-    def seq_lane_states(self) -> dict[int, np.uint64]:
-        """Current states of the order-sensitive lanes, by lane index."""
-        return self._seq_states
-
-    def update(self, values: np.ndarray, slots: np.ndarray) -> None:
-        """Fold store values into the accumulators.
-
-        ``slots`` assigns each value to the thread that issued it, which
-        keeps the per-thread accumulators faithful to the GPU execution
-        (each thread updates only its own registers, Listing 2).
-        """
-        words = to_lane_words(np.asarray(values).reshape(-1))
-        slots = np.asarray(slots).reshape(-1)
-        if words.shape != slots.shape:
-            raise ConfigError("values and slots must align")
-        for lane, pos in enumerate(self._comm_lane_pos):
-            self.cset.functions[pos].fold_at(
-                self.per_thread[:, lane], slots, words
-            )
-        for pos, state in self._seq_states.items():
-            self._seq_states[pos] = self.cset.functions[pos].fold_all(
-                words, start=state
-            )
-        self.n_values += words.size
-
-    def lane_values_reference(self) -> np.ndarray:
-        """Final lane values via a direct (non-reduction) fold.
-
-        The reduction module must produce exactly these values; tests
-        compare the two paths.
-        """
-        out = np.empty(self.cset.n_lanes, dtype=np.uint64)
-        for lane, pos in enumerate(self._comm_lane_pos):
-            out[pos] = self.cset.functions[pos].fold_all(
-                self.per_thread[:, lane]
-            )
-        for pos, state in self._seq_states.items():
-            out[pos] = state
-        return out
-
-
 class BatchChecksumState:
-    """Per-thread accumulators for a *group* of LP regions at once.
+    """Running checksums of a *group* of LP regions (thread blocks).
 
-    The vectorized counterpart of :class:`BlockChecksumState`: one extra
-    leading axis indexes the thread block within the group, so a batched
-    store covering many blocks folds with a single scatter per lane
-    instead of one Python call per block. Because every commutative lane
-    is an exact integer fold (modular ``+`` / ``^``), the resulting lane
-    values are bit-identical to folding each block separately — which is
-    what lets the batched launch engine share checksum semantics with
-    the serial one.
-
-    Order-sensitive lanes (Adler-32) cannot batch; constructing a batch
-    state over a non-commutative :class:`ChecksumSet` is an error.
+    A leading axis indexes the region within the group (one block is a
+    group of one), so a batched store folds with one scatter per lane.
+    Commutative lanes keep per-thread accumulators (:attr:`per_thread`,
+    Listing 2) for the block reduction; as exact integer folds (``+`` /
+    ``^``), their values do not depend on how stores are grouped.
+    Order-sensitive lanes (Adler-32) keep one state per region
+    (:attr:`seq_states`) and fold each block row in its store order.
     """
 
-    def __init__(self, cset: ChecksumSet, n_threads: int, n_blocks: int) -> None:
-        if not cset.commutative:
-            raise ConfigError(
-                "batched checksum state requires commutative lanes only"
-            )
+    def __init__(self, cset: ChecksumSet, n_threads: int,
+                 n_blocks: int = 1) -> None:
         self.cset = cset
         self.n_threads = n_threads
         self.n_blocks = n_blocks
-        # Flat (block*thread, lane) layout so a batched update is one
+        funcs = cset.functions
+        #: Lane indices (into the ChecksumSet) with commutative folds.
+        self.comm_lane_positions = [
+            i for i, f in enumerate(funcs) if not f.order_sensitive]
+        #: Lane indices with order-sensitive folds.
+        self.seq_lane_positions = [
+            i for i, f in enumerate(funcs) if f.order_sensitive]
+        #: ``(n_blocks, n_threads, n_commutative_lanes)`` accumulators.
+        self.per_thread = np.zeros(
+            (n_blocks, n_threads, len(self.comm_lane_positions)),
+            dtype=np.uint64)
+        # Flat (block*thread, lane) view: a batched update is one
         # scatter with block-offset slots per lane.
-        self._flat = np.zeros((n_blocks * n_threads, cset.n_lanes),
-                              dtype=np.uint64)
+        self._flat = self.per_thread.reshape(n_blocks * n_threads, -1)
+        #: ``(n_blocks, n_order_sensitive_lanes)`` running states.
+        self.seq_states = np.tile(np.array(
+            [funcs[i].identity for i in self.seq_lane_positions],
+            dtype=np.uint64), (n_blocks, 1))
         #: Store values folded so far across the whole group.
         self.n_values = 0
 
@@ -393,10 +362,9 @@ class BatchChecksumState:
     ) -> None:
         """Fold a batched store into the group's accumulators.
 
-        ``values`` is shaped ``(n_blocks, ...)`` (leading axis = block
-        within the group); ``slots`` broadcasts against it and assigns
-        each element to its issuing thread. ``mask`` (same shape)
-        silences elements of partially-filled blocks.
+        ``values`` is shaped ``(n_blocks, ...)``, each row in store
+        order; ``slots`` broadcasts against it and names each element's
+        issuing thread (Listing 2); ``mask`` silences ragged elements.
         """
         values = np.asarray(values)
         if values.shape[0] != self.n_blocks:
@@ -405,33 +373,45 @@ class BatchChecksumState:
                 f"state holds {self.n_blocks}"
             )
         words = to_lane_words(values)
-        slots = np.broadcast_to(np.asarray(slots), words.shape)
+        try:
+            slots = np.broadcast_to(np.asarray(slots), words.shape)
+        except ValueError:
+            raise ConfigError("values and slots must align") from None
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != words.shape:
+                mask = np.broadcast_to(mask, words.shape)
+        if self.seq_lane_positions:
+            rows = words.reshape(self.n_blocks, -1)
+            keep = None if mask is None else mask.reshape(self.n_blocks, -1)
+            for lane, pos in enumerate(self.seq_lane_positions):
+                self.seq_states[:, lane] = self.cset.functions[pos] \
+                    .fold_rows(self.seq_states[:, lane], rows, keep)
         block_base = np.arange(self.n_blocks, dtype=np.intp) * self.n_threads
         flat_slots = block_base.reshape(
             (self.n_blocks,) + (1,) * (words.ndim - 1)
         ) + slots
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != words.shape:
-                mask = np.broadcast_to(mask, words.shape)
             words = words[mask]
             flat_slots = flat_slots[mask]
         else:
             words = words.reshape(-1)
             flat_slots = flat_slots.reshape(-1)
-        for lane, func in enumerate(self.cset.functions):
-            func.fold_at(self._flat[:, lane], flat_slots, words)
+        for lane, pos in enumerate(self.comm_lane_positions):
+            self.cset.functions[pos].fold_at(
+                self._flat[:, lane], flat_slots, words)
         self.n_values += words.size
 
     def reduce_lanes(self) -> np.ndarray:
         """Final per-block lane values, shape ``(n_blocks, n_lanes)``.
 
-        Bit-identical to running the serial block reduction on each
-        block's :class:`BlockChecksumState` (exact commutative folds).
+        Bit-identical to :func:`~repro.core.reduction.reduce_block` on
+        each block alone (exact commutative folds; the order-sensitive
+        states are already final).
         """
-        acc = self._flat.reshape(self.n_blocks, self.n_threads,
-                                 self.cset.n_lanes)
         out = np.empty((self.n_blocks, self.cset.n_lanes), dtype=np.uint64)
-        for lane, func in enumerate(self.cset.functions):
-            out[:, lane] = func.fold_axis(acc[:, :, lane], axis=1)
+        for lane, pos in enumerate(self.comm_lane_positions):
+            out[:, pos] = self.cset.functions[pos].fold_axis(
+                self.per_thread[:, :, lane], axis=1)
+        out[:, self.seq_lane_positions] = self.seq_states
         return out

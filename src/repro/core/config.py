@@ -43,6 +43,8 @@ class ChecksumKind(enum.Enum):
     * ``ADLER32`` — the zlib checksum; rejected by the paper as too
       expensive, and additionally order-sensitive, so it cannot use the
       parallel reduction. It is kept for completeness and comparisons.
+      It still batches: each block's state folds that block's stores in
+      their issue order, so an Adler-32 lane runs in either engine cell.
     """
 
     MODULAR = "modular"

@@ -7,65 +7,23 @@ insertions) against recovery granularity (a failed region re-executes
 F blocks' work).
 
 :class:`FusedKernel` implements the transformation generically: the
-fused launch has ``ceil(N / F)`` blocks; each fused block executes its
-F constituent blocks back to back *sharing one execution context*, so
-an attached LP observer accumulates one checksum across the whole fused
-region and the checksum table is sized to the fused grid automatically.
+fused launch has ``ceil(N / F)`` blocks; each fused block runs its F
+constituent blocks' batch bodies back to back, each on a one-block view
+(:class:`~repro.gpu.kernel._OneBlockView`) of the *one* fused execution
+context that carries the constituent's id and the inner launch shape.
+An attached LP observer therefore accumulates one checksum across the
+whole fused region, and the checksum table is sized to the fused grid
+automatically. Only a kernel with a batch body (``batchable``) fuses.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import LaunchError
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
-
-
-class _SubBlockContext:
-    """A view of a fused context posing as one constituent block.
-
-    Everything (memory, tally, shared memory, LP observer, EP
-    interceptor) is shared with the parent context; only the block
-    identity differs. Implemented by delegation so any future context
-    capability is inherited automatically.
-    """
-
-    def __init__(self, parent: BlockContext, inner_config: LaunchConfig,
-                 block_id: int) -> None:
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "config", inner_config)
-        object.__setattr__(self, "block_id", block_id)
-
-    def __getattr__(self, name):
-        return getattr(object.__getattribute__(self, "_parent"), name)
-
-    def __setattr__(self, name, value):
-        if name in ("config", "block_id"):
-            object.__setattr__(self, name, value)
-        else:
-            setattr(object.__getattribute__(self, "_parent"), name, value)
-
-    # Geometry helpers must use the *inner* identity.
-    @property
-    def n_threads(self) -> int:
-        return self.config.threads_per_block
-
-    @property
-    def tid(self):
-        import numpy as np
-
-        return np.arange(self.n_threads)
-
-    @property
-    def block_xy(self):
-        return self.config.block_coords(self.block_id)
-
-    def thread_xy(self):
-        import numpy as np
-
-        bx = self.config.block[0]
-        t = np.arange(self.n_threads)
-        return t % bx, t // bx
+from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig, _OneBlockView
 
 
 class FusedKernel(Kernel):
@@ -74,6 +32,10 @@ class FusedKernel(Kernel):
     def __init__(self, inner: Kernel, factor: int) -> None:
         if factor < 1:
             raise LaunchError("fusion factor must be >= 1")
+        if not inner.batchable:
+            raise LaunchError(
+                f"kernel {inner.name!r} has no batch body to fuse; its "
+                "constituent blocks run as one-block views")
         self.inner = inner
         self.factor = factor
         self._inner_config = inner.launch_config()
@@ -94,8 +56,6 @@ class FusedKernel(Kernel):
 
     def block_output_map(self, block_id: int):
         """Union of the constituent blocks' store-address slices."""
-        import numpy as np
-
         merged: dict[str, list] = {}
         for inner_id in self._constituents(block_id):
             sub_map = self.inner.block_output_map(inner_id)
@@ -106,20 +66,22 @@ class FusedKernel(Kernel):
         return {name: np.concatenate(parts)
                 for name, parts in merged.items()}
 
+    def _views(self, ctx: BlockContext):
+        """One-block views of ``ctx``, one per constituent, in order."""
+        return (_OneBlockView(ctx, inner_id, self._inner_config)
+                for inner_id in self._constituents(ctx.block_id))
+
     def run_block(self, ctx: BlockContext) -> None:
-        for inner_id in self._constituents(ctx.block_id):
-            sub = _SubBlockContext(ctx, self._inner_config, inner_id)
-            self.inner.run_block(sub)
+        for view in self._views(ctx):
+            self.inner.run_block_batch(view)
 
     def validate_block(self, ctx: BlockContext) -> None:
-        for inner_id in self._constituents(ctx.block_id):
-            sub = _SubBlockContext(ctx, self._inner_config, inner_id)
-            self.inner.validate_block(sub)
+        for view in self._views(ctx):
+            self.inner.validate_block_batch(view)
 
     def recover_block(self, ctx: BlockContext) -> None:
-        for inner_id in self._constituents(ctx.block_id):
-            sub = _SubBlockContext(ctx, self._inner_config, inner_id)
-            self.inner.recover_block(sub)
+        for view in self._views(ctx):
+            self.inner.recover_block_batch(view)
 
 
 def fuse_blocks(kernel: Kernel, factor: int) -> Kernel:

@@ -13,10 +13,10 @@ one checksum per lane for the whole thread block.
   single thread folds them in ``O(N)``. The added global traffic is why
   bandwidth-bound benchmarks (SPMV, SAD, HISTO) suffer most.
 
-Both paths produce bit-identical lane values (the lanes are commutative
-folds), which the test suite asserts. :func:`reduction_tally` returns
-the same operation counts analytically, for the paper-scale benchmark
-profiles; a test pins it against the functional paths' actual charges.
+Both read a one-block :class:`~repro.core.checksum.BatchChecksumState`
+and produce bit-identical lane values (commutative folds). They are the
+functional oracle: the LP runtime charges :func:`reduction_tally`'s
+analytic counts, which a test pins against the paths' actual charges.
 """
 
 from __future__ import annotations
@@ -26,23 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.checksum import BlockChecksumState
+from repro.core.checksum import BatchChecksumState
 from repro.core.config import ReductionMode
 from repro.errors import ConfigError
 from repro.gpu.costs import Tally
 from repro.gpu.kernel import BlockContext
-from repro.gpu.warp import WARP_SIZE
+from repro.gpu.warp import WARP_SIZE, shfl_down
 
 #: Bytes per checksum lane value.
 LANE_BYTES = 8
 
 
 def reduce_block(
-    state: BlockChecksumState,
+    state: BatchChecksumState,
     mode: ReductionMode,
     ctx: BlockContext | None = None,
 ) -> np.ndarray:
-    """Reduce a region's per-thread accumulators to final lane values.
+    """Reduce one region's per-thread accumulators to final lane values.
+
+    ``state`` holds one block (``n_blocks == 1``).
 
     When ``ctx`` is given, the reduction's work is charged to the
     block's tally through the context's real primitives (shuffles,
@@ -57,20 +59,19 @@ def reduce_block(
 
 
 def reduce_parallel(
-    state: BlockChecksumState, ctx: BlockContext | None = None
+    state: BatchChecksumState, ctx: BlockContext | None = None
 ) -> np.ndarray:
     """Listing 3's ``blockReduceSum`` over every commutative lane."""
     if not state.cset.commutative:
         raise ConfigError(
             "parallel reduction requires commutative checksum lanes"
         )
-    n_threads = state.n_threads
-    n_warps = math.ceil(n_threads / WARP_SIZE)
-    lanes_out = np.empty(state.cset.n_lanes, dtype=np.uint64)
+    per_thread, lanes_out = _one_block(state)
+    n_warps = math.ceil(state.n_threads / WARP_SIZE)
 
     for lane, pos in enumerate(state.comm_lane_positions):
         func = state.cset.functions[pos]
-        vals = state.per_thread[:, lane].copy()
+        vals = per_thread[:, lane].copy()
 
         # Step 1: warp-level butterfly (Listing 4), all warps at once.
         vals = _warp_butterfly(vals, func, ctx)
@@ -90,14 +91,11 @@ def reduce_parallel(
         # Step 3: warp 0 reduces the partials with one more butterfly.
         final = _warp_butterfly(partials, func, ctx)
         lanes_out[pos] = final[0]
-
-    for pos, seq_state in state.seq_lane_states.items():
-        lanes_out[pos] = seq_state
     return lanes_out
 
 
 def reduce_sequential(
-    state: BlockChecksumState, ctx: BlockContext | None = None
+    state: BatchChecksumState, ctx: BlockContext | None = None
 ) -> np.ndarray:
     """Pre-Kepler reduction through shared and global memory.
 
@@ -118,16 +116,24 @@ def reduce_sequential(
         ctx.syncthreads()
         ctx.alu(n_threads * n_comm)  # thread 0's sequential folds
 
-    lanes_out = np.empty(state.cset.n_lanes, dtype=np.uint64)
+    per_thread, lanes_out = _one_block(state)
     for lane, pos in enumerate(state.comm_lane_positions):
         func = state.cset.functions[pos]
-        acc = func.identity
         # Thread 0 folds every thread's accumulator, in thread order.
-        acc = func.fold_all(state.per_thread[:, lane], start=acc)
-        lanes_out[pos] = acc
-    for pos, seq_state in state.seq_lane_states.items():
-        lanes_out[pos] = seq_state
+        lanes_out[pos] = func.fold_all(per_thread[:, lane],
+                                       start=func.identity)
     return lanes_out
+
+
+def _one_block(state: BatchChecksumState) -> tuple[np.ndarray, np.ndarray]:
+    """A one-block state's per-thread accumulators, and a lane vector
+    with its order-sensitive lanes (already final) filled in."""
+    if state.n_blocks != 1:
+        raise ConfigError(
+            f"a block reduction reads one block; state holds {state.n_blocks}")
+    lanes_out = np.empty(state.cset.n_lanes, dtype=np.uint64)
+    lanes_out[state.seq_lane_positions] = state.seq_states[0]
+    return state.per_thread[0], lanes_out
 
 
 def _warp_butterfly(vals, func, ctx):
@@ -144,8 +150,6 @@ def _warp_butterfly(vals, func, ctx):
             shifted = ctx.shfl_down(vals, offset)
             ctx.alu(vals.shape[0])  # the combine op per lane
         else:
-            from repro.gpu.warp import shfl_down
-
             shifted = shfl_down(vals, offset)
         vals = func.combine(vals, shifted)
         offset //= 2

@@ -5,10 +5,15 @@ protocol of the paper's Listing 2:
 
 1. at block start, reset per-thread checksum accumulators;
 2. every protected store updates the accumulators (via the context's
-   store interception and an :class:`~repro.core.region.LPRegionObserver`);
+   store interception and a
+   :class:`~repro.core.region.BatchRegionObserver`);
 3. at block end, reduce the accumulators (shuffle or sequential,
    Listings 3-4) and insert the block's checksum into the checksum
    table, keyed by block id.
+
+One protocol body (:meth:`LazyPersistentKernel._batch_protocol`) runs
+both cells; a scalar :class:`~repro.gpu.kernel.BlockContext` is a group
+of one.
 
 :class:`LPRuntime` is the host-side façade: given a device and an
 :class:`~repro.core.config.LPConfig`, it sizes and allocates the
@@ -22,12 +27,8 @@ import numpy as np
 
 from repro.core.checksum import ChecksumSet
 from repro.core.config import LPConfig
-from repro.core.reduction import (
-    apply_reduction_tally,
-    reduce_block,
-    reduction_tally,
-)
-from repro.core.region import BatchRegionObserver, LPRegionObserver
+from repro.core.reduction import apply_reduction_tally, reduction_tally
+from repro.core.region import BatchRegionObserver
 from repro.core.tables import ChecksumTable, make_table
 from repro.errors import ConfigError
 from repro.gpu.device import Device
@@ -83,30 +84,22 @@ class LazyPersistentKernel(Kernel):
         return self.inner.launch_config()
 
     def run_block(self, ctx: BlockContext) -> None:
-        observer = self._attach_observer(ctx)
-        self.inner.run_block(ctx)
-        self._seal_region(ctx, observer)
+        """One region: :meth:`_batch_protocol` on the scalar context (a
+        group of one), then the block's checksum-table insert."""
+        lanes = self._batch_protocol(ctx, self.inner.run_block)
+        self.table.insert(ctx, ctx.block_id, lanes[0])
 
     # -- launch-engine integration --------------------------------------
 
     @property
     def batchable(self) -> bool:
-        """Batchable iff the inner kernel is and every checksum lane is
-        commutative (the batched fold reorders value accumulation)."""
-        return (
-            self.inner.batchable and self.cset.commutative
-        )
+        """Batchable iff the inner kernel is: every checksum lane folds
+        a batched store exactly (order-sensitive ones row by row)."""
+        return self.inner.batchable
 
     def run_block_batch(self, bctx) -> None:
-        """Vectorized LP protocol over a whole group of regions.
-
-        The inner kernel's batched stores fold into one
-        :class:`~repro.core.region.BatchRegionObserver`; the reduction
-        is charged analytically via :func:`reduction_tally` (pinned by
-        tests to equal the functional reduction's charges) and produces
-        per-block lane values bit-identical to :func:`reduce_block`
-        (exact commutative folds), then inserted (:meth:`_insert_group`).
-        """
+        """:meth:`_batch_protocol` over a group, then every block's
+        checksum-table insert (:meth:`_insert_group`)."""
         lanes = self._batch_protocol(bctx, self.inner.run_block_batch)
         self._insert_group(bctx, lanes)
 
@@ -115,11 +108,9 @@ class LazyPersistentKernel(Kernel):
 
         The inner kernel's batched validation pass (the padded
         output-map gather, or a full ``VALIDATE``-mode replay) folds
-        memory's current contents into one batch observer; one
-        ``reduce_lanes`` call then yields the whole group's recomputed
-        checksums. Returns ``(block_id, lanes)`` outcome records for
-        :meth:`merge_validation_outcomes` — the table compare happens
-        grid-wide at merge time, not here.
+        memory's current contents under :meth:`_batch_protocol`.
+        Returns ``(block_id, lanes)`` outcome records for
+        :meth:`merge_validation_outcomes`.
         """
         lanes = self._batch_protocol(bctx, self.inner.validate_block_batch)
         return [
@@ -128,11 +119,8 @@ class LazyPersistentKernel(Kernel):
         ]
 
     def recover_block_batch(self, bctx) -> None:
-        """Vectorized eager recovery: re-execute failed regions grouped.
-
-        Identical to :meth:`run_block_batch` except the inner kernel
-        re-executes through its batched recovery path.
-        """
+        """:meth:`run_block_batch` through the inner kernel's batched
+        recovery path: re-execute failed regions grouped."""
         lanes = self._batch_protocol(bctx, self.inner.recover_block_batch)
         self._insert_group(bctx, lanes)
 
@@ -153,11 +141,16 @@ class LazyPersistentKernel(Kernel):
             bctx.st(*stores)
 
     def _batch_protocol(self, bctx, inner_pass) -> np.ndarray:
-        """Run one batched inner pass under LP observation.
+        """Run one inner pass under LP observation — the one LP body.
 
-        Attaches the batch observer, runs ``inner_pass``, charges the
-        analytic reduction cost and returns the group's per-block lane
-        values (shape ``(n_blocks_in_batch, n_lanes)``).
+        ``bctx`` is a batch context or a scalar one (a group of one).
+        Attaches the observer, runs ``inner_pass``, charges the
+        reduction through :func:`reduction_tally` (pinned by tests to
+        equal what the functional
+        :func:`~repro.core.reduction.reduce_block` charges) and returns
+        the group's per-block lane values (shape
+        ``(n_blocks_in_batch, n_lanes)``), bit-identical to reducing
+        each block alone.
         """
         observer = BatchRegionObserver(
             self.cset, bctx, self._protected,
@@ -165,15 +158,12 @@ class LazyPersistentKernel(Kernel):
         )
         bctx.lp_observer = observer
         inner_pass(bctx)
-        lanes = observer.state.reduce_lanes()
-        n_comm = len(
-            [f for f in self.cset.functions if not f.order_sensitive]
-        )
-        cost = reduction_tally(self.config.reduction, bctx.n_threads, n_comm)
+        cost = reduction_tally(self.config.reduction, bctx.n_threads,
+                               len(observer.state.comm_lane_positions))
         apply_reduction_tally(
             bctx.tally, cost, n_blocks=bctx.n_blocks_in_batch
         )
-        return lanes
+        return observer.state.reduce_lanes()
 
     def apply_table_insert(self, ctx: BlockContext, key: int,
                            lanes: np.ndarray) -> None:
@@ -183,22 +173,17 @@ class LazyPersistentKernel(Kernel):
     def validate_block(self, ctx: BlockContext) -> tuple[int, np.ndarray]:
         """Recompute one block's region checksum from memory contents.
 
-        Replays the block in ``VALIDATE`` mode: protected stores read
-        memory's current contents into the checksum instead of writing.
-        Returns the block's ``(block_id, recomputed_lanes)`` outcome
-        record; the verdict (table compare, failure lists) is reached
-        in :meth:`merge_validation_outcomes`, which the launch engine
-        calls once with every block's record in block order. Keeping
-        this method free of host-state mutation and table access is
-        what lets the vectorized engine run a whole group of validation
-        blocks in one pass.
+        Replays the block in ``VALIDATE`` mode under
+        :meth:`_batch_protocol`: protected stores read memory's current
+        contents into the checksum instead of writing. Returns the
+        block's ``(block_id, recomputed_lanes)`` outcome record, as
+        :meth:`validate_block_batch` does for each of a group's blocks;
+        the verdict is reached in :meth:`merge_validation_outcomes`.
         """
         if ctx.mode is not ExecMode.VALIDATE:
             raise ConfigError("validate_block requires a VALIDATE context")
-        observer = self._attach_observer(ctx)
-        self.inner.validate_block(ctx)
-        lanes = reduce_block(observer.state, self.config.reduction, ctx)
-        return (ctx.block_id, lanes)
+        lanes = self._batch_protocol(ctx, self.inner.validate_block)
+        return (ctx.block_id, lanes[0])
 
     def merge_validation_outcomes(self, outcomes: list) -> None:
         """Grid-wide verdicts: one vectorized table compare for all blocks.
@@ -245,9 +230,8 @@ class LazyPersistentKernel(Kernel):
 
     def recover_block(self, ctx: BlockContext) -> None:
         """Re-execute a failed region and refresh its checksum entry."""
-        observer = self._attach_observer(ctx)
-        self.inner.recover_block(ctx)
-        self._seal_region(ctx, observer)
+        lanes = self._batch_protocol(ctx, self.inner.recover_block)
+        self.table.insert(ctx, ctx.block_id, lanes[0])
 
     # ------------------------------------------------------------------
     # Host-side helpers
@@ -274,22 +258,6 @@ class LazyPersistentKernel(Kernel):
         if data <= 0:
             raise ConfigError("no protected data to compare against")
         return self.table.space_bytes / data
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _attach_observer(self, ctx: BlockContext) -> LPRegionObserver:
-        observer = LPRegionObserver(
-            self.cset, ctx, self._protected,
-            charge_float_conversion=self._charge_conv,
-        )
-        ctx.lp_observer = observer
-        return observer
-
-    def _seal_region(self, ctx: BlockContext, observer: LPRegionObserver) -> None:
-        lanes = reduce_block(observer.state, self.config.reduction, ctx)
-        self.table.insert(ctx, ctx.block_id, lanes)
 
 
 class LPRuntime:

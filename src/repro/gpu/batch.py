@@ -57,11 +57,11 @@ import numpy as np
 from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import ExecMode, LaunchConfig, cas_claim
+from repro.gpu.kernel import ExecMode, GroupGeometry, LaunchConfig, cas_claim
 from repro.gpu.memory import Buffer, GlobalMemory
 
 
-class BatchBlockContext:
+class BatchBlockContext(GroupGeometry):
     """Execution context covering a group of blocks at once."""
 
     def __init__(
@@ -98,37 +98,6 @@ class BatchBlockContext:
         #: Deferred order-dependent checksum-table inserts: one lane row
         #: per block (leading axis = block), or ``None``.
         self.table_inserts: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    @property
-    def n_blocks_in_batch(self) -> int:
-        """Blocks covered by this context (the leading axis length)."""
-        return int(self.block_ids.size)
-
-    @property
-    def n_threads(self) -> int:
-        """Threads per block."""
-        return self.config.threads_per_block
-
-    @property
-    def tid(self) -> np.ndarray:
-        """Flat thread indices ``[0, n_threads)`` (per block)."""
-        return np.arange(self.n_threads)
-
-    @property
-    def block_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(blockIdx.x, blockIdx.y)`` vectors, one entry per block."""
-        grid_x = self.config.grid[0]
-        return self.block_ids % grid_x, self.block_ids // grid_x
-
-    def thread_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(threadIdx.x, threadIdx.y)`` vectors for a 2-D block."""
-        bx = self.config.block[0]
-        t = self.tid
-        return t % bx, t // bx
 
     # ------------------------------------------------------------------
     # Global memory
@@ -176,7 +145,9 @@ class BatchBlockContext:
         """
         buf = self.buffer(buf)
         idx, mask = self._store_geometry(idx, mask)
-        vals = self._fold_store(buf, idx, values, slots, mask)
+        vals, folded = self._charge_store(buf, idx, values, mask)
+        if folded is not None:
+            self._observe(folded, idx, slots, mask)
         if vals is not None:
             self.store_records.append((buf.name, idx, vals, mask))
 
@@ -192,22 +163,28 @@ class BatchBlockContext:
 
         The batched form of a per-thread loop body that issues
         ``st(bufs[0], i, values[0])``, ``st(bufs[1], i, values[1])``, …
-        for its request before moving to the next thread: charges and
-        checksum folds equal those separate stores, and the deferred
-        rows reach memory in that thread-major order (a tuple-target
-        record of :meth:`~repro.gpu.memory.GlobalMemory.write_rows`)
-        instead of one whole buffer after the other.
+        for its request before moving to the next thread: charges equal
+        those separate stores, the LP observer folds the words in that
+        element-major order (one fold of the stacked columns — what an
+        order-sensitive lane needs), and the deferred rows reach memory
+        in that order too (a tuple-target record of
+        :meth:`~repro.gpu.memory.GlobalMemory.write_rows`) instead of
+        one whole buffer after the other.
         """
         idx, mask = self._store_geometry(idx, mask)
-        if len({self.buffer(buf).name for buf in bufs}) != len(bufs):
+        bufs = [self.buffer(buf) for buf in bufs]
+        if len({buf.name for buf in bufs}) != len(bufs):
             raise LaunchError("a record stores one word per distinct buffer")
-        names, columns = [], []
+        names, columns, folds = [], [], []
         for buf, vals in zip(bufs, values):
-            buf = self.buffer(buf)
-            vals = self._fold_store(buf, idx, vals, slots, mask)
+            vals, folded = self._charge_store(buf, idx, vals, mask)
+            if folded is not None:
+                folds.append(folded)
             if vals is not None:
                 names.append(buf.name)
                 columns.append(vals)
+        if folds:
+            self._observe(np.stack(folds, axis=-1), idx, slots, mask)
         if names:
             self.store_records.append(
                 (tuple(names), idx, np.stack(columns, axis=-1), mask))
@@ -225,9 +202,10 @@ class BatchBlockContext:
                 mask = np.broadcast_to(mask, idx.shape)
         return idx, mask
 
-    def _fold_store(self, buf: Buffer, idx, values, slots, mask):
-        """Charge and observe one store; the values to apply, or ``None``
-        when the mode suppresses the write."""
+    def _charge_store(self, buf: Buffer, idx, values, mask):
+        """Charge one store. Returns the values to apply (``None`` when
+        the mode suppresses the write) and the values the LP observer
+        folds (``None`` when it folds nothing)."""
         vals = np.asarray(values, dtype=buf.dtype)
         if vals.shape != idx.shape:
             vals = np.broadcast_to(vals, idx.shape)
@@ -236,11 +214,6 @@ class BatchBlockContext:
 
         observer = self.lp_observer
         observed = observer is not None and buf.name in observer.protected
-        if observed and slots is None:
-            per_block = int(np.prod(idx.shape[1:]))
-            slots = np.arange(per_block).reshape(idx.shape[1:]) \
-                % self.n_threads
-
         if self.mode is ExecMode.VALIDATE and buf.persistent:
             # The batched check phase: persistent writes are suppressed
             # (write traffic stays charged, as in the serial context)
@@ -248,12 +221,21 @@ class BatchBlockContext:
             # at the target addresses. Reads here are uncharged —
             # the serial VALIDATE path reads through ``memory.read``
             # directly, not ``ld``.
-            if observed:
-                observer.on_store(self.memory.read(buf, idx), slots, mask)
-            return None
-        if observed and self.mode is not ExecMode.VALIDATE:
-            observer.on_store(vals, slots, mask)
-        return np.array(vals)
+            return None, self.memory.read(buf, idx) if observed else None
+        folded = vals if observed and self.mode is not ExecMode.VALIDATE \
+            else None
+        return np.array(vals), folded
+
+    def _observe(self, values, idx, slots, mask):
+        """Fold a store's values into the LP observer (a record's with a
+        trailing axis of one word per buffer, :meth:`st_record`)."""
+        if slots is None:
+            slots = np.arange(idx[0].size).reshape(idx.shape[1:]) \
+                % self.n_threads
+        if values.ndim > idx.ndim:
+            slots = np.broadcast_to(slots, idx.shape)[..., None]
+            mask = None if mask is None else mask[..., None]
+        self.lp_observer.on_store(values, slots, mask)
 
     # ------------------------------------------------------------------
     # Atomics

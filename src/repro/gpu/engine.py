@@ -196,8 +196,8 @@ class LaunchEngine:
     Requirements on ``batchable`` kernels: every load must decide on
     the group's starting image what it would decide mid-launch (see
     the contract in :mod:`repro.gpu.batch` — block-disjoint outputs
-    give it for free; kernels that claim slots establish it per input),
-    and any LP wrapper needs commutative checksum lanes.
+    give it for free; kernels that claim slots establish it per input).
+    An LP wrapper is ``batchable`` iff its inner kernel is.
     """
 
     def __init__(self, name: str, vectorize: bool,

@@ -109,12 +109,18 @@ class StoreObserver(Protocol):
     #: Names of the buffers whose stores are checksum-protected.
     protected: frozenset[str]
 
-    def on_store(self, values: np.ndarray, slots: np.ndarray) -> None:
-        """Fold ``values`` into per-thread checksums at ``slots``."""
+    def on_store(self, values: np.ndarray, slots: np.ndarray,
+                 mask: np.ndarray | None = None) -> None:
+        """Fold ``values`` (leading axis = block within the group; a
+        scalar context's one block is a leading axis of 1) into
+        per-thread checksums at ``slots``."""
 
 
 class BlockContext:
     """Execution context of one thread block."""
+
+    #: To an LP observer, one block is a one-row batch.
+    n_blocks_in_batch = 1
 
     def __init__(
         self,
@@ -212,7 +218,8 @@ class BlockContext:
             if buf.persistent:
                 if observed:
                     in_memory = self.memory.read(buf, idx)
-                    observer.on_store(in_memory, self._slots(slots, idx))
+                    observer.on_store(in_memory.reshape(1, -1),
+                                      self._slots(slots, idx))
                 return  # persistent writes are suppressed during replay
             self.memory.write(buf, idx, vals)
             return
@@ -224,12 +231,13 @@ class BlockContext:
 
         self.memory.write(buf, idx, vals)
         if observed:
-            observer.on_store(vals, self._slots(slots, idx))
+            observer.on_store(vals.reshape(1, -1), self._slots(slots, idx))
 
     def _slots(self, slots: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
-        if slots is not None:
-            return np.atleast_1d(np.asarray(slots))
-        return np.arange(idx.size) % self.n_threads
+        """Each element's issuing thread, as a one-row batch."""
+        if slots is None:
+            slots = np.arange(idx.size) % self.n_threads
+        return np.asarray(slots).reshape(1, -1)
 
     # ------------------------------------------------------------------
     # Atomics
@@ -439,13 +447,52 @@ def cas_claim(ctx, buf: Buffer | str, candidates: np.ndarray, compare,
     return claimed.reshape(shape), full.reshape(shape)
 
 
-class _OneBlockView:
+class GroupGeometry:
+    """Thread geometry of a group of blocks: ``config`` is the launch
+    shape and ``block_ids`` the group's blocks (leading axis = block
+    within the group). Shared by the batch context and the one-block
+    view, so a batch body sees the same geometry in both cells."""
+
+    config: LaunchConfig
+    block_ids: np.ndarray
+
+    @property
+    def n_blocks_in_batch(self) -> int:
+        """Blocks covered by this context (the leading axis length)."""
+        return int(self.block_ids.size)
+
+    @property
+    def n_threads(self) -> int:
+        """Threads per block."""
+        return self.config.threads_per_block
+
+    @property
+    def tid(self) -> np.ndarray:
+        """Flat thread indices ``[0, n_threads)`` (per block)."""
+        return np.arange(self.n_threads)
+
+    @property
+    def block_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(blockIdx.x, blockIdx.y)`` vectors, one entry per block."""
+        grid_x = self.config.grid[0]
+        return self.block_ids % grid_x, self.block_ids // grid_x
+
+    def thread_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(threadIdx.x, threadIdx.y)`` vectors for a 2-D block."""
+        bx = self.config.block[0]
+        t = self.tid
+        return t % bx, t // bx
+
+
+class _OneBlockView(GroupGeometry):
     """A scalar :class:`BlockContext` seen as a one-block batch.
 
     What :meth:`Kernel.run_block` hands a kernel's ``run_block_batch``
     (and :meth:`Kernel.validate_block` its ``validate_block_batch``):
-    a :class:`~repro.gpu.batch.BatchBlockContext`'s geometry with a
-    length-1 block axis, charging ``ctx`` as the batch context would.
+    the geometry of ``block_id`` in a launch shaped ``config`` — by
+    default ``ctx``'s own; a fused block's constituent otherwise
+    (:class:`~repro.core.fusion.FusedKernel`) — with a length-1 block
+    axis, charging ``ctx`` as the batch context would.
     Stores are not deferred: row 0 of each batched store goes through
     ``ctx.st`` at once — a record store's words thread-major, as a
     per-request loop issues them — so the LP observer, the EP
@@ -455,14 +502,16 @@ class _OneBlockView:
     reads ``-1`` and the kernel raises its own error.
     """
 
-    n_blocks_in_batch = 1
     #: Attributes whose one-block meaning is the scalar context's.
-    _DELEGATED = frozenset({"n_threads", "tid", "thread_xy", "flops",
-                            "alu", "syncthreads", "charge_shared"})
+    _DELEGATED = frozenset({"flops", "alu", "syncthreads",
+                            "charge_shared"})
 
-    def __init__(self, ctx: BlockContext) -> None:
+    def __init__(self, ctx: BlockContext, block_id: int | None = None,
+                 config: LaunchConfig | None = None) -> None:
         self._ctx = ctx
-        self.block_ids = np.array([ctx.block_id], dtype=np.int64)
+        self.config = ctx.config if config is None else config
+        self.block_ids = np.array(
+            [ctx.block_id if block_id is None else block_id], dtype=np.int64)
 
     def __getattr__(self, name: str):
         if name in _OneBlockView._DELEGATED:
@@ -470,11 +519,6 @@ class _OneBlockView:
         raise AttributeError(
             f"a one-block view has no {name!r}; a kernel whose batch "
             "body needs it must override run_block")
-
-    @property
-    def block_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        bx, by = self._ctx.block_xy
-        return np.array([bx]), np.array([by])
 
     def ld(self, buf: Buffer | str, idx: np.ndarray,
            charge_elements: int | float | None = None) -> np.ndarray:
@@ -522,7 +566,7 @@ class _OneBlockView:
                 f"block axis; got shape {idx.shape}")
         if slots is None:
             slots = np.arange(idx[0].size).reshape(idx.shape[1:]) \
-                % self._ctx.n_threads
+                % self.n_threads
         keep = slice(None) if mask is None else np.broadcast_to(
             np.asarray(mask, dtype=bool), idx.shape)[0].reshape(-1)
 

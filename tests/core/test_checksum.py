@@ -1,11 +1,11 @@
-"""Unit tests for checksum functions and per-block state."""
+"""Unit tests for checksum functions and region state."""
 
 import numpy as np
 import pytest
 
 from repro.core.checksum import (
     Adler32Checksum,
-    BlockChecksumState,
+    BatchChecksumState,
     ChecksumSet,
     EMPTY_SENTINEL,
     ModularChecksum,
@@ -141,44 +141,43 @@ def test_false_negative_bound_shrinks_with_lanes():
     assert two < one < 1e-18
 
 
-# -- BlockChecksumState ---------------------------------------------------------
+# -- BatchChecksumState, one block ----------------------------------------------
 
 def test_state_update_scatter_and_reference():
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    state = cset.new_block_state(n_threads=4)
+    state = BatchChecksumState(cset, n_threads=4)
     vals = np.float32([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-    state.update(vals, np.arange(8) % 4)
+    state.update(vals[None], np.arange(8) % 4)
     assert state.n_values == 8
-    assert np.array_equal(
-        state.lane_values_reference(), cset.checksum_of(vals)
-    )
+    assert np.array_equal(state.reduce_lanes()[0], cset.checksum_of(vals))
 
 
 def test_state_order_insensitive_for_commutative_lanes():
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
     vals = np.float32([5.0, -1.0, 2.25, 9.0])
 
-    s1 = cset.new_block_state(2)
-    s1.update(vals, np.array([0, 1, 0, 1]))
-    s2 = cset.new_block_state(2)
-    s2.update(vals[::-1].copy(), np.array([1, 1, 0, 0]))
-    assert np.array_equal(
-        s1.lane_values_reference(), s2.lane_values_reference()
-    )
+    s1 = BatchChecksumState(cset, 2)
+    s1.update(vals[None], np.array([0, 1, 0, 1]))
+    s2 = BatchChecksumState(cset, 2)
+    s2.update(vals[::-1][None], np.array([1, 1, 0, 0]))
+    assert np.array_equal(s1.reduce_lanes(), s2.reduce_lanes())
 
 
 def test_state_misaligned_slots_rejected():
-    state = ChecksumSet(PAPER_CHECKSUM_PAIR).new_block_state(2)
+    state = BatchChecksumState(ChecksumSet(PAPER_CHECKSUM_PAIR), 2)
     with pytest.raises(ConfigError):
-        state.update(np.float32([1.0, 2.0]), np.array([0]))
+        state.update(np.float32([[1.0, 2.0]]), np.array([[0, 1, 0]]))
+    with pytest.raises(ConfigError):  # two blocks into a one-block state
+        state.update(np.float32([[1.0], [2.0]]), np.array([0]))
 
 
 def test_state_with_adler_lane():
     cset = ChecksumSet((ChecksumKind.MODULAR, ChecksumKind.ADLER32))
-    state = cset.new_block_state(2)
-    vals = np.float32([1.0, 2.0])
-    state.update(vals, np.array([0, 1]))
-    lanes = state.lane_values_reference()
+    state = BatchChecksumState(cset, 2)
+    vals = np.float32([1.0, 2.0, 3.0])
+    state.update(vals[None, :2], np.array([0, 1]))
+    state.update(vals[None, 2:], np.array([0]))
+    lanes = state.reduce_lanes()[0]
     words = to_lane_words(vals)
     assert lanes[0] == words.sum(dtype=np.uint64)
     assert lanes[1] == Adler32Checksum().fold_all(words)
@@ -190,6 +189,8 @@ def test_empty_sentinel_is_all_ones():
 
 def test_state_lane_positions_exposed():
     cset = ChecksumSet((ChecksumKind.ADLER32, ChecksumKind.MODULAR))
-    state = cset.new_block_state(2)
+    state = BatchChecksumState(cset, 2, n_blocks=3)
     assert state.comm_lane_positions == [1]
-    assert list(state.seq_lane_states) == [0]
+    assert state.seq_lane_positions == [0]
+    assert state.per_thread.shape == (3, 2, 1)
+    assert state.seq_states.tolist() == [[1], [1], [1]]  # Adler's start

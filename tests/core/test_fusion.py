@@ -96,3 +96,27 @@ def test_fused_validation_detects_corruption_at_region_granularity():
     recovery = manager.recover()
     assert recovery.recovered
     work.verify(device)
+
+
+def test_fused_adler32_region_recovers():
+    """An order-sensitive lane over a fused region: each constituent
+    folds, in order, on a one-block view of the one fused context, and
+    validation folds them back in that order."""
+    device = repro.Device(cache_capacity_lines=8)
+    work = TMMWorkload(scale="tiny")
+    fused = fuse_blocks(work.setup(device), 4)
+    config = repro.LPConfig(checksums=(repro.ChecksumKind.ADLER32,),
+                            reduction=repro.ReductionMode.SEQUENTIAL_MEMORY)
+    lp_kernel = LPRuntime(device, config).instrument(fused)
+    device.launch(lp_kernel, crash_plan=repro.CrashPlan(
+        after_blocks=2, persist_fraction=0.4, seed=5))
+    report = RecoveryManager(device, lp_kernel).recover()
+    assert report.recovered and report.initial.failed_blocks
+    work.verify(device)
+
+
+def test_fusing_a_kernel_without_a_batch_body_is_refused():
+    device = repro.Device()
+    kernel = TMMWorkload(scale="tiny").setup(device)
+    with pytest.raises(LaunchError, match="no batch body"):
+        fuse_blocks(repro.EPRuntime(device).instrument(kernel), 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.checksum import ChecksumSet
+from repro.core.checksum import BatchChecksumState, ChecksumSet
 from repro.core.config import (
     PAPER_CHECKSUM_PAIR,
     ChecksumKind,
@@ -25,11 +25,20 @@ from repro.gpu.memory import GlobalMemory
 
 def make_state(n_threads, seed=0, kinds=PAPER_CHECKSUM_PAIR):
     rng = np.random.default_rng(seed)
-    cset = ChecksumSet(kinds)
-    state = cset.new_block_state(n_threads)
-    vals = rng.standard_normal(n_threads * 3).astype(np.float32)
-    state.update(vals, np.arange(vals.size) % n_threads)
+    state = BatchChecksumState(ChecksumSet(kinds), n_threads)
+    state.update(make_values(n_threads, seed)[None],
+                 np.arange(n_threads * 3) % n_threads)
     return state
+
+
+def make_values(n_threads, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n_threads * 3).astype(np.float32)
+
+
+def reference(n_threads, seed=0, kinds=PAPER_CHECKSUM_PAIR):
+    """The flat fold of the same values: what every reduction must give."""
+    return ChecksumSet(kinds).checksum_of(make_values(n_threads, seed))
 
 
 def make_ctx(n_threads):
@@ -41,15 +50,13 @@ def make_ctx(n_threads):
 @pytest.mark.parametrize("n_threads", [1, 31, 32, 33, 64, 256, 1024])
 def test_parallel_equals_reference(n_threads):
     state = make_state(n_threads)
-    expect = state.lane_values_reference()
-    assert np.array_equal(reduce_parallel(state), expect)
+    assert np.array_equal(reduce_parallel(state), reference(n_threads))
 
 
 @pytest.mark.parametrize("n_threads", [1, 32, 100, 512])
 def test_sequential_equals_reference(n_threads):
     state = make_state(n_threads)
-    expect = state.lane_values_reference()
-    assert np.array_equal(reduce_sequential(state), expect)
+    assert np.array_equal(reduce_sequential(state), reference(n_threads))
 
 
 def test_parallel_equals_sequential_with_ctx():
@@ -60,8 +67,7 @@ def test_parallel_equals_sequential_with_ctx():
 
 
 def test_reduce_block_dispatch():
-    state = make_state(64)
-    expect = state.lane_values_reference()
+    expect = reference(64)
     for mode in ReductionMode:
         assert np.array_equal(
             reduce_block(make_state(64), mode), expect
@@ -69,14 +75,19 @@ def test_reduce_block_dispatch():
 
 
 def test_parallel_rejects_order_sensitive_lanes():
-    state = make_state(
-        32, kinds=(ChecksumKind.MODULAR, ChecksumKind.ADLER32)
-    )
+    kinds = (ChecksumKind.MODULAR, ChecksumKind.ADLER32)
+    state = make_state(32, kinds=kinds)
     with pytest.raises(ConfigError):
         reduce_parallel(state)
     # Sequential handles them fine.
-    lanes = reduce_sequential(state)
-    assert lanes.shape == (2,)
+    assert np.array_equal(reduce_sequential(state),
+                          reference(32, kinds=kinds))
+
+
+def test_block_reduction_reads_one_block():
+    state = BatchChecksumState(ChecksumSet(PAPER_CHECKSUM_PAIR), 32, 2)
+    with pytest.raises(ConfigError):
+        reduce_sequential(state)
 
 
 def test_functional_charges_match_analytic_tally_parallel():

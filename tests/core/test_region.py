@@ -1,10 +1,11 @@
-"""Unit tests for the LP region observer."""
+"""Unit tests for the LP region observer on a scalar context (a group
+of one)."""
 
 import numpy as np
 
 from repro.core.checksum import ChecksumSet
 from repro.core.config import PAPER_CHECKSUM_PAIR
-from repro.core.region import LPRegionObserver
+from repro.core.region import BatchRegionObserver
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.kernel import BlockContext, LaunchConfig
 from repro.gpu.memory import GlobalMemory
@@ -19,20 +20,18 @@ def make_ctx(threads=32):
 def test_observer_folds_values_per_thread():
     ctx = make_ctx(4)
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    obs = LPRegionObserver(cset, ctx, frozenset({"out"}))
+    obs = BatchRegionObserver(cset, ctx, frozenset({"out"}))
     vals = np.float32([1.0, 2.0, 3.0, 4.0])
-    obs.on_store(vals, np.arange(4))
+    obs.on_store(vals[None], np.arange(4))
     assert obs.n_values == 4
-    assert np.array_equal(
-        obs.state.lane_values_reference(), cset.checksum_of(vals)
-    )
+    assert np.array_equal(obs.state.reduce_lanes()[0], cset.checksum_of(vals))
 
 
 def test_observer_charges_update_cost():
     ctx = make_ctx(4)
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    obs = LPRegionObserver(cset, ctx, frozenset({"out"}))
-    obs.on_store(np.float32([1.0, 2.0]), np.array([0, 1]))
+    obs = BatchRegionObserver(cset, ctx, frozenset({"out"}))
+    obs.on_store(np.float32([[1.0, 2.0]]), np.array([0, 1]))
     # 2 values x (1 modular + 2 parity incl. conversion) ops.
     assert ctx.tally.alu_ops == 6
 
@@ -40,14 +39,14 @@ def test_observer_charges_update_cost():
 def test_observer_conversion_cost_optional():
     ctx = make_ctx(4)
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    obs = LPRegionObserver(cset, ctx, frozenset({"out"}),
-                           charge_float_conversion=False)
-    obs.on_store(np.int32([1, 2]), np.array([0, 1]))
+    obs = BatchRegionObserver(cset, ctx, frozenset({"out"}),
+                              charge_float_conversion=False)
+    obs.on_store(np.int32([[1, 2]]), np.array([0, 1]))
     assert ctx.tally.alu_ops == 4  # one op cheaper per value
 
 
 def test_observer_protected_set_exposed():
     ctx = make_ctx()
-    obs = LPRegionObserver(ChecksumSet(PAPER_CHECKSUM_PAIR), ctx,
-                           frozenset({"a", "b"}))
+    obs = BatchRegionObserver(ChecksumSet(PAPER_CHECKSUM_PAIR), ctx,
+                              frozenset({"a", "b"}))
     assert obs.protected == {"a", "b"}

@@ -191,8 +191,10 @@ def test_view_record_store_is_thread_major():
     mask = np.array([[True, False, True, True]])
     _OneBlockView(ctx).st_record(("k", "v"), idx, (idx + 10, idx + 20),
                                  mask=mask)
-    # Key then value, request by request, each from its own thread.
-    assert folds.seen == [([13], [0]), ([23], [0]), ([14], [2]),
-                          ([24], [2]), ([10], [3]), ([20], [3])]
+    # Key then value, request by request, each from its own thread;
+    # the scalar context hands each store over as a one-row batch.
+    assert folds.seen == [([[13]], [[0]]), ([[23]], [[0]]),
+                          ([[14]], [[2]]), ([[24]], [[2]]),
+                          ([[10]], [[3]]), ([[20]], [[3]])]
     assert mem["v"].data[[3, 1, 4, 0]].tolist() == [23, 0, 24, 20]
     assert ctx.tally.global_write_bytes == 6 * 8

@@ -40,8 +40,8 @@ from repro.workloads.spmv import SPMVWorkload
 
 ENGINES = ["batched"]
 
-#: An Adler-32 lane depends on store order, so its LP wrapper is not
-#: ``batchable`` whatever the inner kernel: the launch stays scalar.
+#: An Adler-32 lane depends on store order. Its state folds each block
+#: row in that order, so the LP wrapper batches as its inner kernel does.
 ORDER_SENSITIVE = repro.LPConfig(
     checksums=(repro.ChecksumKind.ADLER32,),
     reduction=repro.ReductionMode.SEQUENTIAL_MEMORY,
@@ -71,11 +71,12 @@ def assert_same_launch(ref, other):
             == dev_b.memory.write_stats.by_buffer)
 
 
-def run_spmv(engine, config, order="sequential", crash_after=None):
+def run_spmv(engine, config, order="sequential", crash_after=None,
+             fuse=1):
     device = repro.Device(cache_capacity_lines=64, block_order=order,
                           seed=7, engine=engine)
     work = SPMVWorkload(scale="small", seed=3)
-    kernel = work.setup(device)
+    kernel = repro.fuse_blocks(work.setup(device), fuse)
     lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
     crash_plan = None
     if crash_after is not None:
@@ -338,10 +339,11 @@ def test_repeated_key_in_a_write_batch_is_not_batchable(kernel_cls):
 def test_fallback_is_counted_under_the_configured_engine():
     """A kernel the batched engine cannot vectorize still runs — per
     block — but visibly: counted as a fallback, and its blocks under
-    ``engine="batched"``, not under a ``serial`` nobody configured."""
-    config = ORDER_SENSITIVE
+    ``engine="batched"``, not under a ``serial`` nobody configured.
+    A fused kernel has no batch body of its own."""
+    config = repro.LPConfig.paper_best()
     with obs.recording(trace=False) as rec:
-        device, result = run_spmv("batched", config)
+        device, result = run_spmv("batched", config, fuse=2)
         counters = rec.metrics_snapshot()["counters"]
     kernel_name = result.kernel_name
     assert device.engine.fallbacks == {kernel_name: 1}
@@ -362,11 +364,13 @@ def test_fallback_is_counted_under_the_configured_engine():
 # Engine mechanics.
 
 
-def test_batched_requires_commutative_checksums():
-    """Order-sensitive lanes (Adler-32) disable batching, not correctness."""
+def test_batched_folds_order_sensitive_checksums():
+    """Order-sensitive lanes (Adler-32) batch, bit for bit, with no
+    fallback: each block row folds in its store order."""
     config = ORDER_SENSITIVE
-    assert_same_launch(run_spmv("serial", config),
-                       run_spmv("batched", config))
+    batched = run_spmv("batched", config)
+    assert_same_launch(run_spmv("serial", config), batched)
+    assert batched[0].engine.fallbacks == {}
 
 
 class _OverrunKernel(Kernel):
@@ -479,8 +483,10 @@ def _shape_case(case, device):
     kernel = SPMVWorkload(scale="small", seed=3).setup(device)
     if case == "unsafe":  # the EP wrapper has no ``run_block_batch``
         return repro.EPRuntime(device).instrument(kernel), None
-    # An order-sensitive lane leaves the LP wrapper not ``batchable`` —
-    # every workload kernel itself is.
+    if case == "fused":  # nor has a fused kernel
+        kernel = repro.fuse_blocks(kernel, 2)
+    # The LP wrapper is ``batchable`` iff its inner kernel is, whatever
+    # its checksum lanes — every workload kernel is.
     config = (ORDER_SENSITIVE if case == "order_sensitive"
               else repro.LPConfig.paper_best())
     lp_kernel = repro.LPRuntime(device, config).instrument(kernel)
@@ -493,12 +499,14 @@ SHAPE_TABLE = {
         "batchable": ("scalar", False),
         "order_sensitive": ("scalar", False),
         "unsafe": ("scalar", False),
+        "fused": ("scalar", False),
         "one_block": ("scalar", False),
     },
     "batched": {
         "batchable": ("vector", False),
-        "order_sensitive": ("scalar", True),
+        "order_sensitive": ("vector", False),
         "unsafe": ("scalar", True),
+        "fused": ("scalar", True),
         "one_block": ("vector", False),
     },
 }

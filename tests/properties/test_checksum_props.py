@@ -1,11 +1,14 @@
 """Property-based tests for checksum algebra (hypothesis)."""
 
+import zlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.checksum import (
+    BatchChecksumState,
     ChecksumSet,
     ModularChecksum,
     ParityChecksum,
@@ -13,7 +16,11 @@ from repro.core.checksum import (
     float_to_ordered_int,
     to_lane_words,
 )
-from repro.core.config import PAPER_CHECKSUM_PAIR
+from repro.core.config import PAPER_CHECKSUM_PAIR, ChecksumKind
+from repro.core.region import BatchRegionObserver
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
+from repro.gpu.memory import GlobalMemory
 
 words = hnp.arrays(
     np.uint64,
@@ -92,13 +99,12 @@ def test_block_state_any_slotting_same_checksum(vals, n_threads):
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
     rng = np.random.default_rng(42)
 
-    s1 = cset.new_block_state(n_threads)
-    s1.update(vals, np.arange(vals.size) % n_threads)
-    s2 = cset.new_block_state(n_threads)
-    s2.update(vals, rng.integers(0, n_threads, vals.size))
-    assert np.array_equal(
-        s1.lane_values_reference(), s2.lane_values_reference()
-    )
+    s1 = BatchChecksumState(cset, n_threads)
+    s1.update(vals[None], np.arange(vals.size) % n_threads)
+    s2 = BatchChecksumState(cset, n_threads)
+    s2.update(vals[None], rng.integers(0, n_threads, vals.size))
+    assert np.array_equal(s1.reduce_lanes(), s2.reduce_lanes())
+    assert np.array_equal(s1.reduce_lanes()[0], cset.checksum_of(vals))
 
 
 @given(floats32)
@@ -118,3 +124,71 @@ def test_to_lane_words_is_stable(ws):
     assert np.array_equal(
         to_lane_words(ws.view(np.float64)), to_lane_words(ws.view(np.float64))
     )
+
+
+# -- Adler-32 folded row by row ------------------------------------------------
+
+ADLER = ChecksumSet((ChecksumKind.MODULAR, ChecksumKind.ADLER32))
+
+
+def adler_of(values, start=1) -> int:
+    """zlib over the little-endian lane words of ``values``, in order."""
+    data = np.ascontiguousarray(to_lane_words(values), dtype="<u8")
+    return zlib.adler32(data.tobytes(), start)
+
+
+@st.composite
+def ragged_rows(draw):
+    """A group of rows with a ragged mask, a dtype and start states."""
+    dtype = draw(st.sampled_from([np.float32, np.int32, np.uint64]))
+    n_rows = draw(st.integers(1, 4))
+    width = draw(st.integers(0, 40))
+    values = draw(hnp.arrays(dtype, (n_rows, width)))
+    keep = draw(hnp.arrays(np.bool_, (n_rows, width)))
+    starts = draw(st.lists(
+        st.tuples(st.integers(0, 65520), st.integers(0, 65520)),
+        min_size=n_rows, max_size=n_rows))
+    return values, keep, [b << 16 | a for a, b in starts]
+
+
+@given(ragged_rows(), st.booleans())
+@settings(max_examples=80)
+def test_batched_adler_fold_matches_zlib_per_row(case, masked):
+    """Each row's kept words fold, in row order, exactly as zlib folds
+    their bytes from that row's start state."""
+    values, keep, starts = case
+    state = BatchChecksumState(ADLER, n_threads=8, n_blocks=len(starts))
+    state.seq_states[:, 0] = starts
+    state.update(values, np.arange(values.shape[1]) % 8,
+                 keep if masked else None)
+    lanes = state.reduce_lanes()
+    for row, start in enumerate(starts):
+        kept = values[row][keep[row]] if masked else values[row]
+        assert int(lanes[row, 1]) == adler_of(kept, start)
+        assert lanes[row, 0] == to_lane_words(kept).sum(dtype=np.uint64)
+
+
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_record_store_folds_key_then_value_per_request(n_blocks, width,
+                                                       seed):
+    """``st_record`` folds a request's key and then its value before the
+    next request: an Adler lane tells that order from folding all keys
+    and then all values."""
+    rng = np.random.default_rng(seed)
+    mem = GlobalMemory(cache_capacity_lines=64)
+    for name in ("k", "v"):
+        mem.alloc(name, (n_blocks * width,), np.uint64)
+    bctx = BatchBlockContext(mem, LaunchConfig.linear(n_blocks, 4),
+                             range(n_blocks))
+    bctx.lp_observer = observer = BatchRegionObserver(
+        ADLER, bctx, frozenset({"k", "v"}))
+    idx = np.arange(n_blocks * width).reshape(n_blocks, width)
+    keys = rng.integers(1, 2**63, idx.shape, dtype=np.uint64)
+    vals = rng.integers(1, 2**63, idx.shape, dtype=np.uint64)
+    keep = rng.random(idx.shape) < 0.7
+    bctx.st_record(("k", "v"), idx, (keys, vals), mask=keep)
+    lanes = observer.state.reduce_lanes()
+    for row in range(n_blocks):
+        pairs = np.stack([keys[row], vals[row]], axis=-1)[keep[row]]
+        assert int(lanes[row, 1]) == adler_of(pairs.reshape(-1))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.checksum import ChecksumSet
+from repro.core.checksum import BatchChecksumState, ChecksumSet
 from repro.core.config import PAPER_CHECKSUM_PAIR
 from repro.core.reduction import reduce_parallel, reduce_sequential
 from repro.gpu.warp import warp_reduce
@@ -21,9 +21,10 @@ values = hnp.arrays(
 @settings(max_examples=60)
 def test_parallel_equals_sequential_equals_reference(vals, n_threads):
     cset = ChecksumSet(PAPER_CHECKSUM_PAIR)
-    state = cset.new_block_state(n_threads)
-    state.update(vals.view(np.float64), np.arange(vals.size) % n_threads)
-    expect = state.lane_values_reference()
+    state = BatchChecksumState(cset, n_threads)
+    state.update(vals.view(np.float64)[None],
+                 np.arange(vals.size) % n_threads)
+    expect = cset.checksum_of(vals)
     assert np.array_equal(reduce_parallel(state), expect)
     assert np.array_equal(reduce_sequential(state), expect)
 
