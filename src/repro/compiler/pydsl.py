@@ -10,6 +10,13 @@ programming experience for kernels that actually run on the simulator:
 * :func:`lazy_persistent` attaches LP to it with one call, sizing the
   checksum table from the grid (the role of ``lpcuda_init``).
 
+The function is a scalar body: :class:`FunctionKernel` overrides
+``run_block`` (and ``validate_block`` / ``recover_block`` when given
+functions for them), and the engine's batch entries run it on the
+:class:`~repro.gpu.kernel.BlockContext` of one immediate row per block,
+so its stores land as issued under either engine (a counted fallback
+under ``batched``).
+
 Example
 -------
 

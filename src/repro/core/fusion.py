@@ -7,23 +7,26 @@ insertions) against recovery granularity (a failed region re-executes
 F blocks' work).
 
 :class:`FusedKernel` implements the transformation generically: the
-fused launch has ``ceil(N / F)`` blocks; each fused block runs its F
-constituent blocks' batch bodies back to back, each on a one-block view
-(:class:`~repro.gpu.kernel._OneBlockView`) of the *one* fused execution
-context that carries the constituent's id and the inner launch shape.
-An attached LP observer therefore accumulates one checksum across the
+fused launch has ``ceil(N / F)`` blocks; each fused block's row runs
+its F constituent blocks' batch bodies back to back, each on a shallow
+sibling of that row: the constituent's id and the inner launch shape,
+and the row's tally, LP observer, EP interceptor and landing. An
+attached LP observer therefore accumulates one checksum across the
 whole fused region, and the checksum table is sized to the fused grid
-automatically. Only a kernel with a batch body (``batchable``) fuses.
+automatically. Only a kernel with a batch body (``batchable``) fuses;
+the fused kernel itself runs as immediate rows (it is not
+``batchable``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from repro.errors import LaunchError
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig, _OneBlockView
+from repro.gpu.kernel import Kernel, LaunchConfig
 
 
 class FusedKernel(Kernel):
@@ -35,7 +38,7 @@ class FusedKernel(Kernel):
         if not inner.batchable:
             raise LaunchError(
                 f"kernel {inner.name!r} has no batch body to fuse; its "
-                "constituent blocks run as one-block views")
+                "constituent blocks run on siblings of one row")
         self.inner = inner
         self.factor = factor
         self._inner_config = inner.launch_config()
@@ -66,22 +69,29 @@ class FusedKernel(Kernel):
         return {name: np.concatenate(parts)
                 for name, parts in merged.items()}
 
-    def _views(self, ctx: BlockContext):
-        """One-block views of ``ctx``, one per constituent, in order."""
-        return (_OneBlockView(ctx, inner_id, self._inner_config)
-                for inner_id in self._constituents(ctx.block_id))
+    def _siblings(self, row):
+        """Shallow siblings of the fused block's ``row``, one per
+        constituent, in order: each has its constituent's id and the
+        inner launch shape and shares everything else with ``row``."""
+        (fused_id,) = row.block_ids.tolist()
+        for inner_id in self._constituents(fused_id):
+            sibling = copy.copy(row)
+            sibling.block_ids = np.array([inner_id], dtype=np.int64)
+            sibling.config = self._inner_config
+            yield sibling
 
-    def run_block(self, ctx: BlockContext) -> None:
-        for view in self._views(ctx):
-            self.inner.run_block_batch(view)
+    def run_block_batch(self, bctx) -> None:
+        for sibling in self._siblings(bctx):
+            self.inner.run_block_batch(sibling)
 
-    def validate_block(self, ctx: BlockContext) -> None:
-        for view in self._views(ctx):
-            self.inner.validate_block_batch(view)
+    def validate_block_batch(self, bctx) -> list:
+        for sibling in self._siblings(bctx):
+            self.inner.validate_block_batch(sibling)
+        return [None]
 
-    def recover_block(self, ctx: BlockContext) -> None:
-        for view in self._views(ctx):
-            self.inner.recover_block_batch(view)
+    def recover_block_batch(self, bctx) -> None:
+        for sibling in self._siblings(bctx):
+            self.inner.recover_block_batch(sibling)
 
 
 def fuse_blocks(kernel: Kernel, factor: int) -> Kernel:

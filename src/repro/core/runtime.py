@@ -11,9 +11,10 @@ protocol of the paper's Listing 2:
    Listings 3-4) and insert the block's checksum into the checksum
    table, keyed by block id.
 
-One protocol body (:meth:`LazyPersistentKernel._batch_protocol`) runs
-both cells; a scalar :class:`~repro.gpu.kernel.BlockContext` is a group
-of one.
+The wrapper has batch entries only: one protocol body
+(:meth:`LazyPersistentKernel._batch_protocol`) runs a deferred group
+and an immediate row alike, and the inner kernel's body — batch or
+scalar — runs under it through the inner kernel's batch entries.
 
 :class:`LPRuntime` is the host-side façade: given a device and an
 :class:`~repro.core.config.LPConfig`, it sizes and allocates the
@@ -83,12 +84,6 @@ class LazyPersistentKernel(Kernel):
     def launch_config(self) -> LaunchConfig:
         return self.inner.launch_config()
 
-    def run_block(self, ctx: BlockContext) -> None:
-        """One region: :meth:`_batch_protocol` on the scalar context (a
-        group of one), then the block's checksum-table insert."""
-        lanes = self._batch_protocol(ctx, self.inner.run_block)
-        self.table.insert(ctx, ctx.block_id, lanes[0])
-
     # -- launch-engine integration --------------------------------------
 
     @property
@@ -112,6 +107,8 @@ class LazyPersistentKernel(Kernel):
         Returns ``(block_id, lanes)`` outcome records for
         :meth:`merge_validation_outcomes`.
         """
+        if bctx.mode is not ExecMode.VALIDATE:
+            raise ConfigError("validation requires a VALIDATE context")
         lanes = self._batch_protocol(bctx, self.inner.validate_block_batch)
         return [
             (int(block_id), lanes[row])
@@ -130,24 +127,30 @@ class LazyPersistentKernel(Kernel):
         A table whose insert is a plain store (the global array) hands
         the group's inserts over as one batched store, the row after
         each block's data. A hash table's probe sequence depends on
-        insertion history, so its inserts are deferred for the engine
-        to run one per block, in launch order, even though the
-        checksums themselves commute.
+        insertion history, so a deferred group's inserts are deferred
+        for the engine to run one per block, in launch order, even
+        though the checksums themselves commute. An immediate row lands
+        as issued, so its insert runs here, on the row's
+        :class:`~repro.gpu.kernel.BlockContext` — also when a caller
+        runs the scalar entries outside the engine.
         """
         stores = self.table.insert_stores(bctx.block_ids, lanes)
-        if stores is None:
-            bctx.defer_table_inserts(lanes)
-        else:
+        if stores is not None:
             bctx.st(*stores)
+        elif bctx.immediate:
+            self.table.insert(bctx.block_context, int(bctx.block_ids[0]),
+                              lanes[0])
+        else:
+            bctx.defer_table_inserts(lanes)
 
     def _batch_protocol(self, bctx, inner_pass) -> np.ndarray:
         """Run one inner pass under LP observation — the one LP body.
 
-        ``bctx`` is a batch context or a scalar one (a group of one).
-        Attaches the observer, runs ``inner_pass``, charges the
-        reduction through :func:`reduction_tally` (pinned by tests to
-        equal what the functional
-        :func:`~repro.core.reduction.reduce_block` charges) and returns
+        ``bctx`` is a deferred group or one immediate row. Attaches
+        the observer, runs ``inner_pass``, charges the reduction
+        through :func:`reduction_tally` (pinned by tests to equal what
+        the functional :func:`~repro.core.reduction.reduce_block`
+        charges) and returns
         the group's per-block lane values (shape
         ``(n_blocks_in_batch, n_lanes)``), bit-identical to reducing
         each block alone.
@@ -169,21 +172,6 @@ class LazyPersistentKernel(Kernel):
                            lanes: np.ndarray) -> None:
         """Engine callback: apply one deferred checksum-table insert."""
         self.table.insert(ctx, key, lanes)
-
-    def validate_block(self, ctx: BlockContext) -> tuple[int, np.ndarray]:
-        """Recompute one block's region checksum from memory contents.
-
-        Replays the block in ``VALIDATE`` mode under
-        :meth:`_batch_protocol`: protected stores read memory's current
-        contents into the checksum instead of writing. Returns the
-        block's ``(block_id, recomputed_lanes)`` outcome record, as
-        :meth:`validate_block_batch` does for each of a group's blocks;
-        the verdict is reached in :meth:`merge_validation_outcomes`.
-        """
-        if ctx.mode is not ExecMode.VALIDATE:
-            raise ConfigError("validate_block requires a VALIDATE context")
-        lanes = self._batch_protocol(ctx, self.inner.validate_block)
-        return (ctx.block_id, lanes[0])
 
     def merge_validation_outcomes(self, outcomes: list) -> None:
         """Grid-wide verdicts: one vectorized table compare for all blocks.
@@ -227,11 +215,6 @@ class LazyPersistentKernel(Kernel):
                     "expected": None,
                     "found": np.array(found_lanes[i], copy=True),
                 }
-
-    def recover_block(self, ctx: BlockContext) -> None:
-        """Re-execute a failed region and refresh its checksum entry."""
-        lanes = self._batch_protocol(ctx, self.inner.recover_block)
-        self.table.insert(ctx, ctx.block_id, lanes[0])
 
     # ------------------------------------------------------------------
     # Host-side helpers

@@ -43,7 +43,13 @@ from repro.gpu.memory import Buffer
 
 
 class _EPInterceptor:
-    """Logs old values ahead of every protected store (undo logging)."""
+    """Logs old values ahead of every protected store (undo logging).
+
+    Installed on a :class:`~repro.gpu.kernel.BlockContext`, it lives on
+    that context's immediate row and fires inside the row's store, with
+    the context, before the store lands; a deferred group, whose stores
+    land after the pass, refuses it.
+    """
 
     def __init__(self, log: UndoLog, protected: frozenset[str]) -> None:
         self.log = log
@@ -59,7 +65,12 @@ class _EPInterceptor:
 
 
 class EagerPersistentKernel(Kernel):
-    """A kernel wrapped with undo-log Eager Persistency."""
+    """A kernel wrapped with undo-log Eager Persistency.
+
+    A scalar body: it is not ``batchable``, so the engine runs it on one
+    immediate row per block, and the inner kernel's body — batch or
+    scalar — stores through that row.
+    """
 
     def __init__(self, inner: Kernel, log: UndoLog) -> None:
         if not inner.protected_buffers:

@@ -54,7 +54,7 @@ class BatchFallbackError(LaunchError):
     touched, nothing charged to the launch's atomic unit. The launch
     engine catches it, runs that group's blocks one at a time, and
     counts ``engine.fallbacks``; it never reaches a caller. The blocks
-    re-run the same batch body on one-block views, under the same LP
+    re-run the same batch body as immediate rows, under the same LP
     observer and checksum state, so the fallback changes no result.
     """
 

@@ -1,16 +1,23 @@
-"""Vectorized execution context for a *group* of thread blocks.
+"""The execution context of a *group* of thread blocks — the one store path.
 
-:class:`BatchBlockContext` is the batched counterpart of
-:class:`~repro.gpu.kernel.BlockContext`: one extra leading numpy axis
-indexes the thread block within the group, so a kernel's
-``run_block_batch`` computes an entire group of blocks in a handful of
-whole-array operations instead of one Python call chain per block. The
-same body runs one block at a time in the scalar cell, through the
-one-block view :meth:`~repro.gpu.kernel.Kernel.run_block` builds; that
-view offers every primitive below, so no kernel needs a scalar twin.
+:class:`BatchBlockContext` gives a kernel's ``run_block_batch`` one
+extra leading numpy axis indexing the thread block within the group, so
+a body computes an entire group of blocks in a handful of whole-array
+operations instead of one Python call chain per block. It is also the
+one body that charges a store, suppresses it under ``VALIDATE`` and
+folds it into the LP observer: a scalar
+:class:`~repro.gpu.kernel.BlockContext` is the scalar-shaped API over
+one *immediate* row of it.
 
-Semantics contract (what lets the batched engine stay bit-identical to
-serial execution):
+An immediate row (``immediate=True``) lands each store as it is issued:
+one :meth:`~repro.gpu.memory.GlobalMemory.write` per ``st``, one per
+word of an ``st_record``, element-major; an EP interceptor logs before
+each protected store lands. Every block the ``serial`` engine runs is
+one, and so is every block ``batched`` does not defer. A deferred group
+records its stores for the engine to land after the pass.
+
+Semantics contract of a deferred group (what keeps it bit-identical to
+immediate rows run one after the other):
 
 * **Loads** read device memory directly, i.e. the image the group
   started from. A batchable kernel's loads must therefore *decide the
@@ -26,7 +33,7 @@ serial execution):
   kernel refuses an input that breaks the first fact when it is built;
   a request the claim cannot place raises
   :class:`~repro.errors.BatchFallbackError` before any effect and the
-  engine runs that group per block.
+  engine runs that group as immediate rows.
 * **Stores are deferred.** ``st`` records the store (and folds it into
   the attached LP observer, charging checksum work) but does not touch
   memory. The engine lands the whole group's records in one
@@ -37,7 +44,7 @@ serial execution):
   allow (a step that re-touches a line still waiting for its
   write-back cuts there) and writes back once per evicting step.
   Cache recency, evictions, NVM write statistics and the heap's
-  write-back brackets therefore match the serial engine exactly.
+  write-back brackets therefore match immediate landing exactly.
   ``st_record`` is the variant for a body that stores several words
   per request (a key *and* its value): each of its words is a step of
   its own, thread by thread, word by word.
@@ -52,16 +59,39 @@ and for store application.
 
 from __future__ import annotations
 
+import enum
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.errors import BatchFallbackError, LaunchError
+from repro.errors import BatchFallbackError, DeviceError, LaunchError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import ExecMode, GroupGeometry, LaunchConfig, cas_claim
 from repro.gpu.memory import Buffer, GlobalMemory
 
+if TYPE_CHECKING:
+    from repro.gpu.kernel import BlockContext, LaunchConfig
 
-class BatchBlockContext(GroupGeometry):
+
+def _kept(a: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """A row's unmasked elements, flat, in issue order."""
+    return a.reshape(-1) if mask is None else a[mask]
+
+
+class ExecMode(enum.Enum):
+    """What a block execution is for."""
+
+    #: Normal forward execution: stores write memory.
+    NORMAL = "normal"
+    #: Post-crash validation replay: persistent stores are suppressed
+    #: and the observer sees memory's current contents instead.
+    VALIDATE = "validate"
+    #: Crash recovery of a failed region: ``recover_block`` re-executes
+    #: it with normal store semantics.
+    RECOVER = "recover"
+
+
+class BatchBlockContext:
     """Execution context covering a group of blocks at once."""
 
     def __init__(
@@ -71,6 +101,7 @@ class BatchBlockContext(GroupGeometry):
         block_ids,
         mode: ExecMode = ExecMode.NORMAL,
         atomics: AtomicUnit | None = None,
+        immediate: bool = False,
     ) -> None:
         self.memory = memory
         #: The launch's atomic unit; ``None`` when a context is built
@@ -82,14 +113,25 @@ class BatchBlockContext(GroupGeometry):
         self.block_ids = np.asarray(list(block_ids), dtype=np.int64)
         if self.block_ids.size == 0:
             raise LaunchError("a batch needs at least one block")
+        #: Whether stores land as issued (one row) or are deferred.
+        self.immediate = immediate
+        if immediate and self.block_ids.size != 1:
+            raise LaunchError(
+                "an immediate context is one row; got "
+                f"{self.block_ids.size} blocks")
         self.tally = Tally(
             n_blocks=config.n_blocks,
             threads_per_block=config.threads_per_block,
         )
-        #: Optional batched LP hook (``BatchRegionObserver``); set by the
-        #: LP kernel wrapper. Must expose ``protected`` and
-        #: ``on_store(values, slots, mask)``.
+        #: Optional LP hook (``BatchRegionObserver``); set by the LP
+        #: kernel wrapper. Must expose ``protected`` and
+        #: ``on_store(values, slots[, mask])``.
         self.lp_observer = None
+        self._ep_interceptor = None
+        #: The scalar API over this row — the
+        #: :class:`~repro.gpu.kernel.BlockContext` that owns it — or
+        #: ``None`` for a context built on its own.
+        self.block_context: BlockContext | None = None
         #: Deferred stores, in issue order:
         #: ``(buffer_name, idx, values, mask)`` with leading axis = block.
         #: A ``st_record`` entry names a *tuple* of buffers and carries
@@ -98,6 +140,37 @@ class BatchBlockContext(GroupGeometry):
         #: Deferred order-dependent checksum-table inserts: one lane row
         #: per block (leading axis = block), or ``None``.
         self.table_inserts: np.ndarray | None = None
+
+    # ------------------------------------------------------------------
+    # Thread geometry
+    # ------------------------------------------------------------------
+
+    @property
+    def n_blocks_in_batch(self) -> int:
+        """Blocks covered by this context (the leading axis length)."""
+        return int(self.block_ids.size)
+
+    @property
+    def n_threads(self) -> int:
+        """Threads per block."""
+        return self.config.threads_per_block
+
+    @property
+    def tid(self) -> np.ndarray:
+        """Flat thread indices ``[0, n_threads)`` (per block)."""
+        return np.arange(self.n_threads)
+
+    @property
+    def block_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(blockIdx.x, blockIdx.y)`` vectors, one entry per block."""
+        grid_x = self.config.grid[0]
+        return self.block_ids % grid_x, self.block_ids // grid_x
+
+    def thread_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(threadIdx.x, threadIdx.y)`` vectors for a 2-D block."""
+        bx = self.config.block[0]
+        t = self.tid
+        return t % bx, t // bx
 
     # ------------------------------------------------------------------
     # Global memory
@@ -127,6 +200,23 @@ class BatchBlockContext(GroupGeometry):
         self.tally.global_read_bytes += n * buf.dtype.itemsize
         return self.memory.read(buf, idx)
 
+    @property
+    def ep_interceptor(self):
+        """Optional Eager Persistency hook (undo logging); set by the EP
+        kernel wrapper. Must expose ``protected`` and
+        ``before_store(ctx, buf, idx)``, called with the owning
+        :class:`~repro.gpu.kernel.BlockContext` before a protected
+        persistent store lands — so only an immediate row takes one."""
+        return self._ep_interceptor
+
+    @ep_interceptor.setter
+    def ep_interceptor(self, interceptor) -> None:
+        if interceptor is not None and not self.immediate:
+            raise LaunchError(
+                "an EP interceptor logs before each store lands; a "
+                "deferred group lands its stores after the pass")
+        self._ep_interceptor = interceptor
+
     def st(
         self,
         buf: Buffer | str,
@@ -137,19 +227,24 @@ class BatchBlockContext(GroupGeometry):
     ) -> None:
         """Batched global store (leading axis of ``idx`` = block).
 
-        The store is recorded for deferred launch-order application and —
-        when the buffer is LP-protected — folded into the batch
-        observer. ``slots`` broadcasts against ``idx`` and names the
-        issuing thread of each element (defaults to position order
-        within the block); ``mask`` silences ragged elements.
+        The store is folded into the LP observer when the buffer is
+        protected, then landed (an immediate row) or recorded for
+        launch-order application. ``slots`` broadcasts against ``idx``
+        and names the issuing thread of each element (defaults to
+        position order within the block); ``mask`` silences ragged
+        elements.
         """
         buf = self.buffer(buf)
         idx, mask = self._store_geometry(idx, mask)
         vals, folded = self._charge_store(buf, idx, values, mask)
         if folded is not None:
             self._observe(folded, idx, slots, mask)
-        if vals is not None:
-            self.store_records.append((buf.name, idx, vals, mask))
+        if vals is None:
+            return
+        if self.immediate:
+            self._land(buf, _kept(idx, mask), _kept(vals, mask))
+        else:
+            self.store_records.append((buf.name, idx, np.array(vals), mask))
 
     def st_record(
         self,
@@ -166,28 +261,46 @@ class BatchBlockContext(GroupGeometry):
         for its request before moving to the next thread: charges equal
         those separate stores, the LP observer folds the words in that
         element-major order (one fold of the stacked columns — what an
-        order-sensitive lane needs), and the deferred rows reach memory
-        in that order too (a tuple-target record of
-        :meth:`~repro.gpu.memory.GlobalMemory.write_rows`) instead of
-        one whole buffer after the other.
+        order-sensitive lane needs), and the words reach memory in that
+        order too — one write per word on an immediate row, a
+        tuple-target record of
+        :meth:`~repro.gpu.memory.GlobalMemory.write_rows` when deferred
+        — instead of one whole buffer after the other.
         """
         idx, mask = self._store_geometry(idx, mask)
         bufs = [self.buffer(buf) for buf in bufs]
         if len({buf.name for buf in bufs}) != len(bufs):
             raise LaunchError("a record stores one word per distinct buffer")
-        names, columns, folds = [], [], []
+        landing, folds = [], []
         for buf, vals in zip(bufs, values):
             vals, folded = self._charge_store(buf, idx, vals, mask)
             if folded is not None:
                 folds.append(folded)
             if vals is not None:
-                names.append(buf.name)
-                columns.append(vals)
+                landing.append((buf, vals))
         if folds:
             self._observe(np.stack(folds, axis=-1), idx, slots, mask)
-        if names:
-            self.store_records.append(
-                (tuple(names), idx, np.stack(columns, axis=-1), mask))
+        if not landing:
+            return
+        if not self.immediate:
+            self.store_records.append((
+                tuple(buf.name for buf, _ in landing), idx,
+                np.stack([vals for _, vals in landing], axis=-1), mask))
+            return
+        at = _kept(idx, mask)
+        words = [(buf, _kept(vals, mask)) for buf, vals in landing]
+        for i in range(at.size):
+            for buf, word in words:
+                self._land(buf, at[i:i + 1], word[i:i + 1])
+
+    def _land(self, buf: Buffer, idx: np.ndarray, values: np.ndarray) -> None:
+        """One step of an immediate row: the EP interceptor logs what a
+        protected persistent store overwrites, then the store lands."""
+        interceptor = self._ep_interceptor
+        if (interceptor is not None and buf.persistent
+                and buf.name in interceptor.protected):
+            interceptor.before_store(self.block_context, buf, idx)
+        self.memory.write(buf, idx, values)
 
     def _store_geometry(self, idx, mask):
         idx = np.asarray(idx)
@@ -203,7 +316,7 @@ class BatchBlockContext(GroupGeometry):
         return idx, mask
 
     def _charge_store(self, buf: Buffer, idx, values, mask):
-        """Charge one store. Returns the values to apply (``None`` when
+        """Charge one store. Returns the values to land (``None`` when
         the mode suppresses the write) and the values the LP observer
         folds (``None`` when it folds nothing)."""
         vals = np.asarray(values, dtype=buf.dtype)
@@ -215,16 +328,15 @@ class BatchBlockContext(GroupGeometry):
         observer = self.lp_observer
         observed = observer is not None and buf.name in observer.protected
         if self.mode is ExecMode.VALIDATE and buf.persistent:
-            # The batched check phase: persistent writes are suppressed
-            # (write traffic stays charged, as in the serial context)
-            # and protected stores fold what memory *currently holds*
-            # at the target addresses. Reads here are uncharged —
-            # the serial VALIDATE path reads through ``memory.read``
-            # directly, not ``ld``.
+            # The check phase: persistent writes are suppressed (write
+            # traffic stays charged) and protected stores fold what
+            # memory *currently holds* at the target addresses. The
+            # reads are uncharged: the check phase fetches through
+            # ``memory.read`` directly, not ``ld``.
             return None, self.memory.read(buf, idx) if observed else None
         folded = vals if observed and self.mode is not ExecMode.VALIDATE \
             else None
-        return np.array(vals), folded
+        return vals, folded
 
     def _observe(self, values, idx, slots, mask):
         """Fold a store's values into the LP observer (a record's with a
@@ -235,11 +347,24 @@ class BatchBlockContext(GroupGeometry):
         if values.ndim > idx.ndim:
             slots = np.broadcast_to(slots, idx.shape)[..., None]
             mask = None if mask is None else mask[..., None]
-        self.lp_observer.on_store(values, slots, mask)
+        if mask is None:
+            self.lp_observer.on_store(values, slots)
+        else:
+            self.lp_observer.on_store(values, slots, mask)
 
     # ------------------------------------------------------------------
     # Atomics
     # ------------------------------------------------------------------
+
+    def guard_atomic(self, buf: Buffer) -> None:
+        """Refuse an atomic on persistent data during a ``VALIDATE``
+        replay, which must not write it."""
+        if self.mode is ExecMode.VALIDATE and buf.persistent:
+            raise DeviceError(
+                "atomic to persistent buffer during VALIDATE replay; "
+                "kernels that accumulate into persistent data must "
+                "override validate_block_batch() or validate_block()"
+            )
 
     def atomic_cas_claim(
         self,
@@ -248,18 +373,84 @@ class BatchBlockContext(GroupGeometry):
         compare,
         valid: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Claim one slot per request by ``atomicCAS(compare -> word)``:
-        :func:`~repro.gpu.kernel.cas_claim` over the group (leading
-        axes block, then thread), returning the claimed index per
-        request. A request no candidate can take raises
-        :class:`~repro.errors.BatchFallbackError` before any effect, and
-        the engine re-runs the group per block.
+        """Claim one slot per request by ``atomicCAS(compare -> word)``.
+
+        ``candidates[..., c]`` lists each request's slots in probe order
+        (leading axes block, then thread — request order); ``valid``
+        silences padding candidates and whole masked-out requests. Every
+        request walks its candidates as the scalar loop ``for s in
+        slots: if atomic_cas(buf, s, compare, word) == compare: break``
+        does: a slot holding anything but ``compare`` costs one failed
+        CAS, the first one holding ``compare`` is claimed. Requests are
+        resolved **in request order**: a slot an earlier request claimed
+        reads as occupied to every later one — the one dependence
+        between requests the batched load contract cannot hide.
+
+        Returns the claimed index per request (``-1`` where ``valid``
+        left nothing to try). Each attempt is charged as the scalar
+        ``atomic_cas`` charges it — element bytes of write traffic and
+        one op on the :class:`~repro.gpu.atomics.AtomicUnit` at that
+        address. A request none of whose candidates is free charges
+        nothing: a deferred group raises
+        :class:`~repro.errors.BatchFallbackError` before any effect and
+        the engine re-runs it as immediate rows; an immediate row has
+        nothing to fall back to, so such a request reads ``-1`` and the
+        kernel raises its own error. The winning CAS's own write is
+        *not* made: the caller stores the claimed word at the returned
+        index in the same pass (an LP kernel does anyway, to fold it),
+        and a store of the same word to the same line right after is
+        indistinguishable, to the persistence domain, from the pair.
         """
-        claimed, full = cas_claim(self, buf, candidates, compare, valid)
-        if full.any():
-            raise BatchFallbackError(
-                f"a request found no free slot in {self.buffer(buf).name!r}")
-        return claimed
+        buf = self.buffer(buf)
+        self.guard_atomic(buf)
+        if self.atomics is None:
+            raise LaunchError(
+                "atomic_cas_claim needs the launch's AtomicUnit to "
+                "charge contention to; build the BatchBlockContext "
+                "with atomics="
+            )
+        candidates = np.asarray(candidates)
+        shape = candidates.shape[:-1]
+        cand = candidates.reshape(-1, candidates.shape[-1])
+        if valid is None:
+            tried = np.ones(cand.shape, dtype=bool)
+        else:
+            tried = np.broadcast_to(
+                np.asarray(valid, dtype=bool), candidates.shape
+            ).reshape(cand.shape)
+        rows = np.flatnonzero(tried.any(axis=1))
+        claimed = np.full(cand.shape[0], -1, dtype=np.int64)
+        cand, tried = cand[rows], tried[rows]
+        free = tried & (self.memory.read(buf, cand) == buf.dtype.type(compare))
+        while True:
+            # A request with nothing left is full for good: each of its
+            # slots is occupied or held by an earlier request. It claims
+            # nothing, and the walk goes on to the others' fixed point.
+            out = ~free.any(axis=1)
+            pos = np.where(out, -1, free.argmax(axis=1))
+            live = np.flatnonzero(~out)
+            target = cand[live, pos[live]]
+            # np.unique's first-occurrence index is the earliest request
+            # aiming at each slot; it keeps the slot, the others see it
+            # occupied and move on — which may bump a later request in
+            # turn, so iterate to the fixed point (picks only advance).
+            _, first = np.unique(target, return_index=True)
+            if first.size == target.size:
+                break
+            lost = np.ones(live.size, dtype=bool)
+            lost[first] = False
+            free[live[lost], pos[live[lost]]] = False
+        claimed[rows[live]] = target
+        if out.any():
+            if not self.immediate:
+                raise BatchFallbackError(
+                    f"a request found no free slot in {buf.name!r}")
+        else:
+            attempted = tried & (np.arange(cand.shape[1]) <= pos[:, None])
+            self.tally.global_write_bytes += (
+                int(np.count_nonzero(attempted)) * buf.dtype.itemsize)
+            self.atomics.charge(buf, cand[attempted])
+        return claimed.reshape(shape)
 
     def defer_table_inserts(self, lanes: np.ndarray) -> None:
         """Queue one checksum-table insert per block (row = block) that

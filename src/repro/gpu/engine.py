@@ -8,9 +8,12 @@ persistency models generally). The simulator exploits exactly that
 property here. :class:`~repro.gpu.device.Device.launch` delegates the
 block loop to a :class:`LaunchEngine`, which holds one choice:
 **vectorize** — run a *group* of homogeneous blocks as one pass over an
-extra numpy axis (:class:`~repro.gpu.batch.BatchBlockContext`,
-``run_block_batch``) instead of one block at a time. Every block runs
-in this process.
+extra numpy axis and defer its stores, instead of one block at a time.
+Every block runs in this process, and every pass runs on a
+:class:`~repro.gpu.batch.BatchBlockContext` through the kernel's batch
+entries (``run_block_batch`` / ``validate_block_batch`` /
+``recover_block_batch``); a kernel with a scalar body reaches it
+through the row's :class:`~repro.gpu.kernel.BlockContext`.
 
 The two engine names are the two settings of that choice
 (:func:`make_engine`): ``serial`` = scalar — the reference loop every
@@ -18,13 +21,21 @@ parity matrix compares against; ``batched`` = vector — what everything
 else runs. A given *launch* lands in one of two cells:
 
 ==============  =====================================================
-scalar          one :class:`~repro.gpu.kernel.BlockContext` per block,
-                effects land as the block runs
-vector          ``group_size`` blocks per ``BatchBlockContext``; stores
-                (a global-array checksum insert among them) deferred,
-                then landed in one
+scalar          one immediate row per block: a one-row
+                ``BatchBlockContext`` whose stores land as they are
+                issued, one ``write`` per store (per word of a record)
+vector          ``group_size`` blocks per deferred ``BatchBlockContext``;
+                stores (a global-array checksum insert among them)
+                recorded, then landed in one
                 :meth:`~repro.gpu.memory.GlobalMemory.write_rows` pass
 ==============  =====================================================
+
+``serial`` stays immediate on purpose: deferred groups of one would
+make both parity arms the same landing path, and the matrices would
+lose their reference. The vector cell is a batchable launch under
+``batched``; everything else is the scalar cell — ``serial``, a
+non-batchable kernel under ``batched``, a
+:class:`~repro.errors.BatchFallbackError` group's re-run.
 
 In both cells effects are applied **in the launch's block order**, so
 cache recency, eviction order, NVM shadow state, write statistics,
@@ -37,7 +48,7 @@ sequence, so every write-back copies what the steps up to its own left.
 Write-backs stay one call per evicting step, in order, so the durable
 heap sees the scalar cell's arm / copy / commit brackets. A hash-table
 insert reads the table, so it ends a segment and runs per block after
-its block's stores.
+its block's stores (on an immediate row, at the end of its LP pass).
 
 Determinism contract: given the same plan, the vector cell must produce
 the same ``completed_blocks``, the same tally, the same volatile + NVM
@@ -53,11 +64,10 @@ collected records — in the launch's block order — to
 deterministic grid-wide table compare. ``RECOVER`` re-execution batches
 exactly like forward execution (table refreshes stay deferred to
 launch-order application). The NORMAL / VALIDATE / RECOVER switch
-exists once per execution form (:func:`_run_scalar`,
-:func:`_run_vector`).
+exists once (:func:`_run_pass`).
 
-**Fallbacks.** One rule: blocks that run scalar under a vectorizing
-engine are a fallback — a whole launch whose kernel is not
+**Fallbacks.** One rule: blocks that run as immediate rows under a
+vectorizing engine are a fallback — a whole launch whose kernel is not
 ``batchable``, or a single block group whose kernel raised
 :class:`~repro.errors.BatchFallbackError` (before any effect) because
 its input needs per-block execution. Each is counted per kernel in
@@ -78,7 +88,7 @@ from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
 from repro.obs import current as _recorder
 
-#: Block-group granularity of serial tracing spans: fine enough
+#: Block-group granularity of immediate-row tracing spans: fine enough
 #: to see progress, coarse enough that a 10k-block launch stays a
 #: loadable timeline.
 TRACE_GROUP_BLOCKS = 64
@@ -103,7 +113,7 @@ class LaunchPlan:
     fence_concurrency: int = 1
     #: Optional callback fired with the cumulative completed-block
     #: count each time a block's effects land in the plan's memory
-    #: (serial execution and batched application alike).
+    #: (immediate rows and deferred groups alike).
     #: The crash harness's "kill after N blocks" trigger point.
     block_hook: object | None = None
 
@@ -114,33 +124,11 @@ class LaunchPlan:
             threads_per_block=self.config.threads_per_block,
         )
 
-    def block_context(self, block_id: int) -> BlockContext:
-        """A fresh context for one block of this launch."""
-        return BlockContext(
-            self.memory, self.atomics, self.config, block_id, self.mode,
-            fence_latency_cycles=self.fence_latency,
-            fence_concurrency=self.fence_concurrency,
-        )
 
-
-# ---------------------------------------------------------------------------
-# The mode switch, once per execution form
-# ---------------------------------------------------------------------------
-
-def _run_scalar(kernel: Kernel, ctx: BlockContext, mode: ExecMode,
-                outcomes: list) -> None:
-    """Run one block on ``ctx`` as ``mode`` asks."""
-    if mode is ExecMode.VALIDATE:
-        outcomes.append(kernel.validate_block(ctx))
-    elif mode is ExecMode.RECOVER:
-        kernel.recover_block(ctx)
-    else:
-        kernel.run_block(ctx)
-
-
-def _run_vector(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
-                outcomes: list) -> None:
-    """Run one block group on ``bctx`` as ``mode`` asks."""
+def _run_pass(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
+              outcomes: list) -> None:
+    """Run one pass — a deferred group or one immediate row — on
+    ``bctx`` as ``mode`` asks: the one mode switch."""
     if mode is ExecMode.VALIDATE:
         outcomes.extend(kernel.validate_block_batch(bctx))
     elif mode is ExecMode.RECOVER:
@@ -149,9 +137,20 @@ def _run_vector(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
         kernel.run_block_batch(bctx)
 
 
+def _block_context(plan: LaunchPlan, block_id: int) -> BlockContext:
+    """One block of ``plan``'s launch as an immediate row, with the
+    scalar API over it: what a row runs on, and what a hash-table insert
+    after a deferred group's row runs on."""
+    return BlockContext(
+        plan.memory, plan.atomics, plan.config, block_id, plan.mode,
+        fence_latency_cycles=plan.fence_latency,
+        fence_concurrency=plan.fence_concurrency,
+    )
+
+
 def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
                          tally: Tally, completed: list[int]) -> None:
-    """Land a vectorized group's deferred effects in one memory pass.
+    """Land a deferred group's effects in one memory pass.
 
     The group's store records (row = block, in launch order) go through
     one :meth:`~repro.gpu.memory.GlobalMemory.write_rows`; inserts the
@@ -169,7 +168,7 @@ def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
     after_row = None
     if lanes is not None:
         def after_row(row: int) -> None:
-            ctx = plan.block_context(block_ids[row])
+            ctx = _block_context(plan, block_ids[row])
             plan.kernel.apply_table_insert(ctx, block_ids[row], lanes[row])
             tally.merge(ctx.finalize_tally())
     memory.write_rows(len(block_ids), records, after_row)
@@ -188,7 +187,8 @@ class LaunchEngine:
     """Executes a launch plan's thread blocks, vectorized or not.
 
     ``vectorize`` lets ``batchable`` kernels run ``group_size`` blocks
-    per :class:`~repro.gpu.batch.BatchBlockContext` pass. Build one
+    per deferred :class:`~repro.gpu.batch.BatchBlockContext` pass;
+    everything else runs as immediate rows. Build one
     through :func:`make_engine` (or ``Device(engine="...")``), which
     maps the two engine names onto that choice; ``name`` is what spans,
     metrics and reports carry.
@@ -209,7 +209,7 @@ class LaunchEngine:
         self.name = name
         self.vectorize = vectorize
         self.group_size = group_size
-        #: Fallbacks by kernel name (see :meth:`_run_scalar_inline`).
+        #: Fallbacks by kernel name (see :meth:`_count_fallback`).
         #: Kept on the engine (not only in the metrics registry) so a
         #: caller with no recorder installed can still ask.
         self.fallbacks: collections.Counter = collections.Counter()
@@ -223,11 +223,10 @@ class LaunchEngine:
         tally = plan.new_tally()
         completed: list[int] = []
         outcomes: list = []
-        if self.vectorize and plan.kernel.batchable:
-            self._run_vector_inline(plan, tally, completed, outcomes)
-        else:
-            self._run_scalar_inline(plan, plan.block_ids, tally, completed,
-                                    outcomes)
+        defer = self.vectorize and plan.kernel.batchable
+        if self.vectorize and not defer:
+            self._count_fallback(plan)
+        self._run(plan, plan.block_ids, defer, tally, completed, outcomes)
         rec = _recorder()
         if plan.mode is ExecMode.VALIDATE:
             with rec.trace.span(
@@ -241,75 +240,71 @@ class LaunchEngine:
                             engine=self.name)
         return completed, tally
 
-    def _run_scalar_inline(self, plan: LaunchPlan, block_ids: list[int],
-                           tally: Tally, completed: list[int],
-                           outcomes: list) -> None:
-        """One block at a time, in this process — the reference cell.
+    def _count_fallback(self, plan: LaunchPlan) -> None:
+        """Count one fallback (module docstring) against the kernel."""
+        self.fallbacks[plan.kernel.name] += 1
+        rec = _recorder()
+        if rec.metrics.active:
+            rec.metrics.inc("engine.fallbacks", engine=self.name,
+                            kernel=plan.kernel.name)
 
-        Also the one fallback rule: under a vectorizing engine every
-        call here — a whole launch, or one
-        :class:`~repro.errors.BatchFallbackError` group — is a
-        fallback, and counted.
+    def _run(self, plan: LaunchPlan, block_ids: list[int], defer: bool,
+             tally: Tally, completed: list[int], outcomes: list) -> None:
+        """Run ``block_ids`` in launch order, in this process: deferred
+        groups of ``group_size`` (one ``engine.group`` span each), or
+        immediate rows (one ``engine.blocks`` span per 64 blocks when
+        tracing, else one null span around the whole loop, so the hot
+        loop stays branch-free per block).
+
+        A deferred group whose kernel raises
+        :class:`~repro.errors.BatchFallbackError` has had no effect yet
+        (that is the exception's contract); its blocks re-run as rows.
         """
         rec = _recorder()
-        if self.vectorize:
-            self.fallbacks[plan.kernel.name] += 1
-            if rec.metrics.active:
-                rec.metrics.inc("engine.fallbacks", engine=self.name,
-                                kernel=plan.kernel.name)
-        # One span per 64-block group when tracing, else one null span
-        # around the whole loop: the hot loop stays branch-free per
-        # block.
-        step = TRACE_GROUP_BLOCKS if rec.trace.enabled \
-            else max(1, len(block_ids))
+        if defer:
+            span, step = "engine.group", self.group_size
+        else:
+            span = "engine.blocks"
+            step = TRACE_GROUP_BLOCKS if rec.trace.enabled \
+                else max(1, len(block_ids))
         for lo in range(0, len(block_ids), step):
             group = block_ids[lo:lo + step]
             with rec.trace.span(
-                "engine.blocks", cat="engine", track="engine",
+                span, cat="engine", track="engine",
                 engine=self.name, mode=plan.mode.name,
                 first=group[0], count=len(group),
             ):
-                for block_id in group:
-                    ctx = plan.block_context(block_id)
-                    _run_scalar(plan.kernel, ctx, plan.mode, outcomes)
-                    tally.merge(ctx.finalize_tally())
-                    completed.append(block_id)
-                    if plan.block_hook is not None:
-                        plan.block_hook(len(completed))
-
-    def _run_vector_inline(self, plan: LaunchPlan, tally: Tally,
-                           completed: list[int], outcomes: list) -> None:
-        """``group_size`` blocks per vectorized pass, in this process.
-
-        A group whose kernel raises
-        :class:`~repro.errors.BatchFallbackError` has had no effect yet
-        (that is the exception's contract); its blocks run
-        scalar-inline instead.
-        """
-        rec = _recorder()
-        ids = plan.block_ids
-        for lo in range(0, len(ids), self.group_size):
-            group = ids[lo:lo + self.group_size]
-            with rec.trace.span(
-                "engine.group", cat="engine", track="engine",
-                engine=self.name, mode=plan.mode.name,
-                first=group[0], count=len(group),
-            ):
+                if not defer:
+                    for block_id in group:
+                        _run_row(plan, block_id, tally, completed, outcomes)
+                    continue
                 bctx = BatchBlockContext(
                     plan.memory, plan.config, group, mode=plan.mode,
                     atomics=plan.atomics,
                 )
                 try:
-                    _run_vector(plan.kernel, bctx, plan.mode, outcomes)
+                    _run_pass(plan.kernel, bctx, plan.mode, outcomes)
                 except BatchFallbackError:
-                    self._run_scalar_inline(plan, group, tally, completed,
-                                            outcomes)
+                    self._count_fallback(plan)
+                    self._run(plan, group, False, tally, completed, outcomes)
                 else:
                     tally.merge(bctx.finalize_tally())
                     _apply_batch_records(plan, bctx, tally, completed)
-            if rec.metrics.active:
+            if defer and rec.metrics.active:
                 rec.metrics.inc("engine.scheduling.groups",
                                 engine=self.name)
+
+
+def _run_row(plan: LaunchPlan, block_id: int, tally: Tally,
+             completed: list[int], outcomes: list) -> None:
+    """One block as an immediate row: its pass lands its stores (a
+    hash-table insert among them) as they are issued."""
+    ctx = _block_context(plan, block_id)
+    _run_pass(plan.kernel, ctx.row, plan.mode, outcomes)
+    tally.merge(ctx.finalize_tally())
+    completed.append(block_id)
+    if plan.block_hook is not None:
+        plan.block_hook(len(completed))
 
 
 #: What each engine name stands for: whether it vectorizes. The one

@@ -39,7 +39,7 @@ validation body, ``validate_block_batch``): one data-parallel pass per
 block group, which is what the paper's MEGA-KV result rests on — a
 request batch is *one* kernel, so LP's per-region work is amortised
 over the whole block. ``serial`` runs the same body one block at a
-time, through :meth:`~repro.gpu.kernel.Kernel.run_block`'s view. The
+time, as immediate rows (:mod:`repro.gpu.batch`). The
 pass scans every request's buckets on the image the group started
 from, which decides hit or miss exactly as a per-request loop would
 *because the batch's keys are distinct*: no earlier request can store

@@ -11,7 +11,7 @@ block reads all atoms (a small, persistent input).
 Execution: ``run_block_batch`` is the one body. It evaluates a group of
 tiles in one ``(blocks, points, atoms)`` pass per atom chunk;
 ``serial`` runs it one block at a time
-(:meth:`~repro.gpu.kernel.Kernel.run_block`). It forms a tile's squared
+(as immediate rows, :mod:`repro.gpu.batch`). It forms a tile's squared
 distances with MRI-GRIDDING's ``_tile_r2`` (``dx²`` once per column,
 ``dy²`` once per row) and each pair's term with :func:`_potential`.
 Each element gets exactly the float32 operations of ``q / sqrt(dx*dx +

@@ -13,7 +13,7 @@ pipeline. No block issues a global atomic.
 
 Execution: ``run_block_batch`` is the one body. It builds a group's
 partials with one offset ``bincount``; ``serial`` runs it one block at
-a time (:meth:`~repro.gpu.kernel.Kernel.run_block`). A sample outside
+a time (as immediate rows, :mod:`repro.gpu.batch`). A sample outside
 the bin range raises :class:`~repro.errors.LaunchError` in the block
 that holds it, after the blocks before it have landed.
 """

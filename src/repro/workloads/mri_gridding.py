@@ -15,7 +15,7 @@ shared read-only input.
 Execution: ``run_block_batch`` is the one body. It grids a group of
 tiles in one ``(blocks, cells, samples)`` pass per sample chunk;
 ``serial`` runs it one block at a time
-(:meth:`~repro.gpu.kernel.Kernel.run_block`). It forms a tile's squared
+(as immediate rows, :mod:`repro.gpu.batch`). It forms a tile's squared
 distances with :func:`_tile_r2` (``dx²`` once per column, ``dy²`` once
 per row) and weights them with :func:`_window` (``exp`` only where the
 pair is inside the support). Each element gets exactly the float32

@@ -11,7 +11,7 @@ over multiple protected stores per region.
 Execution: ``run_block_batch`` is the one body. It accumulates a group
 of voxel ranges in one ``(blocks, voxels, k)`` pass per k-space chunk;
 ``serial`` runs it one block at a time
-(:meth:`~repro.gpu.kernel.Kernel.run_block`).
+(as immediate rows, :mod:`repro.gpu.batch`).
 """
 
 from __future__ import annotations

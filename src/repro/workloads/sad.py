@@ -14,7 +14,7 @@ Execution: ``run_block_batch`` is the one body. It computes a group of
 macroblocks — every displacement window of every block — as one
 integer array program, which is what makes a grid of this many tiny
 blocks cheap to simulate; ``serial`` runs it one block at a time
-(:meth:`~repro.gpu.kernel.Kernel.run_block`).
+(as immediate rows, :mod:`repro.gpu.batch`).
 """
 
 from __future__ import annotations

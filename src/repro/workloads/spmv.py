@@ -9,7 +9,7 @@ LP structure: one thread per row, blocks own disjoint row ranges.
 
 Execution: ``run_block_batch`` is the one body, one ``(blocks,
 threads)`` array program per group; ``serial`` runs it one block at a
-time (:meth:`~repro.gpu.kernel.Kernel.run_block`).
+time (as immediate rows, :mod:`repro.gpu.batch`).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the functional scales here shrink ``n`` while preserving the structure.
 
 Execution: ``run_block_batch`` is the one body: a group's tiles are one
 stacked integer matmul per step of the shared dimension, and ``serial``
-runs it one block at a time (:meth:`~repro.gpu.kernel.Kernel.run_block`).
+runs it one block at a time (as immediate rows, :mod:`repro.gpu.batch`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Integer bin counts make this workload exact.
 Execution: ``run_block_batch`` is the one body. It histograms a group of
 blocks per partner chunk with one stacked matmul and one offset
 ``bincount``; ``serial`` runs it one block at a time
-(:meth:`~repro.gpu.kernel.Kernel.run_block`). It bins with
+(as immediate rows, :mod:`repro.gpu.batch`). It bins with
 :func:`_bin_of`, which names a uniform bin arithmetically and lands on
 ``np.digitize``'s index exactly, without its binary search.
 """

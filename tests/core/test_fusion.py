@@ -100,7 +100,7 @@ def test_fused_validation_detects_corruption_at_region_granularity():
 
 def test_fused_adler32_region_recovers():
     """An order-sensitive lane over a fused region: each constituent
-    folds, in order, on a one-block view of the one fused context, and
+    folds, in order, on a sibling of the one fused row, and
     validation folds them back in that order."""
     device = repro.Device(cache_capacity_lines=8)
     work = TMMWorkload(scale="tiny")

@@ -1,5 +1,5 @@
-"""Unit tests for the LP region observer on a scalar context (a group
-of one)."""
+"""Unit tests for the LP region observer on the immediate row of a
+scalar context (a group of one)."""
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from repro.gpu.memory import GlobalMemory
 def make_ctx(threads=32):
     mem = GlobalMemory(cache_capacity_lines=64)
     cfg = LaunchConfig.linear(1, threads)
-    return BlockContext(mem, AtomicUnit(mem), cfg, 0)
+    return BlockContext(mem, AtomicUnit(mem), cfg, 0).row
 
 
 def test_observer_folds_values_per_thread():

@@ -139,6 +139,27 @@ def test_validate_requires_validate_context():
         lp_kernel.validate_block(ctx)
 
 
+@pytest.mark.parametrize("config", [LPConfig.naive_quadratic(),
+                                    LPConfig.paper_best()],
+                         ids=["quadratic", "global-array"])
+def test_scalar_entry_inserts_the_block_checksum(config):
+    """``run_block`` called outside the engine still leaves the block's
+    checksum in the table — a hash table's insert included, which an
+    immediate row runs at the end of its LP pass."""
+    from repro.gpu.atomics import AtomicUnit
+    from repro.gpu.kernel import BlockContext
+
+    device = repro.Device()
+    kernel, _ = setup(device)
+    lp_kernel = LPRuntime(device, config).instrument(kernel)
+    ctx = BlockContext(device.memory, AtomicUnit(device.memory),
+                       lp_kernel.launch_config(), 2)
+    lp_kernel.run_block(ctx)
+    assert ctx.row.table_inserts is None
+    assert lp_kernel.table.lookup(2) is not None
+    assert lp_kernel.table.lookup(1) is None
+
+
 def test_space_overhead_metric():
     device = repro.Device()
     kernel, _ = setup(device)

@@ -1,5 +1,6 @@
-"""Unit tests for the slot claim and record store of the batched
-context and of the one-block view of a scalar context.
+"""Unit tests for the batch context: its slot claim and record store,
+deferred and on the immediate row a scalar ``BlockContext`` runs on,
+and the kernel entries that reach a scalar body through that row.
 
 ``atomic_cas_claim`` stands in for a per-request ``atomicCAS`` walk, so
 the scalar walk over a ``BlockContext`` is the reference: same claimed
@@ -14,7 +15,7 @@ import pytest
 from repro.errors import BatchFallbackError, DeviceError, LaunchError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.batch import BatchBlockContext
-from repro.gpu.kernel import BlockContext, ExecMode, LaunchConfig, _OneBlockView
+from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 N_SLOTS = 24
@@ -137,26 +138,26 @@ def test_record_store_keeps_one_value_column_per_buffer():
 
 
 # ---------------------------------------------------------------------------
-# The one-block view of a scalar context runs the same walk and stores
-# a record as a per-request loop does.
+# The immediate row of a scalar context runs the same walk and stores a
+# record as a per-request loop does.
 
 
-def view_claim(occupied, candidates, valid):
+def row_claim(occupied, candidates, valid):
     mem, buf = table(occupied)
     atomics = AtomicUnit(mem)
     ctx = BlockContext(mem, atomics, LaunchConfig.linear(1, 8), 0)
-    claimed = _OneBlockView(ctx).atomic_cas_claim(buf, candidates[None], 0,
-                                                  valid[None])
+    claimed = ctx.row.atomic_cas_claim(buf, candidates[None], 0, valid[None])
     return claimed[0].tolist(), ctx.tally.global_write_bytes, atomics
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_view_claim_matches_the_scalar_cas_walk(seed):
-    """Charged on the scalar context as the walk charges; a request no
-    candidate can take reads -1 — the first such one is where the
-    scalar walk gives up — and then nothing is charged."""
+def test_row_claim_matches_the_scalar_cas_walk(seed):
+    """Charged on the scalar context as the walk charges; with no group
+    to fall back from, a request no candidate can take reads -1 — the
+    first such one is where the scalar walk gives up — and then nothing
+    is charged."""
     occupied, candidates, valid = random_claims(seed)
-    got = view_claim(occupied, candidates, valid)
+    got = row_claim(occupied, candidates, valid)
     want = scalar_walk(occupied, candidates, valid)
     if want is not None:
         assert got[0] == want[0] and got[1] == want[1]
@@ -172,29 +173,111 @@ def test_view_claim_matches_the_scalar_cas_walk(seed):
     assert got[1] == 0 and got[2].total_ops == 0
 
 
-def test_view_record_store_is_thread_major():
-    class Folds:
-        protected = frozenset({"k", "v"})
+class Folds:
+    protected = frozenset({"k", "v"})
 
-        def __init__(self):
-            self.seen = []
+    def __init__(self):
+        self.seen = []
 
-        def on_store(self, values, slots):
-            self.seen.append((values.tolist(), slots.tolist()))
+    def on_store(self, values, slots, mask=None):
+        self.seen.append((values.tolist(), np.broadcast_to(
+            slots, values.shape).tolist(), mask))
 
-    mem = GlobalMemory(cache_capacity_lines=64)
-    mem.alloc("k", (16,), np.uint64)
-    mem.alloc("v", (16,), np.uint64)
+
+def kv_memory(cache_lines=64):
+    mem = GlobalMemory(cache_capacity_lines=cache_lines)
+    mem.alloc("k", (64,), np.uint64)
+    mem.alloc("v", (64,), np.uint64)
+    return mem
+
+
+def test_row_record_store_is_thread_major():
+    mem = kv_memory(cache_lines=2)
     ctx = BlockContext(mem, AtomicUnit(mem), LaunchConfig.linear(1, 4), 0)
     ctx.lp_observer = folds = Folds()
-    idx = np.array([[3, 1, 4, 0]])
+    idx = np.array([[3, 1, 40, 0]])
     mask = np.array([[True, False, True, True]])
-    _OneBlockView(ctx).st_record(("k", "v"), idx, (idx + 10, idx + 20),
-                                 mask=mask)
-    # Key then value, request by request, each from its own thread;
-    # the scalar context hands each store over as a one-row batch.
-    assert folds.seen == [([[13]], [[0]]), ([[23]], [[0]]),
-                          ([[14]], [[2]]), ([[24]], [[2]]),
-                          ([[10]], [[3]]), ([[20]], [[3]])]
-    assert mem["v"].data[[3, 1, 4, 0]].tolist() == [23, 0, 24, 20]
+    ctx.row.st_record(("k", "v"), idx, (idx + 10, idx + 20), mask=mask)
+    # One element-major fold: each request's key then its value, each
+    # from its own thread, the masked request silenced.
+    ((values, slots, folded_mask),) = folds.seen
+    assert values == [[[13, 23], [11, 21], [50, 60], [10, 20]]]
+    assert slots == [[[0, 0], [1, 1], [2, 2], [3, 3]]]
+    assert folded_mask.tolist() == [[[True], [False], [True], [True]]]
+    # The words land key then value, request by request: memory and the
+    # cache's recency and evictions equal that per-word loop's.
+    ref = kv_memory(cache_lines=2)
+    for i in (3, 40, 0):
+        ref.write(ref["k"], np.array([i]), np.array([i + 10], np.uint64))
+        ref.write(ref["v"], np.array([i]), np.array([i + 20], np.uint64))
+    assert mem["v"].data[[3, 1, 40, 0]].tolist() == [23, 0, 60, 20]
+    assert mem.cache.dirty_lines == ref.cache.dirty_lines
+    assert mem.write_stats.to_dict() == ref.write_stats.to_dict()
     assert ctx.tally.global_write_bytes == 6 * 8
+
+
+def test_immediate_row_lands_before_the_next_load():
+    """An immediate row's store is in memory when the next ``ld`` reads;
+    a deferred group's waits for the engine to land it."""
+    for immediate, want in ((True, 7), (False, 0)):
+        mem = kv_memory()
+        bctx = BatchBlockContext(mem, LaunchConfig.linear(1, 4), [0],
+                                 immediate=immediate)
+        bctx.st("k", np.array([[5]]), 7)
+        assert bctx.ld("k", np.array([[5]])).tolist() == [[want]]
+        assert len(bctx.store_records) == (not immediate)
+
+
+def test_deferred_group_refuses_an_ep_interceptor():
+    class Interceptor:
+        protected = frozenset({"k"})
+
+        def before_store(self, ctx, buf, idx):
+            raise AssertionError("a deferred group never logs")
+
+    mem = kv_memory()
+    bctx = BatchBlockContext(mem, LaunchConfig.linear(2, 4), [0, 1])
+    with pytest.raises(LaunchError, match="deferred group"):
+        bctx.ep_interceptor = Interceptor()
+    ctx = BlockContext(mem, AtomicUnit(mem), LaunchConfig.linear(2, 4), 1)
+    ctx.ep_interceptor = interceptor = Interceptor()
+    assert ctx.row.ep_interceptor is interceptor
+
+
+def test_an_immediate_context_is_one_row():
+    mem = kv_memory()
+    with pytest.raises(LaunchError, match="one row"):
+        BatchBlockContext(mem, LaunchConfig.linear(2, 4), [0, 1],
+                          immediate=True)
+
+
+def test_a_kernel_with_neither_body_is_a_typed_error():
+    class Bodiless(Kernel):
+        name = "bodiless"
+
+        def launch_config(self):
+            return LaunchConfig.linear(1, 4)
+
+    mem = kv_memory()
+    ctx = BlockContext(mem, AtomicUnit(mem), LaunchConfig.linear(1, 4), 0)
+    for call in (lambda: Bodiless().run_block(ctx),
+                 lambda: Bodiless().run_block_batch(ctx.row),
+                 lambda: Bodiless().recover_block(ctx)):
+        with pytest.raises(LaunchError, match="neither"):
+            call()
+
+
+def test_a_scalar_body_needs_a_row_with_a_block_context():
+    class Scalar(Kernel):
+        name = "scalar"
+
+        def launch_config(self):
+            return LaunchConfig.linear(2, 4)
+
+        def run_block(self, ctx):
+            ctx.st("k", ctx.tid, ctx.block_id)
+
+    mem = kv_memory()
+    bctx = BatchBlockContext(mem, LaunchConfig.linear(2, 4), [0, 1])
+    with pytest.raises(LaunchError, match="scalar block body"):
+        Scalar().run_block_batch(bctx)

@@ -102,7 +102,7 @@ def test_delete_then_insert_reuses_slot():
 
 def test_each_kv_kernel_has_one_body():
     """No scalar twin in ``repro.megakv``: ``serial`` runs the batch
-    body (and a write's batch validation) on the one-block view, and
+    body (and a write's batch validation) on immediate rows, and
     whether a kernel batches is a constant, not a property of its
     input."""
     classes = [cls for module in (megakv.kernels, megakv.lp, megakv.store)

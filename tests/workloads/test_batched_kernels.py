@@ -1,9 +1,9 @@
 """Every Parboil kernel's ``run_block_batch`` across group sizes.
 
 A Parboil kernel has one body, ``run_block_batch``; ``serial`` runs it
-one block at a time through a one-block view of the scalar context
-(:meth:`~repro.gpu.kernel.Kernel.run_block`). The vector cell must be
-indistinguishable from that reference on every observable
+one block at a time, as immediate rows (:mod:`repro.gpu.batch`). The
+vector cell's deferred groups must be indistinguishable from that
+reference on every observable
 ``assert_same_launch`` pins (completed blocks, tally, volatile + NVM
 images, write-back statistics, checksum-table buffers) — through a
 clean launch and through crash → validate → recover. Group sizes 1
