@@ -16,7 +16,10 @@ paths the engines were built for:
   CUTCP, MRI-Q) LP-instrumented as ``repro.workloads`` builds them at
   ``medium`` — 16 to 256 blocks, what the end-to-end ``crash_cycle``
   workload launches. SAD's row is gated; the other five are recorded
-  only (see ``PARBOIL_WORKLOADS``).
+  only (see ``PARBOIL_WORKLOADS``); and
+* SAD and MRI-GRIDDING again with a quadratic-probing and a cuckoo
+  checksum table, whose per-block insert walks the table (recorded
+  only, see ``TABLE_WORKLOADS``).
 
 A third scenario times the *post-crash pipeline* per engine: SPMV at
 1024 blocks is crashed mid-kernel, then the crash → validate → recover
@@ -195,14 +198,14 @@ SERVICE_WORKLOADS = {
 SERVICE_REPEATS = 25
 
 
-def setup_parboil(engine, name):
-    """An LP-instrumented ``repro.workloads`` kernel at ``medium``."""
+def setup_parboil(engine, name, config=repro.LPConfig.paper_best):
+    """An LP-instrumented ``repro.workloads`` kernel at ``medium``; its
+    outputs and its checksum table are what parity compares."""
     device = repro.Device(engine=engine)
     kernel = make_workload(name, scale="medium", seed=3).setup(device)
-    lp_kernel = repro.LPRuntime(
-        device, repro.LPConfig.paper_best()
-    ).instrument(kernel)
-    return device, lp_kernel, kernel.protected_buffers
+    lp_kernel = repro.LPRuntime(device, config()).instrument(kernel)
+    return device, lp_kernel, (*kernel.protected_buffers,
+                               *lp_kernel.table.buffer_names)
 
 
 #: The six Parboil kernels ``WORKLOADS`` has no 1024-block shape for, as
@@ -215,6 +218,18 @@ def setup_parboil(engine, name):
 PARBOIL_WORKLOADS = {
     name: functools.partial(setup_parboil, name=name)
     for name in ("tpacf", "mri-gridding", "sad", "histo", "cutcp", "mri-q")
+}
+
+#: The cost of the hash-table walks: SAD (256 blocks) and MRI-GRIDDING
+#: at ``medium`` with their checksums in a quadratic-probing or cuckoo
+#: table instead of the global array. Each block's insert walks the
+#: table on an immediate row of its own, under either engine. Recorded,
+#: not gated.
+TABLE_WORKLOADS = {
+    f"{name}@{table}": functools.partial(
+        setup_parboil, name=name,
+        config=getattr(repro.LPConfig, f"naive_{table}"))
+    for name in ("sad", "mri-gridding") for table in ("quadratic", "cuckoo")
 }
 
 
@@ -635,7 +650,8 @@ def measure(setup_fn, engine_name: str, repeats: int = 3) -> dict:
 def run_suite() -> dict:
     suite = {}
     for workload, setup_fn in {**WORKLOADS, **SERVICE_WORKLOADS,
-                               **PARBOIL_WORKLOADS}.items():
+                               **PARBOIL_WORKLOADS,
+                               **TABLE_WORKLOADS}.items():
         repeats = SERVICE_REPEATS if workload in SERVICE_WORKLOADS else 3
         rows = {}
         reference = None
@@ -665,8 +681,8 @@ def run_suite() -> dict:
 
 #: Floor on the batched engine: at least this much faster than serial
 #: on every 128-block-or-larger reference workload (``WORKLOADS``) and
-#: on ``sad``; the one-block service-size rows and the other Parboil
-#: rows are recorded, not gated.
+#: on ``sad``; the one-block service-size rows, the other Parboil rows
+#: and the hash-table rows are recorded, not gated.
 BATCHED_SPEEDUP_FLOOR = 3.0
 BATCHED_SPEEDUP_WORKLOADS = (*WORKLOADS, "sad")
 

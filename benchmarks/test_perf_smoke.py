@@ -6,8 +6,8 @@ gate. Ratios only, each between two arms timed in the same run: the
 batched engine is at least 3x faster than serial on every
 128-block-or-larger reference workload (spmv, tmm, and the three
 MEGA-KV kernels — search, insert, delete) and on sad at ``medium`` (the
-one-block service-size rows and the other five Parboil rows are
-recorded only), post-crash *validation* is at least 5x faster under
+one-block service-size rows, the other five Parboil rows and the
+hash-table rows are recorded only), post-crash *validation* is at least 5x faster under
 batched than serial on the recovery scenario, and the mapped heap, the
 4-shard heap and the telemetry sampler each stay inside their overhead
 limit — all with bit-identical results; parity is asserted inside the

@@ -718,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N", help="crash after N blocks")
         p.add_argument("--cache-lines", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--engine", default="serial",
+        p.add_argument("--engine", default="batched",
                        choices=tuple(ENGINES),
                        help="launch engine (both are bit-identical)")
         p.add_argument("--shards", type=int, default=0, metavar="N",
@@ -778,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--budget", type=int, default=4000, metavar="N",
                       help="max candidate crash states per workload "
                            "(default 4000)")
-    p_mc.add_argument("--engine", default="serial",
+    p_mc.add_argument("--engine", default="batched",
                       choices=tuple(ENGINES))
     p_mc.add_argument("--scale", default="small",
                       choices=("tiny", "small", "medium"))

@@ -147,7 +147,7 @@ class MCOptions:
     scale: str = "small"
     seed: int = 7
     config: str = "global-array"
-    engine: str = "serial"
+    engine: str = "batched"
     #: Small on purpose: a tight write-back cache maximizes eviction
     #: events, which is what grows the reachable crash-state space.
     cache_lines: int = 3

@@ -33,7 +33,7 @@ from repro.core.region import BatchRegionObserver
 from repro.core.tables import ChecksumTable, make_table
 from repro.errors import ConfigError
 from repro.gpu.device import Device
-from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
+from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 
 
 class LazyPersistentKernel(Kernel):
@@ -130,18 +130,16 @@ class LazyPersistentKernel(Kernel):
         insertion history, so a deferred group's inserts are deferred
         for the engine to run one per block, in launch order, even
         though the checksums themselves commute. An immediate row lands
-        as issued, so its insert runs here, on the row's
-        :class:`~repro.gpu.kernel.BlockContext` — also when a caller
-        runs the scalar entries outside the engine.
+        as issued, so its insert runs here, on the row itself — also
+        when a caller runs the scalar entries outside the engine.
         """
         stores = self.table.insert_stores(bctx.block_ids, lanes)
         if stores is not None:
             bctx.st(*stores)
         elif bctx.immediate:
-            self.table.insert(bctx.block_context, int(bctx.block_ids[0]),
-                              lanes[0])
+            self.table.insert(bctx, int(bctx.block_ids[0]), lanes[0])
         else:
-            bctx.defer_table_inserts(lanes)
+            bctx.defer_table_inserts(self.table.insert, lanes)
 
     def _batch_protocol(self, bctx, inner_pass) -> np.ndarray:
         """Run one inner pass under LP observation — the one LP body.
@@ -167,11 +165,6 @@ class LazyPersistentKernel(Kernel):
             bctx.tally, cost, n_blocks=bctx.n_blocks_in_batch
         )
         return observer.state.reduce_lanes()
-
-    def apply_table_insert(self, ctx: BlockContext, key: int,
-                           lanes: np.ndarray) -> None:
-        """Engine callback: apply one deferred checksum-table insert."""
-        self.table.insert(ctx, key, lanes)
 
     def merge_validation_outcomes(self, outcomes: list) -> None:
         """Grid-wide verdicts: one vectorized table compare for all blocks.

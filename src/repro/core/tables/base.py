@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.core.config import LPConfig, TableKind
 from repro.errors import TableError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import Buffer, GlobalMemory
 from repro.obs import current as _recorder
 
@@ -182,12 +182,13 @@ class ChecksumTable(abc.ABC):
         one."""
 
     @abc.abstractmethod
-    def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
+    def insert(self, row: BatchBlockContext, key: int, lanes: np.ndarray) -> None:
         """Insert (or refresh) a region's checksum from inside a block.
 
-        Runs on the device: all memory traffic, atomics and contention
-        are charged to ``ctx``. Re-inserting an existing key overwrites
-        its lanes — which is exactly what recovery re-execution needs.
+        Runs on the device, on the block's immediate ``row``: every load,
+        store (one-row leading axis) and atomic lands as issued and is
+        charged to the row. Re-inserting an existing key overwrites its
+        lanes — which is exactly what recovery re-execution needs.
         """
 
     def insert_stores(self, keys: np.ndarray, lanes: np.ndarray):

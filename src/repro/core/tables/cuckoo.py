@@ -21,7 +21,7 @@ as for the quadratic table.
 
 The eviction walk exists once, :func:`eviction_walk`, over a
 :class:`CuckooLayout` and a backend's slot operations: the table's
-issue them on the block's context, :mod:`repro.bench.insertsim`'s on
+issue them on the block's row, :mod:`repro.bench.insertsim`'s on
 host arrays.
 
 A crash can leave entries :meth:`~CuckooTable.lookup` never reads: a
@@ -50,8 +50,8 @@ from repro.core.tables.base import (
 )
 from repro.core.tables.locks import InsertionProtocol
 from repro.errors import RehashLimitError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import GlobalMemory
 from repro.obs import current as _recorder
 
@@ -226,9 +226,9 @@ class CuckooTable(ChecksumTable):
     # Device-side insertion
     # ------------------------------------------------------------------
 
-    def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
+    def insert(self, row: BatchBlockContext, key: int, lanes: np.ndarray) -> None:
         self._add_insert(eviction_walk(
-            self.layout, _DeviceSlots(self, ctx), np.uint64(key),
+            self.layout, _DeviceSlots(self, row), np.uint64(key),
             np.asarray(lanes, dtype=np.uint64)))
 
     # ------------------------------------------------------------------
@@ -280,32 +280,32 @@ class CuckooTable(ChecksumTable):
 @dataclass
 class _DeviceSlots:
     """:func:`eviction_walk`'s slot operations on the device: each a
-    load, store or swap issued on ``ctx``, in the walk's order, so the
+    load, store or swap issued on ``row``, in the walk's order, so the
     block's tally, cache traffic and crash image are the walk's own."""
 
     table: CuckooTable
-    ctx: BlockContext
+    row: BatchBlockContext
 
     def key_at(self, t: int, idx: int) -> np.uint64:
-        return self.ctx.ld(self.table._keys[t], idx)[0]
+        return self.row.ld(self.table._keys[t], [[idx]])[0, 0]
 
     def refresh(self, t: int, idx: int, lanes: np.ndarray) -> None:
-        self.ctx.st(self.table._lanes[t], self.table._lane_slice(idx), lanes)
+        self.row.st(self.table._lanes[t], self.table._lane_slice([idx]), lanes)
         self.charge_lock(1)
 
     def swap(self, t: int, idx: int, key: np.uint64) -> np.uint64:
-        return self.table._protocol.swap(self.ctx, self.table._keys[t], idx,
+        return self.table._protocol.swap(self.row, self.table._keys[t], idx,
                                          key)
 
     def move(self, t: int, idx: int, lanes: np.ndarray | None) -> np.ndarray:
-        buf, words = self.table._lanes[t], self.table._lane_slice(idx)
-        old = self.ctx.ld(buf, words)
+        buf, words = self.table._lanes[t], self.table._lane_slice([idx])
+        old = self.row.ld(buf, words)[0]
         if lanes is not None:
-            self.ctx.st(buf, words, lanes)
+            self.row.st(buf, words, lanes)
         return old
 
     def charge_lock(self, chain: int) -> None:
-        self.table._protocol.charge_lock(self.ctx, chain)
+        self.table._protocol.charge_lock(self.row, chain)
 
     def take_all(self, depth: int) -> list[tuple]:
         table = self.table
@@ -320,6 +320,6 @@ class _DeviceSlots:
             entries += [(t, idx, keys[idx], lanes[idx].copy())
                         for idx in np.flatnonzero(keys != EMPTY_KEY)]
             # Clearing the tables is real device traffic.
-            self.ctx.st(table._keys[t], np.arange(keys.size), EMPTY_KEY)
-            self.ctx.st(table._lanes[t], np.arange(lanes.size), EMPTY_KEY)
+            self.row.st(table._keys[t], [np.arange(keys.size)], EMPTY_KEY)
+            self.row.st(table._lanes[t], [np.arange(lanes.size)], EMPTY_KEY)
         return entries

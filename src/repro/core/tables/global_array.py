@@ -25,8 +25,8 @@ from repro.core.checksum import EMPTY_SENTINEL
 from repro.core.config import LPConfig, TableKind
 from repro.core.tables.base import WORD_BYTES, ChecksumTable
 from repro.errors import TableError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import GlobalMemory
 from repro.obs import current as _recorder
 
@@ -57,10 +57,10 @@ class GlobalArrayTable(ChecksumTable):
         """One lane row per region and nothing else."""
         return n_keys * n_lanes * WORD_BYTES
 
-    def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
+    def insert(self, row: BatchBlockContext, key: int, lanes: np.ndarray) -> None:
         """One plain store; no probe, no atomic, no lock."""
         self._check_key(key)
-        ctx.st(self._lanes, self._lane_slice(int(key)), lanes)
+        row.st(self._lanes, self._lane_slice([int(key)]), lanes)
         self._count_inserts(1)
 
     def insert_stores(self, keys: np.ndarray, lanes: np.ndarray):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import AtomicMode, LockMode, LPConfig
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import Buffer
 
 
@@ -53,7 +53,7 @@ class InsertionProtocol:
 
     def claim_if_empty(
         self,
-        ctx: BlockContext,
+        row: BatchBlockContext,
         keys: Buffer,
         index: int,
         empty: np.uint64,
@@ -64,26 +64,26 @@ class InsertionProtocol:
         Returns the old value (CUDA ``atomicCAS`` semantics).
         """
         if self.config.atomics is AtomicMode.HARDWARE:
-            return ctx.atomic_cas(keys, index, empty, key)
+            return row.atomic_cas(keys, index, empty, key)
         # Emulated: read, compare, conditionally write — three dependent
         # global accesses, racing with every other inserter.
-        old = ctx.ld(keys, index)[0]
+        old = row.ld(keys, [[index]])[0, 0]
         if old == empty:
-            ctx.st(keys, index, key)
-        ctx.add_serial_cycles(
+            row.st(keys, [[index]], key)
+        row.add_serial_cycles(
             self.cost_model.emulated_cas_cycles(1, self.population)
         )
         return old
 
     def swap(
-        self, ctx: BlockContext, keys: Buffer, index: int, key: np.uint64
+        self, row: BatchBlockContext, keys: Buffer, index: int, key: np.uint64
     ) -> np.uint64:
         """Exchange-style swap: unconditionally write ``key``, return old."""
         if self.config.atomics is AtomicMode.HARDWARE:
-            return ctx.atomic_exch(keys, index, key)
-        old = ctx.ld(keys, index)[0]
-        ctx.st(keys, index, key)
-        ctx.add_serial_cycles(
+            return row.atomic_exch(keys, index, key)
+        old = row.ld(keys, [[index]])[0, 0]
+        row.st(keys, [[index]], key)
+        row.add_serial_cycles(
             self.cost_model.emulated_swap_cycles(1, self.population)
         )
         return old
@@ -92,7 +92,7 @@ class InsertionProtocol:
     # Lock accounting
     # ------------------------------------------------------------------
 
-    def charge_lock(self, ctx: BlockContext, chain_length: int) -> None:
+    def charge_lock(self, row: BatchBlockContext, chain_length: int) -> None:
         """Charge one insert's critical section if lock-based.
 
         ``chain_length`` (probes or evictions) lengthens the critical
@@ -101,11 +101,11 @@ class InsertionProtocol:
         if self.config.locks is not LockMode.LOCK_BASED:
             return
         cs_extra = chain_length * self.cost_model.spec.global_latency_cycles
-        ctx.add_serial_cycles(
+        row.add_serial_cycles(
             self.cost_model.lock_convoy_cycles(
                 1,
                 cs_extra_cycles=cs_extra,
                 population=self.population,
-                threads_per_block=ctx.config.threads_per_block,
+                threads_per_block=row.config.threads_per_block,
             )
         )

@@ -18,7 +18,7 @@ table of at least ``n_keys`` slots), isolating how much of the overhead
 is collision-induced.
 
 The probe walk exists once, :func:`probe_walk`, reaching the key array
-only through ``claim``: the table's claims on the block's context,
+only through ``claim``: the table's claims on the block's row,
 :mod:`repro.bench.insertsim`'s on a host array. A walk stops at the
 first slot that is empty or already holds its key, so a recovery
 re-insert refreshes the copy :meth:`~QuadraticTable.lookup` reads.
@@ -42,8 +42,8 @@ from repro.core.tables.base import (
 )
 from repro.core.tables.locks import InsertionProtocol
 from repro.errors import TableFullError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext
 from repro.gpu.memory import GlobalMemory
 
 
@@ -138,17 +138,17 @@ class QuadraticTable(ChecksumTable):
     # Device-side insertion
     # ------------------------------------------------------------------
 
-    def insert(self, ctx: BlockContext, key: int, lanes: np.ndarray) -> None:
+    def insert(self, row: BatchBlockContext, key: int, lanes: np.ndarray) -> None:
         def claim(idx: int, key64: np.uint64) -> np.uint64:
-            return self._protocol.claim_if_empty(ctx, self._keys, idx,
+            return self._protocol.claim_if_empty(row, self._keys, idx,
                                                  EMPTY_KEY, key64)
 
         # Won an empty slot, or found our own entry (recovery
         # re-insertion): write/refresh the lane words.
         idx, delta = probe_walk(self.capacity, self._home_index(key),
                                 np.uint64(key), claim)
-        ctx.st(self._lanes, self._lane_slice(idx), lanes)
-        self._protocol.charge_lock(ctx, delta.probes)
+        row.st(self._lanes, self._lane_slice([idx]), lanes)
+        self._protocol.charge_lock(row, delta.probes)
         self._add_insert(delta)
 
     def _home_index(self, key: int) -> int:

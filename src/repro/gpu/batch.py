@@ -12,9 +12,11 @@ one *immediate* row of it.
 An immediate row (``immediate=True``) lands each store as it is issued:
 one :meth:`~repro.gpu.memory.GlobalMemory.write` per ``st``, one per
 word of an ``st_record``, element-major; an EP interceptor logs before
-each protected store lands. Every block the ``serial`` engine runs is
-one, and so is every block ``batched`` does not defer. A deferred group
-records its stores for the engine to land after the pass.
+each protected store lands; one-element atomics (a hash-table walk's)
+land as issued. Every block the ``serial`` engine runs is one, and so
+is every block ``batched`` does not defer. A deferred group records its
+stores for the engine to land after the pass, so it refuses an EP
+interceptor and a one-element atomic with :class:`LaunchError`.
 
 Semantics contract of a deferred group (what keeps it bit-identical to
 immediate rows run one after the other):
@@ -137,9 +139,9 @@ class BatchBlockContext:
         #: A ``st_record`` entry names a *tuple* of buffers and carries
         #: one trailing ``values`` column per buffer.
         self.store_records: list[tuple] = []
-        #: Deferred order-dependent checksum-table inserts: one lane row
-        #: per block (leading axis = block), or ``None``.
-        self.table_inserts: np.ndarray | None = None
+        #: Deferred order-dependent checksum-table inserts: the table's
+        #: ``insert`` and one lane row per block, or ``None``.
+        self.table_inserts: tuple | None = None
 
     # ------------------------------------------------------------------
     # Thread geometry
@@ -366,6 +368,26 @@ class BatchBlockContext:
                 "override validate_block_batch() or validate_block()"
             )
 
+    def atomic_cas(self, buf: Buffer | str, index: int, compare, value):
+        """``atomicCAS`` on one element; returns the old value."""
+        return self._one_element("cas", buf, index, compare, value)
+
+    def atomic_exch(self, buf: Buffer | str, index: int, value):
+        """``atomicExch`` on one element; returns the old value."""
+        return self._one_element("exch", buf, index, value)
+
+    def _one_element(self, op: str, buf: Buffer | str, *args):
+        """A one-element atomic lands as issued through the launch's
+        :class:`AtomicUnit`, so a deferred group refuses it uncharged."""
+        if not self.immediate or self.atomics is None:
+            raise LaunchError(
+                f"atomic_{op} lands as it is issued: an immediate row "
+                "built with atomics= takes it, a deferred group does not")
+        buf = self.buffer(buf)
+        self.guard_atomic(buf)
+        self.tally.global_write_bytes += buf.dtype.itemsize
+        return getattr(self.atomics, op)(buf, *args)
+
     def atomic_cas_claim(
         self,
         buf: Buffer | str,
@@ -452,11 +474,11 @@ class BatchBlockContext:
             self.atomics.charge(buf, cand[attempted])
         return claimed.reshape(shape)
 
-    def defer_table_inserts(self, lanes: np.ndarray) -> None:
+    def defer_table_inserts(self, insert, lanes: np.ndarray) -> None:
         """Queue one checksum-table insert per block (row = block) that
-        must run in launch order: the engine runs each once its block's
-        stores have landed."""
-        self.table_inserts = np.array(lanes, copy=True)
+        must run in launch order: the engine runs ``insert`` on an
+        immediate row of each block once its stores have landed."""
+        self.table_inserts = (insert, np.array(lanes, copy=True))
 
     # ------------------------------------------------------------------
     # Work accounting
@@ -474,6 +496,11 @@ class BatchBlockContext:
     def syncthreads(self) -> None:
         """Charge one block-wide barrier (once per block in the group)."""
         self.tally.syncthreads += self.n_blocks_in_batch
+
+    def add_serial_cycles(self, cycles: float) -> None:
+        """Charge cycles that serialize against the whole device (lock
+        and emulated-atomic contention of a table insert)."""
+        self.tally.serial_cycles += cycles
 
     def charge_shared(self, nbytes: float) -> None:
         """Charge shared-memory traffic: ``nbytes`` per block."""

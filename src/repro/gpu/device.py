@@ -101,7 +101,7 @@ class Device:
         instance, or the name :func:`~repro.gpu.engine.make_engine`
         builds one from — ``"serial"`` (one block at a time, the
         reference) or ``"batched"`` (vectorized block groups) — or
-        ``None`` for serial. Both are bit-identical in results; see
+        ``None`` for batched. Both are bit-identical in results; see
         :mod:`repro.gpu.engine`.
     shadow:
         Optional durable write-back target (a

@@ -17,8 +17,9 @@ through the row's :class:`~repro.gpu.kernel.BlockContext`.
 
 The two engine names are the two settings of that choice
 (:func:`make_engine`): ``serial`` = scalar — the reference loop every
-parity matrix compares against; ``batched`` = vector — what everything
-else runs. A given *launch* lands in one of two cells:
+parity matrix compares against, run only where it is named; ``batched``
+= vector — the default, what everything else runs. A given *launch*
+lands in one of two cells:
 
 ==============  =====================================================
 scalar          one immediate row per block: a one-row
@@ -47,8 +48,9 @@ that re-touches a line still waiting for its write-back cuts the
 sequence, so every write-back copies what the steps up to its own left.
 Write-backs stay one call per evicting step, in order, so the durable
 heap sees the scalar cell's arm / copy / commit brackets. A hash-table
-insert reads the table, so it ends a segment and runs per block after
-its block's stores (on an immediate row, at the end of its LP pass).
+insert reads the table, so it ends a segment and runs on an immediate
+row of its block after that block's stores (in the scalar cell, the
+block's own row at the end of its LP pass).
 
 Determinism contract: given the same plan, the vector cell must produce
 the same ``completed_blocks``, the same tally, the same volatile + NVM
@@ -137,17 +139,6 @@ def _run_pass(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
         kernel.run_block_batch(bctx)
 
 
-def _block_context(plan: LaunchPlan, block_id: int) -> BlockContext:
-    """One block of ``plan``'s launch as an immediate row, with the
-    scalar API over it: what a row runs on, and what a hash-table insert
-    after a deferred group's row runs on."""
-    return BlockContext(
-        plan.memory, plan.atomics, plan.config, block_id, plan.mode,
-        fence_latency_cycles=plan.fence_latency,
-        fence_concurrency=plan.fence_concurrency,
-    )
-
-
 def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
                          tally: Tally, completed: list[int]) -> None:
     """Land a deferred group's effects in one memory pass.
@@ -155,7 +146,7 @@ def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
     The group's store records (row = block, in launch order) go through
     one :meth:`~repro.gpu.memory.GlobalMemory.write_rows`; inserts the
     batch context could only defer (an order-dependent table's) run
-    after their block's row, through ``kernel.apply_table_insert``.
+    after their block's row, each on an immediate row of its block.
     """
     memory = plan.memory
     records = [
@@ -164,12 +155,13 @@ def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
         for name, idx, vals, mask in bctx.store_records
     ]
     block_ids = bctx.block_ids.tolist()
-    lanes = bctx.table_inserts
     after_row = None
-    if lanes is not None:
+    if bctx.table_inserts is not None:
+        insert, lanes = bctx.table_inserts
         def after_row(row: int) -> None:
-            ctx = _block_context(plan, block_ids[row])
-            plan.kernel.apply_table_insert(ctx, block_ids[row], lanes[row])
+            ctx = BatchBlockContext(memory, plan.config, (block_ids[row],),
+                                    plan.mode, plan.atomics, immediate=True)
+            insert(ctx, block_ids[row], lanes[row])
             tally.merge(ctx.finalize_tally())
     memory.write_rows(len(block_ids), records, after_row)
     completed.extend(block_ids)
@@ -299,7 +291,8 @@ def _run_row(plan: LaunchPlan, block_id: int, tally: Tally,
              completed: list[int], outcomes: list) -> None:
     """One block as an immediate row: its pass lands its stores (a
     hash-table insert among them) as they are issued."""
-    ctx = _block_context(plan, block_id)
+    ctx = BlockContext(plan.memory, plan.atomics, plan.config, block_id,
+                       plan.mode, plan.fence_latency, plan.fence_concurrency)
     _run_pass(plan.kernel, ctx.row, plan.mode, outcomes)
     tally.merge(ctx.finalize_tally())
     completed.append(block_id)
@@ -317,10 +310,10 @@ ENGINES = {
 
 
 def make_engine(spec: LaunchEngine | str | None) -> LaunchEngine:
-    """Resolve an engine spec: instance, name, or ``None`` (serial)."""
+    """Resolve an engine spec: instance, name, or ``None`` (batched)."""
     if isinstance(spec, LaunchEngine):
         return spec
-    name = "serial" if spec is None else spec
+    name = "batched" if spec is None else spec
     if name not in ENGINES:
         raise LaunchError(
             f"unknown launch engine {spec!r}; expected "

@@ -23,9 +23,10 @@ The scalar entries (``run_block`` / ``validate_block`` /
 1-D ``ld``/``st`` (stores land as issued), ``block_id``, atomics,
 shuffles, ``clwb``/``persist_barrier``, shared memory and explicit
 ALU-work accounting (``alu``/``flops``, since the simulator does not
-interpret instructions). Its loads and stores, the LP observer and the
-EP interceptor all go through that row, so a store is charged,
-suppressed and folded by one body of code whichever API issued it.
+interpret instructions). Its loads and stores, one-element atomics
+(which land as issued, so a deferred group refuses them), serial-cycle
+charges, the LP observer and the EP interceptor all go through that
+row: a store is charged, suppressed and folded by one body of code.
 
 Execution modes (:class:`ExecMode`) implement the LP recovery protocol:
 in ``VALIDATE`` mode a replayed block does *not* write persistent data;
@@ -225,17 +226,11 @@ class BlockContext:
 
     def atomic_cas(self, buf: Buffer | str, index: int, compare, value):
         """``atomicCAS`` on one element; returns the old value."""
-        buf = self.buffer(buf)
-        self.row.guard_atomic(buf)
-        self.tally.global_write_bytes += buf.dtype.itemsize
-        return self.atomics.cas(buf, index, compare, value)
+        return self.row.atomic_cas(buf, index, compare, value)
 
     def atomic_exch(self, buf: Buffer | str, index: int, value):
         """``atomicExch`` on one element; returns the old value."""
-        buf = self.buffer(buf)
-        self.row.guard_atomic(buf)
-        self.tally.global_write_bytes += buf.dtype.itemsize
-        return self.atomics.exch(buf, index, value)
+        return self.row.atomic_exch(buf, index, value)
 
     def atomic_add(self, buf: Buffer | str, idx: np.ndarray, values: np.ndarray) -> None:
         """``atomicAdd`` across threads."""
@@ -316,12 +311,8 @@ class BlockContext:
         self.tally.alu_ops += per_thread * n
 
     def add_serial_cycles(self, cycles: float) -> None:
-        """Charge cycles that serialize against the whole device.
-
-        Used by lock-based and emulated-atomic table insertion, whose
-        contention costs are computed by the cost model's sub-models.
-        """
-        self.tally.serial_cycles += cycles
+        """Charge cycles that serialize against the whole device."""
+        self.row.add_serial_cycles(cycles)
 
     def charge_shared(self, nbytes: float) -> None:
         """Charge shared-memory traffic accounted outside ``self.shared``."""
@@ -394,17 +385,6 @@ class Kernel(abc.ABC):
         if not self._overrides("run_block"):
             raise self._no_body()
         self.run_block(_scalar(bctx))
-
-    def apply_table_insert(self, ctx: BlockContext, key: int,
-                           lanes: "np.ndarray") -> None:
-        """Apply one deferred checksum-table insertion (engine callback).
-
-        Only kernels that defer table insertions (the LP wrapper)
-        override this; a plain kernel never defers anything.
-        """
-        raise LaunchError(
-            f"kernel {self.name!r} deferred a table insert it cannot apply"
-        )
 
     def block_output_map(self, block_id: int) -> "dict[str, np.ndarray] | None":
         """Flat indices of this block's protected stores, per buffer.

@@ -435,11 +435,12 @@ def test_duplicate_block_ids_rejected():
 
 
 def test_make_engine_resolution():
-    """Two names, one choice: vectorize or not."""
+    """Two names, one choice: vectorize or not. No name is ``batched``;
+    ``serial`` runs only where it is named."""
     def choices(engine):
         return engine.name, engine.vectorize, engine.group_size
 
-    assert choices(make_engine(None)) == ("serial", False, 256)
+    assert choices(make_engine(None)) == ("batched", True, 256)
     assert choices(make_engine("serial")) == ("serial", False, 256)
     assert choices(make_engine("batched")) == ("batched", True, 256)
     engine = make_engine("batched")
