@@ -19,7 +19,12 @@ same three legs each, on a preloaded store. At ``small`` only, four
 more legs take the same crash through each hash table's probe or
 eviction walk: ``crash_quadratic`` and ``crash_cuckoo`` under the
 ``naive_*`` presets, and the ``_locked`` pair under a table lock with
-emulated atomics, which charges ``serial_cycles`` per probe.
+emulated atomics, which charges ``serial_cycles`` per probe. Two
+more legs at ``small`` wrap each Parboil kernel with Eager Persistency
+(``repro.ep``) instead of LP: ``ep_clean`` (one launch + drain) and
+``ep_crash`` (the same crash at half the grid, then the undo-log
+rollback and re-execution of every uncommitted block); the undo-log
+buffers' images are recorded with the outputs.
 ``tests/workloads/test_pinned_observables.py`` replays every case on
 both engines and compares.
 
@@ -38,7 +43,9 @@ rows were written by the MEGA-KV scalar bodies as they stood at commit
 5de6cd1 (read lanes included), just before those were deleted too.
 The four hash-table legs were written by the two tables' own walks as
 they stood at commit c632891, before ``insertsim`` and the tables came
-to share one walk per table.
+to share one walk per table. The two EP legs were written by the EP
+wrapper's scalar body as it stood at commit d513a60, before it came to
+run its inner kernel's batch body on the row.
 Regenerating the file with a newer body only proves the body agrees
 with itself, so do it only for a deliberate change of a kernel's
 results — and say so in the commit.
@@ -55,6 +62,7 @@ import repro
 from repro.core.config import AtomicMode, LockMode
 from repro.core.recovery import RecoveryManager
 from repro.core.tables.base import TABLE_BUFFER_PREFIX
+from repro.ep import EPRecoveryManager, EPRuntime
 from repro.megakv.kernels import (
     KVInsertKernel,
     KVSearchKernel,
@@ -196,6 +204,49 @@ def observe_crash(name: str, scale: str, engine: str, config=None) -> dict:
     }
 
 
+def _build_ep(name: str, scale: str, engine: str):
+    """``(device, check, ep_kernel)``: a Parboil kernel under EP."""
+    device = repro.Device(cache_capacity_lines=CACHE_LINES, engine=engine)
+    work = make_workload(name, scale=scale, seed=SEED)
+    ep_kernel = EPRuntime(device).instrument(work.setup(device))
+    return device, functools.partial(work.verify, persisted=True), ep_kernel
+
+
+def observe_ep_clean(name: str, scale: str, engine: str) -> dict:
+    """One crash-free EP launch + drain."""
+    device, check, ep_kernel = _build_ep(name, scale, engine)
+    launch = device.launch(ep_kernel)
+    device.drain()
+    check(device)
+    return {
+        "launch": _launch(launch),
+        "write_stats": device.memory.write_stats.to_dict(),
+        "images": _images(device),
+    }
+
+
+def observe_ep_crash(name: str, scale: str, engine: str) -> dict:
+    """An EP crash after half the grid, then undo-log recovery."""
+    device, check, ep_kernel = _build_ep(name, scale, engine)
+    plan = repro.CrashPlan(after_blocks=ep_kernel.launch_config().n_blocks // 2,
+                           persist_fraction=PERSIST_FRACTION, seed=SEED)
+    crashed = device.launch(ep_kernel, crash_plan=plan)
+    crash_images = _images(device, nvm_only=True)
+    report = EPRecoveryManager(device, ep_kernel).recover()
+    device.drain()
+    check(device)
+    return {
+        "crashed": _launch(crashed),
+        "crash_images": crash_images,
+        "uncommitted_blocks": report.uncommitted_blocks,
+        "undo_records_applied": report.undo_records_applied,
+        "relaunch": None if report.relaunch is None
+        else _launch(report.relaunch),
+        "write_stats": device.memory.write_stats.to_dict(),
+        "images": _images(device),
+    }
+
+
 #: A table lock and emulated atomics: the hash tables' slowest corner.
 LOCKED = {"locks": LockMode.LOCK_BASED, "atomics": AtomicMode.EMULATED}
 OBSERVE = {"clean": observe_clean, "crash": observe_crash,
@@ -207,6 +258,10 @@ TABLE_LEGS = {
     for table, preset in (("quadratic", repro.LPConfig.naive_quadratic),
                           ("cuckoo", repro.LPConfig.naive_cuckoo))
     for suffix, changes in (("", {}), ("_locked", LOCKED))}
+#: The Eager Persistency legs, also at ``TABLE_SCALE``.
+EP_LEGS = {"ep_clean": observe_ep_clean, "ep_crash": observe_ep_crash}
+#: Every leg recorded at ``TABLE_SCALE`` only.
+SMALL_LEGS = {**TABLE_LEGS, **EP_LEGS}
 TABLE_SCALE = "small"
 #: The legs the MEGA-KV rows record (they have no scale presets).
 KV_LEGS = ("clean", "crash", "crash_adler32")
@@ -214,7 +269,7 @@ KV_LEGS = ("clean", "crash", "crash_adler32")
 
 def legs_at(scale: str) -> dict:
     """The legs a Parboil kernel records at ``scale``."""
-    return {**OBSERVE, **(TABLE_LEGS if scale == TABLE_SCALE else {})}
+    return {**OBSERVE, **(SMALL_LEGS if scale == TABLE_SCALE else {})}
 
 
 def main(only=()):

@@ -5,8 +5,9 @@ drain, a crash at half the grid + recover + drain, and the same crash
 under an Adler-32 lane leave behind for each of the eight Parboil
 kernels at ``small`` and ``medium``, the same crash through each hash
 table's walk (lock-free, and locked with emulated atomics) at
-``small``, and the clean, crash and Adler-32 legs of the MEGA-KV write
-and search kernels (see ``make_fixtures.py`` beside it for which
+``small``, the same kernels under Eager Persistency, clean and crashed
+and recovered from the undo log, at ``small``, and the clean, crash and
+Adler-32 legs of the MEGA-KV write and search kernels (see ``make_fixtures.py`` beside it for which
 bodies wrote each part). Both engines must still
 reproduce it bit for bit: image hashes, every ``Tally`` field, cycles,
 write-back statistics, failed blocks and recovery cycles. Engine parity
@@ -24,7 +25,7 @@ from tests.fixtures.kernels.make_fixtures import (
     KV_LEGS,
     OBSERVE,
     SCALES,
-    TABLE_LEGS,
+    SMALL_LEGS,
     TABLE_SCALE,
     legs_at,
 )
@@ -58,12 +59,13 @@ def test_kernel_reproduces_its_pinned_observables(name, scale, engine, leg):
                        OBSERVE[leg](name, scale, engine))
 
 
-@pytest.mark.parametrize("leg", sorted(TABLE_LEGS))
+@pytest.mark.parametrize("leg", sorted(SMALL_LEGS))
 @pytest.mark.parametrize("engine", ["serial", "batched"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_kernel_reproduces_its_pinned_table_walks(name, engine, leg):
+def test_kernel_reproduces_its_pinned_small_legs(name, engine, leg):
+    """The hash-table walks and the EP legs, at ``small`` only."""
     _assert_reproduces(EXPECTED[name][TABLE_SCALE][leg],
-                       TABLE_LEGS[leg](name, TABLE_SCALE, engine))
+                       SMALL_LEGS[leg](name, TABLE_SCALE, engine))
 
 
 @pytest.mark.parametrize("leg", KV_LEGS)
