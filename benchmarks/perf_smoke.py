@@ -34,9 +34,12 @@ machine. What is *gated* is ratios only — two arms timed side by side
 in the same run (engine vs engine, heap vs heap, sampler on vs off) —
 because this machine's absolute blocks/sec against the recording
 machine's says more about the machines than about the code. Each gate
-is one ``check_*`` predicate below; ``--check`` re-measures and applies
-all of them, and ``test_perf_smoke.py`` (the tier-2 CI gate) has one
-test per predicate.
+is one ``check_*`` predicate below; both modes apply all of them and
+print the verdicts. ``--check`` exits 1 on a failed gate; recording
+exits 0 and writes the failures into the record (``gate_failures``), so
+a committed ``BENCH_sim.json`` never reads as a clean run when it was
+not. ``test_perf_smoke.py`` (the tier-2 CI gate) has one test per
+predicate.
 
 Usage::
 
@@ -751,8 +754,9 @@ def check_sharded_writeback(sharded: dict) -> str | None:
 
 
 def check_gates(suite: dict, recovery: dict, mapped: dict,
-                telemetry: dict, sharded: dict) -> int:
-    """Apply every gate to one run's measurements (``--check``)."""
+                telemetry: dict, sharded: dict) -> list[str]:
+    """Apply every gate to one run's measurements, print the verdicts
+    and return the failures (both modes run this)."""
     verdicts = [check_batched_speedup(suite, w)
                 for w in BATCHED_SPEEDUP_WORKLOADS]
     verdicts += [check_validation_speedup(recovery, engine)
@@ -765,9 +769,9 @@ def check_gates(suite: dict, recovery: dict, mapped: dict,
     if failures:
         print("PERF GATE FAILED:\n  " + "\n  ".join(failures),
               file=sys.stderr)
-        return 1
-    print(f"perf check OK ({len(verdicts)} ratio gates)")
-    return 0
+    else:
+        print(f"perf check OK ({len(verdicts)} ratio gates)")
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -782,9 +786,12 @@ def main(argv: list[str] | None = None) -> int:
     mapped = run_mapped_suite()
     telemetry = run_telemetry_suite()
     sharded = run_sharded_suite()
+    failures = check_gates(suite, recovery, mapped, telemetry, sharded)
     if args.check:
-        return check_gates(suite, recovery, mapped, telemetry, sharded)
+        return 1 if failures else 0
 
+    # The record keeps its own verdicts: a breached gate is written down
+    # beside the numbers, and recording still succeeds.
     BASELINE_PATH.write_text(json.dumps({
         "benchmark": "launch-engine throughput smoke",
         "command": "PYTHONPATH=src python benchmarks/perf_smoke.py",
@@ -797,6 +804,7 @@ def main(argv: list[str] | None = None) -> int:
         "mapped_writeback": mapped,
         "telemetry_overhead": telemetry,
         "sharded_recovery": sharded,
+        "gate_failures": failures,
     }, indent=2) + "\n")
     print(f"wrote {BASELINE_PATH}")
     return 0

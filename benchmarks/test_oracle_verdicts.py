@@ -27,7 +27,7 @@ def _synthetic_accumulate():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",),
                           name="synthetic-accumulate")
     def accumulate(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         v = ctx.ld("out", idx)
         ctx.st("out", idx, v + 1.0)
 
@@ -43,7 +43,7 @@ def _synthetic_atomic():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",),
                           name="synthetic-atomic")
     def atomic(ctx):
-        ctx.atomic_add("out", ctx.block_id, 1.0)
+        ctx.atomic_add("out", ctx.block_ids[:, None], 1.0)
 
     device = repro.Device()
     device.alloc("out", (32,), np.float32, persistent=True)

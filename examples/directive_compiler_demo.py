@@ -60,7 +60,7 @@ def executable_dsl() -> None:
     # persistent stores land in.
     @kernel_from_function(grid=(8, 1), block=(32, 1), protected=("y",))
     def saxpy(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         a = np.float32(2.0)
         ctx.st("y", idx, a * ctx.ld("x", idx) + ctx.ld("y0", idx),
                slots=ctx.tid)

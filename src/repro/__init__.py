@@ -63,7 +63,7 @@ from repro.core.tables import make_table
 from repro.errors import ReproError
 from repro.gpu.device import Device, LaunchResult
 from repro.gpu.engine import LaunchEngine, make_engine
-from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
+from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 from repro.gpu.spec import GPUSpec, NVMSpec
 from repro.nvm.crash import CrashPlan, FaultInjector
 from repro.nvm.mapped import MappedShadow
@@ -76,7 +76,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AtomicMode",
-    "BlockContext",
     "CheckpointManager",
     "CheckpointPolicy",
     "ChecksumKind",

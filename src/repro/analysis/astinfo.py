@@ -2,8 +2,7 @@
 
 The Python front-end analogue of the C statement scanner in
 :mod:`repro.compiler.idempotence`: given a kernel's block body
-(``run_block``, ``run_block_batch`` or a ``kernel_from_function``
-body), extract its read / write / atomic / host-effect sets plus a
+(``run_block_batch`` or a ``kernel_from_function`` body), extract its read / write / atomic / host-effect sets plus a
 block-identity taint map, from the function's abstract syntax tree.
 
 Two resolution modes share the same walker:
@@ -51,7 +50,7 @@ class StoreOp:
     buffer_text: str            # source text of the buffer expression
     index: ast.expr | None
     lineno: int
-    atomic: str | None = None   # "add"/"max"/"cas"/"exch" for atomics
+    atomic: str | None = None   # "add"/"cas"/"exch" for atomics
     value: ast.expr | None = None
     #: Buffers whose ``ctx.ld`` values flow into the stored value.
     value_buffers: set[str] = field(default_factory=set)
@@ -452,7 +451,7 @@ class _BodyWalker:
                 buffer_text=ast.unparse(buf),
                 lineno=call.lineno,
             ))
-        elif attr in ("atomic_add", "atomic_max", "atomic_cas", "atomic_exch"):
+        elif attr in ("atomic_add", "atomic_cas", "atomic_exch"):
             store(arg(3) if attr == "atomic_cas" else arg(2),
                   atomic=attr.removeprefix("atomic_"))
 

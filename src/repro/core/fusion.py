@@ -13,9 +13,8 @@ sibling of that row: the constituent's id and the inner launch shape,
 and the row's tally, LP observer, EP interceptor and landing. An
 attached LP observer therefore accumulates one checksum across the
 whole fused region, and the checksum table is sized to the fused grid
-automatically. Only a kernel with a batch body (``batchable``) fuses;
-the fused kernel itself runs as immediate rows (it is not
-``batchable``).
+automatically. Only a ``batchable`` kernel fuses; the fused kernel
+itself runs as immediate rows (it is not ``batchable``).
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ class FusedKernel(Kernel):
             raise LaunchError("fusion factor must be >= 1")
         if not inner.batchable:
             raise LaunchError(
-                f"kernel {inner.name!r} has no batch body to fuse; its "
-                "constituent blocks run on siblings of one row")
+                f"kernel {inner.name!r} is not batchable; only a "
+                "batchable kernel's blocks fuse")
         self.inner = inner
         self.factor = factor
         self._inner_config = inner.launch_config()

@@ -16,7 +16,8 @@ one checksum per lane for the whole thread block.
 Both read a one-block :class:`~repro.core.checksum.BatchChecksumState`
 and produce bit-identical lane values (commutative folds). They are the
 functional oracle: the LP runtime charges :func:`reduction_tally`'s
-analytic counts, which a test pins against the paths' actual charges.
+analytic counts, which a test pins against what the paths charge to a
+block's immediate row.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from repro.core.checksum import BatchChecksumState
 from repro.core.config import ReductionMode
 from repro.errors import ConfigError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import BlockContext
 from repro.gpu.warp import WARP_SIZE, shfl_down
 
 #: Bytes per checksum lane value.
@@ -40,26 +41,26 @@ LANE_BYTES = 8
 def reduce_block(
     state: BatchChecksumState,
     mode: ReductionMode,
-    ctx: BlockContext | None = None,
+    row: BatchBlockContext | None = None,
 ) -> np.ndarray:
     """Reduce one region's per-thread accumulators to final lane values.
 
     ``state`` holds one block (``n_blocks == 1``).
 
-    When ``ctx`` is given, the reduction's work is charged to the
-    block's tally through the context's real primitives (shuffles,
-    shared traffic, syncthreads), so the cost emerges from execution
-    rather than being asserted.
+    When ``row`` (the block's immediate row) is given, the reduction's
+    work is charged to its tally through the row's primitives (shared
+    memory, syncthreads) and per shuffle, so the cost emerges from
+    execution rather than being asserted.
     """
     if mode is ReductionMode.PARALLEL_SHUFFLE:
-        return reduce_parallel(state, ctx)
+        return reduce_parallel(state, row)
     if mode is ReductionMode.SEQUENTIAL_MEMORY:
-        return reduce_sequential(state, ctx)
+        return reduce_sequential(state, row)
     raise ConfigError(f"unknown reduction mode: {mode}")
 
 
 def reduce_parallel(
-    state: BatchChecksumState, ctx: BlockContext | None = None
+    state: BatchChecksumState, row: BatchBlockContext | None = None
 ) -> np.ndarray:
     """Listing 3's ``blockReduceSum`` over every commutative lane."""
     if not state.cset.commutative:
@@ -74,28 +75,28 @@ def reduce_parallel(
         vals = per_thread[:, lane].copy()
 
         # Step 1: warp-level butterfly (Listing 4), all warps at once.
-        vals = _warp_butterfly(vals, func, ctx)
+        vals = _warp_butterfly(vals, func, row)
 
         # Step 2: warp leaders deposit into a 32-entry shared array.
         leaders = np.arange(n_warps) * WARP_SIZE
         partials = np.zeros(WARP_SIZE, dtype=np.uint64)
         partials[:n_warps] = vals[leaders]
-        if ctx is not None:
-            shared = ctx.shared.alloc(f"__lp_red_{pos}", WARP_SIZE, np.uint64)
-            ctx.shared.write(f"__lp_red_{pos}", slice(0, n_warps),
+        if row is not None:
+            shared = row.shared.alloc(f"__lp_red_{pos}", WARP_SIZE, np.uint64)
+            row.shared.write(f"__lp_red_{pos}", slice(0, n_warps),
                              partials[:n_warps])
-            ctx.syncthreads()
+            row.syncthreads()
             partials = shared.copy()
-            ctx.shared.traffic_bytes += n_warps * LANE_BYTES  # warp-0 reads
+            row.shared.traffic_bytes += n_warps * LANE_BYTES  # warp-0 reads
 
         # Step 3: warp 0 reduces the partials with one more butterfly.
-        final = _warp_butterfly(partials, func, ctx)
+        final = _warp_butterfly(partials, func, row)
         lanes_out[pos] = final[0]
     return lanes_out
 
 
 def reduce_sequential(
-    state: BatchChecksumState, ctx: BlockContext | None = None
+    state: BatchChecksumState, row: BatchBlockContext | None = None
 ) -> np.ndarray:
     """Pre-Kepler reduction through shared and global memory.
 
@@ -106,15 +107,15 @@ def reduce_sequential(
     n_comm = len(state.comm_lane_positions)
     staged_bytes = n_threads * LANE_BYTES * n_comm
 
-    if ctx is not None and n_comm:
+    if row is not None and n_comm:
         # Stage through shared memory (write by all, read by thread 0)
         # and through global memory, as the paper's no-shuffle variant
         # does; the global staging buffer is pure scratch.
-        ctx.charge_shared(2 * staged_bytes)
-        ctx.tally.global_write_bytes += staged_bytes
-        ctx.tally.global_read_bytes += staged_bytes
-        ctx.syncthreads()
-        ctx.alu(n_threads * n_comm)  # thread 0's sequential folds
+        row.charge_shared(2 * staged_bytes)
+        row.tally.global_write_bytes += staged_bytes
+        row.tally.global_read_bytes += staged_bytes
+        row.syncthreads()
+        row.alu(n_threads * n_comm)  # thread 0's sequential folds
 
     per_thread, lanes_out = _one_block(state)
     for lane, pos in enumerate(state.comm_lane_positions):
@@ -136,7 +137,7 @@ def _one_block(state: BatchChecksumState) -> tuple[np.ndarray, np.ndarray]:
     return state.per_thread[0], lanes_out
 
 
-def _warp_butterfly(vals, func, ctx):
+def _warp_butterfly(vals, func, row):
     """Five ``shfl_down`` rounds (Listing 4) over a thread vector.
 
     Matches CUDA's canonical ``val += __shfl_down_sync(...)`` idiom:
@@ -146,11 +147,10 @@ def _warp_butterfly(vals, func, ctx):
     """
     offset = WARP_SIZE // 2
     while offset > 0:
-        if ctx is not None:
-            shifted = ctx.shfl_down(vals, offset)
-            ctx.alu(vals.shape[0])  # the combine op per lane
-        else:
-            shifted = shfl_down(vals, offset)
+        shifted = shfl_down(vals, offset)
+        if row is not None:
+            row.tally.shuffle_ops += vals.shape[0]
+            row.alu(vals.shape[0])  # the combine op per lane
         vals = func.combine(vals, shifted)
         offset //= 2
     return vals
@@ -177,7 +177,7 @@ def reduction_tally(
     """Operation counts one block's reduction generates.
 
     Mirrors exactly what :func:`reduce_parallel` /
-    :func:`reduce_sequential` charge through a context; the agreement is
+    :func:`reduce_sequential` charge through a row; the agreement is
     pinned by a test so the analytic benchmark profiles cannot drift
     from the functional implementation.
     """

@@ -7,8 +7,8 @@ values into the region's checksums — the simulator's equivalent of the
 ``UpdateCheckSum(...)`` call the paper places after each persistent
 store (Listing 1, line 12; Listing 2, lines 21-24). One observer serves
 both cells: a :class:`~repro.gpu.batch.BatchBlockContext` hands it a
-group's stores with a leading block axis, and a scalar
-:class:`~repro.gpu.kernel.BlockContext` is a one-row batch.
+group's stores with a leading block axis, and an immediate row is a
+group of one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Eager Persistency: the flush-and-fence baseline LP replaces.
 
 An extension of the reproduction (the paper argues against EP
-qualitatively; the simulator lets the comparison be measured). See
-:mod:`repro.ep.runtime` for the protocol and the caveats.
+qualitatively; the simulator lets the comparison be measured). The
+wrapper runs its inner kernel's batch body on one immediate row per
+block. See :mod:`repro.ep.runtime` for the protocol and the caveats.
 """
 
 from repro.ep.log import COMMITTED, EP_BUFFER_PREFIX, IN_FLIGHT, UndoLog

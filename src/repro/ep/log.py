@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RecoveryError, TableError
-from repro.gpu.kernel import BlockContext
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.memory import Buffer, GlobalMemory
 from repro.obs import current as _recorder
 
@@ -68,12 +68,12 @@ class UndoLog:
         )
 
     # ------------------------------------------------------------------
-    # Device-side operations (run inside a block, fully costed)
+    # Device-side operations (run on a block's immediate row, costed)
     # ------------------------------------------------------------------
 
     def append(
         self,
-        ctx: BlockContext,
+        row: BatchBlockContext,
         buf: Buffer,
         flat_idx: np.ndarray,
     ) -> None:
@@ -83,8 +83,8 @@ class UndoLog:
         issues the persist barrier that orders the log before the
         upcoming data store — the EP choreography per store.
         """
-        block = ctx.block_id
-        flat_idx = np.atleast_1d(np.asarray(flat_idx))
+        block = int(row.block_ids[0])
+        flat_idx = np.asarray(flat_idx).reshape(-1)
         n = flat_idx.size
         cursor = int(self.cursors.array[block])
         if cursor + n > self.capacity:
@@ -93,7 +93,7 @@ class UndoLog:
                 f"{cursor}+{n} > {self.capacity}"
             )
 
-        old_vals = ctx.ld(buf, flat_idx)
+        old_vals = row.ld(buf, flat_idx)
         addrs = (np.uint64(buf.base_addr)
                  + flat_idx.astype(np.uint64)
                  * np.uint64(buf.dtype.itemsize))
@@ -101,34 +101,38 @@ class UndoLog:
 
         base = (block * self.capacity + cursor) * 2
         slot_idx = base + np.arange(n) * 2
-        ctx.st(self.entries, slot_idx, addrs)
-        ctx.st(self.entries, slot_idx + 1, words)
-        ctx.st(self.cursors, block, np.uint64(cursor + n))
+        row.st(self.entries, slot_idx[None], addrs[None])
+        row.st(self.entries, slot_idx[None] + 1, words[None])
+        row.st(self.cursors, [[block]], np.uint64(cursor + n))
 
-        ctx.clwb(self.entries, np.concatenate([slot_idx, slot_idx + 1]))
-        ctx.clwb(self.cursors, block)
-        ctx.persist_barrier()
+        row.clwb(self.entries, np.concatenate([slot_idx, slot_idx + 1]))
+        row.clwb(self.cursors, [block])
+        row.persist_barrier()
         metrics = _recorder().metrics
         if metrics.active:
             metrics.inc("ep.log.appends")
             metrics.inc("ep.log.entries", n)
 
-    def commit(self, ctx: BlockContext) -> None:
-        """Mark the region durable (its data must be flushed already)."""
-        ctx.st(self.commits, ctx.block_id, COMMITTED)
-        ctx.clwb(self.commits, ctx.block_id)
-        ctx.persist_barrier()
+    def commit(self, row: BatchBlockContext) -> None:
+        """Mark the row's region durable (its data must be flushed
+        already)."""
+        block = int(row.block_ids[0])
+        row.st(self.commits, [[block]], COMMITTED)
+        row.clwb(self.commits, [block])
+        row.persist_barrier()
         metrics = _recorder().metrics
         if metrics.active:
             metrics.inc("ep.log.commits")
 
-    def reset_block(self, ctx: BlockContext, block: int) -> None:
-        """Clear a block's log (after rollback, before re-execution)."""
-        ctx.st(self.cursors, block, IN_FLIGHT)
-        ctx.st(self.commits, block, IN_FLIGHT)
-        ctx.clwb(self.cursors, block)
-        ctx.clwb(self.commits, block)
-        ctx.persist_barrier()
+    def reset_block(self, row: BatchBlockContext) -> None:
+        """Clear the row's block's log (after rollback, before
+        re-execution)."""
+        block = int(row.block_ids[0])
+        row.st(self.cursors, [[block]], IN_FLIGHT)
+        row.st(self.commits, [[block]], IN_FLIGHT)
+        row.clwb(self.cursors, [block])
+        row.clwb(self.commits, [block])
+        row.persist_barrier()
 
     # ------------------------------------------------------------------
     # Host-side recovery operations (read the post-crash image)

@@ -80,15 +80,6 @@ class AtomicUnit:
             touched = np.unique(idx)
             self._memory.write(buf, touched, buf.data[touched])
 
-    def max_(self, buf: Buffer, indices: np.ndarray, values: np.ndarray) -> None:
-        """``atomicMax`` from many threads at once."""
-        idx = np.asarray(indices)
-        self.charge(buf, idx)
-        np.maximum.at(buf.data, idx, np.asarray(values, dtype=buf.dtype))
-        if buf.persistent:
-            touched = np.unique(idx)
-            self._memory.write(buf, touched, buf.data[touched])
-
     # ------------------------------------------------------------------
     # Contention accounting
     # ------------------------------------------------------------------

@@ -12,8 +12,7 @@ extra numpy axis and defer its stores, instead of one block at a time.
 Every block runs in this process, and every pass runs on a
 :class:`~repro.gpu.batch.BatchBlockContext` through the kernel's batch
 entries (``run_block_batch`` / ``validate_block_batch`` /
-``recover_block_batch``); a kernel with a scalar body reaches it
-through the row's :class:`~repro.gpu.kernel.BlockContext`.
+``recover_block_batch``) — the one block context there is.
 
 The two engine names are the two settings of that choice
 (:func:`make_engine`): ``serial`` = scalar — the reference loop every
@@ -24,7 +23,8 @@ lands in one of two cells:
 ==============  =====================================================
 scalar          one immediate row per block: a one-row
                 ``BatchBlockContext`` whose stores land as they are
-                issued, one ``write`` per store (per word of a record)
+                issued, one ``write`` per store (per word of a record),
+                built by :func:`_row`
 vector          ``group_size`` blocks per deferred ``BatchBlockContext``;
                 stores (a global-array checksum insert among them)
                 recorded, then landed in one
@@ -86,7 +86,7 @@ from repro.errors import BatchFallbackError, LaunchError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.batch import BatchBlockContext
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
+from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
 from repro.obs import current as _recorder
 
@@ -127,6 +127,16 @@ class LaunchPlan:
         )
 
 
+def _row(plan: LaunchPlan, block_id: int) -> BatchBlockContext:
+    """The immediate row of one block of ``plan``: what every block
+    outside a deferred group, and every deferred table insert, runs
+    on."""
+    return BatchBlockContext(plan.memory, plan.config, (block_id,),
+                             plan.mode, plan.atomics, immediate=True,
+                             fence_latency=plan.fence_latency,
+                             fence_concurrency=plan.fence_concurrency)
+
+
 def _run_pass(kernel: Kernel, bctx: BatchBlockContext, mode: ExecMode,
               outcomes: list) -> None:
     """Run one pass — a deferred group or one immediate row — on
@@ -159,8 +169,7 @@ def _apply_batch_records(plan: LaunchPlan, bctx: BatchBlockContext,
     if bctx.table_inserts is not None:
         insert, lanes = bctx.table_inserts
         def after_row(row: int) -> None:
-            ctx = BatchBlockContext(memory, plan.config, (block_ids[row],),
-                                    plan.mode, plan.atomics, immediate=True)
+            ctx = _row(plan, block_ids[row])
             insert(ctx, block_ids[row], lanes[row])
             tally.merge(ctx.finalize_tally())
     memory.write_rows(len(block_ids), records, after_row)
@@ -291,10 +300,9 @@ def _run_row(plan: LaunchPlan, block_id: int, tally: Tally,
              completed: list[int], outcomes: list) -> None:
     """One block as an immediate row: its pass lands its stores (a
     hash-table insert among them) as they are issued."""
-    ctx = BlockContext(plan.memory, plan.atomics, plan.config, block_id,
-                       plan.mode, plan.fence_latency, plan.fence_concurrency)
-    _run_pass(plan.kernel, ctx.row, plan.mode, outcomes)
-    tally.merge(ctx.finalize_tally())
+    row = _row(plan, block_id)
+    _run_pass(plan.kernel, row, plan.mode, outcomes)
+    tally.merge(row.finalize_tally())
     completed.append(block_id)
     if plan.block_hook is not None:
         plan.block_hook(len(completed))

@@ -80,7 +80,7 @@ class Buffer:
 
     Exposes the volatile image as :attr:`array` (shaped) and the NVM
     image as :attr:`nvm_array`. Client code should go through
-    :class:`GlobalMemory` (or a kernel's ``BlockContext``) for writes so
+    :class:`GlobalMemory` (or a kernel's block context) for writes so
     persistence tracking stays correct; direct mutation of
     ``buffer.array`` bypasses the persistence domain and is reserved for
     test setup of *non-persistent* scratch data.

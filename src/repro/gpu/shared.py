@@ -3,8 +3,9 @@
 Shared memory is on-chip scratch visible to all threads of one block.
 It is volatile and block-private: allocations exist only for the
 lifetime of one block's execution, which the simulator models by giving
-every :class:`~repro.gpu.kernel.BlockContext` a fresh
-:class:`SharedMemory`.
+every immediate row (:attr:`repro.gpu.batch.BatchBlockContext.shared`)
+a fresh :class:`SharedMemory`; a deferred group, whose blocks would
+share it, has none.
 
 Traffic through shared memory is tallied separately from global-memory
 traffic; it matters for the sequential-reduction ablation (Table IV),

@@ -56,18 +56,6 @@ def shfl_down(values: np.ndarray, offset: int, warp_size: int = WARP_SIZE) -> np
     return warps.reshape((-1,) + values.shape[1:])[:n]
 
 
-def shfl_xor(values: np.ndarray, lane_mask: int, warp_size: int = WARP_SIZE) -> np.ndarray:
-    """``__shfl_xor_sync``: lane ``i`` reads lane ``i ^ lane_mask``."""
-    if not 0 <= lane_mask < warp_size:
-        raise ValueError("lane_mask must be within the warp")
-    values = np.asarray(values)
-    n = values.shape[0]
-    warps = _as_warps(values, warp_size)
-    lanes = np.arange(warp_size)
-    out = warps[:, lanes ^ lane_mask]
-    return out.reshape((-1,) + values.shape[1:])[:n]
-
-
 def warp_reduce(
     values: np.ndarray,
     op: str = "add",

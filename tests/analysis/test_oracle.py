@@ -17,7 +17,7 @@ from repro.compiler.pydsl import kernel_from_function
 def _clean_case():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def clean(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, idx + 0.0)
 
     device = repro.Device()
@@ -28,7 +28,7 @@ def _clean_case():
 def _dirty_case():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def dirty(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         v = ctx.ld("out", idx)
         ctx.st("out", idx, v + 1.0)
 

@@ -12,7 +12,7 @@ from repro.compiler.pydsl import kernel_from_function, lazy_persistent
 from repro.core.config import ChecksumKind, LPConfig
 from repro.core.runtime import LazyPersistentKernel
 from repro.core.tables import make_table
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 
 
 def rules_of(findings):
@@ -33,7 +33,7 @@ def make_device(*buffers, n=32):
 def test_lp001_store_to_unprotected_persistent_buffer():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def leaky(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
         ctx.st("extra", idx, 2.0)   # persistent but not protected
 
@@ -48,7 +48,7 @@ def test_lp001_store_to_unprotected_persistent_buffer():
 def test_lp001_scratch_buffers_are_exempt():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def scratchy(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
         ctx.st("tmp", idx, 2.0)     # scratch: no coverage required
 
@@ -59,7 +59,7 @@ def test_lp001_scratch_buffers_are_exempt():
 def test_lp001_without_device_downgrades_to_warning():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def maybe_leaky(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
         ctx.st("extra", idx, 2.0)
 
@@ -73,7 +73,7 @@ def test_lp001_resolves_buffer_names_through_closures():
 
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def via_closure(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
         ctx.st(target, idx, 2.0)
 
@@ -106,7 +106,7 @@ def _accumulator(**kwargs):
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",),
                           **kwargs)
     def accumulate(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         v = ctx.ld("out", idx)
         ctx.st("out", idx, v + 1.0)
 
@@ -138,7 +138,7 @@ def test_lp002_silenced_by_custom_recovery():
 def test_lp002_atomic_add_accumulates():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def atomic_acc(ctx):
-        ctx.atomic_add("out", ctx.block_id, 1.0)
+        ctx.atomic_add("out", ctx.block_ids[:, None], 1.0)
 
     findings = lint_kernel_object(atomic_acc)
     assert "LP002" in rules_of(findings)
@@ -154,7 +154,7 @@ def test_lp002_atomic_add_accumulates():
 def test_lp003_block_independent_index_races():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def racy(ctx):
-        ctx.st("out", ctx.tid, 1.0)   # every block writes slots 0..7
+        ctx.st("out", ctx.tid[None], 1.0)   # every block writes slots 0..7
 
     findings = lint_kernel_object(racy)
     assert rules_of(findings) == {"LP003"}
@@ -163,7 +163,7 @@ def test_lp003_block_independent_index_races():
 def test_lp003_block_derived_index_is_clean():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def disjoint(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
 
     assert lint_kernel_object(disjoint) == []
@@ -172,7 +172,7 @@ def test_lp003_block_derived_index_is_clean():
 def test_lp003_taint_propagates_through_locals():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def derived(ctx):
-        base = ctx.block_id * ctx.n_threads
+        base = ctx.block_ids[:, None] * ctx.n_threads
         off = base + 1
         ctx.st("out", off + ctx.tid, 1.0)
 
@@ -182,7 +182,7 @@ def test_lp003_taint_propagates_through_locals():
 def test_lp003_single_block_grids_cannot_race():
     @kernel_from_function(grid=(1, 1), block=(8, 1), protected=("out",))
     def solo(ctx):
-        ctx.st("out", ctx.tid, 1.0)
+        ctx.st("out", ctx.tid[None], 1.0)
 
     assert lint_kernel_object(solo) == []
 
@@ -194,7 +194,7 @@ def test_lp003_single_block_grids_cannot_race():
 def _lp_case(n=32):
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def clean(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0)
 
     device = make_device(("out", True), n=n)
@@ -237,7 +237,7 @@ def test_lp006_raw_float_parity_is_an_error():
 def test_lp006_integer_buffers_are_exempt():
     @kernel_from_function(grid=(4, 1), block=(8, 1), protected=("out",))
     def int_kernel(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1)
 
     device = repro.Device()
@@ -269,8 +269,8 @@ class _Suppressed(Kernel):
     def launch_config(self):
         return LaunchConfig.linear(4, 8)
 
-    def run_block(self, ctx: BlockContext) -> None:
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+    def run_block_batch(self, ctx) -> None:
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         v = ctx.ld("out", idx)
         ctx.st("out", idx, v)
 
@@ -295,8 +295,8 @@ class _Helper(Kernel):
         v = ctx.ld("out", idx)
         ctx.st("out", idx, v + 1.0)
 
-    def run_block(self, ctx: BlockContext) -> None:
-        self._bump(ctx, ctx.block_id * ctx.n_threads + ctx.tid)
+    def run_block_batch(self, ctx) -> None:
+        self._bump(ctx, ctx.block_ids[:, None] * ctx.n_threads + ctx.tid)
 
 
 def test_helper_methods_are_inlined():
@@ -350,22 +350,22 @@ FILE_MODE_SOURCE = '''
 class Accumulating(Kernel):
     idempotent = True
 
-    def run_block(self, ctx):
-        v = ctx.ld("out", ctx.tid)
-        ctx.st("out", ctx.tid, v + 1.0)
+    def run_block_batch(self, ctx):
+        v = ctx.ld("out", ctx.tid[None])
+        ctx.st("out", ctx.tid[None], v + 1.0)
 
 
 class ClaimsSlots(Kernel):
-    def run_block(self, ctx):
-        ctx.atomic_cas("slots", ctx.tid, 0, 1)
+    def run_block_batch(self, ctx):
+        ctx.atomic_cas("slots", 0, 0, 1)
 
 
 class WithCustomRecovery(Kernel):
-    def run_block(self, ctx):
-        v = ctx.ld("out", ctx.tid)
-        ctx.st("out", ctx.tid, v + 1.0)
+    def run_block_batch(self, ctx):
+        v = ctx.ld("out", ctx.tid[None])
+        ctx.st("out", ctx.tid[None], v + 1.0)
 
-    def recover_block(self, ctx):
+    def recover_block_batch(self, ctx):
         pass
 '''
 

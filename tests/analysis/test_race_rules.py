@@ -99,23 +99,23 @@ def test_file_mode_matches_object_mode_on_offenders():
     classes = [c for c in vars(module).values()
                if isinstance(c, type) and issubclass(c, Kernel)
                and c.__module__ == module.__name__]
-    assert len(classes) == 4
+    assert len(classes) == 3
     compared = 0
     for cls in classes:
         expected = _verdicts(f for f in file_findings
                              if f.kernel == cls.__name__)
         assert _verdicts(lint_kernel_object(cls())) == expected, cls
         compared += len(expected)
-    # LP002 + LP009 on each feedback kernel (the batch-only one
-    # included: neither mode may skip it), LP010 on escape.
-    assert compared == 5
+    # LP002 + LP009 on the feedback kernel's batch body (neither mode
+    # may skip it), LP010 on escape.
+    assert compared == 3
 
 
 def test_object_mode_reports_source_file_lines():
     module = _offenders()
     (hit,) = [f for f in lint_kernel_object(module.LP009FeedbackKernel())
               if f.rule == "LP009"]
-    assert hit.line == 74   # the ctx.st of ld(acc_out) + 1
+    assert hit.line == 77   # the bctx.st of ld(acc_out) + 1
 
 
 def test_cuda_front_end_flags_lp008_wrap():

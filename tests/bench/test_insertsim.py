@@ -12,14 +12,15 @@ from repro.bench.insertsim import (
 from repro.core.config import LPConfig, TableKind
 from repro.core.tables import CuckooTable, QuadraticTable
 from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
 def functional_stats(table_cls, n_keys, config):
     mem = GlobalMemory(cache_capacity_lines=4096)
-    ctx = BlockContext(mem, AtomicUnit(mem),
-                       LaunchConfig.linear(n_keys, 32), 0)
+    ctx = BatchBlockContext(mem, LaunchConfig.linear(n_keys, 32), (0,),
+                            atomics=AtomicUnit(mem), immediate=True)
     table = table_cls(mem, "t", n_keys, 2, config)
     lanes = np.zeros(2, dtype=np.uint64)
     for key in range(n_keys):

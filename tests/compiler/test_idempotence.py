@@ -113,7 +113,7 @@ def test_dynamic_check_catches_accumulation():
 
     @kernel_from_function(grid=(2, 1), block=(32, 1), protected=("acc",))
     def accumulate(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("acc", idx, ctx.ld("acc", idx) + 1.0)
 
     def make_case():

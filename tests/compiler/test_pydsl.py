@@ -16,7 +16,7 @@ from repro.gpu.kernel import LaunchConfig
 def make_double(grid=(4, 1), block=(32, 1)):
     @kernel_from_function(grid=grid, block=block, protected=("out",))
     def double_it(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, ctx.ld("inp", idx) * 2, slots=ctx.tid)
 
     return double_it
@@ -72,11 +72,11 @@ def test_custom_recover_and_validate_hooks():
     calls = []
 
     def body(ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         ctx.st("out", idx, 1.0, slots=ctx.tid)
 
     def recover(ctx):
-        calls.append(("recover", ctx.block_id))
+        calls.append(("recover", int(ctx.block_ids[0])))
         body(ctx)
 
     kernel = FunctionKernel(
@@ -95,16 +95,15 @@ def test_non_idempotent_dsl_kernel_flag():
     @kernel_from_function(grid=(1, 1), block=(32, 1), protected=("out",),
                           idempotent=False)
     def risky(ctx):
-        ctx.st("out", ctx.tid, 1.0)
+        ctx.st("out", ctx.tid[None], 1.0)
 
     assert not risky.idempotent
     from repro.errors import UnrecoverableRegionError
-    from repro.gpu.atomics import AtomicUnit
-    from repro.gpu.kernel import BlockContext
+    from repro.gpu.batch import BatchBlockContext
     from repro.gpu.memory import GlobalMemory
 
     mem = GlobalMemory(cache_capacity_lines=8)
     mem.alloc("out", (32,), np.float32)
-    ctx = BlockContext(mem, AtomicUnit(mem), risky.launch_config(), 0)
+    ctx = BatchBlockContext(mem, risky.launch_config(), (0,), immediate=True)
     with pytest.raises(UnrecoverableRegionError):
-        risky.recover_block(ctx)
+        risky.recover_block_batch(ctx)

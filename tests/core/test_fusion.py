@@ -115,8 +115,8 @@ def test_fused_adler32_region_recovers():
     work.verify(device)
 
 
-def test_fusing_a_kernel_without_a_batch_body_is_refused():
+def test_fusing_a_kernel_that_is_not_batchable_is_refused():
     device = repro.Device()
     kernel = TMMWorkload(scale="tiny").setup(device)
-    with pytest.raises(LaunchError, match="no batch body"):
+    with pytest.raises(LaunchError, match="not batchable"):
         fuse_blocks(repro.EPRuntime(device).instrument(kernel), 2)

@@ -23,9 +23,9 @@ class StampKernel(Kernel):
     def launch_config(self):
         return self._cfg
 
-    def run_block(self, ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
-        ctx.st("st_out", idx, float(ctx.block_id + 1), slots=ctx.tid)
+    def run_block_batch(self, ctx):
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
+        ctx.st("st_out", idx, ctx.block_ids[:, None] + 1, slots=ctx.tid)
 
 
 def build(cache_lines=8, config=None, n_blocks=8):
@@ -151,8 +151,8 @@ def test_recovery_validates_persistence_not_semantics():
     """
 
     class RewritingRecovery(StampKernel):
-        def recover_block(self, ctx):
-            idx = ctx.block_id * ctx.n_threads + ctx.tid
+        def recover_block_batch(self, ctx):
+            idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
             ctx.st("st_out", idx, -1.0, slots=ctx.tid)
 
     device = repro.Device(cache_capacity_lines=8)

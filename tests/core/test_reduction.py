@@ -19,7 +19,8 @@ from repro.core.reduction import (
 from repro.errors import ConfigError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import Tally
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
@@ -44,7 +45,8 @@ def reference(n_threads, seed=0, kinds=PAPER_CHECKSUM_PAIR):
 def make_ctx(n_threads):
     mem = GlobalMemory(cache_capacity_lines=64)
     cfg = LaunchConfig.linear(1, n_threads)
-    return BlockContext(mem, AtomicUnit(mem), cfg, 0)
+    return BatchBlockContext(mem, cfg, (0,), atomics=AtomicUnit(mem),
+                             immediate=True)
 
 
 @pytest.mark.parametrize("n_threads", [1, 31, 32, 33, 64, 256, 1024])

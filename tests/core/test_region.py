@@ -1,5 +1,5 @@
-"""Unit tests for the LP region observer on the immediate row of a
-scalar context (a group of one)."""
+"""Unit tests for the LP region observer on an immediate row (a group
+of one)."""
 
 import numpy as np
 
@@ -7,14 +7,16 @@ from repro.core.checksum import ChecksumSet
 from repro.core.config import PAPER_CHECKSUM_PAIR
 from repro.core.region import BatchRegionObserver
 from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
 def make_ctx(threads=32):
     mem = GlobalMemory(cache_capacity_lines=64)
     cfg = LaunchConfig.linear(1, threads)
-    return BlockContext(mem, AtomicUnit(mem), cfg, 0).row
+    return BatchBlockContext(mem, cfg, (0,), atomics=AtomicUnit(mem),
+                             immediate=True)
 
 
 def test_observer_folds_values_per_thread():

@@ -7,6 +7,7 @@ import repro
 from repro.core.config import LPConfig, TableKind
 from repro.core.runtime import LazyPersistentKernel, LPRuntime
 from repro.errors import ConfigError
+from repro.gpu.batch import BatchBlockContext
 from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 
 
@@ -22,8 +23,8 @@ class SquareKernel(Kernel):
     def launch_config(self):
         return self._cfg
 
-    def run_block(self, ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
+    def run_block_batch(self, ctx):
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
         x = ctx.ld("sq_in", idx)
         ctx.st("sq_out", idx, x * x, slots=ctx.tid)
         ctx.flops(1)
@@ -130,32 +131,30 @@ def test_validate_requires_validate_context():
     lp_kernel = LPRuntime(device).instrument(kernel)
     result = device.launch(lp_kernel)
     assert result.n_completed == 4
-    from repro.gpu.atomics import AtomicUnit
-    from repro.gpu.kernel import BlockContext
-
-    ctx = BlockContext(device.memory, AtomicUnit(device.memory),
-                       lp_kernel.launch_config(), 0, ExecMode.NORMAL)
+    ctx = BatchBlockContext(device.memory, lp_kernel.launch_config(), (0,),
+                            ExecMode.NORMAL, immediate=True)
     with pytest.raises(ConfigError):
-        lp_kernel.validate_block(ctx)
+        lp_kernel.validate_block_batch(ctx)
 
 
 @pytest.mark.parametrize("config", [LPConfig.naive_quadratic(),
                                     LPConfig.paper_best()],
                          ids=["quadratic", "global-array"])
-def test_scalar_entry_inserts_the_block_checksum(config):
-    """``run_block`` called outside the engine still leaves the block's
-    checksum in the table — a hash table's insert included, which an
-    immediate row runs at the end of its LP pass."""
+def test_row_entry_inserts_the_block_checksum(config):
+    """``run_block_batch`` called on an immediate row outside the engine
+    still leaves the block's checksum in the table — a hash table's
+    insert included, which an immediate row runs at the end of its LP
+    pass."""
     from repro.gpu.atomics import AtomicUnit
-    from repro.gpu.kernel import BlockContext
 
     device = repro.Device()
     kernel, _ = setup(device)
     lp_kernel = LPRuntime(device, config).instrument(kernel)
-    ctx = BlockContext(device.memory, AtomicUnit(device.memory),
-                       lp_kernel.launch_config(), 2)
-    lp_kernel.run_block(ctx)
-    assert ctx.row.table_inserts is None
+    ctx = BatchBlockContext(device.memory, lp_kernel.launch_config(), (2,),
+                            atomics=AtomicUnit(device.memory),
+                            immediate=True)
+    lp_kernel.run_block_batch(ctx)
+    assert ctx.table_inserts is None
     assert lp_kernel.table.lookup(2) is not None
     assert lp_kernel.table.lookup(1) is None
 

@@ -17,14 +17,16 @@ from repro.core.tables import (
 from repro.errors import TableError
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
 def make_env(n_blocks=16, threads=32):
     mem = GlobalMemory(cache_capacity_lines=512)
     cfg = LaunchConfig.linear(n_blocks, threads)
-    ctx = BlockContext(mem, AtomicUnit(mem), cfg, 0)
+    ctx = BatchBlockContext(mem, cfg, (0,), atomics=AtomicUnit(mem),
+                            immediate=True)
     return mem, ctx
 
 
@@ -175,8 +177,8 @@ def test_reset_leaves_a_fresh_table(kind, durable, tmp_path):
     def env(tag):
         heap = create_heap(tmp_path / f"{tag}.lpnv") if durable else None
         mem = GlobalMemory(cache_capacity_lines=512, shadow=heap)
-        ctx = BlockContext(mem, AtomicUnit(mem),
-                           LaunchConfig.linear(24, 32), 0)
+        ctx = BatchBlockContext(mem, LaunchConfig.linear(24, 32), (0,),
+                                atomics=AtomicUnit(mem), immediate=True)
         return mem, ctx, _table_for_reset(kind, mem)
 
     def images(mem, table):

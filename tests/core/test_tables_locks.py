@@ -7,7 +7,8 @@ from repro.core.config import AtomicMode, LockMode, LPConfig
 from repro.core.tables.locks import InsertionProtocol
 from repro.gpu.atomics import AtomicUnit
 from repro.gpu.costs import CostModel
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
@@ -15,8 +16,8 @@ def make_env(config):
     mem = GlobalMemory(cache_capacity_lines=64)
     keys = mem.alloc("keys", (16,), np.uint64,
                      init=np.zeros(16, np.uint64))
-    ctx = BlockContext(mem, AtomicUnit(mem),
-                       LaunchConfig.linear(4, 32), 0)
+    ctx = BatchBlockContext(mem, LaunchConfig.linear(4, 32), (0,),
+                            atomics=AtomicUnit(mem), immediate=True)
     protocol = InsertionProtocol(config, CostModel(), population=1000)
     return keys, ctx, protocol
 
@@ -75,8 +76,8 @@ def test_lock_based_convoy_scales_with_chain():
 def test_population_drives_contention():
     config = LPConfig.naive_quadratic().with_(locks=LockMode.LOCK_BASED)
     mem = GlobalMemory(cache_capacity_lines=64)
-    ctx = BlockContext(mem, AtomicUnit(mem),
-                       LaunchConfig.linear(4, 32), 0)
+    ctx = BatchBlockContext(mem, LaunchConfig.linear(4, 32), (0,),
+                            atomics=AtomicUnit(mem), immediate=True)
     small = InsertionProtocol(config, CostModel(), population=10)
     big = InsertionProtocol(config, CostModel(), population=100000)
     small.charge_lock(ctx, 1)

@@ -6,8 +6,8 @@ import pytest
 import repro
 from repro.ep.log import COMMITTED, UndoLog, _value_bits
 from repro.errors import TableError
-from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 
 
 def make_env(n_blocks=4, capacity=8):
@@ -15,8 +15,8 @@ def make_env(n_blocks=4, capacity=8):
     data = device.alloc("data", (64,), np.int32,
                         init=np.arange(64, dtype=np.int32))
     log = UndoLog(device.memory, "t", n_blocks, capacity)
-    ctx = BlockContext(device.memory, AtomicUnit(device.memory),
-                       LaunchConfig.linear(n_blocks, 16), 0)
+    ctx = BatchBlockContext(device.memory, LaunchConfig.linear(n_blocks, 16),
+                            (0,), immediate=True)
     return device, data, log, ctx
 
 
@@ -60,7 +60,7 @@ def test_commit_and_reset():
     assert not log.is_committed(0)
     log.commit(ctx)
     assert log.is_committed(0)
-    log.reset_block(ctx, 0)
+    log.reset_block(ctx)
     assert not log.is_committed(0)
     assert int(log.cursors.array[0]) == 0
 
@@ -69,9 +69,9 @@ def test_rollback_restores_in_reverse():
     device, data, log, ctx = make_env()
     # Two writes to the same element: log 7 (original), then 100.
     log.append(ctx, data, np.array([7]))
-    ctx.st(data, 7, np.int32(100))
+    ctx.st(data, [[7]], np.int32(100))
     log.append(ctx, data, np.array([7]))
-    ctx.st(data, 7, np.int32(200))
+    ctx.st(data, [[7]], np.int32(200))
     assert data.array[7] == 200
     undone = log.rollback(0)
     assert undone == 2
@@ -82,7 +82,7 @@ def test_rollback_restores_in_reverse():
 def test_rollback_is_idempotent():
     device, data, log, ctx = make_env()
     log.append(ctx, data, np.array([1, 2]))
-    ctx.st(data, np.array([1, 2]), np.array([50, 60], np.int32))
+    ctx.st(data, [[1, 2]], np.array([50, 60], np.int32))
     log.rollback(0)
     log.rollback(0)
     assert data.array[1] == 1 and data.array[2] == 2
@@ -92,7 +92,7 @@ def test_rollback_survives_the_persistence_domain():
     """Rollback writes are themselves ordinary (lazy) stores."""
     device, data, log, ctx = make_env()
     log.append(ctx, data, np.array([9]))
-    ctx.st(data, 9, np.int32(999))
+    ctx.st(data, [[9]], np.int32(999))
     device.drain()
     log.rollback(0)
     assert data.array[9] == 9

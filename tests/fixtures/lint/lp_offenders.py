@@ -17,13 +17,16 @@ Intentional defects — do not "fix" these kernels:
   and double-applies the increment.
 * ``LP010SharedEscapeKernel`` calls ``syncthreads`` under a
   thread-dependent branch and then persists a shared-memory value.
+
+Each writes the one block body there is, ``run_block_batch``, over a
+leading block axis (of 1 on the immediate rows these kernels run on).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.kernel import BlockContext, Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig
 
 
 class LP008WrapKernel(Kernel):
@@ -44,10 +47,10 @@ class LP008WrapKernel(Kernel):
         base = (block_id % 2) * self.threads
         return {"race_out": base + np.arange(self.threads)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        base = (ctx.block_id % 2) * self.threads
-        ctx.st("race_out", base + ctx.tid,
-               np.float32(1.0 + ctx.block_id), slots=ctx.tid)
+    def run_block_batch(self, bctx) -> None:
+        block = bctx.block_ids[:, None]
+        base = (block % 2) * self.threads
+        bctx.st("race_out", base + bctx.tid, 1.0 + block, slots=bctx.tid)
 
 
 class LP009FeedbackKernel(Kernel):
@@ -68,10 +71,10 @@ class LP009FeedbackKernel(Kernel):
         base = block_id * self.threads
         return {"acc_out": base + np.arange(self.threads)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        idx = ctx.block_id * self.threads + ctx.tid
-        prev = ctx.ld("acc_out", idx)
-        ctx.st("acc_out", idx, prev + np.float32(1.0), slots=ctx.tid)
+    def run_block_batch(self, bctx) -> None:
+        idx = bctx.block_ids[:, None] * self.threads + bctx.tid
+        prev = bctx.ld("acc_out", idx)
+        bctx.st("acc_out", idx, prev + np.float32(1.0), slots=bctx.tid)
 
 
 class LP010SharedEscapeKernel(Kernel):
@@ -92,42 +95,17 @@ class LP010SharedEscapeKernel(Kernel):
         base = block_id * self.threads
         return {"esc_out": base + np.arange(self.threads)}
 
-    def run_block(self, ctx: BlockContext) -> None:
-        idx = ctx.block_id * self.threads + ctx.tid
-        tile = ctx.shared.alloc("tile", (self.threads,), np.float32)
-        tile[:] = ctx.ld("esc_in", idx)
+    def run_block_batch(self, bctx) -> None:
+        idx = bctx.block_ids[:, None] * self.threads + bctx.tid
+        tile = bctx.shared.alloc("tile", (self.threads,), np.float32)
+        tile[:] = bctx.ld("esc_in", idx)
         # The branch condition is thread-derived: on real hardware only
         # part of the block reaches this barrier. (The warp-synchronous
         # simulator executes it uniformly, which is exactly why this
         # hazard needs a static rule.)
-        if int(ctx.tid[0]) == 0:
-            ctx.syncthreads()
-        ctx.st("esc_out", idx, tile * np.float32(2.0), slots=ctx.tid)
-
-
-class LP009BatchFeedbackKernel(Kernel):
-    """``LP009FeedbackKernel`` written as a batch body only.
-
-    It defines no ``run_block``: the default runs this body one block
-    at a time, so lint must read it in file mode and object mode alike.
-    """
-
-    name = "lp009-batch-feedback"
-    protected_buffers = ("acc_out",)
-    idempotent = True
-    batchable = True
-
-    def __init__(self, n_blocks: int = 4, threads: int = 64) -> None:
-        self.n_blocks = n_blocks
-        self.threads = threads
-
-    def launch_config(self) -> LaunchConfig:
-        return LaunchConfig.linear(self.n_blocks, self.threads)
-
-    def run_block_batch(self, bctx) -> None:
-        idx = bctx.block_ids[:, None] * self.threads + bctx.tid
-        prev = bctx.ld("acc_out", idx)
-        bctx.st("acc_out", idx, prev + np.float32(1.0), slots=bctx.tid)
+        if int(bctx.tid[0]) == 0:
+            bctx.syncthreads()
+        bctx.st("esc_out", idx, tile * np.float32(2.0), slots=bctx.tid)
 
 
 # ---------------------------------------------------------------------------

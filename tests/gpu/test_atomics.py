@@ -43,15 +43,6 @@ def test_add_handles_duplicate_indices():
     assert buf.array[2] == 5
 
 
-def test_max_semantics():
-    mem = GlobalMemory(cache_capacity_lines=64)
-    buf = mem.alloc("m", (4,), np.int64)
-    au = AtomicUnit(mem)
-    au.max_(buf, np.array([0, 0, 1]), np.array([3, 9, 2]))
-    assert buf.array[0] == 9
-    assert buf.array[1] == 2
-
-
 def test_hot_max_tracks_worst_address():
     _, buf, au = make()
     for _ in range(5):

@@ -21,9 +21,9 @@ class FillKernel(Kernel):
     def launch_config(self):
         return self._cfg
 
-    def run_block(self, ctx):
-        idx = ctx.block_id * ctx.n_threads + ctx.tid
-        ctx.st("fill_out", idx, float(ctx.block_id))
+    def run_block_batch(self, ctx):
+        idx = ctx.block_ids[:, None] * ctx.n_threads + ctx.tid
+        ctx.st("fill_out", idx, ctx.block_ids[:, None])
         ctx.flops(1)
 
 

@@ -389,9 +389,6 @@ class _OverrunKernel(Kernel):
     def _idx(block_ids):
         return np.asarray(block_ids)[:, None] * 4 + np.arange(4)
 
-    def run_block(self, ctx):
-        ctx.st("out", self._idx([ctx.block_id])[0], ctx.block_id + 1)
-
     def run_block_batch(self, bctx):
         bctx.st("out", self._idx(bctx.block_ids),
                 np.repeat(bctx.block_ids[:, None] + 1, 4, axis=1))
@@ -482,9 +479,9 @@ def test_device_accepts_engine_name():
 def _shape_case(case, device):
     """``(kernel, block_ids)`` of one launch shape on ``device``."""
     kernel = SPMVWorkload(scale="small", seed=3).setup(device)
-    if case == "unsafe":  # the EP wrapper has no ``run_block_batch``
+    if case == "unsafe":  # the EP wrapper's body takes only a row
         return repro.EPRuntime(device).instrument(kernel), None
-    if case == "fused":  # nor has a fused kernel
+    if case == "fused":  # and so does a fused kernel's
         kernel = repro.fuse_blocks(kernel, 2)
     # The LP wrapper is ``batchable`` iff its inner kernel is, whatever
     # its checksum lanes — every workload kernel is.
@@ -519,12 +516,13 @@ def test_launch_shape_table(engine_name, case):
     """Which of the two cells a launch runs in is decided per launch,
     from the kernel's ``batchable`` flag — read back here from the
     spans each cell emits — and only blocks that ran scalar under the
-    vectorizing engine count as a fallback."""
+    vectorizing engine count as a fallback. Whatever the cell, the
+    launch leaves exactly what ``serial`` leaves."""
     engine = make_engine(engine_name)
     with obs.recording(trace=True) as rec:
         device = repro.Device(cache_capacity_lines=64, engine=engine)
         kernel, block_ids = _shape_case(case, device)
-        device.launch(kernel, block_ids=block_ids)
+        result = device.launch(kernel, block_ids=block_ids)
         events = {event.name for event in rec.trace.sink.events}
     cells = {
         "scalar": "engine.blocks" in events,
@@ -533,3 +531,7 @@ def test_launch_shape_table(engine_name, case):
     want_cell, want_fallback = SHAPE_TABLE[engine_name][case]
     assert [cell for cell, ran in cells.items() if ran] == [want_cell]
     assert engine.fallbacks == ({kernel.name: 1} if want_fallback else {})
+    ref = repro.Device(cache_capacity_lines=64, engine="serial")
+    ref_kernel, _ = _shape_case(case, ref)
+    assert_same_launch((ref, ref.launch(ref_kernel, block_ids=block_ids)),
+                       (device, result))

@@ -6,7 +6,8 @@ import pytest
 import repro
 from repro.errors import OutOfBoundsError
 from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 from repro.nvm.model import WritebackReason
 
@@ -15,8 +16,8 @@ def make_ctx(cache_lines=64, **kw):
     mem = GlobalMemory(cache_capacity_lines=cache_lines)
     buf = mem.alloc("a", (128,), np.int32)
     scratch = mem.alloc("s", (32,), np.int32, persistent=False)
-    ctx = BlockContext(mem, AtomicUnit(mem),
-                       LaunchConfig.linear(2, 32), 0, **kw)
+    ctx = BatchBlockContext(mem, LaunchConfig.linear(2, 32), (0,),
+                            atomics=AtomicUnit(mem), immediate=True, **kw)
     return mem, buf, scratch, ctx
 
 
@@ -49,7 +50,7 @@ def test_flush_bounds_checked():
 
 def test_ctx_clwb_tracks_pending_and_charges():
     mem, buf, _, ctx = make_ctx()
-    ctx.st(buf, np.arange(64), np.ones(64))
+    ctx.st(buf, np.arange(64)[None], 1)
     flushed = ctx.clwb(buf, np.arange(64))
     assert flushed == 2
     assert ctx.tally.alu_ops >= 2
@@ -57,9 +58,9 @@ def test_ctx_clwb_tracks_pending_and_charges():
 
 
 def test_persist_barrier_charges_serial_stall():
-    mem, buf, _, ctx = make_ctx(fence_latency_cycles=500.0,
+    mem, buf, _, ctx = make_ctx(fence_latency=500.0,
                                 fence_concurrency=1)
-    ctx.st(buf, np.arange(32), np.ones(32))
+    ctx.st(buf, np.arange(32)[None], 1)
     ctx.clwb(buf, np.arange(32))
     ctx.persist_barrier()
     assert ctx.tally.serial_cycles == pytest.approx(500.0 + 8.0)
@@ -68,9 +69,9 @@ def test_persist_barrier_charges_serial_stall():
 
 def test_persist_barrier_amortized_by_concurrency():
     def stall(concurrency):
-        _, buf, _, ctx = make_ctx(fence_latency_cycles=400.0,
+        _, buf, _, ctx = make_ctx(fence_latency=400.0,
                                   fence_concurrency=concurrency)
-        ctx.st(buf, np.arange(32), np.ones(32))
+        ctx.st(buf, np.arange(32)[None], 1)
         ctx.clwb(buf, np.arange(32))
         ctx.persist_barrier()
         return ctx.tally.serial_cycles
@@ -79,7 +80,7 @@ def test_persist_barrier_amortized_by_concurrency():
 
 
 def test_barrier_without_pending_still_stalls_a_little():
-    _, _, _, ctx = make_ctx(fence_latency_cycles=300.0,
+    _, _, _, ctx = make_ctx(fence_latency=300.0,
                             fence_concurrency=1)
     ctx.persist_barrier()
     assert ctx.tally.serial_cycles == pytest.approx(300.0)

@@ -1,11 +1,12 @@
-"""Unit tests for LaunchConfig, BlockContext and the Kernel ABC."""
+"""Unit tests for LaunchConfig, a block's immediate row and the Kernel ABC."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DeviceError, LaunchError, UnrecoverableRegionError
 from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, ExecMode, Kernel, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import ExecMode, Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 
@@ -14,7 +15,13 @@ def make_ctx(block_id=0, mode=ExecMode.NORMAL, grid=(4, 1), block=(32, 1)):
     mem.alloc("out", (256,), np.float32)
     mem.alloc("scratch", (256,), np.float32, persistent=False)
     cfg = LaunchConfig(grid=grid, block=block)
-    return BlockContext(mem, AtomicUnit(mem), cfg, block_id, mode), mem
+    return BatchBlockContext(mem, cfg, (block_id,), mode, AtomicUnit(mem),
+                             immediate=True), mem
+
+
+def row(n):
+    """The first ``n`` elements, as one row's index."""
+    return np.arange(n)[None]
 
 
 class Recorder:
@@ -57,16 +64,16 @@ def test_launch_config_validation():
 
 def test_ld_st_roundtrip_and_bytes():
     ctx, _ = make_ctx()
-    ctx.st("out", np.arange(4), np.array([1.0, 2.0, 3.0, 4.0]))
-    vals = ctx.ld("out", np.arange(4))
-    assert np.allclose(vals, [1, 2, 3, 4])
+    ctx.st("out", row(4), np.array([1.0, 2.0, 3.0, 4.0]))
+    vals = ctx.ld("out", row(4))
+    assert np.allclose(vals, [[1, 2, 3, 4]])
     assert ctx.tally.global_write_bytes == 16
     assert ctx.tally.global_read_bytes == 16
 
 
 def test_st_broadcasts_scalars():
     ctx, mem = make_ctx()
-    ctx.st("out", np.arange(8), 5.0)
+    ctx.st("out", row(8), 5.0)
     assert np.all(mem["out"].array[:8] == 5.0)
 
 
@@ -74,8 +81,8 @@ def test_observer_sees_protected_stores_only():
     ctx, _ = make_ctx()
     rec = Recorder()
     ctx.lp_observer = rec
-    ctx.st("out", np.arange(4), np.ones(4))
-    ctx.st("scratch", np.arange(4), np.ones(4))
+    ctx.st("out", row(4), np.ones(4))
+    ctx.st("scratch", row(4), np.ones(4))
     assert len(rec.calls) == 1
 
 
@@ -84,7 +91,7 @@ def test_validate_mode_suppresses_persistent_writes():
     rec = Recorder()
     ctx.lp_observer = rec
     mem["out"].data[:4] = [9, 9, 9, 9]
-    ctx.st("out", np.arange(4), np.zeros(4))
+    ctx.st("out", row(4), np.zeros(4))
     # The write did not land; the observer saw memory's contents.
     assert np.all(mem["out"].array[:4] == 9)
     assert np.allclose(rec.calls[0][0], 9)
@@ -92,42 +99,40 @@ def test_validate_mode_suppresses_persistent_writes():
 
 def test_validate_mode_allows_scratch_writes():
     ctx, mem = make_ctx(mode=ExecMode.VALIDATE)
-    ctx.st("scratch", np.arange(4), np.ones(4))
+    ctx.st("scratch", row(4), np.ones(4))
     assert np.all(mem["scratch"].array[:4] == 1)
 
 
 def test_validate_mode_suppresses_unprotected_persistent_writes():
     ctx, mem = make_ctx(mode=ExecMode.VALIDATE)
-    ctx.st("out", np.arange(4), np.ones(4))  # no observer attached
+    ctx.st("out", row(4), np.ones(4))  # no observer attached
     assert np.all(mem["out"].array[:4] == 0)
 
 
 def test_atomic_to_persistent_in_validate_raises():
     ctx, _ = make_ctx(mode=ExecMode.VALIDATE)
     with pytest.raises(DeviceError):
-        ctx.atomic_add("out", np.array([0]), np.array([1.0]))
+        ctx.atomic_add("out", row(1), 1.0)
 
 
 def test_recover_mode_writes_normally():
     ctx, mem = make_ctx(mode=ExecMode.RECOVER)
-    ctx.st("out", np.arange(2), np.array([3.0, 4.0]))
+    ctx.st("out", row(2), np.array([3.0, 4.0]))
     assert mem["out"].array[0] == 3.0
 
 
 def test_thread_geometry_helpers():
     ctx, _ = make_ctx(block_id=5, grid=(4, 2), block=(8, 4))
     assert ctx.n_threads == 32
-    assert ctx.block_xy == (1, 1)
+    assert [v.tolist() for v in ctx.block_xy] == [[1], [1]]
     tx, ty = ctx.thread_xy()
     assert tx[9] == 1 and ty[9] == 1
     assert np.array_equal(ctx.tid, np.arange(32))
 
 
-def test_shuffle_and_sync_are_costed():
+def test_sync_is_costed():
     ctx, _ = make_ctx()
-    ctx.shfl_down(np.arange(32), 1)
     ctx.syncthreads()
-    assert ctx.tally.shuffle_ops == 32
     assert ctx.tally.syncthreads == 1
 
 
@@ -156,14 +161,14 @@ class TinyKernel(Kernel):
     def launch_config(self):
         return LaunchConfig.linear(2, 32)
 
-    def run_block(self, ctx):
-        idx = ctx.block_id * 32 + ctx.tid
-        ctx.st("out", idx, 1.0)
+    def run_block_batch(self, bctx):
+        idx = bctx.block_ids[:, None] * 32 + bctx.tid
+        bctx.st("out", idx, 1.0)
 
 
 def test_default_recover_reruns_idempotent_block():
     ctx, mem = make_ctx()
-    TinyKernel().recover_block(ctx)
+    TinyKernel().recover_block_batch(ctx)
     assert np.all(mem["out"].array[:32] == 1.0)
 
 
@@ -173,4 +178,26 @@ def test_non_idempotent_without_recovery_raises():
 
     ctx, _ = make_ctx()
     with pytest.raises(UnrecoverableRegionError):
-        NonIdem().recover_block(ctx)
+        NonIdem().recover_block_batch(ctx)
+
+
+
+def test_one_block_context_and_one_block_body():
+    """``BatchBlockContext`` is the only block context and
+    ``run_block_batch`` the only body: no module names a scalar
+    ``BlockContext``, and ``Kernel`` has no scalar entries."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).parent
+    named = [str(path.relative_to(src)) for path in sorted(src.rglob("*.py"))
+             if re.search(r"\bBlockContext\b", path.read_text())]
+    assert named == []
+    assert "BlockContext" not in repro.__all__
+    assert not hasattr(repro, "BlockContext")
+    for entry in ("run_block", "validate_block", "recover_block"):
+        assert not hasattr(Kernel, entry), entry
+    assert not hasattr(BatchBlockContext(
+        GlobalMemory(), LaunchConfig(), (0,)), "block_context")

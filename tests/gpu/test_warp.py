@@ -7,7 +7,6 @@ from repro.gpu.warp import (
     WARP_SIZE,
     lane_ids,
     shfl_down,
-    shfl_xor,
     warp_ids,
     warp_reduce,
 )
@@ -46,24 +45,6 @@ def test_shfl_down_partial_warp_pads_with_zero():
 def test_shfl_down_negative_offset_rejected():
     with pytest.raises(ValueError):
         shfl_down(np.arange(32), -1)
-
-
-def test_shfl_xor_swaps_pairs():
-    vals = np.arange(32)
-    out = shfl_xor(vals, 1)
-    assert out[0] == 1 and out[1] == 0
-    assert out[30] == 31 and out[31] == 30
-
-
-def test_shfl_xor_halves():
-    vals = np.arange(32)
-    out = shfl_xor(vals, 16)
-    assert np.array_equal(out, np.concatenate([vals[16:], vals[:16]]))
-
-
-def test_shfl_xor_bad_mask_rejected():
-    with pytest.raises(ValueError):
-        shfl_xor(np.arange(32), 32)
 
 
 def test_warp_reduce_add_matches_sum():

@@ -114,7 +114,7 @@ def test_each_kv_kernel_has_one_body():
         assert not {"run_block", "validate_block", "_find", "_claim",
                     "_answer"} & vars(cls).keys(), cls
     for cls in kernels:
-        assert cls.run_block is Kernel.run_block
+        assert not hasattr(cls, "run_block")
         assert cls.batchable is True
     device, store, keys, vals = build()
     assert "batchable" not in vars(KVInsertKernel(store, keys, vals))

@@ -13,7 +13,8 @@ from hypothesis.stateful import (
 from repro.core.config import AtomicMode, LockMode, LPConfig, TableKind
 from repro.core.tables import CuckooTable, make_table
 from repro.gpu.atomics import AtomicUnit
-from repro.gpu.kernel import BlockContext, LaunchConfig
+from repro.gpu.batch import BatchBlockContext
+from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import GlobalMemory
 
 configs = st.sampled_from([
@@ -24,8 +25,8 @@ configs = st.sampled_from([
 
 
 def make_ctx(mem):
-    return BlockContext(mem, AtomicUnit(mem),
-                        LaunchConfig.linear(4, 32), 0)
+    return BatchBlockContext(mem, LaunchConfig.linear(4, 32), (0,),
+                             atomics=AtomicUnit(mem), immediate=True)
 
 
 @given(configs, st.integers(1, 200), st.integers(0, 2**32 - 1))
@@ -105,8 +106,9 @@ class CrashAwareTable(RuleBasedStateMachine):
                 cache_lines=st.integers(1, 16))
     def build(self, config, n_keys, crowded, cache_lines):
         self.mem = GlobalMemory(cache_capacity_lines=cache_lines)
-        self.ctx = BlockContext(self.mem, AtomicUnit(self.mem),
-                                LaunchConfig.linear(n_keys, 32), 0)
+        self.ctx = BatchBlockContext(
+            self.mem, LaunchConfig.linear(n_keys, 32), (0,),
+            atomics=AtomicUnit(self.mem), immediate=True)
         if crowded and config.table is TableKind.CUCKOO:
             self.table = CuckooTable(
                 self.mem, "t", n_keys, 2,
